@@ -38,7 +38,7 @@ from repro.serving.persistence import (
     save_synopsis,
     save_workload_fingerprint,
 )
-from repro.serving.server import MPHTTPServer, MPServingPool
+from repro.serving.server import MPHTTPServer, MPServingPool, PoolBroken
 from repro.serving.shm import EpochRegister, SynopsisPublisher, attach_flat_synopsis
 from repro.serving.stats import ServingStats, StatsSnapshot
 
@@ -70,4 +70,5 @@ __all__ = [
     "attach_flat_synopsis",
     "MPServingPool",
     "MPHTTPServer",
+    "PoolBroken",
 ]

@@ -15,6 +15,9 @@ This module is the scale-out tier:
   a synopsis, so memory stays O(one synopsis) no matter the core count;
 * workers validate the publisher's epoch on every chunk and re-attach when
   a rebuild flipped it, so they never serve a torn synopsis;
+* dispatch is one duplex pipe per worker: a caller checks idle workers out,
+  sends chunks and reads the replies on its own thread (no relay threads
+  between a request and its worker);
 * :class:`MPHTTPServer` is a small stdlib HTTP front end mapping a JSON
   protocol onto canonical :class:`~repro.query.query.AggregateQuery` /
   :class:`~repro.query.groupby.GroupByQuery` objects, behind the same
@@ -35,9 +38,10 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Mapping, Sequence
+from multiprocessing.connection import Connection, wait
+from multiprocessing.process import BaseProcess
+from typing import Mapping, NamedTuple, Sequence
 
 from repro.distributed.parallel import SPAWN_CONTEXT
 from repro.obs import Observability
@@ -53,6 +57,7 @@ from repro.serving.shm import EpochRegister, attach_flat_synopsis
 __all__ = [
     "MPServingPool",
     "MPHTTPServer",
+    "PoolBroken",
     "query_from_payload",
     "query_to_payload",
     "result_to_payload",
@@ -148,8 +153,29 @@ def result_from_payload(payload: Mapping) -> AQPResult:
 _WORKER: dict = {}
 
 
+def _worker_main(register_name: str, conn: Connection) -> None:
+    """Worker process entry point: answer chunks over ``conn`` until it closes.
+
+    One request is one pickled chunk; one reply is ``(True, (results,
+    stats))`` or ``(False, exception)`` — the exception travels with its
+    type, so the parent re-raises what the worker raised.  End-of-file on
+    the pipe (the pool closed it, or the parent died) is the stop signal.
+    """
+    _worker_init(register_name)
+    while True:
+        try:
+            items = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, _worker_execute_chunk(items))
+        except Exception as exc:  # shipped to the caller, who re-raises it
+            reply = (False, exc)
+        conn.send(reply)
+
+
 def _worker_init(register_name: str) -> None:
-    """Pool initializer: attach the epoch register in this worker process."""
+    """Attach the epoch register in this worker process."""
     _WORKER.clear()
     _WORKER["register"] = EpochRegister.attach(register_name)
     _WORKER["epoch"] = -1
@@ -250,6 +276,22 @@ def _worker_execute_chunk(
 # ----------------------------------------------------------------------
 # Parent side
 # ----------------------------------------------------------------------
+class _Worker(NamedTuple):
+    """One pool worker: its process and the parent's end of its duplex pipe."""
+
+    process: BaseProcess
+    conn: Connection
+
+
+class PoolBroken(RuntimeError):
+    """A worker process died; the pool answers nothing more until re-created.
+
+    Raised to every caller with a chunk in flight on the dead worker, to
+    every caller waiting for a worker, and to every later call — never a
+    hang.  ``close()`` still reaps all processes and pipes.
+    """
+
+
 class MPServingPool:
     """A process-per-core pool answering queries over published synopses.
 
@@ -271,6 +313,13 @@ class MPServingPool:
         ``repro_mp_chunks_total``, ``repro_mp_reattach_total``) so one
         ``/metrics`` scrape covers the whole pool.
 
+    Each worker owns one duplex pipe.  A caller checks idle workers out,
+    sends a chunk down each pipe and blocks for the replies on its own
+    thread, so a dispatch costs one pipe round trip and no relay thread;
+    a worker returns to the idle list only once its reply has been read.
+    An exception raised in a worker is re-raised in the caller with its
+    type; a worker that dies breaks the pool (:class:`PoolBroken`).
+
     Workers start lazily on the first query and are shut down by
     :meth:`close` (also a context manager), which the shutdown-leak check
     in CI verifies leaves no live worker processes behind.
@@ -288,8 +337,11 @@ class MPServingPool:
         self.n_workers = n_workers or (os.cpu_count() or 1)
         self.chunk_size = chunk_size
         self._register_name = register_name
-        self._pool: ProcessPoolExecutor | None = None
-        self._lock = threading.Lock()
+        #: Guards the four fields below; waited on for an idle worker.
+        self._state = threading.Condition()
+        self._workers: list[_Worker] = []
+        self._idle: list[_Worker] = []
+        self._broken: str | None = None
         self._closed = False
         self._obs = obs if obs is not None else Observability.disabled()
         registry = self._obs.metrics
@@ -313,18 +365,62 @@ class MPServingPool:
         """The latest publisher epoch reported by a worker (0 before any)."""
         return self._last_epoch
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("pool is closed")
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.n_workers,
-                    mp_context=SPAWN_CONTEXT,
-                    initializer=_worker_init,
-                    initargs=(self._register_name,),
+    def _spawn_workers(self) -> None:
+        """Start the worker processes (caller holds ``_state``)."""
+        for index in range(self.n_workers):
+            parent_end, worker_end = SPAWN_CONTEXT.Pipe()
+            process = SPAWN_CONTEXT.Process(
+                target=_worker_main,
+                args=(self._register_name, worker_end),
+                name=f"mp-serving-worker-{index}",
+                daemon=True,
+            )
+            process.start()
+            # The worker now holds the only other copy: its death is our EOF.
+            worker_end.close()
+            worker = _Worker(process, parent_end)
+            self._workers.append(worker)
+            self._idle.append(worker)
+
+    def _checkout(self, want: int) -> list[_Worker]:
+        """Take 1..``want`` idle workers, blocking until at least one is."""
+        with self._state:
+            while True:
+                if self._closed:
+                    raise RuntimeError("pool is closed")
+                if self._broken is not None:
+                    raise PoolBroken(self._broken)
+                if not self._workers:
+                    self._spawn_workers()
+                if self._idle:
+                    taken = self._idle[-want:]
+                    del self._idle[-want:]
+                    return taken
+                self._state.wait()
+
+    def _release(self, worker: _Worker) -> None:
+        with self._state:
+            self._idle.append(worker)
+            # One waiter per freed worker: callers wait here only before
+            # close() starts, close() only after it woke them all.
+            self._state.notify()
+
+    def _lose(self, worker: _Worker) -> PoolBroken:
+        """Break the pool over a dead worker; returns the error to raise.
+
+        The worker still goes back to the idle list: ``close()`` reaps
+        every worker from it, and the notify wakes callers waiting for a
+        worker so they see the break instead of hanging.
+        """
+        with self._state:
+            if self._broken is None:
+                self._broken = (
+                    f"{worker.process.name} (pid {worker.process.pid}) died, or "
+                    "its reply was never read; close this pool and create a new one"
                 )
-            return self._pool
+            self._idle.append(worker)
+            self._state.notify_all()
+            return PoolBroken(self._broken)
 
     def _merge_stats(self, stats: dict) -> None:
         self._m_requests.inc(float(stats["served"]))
@@ -356,25 +452,81 @@ class MPServingPool:
         The batch is split into chunks dispatched concurrently to the
         workers, so wall-clock cost is the per-chunk critical path — the
         near-linear scaling ``benchmarks/bench_mp_serving.py`` measures.
+        Raises what a worker raised (first failing chunk to reply), or
+        :class:`PoolBroken` when a worker died.
         """
         queries = list(queries)
         if not queries:
             return []
-        pool = self._ensure_pool()
         chunk = self.chunk_size or max(
             1, -(-len(queries) // (self.n_workers * 4))
         )
         items = [(query, table) for query in queries]
-        futures = [
-            pool.submit(_worker_execute_chunk, items[start : start + chunk])
-            for start in range(0, len(items), chunk)
+        chunks = [
+            items[start : start + chunk] for start in range(0, len(items), chunk)
         ]
         results: list[AQPResult] = []
-        for future in futures:
-            chunk_results, stats = future.result()
+        for chunk_results, stats in self._dispatch(chunks):
             self._merge_stats(stats)
             results.extend(chunk_results)
         return results
+
+    def _dispatch(self, chunks: list) -> list:
+        """Run ``chunks`` on checked-out workers; replies in chunk order.
+
+        A worker gets the next unsent chunk as soon as its reply is read.
+        After a failure nothing more is sent, but replies already owed are
+        still read: a worker goes back to the idle list only with an empty
+        pipe, or the next caller would read a stale reply.
+        """
+        replies: list = [None] * len(chunks)
+        unsent = iter(enumerate(chunks))
+        free = self._checkout(len(chunks))
+        #: Pipes with a reply owed -> (worker, index of the chunk it holds).
+        owing: dict[Connection, tuple[_Worker, int]] = {}
+        failures: list[BaseException] = []
+        try:
+            while free or owing:
+                while free:
+                    worker = free.pop()
+                    index, items = (
+                        (None, None) if failures else next(unsent, (None, None))
+                    )
+                    if index is None:
+                        self._release(worker)
+                        continue
+                    try:
+                        worker.conn.send(items)
+                    except OSError:
+                        failures.append(self._lose(worker))
+                    else:
+                        owing[worker.conn] = (worker, index)
+                # A single reply owed is read by blocking in recv right here;
+                # a selector only pays off when several pipes are in flight.
+                ready = wait(list(owing)) if len(owing) > 1 else list(owing)
+                for conn in ready:
+                    worker, index = owing[conn]  # type: ignore[index]
+                    try:
+                        ok, payload = worker.conn.recv()
+                    except (EOFError, OSError):
+                        del owing[worker.conn]
+                        failures.append(self._lose(worker))
+                        continue
+                    del owing[worker.conn]
+                    free.append(worker)
+                    if ok:
+                        replies[index] = payload
+                    else:
+                        failures.append(payload)
+        finally:
+            # Non-empty only when an interrupt cut the loop short.
+            for worker in free:
+                self._release(worker)
+            for worker, _ in owing.values():
+                self._lose(worker)
+        if failures:
+            raise failures[0]
+        return replies
 
     def execute_grouped(self, groupby: GroupByQuery, table: str | None = None):
         """Answer a group-by query by fanning its cells out over the pool.
@@ -396,12 +548,26 @@ class MPServingPool:
         return plan, cells
 
     def close(self) -> None:
-        """Shut the worker processes down; idempotent."""
-        with self._lock:
+        """Shut the worker processes down; idempotent.
+
+        Waits for dispatches in flight (their workers come back to the
+        idle list), then closes every pipe — end-of-file stops a worker —
+        and reaps every process, dead ones included.
+        """
+        with self._state:
             self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+            self._state.notify_all()
+            while len(self._idle) < len(self._workers):
+                self._state.wait()
+            workers, self._workers, self._idle = self._workers, [], []
+        for worker in workers:
+            worker.conn.close()
+        for worker in workers:
+            worker.process.join(timeout=5.0)
+            if worker.process.is_alive():  # wedged, or its pipe is held elsewhere
+                worker.process.kill()
+                worker.process.join()
+            worker.process.close()
 
     def __enter__(self) -> "MPServingPool":
         """Context-manager support; workers are shut down on exit."""
@@ -412,26 +578,44 @@ class MPServingPool:
         self.close()
 
 
+#: Largest request body the HTTP front end reads (bytes); larger is a 413.
+MAX_BODY_BYTES = 1 << 20
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Request handler mapping the JSON protocol onto the worker pool."""
 
     protocol_version = "HTTP/1.1"
+    # One response leaves in one write: status line, headers and body
+    # gather in a buffered ``wfile`` that ``handle_one_request`` flushes
+    # once.  Two small writes with Nagle on stall the second behind the
+    # client's delayed ACK (~40 ms a round trip); Nagle is off as well so
+    # a response larger than the buffer cannot stall either.
+    wbufsize = 1 << 16
+    disable_nagle_algorithm = True
     server: "MPHTTPServer"
 
     def log_message(self, format: str, *args: object) -> None:
         """Silence the default per-request stderr logging."""
 
-    def _reply(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def handle_expect_100(self) -> bool:
+        """Flush the interim ``100 Continue``: the client waits for it."""
+        proceed = super().handle_expect_100()
+        self.wfile.flush()
+        return proceed
+
+    def _send(self, status: int, content_type: str, body: bytes) -> None:
+        """The only writer of responses (see ``wbufsize`` above)."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        return json.loads(self.rfile.read(length).decode("utf-8"))
+    def _reply(self, status: int, payload: dict) -> None:
+        self._send(status, "application/json", json.dumps(payload).encode("utf-8"))
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         """Serve ``/healthz`` and the Prometheus ``/metrics`` exposition."""
@@ -446,17 +630,29 @@ class _Handler(BaseHTTPRequestHandler):
             )
         elif self.path == "/metrics":
             text = prometheus_text(self.server.obs.metrics)
-            body = text.encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(200, "text/plain; version=0.0.4", text.encode("utf-8"))
         else:
             self._reply(404, {"error": f"no route {self.path}"})
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         """Serve ``/query`` (one aggregate) and ``/groupby`` (cell fan-out)."""
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body stays unread, so the connection cannot carry on.
+            self.close_connection = True
+            if length < 0:
+                self._reply(
+                    400, {"error": "Content-Length must be a non-negative integer"}
+                )
+            else:
+                self._reply(413, {"error": f"body exceeds {MAX_BODY_BYTES} bytes"})
+            return
+        # Read before any reply: unread bytes on a keep-alive connection
+        # would be parsed as the next request line.
+        body = self.rfile.read(length)
         if self.path not in ("/query", "/groupby"):
             self._reply(404, {"error": f"no route {self.path}"})
             return
@@ -475,21 +671,24 @@ class _Handler(BaseHTTPRequestHandler):
             )
             return
         try:
-            payload = self._read_json()
+            payload = json.loads(body)
             if self.path == "/query":
                 query, table = query_from_payload(payload)
                 result = self.server.pool.execute(query, table)
-                self._reply(200, {"result": result_to_payload(result)})
+                status, reply = 200, {"result": result_to_payload(result)}
             else:
-                self._groupby(payload)
+                status, reply = 200, self._groupby(payload)
         except (ValueError, KeyError, TypeError) as exc:
-            self._reply(400, {"error": str(exc)})
+            status, reply = 400, {"error": str(exc)}
         except LookupError as exc:
-            self._reply(404, {"error": str(exc)})
+            status, reply = 404, {"error": str(exc)}
+        except Exception as exc:  # closed pool, dead worker, a worker-side bug
+            status, reply = 503, {"error": f"{type(exc).__name__}: {exc}"}
         finally:
             self.server.release()
+        self._reply(status, reply)
 
-    def _groupby(self, payload: Mapping) -> None:
+    def _groupby(self, payload: Mapping) -> dict:
         groupby = GroupByQuery(
             groupings=tuple(
                 GroupingColumn(
@@ -522,7 +721,7 @@ class _Handler(BaseHTTPRequestHandler):
             }
             for (index, _), row in zip(plan.live_cells(), cells)
         ]
-        self._reply(200, {"group_columns": list(plan.group_columns), "cells": records})
+        return {"group_columns": list(plan.group_columns), "cells": records}
 
 
 class MPHTTPServer(ThreadingHTTPServer):

@@ -15,9 +15,16 @@ from __future__ import annotations
 
 import dataclasses
 import glob
+import http.client
 import json
 import math
 import multiprocessing
+import os
+import signal
+import socket
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -43,6 +50,8 @@ from repro.serving import (
     SynopsisPublisher,
 )
 from repro.serving.server import (
+    MAX_BODY_BYTES,
+    PoolBroken,
     query_from_payload,
     query_to_payload,
     result_from_payload,
@@ -96,6 +105,14 @@ def seeded_queries(seed: int, n: int) -> list[AggregateQuery]:
             )
         )
     return queries
+
+
+def record_outcome(outcomes: list, call, *args) -> None:
+    """Thread target: append ``call(*args)``'s result, or what it raised."""
+    try:
+        outcomes.append(call(*args))
+    except BaseException as exc:
+        outcomes.append(exc)
 
 
 @pytest.fixture(scope="module")
@@ -280,6 +297,141 @@ class TestMPServingPool:
         publisher.close()
         with pytest.raises(RuntimeError):
             pool.execute_batch(seeded_queries(seed=7, n=1), table="mp_test")
+
+    def test_failed_chunk_leaves_no_stale_reply_behind(self, synopses):
+        """A worker's exception arrives with its type and the pipes stay in step.
+
+        One chunk of a fanned-out batch fails while others are in flight;
+        their replies must be drained before the workers are reused, or the
+        next batch would read answers to the previous one's queries.
+        """
+        synopsis, _ = synopses
+        engine = make_engine(synopsis)
+        unknown = AggregateQuery("SUM", "other_column", RectPredicate.everything())
+        with SynopsisPublisher() as publisher:
+            publisher.publish("mp_main", synopsis, table_name="mp_test")
+            with MPServingPool(
+                publisher.register_name, n_workers=2, chunk_size=1
+            ) as pool:
+                for round_index in range(4):
+                    mixed = seeded_queries(seed=20 + round_index, n=6)
+                    mixed.insert(1 + round_index, unknown)
+                    with pytest.raises(LookupError, match="other_column"):
+                        pool.execute_batch(mixed, table="mp_test")
+                    queries = seeded_queries(seed=30 + round_index, n=9)
+                    results = pool.execute_batch(queries, table="mp_test")
+                    for result, query in zip(results, queries):
+                        assert_identical(result, engine.execute(query, "mp_test"))
+
+    def test_concurrent_callers_stay_bit_identical_across_an_epoch_flip(
+        self, synopses
+    ):
+        """Stress the worker checkout: 8 caller threads over 2 workers.
+
+        Two callers sharing a pipe, or a worker released with a reply
+        owed, would hand some caller the answer to another one's query.
+        """
+        synopsis, other = synopses
+        errors: list[BaseException] = []
+
+        def hammer(pool, engine, seed):
+            try:
+                queries = seeded_queries(seed=seed, n=24)
+                expected = [engine.execute(query, "mp_test") for query in queries]
+                singles = [pool.execute(query, "mp_test") for query in queries]
+                batch = pool.execute_batch(queries, table="mp_test")
+                for got in (singles, batch):
+                    for result, reference in zip(got, expected):
+                        assert_identical(result, reference)
+            except BaseException as exc:  # surfaced by the main thread below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with SynopsisPublisher() as publisher:
+                publisher.publish("mp_main", synopsis, table_name="mp_test")
+                with MPServingPool(
+                    publisher.register_name, n_workers=2, chunk_size=3
+                ) as pool:
+                    for generation in (synopsis, other):
+                        publisher.publish("mp_main", generation, table_name="mp_test")
+                        engine = make_engine(generation)
+                        threads = [
+                            threading.Thread(target=hammer, args=(pool, engine, 40 + i))
+                            for i in range(8)
+                        ]
+                        for thread in threads:
+                            thread.start()
+                        for thread in threads:
+                            thread.join(timeout=60.0)
+                        assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+
+    def test_worker_killed_while_idle_breaks_the_pool_and_close_reaps(
+        self, synopses
+    ):
+        synopsis, _ = synopses
+        query = seeded_queries(seed=7, n=1)[0]
+        with SynopsisPublisher() as publisher:
+            publisher.publish("mp_main", synopsis, table_name="mp_test")
+            register = EpochRegister.attach(publisher.register_name)
+            owned = [publisher.register_name] + [
+                entry["segment"] for entry in register.read()[1]["entries"]
+            ]
+            register.close()
+            open_fds = len(os.listdir("/proc/self/fd"))
+            pool = MPServingPool(publisher.register_name, n_workers=1)
+            pool.execute(query, "mp_test")
+            (worker,) = multiprocessing.active_children()
+            os.kill(worker.pid, signal.SIGKILL)
+            outcome: list = []
+            caller = threading.Thread(
+                target=record_outcome, args=(outcome, pool.execute, query, "mp_test")
+            )
+            caller.start()
+            caller.join(timeout=10.0)
+            assert not caller.is_alive(), "execute hung on a dead worker"
+            assert isinstance(outcome[0], PoolBroken)
+            with pytest.raises(PoolBroken):  # and stays broken, like BrokenProcessPool
+                pool.execute(query, "mp_test")
+            pool.close()
+            assert multiprocessing.active_children() == []
+            assert len(os.listdir("/proc/self/fd")) == open_fds
+        # This stack's own segments (other test processes may hold theirs).
+        assert not [name for name in owned if os.path.exists(f"/dev/shm/{name}")]
+
+    def test_worker_killed_mid_chunk_fails_every_waiting_caller(self, synopses):
+        synopsis, _ = synopses
+        query = seeded_queries(seed=7, n=1)[0]
+        with SynopsisPublisher() as publisher:
+            publisher.publish("mp_main", synopsis, table_name="mp_test")
+            with MPServingPool(publisher.register_name, n_workers=1) as pool:
+                pool.execute(query, "mp_test")
+                (worker,) = multiprocessing.active_children()
+                # A stopped worker holds its chunk forever: the first caller
+                # blocks on the reply, the second on the worker checkout.
+                os.kill(worker.pid, signal.SIGSTOP)
+                outcomes: list = []
+                callers = [
+                    threading.Thread(
+                        target=record_outcome,
+                        args=(outcomes, pool.execute, query, "mp_test"),
+                    )
+                    for _ in range(2)
+                ]
+                for caller in callers:
+                    caller.start()
+                time.sleep(0.2)
+                assert outcomes == []
+                os.kill(worker.pid, signal.SIGKILL)
+                for caller in callers:
+                    caller.join(timeout=10.0)
+                assert not any(caller.is_alive() for caller in callers)
+                assert [type(outcome) for outcome in outcomes] == [PoolBroken] * 2
+            assert multiprocessing.active_children() == []
 
     def test_router_swap_republishes_through_the_publisher(self):
         table = make_table(seed=11, n=1500)
@@ -473,3 +625,164 @@ class TestHTTPFrontEnd:
         finally:
             for _ in admitted:
                 server.release()
+
+
+class _RecordingSocket(socket.socket):
+    """An accepted socket that logs the size of every ``send`` / ``sendall``."""
+
+    def send(self, data, *args):
+        self.sent.append(len(data))
+        return super().send(data, *args)
+
+    def sendall(self, data, *args):
+        self.sent.append(len(data))
+        return super().sendall(data, *args)
+
+
+class _RecordingServer(MPHTTPServer):
+    """``MPHTTPServer`` handing its handlers recording sockets."""
+
+    def get_request(self):
+        accepted, address = super().get_request()
+        recording = _RecordingSocket(fileno=accepted.detach())
+        recording.sent = []
+        self.accepted.append(recording)
+        return recording, address
+
+
+class TestHTTPTransport:
+    """The wire contract under the JSON protocol: framing, writes, failures."""
+
+    @pytest.fixture()
+    def stack(self, synopses):
+        synopsis, _ = synopses
+        publisher = SynopsisPublisher()
+        publisher.publish("mp_main", synopsis, table_name="mp_test")
+        pool = MPServingPool(publisher.register_name, n_workers=1)
+        server = _RecordingServer(pool, max_pending=4)
+        server.accepted = []
+        server.serve_in_thread()
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        yield connection, server, pool
+        connection.close()
+        server.close()
+        pool.close()
+        publisher.close()
+
+    @staticmethod
+    def post(connection, path, payload):
+        connection.request(
+            "POST",
+            path,
+            body=json.dumps(payload),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+
+    @staticmethod
+    def raw_exchange(server, head: bytes) -> bytes:
+        """Send raw request bytes, return everything up to the server's close."""
+        with socket.create_connection(server.server_address[:2], timeout=5) as raw:
+            raw.sendall(head)
+            received = b""
+            while chunk := raw.recv(65536):
+                received += chunk
+        return received
+
+    def test_early_replies_keep_a_keep_alive_connection_in_sync(self, stack):
+        connection, server, _ = stack
+        payload = query_to_payload(seeded_queries(seed=8, n=1)[0], "mp_test")
+        admitted = [server.admit() for _ in range(server.max_pending)]
+        try:
+            status, _ = self.post(connection, "/query", payload)
+            assert status == 429
+        finally:
+            for _ in admitted:
+                server.release()
+        # The 429 body was read, so the same connection parses the next
+        # request from its first byte (not from the middle of that JSON).
+        status, reply = self.post(connection, "/query", payload)
+        assert status == 200 and "result" in reply
+        status, _ = self.post(connection, "/no-such-route", payload)
+        assert status == 404
+        status, reply = self.post(connection, "/query", payload)
+        assert status == 200 and "result" in reply
+        assert len(server.accepted) == 1  # one connection throughout
+
+    @pytest.mark.parametrize("declared", ["-1", "banana"])
+    def test_malformed_content_length_is_a_400(self, stack, declared):
+        _, server, _ = stack
+        reply = self.raw_exchange(
+            server,
+            f"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: {declared}"
+            "\r\n\r\n".encode(),
+        )
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in reply
+        assert b"Content-Length" in reply.split(b"\r\n\r\n", 1)[1]  # the JSON error
+
+    def test_oversized_body_is_a_413_without_reading_it(self, stack):
+        _, server, _ = stack
+        reply = self.raw_exchange(
+            server,
+            f"POST /query HTTP/1.1\r\nHost: x\r\nContent-Length: "
+            f"{MAX_BODY_BYTES + 1}\r\n\r\n".encode(),
+        )
+        assert reply.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in reply
+
+    def test_expect_100_continue_is_answered_before_the_body(self, stack):
+        _, server, _ = stack
+        body = json.dumps(
+            query_to_payload(seeded_queries(seed=8, n=1)[0], "mp_test")
+        ).encode()
+        with socket.create_connection(server.server_address[:2], timeout=5) as raw:
+            raw.sendall(
+                b"POST /query HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                b"Connection: close\r\nContent-Length: %d\r\n\r\n" % len(body)
+            )
+            # Buffered writes must not hold the interim response back.
+            assert raw.recv(65536).startswith(b"HTTP/1.1 100 Continue")
+            raw.sendall(body)
+            received = b""
+            while chunk := raw.recv(65536):
+                received += chunk
+        assert received.startswith(b"HTTP/1.1 200 ")
+
+    def test_pool_failure_is_a_json_503_not_a_reset(self, stack):
+        connection, _, pool = stack
+        payload = query_to_payload(seeded_queries(seed=8, n=1)[0], "mp_test")
+        assert self.post(connection, "/query", payload)[0] == 200
+        pool.close()
+        status, reply = self.post(connection, "/query", payload)
+        assert status == 503
+        assert "pool is closed" in reply["error"]
+        # Still one live connection: the server answered, it did not drop.
+        assert self.post(connection, "/no-such-route", payload)[0] == 404
+
+    def test_each_response_is_one_send_on_a_nodelay_socket(self, stack):
+        connection, server, _ = stack
+        payload = query_to_payload(seeded_queries(seed=8, n=1)[0], "mp_test")
+        assert self.post(connection, "/query", payload)[0] == 200
+        assert self.post(connection, "/query", {"value_column": "value"})[0] == 400
+        for path in ("/healthz", "/metrics", "/nowhere"):
+            connection.request("GET", path)
+            connection.getresponse().read()
+        (accepted,) = server.accepted
+        assert accepted.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+        assert len(accepted.sent) == 5  # five responses, five writes
+
+    def test_keep_alive_round_trips_do_not_stall(self, stack):
+        """50 sequential round trips: ~0.1 s; 2.2 s with the write-write-read stall."""
+        connection, _, _ = stack
+        payloads = [
+            query_to_payload(query, "mp_test") for query in seeded_queries(seed=9, n=51)
+        ]
+        # The first request spawns the worker; keep that off the clock.
+        assert self.post(connection, "/query", payloads[0])[0] == 200
+        start = time.perf_counter()
+        for payload in payloads[1:]:
+            assert self.post(connection, "/query", payload)[0] == 200
+        assert time.perf_counter() - start < 1.0
