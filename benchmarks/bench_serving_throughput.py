@@ -6,7 +6,8 @@ paths are compared on the same workload:
 
 * sequential execution with the result cache disabled (the baseline — one
   MCF lookup plus per-leaf mask evaluation per query);
-* batch execution with the cache disabled (vectorized mask evaluation);
+* batch execution with the cache disabled (duplicates answered once, one
+  MCF frontier per distinct predicate, the same kernel per query);
 * sequential execution against a warm cache;
 * batch execution against a warm cache (the production fast path).
 

@@ -48,8 +48,7 @@ def build_engine() -> ServingEngine:
     catalog = SynopsisCatalog()
     catalog.register("sensors_power", synopsis, table_name="sensors")
     catalog.register_table(table)
-    # vectorized_batches: micro-batches cost one moments pass per leaf.
-    return ServingEngine(catalog, vectorized_batches=True)
+    return ServingEngine(catalog)
 
 
 async def main() -> None:

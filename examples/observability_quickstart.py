@@ -8,7 +8,7 @@ hits, streaming updates), then prints what the instruments captured:
 1. the Prometheus text exposition of every registered metric family;
 2. the slowest request traces as rendered span trees — one ``serve.request``
    root per query, decomposed into cache probe, queue wait, batch window,
-   plan compile, frontier descent, and vectorized execution;
+   plan compile, frontier descent, and per-query execution;
 3. the structured query-log tail: per-request outcome, predicate box,
    per-stage latencies, and error-bound width.
 
@@ -60,7 +60,7 @@ def build_engine(obs: Observability) -> ServingEngine:
     catalog = SynopsisCatalog()
     catalog.register("sensors_power", synopsis, table_name="sensors")
     catalog.register_table(table)
-    return ServingEngine(catalog, vectorized_batches=True, obs=obs)
+    return ServingEngine(catalog, obs=obs)
 
 
 async def serve_workload(engine: ServingEngine) -> None:

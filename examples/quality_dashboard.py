@@ -69,7 +69,7 @@ def build_engine(obs: Observability) -> ServingEngine:
     catalog = SynopsisCatalog()
     catalog.register("sensors_power", synopsis, table_name="sensors")
     catalog.register_table(table)
-    return ServingEngine(catalog, vectorized_batches=True, obs=obs)
+    return ServingEngine(catalog, obs=obs)
 
 
 def matched_queries(rng: np.random.Generator, count: int) -> list[AggregateQuery]:

@@ -151,9 +151,7 @@ def async_serving() -> None:
             )
             for i in range(0, 50, 10)
         ]
-        async with AsyncServingEngine(
-            ServingEngine(catalog, vectorized_batches=True)
-        ) as tier:
+        async with AsyncServingEngine(ServingEngine(catalog)) as tier:
             await asyncio.gather(*(tier.execute(q) for q in dashboard_queries))
             await tier.insert("sensors_power", {"time": 20.0, "power": 55.0})
 

@@ -1,7 +1,6 @@
 """The paper's primary contribution: the PASS synopsis and its builder."""
 
 from repro.core.batching import (
-    batch_leaf_masks,
     batch_query,
     frontier_count,
     grouped_query,
@@ -20,7 +19,6 @@ from repro.core.tree import MCFResult, PartitionNode, PartitionTree
 from repro.core.updates import DynamicPASS
 
 __all__ = [
-    "batch_leaf_masks",
     "batch_query",
     "frontier_count",
     "grouped_query",

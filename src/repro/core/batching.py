@@ -1,23 +1,18 @@
-"""Vectorized batch and grouped query execution against one PASS synopsis.
+"""Batch and grouped query execution against one PASS synopsis.
 
-Answering a batch of queries one by one re-evaluates the predicate of every
-query against every partially-overlapped leaf's sample columns.  When many
-queries touch the same leaf — the normal case for dashboard traffic, grouped
-aggregation, and scatter-gather over shards — those per-query mask
-evaluations can be fused:
+Both executors run the array-native kernels of
+:class:`repro.core.soa.FlatSynopsis`; neither has an answering path of its
+own.
 
-* queries with *identical* predicates (a SUM / COUNT / AVG triple over one
-  region, or the aggregates of one group cell) share a single mask per leaf,
-  and
-* the remaining distinct predicates touching a leaf (grouped by
-  constrained-column set) are evaluated in one broadcasted comparison.
-
-The fused masks are then fed through the regular estimator path
-(:meth:`repro.core.pass_synopsis.PASSSynopsis.query` accepts precomputed
-masks), so batched results are identical to sequential ones by construction.
-The serving engine's ``execute_batch``, the distributed layer's
-scatter-gather path, and the grouped executor below all build on
-:func:`batch_query` / :func:`batch_leaf_masks`.
+:func:`batch_query` (:func:`compile_batch` + :meth:`BatchPlan.execute`)
+answers a list of queries.  Compilation computes one MCF frontier per
+*distinct* (predicate, AVG-ness) — the SUM / COUNT / MIN / MAX of one
+dashboard panel share a frontier — and execution feeds each query's frontier
+to the same moment kernel ``synopsis.query`` runs
+(:meth:`FlatSynopsis.answer`), so a batch is bit-identical to sequential
+execution because it *is* the same kernel.  The serving engine's
+``execute_batch`` and the distributed layer's scatter-gather path build on
+it.
 
 :func:`grouped_query` is the single-synopsis executor for compiled
 :class:`~repro.query.groupby.GroupByPlan` batches.  It exploits the grouped
@@ -30,14 +25,11 @@ dispatching anything.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
-import numpy as np
-
-from repro.aggregation.strat_agg import hard_bounds
 from repro.core.pass_synopsis import PASSSynopsis, sketch_union_result
-from repro.core.tree import BatchFrontiers, MCFResult
+from repro.core.soa import FlatFrontier
+from repro.core.tree import MCFResult
 from repro.obs import Observability
 from repro.query.aggregates import SKETCH_AGGREGATES, AggregateType
 from repro.query.groupby import (
@@ -45,39 +37,25 @@ from repro.query.groupby import (
     GroupedResult,
     empty_group_result,
 )
-from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
-from repro.sampling.estimators import (
-    EstimateWithVariance,
-    finite_population_correction,
-    ratio_estimate,
-)
 
 __all__ = [
     "BatchPlan",
     "compile_batch",
     "batch_query",
-    "batch_leaf_masks",
     "grouped_query",
     "frontier_count",
 ]
 
 
 class BatchPlan:
-    """A compiled batch against one synopsis: frontiers, masks, dedup slots.
+    """A compiled batch against one synopsis: queries, slots, flat frontiers.
 
     Compilation (:func:`compile_batch`) is separated from execution so a
-    scheduler can pre-compile a micro-batch — one *vectorized* MCF pass for
-    the whole batch (:meth:`~repro.core.tree.PartitionTree.
-    batch_coverage_frontiers`), with one frontier slot per distinct
-    predicate (queries sharing a predicate, e.g. the SUM / COUNT / AVG
-    triple of one dashboard panel, share a frontier object) — and then
-    execute the plan under whatever locking regime the serving layer
-    requires.  Sample match masks are computed lazily on first use: the
-    per-query exact path needs them for every query, while the vectorized
-    path reduces masks and moments in one fused pass and only materializes
-    per-query masks for sketch aggregates.
+    scheduler can pre-compile a micro-batch — one frontier per distinct
+    predicate — and then execute the plan under whatever locking regime the
+    serving layer requires.
 
     A plan reads node statistics and leaf samples at *execution* time, so
     compile and execute must happen within one update-free scope (the
@@ -90,13 +68,15 @@ class BatchPlan:
         The synopsis the plan was compiled against.
     queries:
         The batch, in input order.
-    frontiers:
-        Per-query MCF frontiers; queries with equal canonical predicates
-        (and equal AVG-ness, see :func:`compile_batch`) share the same
-        frontier object.
     slots:
-        Per-query frontier-slot index (slot order follows
-        :attr:`slot_queries`, the first query compiled for each slot).
+        Per-query frontier-slot index into :attr:`slot_queries` /
+        :attr:`slot_frontiers`.
+    slot_queries:
+        The first query compiled for each slot.
+    slot_frontiers:
+        One :class:`~repro.core.soa.FlatFrontier` per slot; queries with
+        equal canonical predicates (and equal AVG-ness, see
+        :func:`compile_batch`) share it.
     """
 
     def __init__(
@@ -105,115 +85,47 @@ class BatchPlan:
         queries: list[AggregateQuery],
         slots: list[int],
         slot_queries: list[AggregateQuery],
-        batch_frontiers: BatchFrontiers,
+        slot_frontiers: list[FlatFrontier],
         obs: Observability | None = None,
     ) -> None:
         self.synopsis = synopsis
         self.queries = queries
         self.slots = slots
         self.slot_queries = slot_queries
-        self.batch_frontiers = batch_frontiers
+        self.slot_frontiers = slot_frontiers
         self.obs = obs if obs is not None else Observability.disabled()
-        self._slot_frontiers: list[MCFResult] | None = None
-        self._frontiers: list[MCFResult] | None = None
-        self._masks: list[dict[int, np.ndarray]] | None = None
-
-    @property
-    def slot_frontiers(self) -> list[MCFResult]:
-        """Per-slot materialized MCF frontiers (lazy; shared objects)."""
-        if self._slot_frontiers is None:
-            self._slot_frontiers = self.batch_frontiers.results()
-        return self._slot_frontiers
-
-    @property
-    def frontiers(self) -> list[MCFResult]:
-        """Per-query MCF frontiers (lazy; slot-mates share one object)."""
-        if self._frontiers is None:
-            slot_frontiers = self.slot_frontiers
-            self._frontiers = [slot_frontiers[slot] for slot in self.slots]
-        return self._frontiers
-
-    @property
-    def masks(self) -> list[dict[int, np.ndarray]]:
-        """Per-query per-leaf sample match masks (computed lazily, shared
-        across queries with equal canonical predicates)."""
-        if self._masks is None:
-            self._masks = batch_leaf_masks(self.synopsis, self.queries, self.frontiers)
-        return self._masks
 
     def execute(self) -> list[AQPResult]:
-        """Answer the batch through the per-query estimator path.
+        """Answer every query from its slot's frontier with the flat kernel.
 
         Results align with the input order and are bit-identical to calling
-        ``synopsis.query(query)`` per query.
-        """
-        with self.obs.tracer.span("execute.per_query") as span:
-            span.set_attribute("batch_size", len(self.queries))
-            return [
-                self.synopsis.query(query, match_masks=mask, frontier=frontier)
-                for query, mask, frontier in zip(
-                    self.queries, self.masks, self.frontiers
-                )
-            ]
-
-    def execute_vectorized(self) -> list[AQPResult]:
-        """Answer the batch straight from the frontier mask matrices.
-
-        Instead of running the stratified estimator once per query, the
-        whole batch assembles array-at-a-time: covered-node totals and hard
-        bounds come from matrix products of the frontier masks with fresh
-        per-node statistic arrays, and the partially-overlapped leaves are
-        reduced to per-slot sufficient statistics (matched count, value
-        sum, sum of squares, extrema) with one broadcasted mask pass per
-        touched leaf — the same reduction :func:`grouped_query` uses per
-        group cell.  Estimates follow the same stratified formulas as
-        :meth:`PASSSynopsis.query` and agree with sequential execution up
-        to floating-point summation order, with the one semantic difference
-        documented on :func:`grouped_query`: AVG combines the shared SUM /
-        COUNT totals through the ratio estimator instead of the AVG-only
-        zero-variance shortcut.  Sketch aggregates (QUANTILE /
-        COUNT_DISTINCT) fall back to the per-query path over the shared
-        frontiers.
+        ``synopsis.query(query)`` per query.  Sketch aggregates (QUANTILE /
+        COUNT_DISTINCT) reduce per-leaf sketch objects, so they go through
+        the object path over the slot's materialized frontier.
         """
         synopsis = self.synopsis
-        results: list[AQPResult | None] = [None] * len(self.queries)
-        # Aggregates requested per distinct-predicate slot (classic only).
-        slot_aggs: list[list[AggregateType]] = [[] for _ in self.slot_queries]
-        slot_members: list[list[int]] = [[] for _ in self.slot_queries]
-        sketch_indices = []
-        for index, (query, slot) in enumerate(zip(self.queries, self.slots)):
-            if query.agg in SKETCH_AGGREGATES:
-                sketch_indices.append(index)
-            else:
-                slot_aggs[slot].append(query.agg)
-                slot_members[slot].append(index)
-        if sketch_indices:
-            # Sketch aggregates keep the per-query estimator; their masks
-            # are materialized for just this subset of the batch.
-            sketch_queries = [self.queries[i] for i in sketch_indices]
-            sketch_frontiers = [self.frontiers[i] for i in sketch_indices]
-            sketch_masks = batch_leaf_masks(synopsis, sketch_queries, sketch_frontiers)
-            for index, query, frontier, mask in zip(
-                sketch_indices, sketch_queries, sketch_frontiers, sketch_masks
-            ):
-                results[index] = synopsis.query(
-                    query, match_masks=mask, frontier=frontier
-                )
+        flat = synopsis.flat
+        with self.obs.tracer.span("execute.per_query") as span:
+            span.set_attribute("batch_size", len(self.queries))
+            results = []
+            for query, slot in zip(self.queries, self.slots):
+                frontier = self.slot_frontiers[slot]
+                if query.agg in SKETCH_AGGREGATES:
+                    results.append(
+                        synopsis.query_object(
+                            query, frontier=flat.materialize(frontier)
+                        )
+                    )
+                else:
+                    results.append(flat.answer(query, frontier))
+            return results
 
-        if any(slot_members):
-            with self.obs.tracer.span("masks.reduceat") as span:
-                span.set_attribute("batch_size", len(self.queries))
-                span.set_attribute("slots", len(self.slot_queries))
-                rows = _assemble_from_masks(
-                    synopsis,
-                    self.batch_frontiers,
-                    [query.predicate for query in self.slot_queries],
-                    slot_aggs,
-                )
-            for slot, members in enumerate(slot_members):
-                for index, result in zip(members, rows[slot]):
-                    results[index] = result
-        return results  # type: ignore[return-value]
+    # perfbench/layers.py wraps this name and perfbench/ is frozen by
+    # BENCHMARK.json; nothing else may call it.  A later `benchmark` PR
+    # removes it together with the harness row.
+    def execute_vectorized(self) -> list[AQPResult]:
+        """Same as :meth:`execute` (kept for the frozen benchmark harness)."""
+        return self.execute()
 
 
 def compile_batch(
@@ -221,18 +133,17 @@ def compile_batch(
     queries: Sequence[AggregateQuery],
     obs: Observability | None = None,
 ) -> BatchPlan:
-    """Compile a batch: one vectorized MCF pass over deduplicated slots.
+    """Compile a batch: one flat MCF frontier per deduplicated slot.
 
     Frontier slots dedupe per (canonical predicate, AVG-ness): AVG lookups
     may descend differently under the zero-variance rule (Section 3.4), so
     an AVG query never shares a frontier slot with a SUM / COUNT over the
-    same predicate — keeping :meth:`BatchPlan.execute` bit-identical to
-    sequential execution.
+    same predicate.
 
     With an enabled ``obs``, compilation emits ``plan.compile`` /
     ``frontier.descent`` spans carrying the tree statistics
     (``nodes_visited``, covered / partial leaf counts) and the plan carries
-    the context into its execution spans.
+    the context into its execution span.
     """
     obs = obs if obs is not None else Observability.disabled()
     with obs.tracer.span("plan.compile") as compile_span:
@@ -248,26 +159,18 @@ def compile_batch(
                 slot_by_key[key] = slot
                 slot_queries.append(query)
             slots.append(slot)
-        zero_variance = synopsis.zero_variance_rule
+        flat = synopsis.flat
         with obs.tracer.span("frontier.descent") as descent_span:
-            batch_frontiers = synopsis.tree.batch_coverage_frontiers(
-                [query.predicate for query in slot_queries],
-                [
-                    zero_variance and query.agg == AggregateType.AVG
-                    for query in slot_queries
-                ],
-                with_masks=True,
-            )
-            assert isinstance(batch_frontiers, BatchFrontiers)
+            slot_frontiers = [flat.query_frontier(query) for query in slot_queries]
             if obs.enabled:
                 descent_span.set_attribute(
-                    "nodes_visited", int(batch_frontiers.nodes_visited.sum())
+                    "nodes_visited", sum(f.nodes_visited for f in slot_frontiers)
                 )
                 descent_span.set_attribute(
-                    "covered_nodes", int(batch_frontiers.covered_mask.sum())
+                    "covered_nodes", sum(f.covered.shape[0] for f in slot_frontiers)
                 )
                 descent_span.set_attribute(
-                    "partial_leaves", int(batch_frontiers.partial_mask.sum())
+                    "partial_leaves", sum(f.partial.shape[0] for f in slot_frontiers)
                 )
         compile_span.set_attribute("batch_size", len(queries))
         compile_span.set_attribute("slots", len(slot_queries))
@@ -276,7 +179,7 @@ def compile_batch(
             queries=queries,
             slots=slots,
             slot_queries=slot_queries,
-            batch_frontiers=batch_frontiers,
+            slot_frontiers=slot_frontiers,
             obs=obs,
         )
 
@@ -284,412 +187,14 @@ def compile_batch(
 def batch_query(
     synopsis: PASSSynopsis,
     queries: Sequence[AggregateQuery],
-    vectorized: bool = False,
     obs: Observability | None = None,
 ) -> list[AQPResult]:
-    """Answer several queries against one synopsis with shared mask work.
+    """Answer several queries against one synopsis with shared frontier work.
 
-    Results align with the input order and are identical to calling
-    ``synopsis.query(query)`` per query; with ``vectorized=True`` the batch
-    runs through :meth:`BatchPlan.execute_vectorized` instead (equal up to
-    floating-point summation order, faster for batches of tens of queries).
+    Results align with the input order and are bit-identical to calling
+    ``synopsis.query(query)`` per query.
     """
-    plan = compile_batch(synopsis, queries, obs=obs)
-    return plan.execute_vectorized() if vectorized else plan.execute()
-
-
-def batch_leaf_masks(
-    synopsis: PASSSynopsis,
-    queries: Sequence[AggregateQuery],
-    frontiers: Sequence[MCFResult],
-) -> list[dict[int, np.ndarray]]:
-    """Vectorized sample match masks for a batch of queries.
-
-    For every leaf partially overlapped by at least one query, the interval
-    tests of the *distinct* predicates touching that leaf (queries with equal
-    canonical predicates share one mask row, grouped by constrained-column
-    set for broadcasting) are evaluated against the leaf's sample columns in
-    one comparison, instead of once per query.  Each mask row equals what
-    ``Stratum.match_mask`` computes for the same query, so feeding the masks
-    through ``PASSSynopsis.query`` yields identical results.
-    """
-    predicate_keys = [query.predicate.canonical_key() for query in queries]
-    per_leaf: dict[int, list[int]] = {}
-    for index, frontier in enumerate(frontiers):
-        for node in frontier.partial:
-            per_leaf.setdefault(node.leaf_index, []).append(index)
-
-    masks: list[dict[int, np.ndarray]] = [{} for _ in queries]
-    strata = synopsis.leaf_samples
-    for leaf_index, members in per_leaf.items():
-        stratum = strata[leaf_index]
-        n_samples = stratum.sample_size
-        if n_samples == 0:
-            empty = np.zeros(0, dtype=bool)
-            for index in members:
-                masks[index][leaf_index] = empty
-            continue
-        # One mask per distinct predicate; duplicates share the array.
-        unique: dict[tuple, list[int]] = {}
-        for index in members:
-            unique.setdefault(predicate_keys[index], []).append(index)
-        groups: dict[tuple[str, ...], list[tuple]] = {}
-        for key in unique:
-            columns = tuple(column for column, _, _ in key)
-            groups.setdefault(columns, []).append(key)
-        for columns, keys in groups.items():
-            if not columns:
-                everything = np.ones(n_samples, dtype=bool)
-                for key in keys:
-                    for index in unique[key]:
-                        masks[index][leaf_index] = everything
-                continue
-            matrix = np.ones((len(keys), n_samples), dtype=bool)
-            bounds = {
-                column: np.array(
-                    [
-                        [low, high]
-                        for key in keys
-                        for k_column, low, high in key
-                        if k_column == column
-                    ]
-                )
-                for column in columns
-            }
-            for column in columns:
-                values = stratum.sample_columns[column]
-                lows = bounds[column][:, 0]
-                highs = bounds[column][:, 1]
-                matrix &= (values[None, :] >= lows[:, None]) & (
-                    values[None, :] <= highs[:, None]
-                )
-            for row, key in enumerate(keys):
-                shared = matrix[row]
-                for index in unique[key]:
-                    masks[index][leaf_index] = shared
-    return masks
-
-
-def _assemble_from_masks(
-    synopsis: PASSSynopsis,
-    batch_frontiers: BatchFrontiers,
-    predicates: Sequence[RectPredicate],
-    slot_aggs: Sequence[Sequence[AggregateType]],
-) -> list[tuple[AQPResult, ...]]:
-    """Assemble per-slot classic-aggregate answers from frontier masks.
-
-    Mirrors the stratified estimator formulas of ``PASSSynopsis.query`` /
-    :func:`_assemble_cell_row` array-at-a-time: covered-node totals and
-    hard bounds are matrix products of the (nodes x slots) frontier masks
-    with fresh node statistic arrays, and each partially-overlapped leaf
-    contributes per-slot sample moments through one broadcasted comparison.
-    Returns one result tuple per slot, aligned with ``slot_aggs``.
-    """
-    geometry = batch_frontiers.geometry
-    covered = batch_frontiers.covered_mask
-    partial = batch_frontiers.partial_mask
-    n_slots = len(predicates)
-    # The flat engine hands over its synced stat arrays and CSR samples
-    # (same values, no O(nodes) rebuild / per-leaf asarray+concatenate).
-    flat = synopsis.flat if synopsis.execution == "soa" else None
-    if flat is not None:
-        node_sum, node_count, node_min, node_max = flat.node_stat_arrays()
-    else:
-        node_sum, node_count, node_min, node_max = geometry.node_stat_arrays()
-    lam = synopsis.lam
-    with_fpc = synopsis.with_fpc
-    population = synopsis.population_size
-    value_column = synopsis.value_column
-
-    classic = np.fromiter((bool(aggs) for aggs in slot_aggs), dtype=bool, count=n_slots)
-    need_extrema = any(
-        agg in (AggregateType.MIN, AggregateType.MAX)
-        for aggs in slot_aggs
-        for agg in aggs
-    )
-    need_avg = any(agg == AggregateType.AVG for aggs in slot_aggs for agg in aggs)
-
-    covered_f = covered.astype(float)
-    partial_f = partial.astype(float)
-    cov_sum = node_sum @ covered_f
-    cov_count = node_count @ covered_f
-    par_sum = node_sum @ partial_f
-    par_count = node_count @ partial_f
-    exact = ~partial.any(axis=0)
-
-    # Non-empty masks drive the extremum bounds (hard_bounds drops empty
-    # partitions before taking minima / maxima).
-    nonempty = node_count > 0
-    cov_ne = covered & nonempty[:, None]
-    par_ne = partial & nonempty[:, None]
-    has_cov_ne = cov_ne.any(axis=0)
-    has_par_ne = par_ne.any(axis=0)
-    if need_extrema or need_avg:
-        cov_min = np.where(cov_ne, node_min[:, None], np.inf).min(axis=0)
-        cov_max = np.where(cov_ne, node_max[:, None], -np.inf).max(axis=0)
-        bnd_par_min = np.where(par_ne, node_min[:, None], np.inf).min(axis=0)
-        bnd_par_max = np.where(par_ne, node_max[:, None], -np.inf).max(axis=0)
-    else:
-        cov_min = cov_max = bnd_par_min = bnd_par_max = np.zeros(n_slots)
-
-    # Partial-leaf sample moments, accumulated per slot.
-    est_sum = np.zeros(n_slots)
-    var_sum = np.zeros(n_slots)
-    est_cnt = np.zeros(n_slots)
-    var_cnt = np.zeros(n_slots)
-    nan_var = np.zeros(n_slots, dtype=bool)
-    processed = np.zeros(n_slots)
-    sample_min = np.full(n_slots, np.inf)
-    sample_max = np.full(n_slots, -np.inf)
-
-    strata = synopsis.leaf_samples
-    # Per-slot predicate bounds, hoisted out of the leaf loop: slots that do
-    # not constrain a column get ±inf (their comparisons are all-true).
-    batch_columns: dict[str, None] = {}
-    for slot in np.flatnonzero(classic):
-        for column, _, _ in predicates[slot].canonical_key():
-            batch_columns.setdefault(column, None)
-    slot_lows = {}
-    slot_highs = {}
-    for column in batch_columns:
-        intervals = [predicate.interval(column) for predicate in predicates]
-        slot_lows[column] = np.array([interval.low for interval in intervals])
-        slot_highs[column] = np.array([interval.high for interval in intervals])
-    partial_classic = partial & classic[None, :]
-    sampled_rows = []
-    for row in np.flatnonzero(partial_classic.any(axis=1)):
-        size = node_count[row]
-        if size == 0:
-            # Sequential estimators skip empty partial leaves entirely.
-            continue
-        leaf = int(geometry.leaf_index[row])
-        leaf_samples = (
-            flat.sample_count(leaf) if flat is not None else strata[leaf].sample_size
-        )
-        if leaf_samples == 0:
-            # Unsampled leaf: hard-bound midpoint, unknown variance.
-            touching = np.flatnonzero(partial_classic[row])
-            est_sum[touching] += 0.5 * node_sum[row]
-            est_cnt[touching] += 0.5 * size
-            nan_var[touching] = True
-        else:
-            sampled_rows.append(row)
-
-    if sampled_rows:
-        # One fused mask + moments pass over the *concatenation* of every
-        # sampled partial leaf: the (slots x samples) match matrix is
-        # pre-zeroed where a slot does not overlap a sample's leaf, and
-        # np.add.reduceat folds it back into per-(slot, leaf) sufficient
-        # statistics without any per-leaf Python looping.
-        rows_arr = np.asarray(sampled_rows)
-        leaf_ids = geometry.leaf_index[rows_arr]
-        if flat is not None:
-            leaf_strata = None
-            seg_sizes = np.array([flat.sample_count(i) for i in leaf_ids])
-        else:
-            leaf_strata = [strata[i] for i in leaf_ids]
-            seg_sizes = np.array([stratum.sample_size for stratum in leaf_strata])
-
-        def concat_column(column: str) -> np.ndarray:
-            if flat is not None:
-                return flat.gather_samples(leaf_ids, column)
-            return np.concatenate(
-                [
-                    np.asarray(stratum.sample_columns[column], dtype=float)
-                    for stratum in leaf_strata
-                ]
-            )
-
-        offsets = np.zeros(len(seg_sizes), dtype=np.int64)
-        np.cumsum(seg_sizes[:-1], out=offsets[1:])
-        allowed = partial_classic[rows_arr].T  # (n_slots, n_leaves)
-        matrix = np.repeat(allowed, seg_sizes, axis=1)
-        for column in batch_columns:
-            col_values = concat_column(column)
-            matrix &= (col_values[None, :] >= slot_lows[column][:, None]) & (
-                col_values[None, :] <= slot_highs[column][:, None]
-            )
-        values_all = concat_column(value_column)
-        matrix_f = matrix.astype(float)
-        matched = np.add.reduceat(matrix_f, offsets, axis=1)
-        sums = np.add.reduceat(matrix_f * values_all[None, :], offsets, axis=1)
-        sums_sq = np.add.reduceat(
-            matrix_f * (values_all * values_all)[None, :], offsets, axis=1
-        )
-        mean = sums / seg_sizes[None, :]
-        mean_cnt = matched / seg_sizes[None, :]
-        multi = (seg_sizes > 1)[None, :]
-        variance_s = np.where(
-            multi, np.maximum(sums_sq / seg_sizes[None, :] - mean * mean, 0.0), 0.0
-        )
-        variance_c = np.where(
-            multi, np.maximum(mean_cnt - mean_cnt * mean_cnt, 0.0), 0.0
-        )
-        leaf_sizes = node_count[rows_arr]
-        scale = leaf_sizes * leaf_sizes / seg_sizes
-        if with_fpc:
-            safe_denominator = np.maximum(leaf_sizes - 1.0, 1.0)
-            scale = scale * np.where(
-                leaf_sizes > 1,
-                np.maximum((leaf_sizes - seg_sizes) / safe_denominator, 0.0),
-                1.0,
-            )
-        est_sum += (leaf_sizes[None, :] * mean).sum(axis=1)
-        var_sum += (scale[None, :] * variance_s).sum(axis=1)
-        est_cnt += (leaf_sizes[None, :] * mean_cnt).sum(axis=1)
-        var_cnt += (scale[None, :] * variance_c).sum(axis=1)
-        processed += allowed @ seg_sizes
-        if need_extrema:
-            sample_min = np.minimum(
-                sample_min,
-                np.minimum.reduceat(
-                    np.where(matrix, values_all[None, :], np.inf), offsets, axis=1
-                ).min(axis=1),
-            )
-            sample_max = np.maximum(
-                sample_max,
-                np.maximum.reduceat(
-                    np.where(matrix, values_all[None, :], -np.inf), offsets, axis=1
-                ).max(axis=1),
-            )
-
-    total_sum = cov_sum + est_sum
-    total_cnt = cov_count + est_cnt
-    skipped = population - par_count
-
-    rows: list[tuple[AQPResult, ...]] = []
-    for slot in range(n_slots):
-        aggs = slot_aggs[slot]
-        if not aggs:
-            rows.append(())
-            continue
-        is_exact = bool(exact[slot])
-        slot_nan = bool(nan_var[slot])
-        slot_processed = int(processed[slot])
-        slot_skipped = int(skipped[slot])
-        row = []
-        for agg in aggs:
-            if agg in (AggregateType.MIN, AggregateType.MAX):
-                row.append(
-                    _extremum_result_from_arrays(
-                        agg, slot, is_exact, slot_processed, slot_skipped,
-                        cov_min, cov_max, bnd_par_min, bnd_par_max,
-                        has_cov_ne, has_par_ne, sample_min, sample_max,
-                    )
-                )
-                continue
-            if agg == AggregateType.AVG:
-                num, num_var = total_sum[slot], var_sum[slot]
-                den, den_var = total_cnt[slot], var_cnt[slot]
-                if slot_nan:
-                    num_var = den_var = float("nan")
-                if den == 0:
-                    estimate, variance = float("nan"), float("nan")
-                elif is_exact:
-                    estimate, variance = num / den, 0.0
-                else:
-                    combined = ratio_estimate(
-                        EstimateWithVariance(num, num_var),
-                        EstimateWithVariance(den, den_var),
-                    )
-                    estimate, variance = combined.estimate, combined.variance
-                # hard_bounds AVG: covered average vs non-empty partial extrema.
-                cov_avg = (
-                    cov_sum[slot] / cov_count[slot]
-                    if cov_count[slot]
-                    else float("nan")
-                )
-                if cov_count[slot] and has_par_ne[slot]:
-                    lower = min(cov_avg, bnd_par_min[slot])
-                    upper = max(cov_avg, bnd_par_max[slot])
-                elif cov_count[slot]:
-                    lower = upper = cov_avg
-                elif has_par_ne[slot]:
-                    lower, upper = bnd_par_min[slot], bnd_par_max[slot]
-                else:
-                    lower = upper = float("nan")
-            else:
-                is_sum = agg == AggregateType.SUM
-                estimate = total_sum[slot] if is_sum else total_cnt[slot]
-                variance = (
-                    float("nan")
-                    if slot_nan
-                    else (var_sum[slot] if is_sum else var_cnt[slot])
-                )
-                base = cov_sum[slot] if is_sum else cov_count[slot]
-                extra = par_sum[slot] if is_sum else par_count[slot]
-                lower, upper = base, base + extra
-            if is_exact:
-                half_width, variance = 0.0, 0.0
-            elif math.isnan(variance):
-                half_width = float("nan")
-            else:
-                half_width = lam * math.sqrt(max(variance, 0.0))
-            row.append(
-                AQPResult(
-                    estimate=float(estimate),
-                    ci_half_width=half_width,
-                    variance=float(variance),
-                    hard_lower=float(lower),
-                    hard_upper=float(upper),
-                    tuples_processed=slot_processed,
-                    tuples_skipped=slot_skipped,
-                    exact=is_exact,
-                )
-            )
-        rows.append(tuple(row))
-    return rows
-
-
-def _extremum_result_from_arrays(
-    agg: AggregateType,
-    slot: int,
-    is_exact: bool,
-    processed: int,
-    skipped: int,
-    cov_min: np.ndarray,
-    cov_max: np.ndarray,
-    bnd_par_min: np.ndarray,
-    bnd_par_max: np.ndarray,
-    has_cov_ne: np.ndarray,
-    has_par_ne: np.ndarray,
-    sample_min: np.ndarray,
-    sample_max: np.ndarray,
-) -> AQPResult:
-    """One MIN / MAX answer from the per-slot extremum arrays."""
-    is_max = agg == AggregateType.MAX
-    candidates = []
-    if is_max:
-        if not math.isinf(cov_max[slot]):
-            candidates.append(cov_max[slot])
-        if not math.isinf(sample_max[slot]):
-            candidates.append(sample_max[slot])
-        estimate = max(candidates) if candidates else float("nan")
-    else:
-        if not math.isinf(cov_min[slot]):
-            candidates.append(cov_min[slot])
-        if not math.isinf(sample_min[slot]):
-            candidates.append(sample_min[slot])
-        estimate = min(candidates) if candidates else float("nan")
-    # hard_bounds MIN / MAX over non-empty covered and partial partitions.
-    if not has_cov_ne[slot] and not has_par_ne[slot]:
-        lower = upper = float("nan")
-    elif is_max:
-        lower = cov_max[slot] if has_cov_ne[slot] else float("-inf")
-        upper = max(cov_max[slot], bnd_par_max[slot])
-    else:
-        upper = cov_min[slot] if has_cov_ne[slot] else float("inf")
-        lower = min(cov_min[slot], bnd_par_min[slot])
-    return AQPResult(
-        estimate=float(estimate),
-        ci_half_width=0.0 if is_exact else float("nan"),
-        variance=0.0 if is_exact else float("nan"),
-        hard_lower=float(lower),
-        hard_upper=float(upper),
-        tuples_processed=processed,
-        tuples_skipped=skipped,
-        exact=is_exact,
-    )
+    return compile_batch(synopsis, queries, obs=obs).execute()
 
 
 def frontier_count(frontier: MCFResult) -> int:
@@ -702,12 +207,6 @@ def frontier_count(frontier: MCFResult) -> int:
     return sum(node.stats.count for node in frontier.covered) + sum(
         node.stats.count for node in frontier.partial
     )
-
-
-#: Per-cell, per-leaf sufficient statistics of the masked sample: the number
-#: of matching samples, their value sum and sum of squares, and (when an
-#: extremum aggregate asked for them) their min / max.
-_LeafMoments = tuple[int, float, float, float, float, float]
 
 
 def grouped_query(
@@ -770,29 +269,19 @@ def grouped_query(
         for i in classic_slots
     )
 
-    # The array-native engine answers the whole classic-aggregate pipeline
-    # (frontiers, moments, cell assembly) over flat arrays; both branches
-    # produce bit-identical rows (tests/test_soa_equivalence.py).
-    flat = synopsis.flat if synopsis.execution == "soa" else None
-    surviving: list[tuple[int, "object", object]] = []
-    if flat is not None:
-        live = list(plan.live_cells())
-        cell_frontiers = flat.frontiers_for([cell.predicate for _, cell in live])
-        for (index, cell), flat_frontier in zip(live, cell_frontiers):
-            if flat.frontier_count(flat_frontier) > 0:
-                surviving.append((index, cell, flat_frontier))
-    else:
-        for index, cell in plan.live_cells():
-            frontier = synopsis.tree.minimal_coverage_frontier(cell.predicate)
-            if frontier_count(frontier) > 0:
-                surviving.append((index, cell, frontier))
+    flat = synopsis.flat
+    live = plan.live_cells()
+    cell_frontiers = flat.frontiers_for([cell.predicate for _, cell in live])
+    surviving = [
+        (index, cell, frontier)
+        for (index, cell), frontier in zip(live, cell_frontiers)
+        if flat.frontier_count(frontier) > 0
+    ]
 
     if classic_slots:
-        items = [(cell.predicate, frontier) for _, cell, frontier in surviving]
-        moments = (
-            flat.grouped_leaf_moments(items, need_extrema)
-            if flat is not None
-            else _grouped_leaf_moments(synopsis, items, value_column, need_extrema)
+        moments = flat.grouped_leaf_moments(
+            [(cell.predicate, frontier) for _, cell, frontier in surviving],
+            need_extrema,
         )
     else:
         moments = {}
@@ -803,14 +292,9 @@ def grouped_query(
     for slot, (index, cell, frontier) in enumerate(surviving):
         row: list[AQPResult | None] = [None] * len(plan.aggregates)
         if classic_slots:
-            if flat is not None:
-                classic_row = flat.assemble_cell_row(
-                    classic_aggs, frontier, moments, slot, lam, with_fpc, population
-                )
-            else:
-                classic_row = _assemble_cell_row(
-                    classic_aggs, frontier, moments, slot, lam, with_fpc, population
-                )
+            classic_row = flat.assemble_cell_row(
+                classic_aggs, frontier, moments, slot, lam, with_fpc, population
+            )
             for position, result in zip(classic_slots, classic_row):
                 row[position] = result
         # One union per sketch kind per cell: the reduction depends only on
@@ -822,9 +306,7 @@ def grouped_query(
             # Sketches reduce to per-leaf mergeable objects, so they stay on
             # the object path; the flat frontier is materialized to node
             # tuples once per cell.
-            object_frontier = (
-                flat.materialize(frontier) if flat is not None else frontier
-            )
+            object_frontier = flat.materialize(frontier)
             mask_query = plan.cell_query(cell, plan.aggregates[sketch_slots[0]])
             cell_masks = {
                 node.leaf_index: strata[node.leaf_index].match_mask(mask_query)
@@ -853,203 +335,3 @@ def grouped_query(
     )
 
 
-def _grouped_leaf_moments(
-    synopsis: PASSSynopsis,
-    items: Sequence[tuple[RectPredicate, MCFResult]],
-    value_column: str,
-    need_extrema: bool,
-) -> dict[tuple[int, int], _LeafMoments | None]:
-    """Per-(predicate slot, leaf) masked-sample moments, one matrix pass per leaf.
-
-    ``items`` holds one ``(predicate, frontier)`` pair per slot.  ``None``
-    marks an unsampled leaf (the caller falls back to the hard-bound
-    midpoint, exactly like the sequential estimator).
-    """
-    per_leaf: dict[int, list[int]] = {}
-    for slot, (_, frontier) in enumerate(items):
-        for node in frontier.partial:
-            per_leaf.setdefault(node.leaf_index, []).append(slot)
-
-    moments: dict[tuple[int, int], _LeafMoments | None] = {}
-    strata = synopsis.leaf_samples
-    for leaf_index, slots in per_leaf.items():
-        stratum = strata[leaf_index]
-        n_samples = stratum.sample_size
-        if n_samples == 0:
-            for slot in slots:
-                moments[(slot, leaf_index)] = None
-            continue
-        matrix = np.ones((len(slots), n_samples), dtype=bool)
-        columns: dict[str, None] = {}
-        for slot in slots:
-            for column, _, _ in items[slot][0].canonical_key():
-                columns.setdefault(column, None)
-        for column in columns:
-            values = stratum.sample_columns[column]
-            intervals = [items[slot][0].interval(column) for slot in slots]
-            lows = np.array([interval.low for interval in intervals])
-            highs = np.array([interval.high for interval in intervals])
-            matrix &= (values[None, :] >= lows[:, None]) & (
-                values[None, :] <= highs[:, None]
-            )
-        sample_values = stratum.sample_values(value_column)
-        matched = matrix.sum(axis=1)
-        sums = matrix @ sample_values
-        sums_sq = matrix @ (sample_values * sample_values)
-        if need_extrema:
-            minima = np.where(matrix, sample_values[None, :], np.inf).min(axis=1)
-            maxima = np.where(matrix, sample_values[None, :], -np.inf).max(axis=1)
-        else:
-            minima = maxima = np.zeros(len(slots))
-        for row, slot in enumerate(slots):
-            moments[(slot, leaf_index)] = (
-                int(matched[row]),
-                float(sums[row]),
-                float(sums_sq[row]),
-                float(minima[row]),
-                float(maxima[row]),
-                float(n_samples),
-            )
-    return moments
-
-
-def _stratified_total(
-    agg: AggregateType,
-    frontier: MCFResult,
-    cell_moments: Sequence[_LeafMoments | None],
-    with_fpc: bool,
-) -> tuple[float, float]:
-    """Assembled SUM / COUNT estimate and variance from per-leaf moments.
-
-    Mirrors ``PASSSynopsis._sum_count_estimate``: covered nodes contribute
-    exactly, sampled partial leaves contribute ``N_i * mean(phi)`` with
-    variance ``N_i^2 * var(phi) / K_i``, and unsampled partial leaves fall
-    back to the hard-bound midpoint with unknown (NaN) variance.
-    ``cell_moments`` aligns with ``frontier.partial``.
-    """
-    is_sum = agg == AggregateType.SUM
-    estimate = sum(
-        node.stats.sum if is_sum else float(node.stats.count)
-        for node in frontier.covered
-    )
-    variance = 0.0
-    for node, data in zip(frontier.partial, cell_moments):
-        if node.size == 0:
-            continue
-        if data is None:
-            stats = node.stats
-            estimate += 0.5 * (stats.sum if is_sum else stats.count)
-            variance = float("nan")
-            continue
-        matched, sums, sums_sq, _, _, n_samples = data
-        if is_sum:
-            mean = sums / n_samples
-            mean_sq = sums_sq / n_samples
-        else:
-            mean = matched / n_samples
-            mean_sq = mean
-        sample_variance = max(mean_sq - mean * mean, 0.0) if n_samples > 1 else 0.0
-        estimate += node.size * mean
-        contribution = node.size * node.size * sample_variance / n_samples
-        if with_fpc:
-            contribution *= finite_population_correction(node.size, int(n_samples))
-        variance += contribution
-    return estimate, variance
-
-
-def _assemble_cell_row(
-    aggs: Sequence[AggregateType],
-    frontier: MCFResult,
-    moments,
-    slot: int,
-    lam: float,
-    with_fpc: bool,
-    population: int,
-) -> tuple[AQPResult, ...]:
-    """One cell's per-aggregate answers from its frontier and moments.
-
-    The per-cell invariants (partial node list, processed / skipped counts,
-    the SUM and COUNT totals that AVG shares) are computed once for the whole
-    aggregate list.
-    """
-    covered_stats = [node.stats for node in frontier.covered]
-    partial_nodes = list(frontier.partial)
-    partial_stats = [node.stats for node in partial_nodes]
-    cell_moments = [moments[(slot, node.leaf_index)] for node in partial_nodes]
-    processed = sum(int(data[5]) for data in cell_moments if data is not None)
-    skipped = population - sum(node.size for node in partial_nodes)
-    exact = frontier.is_exact
-    totals: dict[AggregateType, tuple[float, float]] = {}
-
-    def total(agg: AggregateType) -> tuple[float, float]:
-        if agg not in totals:
-            totals[agg] = _stratified_total(agg, frontier, cell_moments, with_fpc)
-        return totals[agg]
-
-    row = []
-    for agg in aggs:
-        bounds = hard_bounds(agg, covered_stats, partial_stats)
-        if agg in (AggregateType.MIN, AggregateType.MAX):
-            is_max = agg == AggregateType.MAX
-            candidates = []
-            for node in frontier.covered:
-                value = node.stats.max if is_max else node.stats.min
-                if not math.isinf(value):
-                    candidates.append(value)
-            for node, data in zip(partial_nodes, cell_moments):
-                if data is not None and data[0] > 0:
-                    candidates.append(data[4] if is_max else data[3])
-            estimate = (
-                (max(candidates) if is_max else min(candidates))
-                if candidates
-                else float("nan")
-            )
-            row.append(
-                AQPResult(
-                    estimate=estimate,
-                    ci_half_width=0.0 if exact else float("nan"),
-                    variance=0.0 if exact else float("nan"),
-                    hard_lower=bounds.lower,
-                    hard_upper=bounds.upper,
-                    tuples_processed=processed,
-                    tuples_skipped=skipped,
-                    exact=exact,
-                )
-            )
-            continue
-
-        if agg == AggregateType.AVG:
-            num, num_var = total(AggregateType.SUM)
-            den, den_var = total(AggregateType.COUNT)
-            if den == 0:
-                estimate, variance = float("nan"), float("nan")
-            elif exact:
-                estimate, variance = num / den, 0.0
-            else:
-                combined = ratio_estimate(
-                    EstimateWithVariance(num, num_var),
-                    EstimateWithVariance(den, den_var),
-                )
-                estimate, variance = combined.estimate, combined.variance
-        else:
-            estimate, variance = total(agg)
-
-        if exact:
-            half_width, variance = 0.0, 0.0
-        elif math.isnan(variance):
-            half_width = float("nan")
-        else:
-            half_width = lam * math.sqrt(max(variance, 0.0))
-        row.append(
-            AQPResult(
-                estimate=estimate,
-                ci_half_width=half_width,
-                variance=variance,
-                hard_lower=bounds.lower,
-                hard_upper=bounds.upper,
-                tuples_processed=processed,
-                tuples_skipped=skipped,
-                exact=exact,
-            )
-        )
-    return tuple(row)

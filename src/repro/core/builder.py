@@ -295,5 +295,4 @@ def build_pass(
         build_seconds=build_seconds,
         effective_partitioner=effective_partitioner,
         leaf_sketches=leaf_sketches,
-        execution=config.execution,
     )

@@ -91,10 +91,6 @@ class PASSConfig:
         Minimum-hash capacity of the per-leaf distinct-count sketches
         (exact up to ``k`` distinct values, ``1/sqrt(k-2)`` relative
         standard error beyond).
-    execution:
-        Query execution engine: ``"soa"`` (default, array-native — see
-        :mod:`repro.core.soa`) or ``"object"`` (per-node Python objects,
-        the bit-identical oracle).
     """
 
     n_partitions: int = 64
@@ -115,7 +111,6 @@ class PASSConfig:
     with_sketches: bool = True
     sketch_quantile_k: int = 200
     sketch_distinct_k: int = 1024
-    execution: str = "soa"
 
     def __post_init__(self) -> None:
         if self.n_partitions <= 0:
@@ -143,10 +138,6 @@ class PASSConfig:
             raise ValueError("sketch_quantile_k must be at least 8")
         if self.sketch_distinct_k < 16:
             raise ValueError("sketch_distinct_k must be at least 16")
-        if self.execution not in ("soa", "object"):
-            raise ValueError(
-                f"execution must be 'soa' or 'object', got {self.execution!r}"
-            )
         object.__setattr__(self, "agg_template", AggregateType.parse(self.agg_template))
 
     def with_overrides(self, **overrides) -> "PASSConfig":

@@ -14,11 +14,13 @@ Query processing follows Section 3.3 exactly:
    also give deterministic bounds on the answer (Section 2.3), reported
    alongside the CLT interval.
 
-Two executions of the same algorithm coexist (``docs/ARCHITECTURE.md``):
-the default array-native path (``execution="soa"``, hosted by
-:class:`repro.core.soa.FlatSynopsis`) and the per-node object path
-(``execution="object"``), which remains the bit-identical oracle —
-:meth:`PASSSynopsis.query_object` always runs it regardless of the switch.
+Classic aggregates (SUM / COUNT / AVG / MIN / MAX) always execute over the
+array-native engine (:class:`repro.core.soa.FlatSynopsis`, see
+``docs/ARCHITECTURE.md``).  The per-node object implementation below
+(:meth:`PASSSynopsis.query_object`) is the bit-identical oracle the flat
+engine is property-tested against, and the runtime path of the sketch
+aggregates (QUANTILE / COUNT_DISTINCT), whose per-leaf sketches have no flat
+layout.
 """
 
 from __future__ import annotations
@@ -88,12 +90,6 @@ class PASSSynopsis:
         Optional mergeable per-leaf sketches (:class:`LeafSketches`, aligned
         with the tree leaves) enabling QUANTILE / COUNT_DISTINCT queries;
         ``None`` for synopses built without sketch support.
-    execution:
-        ``"soa"`` (default) answers classic aggregates over the
-        structure-of-arrays engine (:class:`repro.core.soa.FlatSynopsis`);
-        ``"object"`` keeps the per-node object path.  Both produce
-        bit-identical answers — the switch exists for oracle testing and
-        debugging.
     """
 
     def __init__(
@@ -107,7 +103,6 @@ class PASSSynopsis:
         build_seconds: float = 0.0,
         effective_partitioner: str | None = None,
         leaf_sketches: Sequence[LeafSketches] | None = None,
-        execution: str = "soa",
     ) -> None:
         if tree.n_leaves != len(leaf_samples):
             raise ValueError(
@@ -119,10 +114,6 @@ class PASSSynopsis:
                 f"tree has {tree.n_leaves} leaves "
                 f"but {len(leaf_sketches)} leaf sketches were given"
             )
-        if execution not in ("soa", "object"):
-            raise ValueError(
-                f"execution must be 'soa' or 'object', got {execution!r}"
-            )
         self._tree = tree
         self._leaf_samples = list(leaf_samples)
         self._leaf_sketches = None if leaf_sketches is None else list(leaf_sketches)
@@ -132,7 +123,6 @@ class PASSSynopsis:
         self._with_fpc = with_fpc
         self.build_seconds = build_seconds
         self.effective_partitioner = effective_partitioner
-        self._execution = execution
         self._flat: FlatSynopsis | None = None
 
     # ------------------------------------------------------------------
@@ -147,18 +137,6 @@ class PASSSynopsis:
     def zero_variance_rule(self) -> bool:
         """Whether AVG lookups apply the zero-variance descent rule (3.4)."""
         return self._zero_variance_rule
-
-    @property
-    def execution(self) -> str:
-        """Active execution engine: ``"soa"`` (array-native) or ``"object"``."""
-        return self._execution
-
-    @execution.setter
-    def execution(self, value: str) -> None:
-        """Switch engines; the flat arrays stay warm across toggles."""
-        if value not in ("soa", "object"):
-            raise ValueError(f"execution must be 'soa' or 'object', got {value!r}")
-        self._execution = value
 
     @property
     def flat(self) -> FlatSynopsis:
@@ -307,13 +285,16 @@ class PASSSynopsis:
             "effective_partitioner": self.effective_partitioner,
             "sample_columns": sample_columns,
             "with_sketches": self._leaf_sketches is not None,
-            "execution": self._execution,
         }
         return arrays, header
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], header: dict) -> "PASSSynopsis":
-        """Rebuild a synopsis exported with :meth:`to_arrays`."""
+        """Rebuild a synopsis exported with :meth:`to_arrays`.
+
+        Archives written while the ``execution`` switch existed carry an
+        ``"execution"`` header key; it is ignored.
+        """
         tree = PartitionTree.from_arrays(
             {
                 key[len("tree/") :]: value
@@ -369,8 +350,6 @@ class PASSSynopsis:
             build_seconds=float(header["build_seconds"]),
             effective_partitioner=header.get("effective_partitioner"),
             leaf_sketches=leaf_sketches,
-            # Archives written before the array-native engine default to it.
-            execution=str(header.get("execution", "soa")),
         )
 
     # ------------------------------------------------------------------
@@ -385,41 +364,17 @@ class PASSSynopsis:
             query.predicate, zero_variance_rule=use_zero_variance
         )
 
-    def query(
-        self,
-        query: AggregateQuery,
-        lam: float | None = None,
-        match_masks: Mapping[int, np.ndarray] | None = None,
-        frontier: MCFResult | None = None,
-    ) -> AQPResult:
+    def query(self, query: AggregateQuery, lam: float | None = None) -> AQPResult:
         """Answer an aggregate query from the synopsis.
 
-        Parameters
-        ----------
-        query / lam:
-            The query and an optional confidence-multiplier override.
-        match_masks:
-            Optional precomputed sample match masks keyed by leaf index, as
-            produced by a batch executor that evaluated the predicate against
-            many queries at once (see
-            :meth:`repro.serving.engine.ServingEngine.execute_batch`).  When a
-            leaf's mask is present it is used verbatim instead of re-running
-            the predicate over the leaf's sample, so results are identical by
-            construction.
-        frontier:
-            Optional precomputed MCF result for this query (must come from
-            :meth:`lookup` on this synopsis); skips the index lookup.
+        Classic aggregates run the flat kernel (:meth:`FlatSynopsis.query`);
+        sketch aggregates reduce per-leaf sketch objects through
+        :meth:`query_object`.  ``lam`` optionally overrides the
+        confidence-interval multiplier.
         """
-        if (
-            self._execution == "soa"
-            and frontier is None
-            and match_masks is None
-            and query.agg not in SKETCH_AGGREGATES
-        ):
-            return self.flat.query(query, lam=lam)
-        return self.query_object(
-            query, lam=lam, match_masks=match_masks, frontier=frontier
-        )
+        if query.agg in SKETCH_AGGREGATES:
+            return self.query_object(query, lam=lam)
+        return self.flat.query(query, lam=lam)
 
     def query_object(
         self,
@@ -430,10 +385,22 @@ class PASSSynopsis:
     ) -> AQPResult:
         """Answer a query over the per-node object path (the oracle).
 
-        Same parameters and semantics as :meth:`query`; always traverses
-        the Python object graph regardless of the ``execution`` switch.
-        The array path is property-tested bit-identical against this
+        Same semantics as :meth:`query`, traversing the Python object graph;
+        the array path is property-tested bit-identical against this
         implementation.
+
+        Parameters
+        ----------
+        query / lam:
+            The query and an optional confidence-multiplier override.
+        match_masks:
+            Optional precomputed sample match masks keyed by leaf index
+            (as ``Stratum.match_mask`` computes them); a leaf's mask is used
+            verbatim instead of re-running the predicate over its sample.
+        frontier:
+            Optional precomputed MCF result for this query (from
+            :meth:`lookup`, or a materialized flat frontier); skips the
+            index lookup.
         """
         if query.value_column != self._value_column:
             raise ValueError(

@@ -16,9 +16,8 @@ Layout (specified normatively in ``docs/ARCHITECTURE.md``):
   reverse).  Ascending row order therefore *is* the object path's visit
   order, which is what makes frontier extraction order-preserving.
 * **Stats** — ``node_sum`` / ``node_min`` / ``node_max`` (float64) and
-  ``node_count`` (int64, with a float64 mirror for matmul consumers),
-  kept in sync with the object tree by :meth:`FlatSynopsis.
-  update_node_stats`.
+  ``node_count`` (int64), kept in sync with the object tree by
+  :meth:`FlatSynopsis.update_node_stats`.
 * **Bounds** — one contiguous float64 low/high array *per predicate
   column* (±inf where a node's box does not constrain the column).
 * **Samples** — CSR: ``offsets`` (int64, ``n_leaves + 1``) into one
@@ -29,8 +28,8 @@ Equivalence contract: with the same synopsis state, every answer produced
 here is **bit-identical** to the object path — same covered/partial order,
 same floating-point summation order, same ``nodes_visited`` — enforced by
 the property suite in ``tests/test_soa_equivalence.py``.  The object path
-(``PASSSynopsis.query_object``) remains the oracle behind the
-``execution="object"`` switch.
+(``PASSSynopsis.query_object``) is the oracle that suite compares against;
+at runtime it only answers sketch aggregates.
 
 The frontier uses a closed form instead of replaying the descent: box
 nesting means a predicate that covers (or misses) a node also covers
@@ -39,8 +38,8 @@ is *visited* iff its parent is partially overlapped, making the MCF
 ``covered = cover & partial[parent]`` and ``partial = partial & is_leaf``
 with no level-by-level loop.  When the AVG zero-variance rule could stop
 the descent early (some partially-overlapped node has ``min == max``), the
-code falls back to the exact level-order replay of
-``PartitionTree.batch_coverage_frontiers``.
+code falls back to an exact level-order replay of the descent
+(:meth:`FlatSynopsis._replay_frontier`).
 """
 
 from __future__ import annotations
@@ -69,8 +68,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = ["FlatFrontier", "FlatSamples", "FlatSynopsis"]
 
-#: Per-(cell, leaf) masked-sample sufficient statistics, identical in shape
-#: and construction to ``repro.core.batching._LeafMoments``.
+#: Per-(cell, leaf) masked-sample sufficient statistics of the grouped
+#: executor: the number of matching samples, their value sum and sum of
+#: squares, their min / max (when an extremum aggregate asked for them), and
+#: the leaf's sample size.
 _LeafMoments = tuple[int, float, float, float, float, float]
 
 
@@ -200,9 +201,10 @@ class FlatSynopsis:
     Built once from the object synopsis (the same encoding
     ``PASSSynopsis.to_arrays`` uses) and kept in sync through the
     :meth:`update_node_stats` / :meth:`replace_leaf_sample` hooks that
-    ``PASSSynopsis`` and ``DynamicPASS`` call on every mutation.  All query
-    entry points return answers bit-identical to the object path; see the
-    module docstring for the contract.
+    ``PASSSynopsis`` and ``DynamicPASS`` call on every mutation.
+    :meth:`query` / :meth:`answer` return answers bit-identical to the object
+    path (see the module docstring for the contract); the grouped kernels
+    agree with it up to floating-point summation order.
 
     Parameters
     ----------
@@ -229,7 +231,6 @@ class FlatSynopsis:
         self._node_count = np.fromiter(
             (node.stats.count for node in nodes), dtype=np.int64, count=n
         )
-        self._node_count_f = self._node_count.astype(float)
         self._node_min = np.fromiter(
             (node.stats.min for node in nodes), dtype=float, count=n
         )
@@ -336,7 +337,6 @@ class FlatSynopsis:
         arrays: dict[str, np.ndarray] = {
             "node_sum": self._node_sum.copy(),
             "node_count": self._node_count.copy(),
-            "node_count_f": self._node_count_f.copy(),
             "node_min": self._node_min.copy(),
             "node_max": self._node_max.copy(),
             "parent": np.ascontiguousarray(self._parent, dtype=np.int64),
@@ -386,7 +386,6 @@ class FlatSynopsis:
         self._n_nodes = n
         self._node_sum = node_sum
         self._node_count = arrays["node_count"]
-        self._node_count_f = arrays["node_count_f"]
         self._node_min = arrays["node_min"]
         self._node_max = arrays["node_max"]
         self._row_by_id = {}
@@ -436,7 +435,6 @@ class FlatSynopsis:
             stats = node.stats  # type: ignore[attr-defined]
             self._node_sum[row] = stats.sum
             self._node_count[row] = stats.count
-            self._node_count_f[row] = stats.count
             self._node_min[row] = stats.min
             self._node_max[row] = stats.max
         self._zv_cache = None
@@ -542,11 +540,10 @@ class FlatSynopsis:
     ) -> FlatFrontier:
         """Level-order descent replay for the AVG zero-variance shortcut.
 
-        Exact single-query mirror of the replay in
-        ``PartitionTree.batch_coverage_frontiers`` (which is itself proven
-        identical to the sequential descent): a node is visited iff its
-        parent was reached, partially overlapped, not stopped by a cover /
-        zero-variance hit, and not a leaf.
+        Identical to the sequential descent of
+        ``PartitionTree.minimal_coverage_frontier``: a node is visited iff
+        its parent was reached, partially overlapped, not stopped by a cover
+        / zero-variance hit, and not a leaf.
         """
         stops = np.logical_and(partial, zv)
         np.logical_or(stops, cover, out=stops)
@@ -642,45 +639,6 @@ class FlatSynopsis:
             covered=tuple(nodes[row] for row in frontier.covered.tolist()),
             partial=tuple(nodes[row] for row in frontier.partial.tolist()),
             nodes_visited=frontier.nodes_visited,
-        )
-
-    # ------------------------------------------------------------------
-    # Array views for the batch executor
-    # ------------------------------------------------------------------
-    def node_stat_arrays(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Synced per-node ``(sum, count, min, max)`` float arrays.
-
-        Same values (and dtypes) as ``_TreeGeometry.node_stat_arrays`` but
-        without the O(nodes) ``fromiter`` rebuild per call.  Treat as
-        read-only — these are the live synced arrays, not copies.
-        """
-        return self._node_sum, self._node_count_f, self._node_min, self._node_max
-
-    def sample_count(self, leaf_index: int) -> int:
-        """Number of stored sample rows for one leaf."""
-        self._ensure_samples()
-        return int(self._sample_counts[leaf_index])
-
-    def gather_samples(
-        self, leaf_indices: Sequence[int], column: str
-    ) -> np.ndarray:
-        """Concatenated sample values of ``column`` for the given leaves.
-
-        Bit-identical to concatenating the object strata's per-leaf arrays
-        in the same leaf order (the CSR arrays are float64 copies of the
-        same data).
-        """
-        samples = self._ensure_samples()
-        offsets = samples.offsets
-        values = samples.columns[column]
-        return np.concatenate(
-            [
-                values[int(offsets[leaf]) : int(offsets[leaf + 1])]
-                for leaf in leaf_indices
-            ]
-            or [np.zeros(0, dtype=float)]
         )
 
     # ------------------------------------------------------------------
@@ -843,6 +801,34 @@ class FlatSynopsis:
         AVG / MIN / MAX; sketch aggregates must go through the object path
         (they reduce to mergeable per-leaf sketches, not arrays).
         """
+        return self.answer(query, self.query_frontier(query), lam=lam)
+
+    def query_frontier(self, query: AggregateQuery) -> FlatFrontier:
+        """The MCF frontier :meth:`query` answers ``query`` from.
+
+        Only AVG descends under the zero-variance rule (Section 3.4), so an
+        AVG frontier may differ from the SUM / COUNT frontier of the same
+        predicate.
+        """
+        return self.frontier(
+            query.predicate,
+            zero_variance=self._zero_variance_rule
+            and query.agg == AggregateType.AVG,
+        )
+
+    def answer(
+        self,
+        query: AggregateQuery,
+        frontier: FlatFrontier,
+        lam: float | None = None,
+    ) -> AQPResult:
+        """Answer a classic aggregate from its precomputed frontier.
+
+        ``frontier`` must be :meth:`query_frontier` of ``query`` (or of a
+        query with the same predicate and AVG-ness) on the current synopsis
+        state; :meth:`query` and the batch executor both end here, which is
+        what makes a batch bit-identical to sequential execution.
+        """
         if query.agg in SKETCH_AGGREGATES:
             raise ValueError(
                 f"{query.agg.value} is a sketch aggregate; use the object path"
@@ -854,8 +840,6 @@ class FlatSynopsis:
             )
         lam = self._lam if lam is None else lam
         agg = query.agg
-        use_zero_variance = self._zero_variance_rule and agg == AggregateType.AVG
-        frontier = self.frontier(query.predicate, zero_variance=use_zero_variance)
         bounds = self.hard_bounds_rows(agg, frontier.covered, frontier.partial)
 
         self._ensure_samples()
@@ -1192,19 +1176,21 @@ class FlatSynopsis:
         )
 
     # ------------------------------------------------------------------
-    # Grouped execution kernels (mirrors of repro.core.batching internals)
+    # Grouped execution kernels (driven by repro.core.batching.grouped_query)
     # ------------------------------------------------------------------
     def grouped_leaf_moments(
         self,
         items: Sequence[tuple[RectPredicate, FlatFrontier]],
         need_extrema: bool,
     ) -> dict[tuple[int, int], _LeafMoments | None]:
-        """Per-(cell slot, leaf) masked-sample moments over CSR slices.
+        """Per-(cell slot, leaf) masked-sample moments, one matrix pass per leaf.
 
-        Bit-identical mirror of ``batching._grouped_leaf_moments``: same
-        per-leaf slot grouping (dict insertion order), same broadcasted
-        comparisons and matrix products, over CSR slices instead of object
-        strata.  ``None`` marks an unsampled leaf.
+        ``items`` holds one ``(predicate, frontier)`` pair per slot.  Per
+        partially-overlapped leaf, the match masks of every cell touching it
+        are evaluated in one broadcasted comparison over the leaf's CSR
+        slice and reduced with matrix products.  ``None`` marks an unsampled
+        leaf (the caller falls back to the hard-bound midpoint, exactly like
+        the sequential estimator).
         """
         per_leaf: dict[int, list[int]] = {}
         leaf_of_row = self._leaf_of_row
@@ -1268,9 +1254,12 @@ class FlatSynopsis:
     ) -> tuple[float, float]:
         """SUM / COUNT estimate + variance from per-leaf moments.
 
-        Mirror of ``batching._stratified_total`` over node rows; note the
-        covered total here does *not* drop empty partitions (neither does
-        the original).
+        Same stratified formulas as :meth:`_sum_count_estimate`: covered
+        nodes contribute exactly, sampled partial leaves contribute
+        ``N_i * mean(phi)`` with variance ``N_i^2 * var(phi) / K_i``, and
+        unsampled partial leaves fall back to the hard-bound midpoint with
+        unknown (NaN) variance.  ``cell_moments`` aligns with
+        ``frontier.partial``.
         """
         is_sum = agg == AggregateType.SUM
         if is_sum:
@@ -1318,9 +1307,9 @@ class FlatSynopsis:
     ) -> tuple[AQPResult, ...]:
         """One group cell's per-aggregate answers from rows and moments.
 
-        Bit-identical mirror of ``batching._assemble_cell_row`` (shared
-        SUM/COUNT totals for AVG, hard bounds, extremum candidates,
-        processed / skipped accounting) over the flat arrays.
+        The per-cell invariants (processed / skipped counts, the SUM and
+        COUNT totals that AVG shares) are computed once for the whole
+        aggregate list.
         """
         partial_rows = frontier.partial
         leaf_ids = self._leaf_of_row[partial_rows].tolist()

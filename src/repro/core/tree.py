@@ -28,7 +28,6 @@ __all__ = [
     "PartitionNode",
     "PartitionTree",
     "MCFResult",
-    "BatchFrontiers",
     "boxes_to_arrays",
     "boxes_from_arrays",
 ]
@@ -146,44 +145,8 @@ class MCFResult:
 
 
 @dataclass(frozen=True)
-class BatchFrontiers:
-    """Raw vectorized MCF outcome for a batch of predicates.
-
-    ``covered_mask`` / ``partial_mask`` have shape ``(n_nodes, n_queries)``
-    over the geometry's node order (the sequential MCF visit order, so
-    materializing members in index order reproduces sequential results bit
-    for bit).  :meth:`result` / :meth:`results` build per-query
-    :class:`MCFResult` objects on demand; vectorized consumers work from
-    the masks directly.
-    """
-
-    geometry: "_TreeGeometry"
-    covered_mask: np.ndarray
-    partial_mask: np.ndarray
-    nodes_visited: np.ndarray
-
-    @property
-    def n_queries(self) -> int:
-        """Number of predicates the batch was classified for."""
-        return self.covered_mask.shape[1]
-
-    def result(self, j: int) -> MCFResult:
-        """Materialize the ``j``-th predicate's :class:`MCFResult`."""
-        nodes = self.geometry.nodes
-        return MCFResult(
-            covered=tuple(nodes[i] for i in np.flatnonzero(self.covered_mask[:, j])),
-            partial=tuple(nodes[i] for i in np.flatnonzero(self.partial_mask[:, j])),
-            nodes_visited=int(self.nodes_visited[j]),
-        )
-
-    def results(self) -> list[MCFResult]:
-        """Materialize every predicate's :class:`MCFResult`, in order."""
-        return [self.result(j) for j in range(self.n_queries)]
-
-
-@dataclass(frozen=True)
 class _TreeGeometry:
-    """Flat, immutable geometry of a partition tree for batched MCF lookups.
+    """Flat, immutable geometry of a partition tree for array MCF lookups.
 
     Attributes
     ----------
@@ -263,19 +226,6 @@ class _TreeGeometry:
                 count=len(nodes),
             ),
         )
-
-    def node_stat_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Fresh per-node ``(sum, count, min, max)`` statistic arrays.
-
-        Read at call time — never cached — because dynamic updates mutate
-        node statistics in place.
-        """
-        n = len(self.nodes)
-        sums = np.fromiter((node.stats.sum for node in self.nodes), float, count=n)
-        counts = np.fromiter((node.stats.count for node in self.nodes), float, count=n)
-        mins = np.fromiter((node.stats.min for node in self.nodes), float, count=n)
-        maxs = np.fromiter((node.stats.max for node in self.nodes), float, count=n)
-        return sums, counts, mins, maxs
 
 
 class PartitionTree:
@@ -552,147 +502,22 @@ class PartitionTree:
         )
 
     # ------------------------------------------------------------------
-    # Batched MCF
+    # Flat geometry
     # ------------------------------------------------------------------
-    def _geometry(self) -> "_TreeGeometry":
-        """The cached flat node-geometry table for batched MCF lookups.
+    def geometry(self) -> "_TreeGeometry":
+        """The cached flat node-geometry table of the array-native core.
 
-        Only immutable structure is cached (boxes, parent links, leaf
-        flags, and the DFS visit order of :meth:`minimal_coverage_frontier`);
-        node *statistics* mutate under dynamic updates and are always read
-        fresh.
+        Rows are ordered by the DFS visit order of
+        :meth:`minimal_coverage_frontier`, which :mod:`repro.core.soa`
+        relies on for order-preserving frontier extraction.  Only immutable
+        structure is cached (boxes, parent links, leaf flags); node
+        *statistics* mutate under dynamic updates and are never part of it.
         """
         geometry = self._geometry_cache
         if geometry is None:
             geometry = _TreeGeometry.build(self._root)
             self._geometry_cache = geometry
         return geometry
-
-    def geometry(self) -> "_TreeGeometry":
-        """The cached flat node-geometry table (see :meth:`_geometry`).
-
-        Public accessor used by the array-native execution core
-        (:mod:`repro.core.soa`); rows are ordered by the DFS visit order of
-        :meth:`minimal_coverage_frontier`, which every flat-array consumer
-        relies on for order-preserving frontier extraction.
-        """
-        return self._geometry()
-
-    def batch_coverage_frontiers(
-        self,
-        predicates: Sequence[RectPredicate],
-        zero_variance_rules: Sequence[bool] | None = None,
-        with_masks: bool = False,
-    ) -> "list[MCFResult] | BatchFrontiers":
-        """Run Algorithm 1 for a batch of predicates in one vectorized pass.
-
-        Every tree node is classified against every predicate with a few
-        broadcasted comparisons, then the per-node reachability of the
-        sequential descent is replayed level by level — so each returned
-        :class:`MCFResult` is *identical* to
-        :meth:`minimal_coverage_frontier` on the same predicate, including
-        the covered / partial node order (and therefore the floating-point
-        summation order of every downstream estimator) and the
-        ``nodes_visited`` telemetry.  Cost is O(nodes x batch) numpy work
-        instead of O(visited) Python work per query, which is what makes
-        micro-batched serving cheap.
-
-        Parameters
-        ----------
-        predicates:
-            The query predicates.
-        zero_variance_rules:
-            Per-predicate flag applying the AVG-only zero-variance descent
-            rule (default: off for every predicate).
-        with_masks:
-            Return the raw :class:`BatchFrontiers` mask matrices instead of
-            materialized per-query :class:`MCFResult` lists; fully
-            vectorized consumers (:meth:`~repro.core.batching.BatchPlan.
-            execute_vectorized`) assemble estimates straight from the masks
-            and skip the per-node Python object handling entirely.
-        """
-        geometry = self._geometry()
-        nodes = geometry.nodes
-        n_nodes = len(nodes)
-        n_queries = len(predicates)
-        if n_queries == 0:
-            empty = BatchFrontiers(
-                geometry=geometry,
-                covered_mask=np.zeros((n_nodes, 0), dtype=bool),
-                partial_mask=np.zeros((n_nodes, 0), dtype=bool),
-                nodes_visited=np.zeros(0, dtype=np.int64),
-            )
-            return empty if with_masks else []
-        if zero_variance_rules is None:
-            zv_flags = np.zeros(n_queries, dtype=bool)
-        else:
-            zv_flags = np.asarray(list(zero_variance_rules), dtype=bool)
-            if zv_flags.shape[0] != n_queries:
-                raise ValueError("one zero_variance_rule flag per predicate required")
-
-        # Predicate bounds over the tree's columns; constraints on columns
-        # the tree does not partition on can never be covered (an unbounded
-        # box interval is not contained in a bounded one) but always overlap.
-        column_index = geometry.column_index
-        lows = np.full((n_queries, len(column_index)), -np.inf)
-        highs = np.full((n_queries, len(column_index)), np.inf)
-        never_covers = np.zeros(n_queries, dtype=bool)
-        for j, predicate in enumerate(predicates):
-            for column, low, high in predicate.canonical_key():
-                c = column_index.get(column)
-                if c is None:
-                    never_covers[j] = True
-                else:
-                    lows[j, c] = low
-                    highs[j, c] = high
-
-        # relation matrices: (n_nodes, n_queries)
-        node_lows = geometry.lows[:, :, None]  # (n_nodes, n_cols, 1)
-        node_highs = geometry.highs[:, :, None]
-        p_lows = lows.T[None, :, :]  # (1, n_cols, n_queries)
-        p_highs = highs.T[None, :, :]
-        disjoint = ((p_lows > node_highs) | (node_lows > p_highs)).any(axis=1)
-        cover = ((p_lows <= node_lows) & (node_highs <= p_highs)).all(axis=1)
-        cover &= ~never_covers[None, :]
-        partial = ~cover & ~disjoint
-
-        if np.any(zv_flags):
-            zero_variance = np.fromiter(
-                (node.stats.has_zero_variance for node in nodes),
-                dtype=bool,
-                count=n_nodes,
-            )
-            stops_covered = cover | (
-                partial & zero_variance[:, None] & zv_flags[None, :]
-            )
-        else:
-            stops_covered = cover
-
-        # Replay the descent: a node is visited iff its parent descended
-        # (was reached, partial, not stopped by cover/zero-variance, and
-        # not a leaf).  Processing level by level keeps this fully array-at-
-        # a-time.
-        reached = np.zeros((n_nodes, n_queries), dtype=bool)
-        descends = np.zeros((n_nodes, n_queries), dtype=bool)
-        internal_partial = partial & ~stops_covered & ~geometry.is_leaf[:, None]
-        for level in geometry.levels:
-            if level[0] == 0:  # the root level
-                reached[0] = True
-            else:
-                reached[level] = descends[geometry.parent[level]]
-            descends[level] = reached[level] & internal_partial[level]
-
-        covered_mask = reached & stops_covered
-        partial_mask = reached & partial & ~stops_covered & geometry.is_leaf[:, None]
-        visited = reached.sum(axis=0)
-
-        frontiers = BatchFrontiers(
-            geometry=geometry,
-            covered_mask=covered_mask,
-            partial_mask=partial_mask,
-            nodes_visited=visited.astype(np.int64),
-        )
-        return frontiers if with_masks else frontiers.results()
 
     # ------------------------------------------------------------------
     # Dynamic maintenance helpers

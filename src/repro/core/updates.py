@@ -349,7 +349,10 @@ class DynamicPASS:
         instance._value_column = str(header["value_column"])
         instance._predicate_columns = list(header["predicate_columns"])
         instance._extra_sample_columns = list(header.get("extra_sample_columns", []))
-        instance._config = PASSConfig(**header["config"])
+        # Archives written while PASSConfig had an ``execution`` field still
+        # carry it.
+        config = {k: v for k, v in header["config"].items() if k != "execution"}
+        instance._config = PASSConfig(**config)
         instance._synopsis = synopsis
         instance._sample_columns = list(header["sample_columns"])
         offsets = np.asarray(arrays["reservoir/offsets"], dtype=np.int64)

@@ -10,7 +10,7 @@ This subsystem makes PASS horizontally scalable:
   the exact ``to_arrays`` / ``from_arrays`` paths;
 * :class:`ShardedSynopsis` answers aggregate queries by scatter-gather —
   prune shards whose key range cannot match, query the survivors through
-  the vectorized batch path, and merge the per-shard estimates, variances,
+  the batch path, and merge the per-shard estimates, variances,
   and deterministic bounds into a single :class:`~repro.result.AQPResult`
   (the mergeability of PASS's partition statistics is what makes the merge
   exact for the tree components);

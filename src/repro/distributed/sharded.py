@@ -8,9 +8,9 @@ engine would:
    skipped entirely (range shards; hash shards prune only under point
    predicates on the shard column).
 2. **Scatter** — surviving shards answer the query independently; the
-   per-shard work reuses the vectorized batch path of
-   :mod:`repro.core.batching`, so shards touched by several queries of a
-   batch evaluate their sample masks once.
+   per-shard work reuses the batch path of :mod:`repro.core.batching`, so
+   a shard touched by several queries of a batch over one predicate runs
+   their index lookup once.
 3. **Gather** — per-shard unbiased estimates and variances are merged into a
    single :class:`~repro.result.AQPResult`:
 
@@ -367,10 +367,12 @@ class ShardedSynopsis:
         """Answer a batch of queries; results align with the input order.
 
         The scatter phase groups the per-shard work of the whole batch: each
-        shard answers all of its subqueries through the vectorized
-        :func:`~repro.core.batching.batch_query` path in one pass (AVG
-        queries fan out into SUM / COUNT / AVG subqueries whose combined
-        estimates and bounds are merged in the gather phase).  Sketch
+        shard answers its deduplicated subqueries through one
+        :func:`~repro.core.batching.batch_query` call, so per shard every
+        classic answer carries the same bits as that shard's
+        ``synopsis.query`` (AVG queries fan out into SUM / COUNT / AVG
+        subqueries whose combined estimates and bounds are merged in the
+        gather phase).  Sketch
         aggregates (QUANTILE / COUNT_DISTINCT) gather per-shard *sketch
         unions* instead of scalar answers (see the module docstring).
         """
@@ -412,7 +414,7 @@ class ShardedSynopsis:
                 for shard_index in shard_indices:
                     enqueue(shard_index, sub)
 
-        # Scatter execution: one vectorized batch per surviving shard.
+        # Scatter execution: one batch per surviving shard.
         shard_answers: list[list[AQPResult]] = [
             batch_query(_pass_of(self._shards[i]), subs) if subs else []
             for i, subs in enumerate(shard_queries)
@@ -445,8 +447,8 @@ class ShardedSynopsis:
         """Answer a group-by query by scatter-gather over the shards.
 
         The compiled cell-major batch runs through :meth:`query_batch`, so
-        per shard the whole grouped workload shares one vectorized mask pass
-        per (leaf, group cell), shard pruning applies per cell, and the
+        per shard the aggregates of one group cell share one index lookup,
+        shard pruning applies per cell, and the
         per-group SUM / COUNT / AVG / MIN / MAX answers merge across shards
         with the exact mergeable gather math of single-aggregate queries.
 

@@ -10,7 +10,7 @@ the same three instruments:
   fixed-bucket latency histograms, exported as Prometheus text or JSON;
 * a **tracer** (:mod:`repro.obs.tracing`) whose spans decompose one query
   into per-stage durations (coalesce → enqueue → batch window → plan
-  compile → frontier descent → mask/reduceat execute → cache store) and
+  compile → frontier descent → per-query execute → cache store) and
   carry tree statistics such as ``nodes_visited`` and frontier sizes;
 * a **structured query log** (:mod:`repro.obs.querylog`) with one bounded
   record per request — the substrate workload-adaptive repartitioning mines.

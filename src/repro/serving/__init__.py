@@ -4,12 +4,12 @@ This subsystem turns the one-shot PASS library into a query-serving engine in
 the style of production AQP systems: build synopses offline, persist them,
 register them in a :class:`SynopsisCatalog`, and serve traffic through a
 :class:`ServingEngine` that routes queries, caches results, executes batches
-with vectorized mask evaluation, and applies dynamic updates under a
+with shared frontier work, and applies dynamic updates under a
 reader-writer lock.
 
 For concurrent traffic, :class:`AsyncServingEngine` layers an asyncio tier
 on top: in-flight request coalescing by canonical cache key, micro-batch
-scheduling into the vectorized batch path, bounded-queue backpressure with
+scheduling into the batch path, bounded-queue backpressure with
 typed :class:`Overloaded` rejections, and writes serialized through the
 same scheduler with atomic box-overlap invalidation of coalesced futures.
 

@@ -9,8 +9,8 @@ for duplicate-heavy concurrent traffic:
   stampede costs one synopsis pass instead of N.
 * **Micro-batch scheduling** — distinct requests accumulate under a
   configurable time/size window (:mod:`repro.serving.scheduler`) and
-  dispatch through the engine's vectorized ``execute_batch`` path: one lock
-  acquisition and one shared frontier + mask pass per window per synopsis.
+  dispatch through the engine's ``execute_batch`` path: one lock
+  acquisition per window and one frontier per distinct predicate.
   Because every PASS aggregate is a commutative/associative reduction over
   partition statistics and stratified samples, batching changes *where* the
   work happens, never the answers.
@@ -91,9 +91,7 @@ class AsyncServingEngine:
     ----------
     engine:
         The synchronous serving engine to front.  Configure result caching
-        and batch vectorization there (``vectorized_batches=True`` is the
-        recommended pairing — micro-batches then cost one moments pass per
-        touched leaf).
+        there.
     max_batch / batch_window / max_pending:
         Micro-batch window and admission bounds, passed to
         :class:`~repro.serving.scheduler.MicroBatchScheduler`.

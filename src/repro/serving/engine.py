@@ -22,10 +22,10 @@ per-leaf sketches (:attr:`CatalogEntry.supports_sketches`) and otherwise
 falls back to the exact engine, batches reduce them along shared frontiers,
 and sharded entries gather mergeable sketch unions across shards.
 * **Batch execution** — :meth:`execute_batch` deduplicates the batch,
-  groups cache misses by routed synopsis, and evaluates the sample match
-  masks of all queries touching a leaf in one vectorized pass, then feeds
-  the precomputed masks through the regular estimator path so batched
-  results are identical to sequential ones by construction.
+  groups cache misses by routed synopsis, computes one MCF frontier per
+  distinct predicate, and answers every miss with the same flat kernel
+  :meth:`execute` runs, so batched results are identical to sequential
+  ones by construction.
 
 Cached results are invalidated at estimate granularity: after an update, a
 cached result for a region the update did not touch keeps its original
@@ -80,13 +80,7 @@ class ServingEngine:
         Per-synopsis number of latency observations retained for the
         telemetry percentiles.
     vectorized_batches:
-        When True, batch cache misses against non-sharded synopses execute
-        through :meth:`~repro.core.batching.BatchPlan.execute_vectorized`
-        (one moments pass per touched leaf) instead of the per-query
-        estimator path.  Answers agree with sequential execution up to
-        floating-point summation order (see
-        :func:`~repro.core.batching.grouped_query` for the AVG caveat); the
-        default keeps batches bit-identical to sequential execution.
+        Accepted and ignored: every batch runs the one flat kernel.
     obs:
         The shared :class:`~repro.obs.Observability` context.  When given
         (and enabled), per-synopsis serving stats become registry-backed
@@ -100,6 +94,9 @@ class ServingEngine:
         catalog: SynopsisCatalog,
         cache_size: int = 4096,
         latency_window: int | None = None,
+        # perfbench/workloads.py passes this and perfbench/ is frozen by
+        # BENCHMARK.json; it selects nothing and nothing else may pass it.
+        # A later `benchmark` PR removes it together with the harness use.
         vectorized_batches: bool = False,
         obs: Observability | None = None,
     ) -> None:
@@ -110,7 +107,6 @@ class ServingEngine:
         self._catalog = catalog
         self._lock = ReadWriteLock()
         self._cache_size = cache_size
-        self._vectorized_batches = vectorized_batches
         # key -> (synopsis name or EXACT_FALLBACK, query, result)
         self._cache: OrderedDict[tuple, tuple[str, AggregateQuery, AQPResult]] = (
             OrderedDict()
@@ -291,9 +287,9 @@ class ServingEngine:
         """Answer a batch of queries; results align with the input order.
 
         Duplicate queries (by canonical key) are answered once, cache misses
-        are grouped per routed synopsis, and each group's sample match masks
-        are computed in one vectorized pass over every touched leaf.  Batched
-        results are identical to :meth:`execute` run per query.
+        are grouped per routed synopsis, and each group shares one MCF
+        frontier per distinct predicate.  Batched results are identical to
+        :meth:`execute` run per query.
         """
         return self._execute_batch_impl(queries, table, already_locked=False)
 
@@ -478,19 +474,14 @@ class ServingEngine:
             entry = entries[name]
             batch = [misses[index][1] for index in indices]
             if entry.is_sharded:
-                # Scatter-gather batch: the sharded synopsis shares mask work
-                # per shard across the whole group.
+                # Scatter-gather batch: the sharded synopsis dedupes the
+                # subqueries of the whole group per shard.
                 with self._obs.tracer.span("sharded.query_batch") as span:
                     span.set_attribute("synopsis", name)
                     span.set_attribute("batch_size", len(batch))
                     batch_results = entry.synopsis.query_batch(batch)
             else:
-                batch_results = batch_query(
-                    entry.pass_synopsis,
-                    batch,
-                    vectorized=self._vectorized_batches,
-                    obs=self._obs,
-                )
+                batch_results = batch_query(entry.pass_synopsis, batch, obs=self._obs)
             for index, result in zip(indices, batch_results):
                 answers[index] = (name, result)
         return answers  # type: ignore[return-value]

@@ -17,7 +17,7 @@ the declarative group-by form and the single-aggregate batch executors:
    :meth:`~repro.serving.engine.ServingEngine.execute_batch`, so grouped
    traffic inherits the per-group result cache (every compiled query's
    canonical cache key embeds its group cell's predicate — and, for
-   QUANTILE aggregates, the quantile parameter), the vectorized shared-mask
+   QUANTILE aggregates, the quantile parameter), the shared-frontier batch
    execution, and the exact-scan fallback.  Sketch aggregates ride the same
    plan: a ``P95(value)`` spec compiles into per-cell QUANTILE queries the
    routed synopsis answers from its mergeable per-leaf sketches.

@@ -4,9 +4,9 @@ The :class:`MicroBatchScheduler` sits between request arrival and execution
 in the async serving tier.  Incoming coalesced requests accumulate in a
 *batch window* — bounded by a time budget (``batch_window`` seconds) and a
 size budget (``max_batch`` requests) — and each sealed window dispatches as
-one batch through the vectorized serving path, so a window's worth of
-queries costs one lock acquisition and one shared frontier + mask pass per
-touched synopsis instead of one per query.
+one batch through the engine's batch path, so a window's worth of queries
+costs one lock acquisition, and one index lookup per distinct predicate,
+instead of one per query.
 
 Two further serving-tier concerns live here:
 

@@ -158,7 +158,7 @@ class ServingStats:
     def record_misses(self, n: int, latency_seconds: float) -> None:
         """Count ``n`` misses sharing one amortized latency (batch hot path).
 
-        The vectorized batch path divides a window's execution time evenly
+        The batch path divides a window's execution time evenly
         across its misses, so all ``n`` observations carry the same value —
         one counter update, one histogram update, and one ring-buffer fill
         replace ``n`` of each.

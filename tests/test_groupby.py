@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.aggregation.partition import PartitionStats
-from repro.core.batching import batch_leaf_masks, frontier_count, grouped_query
+from repro.core.batching import frontier_count, grouped_query
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
 from repro.core.pass_synopsis import PASSSynopsis
@@ -29,7 +29,7 @@ from repro.query.groupby import (
     execute_plan,
 )
 from repro.query.predicate import Box, Interval, RectPredicate
-from repro.query.query import AggregateQuery, ExactEngine
+from repro.query.query import ExactEngine
 from repro.sampling.stratified import Stratum
 
 ALL_AGGS = ("SUM", "COUNT", "AVG", "MIN", "MAX")
@@ -294,21 +294,6 @@ def test_empty_group_result_semantics():
         assert math.isnan(empty_group_result(agg).estimate)
     result = empty_group_result("SUM", population=123)
     assert result.exact and result.tuples_skipped == 123
-
-
-# ----------------------------------------------------------------------
-# Shared-mask batching invariants
-# ----------------------------------------------------------------------
-def test_batch_leaf_masks_share_arrays_across_identical_predicates(synopsis):
-    predicate = RectPredicate.from_bounds(key=(10.0, 60.0))
-    queries = [AggregateQuery(agg, "value", predicate) for agg in ("SUM", "COUNT")]
-    frontiers = [synopsis.lookup(query) for query in queries]
-    masks = batch_leaf_masks(synopsis, queries, frontiers)
-    assert masks[0], "expected at least one partially overlapped leaf"
-    for leaf_index, mask in masks[0].items():
-        assert masks[1][leaf_index] is mask  # shared, not merely equal
-        stratum = synopsis.leaf_samples[leaf_index]
-        np.testing.assert_array_equal(mask, stratum.match_mask(queries[0]))
 
 
 def test_execute_plan_rejects_misaligned_executor():

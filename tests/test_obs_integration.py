@@ -60,7 +60,7 @@ def make_engine(obs: Observability) -> ServingEngine:
     catalog = SynopsisCatalog()
     catalog.register("obs_value", synopsis, table_name="obs_table")
     catalog.register_table(table)
-    return ServingEngine(catalog, vectorized_batches=True, obs=obs)
+    return ServingEngine(catalog, obs=obs)
 
 
 def run(coro) -> None:

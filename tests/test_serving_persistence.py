@@ -251,6 +251,40 @@ class TestFormatVersioning:
         with pytest.raises(ValueError, match="unsupported synopsis format"):
             load_synopsis(path)
 
+    @pytest.mark.parametrize("execution", ["object", "soa"])
+    def test_archive_with_execution_header_still_loads(
+        self, table, workload, tmp_path, execution
+    ):
+        """Archives from before the one-executor change carry ``execution``
+        in the synopsis header and (dynamic ones) in the saved config."""
+        import json
+
+        dynamic = DynamicPASS(
+            table,
+            "value",
+            ["a"],
+            PASSConfig(n_partitions=8, partitioner="equal", sample_rate=0.05, seed=0),
+        )
+        dynamic.insert({"a": 50.0, "b": 1.0, "value": 7.0})
+        static = build_pass(
+            table, "value", ["a"], PASSConfig(n_partitions=16, seed=3)
+        )
+        for name, saved in (("old_dynamic", dynamic), ("old_static", static)):
+            path = save_synopsis(saved, tmp_path / name)
+            with np.load(path, allow_pickle=False) as data:
+                arrays = {key: data[key] for key in data.files}
+            header = json.loads(arrays["__header__"].item())
+            assert "execution" not in header
+            header["execution"] = execution
+            if "config" in header:
+                assert "execution" not in header["config"]
+                header["config"]["execution"] = execution
+            arrays["__header__"] = np.array(json.dumps(header))
+            np.savez_compressed(path, **arrays)
+            loaded = load_synopsis(path)
+            for query in workload:
+                assert_identical(saved.query(query), loaded.query(query))
+
     def test_non_synopsis_archive_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez_compressed(path, values=np.arange(3))

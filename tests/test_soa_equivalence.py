@@ -7,8 +7,10 @@ the level of IEEE-754 bit patterns — same covered/partial frontier order,
 same floating-point summation order, same NaN poisoning, same
 ``nodes_visited`` count.  These tests compare float bits (``struct.pack``)
 rather than values so that ``-0.0 != 0.0`` and differing NaN payloads would
-fail, across random trees, predicates, grouped plans, the zero-variance
-shortcut, and post-insert/delete staleness states.
+fail, across random trees, predicates, batches, the zero-variance shortcut,
+and post-insert/delete staleness states.  ``grouped_query`` alone shares
+per-cell moments across aggregates and is held to summation-order equality
+instead.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
-from repro.core.batching import grouped_query
+from repro.core.batching import batch_query, compile_batch, grouped_query
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
 from repro.core.soa import (
@@ -173,12 +175,18 @@ class TestFrontierBitIdentity:
         assert flat.nodes_visited == obj.nodes_visited
 
 
-class TestGroupedBitIdentity:
+class TestGroupedMatchesOracle:
     @given(
         n_bins=st.integers(min_value=2, max_value=6),
         seed=st.integers(min_value=0, max_value=2),
     )
-    def test_grouped_plan_matches_object_execution(self, n_bins, seed):
+    def test_grouped_plan_matches_per_cell_oracle(self, n_bins, seed):
+        """Grouped cells equal per-cell ``query_object`` up to summation order.
+
+        The grouped kernel shares one set of per-leaf moments across a
+        cell's aggregates, so floats agree to rounding; everything read
+        straight from partition statistics is exact.
+        """
         synopsis = _synopsis(2, 64, seed, False)
         edges = [100.0 * i / n_bins for i in range(n_bins + 1)]
         plan = GroupByQuery(
@@ -190,23 +198,21 @@ class TestGroupedBitIdentity:
                 AggregateSpec(agg, "value") for agg in CLASSIC_AGGS
             ),
         ).compile()
-        synopsis.execution = "soa"
-        flat_result = grouped_query(synopsis, plan)
-        synopsis.execution = "object"
-        try:
-            object_result = grouped_query(synopsis, plan)
-        finally:
-            synopsis.execution = "soa"
-        assert flat_result.labels == object_result.labels
-        for label, flat_row, object_row in zip(
-            flat_result.labels, flat_result.cells, object_result.cells
-        ):
-            for spec, flat_cell, object_cell in zip(
-                plan.aggregates, flat_row, object_row
-            ):
-                assert_results_identical(
-                    flat_cell, object_cell, context=f"{label} {spec.name} "
-                )
+        grouped = grouped_query(synopsis, plan)
+        for index, cell in plan.live_cells():
+            for spec, got in zip(plan.aggregates, grouped.cells[index]):
+                want = synopsis.query_object(plan.cell_query(cell, spec))
+                context = f"{cell.labels} {spec.name} "
+                for field in RESULT_FLOAT_FIELDS:
+                    assert getattr(got, field) == pytest.approx(
+                        getattr(want, field), rel=1e-9, nan_ok=True
+                    ), context + field
+                assert got.exact == want.exact, context
+                assert got.tuples_processed == want.tuples_processed, context
+                assert got.tuples_skipped == want.tuples_skipped, context
+                if spec.agg in (AggregateType.SUM, AggregateType.COUNT):
+                    assert _bits(got.hard_lower) == _bits(want.hard_lower), context
+                    assert _bits(got.hard_upper) == _bits(want.hard_upper), context
 
 
 class TestDynamicStalenessBitIdentity:
@@ -259,6 +265,153 @@ class TestDynamicStalenessBitIdentity:
         )
 
 
+BATCH_AGGS = CLASSIC_AGGS + ("QUANTILE", "COUNT_DISTINCT")
+
+
+@functools.lru_cache(maxsize=None)
+def _constant_region_table(n_columns: int, seed: int) -> Table:
+    """``_table`` with one constant-valued slab (``c0 < 30``).
+
+    Partitions inside the slab have ``min == max``, so AVG descends
+    differently from SUM / COUNT under the zero-variance rule.
+    """
+    base = _table(n_columns, seed)
+    columns = {name: base.column(name).copy() for name in base.column_names}
+    columns["value"][columns["c0"] < 30.0] = 42.0
+    return Table(columns, name="soa_equivalence_constant_region")
+
+
+def _batch_config(n_columns: int, n_partitions: int, seed: int) -> PASSConfig:
+    return PASSConfig(
+        n_partitions=n_partitions,
+        sample_rate=0.05,
+        partitioner="equal" if n_columns == 1 else "kd",
+        opt_sample_size=200,
+        zero_variance_rule=True,
+        with_sketches=True,
+        seed=seed,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _batch_synopsis(n_columns: int, n_partitions: int, seed: int):
+    return build_pass(
+        _constant_region_table(n_columns, seed),
+        "value",
+        [f"c{i}" for i in range(n_columns)],
+        _batch_config(n_columns, n_partitions, seed),
+    )
+
+
+def _batch(n_columns: int, pool, picks) -> list[AggregateQuery]:
+    """Queries over a small predicate pool, so predicates repeat.
+
+    Always ends with SUM / COUNT / AVG over the first predicate: the AVG
+    must take its own (zero-variance) frontier inside the same batch.
+    """
+    predicates = [_predicate(n_columns, fractions) for fractions in pool]
+    queries = [
+        AggregateQuery(agg, "value", predicates[index % len(predicates)])
+        for index, agg in picks
+    ]
+    queries += [AggregateQuery(agg, "value", predicates[0]) for agg in CLASSIC_AGGS[:3]]
+    return queries
+
+
+def assert_batch_matches_oracle(synopsis, queries, context: str = "") -> None:
+    answers = batch_query(synopsis, queries)
+    assert len(answers) == len(queries)
+    for query, answer in zip(queries, answers):
+        assert_results_identical(
+            answer,
+            synopsis.query_object(query),
+            context=f"{context}{query.agg.value} {query.predicate} ",
+        )
+
+
+_pool = st.lists(
+    st.lists(_fraction_pair, min_size=3, max_size=3), min_size=1, max_size=3
+)
+_picks = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2), st.sampled_from(BATCH_AGGS)),
+    max_size=12,
+)
+
+
+class TestBatchBitIdentity:
+    """``batch_query`` carries the bits of the per-query oracle."""
+
+    @given(
+        n_columns=st.integers(min_value=1, max_value=3),
+        n_partitions=st.sampled_from([16, 64]),
+        seed=st.integers(min_value=0, max_value=2),
+        pool=_pool,
+        picks=_picks,
+    )
+    def test_random_batches_match_query_object(
+        self, n_columns, n_partitions, seed, pool, picks
+    ):
+        synopsis = _batch_synopsis(n_columns, n_partitions, seed)
+        assert_batch_matches_oracle(synopsis, _batch(n_columns, pool, picks))
+
+    def test_avg_takes_its_own_frontier_under_the_zero_variance_rule(self):
+        """The fixture does exercise the AVG-only descent (not vacuous)."""
+        synopsis = _batch_synopsis(1, 64, 0)
+        predicate = RectPredicate({"c0": Interval(10.3, 70.7)})
+        queries = [AggregateQuery(agg, "value", predicate) for agg in CLASSIC_AGGS[:3]]
+        plan = compile_batch(synopsis, queries)
+        assert plan.slots == [0, 0, 1]
+        sum_frontier, avg_frontier = plan.slot_frontiers
+        assert avg_frontier.partial.shape[0] < sum_frontier.partial.shape[0]
+        assert_batch_matches_oracle(synopsis, queries)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2),
+        n_inserts=st.integers(min_value=0, max_value=25),
+        n_deletes=st.integers(min_value=0, max_value=10),
+        pool=_pool,
+        picks=_picks,
+    )
+    def test_batches_after_updates_and_a_stale_sample_rebuild(
+        self, seed, n_inserts, n_deletes, pool, picks
+    ):
+        table = _constant_region_table(1, seed)
+        dynamic = DynamicPASS(table, "value", ["c0"], config=_batch_config(1, 16, seed))
+        synopsis = dynamic.synopsis
+        flat = synopsis.flat  # warm: updates go through the sync hooks
+        rng = np.random.default_rng(seed + 100)
+        for _ in range(n_inserts):
+            dynamic.insert(
+                {"c0": float(rng.uniform(0, 100)), "value": float(rng.uniform(0, 90))}
+            )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StaleExtremaWarning)
+            for _ in range(n_deletes):
+                row = int(rng.integers(0, N_ROWS))
+                dynamic.delete(
+                    {
+                        "c0": float(table.column("c0")[row]),
+                        "value": float(table.column("value")[row]),
+                    }
+                )
+            # Deleting a *sampled* tuple shrinks that leaf's reservoir: a
+            # length-changing swap, which marks the CSR samples stale.
+            stratum = next(s for s in synopsis.leaf_samples if s.sample_size)
+            dynamic.delete(
+                {
+                    "c0": float(stratum.sample_columns["c0"][0]),
+                    "value": float(stratum.sample_columns["value"][0]),
+                }
+            )
+        assert flat._samples_stale
+        assert_batch_matches_oracle(
+            synopsis,
+            _batch(1, pool, picks),
+            context=f"after {n_inserts} inserts / {n_deletes + 1} deletes ",
+        )
+        assert not flat._samples_stale
+
+
 class TestUfuncReplicas:
     """The scalar numpy replicas used by the flat path are bitwise faithful."""
 
@@ -289,11 +442,11 @@ class TestUfuncReplicas:
         synopsis = _synopsis(1, 16, 0, False)
         flat = synopsis.flat
         rng = np.random.default_rng(seed)
-        n_leaves = len(synopsis.leaf_samples)
+        strata = synopsis.leaf_samples
         leaves = [
             int(leaf)
-            for leaf in rng.choice(n_leaves, size=len(sizes), replace=False)
-            if flat.sample_count(int(leaf)) > 0
+            for leaf in rng.choice(len(strata), size=len(sizes), replace=False)
+            if strata[int(leaf)].sample_size > 0
         ]
         strata_sizes = [int(s) for s in sizes[: len(leaves)]]
         if not leaves:
@@ -320,22 +473,7 @@ class TestUfuncReplicas:
             assert _bits(count_pairs[i][1]) == _bits(expect_count[1])
 
 
-class TestExecutionSwitch:
-    def test_object_execution_never_builds_flat(self):
-        table = _table(1, 0)
-        config = PASSConfig(
-            n_partitions=16, sample_rate=0.05, with_sketches=False, execution="object"
-        )
-        synopsis = build_pass(table, "value", ["c0"], config)
-        query = AggregateQuery("SUM", "value", _predicate(1, [(0.1, 0.5)]))
-        synopsis.query(query)
-        assert synopsis._flat is None
-
-    def test_invalid_execution_rejected(self):
-        with pytest.raises(ValueError, match="execution"):
-            PASSConfig(execution="vectorized")
-
-    def test_nan_bits_still_compare_equal(self):
-        assert _bits(float("nan")) == _bits(float("nan"))
-        assert _bits(-0.0) != _bits(0.0)
-        assert math.isnan(float("nan"))
+def test_nan_bits_still_compare_equal():
+    assert _bits(float("nan")) == _bits(float("nan"))
+    assert _bits(-0.0) != _bits(0.0)
+    assert math.isnan(float("nan"))
