@@ -93,7 +93,9 @@ def main() -> None:
         )
     print(f"Cache after updates: {engine.cache_info()}")
 
-    print("Serving telemetry:")
+    # p50 / p99 come from the per-synopsis latency histogram: interpolated
+    # inside its buckets over every miss so far, not exact recent values.
+    print("Serving telemetry (latency percentiles are histogram-interpolated):")
     for name, snapshot in engine.stats().items():
         print(
             f"  {name}: {snapshot.queries} queries, "

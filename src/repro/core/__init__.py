@@ -2,7 +2,6 @@
 
 from repro.core.batching import (
     batch_query,
-    frontier_count,
     grouped_query,
 )
 from repro.core.builder import (
@@ -20,7 +19,6 @@ from repro.core.updates import DynamicPASS
 
 __all__ = [
     "batch_query",
-    "frontier_count",
     "grouped_query",
     "build_leaf_boxes",
     "build_leaf_samples",

@@ -29,7 +29,6 @@ from typing import Sequence
 
 from repro.core.pass_synopsis import PASSSynopsis, sketch_union_result
 from repro.core.soa import FlatFrontier
-from repro.core.tree import MCFResult
 from repro.obs import Observability
 from repro.query.aggregates import SKETCH_AGGREGATES, AggregateType
 from repro.query.groupby import (
@@ -45,7 +44,6 @@ __all__ = [
     "compile_batch",
     "batch_query",
     "grouped_query",
-    "frontier_count",
 ]
 
 
@@ -195,18 +193,6 @@ def batch_query(
     ``synopsis.query(query)`` per query.
     """
     return compile_batch(synopsis, queries, obs=obs).execute()
-
-
-def frontier_count(frontier: MCFResult) -> int:
-    """Number of dataset tuples inside a frontier's covered + partial nodes.
-
-    This is an upper bound on how many tuples a query over the frontier's
-    predicate can match, read entirely from precomputed partition statistics
-    — zero means the predicate region is provably empty.
-    """
-    return sum(node.stats.count for node in frontier.covered) + sum(
-        node.stats.count for node in frontier.partial
-    )
 
 
 def grouped_query(

@@ -179,7 +179,8 @@ def evaluate_grouped_workload(
     ----------
     executor:
         A :class:`~repro.serving.engine.ServingEngine` (routed + cached
-        grouped serving), a
+        grouped serving) or :class:`~repro.serving.server.MPServingPool`
+        (the same result from the worker pool), a
         :class:`~repro.distributed.sharded.ShardedSynopsis` (scatter-gather
         grouping), or a :class:`~repro.core.pass_synopsis.PASSSynopsis`
         (single-synopsis shared-mask grouping).

@@ -36,7 +36,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import Executor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from repro.obs import Observability
@@ -76,12 +76,7 @@ class AsyncServingStats:
         """Field-name-keyed dict view; nested snapshots nest as dicts
         (the serving stack's uniform ``as_dict()`` contract — see
         :meth:`repro.serving.stats.StatsSnapshot.as_dict`)."""
-        return {
-            "scheduler": self.scheduler.as_dict(),
-            "coalesced": self.coalesced,
-            "invalidated_futures": self.invalidated_futures,
-            "inflight": self.inflight,
-        }
+        return asdict(self)
 
 
 class AsyncServingEngine:
@@ -101,11 +96,12 @@ class AsyncServingEngine:
     obs:
         The shared :class:`~repro.obs.Observability` context; defaults to
         the wrapped engine's, so wiring the engine instruments the whole
-        stack.  When enabled, every request gets a ``serve.request`` root
-        span whose children cover the cache probe, coalesce/submit path,
-        queue wait, and the engine's batch execution — the span handle is
-        carried on the :class:`CoalescedRequest` across the scheduler /
-        executor boundary, where contextvars would be lost.
+        stack.  When enabled, every head-sampled request gets a
+        ``serve.request`` root span whose stages and children cover the
+        cache probe, coalesce/submit path, queue wait, and the engine's
+        batch execution — the span handle is carried on the
+        :class:`CoalescedRequest` across the scheduler / executor boundary,
+        where contextvars would be lost.
 
     Use as an async context manager, or call :meth:`start` / :meth:`stop`::
 
@@ -135,28 +131,25 @@ class AsyncServingEngine:
         )
         self._loop: asyncio.AbstractEventLoop | None = None
         self._invalidated_futures = 0
-        # Head-sampling state, inlined from the tracer so the per-request
-        # dispatch in ``execute`` is one increment + modulo, not a method
-        # call into the tracer for every unsampled request.
+        # Head-sampling state of ``execute`` (see there).
         self._trace_tick = 0
         self._trace_every = self._obs.tracer.sample_every
+        # Each event is tallied once (the coalescer's join count, the int
+        # above); the registry reads the tallies at scrape time.  No-ops on
+        # a disabled context.
         registry = self._obs.metrics
-        # Coalesce joins are already tallied by the coalescer itself; the
-        # counter mirrors that tally lazily instead of paying an eager
-        # ``inc()`` on the join hot path.
         registry.counter(
             "repro_async_coalesced_total",
             "Requests that attached to an in-flight identical query.",
-        ).set_function(lambda: float(self._coalescer.joined))
-        self._m_invalidated = registry.counter(
+        ).set_function(lambda: self._coalescer.joined)
+        registry.counter(
             "repro_async_invalidated_futures_total",
             "In-flight coalesced futures detached by writer invalidation.",
-        )
-        if self._obs.enabled:
-            registry.gauge(
-                "repro_async_inflight",
-                "Coalesced executions currently outstanding.",
-            ).set_function(lambda: float(len(self._coalescer)))
+        ).set_function(lambda: self._invalidated_futures)
+        registry.gauge(
+            "repro_async_inflight",
+            "Coalesced executions currently outstanding.",
+        ).set_function(lambda: len(self._coalescer))
 
     @property
     def obs(self) -> Observability:
@@ -204,44 +197,47 @@ class AsyncServingEngine:
         Raises :class:`~repro.serving.scheduler.Overloaded` when admission
         control rejects the request, and propagates execution errors (e.g.
         ``LookupError`` for unroutable queries) to every coalesced waiter.
+
+        One request body for every observability mode: probe, coalesce,
+        submit, await.  With obs enabled (``logged``) the two outcomes that
+        end on the loop thread — cache hits and rejections — are written to
+        the query log here; miss leaders are logged by the engine's batch
+        execution and joiners are summarized on their leader's record (see
+        ``_dispatch``).  A head-sampled request (one in
+        ``trace_sample_rate``) also carries the ``serve.request`` span
+        ``root``, its fixed stages stamped via :meth:`Span.add_stage`; only
+        the batch execution below the scheduler opens real child spans.
+        With obs disabled no span is allocated and no clock is read.
         """
         loop = self._require_started()
-        engine = self._engine
-        if self._obs.enabled:
-            # Head sampling, inline: one request in ``trace_every`` takes
-            # the span-building traced path; the rest run the logged path
-            # below — metrics and the query log stay full-fidelity, only
-            # the span tree is sampled.  Both common paths live in this
-            # coroutine body because a sub-coroutine hop per request is one
-            # of the larger avoidable costs on the admission hot path.
-            every = self._trace_every
+        logged = self._obs.enabled
+        root = None
+        start = joined = 0.0
+        if logged:
+            start = time.perf_counter()
+            # Head sampling inline (an increment and a modulo, not a call
+            # into the tracer per unsampled request).
             tick = self._trace_tick
             self._trace_tick = tick + 1
-            if every == 1 or tick % every == 0:
-                return await self._execute_traced(query, table, loop)
-            # Unsampled logged path: miss leaders are logged by the engine's
-            # batch execution, coalesced joiners are summarized on the
-            # leader's record (see ``_dispatch``) and tallied by the
-            # coalescer, so only the loop-thread outcomes that never reach
-            # the executor — cache hits and rejections — are written here.
-            start = time.perf_counter()
-            cached = engine.peek_entry(query, table)
+            if tick % self._trace_every == 0:
+                root = self._obs.tracer.start(
+                    "serve.request", parent=None, start_s=start
+                )
+        served_by, ended = "", ""  # ended: "cache_hit" / "rejected", logged below
+        result: AQPResult | None = None
+        try:
+            cached = self._engine.peek_entry(query, table)
+            if root is not None:
+                root.add_stage("cache.probe", time.perf_counter() - start)
             if cached is not None:
                 served_by, result = cached
-                engine._log_query(
-                    query,
-                    table,
-                    served_by,
-                    "cache_hit",
-                    (time.perf_counter() - start) * 1e3,
-                    _NO_STAGES,
-                    result,
-                    0,
-                )
+                ended = "cache_hit"
                 return result
             request, is_leader = self._coalescer.admit(query, table, loop)
             if is_leader:
-                request.enqueued_s = time.perf_counter()
+                if logged:
+                    request.span = root
+                    request.enqueued_s = time.perf_counter()
                 try:
                     self._scheduler.submit(request)
                 except Overloaded:
@@ -250,115 +246,39 @@ class AsyncServingEngine:
                     # unobserved.
                     self._coalescer.detach(request)
                     request.future.cancel()
-                    engine._log_query(
-                        query,
-                        table,
-                        "",
-                        "rejected",
-                        (time.perf_counter() - start) * 1e3,
-                        _NO_STAGES,
-                        None,
-                        0,
-                    )
+                    ended = "rejected"
                     raise
+                if root is not None:
+                    root.set_attribute("outcome", "executed")
+                    root.add_stage(
+                        "scheduler.submit", time.perf_counter() - request.enqueued_s
+                    )
+            elif root is not None:
+                root.set_attribute("outcome", "coalesced")
+                if request.span is not None:
+                    root.set_attribute("coalesced_with", request.span.trace_id)
+                joined = time.perf_counter()
             return await asyncio.shield(request.future)  # type: ignore[return-value]
-        # Disabled fast path: the shared no-op singleton, zero bookkeeping.
-        cached = engine.peek_entry(query, table)
-        if cached is not None:
-            return cached[1]
-        request, is_leader = self._coalescer.admit(query, table, loop)
-        if is_leader:
-            try:
-                self._scheduler.submit(request)
-            except Overloaded:
-                # See above: the future dies unobserved.
-                self._coalescer.detach(request)
-                request.future.cancel()
-                raise
-        return await asyncio.shield(request.future)  # type: ignore[return-value]
-
-    async def _execute_traced(
-        self,
-        query: AggregateQuery,
-        table: str | None,
-        loop: asyncio.AbstractEventLoop,
-    ) -> AQPResult:
-        """The head-sampled request path: one root span, stamped stages.
-
-        Fixed per-request stages (cache probe, scheduler submit, queue wait,
-        coalesce join) are stamped onto the root via :meth:`Span.add_stage`;
-        only the variable-depth batch execution below the scheduler opens
-        real child spans (see ``ServingEngine._execute_batch_impl``).  Only
-        one request in ``Observability.trace_sample_rate`` reaches this path
-        at all — :meth:`execute` keeps the rest on its inline logged path,
-        which records metrics and the query log but builds no spans.
-        Together these keep enabled instrumentation inside the benchmark's
-        overhead gate.
-        """
-        obs = self._obs
-        tracer = obs.tracer
-        start = time.perf_counter()
-        root = tracer.start("serve.request", parent=None, start_s=start)
-        try:
-            cached = self._engine.peek_entry(query, table)
-            root.add_stage("cache.probe", time.perf_counter() - start)
-            if cached is not None:
-                served_by, result = cached
-                root.set_attribute("outcome", "cache_hit")
-                tracer.end(root)
-                self._engine._log_query(
-                    query,
-                    table,
-                    served_by,
-                    "cache_hit",
-                    total_ms=(time.perf_counter() - start) * 1e3,
-                    stages_ms=root.stage_durations_ms(),
-                    result=result,
-                    trace_id=root.trace_id,
-                )
-                return result
-            request, is_leader = self._coalescer.admit(query, table, loop)
-            if is_leader:
-                root.set_attribute("outcome", "executed")
-                request.span = root
-                submitted = time.perf_counter()
-                request.enqueued_s = submitted
-                try:
-                    self._scheduler.submit(request)
-                except Overloaded:
-                    # See ``execute`` for why detaching here is safe.
-                    self._coalescer.detach(request)
-                    request.future.cancel()
-                    root.set_attribute("outcome", "rejected")
-                    self._engine._log_query(
+        finally:
+            if root is not None:
+                if joined:
+                    root.add_stage("coalesce.join", time.perf_counter() - joined)
+                if ended:
+                    root.set_attribute("outcome", ended)
+                self._obs.tracer.end(root)
+            if logged and ended:
+                self._obs.query_log.append_raw(
+                    self._engine._make_payload(
                         query,
                         table,
-                        "",
-                        "rejected",
-                        total_ms=(time.perf_counter() - start) * 1e3,
-                        stages_ms={},
-                        result=None,
-                        trace_id=root.trace_id,
+                        served_by,
+                        ended,
+                        (time.perf_counter() - start) * 1e3,
+                        root.stage_durations_ms() if root is not None else _NO_STAGES,
+                        result,
+                        root.trace_id if root is not None else 0,
                     )
-                    raise
-                root.add_stage("scheduler.submit", time.perf_counter() - submitted)
-                result = await asyncio.shield(request.future)
-                return result  # type: ignore[return-value]
-            # Followers leave no per-request log record — the leader's
-            # ``coalesced`` summary in ``_dispatch`` carries their count —
-            # and the join was already tallied by the coalescer.
-            root.set_attribute("outcome", "coalesced")
-            leader_span = request.span
-            if leader_span is not None:
-                root.set_attribute("coalesced_with", leader_span.trace_id)
-            joined = time.perf_counter()
-            try:
-                result = await asyncio.shield(request.future)
-            finally:
-                root.add_stage("coalesce.join", time.perf_counter() - joined)
-            return result  # type: ignore[return-value]
-        finally:
-            tracer.end(root)
+                )
 
     async def execute_many(
         self, queries: Sequence[AggregateQuery], table: str | None = None
@@ -402,10 +322,7 @@ class AsyncServingEngine:
             return await loop.run_in_executor(self._executor, engine_apply, name, row)
 
         def on_applied(box: Box) -> None:
-            detached = self._coalescer.invalidate_overlapping(box)
-            self._invalidated_futures += detached
-            if detached:
-                self._m_invalidated.inc(float(detached))
+            self._invalidated_futures += self._coalescer.invalidate_overlapping(box)
 
         future = self._scheduler.submit_write(apply, on_applied)
         return await asyncio.shield(future)

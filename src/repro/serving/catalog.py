@@ -7,18 +7,17 @@ answer, and a planner routes each incoming query to the best-matching
 synopsis — falling back to the exact engine when nothing matches.  This
 module is that store and planner for PASS synopses.
 
-A registered synopsis can answer a query when it aggregates the query's value
-column and its partitioning columns cover every column the query predicate
-constrains.  Among the candidates the planner prefers the tightest fit
-(fewest partitioning columns beyond what the query needs — extra dimensions
-dilute the partition budget) and, tie-breaking, the synopsis with more leaf
-partitions (finer partitions skip more data).
+The routing rule itself is :func:`route_query`, the one function every
+serving tier calls: among the synopses that can answer a query it prefers
+the tightest fit (extra partitioning dimensions dilute the partition
+budget) and, tie-breaking, the one with more leaf partitions (finer
+partitions skip more data).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TypeVar
 
 from repro.core.pass_synopsis import PASSSynopsis
 from repro.core.updates import DynamicPASS
@@ -33,7 +32,49 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import Counter, NullCounter
     from repro.obs.quality import QualityThresholds
 
-__all__ = ["CatalogEntry", "SynopsisCatalog"]
+__all__ = ["CatalogEntry", "SynopsisCatalog", "route_query"]
+
+
+C = TypeVar("C")
+
+
+def route_query(
+    candidates: Iterable[C], query: AggregateQuery, table_name: str | None = None
+) -> C | None:
+    """The best-matching candidate for a query, or None: THE routing rule.
+
+    Every tier routes through this function — :meth:`SynopsisCatalog.route`
+    over its :class:`CatalogEntry` objects, the pool workers over the
+    manifest's :class:`~repro.serving.shm.PublishedEntry` records — so they
+    pick the same synopsis by construction.  A candidate is anything with
+    the five attributes read below.  It answers the query when it
+    summarizes the requested table (a ``table_name`` of None on either side
+    is a wildcard: an unnamed request, or a synopsis published without a
+    table), aggregates the query's value column, partitions on a superset
+    of the constrained predicate columns, and — for QUANTILE /
+    COUNT_DISTINCT — carries per-leaf sketches.  The best is the tightest
+    fit: fewest surplus partitioning columns, then the most leaf
+    partitions, then first in iteration (registration / publication) order.
+    """
+    constrained = {column for column, _, _ in query.predicate.canonical_key()}
+    needs_sketches = query.agg in SKETCH_AGGREGATES
+    best: C | None = None
+    best_score: tuple[int, int] | None = None
+    for candidate in candidates:
+        if table_name is not None and candidate.table_name not in (None, table_name):
+            continue
+        if query.value_column != candidate.value_column:
+            continue
+        if needs_sketches and not candidate.supports_sketches:
+            continue
+        columns = set(candidate.predicate_columns)
+        if not constrained <= columns:
+            continue
+        surplus = len(columns) - len(constrained)
+        score = (-surplus, candidate.n_partitions)
+        if best_score is None or score > best_score:
+            best, best_score = candidate, score
+    return best
 
 
 @dataclass(frozen=True)
@@ -127,23 +168,6 @@ class CatalogEntry:
         if isinstance(self.synopsis, ShardedSynopsis):
             return self.synopsis.supports_sketches
         return self.pass_synopsis.has_sketches
-
-    def can_answer(self, query: AggregateQuery, table_name: str | None = None) -> bool:
-        """True when the entry can answer the query (column-wise).
-
-        Sketch aggregates (QUANTILE / COUNT_DISTINCT) additionally require
-        the synopsis to carry per-leaf sketches — entries built with
-        ``with_sketches=False`` refuse them, so the planner falls back to
-        another synopsis or the exact engine instead of erroring.
-        """
-        if table_name is not None and table_name != self.table_name:
-            return False
-        if query.value_column != self.value_column:
-            return False
-        if query.agg in SKETCH_AGGREGATES and not self.supports_sketches:
-            return False
-        constrained = {column for column, _, _ in query.predicate.canonical_key()}
-        return constrained <= set(self.predicate_columns)
 
 
 class SynopsisCatalog:
@@ -330,16 +354,6 @@ class SynopsisCatalog:
         entry = self._entries.get(name)
         return entry.staleness if entry is not None else 0.0
 
-    def sketch_staleness_of(self, name: str) -> float:
-        """Sketch update drift of a registered synopsis (0.0 when unknown)."""
-        entry = self._entries.get(name)
-        return entry.sketch_staleness if entry is not None else 0.0
-
-    def extrema_staleness_of(self, name: str) -> float:
-        """Extrema-delete drift of a registered synopsis (0.0 when unknown)."""
-        entry = self._entries.get(name)
-        return entry.extrema_staleness if entry is not None else 0.0
-
     # ------------------------------------------------------------------
     # Quality
     # ------------------------------------------------------------------
@@ -396,27 +410,14 @@ class SynopsisCatalog:
         table_name: str | None = None,
         record: bool = True,
     ) -> CatalogEntry | None:
-        """The best-matching synopsis for a query, or None.
-
-        Candidates must aggregate the query's value column and partition on a
-        superset of the constrained predicate columns.  The best candidate is
-        the tightest fit: fewest surplus partitioning columns, then the most
-        leaf partitions, then registration order.
+        """The best-matching synopsis for a query, or None
+        (:func:`route_query` over the registered entries).
 
         ``record=False`` skips the per-decision routing counter; batch
         callers route every miss in a loop and report the grouped tally via
         :meth:`count_routes` instead.
         """
-        constrained = {column for column, _, _ in query.predicate.canonical_key()}
-        best: CatalogEntry | None = None
-        best_score: tuple[int, int] | None = None
-        for entry in self._entries.values():
-            if not entry.can_answer(query, table_name):
-                continue
-            surplus = len(set(entry.predicate_columns) - constrained)
-            score = (-surplus, entry.n_partitions)
-            if best_score is None or score > best_score:
-                best, best_score = entry, score
+        best = route_query(self._entries.values(), query, table_name)
         if record and self._obs is not None:
             if best is not None:
                 self._count_route(best.name)

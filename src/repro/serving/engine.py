@@ -76,9 +76,6 @@ class ServingEngine:
         :meth:`insert` / :meth:`delete`, not directly on the synopses.
     cache_size:
         Maximum number of memoized query results (0 disables caching).
-    latency_window:
-        Per-synopsis number of latency observations retained for the
-        telemetry percentiles.
     vectorized_batches:
         Accepted and ignored: every batch runs the one flat kernel.
     obs:
@@ -93,7 +90,6 @@ class ServingEngine:
         self,
         catalog: SynopsisCatalog,
         cache_size: int = 4096,
-        latency_window: int | None = None,
         # perfbench/workloads.py passes this and perfbench/ is frozen by
         # BENCHMARK.json; it selects nothing and nothing else may pass it.
         # A later `benchmark` PR removes it together with the harness use.
@@ -102,8 +98,6 @@ class ServingEngine:
     ) -> None:
         if cache_size < 0:
             raise ValueError("cache_size must be non-negative")
-        if latency_window is not None and latency_window <= 0:
-            raise ValueError("latency_window must be positive")
         self._catalog = catalog
         self._lock = ReadWriteLock()
         self._cache_size = cache_size
@@ -114,7 +108,6 @@ class ServingEngine:
         self._cache_lock = threading.Lock()
         self._stats: dict[str, ServingStats] = {}
         self._stats_lock = threading.Lock()
-        self._latency_window = latency_window
         self._auditor: "AccuracyAuditor | None" = None
         self._obs = obs if obs is not None else Observability.disabled()
         if self._obs.enabled:
@@ -194,29 +187,22 @@ class ServingEngine:
         """The catalog-level quality health rollup (see ``SynopsisCatalog.health``)."""
         return self._catalog.health(thresholds)
 
-    def peek(
+    def peek_entry(
         self, query: AggregateQuery, table: str | None = None
-    ) -> AQPResult | None:
-        """The cached result for a query, or None on a cache miss.
+    ) -> tuple[str, AQPResult] | None:
+        """The cached ``(serving synopsis name, result)`` of a query, or None.
 
         A hit is recorded in the serving telemetry exactly like a hit inside
         :meth:`execute`.  The async serving tier probes this before
         scheduling, so cached queries never pay a batch-window wait.
         """
-        entry = self.peek_entry(query, table)
-        return None if entry is None else entry[1]
-
-    def peek_entry(
-        self, query: AggregateQuery, table: str | None = None
-    ) -> tuple[str, AQPResult] | None:
-        """Like :meth:`peek`, also naming the synopsis that served the hit."""
         if not self._cache_size:
             return None
         cached = self._cache_get(self._cache_key(query, table))
         if cached is None:
             return None
         served_by, _, result = cached
-        self._stats_for(served_by).record_hit()
+        self._stats_for(served_by).record_hits()
         return served_by, result
 
     # ------------------------------------------------------------------
@@ -235,18 +221,20 @@ class ServingEngine:
             cached = self._cache_get(key)
             if cached is not None:
                 served_by, _, result = cached
-                self._stats_for(served_by).record_hit()
+                self._stats_for(served_by).record_hits()
                 if self._obs.enabled:
                     span.set_attribute("outcome", "cache_hit")
-                    self._log_query(
-                        query,
-                        table,
-                        served_by,
-                        "cache_hit",
-                        total_ms=(time.perf_counter() - start) * 1e3,
-                        stages_ms={},
-                        result=result,
-                        trace_id=span.trace_id,
+                    self._obs.query_log.append_raw(
+                        self._make_payload(
+                            query,
+                            table,
+                            served_by,
+                            "cache_hit",
+                            total_ms=(time.perf_counter() - start) * 1e3,
+                            stages_ms=_NO_STAGES,
+                            result=result,
+                            trace_id=span.trace_id,
+                        )
                     )
                 return result
             with self._lock.read_locked():
@@ -265,19 +253,21 @@ class ServingEngine:
                 auditor = self._auditor
                 if auditor is not None and served_by != EXACT_FALLBACK:
                     auditor.offer(query, table, served_by, result)
-            self._stats_for(served_by).record_miss(latency)
+            self._stats_for(served_by).record_misses(1, latency)
             if self._obs.enabled:
                 span.set_attribute("outcome", "miss")
                 span.set_attribute("synopsis", served_by)
-                self._log_query(
-                    query,
-                    table,
-                    served_by,
-                    "miss",
-                    total_ms=latency * 1e3,
-                    stages_ms=span.stage_durations_ms(),
-                    result=result,
-                    trace_id=span.trace_id,
+                self._obs.query_log.append_raw(
+                    self._make_payload(
+                        query,
+                        table,
+                        served_by,
+                        "miss",
+                        total_ms=latency * 1e3,
+                        stages_ms=span.stage_durations_ms(),
+                        result=result,
+                        trace_id=span.trace_id,
+                    )
                 )
             return result
 
@@ -595,14 +585,12 @@ class ServingEngine:
     def stats(self) -> dict[str, StatsSnapshot]:
         """Per-synopsis serving telemetry snapshots."""
         with self._stats_lock:
-            keys = list(self._stats)
-        snapshots = {}
-        for key in keys:
-            staleness = 0.0
-            if key != EXACT_FALLBACK and key in self._catalog:
-                staleness = self._catalog.get(key).staleness
-            snapshots[key] = self._stats_for(key).snapshot(staleness=staleness)
-        return snapshots
+            stats = dict(self._stats)
+        # staleness_of is 0.0 for names not in the catalog (the exact fallback).
+        return {
+            name: entry.snapshot(staleness=self._catalog.staleness_of(name))
+            for name, entry in stats.items()
+        }
 
     def cache_info(self) -> dict[str, int]:
         """Current cache occupancy and capacity."""
@@ -639,12 +627,7 @@ class ServingEngine:
             stats = self._stats.get(name)
             if stats is None:
                 registry = self._obs.metrics if self._obs.enabled else None
-                if self._latency_window:
-                    stats = ServingStats(
-                        self._latency_window, registry=registry, synopsis=name
-                    )
-                else:
-                    stats = ServingStats(registry=registry, synopsis=name)
+                stats = ServingStats(registry=registry, synopsis=name)
                 self._stats[name] = stats
             return stats
 
@@ -660,7 +643,8 @@ class ServingEngine:
         trace_id: int,
         coalesced_waiters: int = 0,
     ) -> tuple:
-        """Build one raw query-log payload (see ``QueryLog.append_raw``).
+        """Build one raw query-log payload (see ``QueryLog.append_raw``;
+        enabled contexts only).
 
         Hot path: everything derivable from the query and (immutable) result
         objects — canonical key, predicate box, aggregate label, bound
@@ -669,11 +653,6 @@ class ServingEngine:
         later — wall clock, the serving synopsis' staleness — is captured
         eagerly.
         """
-        staleness = (
-            self._catalog.staleness_of(served_by)
-            if served_by and served_by != EXACT_FALLBACK
-            else 0.0
-        )
         return (
             time.time(),
             table,
@@ -683,32 +662,7 @@ class ServingEngine:
             total_ms,
             stages_ms,
             result,
-            staleness,
+            self._catalog.staleness_of(served_by),  # 0.0 off-catalog ("", exact)
             trace_id,
             coalesced_waiters,
-        )
-
-    def _log_query(
-        self,
-        query: AggregateQuery,
-        table: str | None,
-        served_by: str,
-        outcome: str,
-        total_ms: float,
-        stages_ms: Mapping[str, float],
-        result: AQPResult | None,
-        trace_id: int,
-    ) -> None:
-        """Append one structured query-log record (enabled contexts only)."""
-        self._obs.query_log.append_raw(
-            self._make_payload(
-                query,
-                table,
-                served_by,
-                outcome,
-                total_ms,
-                stages_ms,
-                result,
-                trace_id,
-            )
         )

@@ -30,9 +30,8 @@ engine's read lock around the pruning pass.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
-from repro.core.batching import frontier_count
 from repro.core.updates import DynamicPASS
 from repro.query.groupby import (
     GroupByPlan,
@@ -44,7 +43,38 @@ from repro.query.query import AggregateQuery
 from repro.result import AQPResult
 from repro.serving.catalog import CatalogEntry, SynopsisCatalog
 
-__all__ = ["GroupByPlanner"]
+__all__ = ["GroupByPlanner", "route_plan"]
+
+E = TypeVar("E")
+
+
+def route_plan(
+    plan: GroupByPlan, route: Callable[[AggregateQuery], E | None]
+) -> E | None:
+    """The entry ALL of the plan's compiled queries route to, or None.
+
+    ``route`` maps one query to its entry (anything with a ``name``).
+    Group cells share predicate columns by construction, so one
+    representative query per distinct value column routes the whole plan.
+    When aggregates over different value columns route to different
+    entries (or some route nowhere), there is no single entry and ``None``
+    is returned.
+    """
+    live = plan.live_cells()
+    if not live:
+        return None
+    cell = live[0][1]
+    entry: E | None = None
+    seen: set[str] = set()
+    for spec in plan.aggregates:
+        if spec.value_column in seen:
+            continue
+        seen.add(spec.value_column)
+        routed = route(plan.cell_query(cell, spec))
+        if routed is None or (entry is not None and routed.name != entry.name):
+            return None
+        entry = routed
+    return entry
 
 
 class GroupByPlanner:
@@ -76,30 +106,13 @@ class GroupByPlanner:
     # Frontier-statistics pruning
     # ------------------------------------------------------------------
     def route(self, plan: GroupByPlan, table: str | None = None) -> CatalogEntry | None:
-        """The catalog entry ALL of the plan's compiled queries route to.
+        """The catalog entry ALL of the plan's compiled queries route to
+        (:func:`route_plan`).
 
-        Group cells share predicate columns by construction, so one
-        representative query per distinct value column routes the whole
-        plan.  When aggregates over different value columns route to
-        different entries (or some route nowhere), there is no single tree
-        to consult and ``None`` is returned — pruning is then skipped and
-        every compiled query routes individually at dispatch time.
+        With ``None`` there is no single tree to consult: pruning is skipped
+        and every compiled query routes individually at dispatch time.
         """
-        live = plan.live_cells()
-        if not live:
-            return None
-        cell = live[0][1]
-        entry: CatalogEntry | None = None
-        seen: set[str] = set()
-        for spec in plan.aggregates:
-            if spec.value_column in seen:
-                continue
-            seen.add(spec.value_column)
-            routed = self._catalog.route(plan.cell_query(cell, spec), table)
-            if routed is None or (entry is not None and routed.name != entry.name):
-                return None
-            entry = routed
-        return entry
+        return route_plan(plan, lambda query: self._catalog.route(query, table))
 
     def analyze(
         self, plan: GroupByPlan, table: str | None = None
@@ -119,9 +132,10 @@ class GroupByPlanner:
     ) -> set[int]:
         """Indices of group cells that provably contain no tuples.
 
-        Each live cell's predicate runs an MCF lookup over the routed
-        synopsis' partition tree (every surviving shard's tree for sharded
-        entries); a frontier whose covered and partial nodes hold zero
+        Each live cell's predicate runs a flat MCF lookup
+        (``FlatSynopsis.frontiers_for``, one broadcast per tree) over the
+        routed synopsis' partition tree (every surviving shard's tree for
+        sharded entries); a frontier whose covered and partial nodes hold zero
         tuples cannot match anything.  Entries that route to the exact-scan
         fallback are never pruned — there is no tree to consult.
 
@@ -135,30 +149,33 @@ class GroupByPlanner:
     ) -> set[int]:
         if entry is None:
             return set()
-        empty: set[int] = set()
+        live = plan.live_cells()
+        # (flat engine, slots into ``live``) per tree to consult: a sharded
+        # entry asks each shard only about the cells its key range overlaps.
         if entry.is_sharded:
             sharded = entry.synopsis
-            trees = [
-                (shard.synopsis if isinstance(shard, DynamicPASS) else shard).tree
-                for shard in sharded.shards
-            ]
-            for index, cell in plan.live_cells():
+            by_shard: dict[int, list[int]] = {}
+            for slot, (_, cell) in enumerate(live):
                 representative = plan.cell_query(cell, plan.aggregates[0])
-                count = 0
                 for shard_index in sharded.surviving_shards(representative):
-                    count += frontier_count(
-                        trees[shard_index].minimal_coverage_frontier(cell.predicate)
-                    )
-                    if count:
-                        break
-                if count == 0:
-                    empty.add(index)
-            return empty
-        tree = entry.pass_synopsis.tree
-        for index, cell in plan.live_cells():
-            if frontier_count(tree.minimal_coverage_frontier(cell.predicate)) == 0:
-                empty.add(index)
-        return empty
+                    by_shard.setdefault(shard_index, []).append(slot)
+            groups = []
+            for shard_index, slots in by_shard.items():
+                shard = sharded.shards[shard_index]
+                inner = shard.synopsis if isinstance(shard, DynamicPASS) else shard
+                groups.append((inner.flat, slots))
+        else:
+            groups = [(entry.pass_synopsis.flat, list(range(len(live))))]
+        occupied: set[int] = set()
+        for flat, slots in groups:
+            slots = [slot for slot in slots if slot not in occupied]
+            frontiers = flat.frontiers_for([live[slot][1].predicate for slot in slots])
+            occupied.update(
+                slot
+                for slot, frontier in zip(slots, frontiers)
+                if flat.frontier_count(frontier)
+            )
+        return {index for slot, (index, _) in enumerate(live) if slot not in occupied}
 
     # ------------------------------------------------------------------
     # Dispatch

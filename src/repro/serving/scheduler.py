@@ -10,13 +10,14 @@ instead of one per query.
 
 Two further serving-tier concerns live here:
 
-* **Backpressure** — the scheduler tracks every admitted-but-unresolved
-  request; past ``max_pending`` it rejects new work with a typed
-  :class:`Overloaded` error instead of queueing unboundedly.  Open-loop
-  arrival processes (the workloads :func:`~repro.evaluation.harness.
-  evaluate_async_workload` generates) can exceed service capacity
-  indefinitely; shedding load early keeps tail latency of admitted requests
-  bounded.
+* **Backpressure** — every admitted-but-unresolved request holds a slot of
+  an :class:`AdmissionGate`; past ``max_pending`` the gate rejects new work
+  with a typed :class:`Overloaded` error instead of queueing unboundedly
+  (the HTTP front end admits through the same class and renders the error
+  as a 429).  Open-loop arrival processes (the workloads
+  :func:`~repro.evaluation.harness.evaluate_async_workload` generates) can
+  exceed service capacity indefinitely; shedding load early keeps tail
+  latency of admitted requests bounded.
 * **Write serialization** — streaming updates submit through
   :meth:`submit_write`.  A write seals the currently-open batch window
   first (requests that arrived before the write stay ordered before it) and
@@ -24,19 +25,22 @@ Two further serving-tier concerns live here:
   reader batch and every write a definite serialization order.
 
 The scheduler is event-loop-local: all methods must be called from the
-owning loop's thread, so its counters need no locks.
+owning loop's thread, so its own tallies need no locks (the gate, shared
+with the multi-threaded HTTP tier, carries one).
 """
 
 from __future__ import annotations
 
 import asyncio
+import threading
 from dataclasses import asdict, dataclass
 from typing import Awaitable, Callable, TypeVar
 
 from repro.obs import Observability
+from repro.obs.metrics import MetricsRegistry
 from repro.serving.coalesce import CoalescedRequest
 
-__all__ = ["Overloaded", "SchedulerStats", "MicroBatchScheduler"]
+__all__ = ["Overloaded", "AdmissionGate", "SchedulerStats", "MicroBatchScheduler"]
 
 T = TypeVar("T")
 
@@ -49,7 +53,7 @@ class Overloaded(RuntimeError):
     pending:
         Outstanding (admitted but unresolved) items at rejection time.
     capacity:
-        The scheduler's ``max_pending`` bound.
+        The gate's ``max_pending`` bound.
     """
 
     def __init__(self, pending: int, capacity: int) -> None:
@@ -59,6 +63,42 @@ class Overloaded(RuntimeError):
         )
         self.pending = pending
         self.capacity = capacity
+
+
+class AdmissionGate:
+    """THE admission policy: a bounded count of admitted, unresolved items.
+
+    The only place ``pending`` meets a capacity and the only raiser of
+    :class:`Overloaded`.  :class:`MicroBatchScheduler` admits every request
+    and write through one; :class:`~repro.serving.server.MPHTTPServer`
+    admits every POST through another and renders the error as HTTP 429.
+    Thread-safe (HTTP handlers run one thread per connection); the owning
+    tier exports the plain-int tallies (``Counter.set_function``).
+    """
+
+    def __init__(self, max_pending: int) -> None:
+        if max_pending <= 0:
+            raise ValueError("max_pending must be positive")
+        self.capacity = max_pending
+        self.pending = 0
+        self.peak_pending = 0
+        self.rejected = 0
+        self._lock = threading.Lock()
+
+    def admit(self) -> None:
+        """Take one slot, or raise :class:`Overloaded` when none is free."""
+        with self._lock:
+            if self.pending >= self.capacity:
+                self.rejected += 1
+                raise Overloaded(self.pending, self.capacity)
+            self.pending += 1
+            if self.pending > self.peak_pending:
+                self.peak_pending = self.pending
+
+    def release(self, n: int = 1) -> None:
+        """Give ``n`` slots back (their items resolved, failed or not)."""
+        with self._lock:
+            self.pending -= n
 
 
 @dataclass(frozen=True)
@@ -126,10 +166,10 @@ class MicroBatchScheduler:
         :meth:`submit_write` raise :class:`Overloaded`.
     obs:
         The shared :class:`~repro.obs.Observability` context.  When enabled,
-        the loop-local counters additionally mirror into registry metrics
-        (``repro_scheduler_*``) on each event, a ``repro_scheduler_pending``
-        gauge reads the live queue depth, and sealed window sizes feed a
-        batch-size histogram.  The snapshot API is unchanged either way.
+        the registry's ``repro_scheduler_*`` counters and the
+        ``repro_scheduler_pending`` gauge read the tallies below at scrape
+        time and the batch-size histogram lives in the registry; each event
+        is tallied once either way, so the snapshot API is unchanged.
     """
 
     def __init__(
@@ -144,53 +184,47 @@ class MicroBatchScheduler:
             raise ValueError("max_batch must be positive")
         if batch_window < 0:
             raise ValueError("batch_window must be non-negative")
-        if max_pending <= 0:
-            raise ValueError("max_pending must be positive")
         self._dispatch = dispatch
         self._max_batch = max_batch
         self._batch_window = batch_window
-        self._max_pending = max_pending
-        self._obs = obs if obs is not None else Observability.disabled()
-        registry = self._obs.metrics
-        self._m_submitted = registry.counter(
-            "repro_scheduler_submitted_total",
-            "Leader requests admitted into batch windows.",
-        )
-        self._m_rejected = registry.counter(
-            "repro_scheduler_rejected_total",
-            "Submissions refused by admission control (Overloaded).",
-        )
-        self._m_batches = registry.counter(
-            "repro_scheduler_batches_total", "Batch windows sealed for dispatch."
-        )
-        self._m_writes = registry.counter(
-            "repro_scheduler_writes_total", "Writes serialized through the queue."
-        )
-        self._m_batch_size = registry.histogram(
+        self._gate = AdmissionGate(max_pending)
+        self._submitted = 0
+        self._writes = 0
+        self._max_batch_size = 0
+        # Each event is tallied once — the ints above, the gate, the
+        # batch-size histogram — and the registry reads them at scrape time
+        # (a private, unexported registry without enabled obs).
+        registry = obs.metrics if obs is not None and obs.enabled else MetricsRegistry()
+        #: Sealed windows; its count and sum are ``batches`` / ``dispatched``.
+        self._batch_sizes = registry.histogram(
             "repro_scheduler_batch_size",
             "Requests per sealed batch window.",
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0),
         )
-        if self._obs.enabled:
-            registry.gauge(
-                "repro_scheduler_pending",
-                "Admitted-but-unresolved items (buffered, queued, executing).",
-            ).set_function(lambda: float(self._pending))
+        registry.counter(
+            "repro_scheduler_submitted_total",
+            "Leader requests admitted into batch windows.",
+        ).set_function(lambda: self._submitted)
+        registry.counter(
+            "repro_scheduler_rejected_total",
+            "Submissions refused by admission control (Overloaded).",
+        ).set_function(lambda: self._gate.rejected)
+        registry.counter(
+            "repro_scheduler_batches_total", "Batch windows sealed for dispatch."
+        ).set_function(lambda: self._batch_sizes.count)
+        registry.counter(
+            "repro_scheduler_writes_total", "Writes serialized through the queue."
+        ).set_function(lambda: self._writes)
+        registry.gauge(
+            "repro_scheduler_pending",
+            "Admitted-but-unresolved items (buffered, queued, executing).",
+        ).set_function(lambda: self._gate.pending)
 
         self._loop: asyncio.AbstractEventLoop | None = None
         self._queue: asyncio.Queue[_BatchItem] = asyncio.Queue()
         self._buffer: list[CoalescedRequest] = []
         self._timer: asyncio.TimerHandle | None = None
         self._drain_task: asyncio.Task[None] | None = None
-
-        self._pending = 0
-        self._peak_pending = 0
-        self._submitted = 0
-        self._rejected = 0
-        self._batches = 0
-        self._dispatched = 0
-        self._writes = 0
-        self._max_batch_size = 0
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -229,9 +263,7 @@ class MicroBatchScheduler:
         Raises :class:`Overloaded` when the pending bound is hit; the caller
         is responsible for detaching the request from its coalescer.
         """
-        self._admission_check()
-        self._pending += 1
-        self._peak_pending = max(self._peak_pending, self._pending)
+        self._gate.admit()
         self._submitted += 1
         self._buffer.append(request)
         if len(self._buffer) >= self._max_batch:
@@ -253,22 +285,13 @@ class MicroBatchScheduler:
         moment the update is visible.  Returns a future resolving to
         ``apply``'s result.
         """
-        self._admission_check()
+        self._gate.admit()
         assert self._loop is not None, "scheduler not started"
         self._seal()
-        self._pending += 1
-        self._peak_pending = max(self._peak_pending, self._pending)
         self._writes += 1
-        self._m_writes.inc()
         future: asyncio.Future[T] = self._loop.create_future()
         self._queue.put_nowait(("write", (apply, on_applied, future)))
         return future
-
-    def _admission_check(self) -> None:
-        if self._pending >= self._max_pending:
-            self._rejected += 1
-            self._m_rejected.inc()
-            raise Overloaded(self._pending, self._max_pending)
 
     # ------------------------------------------------------------------
     # Window / drain machinery
@@ -281,14 +304,8 @@ class MicroBatchScheduler:
         if self._buffer:
             batch = self._buffer
             self._buffer = []
-            self._batches += 1
-            self._dispatched += len(batch)
             self._max_batch_size = max(self._max_batch_size, len(batch))
-            # The submitted counter is advanced here, once per sealed window,
-            # rather than per ``submit`` call — same totals, one update.
-            self._m_submitted.inc(float(len(batch)))
-            self._m_batches.inc()
-            self._m_batch_size.observe(float(len(batch)))
+            self._batch_sizes.observe(float(len(batch)))
             self._queue.put_nowait(("batch", batch))
 
     async def _drain(self) -> None:
@@ -305,7 +322,7 @@ class MicroBatchScheduler:
                             if not request.future.done():
                                 request.future.set_exception(exc)
                     finally:
-                        self._pending -= len(requests)
+                        self._gate.release(len(requests))
                 else:
                     apply, on_applied, future = payload  # type: ignore
                     try:
@@ -319,7 +336,7 @@ class MicroBatchScheduler:
                         if not future.done():
                             future.set_result(result)
                     finally:
-                        self._pending -= 1
+                        self._gate.release()
             finally:
                 self._queue.task_done()
 
@@ -328,15 +345,16 @@ class MicroBatchScheduler:
     # ------------------------------------------------------------------
     def snapshot(self) -> SchedulerStats:
         """An immutable snapshot of the queue counters."""
-        mean_size = self._dispatched / self._batches if self._batches else 0.0
+        batches = self._batch_sizes.count
+        dispatched = int(self._batch_sizes.sum)
         return SchedulerStats(
             submitted=self._submitted,
-            rejected=self._rejected,
-            batches=self._batches,
-            dispatched=self._dispatched,
+            rejected=self._gate.rejected,
+            batches=batches,
+            dispatched=dispatched,
             writes=self._writes,
-            pending=self._pending,
-            peak_pending=self._peak_pending,
+            pending=self._gate.pending,
+            peak_pending=self._gate.peak_pending,
             max_batch_size=self._max_batch_size,
-            mean_batch_size=mean_size,
+            mean_batch_size=dispatched / batches if batches else 0.0,
         )

@@ -20,16 +20,16 @@ This module is the scale-out tier:
   between a request and its worker);
 * :class:`MPHTTPServer` is a small stdlib HTTP front end mapping a JSON
   protocol onto canonical :class:`~repro.query.query.AggregateQuery` /
-  :class:`~repro.query.groupby.GroupByQuery` objects, behind the same
-  bounded admission control (typed
-  :class:`~repro.serving.scheduler.Overloaded` -> HTTP 429) as the async
-  tier.
+  :class:`~repro.query.groupby.GroupByQuery` objects, behind an
+  :class:`~repro.serving.scheduler.AdmissionGate` — the async tier's
+  admission policy; its typed :class:`~repro.serving.scheduler.Overloaded`
+  is rendered as HTTP 429.
 
-Worker-side routing mirrors :meth:`repro.serving.catalog.SynopsisCatalog.
-route` — same column checks, same tightest-fit scoring — so a query
-answered by the pool routes to the same synopsis the in-process engine
-would pick, and (because the flat engine is bit-identical to the object
-path) returns the identical :class:`~repro.result.AQPResult`.
+Workers route with :func:`repro.serving.catalog.route_query` — the function
+:meth:`SynopsisCatalog.route` itself calls — over the published manifest,
+so a query answered by the pool routes to the synopsis the in-process
+engine would pick and (one flat kernel everywhere) returns the identical
+:class:`~repro.result.AQPResult`.
 """
 
 from __future__ import annotations
@@ -46,13 +46,20 @@ from typing import Mapping, NamedTuple, Sequence
 from repro.distributed.parallel import SPAWN_CONTEXT
 from repro.obs import Observability
 from repro.obs.export import prometheus_text
-from repro.query.aggregates import SKETCH_AGGREGATES
-from repro.query.groupby import GroupByQuery, GroupingColumn
+from repro.query.groupby import (
+    GroupByPlan,
+    GroupByQuery,
+    GroupedResult,
+    GroupingColumn,
+    execute_plan,
+)
 from repro.query.predicate import Interval, RectPredicate
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
-from repro.serving.scheduler import Overloaded
-from repro.serving.shm import EpochRegister, attach_flat_synopsis
+from repro.serving.catalog import route_query
+from repro.serving.planner import route_plan
+from repro.serving.scheduler import AdmissionGate, Overloaded
+from repro.serving.shm import EpochRegister, attach_flat_synopsis, read_published
 
 __all__ = [
     "MPServingPool",
@@ -149,7 +156,9 @@ def result_from_payload(payload: Mapping) -> AQPResult:
 # Worker side (module-level so the spawn pickler can reach it)
 # ----------------------------------------------------------------------
 #: Per-worker-process state: the attached epoch register, the epoch the
-#: current attachments were made under, and the rehydrated engines.
+#: current attachments were made under, the manifest's entries (what
+#: ``route_query`` reads) and, by entry name, the rehydrated
+#: ``(flat engine, attachment)`` pairs.
 _WORKER: dict = {}
 
 
@@ -179,6 +188,7 @@ def _worker_init(register_name: str) -> None:
     _WORKER.clear()
     _WORKER["register"] = EpochRegister.attach(register_name)
     _WORKER["epoch"] = -1
+    _WORKER["entries"] = []
     _WORKER["engines"] = {}
     _WORKER["reattaches"] = 0
 
@@ -196,52 +206,22 @@ def _worker_refresh() -> int:
     if register.epoch() == _WORKER["epoch"]:
         return _WORKER["epoch"]
     while True:
-        epoch, manifest = register.read()
+        epoch, entries = read_published(register)
         engines = {}
-        attached = []
         try:
-            for entry in manifest.get("entries", []):
-                flat, attachment = attach_flat_synopsis(entry["segment"])
-                attached.append(attachment)
-                engines[entry["name"]] = (entry, flat, attachment)
+            for entry in entries:
+                engines[entry.name] = attach_flat_synopsis(entry.segment)
         except FileNotFoundError:
-            for attachment in attached:
+            for _, attachment in engines.values():
                 attachment.close()
             continue  # lost the race with a publish; take a fresh snapshot
-        for _, _, old in _WORKER["engines"].values():
+        for _, old in _WORKER["engines"].values():
             old.close()
+        _WORKER["entries"] = entries
         _WORKER["engines"] = engines
         _WORKER["epoch"] = epoch
         _WORKER["reattaches"] += 1
         return epoch
-
-
-def _worker_route(query: AggregateQuery, table: str | None):
-    """Mirror of :meth:`SynopsisCatalog.route` over the published entries.
-
-    Same candidate filter (table, value column, constrained columns,
-    sketch support — the flat engine carries no sketches, so QUANTILE /
-    COUNT_DISTINCT never match) and the same tightest-fit scoring, so the
-    pool and the in-process engine pick the same synopsis for any query
-    both can answer.
-    """
-    if query.agg in SKETCH_AGGREGATES:
-        return None
-    constrained = {column for column, _, _ in query.predicate.canonical_key()}
-    best = None
-    best_score = None
-    for entry, flat, _ in _WORKER["engines"].values():
-        if table is not None and entry["table_name"] not in (None, table):
-            continue
-        if query.value_column != entry["value_column"]:
-            continue
-        if not constrained <= set(entry["predicate_columns"]):
-            continue
-        surplus = len(set(entry["predicate_columns"]) - constrained)
-        score = (-surplus, entry["n_partitions"])
-        if best_score is None or score > best_score:
-            best, best_score = flat, score
-    return best
 
 
 def _worker_execute_chunk(
@@ -256,15 +236,15 @@ def _worker_execute_chunk(
     epoch = _worker_refresh()
     results = []
     for query, table in items:
-        flat = _worker_route(query, table)
-        if flat is None:
+        entry = route_query(_WORKER["entries"], query, table)
+        if entry is None:
             published = ", ".join(_WORKER["engines"]) or "<none>"
             raise LookupError(
                 f"no published synopsis answers {query.agg.name} over "
                 f"{query.value_column!r} (published: {published}); serve it "
                 "through the in-process engine"
             )
-        results.append(flat.query(query))
+        results.append(_WORKER["engines"][entry.name][0].query(query))
     return results, {
         "served": len(results),
         "epoch": epoch,
@@ -528,24 +508,32 @@ class MPServingPool:
             raise failures[0]
         return replies
 
-    def execute_grouped(self, groupby: GroupByQuery, table: str | None = None):
+    def execute_grouped(
+        self, groupby: GroupByQuery | GroupByPlan, table: str | None = None
+    ) -> GroupedResult:
         """Answer a group-by query by fanning its cells out over the pool.
 
-        The query is compiled without a distinct source, so every grouping
-        must carry explicit bin edges or values (the pool has no fallback
-        table to discover distinct values from).  Returns
-        ``(plan, cell_results)`` where ``cell_results[i]`` holds one
-        :class:`AQPResult` per aggregate for the i-th live cell.
+        A :class:`GroupByQuery` is compiled without a distinct source, so
+        every grouping must carry explicit bin edges or values (the pool has
+        no fallback table to discover distinct values from).  The result
+        has every cell of the plan, as :meth:`ServingEngine.execute_grouped`
+        reports them: cells outside the query's base predicate get SQL
+        empty-group answers crediting the routed synopsis' rows as skipped.
+        One difference remains: the engine also answers cells whose tree
+        frontier holds no tuple that way, the pool runs them like any cell.
         """
-        plan = groupby.compile()
-        queries = plan.queries()
-        flat = self.execute_batch(queries, table)
-        n_aggs = len(plan.aggregates)
-        cells = [
-            tuple(flat[start : start + n_aggs])
-            for start in range(0, len(flat), n_aggs)
-        ]
-        return plan, cells
+        plan = groupby.compile() if isinstance(groupby, GroupByQuery) else groupby
+        register = EpochRegister.attach(self._register_name)
+        try:
+            _, entries = read_published(register)
+        finally:
+            register.close()
+        entry = route_plan(plan, lambda query: route_query(entries, query, table))
+        return execute_plan(
+            plan,
+            lambda queries: self.execute_batch(queries, table),
+            population=entry.population_size if entry is not None else 0,
+        )
 
     def close(self) -> None:
         """Shut the worker processes down; idempotent.
@@ -656,10 +644,9 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path not in ("/query", "/groupby"):
             self._reply(404, {"error": f"no route {self.path}"})
             return
-        if not self.server.admit():
-            rejection = Overloaded(
-                self.server.pending, self.server.max_pending
-            )
+        try:
+            self.server.gate.admit()
+        except Overloaded as rejection:
             self._reply(
                 429,
                 {
@@ -685,7 +672,7 @@ class _Handler(BaseHTTPRequestHandler):
         except Exception as exc:  # closed pool, dead worker, a worker-side bug
             status, reply = 503, {"error": f"{type(exc).__name__}: {exc}"}
         finally:
-            self.server.release()
+            self.server.gate.release()
         self._reply(status, reply)
 
     def _groupby(self, payload: Mapping) -> dict:
@@ -711,17 +698,15 @@ class _Handler(BaseHTTPRequestHandler):
                 for spec in payload["aggregates"]
             ),
         )
-        plan, cells = self.server.pool.execute_grouped(
-            groupby, payload.get("table")
-        )
+        grouped = self.server.pool.execute_grouped(groupby, payload.get("table"))
         records = [
             {
-                "labels": list(plan.cells[index].labels),
+                "labels": list(labels),
                 "results": [result_to_payload(result) for result in row],
             }
-            for (index, _), row in zip(plan.live_cells(), cells)
+            for labels, row in grouped
         ]
-        return {"group_columns": list(plan.group_columns), "cells": records}
+        return {"group_columns": list(grouped.group_columns), "cells": records}
 
 
 class MPHTTPServer(ThreadingHTTPServer):
@@ -729,11 +714,11 @@ class MPHTTPServer(ThreadingHTTPServer):
 
     Endpoints: ``POST /query`` (one aggregate query), ``POST /groupby``
     (explicit-binning group-by fan-out), ``GET /healthz``, and ``GET
-    /metrics`` (Prometheus exposition of the pool's registry).  Admission
-    is a bounded in-flight counter: past ``max_pending`` concurrent
-    requests the server answers 429 with the async tier's
-    :class:`~repro.serving.scheduler.Overloaded` semantics instead of
-    queueing unboundedly.
+    /metrics`` (Prometheus exposition of the pool's registry).  Every POST
+    holds a slot of :attr:`gate` while it runs: past ``max_pending``
+    concurrent requests the gate raises the async tier's
+    :class:`~repro.serving.scheduler.Overloaded`, answered as a 429 with
+    the error's ``pending`` / ``capacity`` instead of queueing unboundedly.
 
     Start with :meth:`serve_in_thread`; ``close`` stops the listener (the
     pool is the caller's to close — it may outlive the front end).
@@ -749,19 +734,17 @@ class MPHTTPServer(ThreadingHTTPServer):
         max_pending: int = 64,
         obs: Observability | None = None,
     ) -> None:
+        #: Admission for POST requests (before the socket, so a bad bound
+        #: raises with nothing to clean up).
+        self.gate = AdmissionGate(max_pending)
         super().__init__((host, port), _Handler)
-        if max_pending <= 0:
-            raise ValueError("max_pending must be positive")
         self.pool = pool
-        self.max_pending = max_pending
         self.obs = obs if obs is not None else Observability.disabled()
-        self._pending = 0
-        self._admission = threading.Lock()
         self._thread: threading.Thread | None = None
-        self._m_rejected = self.obs.metrics.counter(
+        self.obs.metrics.counter(
             "repro_mp_http_rejected_total",
             "HTTP requests refused by admission control (429).",
-        )
+        ).set_function(lambda: self.gate.rejected)
 
     @property
     def address(self) -> str:
@@ -770,23 +753,9 @@ class MPHTTPServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     @property
-    def pending(self) -> int:
-        """Currently admitted (in-flight) requests."""
-        return self._pending
-
-    def admit(self) -> bool:
-        """Try to admit one request; False means reject with 429."""
-        with self._admission:
-            if self._pending >= self.max_pending:
-                self._m_rejected.inc()
-                return False
-            self._pending += 1
-            return True
-
-    def release(self) -> None:
-        """Mark one admitted request finished."""
-        with self._admission:
-            self._pending -= 1
+    def max_pending(self) -> int:
+        """The admission bound."""
+        return self.gate.capacity
 
     def serve_in_thread(self) -> str:
         """Start serving on a daemon thread; returns the base URL."""

@@ -49,7 +49,7 @@ import secrets
 import struct
 import time
 from multiprocessing import shared_memory
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -63,6 +63,8 @@ __all__ = [
     "SynopsisSegment",
     "AttachedSegment",
     "EpochRegister",
+    "PublishedEntry",
+    "read_published",
     "SynopsisPublisher",
     "attach_flat_synopsis",
 ]
@@ -72,6 +74,16 @@ SEGMENT_MAGIC = b"PASSSEG1"
 
 #: First eight bytes of every epoch-register segment.
 REGISTER_MAGIC = b"PASSEPR1"
+
+#: Name prefixes of data segments and epoch registers (leak checks glob them).
+_SEGMENT_PREFIX = "pass-seg"
+_REGISTER_PREFIX = "pass-epoch"
+
+#: Bytes allocated per epoch register; bounds the JSON manifest it can hold.
+_REGISTER_CAPACITY = 1 << 16
+
+#: Seconds a reader sleeps before retrying a torn or in-progress register read.
+_SPIN_INTERVAL = 0.0005
 
 _PAGE = mmap.PAGESIZE
 _SEQ_OFFSET = 8
@@ -150,8 +162,6 @@ class SynopsisSegment:
         cls,
         header: Mapping,
         arrays: Mapping[str, np.ndarray],
-        *,
-        prefix: str = "pass-seg",
     ) -> "SynopsisSegment":
         """Lay ``(header, arrays)`` out in a fresh shared-memory segment.
 
@@ -191,7 +201,7 @@ class SynopsisSegment:
         if directory and 16 + len(encoded) > directory[0]["offset"]:
             raise RuntimeError("segment header overflowed its reserved space")
         segment = shared_memory.SharedMemory(
-            create=True, size=max(offset, _PAGE), name=_segment_name(prefix)
+            create=True, size=max(offset, _PAGE), name=_segment_name(_SEGMENT_PREFIX)
         )
         buf = segment.buf
         buf[0:8] = SEGMENT_MAGIC
@@ -288,12 +298,12 @@ class EpochRegister:
         self._owner = owner
 
     @classmethod
-    def create(
-        cls, *, capacity: int = 1 << 16, prefix: str = "pass-epoch"
-    ) -> "EpochRegister":
+    def create(cls) -> "EpochRegister":
         """Allocate a fresh register (epoch 0, empty payload); owner side."""
         segment = shared_memory.SharedMemory(
-            create=True, size=capacity, name=_segment_name(prefix)
+            create=True,
+            size=_REGISTER_CAPACITY,
+            name=_segment_name(_REGISTER_PREFIX),
         )
         segment.buf[0:8] = REGISTER_MAGIC
         struct.pack_into("<Q", segment.buf, _SEQ_OFFSET, 0)
@@ -344,13 +354,13 @@ class EpochRegister:
         struct.pack_into("<Q", buf, _SEQ_OFFSET, seq + 2)  # even: consistent
         return seq + 2
 
-    def read(self, *, spin_interval: float = 0.0005) -> tuple[int, dict]:
+    def read(self) -> tuple[int, dict]:
         """A consistent ``(epoch, manifest)`` snapshot (seqlock read side)."""
         buf = self._segment.buf
         while True:
             (seq1,) = struct.unpack_from("<Q", buf, _SEQ_OFFSET)
             if seq1 % 2:
-                time.sleep(spin_interval)
+                time.sleep(_SPIN_INTERVAL)
                 continue
             (length,) = struct.unpack_from("<Q", buf, _LEN_OFFSET)
             payload = bytes(buf[_PAYLOAD_OFFSET : _PAYLOAD_OFFSET + length])
@@ -358,7 +368,7 @@ class EpochRegister:
             if seq1 == seq2:
                 manifest = json.loads(payload.decode("utf-8")) if length else {}
                 return seq1, manifest
-            time.sleep(spin_interval)
+            time.sleep(_SPIN_INTERVAL)
 
     def close(self) -> None:
         """Drop this process's mapping of the register."""
@@ -370,6 +380,33 @@ class EpochRegister:
             self._segment.unlink()
         except FileNotFoundError:  # pragma: no cover - already unlinked
             pass
+
+
+class PublishedEntry(NamedTuple):
+    """One manifest entry: a published synopsis' segment and routing metadata.
+
+    The publisher writes ``_asdict()`` of these into the epoch register;
+    readers rebuild them from the manifest and hand them to
+    :func:`repro.serving.catalog.route_query`, which reads the same
+    attributes off a :class:`~repro.serving.catalog.CatalogEntry`.
+    """
+
+    name: str
+    segment: str
+    #: None publishes a wildcard: the entry matches requests for any table.
+    table_name: str | None
+    value_column: str
+    predicate_columns: list[str]
+    n_partitions: int
+    population_size: int
+    #: The flat layout carries no per-leaf sketches (ROADMAP item 2a).
+    supports_sketches = False
+
+
+def read_published(register: EpochRegister) -> tuple[int, list[PublishedEntry]]:
+    """A consistent ``(epoch, entries)`` snapshot of a publisher's register."""
+    epoch, manifest = register.read()
+    return epoch, [PublishedEntry(**entry) for entry in manifest.get("entries", [])]
 
 
 class SynopsisPublisher:
@@ -393,10 +430,10 @@ class SynopsisPublisher:
     republishes the rebuilt shard's segment under this publisher.
     """
 
-    def __init__(self, *, register_capacity: int = 1 << 16) -> None:
-        self._register = EpochRegister.create(capacity=register_capacity)
+    def __init__(self) -> None:
+        self._register = EpochRegister.create()
         self._segments: dict[str, SynopsisSegment] = {}
-        self._entries: dict[str, dict] = {}
+        self._entries: dict[str, PublishedEntry] = {}
         self._closed = False
 
     @property
@@ -422,9 +459,9 @@ class SynopsisPublisher:
         The flat buffers are laid out in a fresh segment *first*, then the
         register flips to the manifest naming it — readers either see the
         old complete generation or the new one.  ``predicate_columns``
-        defaults to the synopsis' bound columns and, with ``table_name``,
-        feeds worker-side routing (mirroring
-        :meth:`repro.serving.catalog.CatalogEntry.can_answer`).
+        defaults to the synopsis' bound columns and, with ``table_name``
+        (None = any table), feeds worker-side routing
+        (:class:`PublishedEntry`).
         """
         self._require_open()
         flat = _flat_of(synopsis)
@@ -432,19 +469,20 @@ class SynopsisPublisher:
         segment = SynopsisSegment.write(header, arrays)
         previous = self._segments.get(name)
         self._segments[name] = segment
-        self._entries[name] = {
-            "name": name,
-            "segment": segment.name,
-            "table_name": table_name,
-            "value_column": header["value_column"],
-            "predicate_columns": list(
+        self._entries[name] = PublishedEntry(
+            name=name,
+            segment=segment.name,
+            table_name=table_name,
+            value_column=header["value_column"],
+            predicate_columns=list(
                 predicate_columns
                 if predicate_columns is not None
                 else header["columns"]
             ),
-            "n_partitions": int(arrays["is_leaf"].sum()),
-        }
-        epoch = self._register.publish({"entries": list(self._entries.values())})
+            n_partitions=int(arrays["is_leaf"].sum()),
+            population_size=int(arrays["node_count"][0]),
+        )
+        epoch = self._flip()
         if previous is not None:
             previous.unlink()
             previous.close()
@@ -480,7 +518,7 @@ class SynopsisPublisher:
         self._require_open()
         segment = self._segments.pop(name, None)
         self._entries.pop(name, None)
-        epoch = self._register.publish({"entries": list(self._entries.values())})
+        epoch = self._flip()
         if segment is not None:
             segment.unlink()
             segment.close()
@@ -512,6 +550,12 @@ class SynopsisPublisher:
         router.add_swap_listener(on_swap)
         self.publish(name, router.sharded.shards[0], table_name=table_name)
         return on_swap
+
+    def _flip(self) -> int:
+        """Install the current entries as the register's manifest."""
+        return self._register.publish(
+            {"entries": [entry._asdict() for entry in self._entries.values()]}
+        )
 
     def _require_open(self) -> None:
         if self._closed:

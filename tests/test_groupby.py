@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.aggregation.partition import PartitionStats
-from repro.core.batching import frontier_count, grouped_query
+from repro.core.batching import grouped_query
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
 from repro.core.pass_synopsis import PASSSynopsis
@@ -274,8 +274,9 @@ def test_grouped_query_prunes_provably_empty_cells():
         groupings=(GroupingColumn.bins("key", [0.0, 10.5, 19.5, 30.0]),),
         aggregates=(AggregateSpec("COUNT", "value"), AggregateSpec("AVG", "value")),
     ).compile()
-    frontier = synopsis.tree.minimal_coverage_frontier(plan.cells[1].predicate)
-    assert frontier_count(frontier) == 0
+    flat = synopsis.flat
+    (frontier,) = flat.frontiers_for([plan.cells[1].predicate])
+    assert flat.frontier_count(frontier) == 0
     grouped = grouped_query(synopsis, plan)
     count, avg = grouped.cells[1]
     assert count.exact and count.estimate == 0.0

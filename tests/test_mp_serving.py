@@ -13,6 +13,7 @@ named shared-memory segments behind.
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import glob
 import http.client
@@ -38,9 +39,11 @@ from repro.data.table import Table
 from repro.distributed.parallel import ParallelBuilder
 from repro.distributed.planner import ShardPlanner
 from repro.distributed.router import StreamingShardRouter
+from repro.evaluation.harness import evaluate_grouped_workload
 from repro.obs import Observability
+from repro.query.groupby import AggregateSpec, GroupByQuery, GroupingColumn
 from repro.query.predicate import Interval, RectPredicate
-from repro.query.query import AggregateQuery
+from repro.query.query import AggregateQuery, ExactEngine
 from repro.result import AQPResult
 from repro.serving import (
     MPHTTPServer,
@@ -49,6 +52,8 @@ from repro.serving import (
     SynopsisCatalog,
     SynopsisPublisher,
 )
+from repro.serving.coalesce import RequestCoalescer
+from repro.serving.scheduler import AdmissionGate, MicroBatchScheduler, Overloaded
 from repro.serving.server import (
     MAX_BODY_BYTES,
     PoolBroken,
@@ -253,6 +258,94 @@ class TestMPServingPool:
                         assert_identical(
                             result, engines[live].execute(query, "mp_test")
                         )
+
+    def test_competing_published_entries_route_like_the_catalog(self):
+        """Two overlapping synopses (1-D and 2-D, same value column): the
+        workers call the catalog's routing function, so each query is
+        answered by the synopsis the in-process engine picks for it."""
+        rng = np.random.default_rng(21)
+        table = Table(
+            {
+                "key": rng.uniform(0.0, 50.0, size=3000),
+                "other": rng.uniform(0.0, 10.0, size=3000),
+                "value": np.abs(rng.lognormal(1.2, 0.6, size=3000)),
+            },
+            name="mp_two",
+        )
+        config = PASSConfig(
+            n_partitions=8, sample_rate=0.02, opt_sample_size=300, seed=0
+        )
+        catalog = SynopsisCatalog()
+        catalog.register(
+            "by_key", build_pass(table, "value", ["key"], config), "mp_two"
+        )
+        kd = config.with_overrides(partitioner="kd")
+        catalog.register(
+            "by_both", build_pass(table, "value", ["key", "other"], kd), "mp_two"
+        )
+        engine = ServingEngine(catalog)
+        key, other = Interval(5.0, 30.0), Interval(2.0, 7.0)
+        winners = {
+            "by_key": [RectPredicate({"key": key}), RectPredicate.everything()],
+            # by_key cannot answer these at all.
+            "by_both": [
+                RectPredicate({"other": other}),
+                RectPredicate({"key": key, "other": other}),
+            ],
+        }
+        loser_of_by_key = catalog.get("by_both").pass_synopsis
+        with SynopsisPublisher() as publisher:
+            _, skipped = publisher.publish_catalog(catalog)
+            assert skipped == []
+            with MPServingPool(publisher.register_name, n_workers=1) as pool:
+                for winner, predicates in winners.items():
+                    for predicate in predicates:
+                        for agg in AGGS:
+                            query = AggregateQuery(agg, "value", predicate)
+                            assert catalog.route(query, "mp_two").name == winner
+                            answer = pool.execute(query, "mp_two")
+                            assert_identical(answer, engine.execute(query, "mp_two"))
+                # The 2-D synopsis could answer by_key's queries too,
+                # differently: parity is not an accident of routing.
+                probe = AggregateQuery("SUM", "value", RectPredicate({"key": key}))
+                assert pool.execute(probe, "mp_two") != loser_of_by_key.query(probe)
+
+    def test_execute_grouped_equals_the_engine_cell_by_cell(self, synopses):
+        """Parity incl. the cell the base predicate excludes (compiled to
+        ``predicate=None``): SQL empty-group answers, never dropped."""
+        synopsis, _ = synopses
+        groupby = GroupByQuery(
+            groupings=(GroupingColumn.bins("key", [0.0, 10.0, 20.0, 30.0, 40.0]),),
+            aggregates=(
+                AggregateSpec("SUM", "value"),
+                AggregateSpec("COUNT", "value"),
+                AggregateSpec("AVG", "value"),
+            ),
+            predicate=RectPredicate({"key": Interval(0.0, 29.0)}),
+        )
+        plan = groupby.compile()
+        assert [cell.predicate is None for cell in plan.cells] == [
+            False, False, False, True,
+        ]
+        expected = make_engine(synopsis).execute_grouped(groupby, table="mp_test")
+        with SynopsisPublisher() as publisher:
+            publisher.publish("mp_main", synopsis, table_name="mp_test")
+            with MPServingPool(publisher.register_name, n_workers=2) as pool:
+                for request in (groupby, plan):
+                    grouped = pool.execute_grouped(request, table="mp_test")
+                    assert grouped.group_columns == expected.group_columns
+                    assert grouped.aggregates == expected.aggregates
+                    assert grouped.labels == expected.labels
+                    assert len(grouped.cells) == len(expected.cells) == 4
+                    for row, expected_row in zip(grouped.cells, expected.cells):
+                        for result, reference in zip(row, expected_row):
+                            assert_identical(result, reference)
+                assert grouped.cells[3][1].tuples_skipped == synopsis.population_size
+                # The evaluation harness duck-types on execute_grouped.
+                metrics = evaluate_grouped_workload(
+                    pool, groupby, ExactEngine(make_table(seed=1)), table="mp_test"
+                )
+                assert metrics.n_queries == 9
 
     def test_unanswerable_queries_raise_lookup_error(self, synopses):
         synopsis, _ = synopses
@@ -607,24 +700,57 @@ class TestHTTPFrontEnd:
             self.post(base + "/query", {"value_column": "value"})
         assert excinfo.value.code == 400
 
-    def test_admission_control_rejects_with_429(self, stack):
+    def test_one_gate_rejects_identically_in_both_tiers(self, stack):
+        """The scheduler and the HTTP front end admit through one class:
+        a full window raises the same ``Overloaded`` in-process and is
+        rendered, field for field, as the 429 body over HTTP."""
         base, server, _ = stack
-        # Fill the admission window by hand, then knock: typed 429.
-        admitted = [server.admit() for _ in range(server.max_pending)]
-        assert all(admitted)
+        assert type(server.gate) is AdmissionGate
+
+        async def overload_scheduler() -> Overloaded:
+            async def dispatch(requests):
+                await asyncio.Event().wait()  # hold every admitted slot
+
+            scheduler = MicroBatchScheduler(
+                dispatch, batch_window=0.0, max_pending=server.max_pending
+            )
+            scheduler.start()
+            loop = asyncio.get_running_loop()
+            coalescer = RequestCoalescer()
+            queries = seeded_queries(seed=8, n=server.max_pending + 1)
+            requests = [coalescer.admit(q, "mp_test", loop)[0] for q in queries]
+            for request in requests[:-1]:
+                scheduler.submit(request)
+            with pytest.raises(Overloaded) as excinfo:
+                scheduler.submit(requests[-1])
+            assert scheduler.snapshot().rejected == 1
+            assert scheduler.snapshot().pending == server.max_pending
+            return excinfo.value
+
+        in_process = asyncio.run(overload_scheduler())
+
+        for _ in range(server.max_pending):
+            server.gate.admit()
         try:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 self.post(
                     base + "/query",
                     query_to_payload(seeded_queries(seed=8, n=1)[0], "mp_test"),
                 )
-            assert excinfo.value.code == 429
-            detail = json.loads(excinfo.value.read())
-            assert detail["error"] == "overloaded"
-            assert detail["capacity"] == server.max_pending
         finally:
-            for _ in admitted:
-                server.release()
+            server.gate.release(server.max_pending)
+        assert excinfo.value.code == 429
+        detail = json.loads(excinfo.value.read())
+        assert detail == {
+            "error": "overloaded",
+            "detail": str(in_process),
+            "pending": in_process.pending,
+            "capacity": in_process.capacity,
+        }
+        assert in_process.pending == in_process.capacity == server.max_pending
+        assert server.gate.pending == 0
+        rejected = server.obs.metrics.counter("repro_mp_http_rejected_total")
+        assert rejected.value == 1
 
 
 class _RecordingSocket(socket.socket):
@@ -694,13 +820,13 @@ class TestHTTPTransport:
     def test_early_replies_keep_a_keep_alive_connection_in_sync(self, stack):
         connection, server, _ = stack
         payload = query_to_payload(seeded_queries(seed=8, n=1)[0], "mp_test")
-        admitted = [server.admit() for _ in range(server.max_pending)]
+        for _ in range(server.max_pending):
+            server.gate.admit()
         try:
             status, _ = self.post(connection, "/query", payload)
             assert status == 429
         finally:
-            for _ in admitted:
-                server.release()
+            server.gate.release(server.max_pending)
         # The 429 body was read, so the same connection parses the next
         # request from its first byte (not from the middle of that JSON).
         status, reply = self.post(connection, "/query", payload)

@@ -12,9 +12,8 @@ Covers the PR's acceptance criteria and satellites:
 * the trace context propagates across the asyncio scheduler boundary —
   engine- and core-level spans created on the executor thread nest under
   the request's root — including for coalesced stampedes;
-* :class:`ServingStats` percentiles are computed over the *filled prefix*
-  of the latency ring buffer (regression: a partially-filled window must
-  not dilute the distribution with its zero initializer);
+* :class:`ServingStats` percentiles are the latency histogram's own
+  (one store), NaN before any miss;
 * every snapshot type exposes the uniform ``as_dict()`` contract;
 * the query log materializes raw hot-path payload tuples lazily and
   preserves coalesced traffic weight via ``coalesced_waiters``.
@@ -32,6 +31,7 @@ from repro.core.config import PASSConfig
 from repro.core.updates import DynamicPASS
 from repro.data.table import Table
 from repro.obs import Observability, validate_exposition
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.querylog import QueryLog
 from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery
@@ -234,44 +234,37 @@ class TestTracePropagation:
         assert len(untraced) == 12
 
 
-class TestServingStatsRing:
-    """Satellite regression: percentiles over the filled prefix only."""
+class TestServingStatsOneStore:
+    """Latency percentiles have one store: the latency histogram."""
 
-    def test_partial_window_is_not_diluted_by_zero_initializer(self):
-        stats = ServingStats(latency_window=1000)
-        for _ in range(10):
-            stats.record_miss(0.050)
+    @pytest.mark.parametrize("backed", [False, True], ids=["standalone", "registry"])
+    def test_snapshot_percentiles_are_the_histogram_percentiles(self, backed):
+        registry = MetricsRegistry() if backed else None
+        stats = ServingStats(registry=registry, synopsis="s")
+        empty = stats.snapshot()
+        assert math.isnan(empty.p50_latency_ms)
+        assert math.isnan(empty.p95_latency_ms)
+        assert math.isnan(empty.p99_latency_ms)
+
+        reference = Histogram("reference")
+        for latency in (0.0002, 0.003, 0.050):
+            stats.record_misses(1, latency)
+            reference.observe(latency)
+        stats.record_misses(5, 0.010)  # one update, five observations
+        reference.observe_n(0.010, 5)
+
         snapshot = stats.snapshot()
-        # With the zero-initialized tail included, p50 would be 0.0 — the
-        # 990 untouched slots would swamp the 10 real observations.
-        assert snapshot.p50_latency_ms == pytest.approx(50.0)
-        assert snapshot.p99_latency_ms == pytest.approx(50.0)
-
-    def test_empty_window_percentiles_are_nan(self):
-        snapshot = ServingStats().snapshot()
-        assert math.isnan(snapshot.p50_latency_ms)
-        assert math.isnan(snapshot.p99_latency_ms)
-
-    def test_batched_misses_fill_the_ring_like_singles(self):
-        single = ServingStats(latency_window=16)
-        batched = ServingStats(latency_window=16)
-        for _ in range(5):
-            single.record_miss(0.010)
-        batched.record_misses(5, 0.010)
-        assert single.snapshot().p95_latency_ms == pytest.approx(
-            batched.snapshot().p95_latency_ms
-        )
-        assert batched.snapshot().cache_misses == 5
-
-    def test_batched_misses_larger_than_the_window(self):
-        stats = ServingStats(latency_window=8)
-        stats.record_misses(100, 0.020)
-        snapshot = stats.snapshot()
-        assert snapshot.cache_misses == 100
-        assert snapshot.p50_latency_ms == pytest.approx(20.0)
-        # The wrap bookkeeping keeps counting past the window.
-        stats.record_miss(0.040)
-        assert stats.snapshot().p99_latency_ms > 20.0
+        assert snapshot.cache_misses == 8
+        assert (
+            snapshot.p50_latency_ms,
+            snapshot.p95_latency_ms,
+            snapshot.p99_latency_ms,
+        ) == tuple(p * 1e3 for p in reference.percentiles())
+        if backed:
+            exported = registry.histogram(
+                "repro_serving_query_latency_seconds", labels={"synopsis": "s"}
+            )
+            assert exported.percentiles() == reference.percentiles()
 
 
 class TestSnapshotContracts:

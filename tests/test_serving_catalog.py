@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from repro.core.updates import DynamicPASS
 from repro.data.table import Table
 from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery
-from repro.serving.catalog import SynopsisCatalog
+from repro.serving.catalog import SynopsisCatalog, route_query
+from repro.serving.shm import PublishedEntry
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +141,82 @@ class TestRouting:
         query = AggregateQuery.sum("value", RectPredicate.from_bounds(a=(10.0, 50.0)))
         assert catalog.route(query, table_name="serving") is not None
         assert catalog.route(query, table_name="elsewhere") is None
+
+
+class _Candidate(NamedTuple):
+    """The five attributes ``route_query`` reads, nothing else."""
+
+    name: str
+    predicate_columns: tuple[str, ...]
+    n_partitions: int = 8
+    table_name: str | None = "t"
+    value_column: str = "value"
+    supports_sketches: bool = False
+
+
+class TestRouteQuery:
+    """The one routing function, over plain records (no catalog, no pool)."""
+
+    @staticmethod
+    def query(agg="SUM", columns=("a",), **kwargs):
+        predicate = RectPredicate.from_bounds(**{c: (0.0, 1.0) for c in columns})
+        return AggregateQuery(agg, "value", predicate, **kwargs)
+
+    def test_tightest_fit_beats_partition_count(self):
+        wide = _Candidate("wide", ("a", "b"), n_partitions=1024)
+        tight = _Candidate("tight", ("a",), n_partitions=2)
+        assert route_query([wide, tight], self.query()) is tight
+        # ...but only among candidates covering the constrained columns.
+        assert route_query([wide, tight], self.query(columns=("a", "b"))) is wide
+        assert route_query([tight], self.query(columns=("a", "b"))) is None
+
+    def test_partition_count_breaks_surplus_ties_then_order(self):
+        coarse = _Candidate("coarse", ("a",), n_partitions=4)
+        fine = _Candidate("fine", ("a",), n_partitions=16)
+        twin = _Candidate("twin", ("a",), n_partitions=16)
+        assert route_query([coarse, fine, twin], self.query()) is fine
+        assert route_query([coarse, twin, fine], self.query()) is twin
+
+    def test_table_filter_and_the_none_wildcard(self):
+        ours = _Candidate("ours", ("a",), table_name="t")
+        theirs = _Candidate("theirs", ("a",), n_partitions=99, table_name="u")
+        anywhere = _Candidate("anywhere", ("a",), n_partitions=2, table_name=None)
+        candidates = [ours, theirs, anywhere]
+        assert route_query(candidates, self.query(), "t") is ours
+        assert route_query(candidates, self.query(), "u") is theirs
+        # A candidate published without a table matches any requested table.
+        assert route_query(candidates, self.query(), "v") is anywhere
+        # An unnamed request considers every table.
+        assert route_query(candidates, self.query()) is theirs
+
+    def test_value_column_must_match(self):
+        other = _Candidate("other", ("a",), value_column="other")
+        assert route_query([other], self.query()) is None
+
+    def test_sketch_aggregates_need_sketch_support(self):
+        plain = _Candidate("plain", ("a",), n_partitions=64)
+        sketched = _Candidate("sketched", ("a",), supports_sketches=True)
+        p95 = self.query("QUANTILE", quantile=0.95)
+        assert route_query([plain, sketched], p95) is sketched
+        assert route_query([plain], p95) is None
+        assert route_query([plain, sketched], self.query("SUM")) is plain
+
+    def test_catalog_entries_and_published_entries_are_candidates(self, catalog):
+        query = self.query()
+        entry = route_query(catalog.entries(), query, "serving")
+        assert entry is catalog.route(query, "serving")
+        published = PublishedEntry(
+            name="p",
+            segment="pass-seg-x",
+            table_name=None,
+            value_column="value",
+            predicate_columns=["a"],
+            n_partitions=4,
+            population_size=10,
+        )
+        assert route_query([published], query, "serving") is published
+        assert not published.supports_sketches
+        assert "supports_sketches" not in published._asdict()  # not on the wire
 
 
 class TestFallback:
