@@ -15,10 +15,11 @@ buys and verifies what it must not cost:
   asserts the acceptance floor — **>= 3x queries/s at 4 workers vs 1** —
   when the machine has at least 4 cores, and prints an explicit skip note
   otherwise (a 1-core container cannot exhibit process-level scaling).
-* **Bit-identity** — a sample of the workload is answered both by the
-  pool and by an in-process :class:`~repro.serving.engine.ServingEngine`
-  over the same synopsis; every :class:`~repro.result.AQPResult` must be
-  field-identical (NaN-aware).  This is asserted on every run, check mode
+* **Bit-identity** — a sample of the workload, plus one QUANTILE and one
+  COUNT_DISTINCT query, is answered both by the pool and by an in-process
+  :class:`~repro.serving.engine.ServingEngine` over the same synopsis;
+  every :class:`~repro.result.AQPResult` must be field-identical
+  (NaN-aware).  This is asserted on every run, check mode
   or not: shared-memory serving is only correct if it is indistinguishable
   from in-process serving.
 
@@ -189,7 +190,15 @@ def main(argv: list[str] | None = None) -> int:
             f"(machine has {os.cpu_count()} cores)"
         )
 
-        sample = queries[: 256 if args.tiny else 512]
+        # The identity set also covers the sketch-backed aggregates (workers
+        # unpack the segment's packed sketches); the timed traffic does not.
+        sketch_predicate = queries[0].predicate
+        sample = queries[: 256 if args.tiny else 512] + [
+            AggregateQuery(
+                "QUANTILE", spec.value_column, sketch_predicate, quantile=0.95
+            ),
+            AggregateQuery("COUNT_DISTINCT", spec.value_column, sketch_predicate),
+        ]
         mismatches = identity_mismatches(
             publisher.register_name, spec, synopsis, sample
         )

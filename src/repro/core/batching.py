@@ -7,12 +7,12 @@ own.
 :func:`batch_query` (:func:`compile_batch` + :meth:`BatchPlan.execute`)
 answers a list of queries.  Compilation computes one MCF frontier per
 *distinct* (predicate, AVG-ness) — the SUM / COUNT / MIN / MAX of one
-dashboard panel share a frontier — and execution feeds each query's frontier
-to the same moment kernel ``synopsis.query`` runs
-(:meth:`FlatSynopsis.answer`), so a batch is bit-identical to sequential
-execution because it *is* the same kernel.  The serving engine's
-``execute_batch`` and the distributed layer's scatter-gather path build on
-it.
+dashboard panel, and its QUANTILE / COUNT_DISTINCT, share a frontier — and
+execution feeds each query's frontier to the same kernel ``synopsis.query``
+runs (:meth:`FlatSynopsis.answer`, all seven aggregates), so a batch is
+bit-identical to sequential execution because it *is* the same kernel.  The
+serving engine's ``execute_batch`` and the distributed layer's
+scatter-gather path build on it.
 
 :func:`grouped_query` is the single-synopsis executor for compiled
 :class:`~repro.query.groupby.GroupByPlan` batches.  It exploits the grouped
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.pass_synopsis import PASSSynopsis, sketch_union_result
+from repro.core.pass_synopsis import PASSSynopsis
 from repro.core.soa import FlatFrontier
 from repro.obs import Observability
 from repro.query.aggregates import SKETCH_AGGREGATES, AggregateType
@@ -38,6 +38,7 @@ from repro.query.groupby import (
 )
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
+from repro.sketches.union import sketch_union_result
 
 __all__ = [
     "BatchPlan",
@@ -97,26 +98,15 @@ class BatchPlan:
         """Answer every query from its slot's frontier with the flat kernel.
 
         Results align with the input order and are bit-identical to calling
-        ``synopsis.query(query)`` per query.  Sketch aggregates (QUANTILE /
-        COUNT_DISTINCT) reduce per-leaf sketch objects, so they go through
-        the object path over the slot's materialized frontier.
+        ``synopsis.query(query)`` per query.
         """
-        synopsis = self.synopsis
-        flat = synopsis.flat
+        flat = self.synopsis.flat
         with self.obs.tracer.span("execute.per_query") as span:
             span.set_attribute("batch_size", len(self.queries))
-            results = []
-            for query, slot in zip(self.queries, self.slots):
-                frontier = self.slot_frontiers[slot]
-                if query.agg in SKETCH_AGGREGATES:
-                    results.append(
-                        synopsis.query_object(
-                            query, frontier=flat.materialize(frontier)
-                        )
-                    )
-                else:
-                    results.append(flat.answer(query, frontier))
-            return results
+            return [
+                flat.answer(query, self.slot_frontiers[slot])
+                for query, slot in zip(self.queries, self.slots)
+            ]
 
     # perfbench/layers.py wraps this name and perfbench/ is frozen by
     # BENCHMARK.json; nothing else may call it.  A later `benchmark` PR
@@ -222,11 +212,12 @@ def grouped_query(
     constant-valued partitions would ever notice.
 
     Sketch aggregates (QUANTILE / COUNT_DISTINCT) ride the same per-cell
-    frontier: each surviving cell reduces to its mergeable sketch union
-    (:meth:`PASSSynopsis.sketch_union`) over the frontier already computed
-    for the classic aggregates, so a mixed plan still costs one index lookup
-    per cell and the sketch answers equal sequential ``synopsis.query``
-    execution exactly.
+    frontier: each surviving cell reduces to one mergeable sketch union per
+    sketch kind (:meth:`PASSSynopsis.sketch_union`, the flat sketch kernel)
+    over the frontier already computed for the classic aggregates, so a
+    mixed plan still costs one index lookup per cell, its p50 / p95 / p99
+    share one merge pass, and the sketch answers equal sequential
+    ``synopsis.query`` execution bit for bit.
     """
     lam = synopsis.lam if lam is None else lam
     with_fpc = synopsis.with_fpc
@@ -273,7 +264,6 @@ def grouped_query(
         moments = {}
 
     classic_aggs = tuple(plan.aggregates[i].agg for i in classic_slots)
-    strata = synopsis.leaf_samples
     answers: dict[int, tuple[AQPResult, ...]] = {}
     for slot, (index, cell, frontier) in enumerate(surviving):
         row: list[AQPResult | None] = [None] * len(plan.aggregates)
@@ -285,31 +275,16 @@ def grouped_query(
                 row[position] = result
         # One union per sketch kind per cell: the reduction depends only on
         # the predicate, so p50/p95/p99 specs share a single QuantileSketch
-        # merge pass and differ only in result assembly; the partial-leaf
-        # sample masks are likewise evaluated once per cell and shared by
-        # the quantile and distinct unions.
-        if sketch_slots:
-            # Sketches reduce to per-leaf mergeable objects, so they stay on
-            # the object path; the flat frontier is materialized to node
-            # tuples once per cell.
-            object_frontier = flat.materialize(frontier)
-            mask_query = plan.cell_query(cell, plan.aggregates[sketch_slots[0]])
-            cell_masks = {
-                node.leaf_index: strata[node.leaf_index].match_mask(mask_query)
-                for node in object_frontier.partial
-                if strata[node.leaf_index].sample_size
-            }
-            cell_unions: dict[AggregateType, object] = {}
-            for position in sketch_slots:
-                spec = plan.aggregates[position]
-                query = plan.cell_query(cell, spec)
-                union = cell_unions.get(spec.agg)
-                if union is None:
-                    union = synopsis.sketch_union(
-                        query, frontier=object_frontier, match_masks=cell_masks
-                    )
-                    cell_unions[spec.agg] = union
-                row[position] = sketch_union_result(query, union, population)
+        # merge pass and differ only in result assembly.
+        cell_unions: dict[AggregateType, object] = {}
+        for position in sketch_slots:
+            spec = plan.aggregates[position]
+            query = plan.cell_query(cell, spec)
+            union = cell_unions.get(spec.agg)
+            if union is None:
+                union = synopsis.sketch_union(query, frontier)
+                cell_unions[spec.agg] = union
+            row[position] = sketch_union_result(query, union, population)
         answers[index] = tuple(row)
 
     empty = tuple(empty_group_result(spec.agg, population) for spec in plan.aggregates)

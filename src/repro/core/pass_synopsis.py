@@ -14,19 +14,21 @@ Query processing follows Section 3.3 exactly:
    also give deterministic bounds on the answer (Section 2.3), reported
    alongside the CLT interval.
 
-Classic aggregates (SUM / COUNT / AVG / MIN / MAX) always execute over the
-array-native engine (:class:`repro.core.soa.FlatSynopsis`, see
-``docs/ARCHITECTURE.md``).  The per-node object implementation below
-(:meth:`PASSSynopsis.query_object`) is the bit-identical oracle the flat
-engine is property-tested against, and the runtime path of the sketch
-aggregates (QUANTILE / COUNT_DISTINCT), whose per-leaf sketches have no flat
-layout.
+All seven aggregates execute over the array-native engine
+(:class:`repro.core.soa.FlatSynopsis`, see ``docs/ARCHITECTURE.md``):
+:meth:`PASSSynopsis.query` and :meth:`PASSSynopsis.sketch_union` are its
+in-process entry points.  The per-node object implementation below
+(:meth:`PASSSynopsis.query_object`, with :meth:`PASSSynopsis.lookup`) is the
+bit-identical oracle the flat engine is property-tested against; nothing
+calls it at runtime.  For QUANTILE / COUNT_DISTINCT the two differ only in
+how they find the covered leaves and matched sample values they hand to the
+one pair of merge loops in :mod:`repro.sketches.union`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -47,17 +49,18 @@ from repro.sampling.estimators import (
     stratum_count_contribution,
     stratum_sum_contribution,
 )
-from repro.core.soa import FlatSynopsis
+from repro.core.soa import FlatFrontier, FlatSynopsis
 from repro.sampling.stratified import Stratum
-from repro.sketches import (
-    DistinctSketch,
+from repro.sketches.union import (
     DistinctSketchUnion,
     LeafSketches,
-    QuantileSketch,
+    PartialLeaf,
     QuantileSketchUnion,
+    frontier_union,
+    sketch_union_result,
 )
 
-__all__ = ["PASSSynopsis", "sketch_union_result"]
+__all__ = ["PASSSynopsis"]
 
 
 class PASSSynopsis:
@@ -355,8 +358,39 @@ class PASSSynopsis:
     # ------------------------------------------------------------------
     # Query processing (Section 3.3)
     # ------------------------------------------------------------------
+    def query(self, query: AggregateQuery, lam: float | None = None) -> AQPResult:
+        """Answer an aggregate query from the synopsis.
+
+        Every aggregate runs the flat kernel (:meth:`FlatSynopsis.query`).
+        ``lam`` optionally overrides the confidence-interval multiplier.
+        """
+        return self.flat.query(query, lam=lam)
+
+    def sketch_union(
+        self, query: AggregateQuery, frontier: FlatFrontier | None = None
+    ) -> QuantileSketchUnion | DistinctSketchUnion:
+        """Reduce a sketch-aggregate query to its mergeable frontier union.
+
+        The in-process entry to :meth:`FlatSynopsis.sketch_union` for
+        callers that need the union rather than the answer: the grouped
+        executor shares one union among a cell's percentiles (and passes the
+        cell's ``frontier``, already computed for the classic aggregates),
+        the sharded gather merges one union per shard.
+        """
+        flat = self.flat
+        if frontier is None:
+            frontier = flat.query_frontier(query)
+        return flat.sketch_union(query, frontier)
+
+    def skip_rate(self, query: AggregateQuery) -> float:
+        """Fraction of dataset tuples whose contribution never touches samples."""
+        return self.flat.skip_rate(query)
+
+    # ------------------------------------------------------------------
+    # The object-path oracle (no runtime caller)
+    # ------------------------------------------------------------------
     def lookup(self, query: AggregateQuery) -> MCFResult:
-        """Run the MCF index lookup for a query."""
+        """Run the object MCF index lookup for a query (oracle only)."""
         use_zero_variance = (
             self._zero_variance_rule and query.agg == AggregateType.AVG
         )
@@ -364,43 +398,14 @@ class PASSSynopsis:
             query.predicate, zero_variance_rule=use_zero_variance
         )
 
-    def query(self, query: AggregateQuery, lam: float | None = None) -> AQPResult:
-        """Answer an aggregate query from the synopsis.
-
-        Classic aggregates run the flat kernel (:meth:`FlatSynopsis.query`);
-        sketch aggregates reduce per-leaf sketch objects through
-        :meth:`query_object`.  ``lam`` optionally overrides the
-        confidence-interval multiplier.
-        """
-        if query.agg in SKETCH_AGGREGATES:
-            return self.query_object(query, lam=lam)
-        return self.flat.query(query, lam=lam)
-
     def query_object(
-        self,
-        query: AggregateQuery,
-        lam: float | None = None,
-        match_masks: Mapping[int, np.ndarray] | None = None,
-        frontier: MCFResult | None = None,
+        self, query: AggregateQuery, lam: float | None = None
     ) -> AQPResult:
         """Answer a query over the per-node object path (the oracle).
 
         Same semantics as :meth:`query`, traversing the Python object graph;
         the array path is property-tested bit-identical against this
         implementation.
-
-        Parameters
-        ----------
-        query / lam:
-            The query and an optional confidence-multiplier override.
-        match_masks:
-            Optional precomputed sample match masks keyed by leaf index
-            (as ``Stratum.match_mask`` computes them); a leaf's mask is used
-            verbatim instead of re-running the predicate over its sample.
-        frontier:
-            Optional precomputed MCF result for this query (from
-            :meth:`lookup`, or a materialized flat frontier); skips the
-            index lookup.
         """
         if query.value_column != self._value_column:
             raise ValueError(
@@ -408,11 +413,11 @@ class PASSSynopsis:
                 f"query aggregates {query.value_column!r}"
             )
         lam = self._lam if lam is None else lam
-        if frontier is None:
-            frontier = self.lookup(query)
         if query.agg in SKETCH_AGGREGATES:
-            union = self.sketch_union(query, frontier=frontier, match_masks=match_masks)
-            return sketch_union_result(query, union, self.population_size)
+            return sketch_union_result(
+                query, self.sketch_union_object(query), self.population_size
+            )
+        frontier = self.lookup(query)
         covered_stats = [node.stats for node in frontier.covered]
         partial_nodes = list(frontier.partial)
         partial_stats = [node.stats for node in partial_nodes]
@@ -427,12 +432,12 @@ class PASSSynopsis:
         agg = query.agg
         if agg in (AggregateType.MIN, AggregateType.MAX):
             return self._extremum_answer(
-                agg, query, frontier, bounds, processed, skipped, match_masks
+                agg, query, frontier, bounds, processed, skipped
             )
         if agg == AggregateType.AVG:
-            estimate = self._avg_estimate(query, frontier, match_masks)
+            estimate = self._avg_estimate(query, frontier)
         else:
-            estimate = self._sum_count_estimate(agg, query, frontier, match_masks)
+            estimate = self._sum_count_estimate(agg, query, frontier)
 
         exact = frontier.is_exact
         if exact:
@@ -455,140 +460,44 @@ class PASSSynopsis:
             exact=exact,
         )
 
-    def skip_rate(self, query: AggregateQuery) -> float:
-        """Fraction of dataset tuples whose contribution never touches samples."""
-        if self.population_size == 0:
-            return 1.0
-        frontier = self.lookup(query)
-        partial_population = sum(node.size for node in frontier.partial)
-        return 1.0 - partial_population / self.population_size
-
-    # ------------------------------------------------------------------
-    # Sketch aggregates (QUANTILE / COUNT_DISTINCT)
-    # ------------------------------------------------------------------
-    def sketch_union(
-        self,
-        query: AggregateQuery,
-        frontier: MCFResult | None = None,
-        match_masks: Mapping[int, np.ndarray] | None = None,
+    def sketch_union_object(
+        self, query: AggregateQuery
     ) -> QuantileSketchUnion | DistinctSketchUnion:
-        """Reduce a sketch-aggregate query to its mergeable frontier union.
+        """:meth:`sketch_union` over the object frontier (the oracle).
 
-        Fully covered frontier nodes contribute the pre-built sketches of
-        their leaves (an exact summary of the region, up to sketch error);
-        partially overlapped leaves contribute through their stratified
-        sample — the matched sample values re-weighted to the leaf's
-        estimated matching population for QUANTILE, and a lower (matched
-        samples) / upper (whole leaf) sketch pair for COUNT_DISTINCT — plus
-        the leaf's population as *boundary weight* widening the certified
-        bounds.
-
-        The union is the scatter-gather hand-off: per-shard unions merge
-        with :meth:`QuantileSketchUnion.merge` /
-        :meth:`DistinctSketchUnion.merge`, and
-        :func:`sketch_union_result` turns any union into an
-        :class:`~repro.result.AQPResult`, so sharded and single-synopsis
-        answers share one code path.
+        Walks node objects and strata to produce what the flat engine reads
+        off its arrays — covered leaf indices and per-partial-leaf matched
+        sample values — and hands them to the same merge loops.
         """
-        if query.agg not in SKETCH_AGGREGATES:
-            raise ValueError(
-                f"{query.agg.value} is not a sketch aggregate; use query()"
-            )
-        if query.value_column != self._value_column:
-            raise ValueError(
-                f"synopsis was built for column {self._value_column!r}, "
-                f"query aggregates {query.value_column!r}"
-            )
-        if self._leaf_sketches is None:
-            raise ValueError(
-                "synopsis was built without sketches and cannot answer "
-                f"{query.agg.value} queries; rebuild with "
-                "PASSConfig(with_sketches=True)"
-            )
-        if frontier is None:
-            frontier = self.lookup(query)
+        frontier = self.lookup(query)
         covered_leaves = [
-            node
+            node.leaf_index
             for covered in frontier.covered
             for node in covered.iter_subtree()
             if node.is_leaf
         ]
-        if query.agg == AggregateType.QUANTILE:
-            return self._quantile_union(query, frontier, covered_leaves, match_masks)
-        return self._distinct_union(query, frontier, covered_leaves, match_masks)
 
-    def _quantile_union(
-        self,
-        query: AggregateQuery,
-        frontier: MCFResult,
-        covered_leaves: Sequence[PartitionNode],
-        match_masks: Mapping[int, np.ndarray] | None,
-    ) -> QuantileSketchUnion:
-        merged = QuantileSketch(self._leaf_sketches[0].quantile.k)
-        for node in covered_leaves:
-            merged = merged.merge(self._leaf_sketches[node.leaf_index].quantile)
-        boundary = 0
-        floor, ceil = math.inf, -math.inf
-        processed = 0
-        for node in frontier.partial:
-            if node.size == 0:
-                continue
-            boundary += node.size
-            floor = min(floor, node.stats.min)
-            ceil = max(ceil, node.stats.max)
-            stratum = self._leaf_samples[node.leaf_index]
-            processed += stratum.sample_size
-            if stratum.sample_size == 0:
-                continue
-            mask = self._leaf_match_mask(node, query, match_masks)
-            matched = stratum.sample_values(self._value_column)[mask]
-            if matched.shape[0] == 0:
-                continue
-            weight = int(round(node.size * matched.shape[0] / stratum.sample_size))
-            if weight > 0:
-                merged.update_weighted(matched, weight)
-        return QuantileSketchUnion(
-            sketch=merged,
-            boundary_weight=boundary,
-            value_floor=floor,
-            value_ceil=ceil,
-            processed=processed,
-        )
+        def partial_leaves() -> Iterator[PartialLeaf]:
+            for node in frontier.partial:
+                if node.size == 0:
+                    continue
+                stratum = self._leaf_samples[node.leaf_index]
+                matched = np.zeros(0, dtype=float)
+                if stratum.sample_size:
+                    matched = stratum.sample_values(self._value_column)[
+                        stratum.match_mask(query)
+                    ]
+                yield (
+                    node.leaf_index,
+                    node.size,
+                    node.stats.min,
+                    node.stats.max,
+                    stratum.sample_size,
+                    matched,
+                )
 
-    def _distinct_union(
-        self,
-        query: AggregateQuery,
-        frontier: MCFResult,
-        covered_leaves: Sequence[PartitionNode],
-        match_masks: Mapping[int, np.ndarray] | None,
-    ) -> DistinctSketchUnion:
-        covered = DistinctSketch(self._leaf_sketches[0].distinct.k)
-        for node in covered_leaves:
-            covered = covered.merge(self._leaf_sketches[node.leaf_index].distinct)
-        lower = covered
-        upper = covered
-        boundary = 0
-        processed = 0
-        for node in frontier.partial:
-            if node.size == 0:
-                continue
-            boundary += node.size
-            upper = upper.merge(self._leaf_sketches[node.leaf_index].distinct)
-            stratum = self._leaf_samples[node.leaf_index]
-            processed += stratum.sample_size
-            if stratum.sample_size == 0:
-                continue
-            mask = self._leaf_match_mask(node, query, match_masks)
-            matched = stratum.sample_values(self._value_column)[mask]
-            if matched.shape[0]:
-                sample_sketch = DistinctSketch(lower.k)
-                sample_sketch.update_array(matched)
-                lower = lower.merge(sample_sketch)
-        return DistinctSketchUnion(
-            lower=lower,
-            upper=upper,
-            boundary_weight=boundary,
-            processed=processed,
+        return frontier_union(
+            query.agg, self._leaf_sketches, covered_leaves, partial_leaves()
         )
 
     # ------------------------------------------------------------------
@@ -601,29 +510,18 @@ class PASSSynopsis:
             return sum(node.stats.sum for node in covered)
         return float(sum(node.stats.count for node in covered))
 
-    def _leaf_match_mask(
-        self,
-        node: PartitionNode,
-        query: AggregateQuery,
-        match_masks: Mapping[int, np.ndarray] | None,
-    ) -> np.ndarray:
-        if match_masks is not None and node.leaf_index in match_masks:
-            return match_masks[node.leaf_index]
-        return self._leaf_samples[node.leaf_index].match_mask(query)
-
     def _partial_contribution(
         self,
         agg: AggregateType,
         query: AggregateQuery,
         node: PartitionNode,
-        match_masks: Mapping[int, np.ndarray] | None = None,
     ) -> EstimateWithVariance:
         if node.size == 0:
             # An empty partition (possible for k-d leaves over sparse regions)
             # contributes exactly nothing.
             return EstimateWithVariance(0.0, 0.0)
         stratum = self._leaf_samples[node.leaf_index]
-        match_mask = self._leaf_match_mask(node, query, match_masks)
+        match_mask = stratum.match_mask(query)
         if agg == AggregateType.SUM:
             return stratum_sum_contribution(
                 stratum.sample_values(self._value_column),
@@ -640,12 +538,11 @@ class PASSSynopsis:
         agg: AggregateType,
         query: AggregateQuery,
         frontier: MCFResult,
-        match_masks: Mapping[int, np.ndarray] | None = None,
     ) -> EstimateWithVariance:
         exact_part = self._covered_sum_count(agg, frontier.covered)
         total = EstimateWithVariance(exact_part, 0.0)
         for node in frontier.partial:
-            contribution = self._partial_contribution(agg, query, node, match_masks)
+            contribution = self._partial_contribution(agg, query, node)
             if math.isnan(contribution.variance):
                 # A partial leaf without samples: its contribution is unknown;
                 # fall back to half of its hard-bound width as a conservative
@@ -663,15 +560,10 @@ class PASSSynopsis:
         self,
         query: AggregateQuery,
         frontier: MCFResult,
-        match_masks: Mapping[int, np.ndarray] | None = None,
     ) -> EstimateWithVariance:
         """AVG as the ratio of the SUM and COUNT estimates (delta method)."""
-        numerator = self._sum_count_estimate(
-            AggregateType.SUM, query, frontier, match_masks
-        )
-        denominator = self._sum_count_estimate(
-            AggregateType.COUNT, query, frontier, match_masks
-        )
+        numerator = self._sum_count_estimate(AggregateType.SUM, query, frontier)
+        denominator = self._sum_count_estimate(AggregateType.COUNT, query, frontier)
         if denominator.estimate == 0:
             return EstimateWithVariance(float("nan"), float("nan"))
         if frontier.is_exact:
@@ -686,7 +578,6 @@ class PASSSynopsis:
         bounds,
         processed: int,
         skipped: int,
-        match_masks: Mapping[int, np.ndarray] | None = None,
     ) -> AQPResult:
         """MIN / MAX: exact over covered nodes, sample-refined over partial leaves."""
         candidates: list[float] = []
@@ -696,8 +587,9 @@ class PASSSynopsis:
                 candidates.append(value)
         for node in frontier.partial:
             stratum = self._leaf_samples[node.leaf_index]
-            match_mask = self._leaf_match_mask(node, query, match_masks)
-            matched = stratum.sample_values(self._value_column)[match_mask]
+            matched = stratum.sample_values(self._value_column)[
+                stratum.match_mask(query)
+            ]
             if matched.shape[0]:
                 candidates.append(
                     float(matched.max() if agg == AggregateType.MAX else matched.min())
@@ -717,98 +609,3 @@ class PASSSynopsis:
             tuples_skipped=skipped,
             exact=exact,
         )
-
-
-def sketch_union_result(
-    query: AggregateQuery,
-    union: "QuantileSketchUnion | DistinctSketchUnion",
-    population: int,
-) -> AQPResult:
-    """Turn a (possibly merged) sketch union into an :class:`AQPResult`.
-
-    The same assembly serves the single-synopsis path and the distributed
-    scatter-gather path (which merges per-shard unions first), so sharded
-    answers follow the exact same sketch algebra as single-synopsis ones.
-
-    * **QUANTILE** — the estimate is the merged sketch's value at rank
-      ``ceil(q * n)`` (the nearest-rank / ``percentile_disc`` convention).
-      The hard bounds are *certified*: the true quantile's rank differs
-      from the target by at most the sketch's accumulated compaction error
-      plus twice the boundary weight (misattributed boundary mass plus the
-      shifted rank target), plus one rank of slack so the bounds also
-      contain linearly *interpolated* quantiles (``percentile_cont`` /
-      ``numpy.quantile``, which lie between the order statistics at
-      ``target - 1`` and ``target + 1``).  The values at that widened rank
-      window — stretched to the partial leaves' known extrema when it
-      reaches past the represented range — therefore always contain the
-      true answer under either convention.
-    * **COUNT_DISTINCT** — the estimate is the midpoint of the lower
-      (covered + matched samples) and upper (covered + whole partial leaves)
-      sketch estimates; the hard bounds stretch each envelope end by the
-      KMV error margin (exactly 0 while the sketches are unsaturated, a
-      >99.7%-probability margin otherwise).
-
-    No CLT interval exists for sketch aggregates: ``ci_half_width`` and
-    ``variance`` are 0 for exact answers and NaN otherwise.
-    """
-    skipped = population - union.boundary_weight
-    exact = union.is_exact
-    if query.agg == AggregateType.QUANTILE:
-        sketch = union.sketch
-        n = sketch.n
-        if n == 0:
-            # Nothing represented: either a provably empty region (exact
-            # NULL) or only unsampled boundary mass (bounded by partial
-            # extrema when they exist).
-            empty = union.boundary_weight == 0
-            return AQPResult(
-                estimate=float("nan"),
-                ci_half_width=0.0 if empty else float("nan"),
-                variance=0.0 if empty else float("nan"),
-                hard_lower=float("nan") if empty else union.value_floor,
-                hard_upper=float("nan") if empty else union.value_ceil,
-                tuples_processed=union.processed,
-                tuples_skipped=skipped,
-                exact=empty,
-            )
-        q = query.quantile if query.quantile is not None else 0.5
-        estimate = sketch.quantile(q)
-        # +1 rank of slack: an interpolated (percentile_cont-style) true
-        # quantile lies between the order statistics adjacent to the
-        # nearest-rank target, so the certified window must straddle them.
-        bound = union.rank_error_bound() + 1
-        target = max(1, min(math.ceil(q * n), n))
-        if target - bound >= 1:
-            hard_lower = sketch.value_at_rank(target - bound)
-        else:
-            hard_lower = min(sketch.min, union.value_floor)
-        if target + bound <= n:
-            hard_upper = sketch.value_at_rank(target + bound)
-        else:
-            hard_upper = max(sketch.max, union.value_ceil)
-        return AQPResult(
-            estimate=estimate,
-            ci_half_width=0.0 if exact else float("nan"),
-            variance=0.0 if exact else float("nan"),
-            hard_lower=hard_lower,
-            hard_upper=hard_upper,
-            tuples_processed=union.processed,
-            tuples_skipped=skipped,
-            exact=exact,
-        )
-
-    lower_estimate = union.lower.estimate()
-    upper_estimate = union.upper.estimate()
-    estimate = upper_estimate if exact else 0.5 * (lower_estimate + upper_estimate)
-    hard_lower = max(0.0, lower_estimate * (1.0 - union.lower.error_fraction()))
-    hard_upper = upper_estimate * (1.0 + union.upper.error_fraction())
-    return AQPResult(
-        estimate=estimate,
-        ci_half_width=0.0 if exact else float("nan"),
-        variance=0.0 if exact else float("nan"),
-        hard_lower=hard_lower,
-        hard_upper=hard_upper,
-        tuples_processed=union.processed,
-        tuples_skipped=skipped,
-        exact=exact,
-    )

@@ -6,7 +6,10 @@ profiling shows that per-node/per-leaf Python dispatch — not arithmetic —
 dominates single-query latency.  This module re-hosts the synopsis state in
 a handful of contiguous arrays (:class:`FlatSynopsis`) and rewrites the hot
 kernels (frontier descent, predicate mask evaluation, moment reductions) to
-run over those arrays with zero Python-object traversal.
+run over those arrays with zero Python-object traversal.  It is the only
+runtime executor of all seven aggregates: SUM / COUNT / AVG / MIN / MAX
+reduce sample moments, QUANTILE / COUNT_DISTINCT reduce the per-leaf
+sketches along the same frontier (:meth:`FlatSynopsis.sketch_union`).
 
 Layout (specified normatively in ``docs/ARCHITECTURE.md``):
 
@@ -23,13 +26,18 @@ Layout (specified normatively in ``docs/ARCHITECTURE.md``):
 * **Samples** — CSR: ``offsets`` (int64, ``n_leaves + 1``) into one
   concatenated float64 array per sample column; leaf ``i`` owns
   ``column[offsets[i]:offsets[i + 1]]``.
+* **Sketches** — the owning synopsis' own ``LeafSketches`` list (the very
+  objects ``DynamicPASS`` updates, so there is nothing to sync); exported
+  as ragged-packed arrays (:func:`repro.sketches.union.pack_leaf_sketches`)
+  and unpacked on a buffer-backed instance's first sketch query.
 
 Equivalence contract: with the same synopsis state, every answer produced
 here is **bit-identical** to the object path — same covered/partial order,
-same floating-point summation order, same ``nodes_visited`` — enforced by
-the property suite in ``tests/test_soa_equivalence.py``.  The object path
+same floating-point summation order, same sketch merge order, same
+``nodes_visited`` — enforced by the property suite in
+``tests/test_soa_equivalence.py``.  The object path
 (``PASSSynopsis.query_object``) is the oracle that suite compares against;
-at runtime it only answers sketch aggregates.
+nothing calls it at runtime.
 
 The frontier uses a closed form instead of replaying the descent: box
 nesting means a predicate that covers (or misses) a node also covers
@@ -46,13 +54,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from repro.aggregation.strat_agg import HardBounds
-from repro.core.tree import MCFResult
-from repro.query.aggregates import SKETCH_AGGREGATES, AggregateType
+from repro.query.aggregates import AggregateType
 from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
@@ -62,6 +69,16 @@ from repro.sampling.estimators import (
     ratio_estimate,
 )
 from repro.sampling.stratified import Stratum
+from repro.sketches.union import (
+    DistinctSketchUnion,
+    LeafSketches,
+    PartialLeaf,
+    QuantileSketchUnion,
+    frontier_union,
+    pack_leaf_sketches,
+    sketch_union_result,
+    unpack_leaf_sketches,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.pass_synopsis import PASSSynopsis
@@ -73,6 +90,8 @@ __all__ = ["FlatFrontier", "FlatSamples", "FlatSynopsis"]
 #: squares, their min / max (when an extremum aggregate asked for them), and
 #: the leaf's sample size.
 _LeafMoments = tuple[int, float, float, float, float, float]
+
+_NO_VALUES = np.zeros(0, dtype=float)
 
 
 def _fast_mean(values: np.ndarray) -> float:
@@ -151,14 +170,11 @@ class _ExternalGeometry:
     """Bound-array stand-in for ``_TreeGeometry`` on buffer-backed instances.
 
     Carries only what the flat kernels read — the per-node bound matrices —
-    as transposed views of the externally owned column-major buffers.  There
-    are no node objects behind an external instance, so ``nodes`` stays
-    empty and :meth:`FlatSynopsis.materialize` is unavailable.
+    as transposed views of the externally owned column-major buffers.
     """
 
     lows: np.ndarray
     highs: np.ndarray
-    nodes: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -203,14 +219,16 @@ class FlatSynopsis:
     :meth:`update_node_stats` / :meth:`replace_leaf_sample` hooks that
     ``PASSSynopsis`` and ``DynamicPASS`` call on every mutation.
     :meth:`query` / :meth:`answer` return answers bit-identical to the object
-    path (see the module docstring for the contract); the grouped kernels
-    agree with it up to floating-point summation order.
+    path for all seven aggregates (see the module docstring for the
+    contract); the grouped kernels agree with it up to floating-point
+    summation order.
 
     Parameters
     ----------
     synopsis:
         The owning object synopsis; tree geometry, statistics, and leaf
-        samples are snapshotted into arrays at construction.
+        samples are snapshotted into arrays at construction.  Its per-leaf
+        sketches are shared, not copied.
     """
 
     def __init__(self, synopsis: "PASSSynopsis") -> None:
@@ -260,6 +278,12 @@ class FlatSynopsis:
         self._samples: FlatSamples = self._build_samples()
         self._samples_stale = False
 
+        self._leaf_sketches: list[LeafSketches] | None = synopsis.leaf_sketches
+        #: ``(sketch keys, export buffers)`` of a buffer-backed instance
+        #: until the first sketch query unpacks them.
+        self._packed_sketches: tuple[list[str], dict[str, np.ndarray]] | None = None
+        self._leaf_spans: tuple[list[int], np.ndarray, np.ndarray] | None = None
+
     # ------------------------------------------------------------------
     # Construction / synchronisation
     # ------------------------------------------------------------------
@@ -305,15 +329,19 @@ class FlatSynopsis:
 
         The returned arrays are exactly the contiguous buffers the query
         kernels read — node statistics, descent topology, column-major bound
-        rows, and the CSR samples — so :meth:`from_buffers` over them (or
+        rows, and the CSR samples — plus the per-leaf sketches ragged-packed
+        under ``sketch/<key>``, so :meth:`from_buffers` over them (or
         over byte-identical copies, e.g. views into a shared-memory segment)
         reconstructs an engine whose answers are bit-identical to this one.
         The header carries the scalar configuration (value column, lambda,
-        zero-variance rule, FPC flag) plus the ordered predicate-column and
-        sample-column name lists that give the anonymous arrays meaning.
+        zero-variance rule, FPC flag) plus the ordered predicate-column,
+        sample-column and sketch-key name lists that give the anonymous
+        arrays meaning (``sketch_keys`` is empty for a synopsis built
+        without sketches).
 
-        Arrays holding live synced state (node stats) are snapshot copies,
-        so later dynamic updates to this instance do not mutate the export.
+        Arrays holding live synced state (node stats, sketches) are snapshot
+        copies, so later dynamic updates to this instance do not mutate the
+        export.
         """
         samples = self._ensure_samples()
         n = self._n_nodes
@@ -333,6 +361,7 @@ class FlatSynopsis:
             "with_fpc": bool(self._with_fpc),
             "columns": list(self._column_index),
             "sample_columns": list(samples.columns),
+            "sketch_keys": [],
         }
         arrays: dict[str, np.ndarray] = {
             "node_sum": self._node_sum.copy(),
@@ -350,6 +379,10 @@ class FlatSynopsis:
         }
         for column, values in samples.columns.items():
             arrays[f"sample/{column}"] = values.copy()
+        sketches = self._sketches()
+        if sketches is not None:
+            header["sketch_keys"], packed = pack_leaf_sketches(sketches)
+            arrays.update(packed)
         return header, arrays
 
     @classmethod
@@ -364,14 +397,14 @@ class FlatSynopsis:
         serve queries without duplicating the synopsis in each process.
         Derived index structures (descent levels from the depth array,
         per-leaf sample counts from the CSR offsets) are the only
-        allocations, both O(nodes).
+        allocations, both O(nodes); the packed sketches are unpacked into
+        sketch objects (the one copy) on the first sketch query.
 
         Buffer-backed instances are read-only query engines: there is no
-        owning object synopsis behind them, so :meth:`materialize` raises
-        and the mutation hooks (:meth:`update_node_stats`,
-        :meth:`replace_leaf_sample`) must not be used — writers rebuild and
-        republish a fresh segment instead (see
-        :mod:`repro.serving.shm`).  Answers are bit-identical to the
+        owning object synopsis behind them, so the mutation hooks
+        (:meth:`update_node_stats`, :meth:`replace_leaf_sample`) must not
+        be used — writers rebuild and republish a fresh segment instead
+        (see :mod:`repro.serving.shm`).  Answers are bit-identical to the
         instance that exported the buffers.
         """
         self = cls.__new__(cls)
@@ -418,6 +451,11 @@ class FlatSynopsis:
         )
         self._samples_stale = False
         self._sample_counts = np.diff(offsets)
+
+        sketch_keys = [str(key) for key in header["sketch_keys"]]
+        self._leaf_sketches = None
+        self._packed_sketches = (sketch_keys, arrays) if sketch_keys else None
+        self._leaf_spans = None
         return self
 
     def update_node_stats(self, nodes: Sequence[object]) -> None:
@@ -624,22 +662,13 @@ class FlatSynopsis:
             + self._node_count[frontier.partial].sum()
         )
 
-    def materialize(self, frontier: FlatFrontier) -> MCFResult:
-        """The equivalent object-path :class:`MCFResult` (for sketch reuse).
-
-        Unavailable on buffer-backed instances (:meth:`from_buffers`), which
-        carry no node objects.
-        """
-        nodes = self._geometry.nodes
-        if not nodes:
-            raise ValueError(
-                "a buffer-backed FlatSynopsis has no node objects to materialize"
-            )
-        return MCFResult(
-            covered=tuple(nodes[row] for row in frontier.covered.tolist()),
-            partial=tuple(nodes[row] for row in frontier.partial.tolist()),
-            nodes_visited=frontier.nodes_visited,
-        )
+    def skip_rate(self, query: AggregateQuery) -> float:
+        """Fraction of dataset tuples whose contribution never touches samples."""
+        population = int(self._node_count[0])
+        if population == 0:
+            return 1.0
+        partial_rows = self.query_frontier(query).partial
+        return 1.0 - int(self._node_count[partial_rows].sum()) / population
 
     # ------------------------------------------------------------------
     # Hard bounds (Section 2.3) over node rows
@@ -795,11 +824,10 @@ class FlatSynopsis:
     # Single-query answering (Section 3.3)
     # ------------------------------------------------------------------
     def query(self, query: AggregateQuery, lam: float | None = None) -> AQPResult:
-        """Answer a classic aggregate query entirely over the flat arrays.
+        """Answer any aggregate query over the flat arrays.
 
-        Bit-identical to ``PASSSynopsis.query_object`` for SUM / COUNT /
-        AVG / MIN / MAX; sketch aggregates must go through the object path
-        (they reduce to mergeable per-leaf sketches, not arrays).
+        Bit-identical to the oracle ``PASSSynopsis.query_object`` for all
+        seven aggregates.
         """
         return self.answer(query, self.query_frontier(query), lam=lam)
 
@@ -822,17 +850,15 @@ class FlatSynopsis:
         frontier: FlatFrontier,
         lam: float | None = None,
     ) -> AQPResult:
-        """Answer a classic aggregate from its precomputed frontier.
+        """Answer an aggregate from its precomputed frontier.
 
         ``frontier`` must be :meth:`query_frontier` of ``query`` (or of a
         query with the same predicate and AVG-ness) on the current synopsis
         state; :meth:`query` and the batch executor both end here, which is
-        what makes a batch bit-identical to sequential execution.
+        what makes a batch bit-identical to sequential execution.  ``lam``
+        scales the CLT interval, which QUANTILE / COUNT_DISTINCT answers do
+        not have (their bounds are the union's certified ones).
         """
-        if query.agg in SKETCH_AGGREGATES:
-            raise ValueError(
-                f"{query.agg.value} is a sketch aggregate; use the object path"
-            )
         if query.value_column != self._value_column:
             raise ValueError(
                 f"synopsis was built for column {self._value_column!r}, "
@@ -840,6 +866,10 @@ class FlatSynopsis:
             )
         lam = self._lam if lam is None else lam
         agg = query.agg
+        if agg in (AggregateType.QUANTILE, AggregateType.COUNT_DISTINCT):
+            return sketch_union_result(
+                query, self.sketch_union(query, frontier), int(self._node_count[0])
+            )
         bounds = self.hard_bounds_rows(agg, frontier.covered, frontier.partial)
 
         self._ensure_samples()
@@ -1174,6 +1204,111 @@ class FlatSynopsis:
             tuples_skipped=skipped,
             exact=exact,
         )
+
+    # ------------------------------------------------------------------
+    # Sketch aggregates (QUANTILE / COUNT_DISTINCT)
+    # ------------------------------------------------------------------
+    def sketch_union(
+        self, query: AggregateQuery, frontier: FlatFrontier
+    ) -> QuantileSketchUnion | DistinctSketchUnion:
+        """Reduce a sketch-aggregate query to its mergeable frontier union.
+
+        Fully covered frontier nodes contribute the pre-built sketches of
+        the leaves under them; partially overlapped leaves contribute
+        through their stratified sample — the CSR values the predicate mask
+        keeps — plus their population as *boundary weight* widening the
+        certified bounds (:func:`repro.sketches.union.frontier_union`).
+        Leaves and matched
+        values reach the merge loops in the oracle's order (covered nodes in
+        row order, each node's leaves in the object tree's pre-order, then
+        partial leaves in row order), so every merge happens in the same
+        sequence and the union is bit-identical to the object path's.
+
+        The union is the scatter-gather hand-off: per-shard unions merge
+        with :meth:`QuantileSketchUnion.merge` /
+        :meth:`DistinctSketchUnion.merge`, and
+        :func:`~repro.sketches.union.sketch_union_result` turns any union
+        into an :class:`~repro.result.AQPResult`.
+        """
+        if query.value_column != self._value_column:
+            raise ValueError(
+                f"synopsis was built for column {self._value_column!r}, "
+                f"query aggregates {query.value_column!r}"
+            )
+        return frontier_union(
+            query.agg,
+            self._sketches(),
+            self._covered_leaves(frontier.covered),
+            self._partial_leaves(query.predicate, frontier.partial),
+        )
+
+    def _sketches(self) -> list[LeafSketches] | None:
+        """The per-leaf sketches (None without), unpacked on first use."""
+        if self._leaf_sketches is None and self._packed_sketches is not None:
+            self._leaf_sketches = unpack_leaf_sketches(*self._packed_sketches)
+            self._packed_sketches = None
+        return self._leaf_sketches
+
+    def _covered_leaves(self, covered_rows: np.ndarray) -> list[int]:
+        """Leaf indices under the covered rows, in the oracle's merge order.
+
+        The object path walks each covered node's subtree in pre-order,
+        children left to right.  Geometry order is the same walk with the
+        children reversed, so a node's subtree is the contiguous row range
+        ``[row, row + subtree size)`` and its leaves in left-to-right order
+        are that range's leaf rows backwards — one slice of the tree's
+        left-to-right leaf sequence per covered row.
+        """
+        spans = self._leaf_spans
+        if spans is None:
+            n = self._n_nodes
+            subtree = np.ones(n, dtype=np.int64)
+            for level in reversed(self._levels[1:]):
+                np.add.at(subtree, self._parent[level], subtree[level])
+            leaves_before = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(self._is_leaf, out=leaves_before[1:])
+            n_leaves = int(leaves_before[-1])
+            spans = (
+                self._leaf_of_row[self._is_leaf][::-1].tolist(),
+                n_leaves - leaves_before[np.arange(n) + subtree],
+                n_leaves - leaves_before[:-1],
+            )
+            self._leaf_spans = spans
+        left_to_right, starts, stops = spans
+        leaves: list[int] = []
+        for start, stop in zip(
+            starts[covered_rows].tolist(), stops[covered_rows].tolist()
+        ):
+            leaves.extend(left_to_right[start:stop])
+        return leaves
+
+    def _partial_leaves(
+        self, predicate: RectPredicate, partial_rows: np.ndarray
+    ) -> Iterator[PartialLeaf]:
+        """The non-empty partial leaves as the sketch merge loops read them."""
+        samples = self._ensure_samples()
+        offsets = samples.offsets
+        constraints = (
+            self._mask_constraints(predicate) if partial_rows.shape[0] else []
+        )
+        values = samples.columns.get(self._value_column, _NO_VALUES)
+        leaves = self._leaf_of_row[partial_rows]
+        for leaf, size, low, high, start, stop in zip(
+            leaves.tolist(),
+            self._node_count[partial_rows].tolist(),
+            self._node_min[partial_rows].tolist(),
+            self._node_max[partial_rows].tolist(),
+            offsets[leaves].tolist(),
+            offsets[leaves + 1].tolist(),
+        ):
+            if size == 0:
+                continue
+            matched = _NO_VALUES
+            if stop > start:
+                matched = values[start:stop][
+                    self._leaf_mask(constraints, start, stop)
+                ]
+            yield leaf, size, low, high, stop - start, matched
 
     # ------------------------------------------------------------------
     # Grouped execution kernels (driven by repro.core.batching.grouped_query)

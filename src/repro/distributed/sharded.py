@@ -30,7 +30,7 @@ one level lower: scalar per-shard answers cannot merge (a quantile of
 quantiles is meaningless), so each surviving shard reduces the query to its
 mergeable *sketch union* (:meth:`PASSSynopsis.sketch_union`), the gather
 phase merges the unions — sketch merges plus additive boundary slack — and
-one :func:`~repro.core.pass_synopsis.sketch_union_result` call produces the
+one :func:`~repro.sketches.union.sketch_union_result` call produces the
 answer.  The merged certified bounds therefore cover the same rank / count
 error terms as a single synopsis over the union of the shards' data, which
 is exactly the metamorphic property the hypothesis test layer asserts.
@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from repro.core.batching import batch_query
-from repro.core.pass_synopsis import PASSSynopsis, sketch_union_result
+from repro.core.pass_synopsis import PASSSynopsis
 from repro.core.tree import PartitionNode, boxes_from_arrays, boxes_to_arrays
 from repro.core.updates import DynamicPASS
 from repro.distributed.planner import ShardRouting
@@ -65,6 +65,7 @@ from repro.query.predicate import Box
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult, LAMBDA_99
 from repro.sampling.estimators import EstimateWithVariance, ratio_estimate
+from repro.sketches.union import sketch_union_result
 
 if TYPE_CHECKING:
     from repro.obs.metrics import Counter, NullCounter
@@ -473,7 +474,7 @@ class ShardedSynopsis:
         """Merged QUANTILE / COUNT_DISTINCT answer from per-shard sketch unions.
 
         Each surviving shard reduces the query to its mergeable sketch union
-        along its own frontier; the unions merge exactly (sketch merges plus
+        along its own flat frontier; the unions merge exactly (sketch merges plus
         additive boundary slack) and one result assembly produces the
         answer — the same algebra a single synopsis over the union of the
         shards' data would run, which keeps sharded and single-synopsis

@@ -325,6 +325,10 @@ class AccuracyAuditor:
     def stop(self, timeout: float = 5.0) -> None:
         """Detach from the engine and join the worker thread.
 
+        Audits still queued are dropped, not run: the worker checks the
+        stop event before every rate-limit wait and every audit, so it
+        stops within one audit however deep the backlog is.
+
         A join that times out is *reported* (``RuntimeWarning``), not
         swallowed: the worker is a daemon thread, so a silently missed join
         leaves it recomputing exact answers — and holding the engine's read
@@ -335,7 +339,10 @@ class AccuracyAuditor:
             self._engine.detach_auditor()
         if not self._stop_event.is_set():
             self._stop_event.set()
-            self._queue.put(_STOP)
+            try:
+                self._queue.put_nowait(_STOP)  # wakes a worker idle in get()
+            except queue.Full:
+                pass  # a worker with a backlog is not idle; it reads the event
         self._worker.join(timeout)
         if self._worker.is_alive():
             warnings.warn(
@@ -369,12 +376,12 @@ class AccuracyAuditor:
         last_start = 0.0
         while True:
             item = self._queue.get()
-            if item is _STOP:
-                break
-            if self._interval > 0.0:
+            if item is not _STOP and self._interval > 0.0:
                 wait = last_start + self._interval - time.monotonic()
                 if wait > 0.0:
-                    time.sleep(wait)
+                    self._stop_event.wait(wait)
+            if item is _STOP or self._stop_event.is_set():
+                break
             last_start = time.monotonic()
             try:
                 self._audit(item)  # type: ignore[arg-type]
@@ -384,6 +391,15 @@ class AccuracyAuditor:
             finally:
                 with self._pending_lock:
                     self._pending -= 1
+        # Stopping: the item in hand and the backlog are dropped unaudited.
+        dropped = int(item is not _STOP)
+        try:
+            while True:
+                dropped += self._queue.get_nowait() is not _STOP
+        except queue.Empty:
+            pass
+        with self._pending_lock:
+            self._pending -= dropped
 
     def _audit(self, item: _AuditItem) -> None:
         query, synopsis, table_name, result, epoch, certified = item

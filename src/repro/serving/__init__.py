@@ -39,7 +39,12 @@ from repro.serving.persistence import (
     save_workload_fingerprint,
 )
 from repro.serving.server import MPHTTPServer, MPServingPool, PoolBroken
-from repro.serving.shm import EpochRegister, SynopsisPublisher, attach_flat_synopsis
+from repro.serving.shm import (
+    EpochReadTimeout,
+    EpochRegister,
+    SynopsisPublisher,
+    attach_flat_synopsis,
+)
 from repro.serving.stats import ServingStats, StatsSnapshot
 
 __all__ = [
@@ -66,6 +71,7 @@ __all__ = [
     "ServingStats",
     "StatsSnapshot",
     "EpochRegister",
+    "EpochReadTimeout",
     "SynopsisPublisher",
     "attach_flat_synopsis",
     "MPServingPool",

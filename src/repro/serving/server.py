@@ -28,8 +28,8 @@ This module is the scale-out tier:
 Workers route with :func:`repro.serving.catalog.route_query` — the function
 :meth:`SynopsisCatalog.route` itself calls — over the published manifest,
 so a query answered by the pool routes to the synopsis the in-process
-engine would pick and (one flat kernel everywhere) returns the identical
-:class:`~repro.result.AQPResult`.
+engine would pick and (one flat kernel everywhere, for all seven
+aggregates) returns the identical :class:`~repro.result.AQPResult`.
 """
 
 from __future__ import annotations
@@ -418,9 +418,12 @@ class MPServingPool:
     ) -> AQPResult:
         """Answer one query on a worker process.
 
-        Raises ``LookupError`` when no published synopsis can answer it
-        (sketch aggregates included — the flat engine carries no
-        sketches); such queries belong on the in-process engine.
+        Any of the seven aggregates: the worker runs the flat kernel the
+        in-process engine runs, over the mapped buffers (QUANTILE /
+        COUNT_DISTINCT unpack the segment's sketches on first use).  Raises
+        ``LookupError`` when no published synopsis can answer the query —
+        wrong table or value column, an unpartitioned predicate column, or a
+        sketch aggregate with only sketch-less synopses published.
         """
         return self.execute_batch([query], table)[0]
 

@@ -14,7 +14,9 @@ Segment layout (one segment per synopsis; normative, mirrored in
 * bytes ``8..16`` — little-endian ``uint64`` length of the JSON header;
 * bytes ``16..16+len`` — the JSON header: the synopsis scalars from
   :meth:`FlatSynopsis.export_buffers` plus an array directory (key, dtype,
-  shape, byte offset per buffer);
+  shape, byte offset per buffer) — the kernel arrays and, for a synopsis
+  built with sketches, its per-leaf sketches ragged-packed under
+  ``sketch/<key>``;
 * each array payload at its directory offset, every offset **page-aligned**
   (so a buffer never straddles an unrelated buffer's cache lines and the
   kernel can share pages cleanly).
@@ -28,7 +30,9 @@ Coordination between the single writer and the readers is a tiny separate
   next even value;
 * a reader snapshots the sequence number, copies the payload, and re-reads
   the sequence — a torn read (writer raced it) shows as odd or changed and
-  the reader simply retries.  Workers validate the epoch per request and
+  the reader simply retries — boundedly: a sequence that stays odd (the
+  publisher died mid-publish) raises :class:`EpochReadTimeout` instead of
+  hanging the reader.  Workers validate the epoch per request and
   re-attach to the new segments when it moved, so a reader never observes a
   torn synopsis: old segments stay mapped (and therefore alive) in any
   worker still finishing a request against them, even after the owner
@@ -63,6 +67,7 @@ __all__ = [
     "SynopsisSegment",
     "AttachedSegment",
     "EpochRegister",
+    "EpochReadTimeout",
     "PublishedEntry",
     "read_published",
     "SynopsisPublisher",
@@ -84,6 +89,11 @@ _REGISTER_CAPACITY = 1 << 16
 
 #: Seconds a reader sleeps before retrying a torn or in-progress register read.
 _SPIN_INTERVAL = 0.0005
+
+#: Consecutive odd (write in flight) sequence reads after which a reader
+#: gives up.  A publish holds the sequence odd for microseconds; a second of
+#: spinning (2000 x ``_SPIN_INTERVAL``) means the publisher died mid-publish.
+_MAX_ODD_READS = 2000
 
 _PAGE = mmap.PAGESIZE
 _SEQ_OFFSET = 8
@@ -280,6 +290,15 @@ def attach_flat_synopsis(name: str) -> tuple[FlatSynopsis, AttachedSegment]:
     return FlatSynopsis.from_buffers(attached.header, attached.arrays), attached
 
 
+class EpochReadTimeout(TimeoutError):
+    """An epoch register stayed mid-publish: its writer died before the flip.
+
+    Raised by :meth:`EpochRegister.read` after ``_MAX_ODD_READS`` consecutive
+    odd sequence reads.  The register never becomes consistent again on its
+    own; the owner has to publish afresh (a new publisher and pool).
+    """
+
+
 class EpochRegister:
     """The tiny seqlock-guarded control segment naming the live generation.
 
@@ -355,13 +374,26 @@ class EpochRegister:
         return seq + 2
 
     def read(self) -> tuple[int, dict]:
-        """A consistent ``(epoch, manifest)`` snapshot (seqlock read side)."""
+        """A consistent ``(epoch, manifest)`` snapshot (seqlock read side).
+
+        Raises :class:`EpochReadTimeout` when the sequence stays odd for
+        ``_MAX_ODD_READS`` reads in a row.
+        """
         buf = self._segment.buf
+        odd_reads = 0
         while True:
             (seq1,) = struct.unpack_from("<Q", buf, _SEQ_OFFSET)
             if seq1 % 2:
+                odd_reads += 1
+                if odd_reads >= _MAX_ODD_READS:
+                    raise EpochReadTimeout(
+                        f"epoch register {self.name} has been mid-publish "
+                        f"(sequence {seq1}) for {odd_reads} reads; its "
+                        "publisher died before completing the flip"
+                    )
                 time.sleep(_SPIN_INTERVAL)
                 continue
+            odd_reads = 0
             (length,) = struct.unpack_from("<Q", buf, _LEN_OFFSET)
             payload = bytes(buf[_PAYLOAD_OFFSET : _PAYLOAD_OFFSET + length])
             (seq2,) = struct.unpack_from("<Q", buf, _SEQ_OFFSET)
@@ -399,8 +431,8 @@ class PublishedEntry(NamedTuple):
     predicate_columns: list[str]
     n_partitions: int
     population_size: int
-    #: The flat layout carries no per-leaf sketches (ROADMAP item 2a).
-    supports_sketches = False
+    #: True when the segment carries the packed per-leaf sketches.
+    supports_sketches: bool
 
 
 def read_published(register: EpochRegister) -> tuple[int, list[PublishedEntry]]:
@@ -481,6 +513,7 @@ class SynopsisPublisher:
             ),
             n_partitions=int(arrays["is_leaf"].sum()),
             population_size=int(arrays["node_count"][0]),
+            supports_sketches=bool(header["sketch_keys"]),
         )
         epoch = self._flip()
         if previous is not None:

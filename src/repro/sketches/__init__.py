@@ -18,9 +18,11 @@ of the distributed layer:
   build attaches to every leaf partition;
 * :class:`~repro.sketches.union.QuantileSketchUnion` /
   :class:`~repro.sketches.union.DistinctSketchUnion` — the frontier-union
-  form a synopsis reduces a query to: mergeable across shards, convertible
-  to an :class:`~repro.result.AQPResult` by
-  :func:`repro.core.pass_synopsis.sketch_union_result`.
+  form a synopsis reduces a query to
+  (:func:`~repro.sketches.union.frontier_union`, the one pair of merge
+  loops): mergeable across shards, convertible to an
+  :class:`~repro.result.AQPResult` by
+  :func:`~repro.sketches.union.sketch_union_result`.
 
 Both sketches persist through ``to_arrays`` / ``from_arrays`` exactly (the
 round trip is bit-identical), ignore NaN inputs (SQL NULL semantics), and

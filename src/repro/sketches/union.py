@@ -13,25 +13,55 @@ values.  A query then reduces, along its MCF frontier, to a *union* object:
   — the total population of partial leaves — that widens the certified
   bounds to cover any misattribution at the predicate boundary.
 
+That reduction is :func:`frontier_union` (:func:`quantile_union` /
+:func:`distinct_union`): the merge loops exist once, over plain leaf indices
+and matched-value arrays, and do not care who found the frontier — the flat engine
+(:meth:`repro.core.soa.FlatSynopsis.sketch_union`, the runtime path) or the
+object oracle (``PASSSynopsis.query_object``).
+
 Union objects are mergeable with the same discipline as the sketches
 themselves, which is exactly what the distributed scatter-gather path needs:
 each shard reduces its frontier to a union, the gather phase merges the
-unions, and :func:`repro.core.pass_synopsis.sketch_union_result` turns the
-merged union into an :class:`~repro.result.AQPResult` — so a sharded answer
-is, by construction, the same sketch algebra as a single-synopsis answer.
+unions, and :func:`sketch_union_result` turns the merged union into an
+:class:`~repro.result.AQPResult` — so a sharded answer is, by construction,
+the same sketch algebra as a single-synopsis answer.
+
+:func:`pack_leaf_sketches` / :func:`unpack_leaf_sketches` carry a synopsis'
+whole sketch list as a handful of ragged-packed arrays (the form the
+shared-memory segments hold).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro.query.aggregates import AggregateType
+from repro.query.query import AggregateQuery
+from repro.result import AQPResult
 from repro.sketches.distinct import DEFAULT_DISTINCT_K, DistinctSketch
 from repro.sketches.quantile import DEFAULT_QUANTILE_K, QuantileSketch
 
-__all__ = ["LeafSketches", "QuantileSketchUnion", "DistinctSketchUnion"]
+__all__ = [
+    "LeafSketches",
+    "PartialLeaf",
+    "QuantileSketchUnion",
+    "DistinctSketchUnion",
+    "frontier_union",
+    "quantile_union",
+    "distinct_union",
+    "sketch_union_result",
+    "pack_leaf_sketches",
+    "unpack_leaf_sketches",
+]
+
+#: One non-empty partially overlapped leaf as the merge loops read it:
+#: ``(leaf index, population, node min, node max, sample size, matched
+#: sample values)``.  The matched array is empty for an unsampled leaf.
+PartialLeaf = tuple[int, int, float, float, int, np.ndarray]
 
 
 @dataclass
@@ -174,3 +204,246 @@ class DistinctSketchUnion:
             boundary_weight=self.boundary_weight + other.boundary_weight,
             processed=self.processed + other.processed,
         )
+
+
+def pack_leaf_sketches(
+    sketches: Sequence[LeafSketches],
+) -> tuple[list[str], dict[str, np.ndarray]]:
+    """Ragged-pack a synopsis' per-leaf sketches into a handful of arrays.
+
+    Every leaf's :meth:`LeafSketches.to_arrays` export shares one key set;
+    per key the leaves' arrays are concatenated (leaf-index order) into
+    ``arrays["sketch/<key>"]``, and ``arrays["sketch/lengths"]`` (int64,
+    ``n_leaves x n_keys``) records each leaf's element count per key,
+    columns in the order of the returned key list.
+    :func:`unpack_leaf_sketches` is the exact inverse.
+    """
+    exported = [leaf.to_arrays() for leaf in sketches]
+    keys = list(exported[0])
+    arrays = {
+        "sketch/lengths": np.array(
+            [[leaf[key].shape[0] for key in keys] for leaf in exported],
+            dtype=np.int64,
+        )
+    }
+    for key in keys:
+        arrays[f"sketch/{key}"] = np.concatenate([leaf[key] for leaf in exported])
+    return keys, arrays
+
+
+def unpack_leaf_sketches(
+    keys: Sequence[str], arrays: Mapping[str, np.ndarray]
+) -> list[LeafSketches]:
+    """Rebuild the sketch list packed by :func:`pack_leaf_sketches`.
+
+    ``arrays`` may hold other buffers besides.  The rebuilt sketches own
+    their memory (``from_arrays`` copies), so the packed arrays may be
+    views over a mapping that is closed later.
+    """
+    lengths = arrays["sketch/lengths"]
+    ends = np.cumsum(lengths, axis=0)
+    starts = (ends - lengths).tolist()
+    stops = ends.tolist()
+    return [
+        LeafSketches.from_arrays(
+            {
+                key: arrays[f"sketch/{key}"][
+                    starts[leaf][column] : stops[leaf][column]
+                ]
+                for column, key in enumerate(keys)
+            }
+        )
+        for leaf in range(lengths.shape[0])
+    ]
+
+
+def frontier_union(
+    agg: AggregateType,
+    sketches: Sequence[LeafSketches] | None,
+    covered_leaves: Iterable[int],
+    partial_leaves: Iterable[PartialLeaf],
+) -> QuantileSketchUnion | DistinctSketchUnion:
+    """Reduce a sketch aggregate's frontier to its mergeable union.
+
+    ``sketches`` is the synopsis' per-leaf list (None when it was built
+    without); the other two arguments are those of :func:`quantile_union` /
+    :func:`distinct_union`, which this dispatches to.
+    """
+    if agg not in (AggregateType.QUANTILE, AggregateType.COUNT_DISTINCT):
+        raise ValueError(f"{agg.value} is not a sketch aggregate; use query()")
+    if sketches is None:
+        raise ValueError(
+            "synopsis was built without sketches and cannot answer "
+            f"{agg.value} queries; rebuild with PASSConfig(with_sketches=True)"
+        )
+    if agg == AggregateType.QUANTILE:
+        return quantile_union(sketches, covered_leaves, partial_leaves)
+    return distinct_union(sketches, covered_leaves, partial_leaves)
+
+
+def quantile_union(
+    sketches: Sequence[LeafSketches],
+    covered_leaves: Iterable[int],
+    partial_leaves: Iterable[PartialLeaf],
+) -> QuantileSketchUnion:
+    """Reduce a QUANTILE query's frontier to its mergeable union.
+
+    ``covered_leaves`` are the leaf indices under the fully covered frontier
+    nodes, in merge order; their pre-built sketches summarize the region
+    exactly (up to sketch error).  Each of ``partial_leaves`` contributes
+    its matched sample values re-weighted to the leaf's estimated matching
+    population, plus its population as boundary weight and its node extrema
+    as the envelope of mass the sketch never saw.
+    """
+    merged = QuantileSketch(sketches[0].quantile.k)
+    for leaf in covered_leaves:
+        merged = merged.merge(sketches[leaf].quantile)
+    boundary = 0
+    floor, ceil = math.inf, -math.inf
+    processed = 0
+    for _, size, low, high, sample_size, matched in partial_leaves:
+        boundary += size
+        floor = min(floor, low)
+        ceil = max(ceil, high)
+        processed += sample_size
+        if matched.shape[0] == 0:
+            continue
+        weight = int(round(size * matched.shape[0] / sample_size))
+        if weight > 0:
+            merged.update_weighted(matched, weight)
+    return QuantileSketchUnion(
+        sketch=merged,
+        boundary_weight=boundary,
+        value_floor=floor,
+        value_ceil=ceil,
+        processed=processed,
+    )
+
+
+def distinct_union(
+    sketches: Sequence[LeafSketches],
+    covered_leaves: Iterable[int],
+    partial_leaves: Iterable[PartialLeaf],
+) -> DistinctSketchUnion:
+    """Reduce a COUNT_DISTINCT query's frontier to its lower / upper envelope.
+
+    Covered leaves feed both ends; each of ``partial_leaves`` adds its whole
+    sketch to the upper end and a sketch of its matched sample values to
+    the lower end (see :class:`DistinctSketchUnion`).
+    """
+    covered = DistinctSketch(sketches[0].distinct.k)
+    for leaf in covered_leaves:
+        covered = covered.merge(sketches[leaf].distinct)
+    lower = covered
+    upper = covered
+    boundary = 0
+    processed = 0
+    for leaf, size, _, _, sample_size, matched in partial_leaves:
+        boundary += size
+        upper = upper.merge(sketches[leaf].distinct)
+        processed += sample_size
+        if matched.shape[0]:
+            sample_sketch = DistinctSketch(lower.k)
+            sample_sketch.update_array(matched)
+            lower = lower.merge(sample_sketch)
+    return DistinctSketchUnion(
+        lower=lower,
+        upper=upper,
+        boundary_weight=boundary,
+        processed=processed,
+    )
+
+
+def sketch_union_result(
+    query: AggregateQuery,
+    union: QuantileSketchUnion | DistinctSketchUnion,
+    population: int,
+) -> AQPResult:
+    """Turn a (possibly merged) sketch union into an :class:`AQPResult`.
+
+    The same assembly serves the single-synopsis path and the distributed
+    scatter-gather path (which merges per-shard unions first), so sharded
+    answers follow the exact same sketch algebra as single-synopsis ones.
+
+    * **QUANTILE** — the estimate is the merged sketch's value at rank
+      ``ceil(q * n)`` (the nearest-rank / ``percentile_disc`` convention).
+      The hard bounds are *certified*: the true quantile's rank differs
+      from the target by at most the sketch's accumulated compaction error
+      plus twice the boundary weight (misattributed boundary mass plus the
+      shifted rank target), plus one rank of slack so the bounds also
+      contain linearly *interpolated* quantiles (``percentile_cont`` /
+      ``numpy.quantile``, which lie between the order statistics at
+      ``target - 1`` and ``target + 1``).  The values at that widened rank
+      window — stretched to the partial leaves' known extrema when it
+      reaches past the represented range — therefore always contain the
+      true answer under either convention.
+    * **COUNT_DISTINCT** — the estimate is the midpoint of the lower
+      (covered + matched samples) and upper (covered + whole partial leaves)
+      sketch estimates; the hard bounds stretch each envelope end by the
+      KMV error margin (exactly 0 while the sketches are unsaturated, a
+      >99.7%-probability margin otherwise).
+
+    No CLT interval exists for sketch aggregates: ``ci_half_width`` and
+    ``variance`` are 0 for exact answers and NaN otherwise.
+    """
+    skipped = population - union.boundary_weight
+    exact = union.is_exact
+    if isinstance(union, QuantileSketchUnion):
+        sketch = union.sketch
+        n = sketch.n
+        if n == 0:
+            # Nothing represented: either a provably empty region (exact
+            # NULL) or only unsampled boundary mass (bounded by partial
+            # extrema when they exist).
+            empty = union.boundary_weight == 0
+            return AQPResult(
+                estimate=float("nan"),
+                ci_half_width=0.0 if empty else float("nan"),
+                variance=0.0 if empty else float("nan"),
+                hard_lower=float("nan") if empty else union.value_floor,
+                hard_upper=float("nan") if empty else union.value_ceil,
+                tuples_processed=union.processed,
+                tuples_skipped=skipped,
+                exact=empty,
+            )
+        q = query.quantile if query.quantile is not None else 0.5
+        estimate = sketch.quantile(q)
+        # +1 rank of slack: an interpolated (percentile_cont-style) true
+        # quantile lies between the order statistics adjacent to the
+        # nearest-rank target, so the certified window must straddle them.
+        bound = union.rank_error_bound() + 1
+        target = max(1, min(math.ceil(q * n), n))
+        if target - bound >= 1:
+            hard_lower = sketch.value_at_rank(target - bound)
+        else:
+            hard_lower = min(sketch.min, union.value_floor)
+        if target + bound <= n:
+            hard_upper = sketch.value_at_rank(target + bound)
+        else:
+            hard_upper = max(sketch.max, union.value_ceil)
+        return AQPResult(
+            estimate=estimate,
+            ci_half_width=0.0 if exact else float("nan"),
+            variance=0.0 if exact else float("nan"),
+            hard_lower=hard_lower,
+            hard_upper=hard_upper,
+            tuples_processed=union.processed,
+            tuples_skipped=skipped,
+            exact=exact,
+        )
+
+    lower_estimate = union.lower.estimate()
+    upper_estimate = union.upper.estimate()
+    estimate = upper_estimate if exact else 0.5 * (lower_estimate + upper_estimate)
+    hard_lower = max(0.0, lower_estimate * (1.0 - union.lower.error_fraction()))
+    hard_upper = upper_estimate * (1.0 + union.upper.error_fraction())
+    return AQPResult(
+        estimate=estimate,
+        ci_half_width=0.0 if exact else float("nan"),
+        variance=0.0 if exact else float("nan"),
+        hard_lower=hard_lower,
+        hard_upper=hard_upper,
+        tuples_processed=union.processed,
+        tuples_skipped=skipped,
+        exact=exact,
+    )

@@ -23,6 +23,7 @@ import multiprocessing
 import os
 import signal
 import socket
+import struct
 import sys
 import threading
 import time
@@ -62,7 +63,8 @@ from repro.serving.server import (
     result_from_payload,
     result_to_payload,
 )
-from repro.serving.shm import EpochRegister, attach_flat_synopsis
+from repro.serving import shm
+from repro.serving.shm import EpochReadTimeout, EpochRegister, attach_flat_synopsis
 
 AGGS = ("SUM", "COUNT", "AVG", "MIN", "MAX")
 
@@ -110,6 +112,26 @@ def seeded_queries(seed: int, n: int) -> list[AggregateQuery]:
             )
         )
     return queries
+
+
+def sketch_queries() -> list[AggregateQuery]:
+    """QUANTILE / COUNT_DISTINCT over a partial range and over everything."""
+    ranged = RectPredicate({"key": Interval(7.5, 31.25)})
+    return [
+        AggregateQuery("QUANTILE", "value", ranged, quantile=0.5),
+        AggregateQuery("QUANTILE", "value", ranged, quantile=0.99),
+        AggregateQuery("COUNT_DISTINCT", "value", ranged),
+        AggregateQuery("QUANTILE", "value", RectPredicate.everything(), quantile=0.5),
+        AggregateQuery("COUNT_DISTINCT", "value", RectPredicate.everything()),
+    ]
+
+
+def leave_mid_publish(register: EpochRegister) -> int:
+    """Bump the sequence to odd, as a publisher killed inside ``publish``
+    leaves it; returns the even sequence to restore."""
+    even = register.epoch()
+    struct.pack_into("<Q", register._segment.buf, 8, even + 1)
+    return even
 
 
 def record_outcome(outcomes: list, call, *args) -> None:
@@ -170,6 +192,22 @@ class TestSegmentRoundTrip:
             register.close()
         finally:
             publisher.close()
+
+    def test_read_of_a_register_left_mid_publish_times_out(self, monkeypatch):
+        monkeypatch.setattr(shm, "_MAX_ODD_READS", 20)
+        register = EpochRegister.create()
+        try:
+            register.publish({"entries": []})
+            even = leave_mid_publish(register)
+            with pytest.raises(EpochReadTimeout, match=register.name):
+                register.read()
+            assert issubclass(EpochReadTimeout, TimeoutError)
+            # Only *continuous* odd reads count: a completed flip reads fine.
+            struct.pack_into("<Q", register._segment.buf, 8, even + 2)
+            assert register.read() == (even + 2, {"entries": []})
+        finally:
+            register.unlink()
+            register.close()
 
     def test_old_generation_stays_mapped_until_reader_closes(self, synopses):
         synopsis, other = synopses
@@ -347,21 +385,55 @@ class TestMPServingPool:
                 )
                 assert metrics.n_queries == 9
 
-    def test_unanswerable_queries_raise_lookup_error(self, synopses):
+    def test_sketch_aggregates_carry_the_engine_bits(self, synopses):
+        """The segment holds the packed sketches; a worker runs the flat
+        sketch kernel over them, so the pool answers what the engine does."""
         synopsis, _ = synopses
+        engine = make_engine(synopsis)
+        queries = sketch_queries()
         with SynopsisPublisher() as publisher:
             publisher.publish("mp_main", synopsis, table_name="mp_test")
+            with MPServingPool(publisher.register_name, n_workers=1) as pool:
+                for query in queries:
+                    assert_identical(
+                        pool.execute(query, table="mp_test"),
+                        engine.execute(query, "mp_test"),
+                    )
+                # Mixed into a batch with classic aggregates, too.
+                mixed = queries + seeded_queries(seed=13, n=7)
+                for result, query in zip(
+                    pool.execute_batch(mixed, table="mp_test"), mixed
+                ):
+                    assert_identical(result, engine.execute(query, "mp_test"))
+
+    def test_unanswerable_queries_raise_lookup_error(self, synopses):
+        synopsis, _ = synopses
+        sketchless = build_pass(
+            make_table(seed=1),
+            "value",
+            ["key"],
+            PASSConfig(
+                n_partitions=16,
+                sample_rate=0.01,
+                opt_sample_size=400,
+                seed=0,
+                with_sketches=False,
+            ),
+        )
+        with SynopsisPublisher() as publisher:
+            publisher.publish("mp_main", synopsis, table_name="mp_test")
+            publisher.publish("mp_bare", sketchless, table_name="mp_bare")
             with MPServingPool(publisher.register_name, n_workers=1) as pool:
                 unknown = AggregateQuery(
                     "SUM", "other_column", RectPredicate.everything()
                 )
                 with pytest.raises(LookupError):
                     pool.execute(unknown, table="mp_test")
-                sketch = AggregateQuery(
-                    "QUANTILE", "value", RectPredicate.everything(), quantile=0.5
-                )
+                # Published from with_sketches=False: classic aggregates only.
+                sketch = sketch_queries()[0]
+                pool.execute(seeded_queries(seed=6, n=1)[0], table="mp_bare")
                 with pytest.raises(LookupError):
-                    pool.execute(sketch, table="mp_test")
+                    pool.execute(sketch, table="mp_bare")
 
     def test_pool_merges_worker_metrics_into_parent_registry(self, synopses):
         synopsis, _ = synopses
@@ -390,6 +462,23 @@ class TestMPServingPool:
         publisher.close()
         with pytest.raises(RuntimeError):
             pool.execute_batch(seeded_queries(seed=7, n=1), table="mp_test")
+
+    def test_publisher_dead_mid_publish_fails_requests_instead_of_hanging(
+        self, synopses
+    ):
+        """The worker's bounded seqlock read ships a typed timeout to the
+        caller (about a second per request), and the worker lives on."""
+        synopsis, _ = synopses
+        query = seeded_queries(seed=14, n=1)[0]
+        with SynopsisPublisher() as publisher:
+            publisher.publish("mp_main", synopsis, table_name="mp_test")
+            with MPServingPool(publisher.register_name, n_workers=1) as pool:
+                before = pool.execute(query, table="mp_test")
+                even = leave_mid_publish(publisher._register)
+                with pytest.raises(EpochReadTimeout, match=publisher.register_name):
+                    pool.execute(query, table="mp_test")
+                struct.pack_into("<Q", publisher._register._segment.buf, 8, even)
+                assert_identical(pool.execute(query, table="mp_test"), before)
 
     def test_failed_chunk_leaves_no_stale_reply_behind(self, synopses):
         """A worker's exception arrives with its type and the pipes stay in step.
@@ -644,7 +733,7 @@ class TestHTTPFrontEnd:
     def test_query_round_trip_matches_engine(self, stack):
         base, _, synopsis = stack
         engine = make_engine(synopsis)
-        for query in seeded_queries(seed=8, n=10):
+        for query in seeded_queries(seed=8, n=10) + sketch_queries():
             status, payload = self.post(
                 base + "/query", query_to_payload(query, "mp_test")
             )

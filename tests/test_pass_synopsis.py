@@ -122,6 +122,12 @@ class TestQueryProcessing:
         )
         assert synopsis.skip_rate(aligned) == pytest.approx(1.0)
         assert 0.0 <= synopsis.skip_rate(narrow) <= 1.0
+        # Read off the flat frontier; equal to the object descent's value.
+        for query in (aligned, narrow):
+            partial = synopsis.lookup(query).partial
+            assert synopsis.skip_rate(query) == (
+                1.0 - sum(node.size for node in partial) / synopsis.population_size
+            )
 
     def test_custom_lambda_scales_interval(self, skewed_pass):
         _, synopsis = skewed_pass

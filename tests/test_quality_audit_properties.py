@@ -185,6 +185,30 @@ class TestEngineCloseStopsAuditor:
         assert engine.auditor is None
         assert not auditor._worker.is_alive()
 
+    def test_stop_drops_a_full_rate_limited_backlog(self):
+        """stop() must not wait out the backlog: at 1 audit/s a full queue
+        would take 16 s to drain and the _STOP sentinel cannot even be
+        queued behind it."""
+        import time
+        import warnings as _warnings
+
+        engine, _ = _serving(n_shards=1)
+        auditor = AccuracyAuditor(engine, sample_every=1, max_queue=16, max_rate=1.0)
+        query = AggregateQuery("SUM", "value", RectPredicate.from_bounds(key=(0, 60)))
+        result = engine.execute(query)
+        while auditor.offer(query, "audited", "audited_value", result):
+            pass  # until admission control drops one: the queue is full
+        assert auditor._queue.full()
+
+        start = time.monotonic()
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("error", RuntimeWarning)
+            auditor.stop()
+        assert time.monotonic() - start < 1.0
+        assert not auditor._worker.is_alive()
+        assert auditor._queue.empty()
+        assert auditor.flush(timeout=0.0), "dropped audits left _pending behind"
+
     def test_stop_warns_when_join_times_out(self):
         """A worker stuck past the join deadline is reported, not swallowed."""
         engine, _ = _serving(n_shards=1)

@@ -213,10 +213,15 @@ class TestRouteQuery:
             predicate_columns=["a"],
             n_partitions=4,
             population_size=10,
+            supports_sketches=False,
         )
         assert route_query([published], query, "serving") is published
-        assert not published.supports_sketches
-        assert "supports_sketches" not in published._asdict()  # not on the wire
+        # On the wire: a worker routes sketch aggregates by the manifest's flag.
+        assert published._asdict()["supports_sketches"] is False
+        p95 = self.query("QUANTILE", quantile=0.95)
+        assert route_query([published], p95, "serving") is None
+        sketched = published._replace(supports_sketches=True)
+        assert route_query([published, sketched], p95, "serving") is sketched
 
 
 class TestFallback:

@@ -1,16 +1,18 @@
 """Property tests: the SoA execution engine is bit-identical to the object path.
 
 The contract documented in ``docs/ARCHITECTURE.md`` and ``repro.core.soa`` is
-not "numerically close" but *bit-identical*: for every classic aggregate the
-flat engine must reproduce the object path's `AQPResult` field for field at
-the level of IEEE-754 bit patterns — same covered/partial frontier order,
-same floating-point summation order, same NaN poisoning, same
-``nodes_visited`` count.  These tests compare float bits (``struct.pack``)
-rather than values so that ``-0.0 != 0.0`` and differing NaN payloads would
-fail, across random trees, predicates, batches, the zero-variance shortcut,
-and post-insert/delete staleness states.  ``grouped_query`` alone shares
-per-cell moments across aggregates and is held to summation-order equality
-instead.
+not "numerically close" but *bit-identical*: for every aggregate — the five
+classic ones and the sketch-backed QUANTILE / COUNT_DISTINCT — the flat
+engine must reproduce the object path's `AQPResult` field for field at the
+level of IEEE-754 bit patterns — same covered/partial frontier order, same
+floating-point summation order, same sketch merge order, same NaN
+poisoning, same ``nodes_visited`` count.  These tests compare float bits
+(``struct.pack``) rather than values so that ``-0.0 != 0.0`` and differing
+NaN payloads would fail, across random trees, predicates, batches, the
+zero-variance shortcut, post-insert/delete staleness states, a sharded
+gather and a ``from_buffers`` round trip.  ``grouped_query`` alone shares
+per-cell moments across its classic aggregates and is held to
+summation-order equality for those (its sketch aggregates are bit-identical).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.core.batching import batch_query, compile_batch, grouped_query
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
 from repro.core.soa import (
+    FlatSynopsis,
     _count_contribution,
     _fast_mean,
     _fast_var,
@@ -37,13 +40,24 @@ from repro.core.soa import (
 )
 from repro.core.updates import DynamicPASS, StaleExtremaWarning
 from repro.data.table import Table
+from repro.distributed.parallel import build_sharded_pass
 from repro.query.aggregates import AggregateType
 from repro.query.groupby import AggregateSpec, GroupByQuery, GroupingColumn
 from repro.query.predicate import Interval, RectPredicate
 from repro.query.query import AggregateQuery
+from repro.sampling.stratified import Stratum
+from repro.sketches.union import sketch_union_result
 
 N_ROWS = 1500
 CLASSIC_AGGS = ("SUM", "COUNT", "AVG", "MIN", "MAX")
+#: (aggregate, quantile) pairs; the quantile only applies to QUANTILE.
+SKETCH_KINDS = (
+    ("QUANTILE", 0.5),
+    ("QUANTILE", 0.05),
+    ("QUANTILE", 0.99),
+    ("COUNT_DISTINCT", None),
+)
+ALL_KINDS = tuple((agg, None) for agg in CLASSIC_AGGS) + SKETCH_KINDS
 RESULT_FLOAT_FIELDS = (
     "estimate",
     "ci_half_width",
@@ -89,10 +103,15 @@ def _synopsis(n_columns: int, n_partitions: int, seed: int, zero_variance: bool)
         partitioner="equal" if n_columns == 1 else "kd",
         opt_sample_size=200,
         zero_variance_rule=zero_variance,
-        with_sketches=False,
+        with_sketches=True,
         seed=seed,
     )
     return build_pass(table, "value", [f"c{i}" for i in range(n_columns)], config)
+
+
+def _query(kind, predicate: RectPredicate) -> AggregateQuery:
+    agg, quantile = kind
+    return AggregateQuery(agg, "value", predicate, quantile=quantile)
 
 
 def _predicate(n_columns: int, fractions) -> RectPredicate:
@@ -121,27 +140,29 @@ class TestSingleQueryBitIdentity:
         n_partitions=st.sampled_from([16, 64, 128]),
         seed=st.integers(min_value=0, max_value=3),
         fractions=st.lists(_fraction_pair, min_size=3, max_size=3),
-        agg=st.sampled_from(CLASSIC_AGGS),
+        kind=st.sampled_from(ALL_KINDS),
     )
     def test_random_trees_and_predicates(
-        self, n_columns, n_partitions, seed, fractions, agg
+        self, n_columns, n_partitions, seed, fractions, kind
     ):
         synopsis = _synopsis(n_columns, n_partitions, seed, False)
         predicate = _predicate(n_columns, fractions)
-        query = AggregateQuery(agg, "value", predicate)
+        query = _query(kind, predicate)
         assert_results_identical(
             synopsis.query(query),
             synopsis.query_object(query),
-            context=f"{agg} {predicate} ",
+            context=f"{kind} {predicate} ",
         )
 
-    @given(agg=st.sampled_from(CLASSIC_AGGS))
-    def test_unconstrained_predicate_is_exact_on_both_paths(self, agg):
+    @given(kind=st.sampled_from(ALL_KINDS))
+    def test_unconstrained_predicate_is_exact_on_both_paths(self, kind):
         synopsis = _synopsis(1, 64, 0, False)
-        query = AggregateQuery(agg, "value", RectPredicate.everything())
+        query = _query(kind, RectPredicate.everything())
         flat, obj = synopsis.query(query), synopsis.query_object(query)
         assert_results_identical(flat, obj)
-        assert flat.exact
+        assert flat.tuples_processed == 0  # answered from the root alone
+        # 1500 rows merged: the quantile sketch compacted, the KMV saturated.
+        assert flat.exact or kind in SKETCH_KINDS
 
     @given(
         fractions=st.lists(_fraction_pair, min_size=3, max_size=3),
@@ -164,12 +185,14 @@ class TestFrontierBitIdentity:
         """Covered/partial node order and nodes_visited match the descent."""
         synopsis = _synopsis(n_columns, 64, 2, False)
         predicate = _predicate(n_columns, fractions)
-        flat = synopsis.flat.materialize(synopsis.flat.frontier(predicate))
+        flat = synopsis.flat.frontier(predicate)
         obj = synopsis.tree.minimal_coverage_frontier(predicate)
-        assert [id(node) for node in flat.covered] == [
+        # Flat rows index the tree's geometry-order node table.
+        nodes = synopsis.tree.geometry().nodes
+        assert [id(nodes[row]) for row in flat.covered.tolist()] == [
             id(node) for node in obj.covered
         ]
-        assert [id(node) for node in flat.partial] == [
+        assert [id(nodes[row]) for row in flat.partial.tolist()] == [
             id(node) for node in obj.partial
         ]
         assert flat.nodes_visited == obj.nodes_visited
@@ -214,6 +237,37 @@ class TestGroupedMatchesOracle:
                     assert _bits(got.hard_lower) == _bits(want.hard_lower), context
                     assert _bits(got.hard_upper) == _bits(want.hard_upper), context
 
+    @given(
+        n_bins=st.integers(min_value=2, max_value=6),
+        seed=st.integers(min_value=0, max_value=2),
+    )
+    def test_grouped_sketch_aggregates_carry_the_oracle_bits(self, n_bins, seed):
+        """A cell's percentiles share one union and still equal the oracle's.
+
+        Unlike the classic aggregates, nothing is re-associated: the cell's
+        union is the flat sketch kernel over the cell's frontier.
+        """
+        synopsis = _synopsis(2, 64, seed, False)
+        edges = [100.0 * i / n_bins for i in range(n_bins + 1)]
+        sketch_specs = tuple(
+            AggregateSpec(agg, "value", quantile) for agg, quantile in SKETCH_KINDS
+        )
+        plan = GroupByQuery(
+            groupings=(
+                GroupingColumn.bins("c0", edges),
+                GroupingColumn.bins("c1", [0.0, 50.0, 100.0]),
+            ),
+            aggregates=(AggregateSpec("SUM", "value"),) + sketch_specs,
+        ).compile()
+        grouped = grouped_query(synopsis, plan)
+        for index, cell in plan.live_cells():
+            for spec, got in zip(sketch_specs, grouped.cells[index][1:]):
+                assert_results_identical(
+                    got,
+                    synopsis.query_object(plan.cell_query(cell, spec)),
+                    context=f"{cell.labels} {spec.name} ",
+                )
+
 
 class TestDynamicStalenessBitIdentity:
     @given(
@@ -221,10 +275,10 @@ class TestDynamicStalenessBitIdentity:
         n_inserts=st.integers(min_value=0, max_value=25),
         n_deletes=st.integers(min_value=0, max_value=10),
         fractions=st.lists(_fraction_pair, min_size=1, max_size=1),
-        agg=st.sampled_from(CLASSIC_AGGS),
+        kind=st.sampled_from(ALL_KINDS),
     )
     def test_post_update_queries_stay_identical(
-        self, seed, n_inserts, n_deletes, fractions, agg
+        self, seed, n_inserts, n_deletes, fractions, kind
     ):
         """Insert/delete-synced flat arrays answer like the mutated objects."""
         table = _table(1, seed)
@@ -233,7 +287,7 @@ class TestDynamicStalenessBitIdentity:
             sample_rate=0.05,
             partitioner="equal",
             opt_sample_size=200,
-            with_sketches=False,
+            with_sketches=True,
             seed=seed,
         )
         dynamic = DynamicPASS(table, "value", ["c0"], config=config)
@@ -256,8 +310,7 @@ class TestDynamicStalenessBitIdentity:
                         "value": float(table.column("value")[row]),
                     }
                 )
-        predicate = _predicate(1, fractions)
-        query = AggregateQuery(agg, "value", predicate)
+        query = _query(kind, _predicate(1, fractions))
         assert_results_identical(
             synopsis.query(query),
             synopsis.query_object(query),
@@ -410,6 +463,117 @@ class TestBatchBitIdentity:
             context=f"after {n_inserts} inserts / {n_deletes + 1} deletes ",
         )
         assert not flat._samples_stale
+
+
+@functools.lru_cache(maxsize=None)
+def _ragged_synopsis():
+    """A 2-D k-d synopsis with every leaf state the sketch kernel must order.
+
+    The k-d tree groups leaves so that an internal node's leaves are not a
+    run of consecutive ``leaf_index`` values, one leaf of the build is empty,
+    and three populated leaves are stripped of their samples here.
+    """
+    synopsis = build_pass(
+        _constant_region_table(2, 0), "value", ["c0", "c1"], _batch_config(2, 64, 0)
+    )
+    strata = synopsis.leaf_samples
+    populated = [i for i, stratum in enumerate(strata) if stratum.size][:30:10]
+    for leaf in populated:
+        synopsis.replace_leaf_sample(
+            leaf,
+            Stratum(
+                box=strata[leaf].box,
+                size=strata[leaf].size,
+                sample_columns={
+                    column: np.zeros(0) for column in strata[leaf].sample_columns
+                },
+            ),
+        )
+    return synopsis
+
+
+@functools.lru_cache(maxsize=None)
+def _ragged_attached() -> FlatSynopsis:
+    """``_ragged_synopsis`` through ``export_buffers`` / ``from_buffers``."""
+    return FlatSynopsis.from_buffers(*_ragged_synopsis().flat.export_buffers())
+
+
+class TestSketchKernelOnRaggedTrees:
+    def test_fixture_has_every_irregular_leaf_state(self):
+        synopsis = _ragged_synopsis()
+        leaves = synopsis.tree.leaves
+        strata = synopsis.leaf_samples
+        assert any(leaf.size == 0 for leaf in leaves)
+        assert any(
+            leaf.size > 0 and stratum.sample_size == 0
+            for leaf, stratum in zip(leaves, strata)
+        )
+
+        def is_consecutive_run(node) -> bool:
+            indices = [n.leaf_index for n in node.iter_subtree() if n.is_leaf]
+            return indices == list(range(indices[0], indices[0] + len(indices)))
+
+        assert not all(
+            is_consecutive_run(node)
+            for node in synopsis.tree.root.iter_subtree()
+            if not node.is_leaf
+        )
+
+    @given(
+        fractions=st.lists(_fraction_pair, min_size=2, max_size=2),
+        kind=st.sampled_from(ALL_KINDS),
+    )
+    def test_flat_oracle_and_buffer_round_trip_agree(self, fractions, kind):
+        synopsis = _ragged_synopsis()
+        query = _query(kind, _predicate(2, fractions))
+        want = synopsis.query_object(query)
+        assert_results_identical(synopsis.query(query), want, context="flat ")
+        assert_results_identical(
+            _ragged_attached().query(query), want, context="from_buffers "
+        )
+
+    def test_buffer_backed_engine_unpacks_sketches_on_first_use(self):
+        flat = FlatSynopsis.from_buffers(*_ragged_synopsis().flat.export_buffers())
+        predicate = RectPredicate({"c0": Interval(20.0, 70.0)})
+        flat.query(AggregateQuery("SUM", "value", predicate))
+        assert flat._leaf_sketches is None
+        flat.query(AggregateQuery("COUNT_DISTINCT", "value", predicate))
+        assert len(flat._leaf_sketches) == _ragged_synopsis().n_partitions
+
+
+@functools.lru_cache(maxsize=None)
+def _sharded():
+    return build_sharded_pass(
+        _constant_region_table(1, 0),
+        "value",
+        "c0",
+        n_shards=3,
+        config=_batch_config(1, 16, 0),
+        executor="serial",
+    )
+
+
+class TestShardedGatherBitIdentity:
+    @given(
+        fractions=st.lists(_fraction_pair, min_size=1, max_size=1),
+        kind=st.sampled_from(SKETCH_KINDS),
+    )
+    def test_gather_equals_the_merged_oracle_unions(self, fractions, kind):
+        """Each shard's flat union is its oracle union, so the merges agree."""
+        sharded = _sharded()
+        query = _query(kind, _predicate(1, fractions))
+        survivors = sharded.surviving_shards(query)
+        got = sharded.query(query)
+        if not survivors:
+            assert got.exact
+            return
+        union = functools.reduce(
+            lambda merged, other: merged.merge(other),
+            (sharded.shards[i].sketch_union_object(query) for i in survivors),
+        )
+        assert_results_identical(
+            got, sketch_union_result(query, union, sharded.population_size)
+        )
 
 
 class TestUfuncReplicas:

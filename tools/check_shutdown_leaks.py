@@ -98,7 +98,11 @@ def main() -> int:
             server = MPHTTPServer(pool, max_pending=8)
             base = server.serve_in_thread()
             try:
-                for query in _queries(8):
+                predicate = RectPredicate.from_bounds(key=(12.5, 80.0))
+                for query in _queries(8) + [
+                    AggregateQuery("QUANTILE", "value", predicate, quantile=0.5),
+                    AggregateQuery("COUNT_DISTINCT", "value", predicate),
+                ]:
                     _post(f"{base}/query", query_to_payload(query))
                 # One epoch flip mid-serve: re-attach must not strand the
                 # previous generation's segment.
