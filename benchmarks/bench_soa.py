@@ -13,7 +13,9 @@ whole *boundary* of leaves, so per-leaf Python overhead dominates the object
 path.  Two metrics gate the engine:
 
 - ``soa_single_query_speedup``: mean single-query latency of the object path
-  divided by the SoA path over a mixed SUM / AVG / COUNT workload.
+  divided by the SoA path over a mixed SUM / AVG / COUNT / MIN / MAX
+  workload — the moment kernels and the extremum kernel.  Every run first
+  asserts that the two paths return the same bits for every query.
 - ``soa_grouped_speedup``: the naive per-cell object-path loop divided by
   one ``grouped_query`` call on the SoA engine for a binned 2-D group-by.
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import struct
 import sys
 import time
 from pathlib import Path
@@ -48,7 +51,11 @@ from repro.query.groupby import AggregateSpec, GroupByQuery, GroupingColumn
 from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery
 
-AGGREGATES = ("SUM", "AVG", "COUNT")
+#: The single-query mix: every classic aggregate, so a smoke run executes
+#: both partial-leaf kernels of ``core/soa.py``.
+AGGREGATES = ("SUM", "AVG", "COUNT", "MIN", "MAX")
+#: The grouped plan keeps its three moment aggregates.
+GROUPED_AGGREGATES = ("SUM", "AVG", "COUNT")
 PREDICATE_COLUMNS = ("c0", "c1")
 
 
@@ -97,7 +104,7 @@ def make_groupby(table, n_bins_c0: int, n_bins_c1: int) -> GroupByQuery:
         groupings.append(GroupingColumn.bins(column, [float(e) for e in edges]))
     return GroupByQuery(
         groupings=tuple(groupings),
-        aggregates=tuple(AggregateSpec(agg, "value") for agg in AGGREGATES),
+        aggregates=tuple(AggregateSpec(agg, "value") for agg in GROUPED_AGGREGATES),
     )
 
 
@@ -111,6 +118,31 @@ def _best_of(run, repeats: int) -> float:
     return best
 
 
+def _result_bits(result) -> tuple:
+    """An answer as the IEEE-754 bit patterns of its floats plus its counts."""
+    return (
+        struct.pack(
+            "<5d",
+            result.estimate,
+            result.ci_half_width,
+            result.variance,
+            result.hard_lower,
+            result.hard_upper,
+        ),
+        result.tuples_processed,
+        result.tuples_skipped,
+        result.exact,
+    )
+
+
+def assert_bit_identical(synopsis, queries) -> None:
+    """Every answer of the SoA path carries the object path's bits."""
+    for query in queries:
+        flat, obj = synopsis.query(query), synopsis.query_object(query)
+        if _result_bits(flat) != _result_bits(obj):
+            raise AssertionError(f"{query}: soa={flat!r} object={obj!r}")
+
+
 def bench_single_queries(synopsis, predicates, repeats: int) -> dict:
     """Mean per-query latency: SoA `query` vs object-path `query_object`."""
     queries = [
@@ -118,9 +150,8 @@ def bench_single_queries(synopsis, predicates, repeats: int) -> dict:
         for predicate in predicates
         for agg in AGGREGATES
     ]
-    for query in queries[: len(AGGREGATES)]:  # warm caches / lazy builds
-        synopsis.query(query)
-        synopsis.query_object(query)
+    # Doubles as the warm-up of both paths' caches and lazy builds.
+    assert_bit_identical(synopsis, queries)
     soa_s = _best_of(lambda: [synopsis.query(q) for q in queries], repeats)
     object_s = _best_of(lambda: [synopsis.query_object(q) for q in queries], repeats)
     soa_us = 1e6 * soa_s / len(queries)

@@ -5,8 +5,11 @@ objects and touching one Python ``Stratum`` per partially-overlapped leaf;
 profiling shows that per-node/per-leaf Python dispatch — not arithmetic —
 dominates single-query latency.  This module re-hosts the synopsis state in
 a handful of contiguous arrays (:class:`FlatSynopsis`) and rewrites the hot
-kernels (frontier descent, predicate mask evaluation, moment reductions) to
-run over those arrays with zero Python-object traversal.  It is the only
+kernels (frontier descent, predicate mask evaluation, moment and extremum
+reductions) to run over those arrays with zero Python-object traversal: the
+partial-leaf kernels gather the whole frontier's sample rows through one
+index and leave per-leaf Python only in the ``np.add.reduce`` calls the
+summation contract names (:func:`_slice_sums`).  It is the only
 runtime executor of all seven aggregates: SUM / COUNT / AVG / MIN / MAX
 reduce sample moments, QUANTILE / COUNT_DISTINCT reduce the per-leaf
 sketches along the same frontier (:meth:`FlatSynopsis.sketch_union`).
@@ -93,6 +96,13 @@ _LeafMoments = tuple[int, float, float, float, float, float]
 
 _NO_VALUES = np.zeros(0, dtype=float)
 
+#: Frontiers with at most this many partial leaves — every frontier of a 1-D
+#: synopsis — are answered leaf by leaf with the scalar replicas below: a
+#: frontier gather cannot amortise anything over one or two leaves.  A
+#: property of the input, not an option (measurement in
+#: ``docs/ARCHITECTURE.md``); both partial-leaf kernels branch on it.
+_SCALAR_FRONTIER_LEAVES = 2
+
 
 def _fast_mean(values: np.ndarray) -> float:
     """``float(values.mean())`` without the ``np.mean`` dispatch overhead.
@@ -119,46 +129,33 @@ def _fast_var(values: np.ndarray) -> float:
     return float(np.add.reduce(deviations) / n)
 
 
-def _sum_contribution(
-    values: np.ndarray, mask: np.ndarray, size: int, with_fpc: bool
-) -> tuple[float, float]:
-    """One partial leaf's SUM contribution ``(estimate, variance)``.
+def _slice_sums(data: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
+    """``np.add.reduce`` over each ``data[bounds[i]:bounds[i + 1]]`` slice.
 
-    Bit-identical replica of
-    :func:`repro.sampling.estimators.stratum_sum_contribution` minus the
-    defensive ``asarray`` casts (inputs are CSR float64 slices already).
-    The caller guarantees a non-empty sample.
+    This call *is* the summation contract for order-sensitive sums (value
+    sums, squared deviations): numpy's pairwise reduction over one leaf's
+    contiguous slice, exactly what ``ndarray.mean`` / ``np.var`` run on the
+    object stratum.  A segmented ``reduceat`` / ``bincount`` accumulates
+    sequentially and would move the last ulp.
     """
-    sample_size = values.shape[0]
-    contributions = mask.astype(float)
-    np.multiply(contributions, values, out=contributions)
-    estimate = _fast_mean(contributions) * size
-    if sample_size <= 1:
-        sample_variance = 0.0
-    else:
-        sample_variance = _fast_var(contributions)
-    variance = (size**2) * sample_variance / sample_size
-    if with_fpc:
-        variance *= finite_population_correction(size, sample_size)
-    return estimate, variance
+    return np.array(
+        [np.add.reduce(data[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+    )
 
 
-def _count_contribution(
-    mask: np.ndarray, size: int, with_fpc: bool
+def _stratum_contribution(
+    data: np.ndarray, size: int, with_fpc: bool
 ) -> tuple[float, float]:
-    """One partial leaf's COUNT contribution ``(estimate, variance)``.
+    """One partial leaf's SUM / COUNT contribution ``(estimate, variance)``.
 
-    Bit-identical replica of
-    :func:`repro.sampling.estimators.stratum_count_contribution` for a
-    non-empty sample.
+    ``data`` is the leaf's non-empty float64 sample of ``Predicate * a`` (SUM)
+    or ``Predicate`` (COUNT).  Bit-identical replica of
+    :func:`repro.sampling.estimators.stratum_sum_contribution` /
+    ``stratum_count_contribution`` minus the defensive ``asarray`` casts.
     """
-    sample_size = mask.shape[0]
-    indicator = mask.astype(float)
-    estimate = _fast_mean(indicator) * size
-    if sample_size <= 1:
-        sample_variance = 0.0
-    else:
-        sample_variance = _fast_var(indicator)
+    sample_size = data.shape[0]
+    estimate = _fast_mean(data) * size
+    sample_variance = 0.0 if sample_size <= 1 else _fast_var(data)
     variance = (size**2) * sample_variance / sample_size
     if with_fpc:
         variance *= finite_population_correction(size, sample_size)
@@ -875,9 +872,10 @@ class FlatSynopsis:
         self._ensure_samples()
         partial_rows = frontier.partial
         leaves = self._leaf_of_row[partial_rows]
-        processed = int(self._sample_counts[leaves].sum())
-        partial_population = int(self._node_count[partial_rows].sum())
-        skipped = int(self._node_count[0]) - partial_population
+        sample_counts = self._sample_counts[leaves]
+        sizes = self._node_count[partial_rows]
+        processed = int(sample_counts.sum())
+        skipped = int(self._node_count[0]) - int(sizes.sum())
 
         constraints = (
             self._mask_constraints(query.predicate)
@@ -886,12 +884,20 @@ class FlatSynopsis:
         )
         if agg in (AggregateType.MIN, AggregateType.MAX):
             return self._extremum_answer(
-                agg, frontier, constraints, bounds, processed, skipped
+                agg, frontier, leaves, constraints, bounds, processed, skipped
             )
+        partial = (
+            sizes.tolist(),
+            leaves.tolist(),
+            self._node_sum[partial_rows].tolist(),
+            sample_counts.tolist(),
+        )
         if agg == AggregateType.AVG:
-            estimate, variance = self._avg_estimate(frontier, constraints)
+            estimate, variance = self._avg_estimate(frontier, partial, constraints)
         else:
-            estimate, variance = self._sum_count_estimate(agg, frontier, constraints)
+            estimate, variance = self._sum_count_estimate(
+                agg, frontier, partial, constraints
+            )
 
         exact = frontier.is_exact
         if exact:
@@ -913,144 +919,165 @@ class FlatSynopsis:
             exact=exact,
         )
 
-    def _partial_iter(
-        self, frontier: FlatFrontier
-    ) -> tuple[list[int], list[int], list[float], list[int]]:
-        """Per-partial-row ``(sizes, leaf indices, node sums, sample counts)``."""
-        partial_rows = frontier.partial
-        leaves_arr = self._leaf_of_row[partial_rows]
-        sizes = self._node_count[partial_rows].tolist()
-        node_sums = self._node_sum[partial_rows].tolist()
-        sample_counts = self._sample_counts[leaves_arr].tolist()
-        return sizes, leaves_arr.tolist(), node_sums, sample_counts
+    def _frontier_gather(
+        self, leaves: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The frontier gather ``(counts, loc, index)`` of ``leaves``' samples.
+
+        ``index`` lists the CSR rows of every leaf in ``leaves``, leaf after
+        leaf in the given order, so ``column.take(index)`` is the
+        concatenation of the leaves' slices; leaf ``i`` owns positions
+        ``loc[i]:loc[i + 1]`` of it and ``counts[i]`` rows (none for an
+        unsampled leaf).  Built with ``cumsum`` / ``repeat`` / ``arange`` per
+        frontier and dropped with it — nothing is cached or stored.
+        """
+        counts = self._sample_counts[leaves]
+        loc = np.zeros(leaves.shape[0] + 1, dtype=np.int64)
+        np.cumsum(counts, out=loc[1:])
+        index = np.arange(loc[-1])
+        index += np.repeat(self._samples.offsets[leaves] - loc[:-1], counts)
+        return counts, loc, index
+
+    def _gathered_mask(
+        self,
+        constraints: Sequence[tuple[np.ndarray, float, float]],
+        index: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`_leaf_mask` over the gathered rows: one ``take`` per column."""
+        return self._leaf_mask(
+            [(values.take(index), low, high) for values, low, high in constraints],
+            0,
+            index.shape[0],
+        )
 
     def _batched_partial_moments(
         self,
-        sizes: Sequence[int],
-        leaves: Sequence[int],
+        partial: tuple[list[int], list[int], list[float], list[int]],
         constraints: Sequence[tuple[np.ndarray, float, float]],
         need_sum: bool,
         need_count: bool,
     ) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
         """Stratified ``(estimate, variance)`` pairs for sampled partial leaves.
 
+        One pair per leaf of ``partial`` (:meth:`answer`'s per-partial-row
+        lists) with ``size > 0`` and a non-empty sample, in frontier order.
         Evaluates the predicate mask and the squared deviations once over the
-        *gathered* CSR segments of all ``leaves`` (a handful of vector ops
-        total), then reduces each leaf's contiguous slice with
-        ``np.add.reduce`` — the same pairwise summation over the same values
-        in the same order as the per-leaf scalar path, so every returned pair
-        is bit-identical to :func:`_sum_contribution` /
-        :func:`_count_contribution` on that leaf while amortizing the numpy
-        call overhead across the whole frontier.  Callers must pre-filter to
-        leaves with ``size > 0`` and a non-empty sample.
+        frontier gather of those leaves (a handful of vector ops total), then
+        reduces each leaf's contiguous segment with ``np.add.reduce`` — the
+        same pairwise summation over the same values in the same order as
+        the per-leaf scalar path, so every returned pair is bit-identical to
+        :func:`_stratum_contribution` on that leaf while amortizing the numpy
+        call overhead across the whole frontier.
         """
+        sizes, leaves, _, sample_counts = partial
         samples = self._samples
-        offsets = samples.offsets
-        if len(leaves) <= 2:
-            # Gathering cannot amortize anything over one or two leaves
-            # (the 1-D boundary case); the per-leaf scalar replicas are
-            # cheaper and produce the same bits.
+        sum_pairs: list[tuple[float, float]] = []
+        count_pairs: list[tuple[float, float]] = []
+        if len(leaves) <= _SCALAR_FRONTIER_LEAVES:
+            offsets = samples.offsets
             values_column = (
                 samples.columns[self._value_column] if need_sum else None
             )
-            sum_pairs = []
-            count_pairs = []
-            for size, leaf in zip(sizes, leaves):
+            for size, leaf, n_sample in zip(sizes, leaves, sample_counts):
+                if size == 0 or n_sample == 0:
+                    continue
                 start = int(offsets[leaf])
                 stop = int(offsets[leaf + 1])
-                mask = self._leaf_mask(constraints, start, stop)
-                if need_sum:
-                    sum_pairs.append(
-                        _sum_contribution(
-                            values_column[start:stop], mask, size, self._with_fpc
-                        )
-                    )
+                data = self._leaf_mask(constraints, start, stop).astype(float)
                 if need_count:
                     count_pairs.append(
-                        _count_contribution(mask, size, self._with_fpc)
+                        _stratum_contribution(data, size, self._with_fpc)
+                    )
+                if need_sum:
+                    np.multiply(data, values_column[start:stop], out=data)
+                    sum_pairs.append(
+                        _stratum_contribution(data, size, self._with_fpc)
                     )
             return sum_pairs, count_pairs
-        leaf_arr = np.asarray(leaves, dtype=np.int64)
-        starts = offsets[leaf_arr].tolist()
-        stops = offsets[leaf_arr + 1].tolist()
-        slices = list(zip(starts, stops))
-        counts = [stop - start for start, stop in slices]
-        loc = [0]
-        for count in counts:
-            loc.append(loc[-1] + count)
-        total = loc[-1]
-
-        mask: np.ndarray | None = None
-        for values, low, high in constraints:
-            window = np.concatenate([values[s:e] for s, e in slices])
-            column_mask = np.greater_equal(window, low)
-            np.logical_and(column_mask, np.less_equal(window, high), out=column_mask)
-            if mask is None:
-                mask = column_mask
-            else:
-                np.logical_and(mask, column_mask, out=mask)
-        if mask is None:
-            mask = np.ones(total, dtype=bool)
-        indicator = mask.astype(float)
-
-        sum_pairs: list[tuple[float, float]] = []
-        count_pairs: list[tuple[float, float]] = []
+        sampled = np.array(
+            [
+                (size, leaf)
+                for size, leaf, n_sample in zip(sizes, leaves, sample_counts)
+                if size > 0 and n_sample > 0
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        strata_sizes = sampled[:, 0].astype(float)
+        counts, loc, index = self._frontier_gather(sampled[:, 1])
+        indicator = self._gathered_mask(constraints, index).astype(float)
+        bounds = loc.tolist()
         if need_sum:
-            values_column = samples.columns[self._value_column]
-            gathered_values = np.concatenate([values_column[s:e] for s, e in slices])
-            contributions = np.multiply(indicator, gathered_values)
-            sum_pairs = self._segment_pairs(contributions, loc, counts, sizes)
+            contributions = samples.columns[self._value_column].take(index)
+            np.multiply(indicator, contributions, out=contributions)
+            sum_pairs = self._segment_pairs(
+                contributions,
+                _slice_sums(contributions, bounds),
+                bounds,
+                counts,
+                strata_sizes,
+            )
         if need_count:
-            count_pairs = self._segment_pairs(indicator, loc, counts, sizes)
+            # Sums of 0.0 / 1.0 are exact integers in any order, so the
+            # sequential ``reduceat`` returns the pairwise sum's bits.
+            count_pairs = self._segment_pairs(
+                indicator,
+                np.add.reduceat(indicator, loc[:-1]),
+                bounds,
+                counts,
+                strata_sizes,
+            )
         return sum_pairs, count_pairs
 
     def _segment_pairs(
         self,
         data: np.ndarray,
-        loc: Sequence[int],
-        counts: Sequence[int],
-        sizes: Sequence[int],
+        segment_sums: np.ndarray,
+        bounds: Sequence[int],
+        counts: np.ndarray,
+        strata_sizes: np.ndarray,
     ) -> list[tuple[float, float]]:
         """Per-segment stratified ``(estimate, variance)`` over ``data``.
 
-        Segment ``i`` spans ``data[loc[i]:loc[i + 1]]`` and scales to stratum
-        size ``sizes[i]``.  Means and squared deviations follow the exact
-        ufunc sequence of :func:`_fast_mean` / :func:`_fast_var` (segment
-        means are divided vectorized, but float64 division by an exactly
-        representable integer is the same IEEE operation either way).
+        Segment ``i`` spans ``data[bounds[i]:bounds[i + 1]]`` (``counts[i]``
+        rows), sums to ``segment_sums[i]`` and scales to stratum size
+        ``strata_sizes[i]`` (float64).  Means and squared deviations follow
+        the exact ufunc sequence of :func:`_fast_mean` / :func:`_fast_var`;
+        the mean division, ``size**2 * var / k``, the ``k <= 1`` rule and the
+        finite-population correction run as whole-frontier float64 array
+        operations — the same IEEE operations in the same order as the scalar
+        replicas, on integers float64 holds exactly, so the same bits.
         """
-        n_segments = len(counts)
-        segment_sums = [
-            np.add.reduce(data[loc[i] : loc[i + 1]]) for i in range(n_segments)
-        ]
-        means = np.array(segment_sums, dtype=np.float64) / np.asarray(
-            counts, dtype=np.float64
-        )
+        sample_sizes = counts.astype(float)
+        means = segment_sums / sample_sizes
         deviations = data - np.repeat(means, counts)
         np.multiply(deviations, deviations, out=deviations)
-        with_fpc = self._with_fpc
-        pairs: list[tuple[float, float]] = []
-        for i, (size, sample_size) in enumerate(zip(sizes, counts)):
-            estimate = float(means[i]) * size
-            if sample_size <= 1:
-                sample_variance = 0.0
-            else:
-                sample_variance = float(
-                    np.add.reduce(deviations[loc[i] : loc[i + 1]]) / sample_size
-                )
-            variance = (size**2) * sample_variance / sample_size
-            if with_fpc:
-                variance *= finite_population_correction(size, sample_size)
-            pairs.append((estimate, variance))
-        return pairs
+        sample_variances = _slice_sums(deviations, bounds) / sample_sizes
+        sample_variances[counts <= 1] = 0.0
+        estimates = means * strata_sizes
+        variances = strata_sizes * strata_sizes * sample_variances / sample_sizes
+        if self._with_fpc:
+            # finite_population_correction: 1.0 for a stratum of one row,
+            # else (N - K) / (N - 1) clamped at zero.
+            correction = np.divide(
+                strata_sizes - sample_sizes,
+                strata_sizes - 1.0,
+                out=np.ones_like(strata_sizes),
+                where=strata_sizes > 1.0,
+            )
+            variances *= np.maximum(correction, 0.0)
+        return list(zip(estimates.tolist(), variances.tolist()))
 
     def _sum_count_estimate(
         self,
         agg: AggregateType,
         frontier: FlatFrontier,
+        partial: tuple[list[int], list[int], list[float], list[int]],
         constraints: Sequence[tuple[np.ndarray, float, float]],
     ) -> tuple[float, float]:
         """SUM / COUNT estimate + variance, mirroring the object accumulation.
+
+        ``partial`` holds the per-partial-row ``(sizes, leaf indices, node
+        sums, sample counts)`` lists :meth:`answer` gathered.
 
         Covered nodes contribute exactly (Python-scalar sums in row order);
         each sampled partial leaf adds its stratified contribution; an
@@ -1063,24 +1090,11 @@ class FlatSynopsis:
         else:
             estimate = float(sum(self._node_count[frontier.covered].tolist()))
         variance = 0.0
-        sizes, leaves, node_sums, sample_counts = self._partial_iter(frontier)
-        sampled_sizes = []
-        sampled_leaves = []
-        for size, leaf, n_sample in zip(sizes, leaves, sample_counts):
-            if size > 0 and n_sample > 0:
-                sampled_sizes.append(size)
-                sampled_leaves.append(leaf)
-        if sampled_leaves:
-            sum_pairs, count_pairs = self._batched_partial_moments(
-                sampled_sizes,
-                sampled_leaves,
-                constraints,
-                need_sum=is_sum,
-                need_count=not is_sum,
-            )
-            pairs = sum_pairs if is_sum else count_pairs
-        else:
-            pairs = []
+        sizes, _, node_sums, sample_counts = partial
+        sum_pairs, count_pairs = self._batched_partial_moments(
+            partial, constraints, need_sum=is_sum, need_count=not is_sum
+        )
+        pairs = sum_pairs if is_sum else count_pairs
         next_pair = 0
         for size, node_sum, n_sample in zip(sizes, node_sums, sample_counts):
             if size == 0:
@@ -1101,6 +1115,7 @@ class FlatSynopsis:
     def _avg_estimate(
         self,
         frontier: FlatFrontier,
+        partial: tuple[list[int], list[int], list[float], list[int]],
         constraints: Sequence[tuple[np.ndarray, float, float]],
     ) -> tuple[float, float]:
         """AVG as the SUM/COUNT delta-method ratio, with one mask per leaf.
@@ -1114,23 +1129,10 @@ class FlatSynopsis:
         num_var = 0.0
         den = float(sum(self._node_count[frontier.covered].tolist()))
         den_var = 0.0
-        sizes, leaves, node_sums, sample_counts = self._partial_iter(frontier)
-        sampled_sizes = []
-        sampled_leaves = []
-        for size, leaf, n_sample in zip(sizes, leaves, sample_counts):
-            if size > 0 and n_sample > 0:
-                sampled_sizes.append(size)
-                sampled_leaves.append(leaf)
-        if sampled_leaves:
-            sum_pairs, count_pairs = self._batched_partial_moments(
-                sampled_sizes,
-                sampled_leaves,
-                constraints,
-                need_sum=True,
-                need_count=True,
-            )
-        else:
-            sum_pairs, count_pairs = [], []
+        sizes, _, node_sums, sample_counts = partial
+        sum_pairs, count_pairs = self._batched_partial_moments(
+            partial, constraints, need_sum=True, need_count=True
+        )
         next_pair = 0
         for size, node_sum, n_sample in zip(sizes, node_sums, sample_counts):
             if size == 0:
@@ -1165,29 +1167,52 @@ class FlatSynopsis:
         self,
         agg: AggregateType,
         frontier: FlatFrontier,
+        leaves: np.ndarray,
         constraints: Sequence[tuple[np.ndarray, float, float]],
         bounds: HardBounds,
         processed: int,
         skipped: int,
     ) -> AQPResult:
-        """MIN / MAX: exact over covered rows, sample-refined over partial leaves."""
+        """MIN / MAX: exact over covered rows, sample-refined over partial leaves.
+
+        ``leaves`` are the partial rows' leaf indices.  Every leaf with a
+        matched sample row contributes its matched extremum as one candidate,
+        in row order.
+        """
         is_max = agg == AggregateType.MAX
         stats_values = (self._node_max if is_max else self._node_min)[
             frontier.covered
         ].tolist()
         candidates = [value for value in stats_values if not math.isinf(value)]
-        offsets = self._samples.offsets
         values_column = self._samples.columns.get(self._value_column)
-        for leaf in self._leaf_of_row[frontier.partial].tolist():
-            start = int(offsets[leaf])
-            stop = int(offsets[leaf + 1])
-            if stop == start:
-                continue
-            mask = self._leaf_mask(constraints, start, stop)
-            matched = values_column[start:stop][mask]
-            if matched.shape[0]:
-                candidates.append(
-                    float(matched.max() if is_max else matched.min())
+        if leaves.shape[0] <= _SCALAR_FRONTIER_LEAVES:
+            offsets = self._samples.offsets
+            for leaf in leaves.tolist():
+                start = int(offsets[leaf])
+                stop = int(offsets[leaf + 1])
+                if stop == start:
+                    continue
+                mask = self._leaf_mask(constraints, start, stop)
+                matched = values_column[start:stop][mask]
+                if matched.shape[0]:
+                    candidates.append(
+                        float(matched.max() if is_max else matched.min())
+                    )
+        else:
+            _, loc, index = self._frontier_gather(leaves)
+            # Compacting keeps each leaf's matched values contiguous and in
+            # sample order — the very array the per-leaf path reduces — and
+            # the leaf boundaries inside it are where the (sorted) matched
+            # positions cross ``loc``; an unsampled leaf spans nothing.
+            matched_rows = np.flatnonzero(self._gathered_mask(constraints, index))
+            cuts = matched_rows.searchsorted(loc)
+            starts = cuts[:-1][cuts[1:] > cuts[:-1]]
+            if starts.shape[0]:
+                matched = values_column.take(index.take(matched_rows))
+                candidates.extend(
+                    (np.maximum if is_max else np.minimum)
+                    .reduceat(matched, starts)
+                    .tolist()
                 )
         if candidates:
             estimate = max(candidates) if is_max else min(candidates)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 __all__ = [
     "Counter",
@@ -519,9 +519,3 @@ def _json_float(value: float) -> float | None:
     if math.isnan(value) or math.isinf(value):
         return None
     return value
-
-
-def iter_children(family: MetricFamily) -> Iterable[object]:
-    """The family's children in sorted label order (exposition order)."""
-    for labels in sorted(family.children):
-        yield family.children[labels]

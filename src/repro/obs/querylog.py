@@ -25,7 +25,6 @@ for fields only an offline miner looks at.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -388,16 +387,3 @@ class NullQueryLog:
 
     def clear(self) -> None:
         """Nothing to drop."""
-
-
-def record_now(**kwargs: object) -> QueryLogRecord:
-    """A :class:`QueryLogRecord` stamped with the current wall-clock time."""
-    return QueryLogRecord(timestamp=time.time(), **kwargs)  # type: ignore[arg-type]
-
-
-def iter_boxes(
-    records: Iterable[QueryLogRecord],
-) -> Iterable[tuple[tuple[str, float, float], ...]]:
-    """The predicate boxes of an iterable of records."""
-    for record in records:
-        yield record.predicate_box

@@ -151,9 +151,3 @@ class RequestCoalescer:
         for request in doomed:
             del self._inflight[request.key]
         return len(doomed)
-
-    def invalidate_all(self) -> int:
-        """Detach every in-flight future; returns the count."""
-        count = len(self._inflight)
-        self._inflight.clear()
-        return count

@@ -55,7 +55,13 @@ def synopsis(table) -> PASSSynopsis:
         table,
         "value",
         ["key", "cat"],
-        PASSConfig(n_partitions=32, sample_rate=0.1, opt_sample_size=400, seed=3),
+        PASSConfig(
+            n_partitions=32,
+            sample_rate=0.1,
+            partitioner="kd",
+            opt_sample_size=400,
+            seed=3,
+        ),
     )
 
 

@@ -9,6 +9,7 @@ and the planner prunes provably empty cells before dispatch.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -66,7 +67,7 @@ def sharded(table):
         "key",
         n_shards=4,
         predicate_columns=["key", "cat"],
-        config=FULL_CONFIG,
+        config=dataclasses.replace(FULL_CONFIG, partitioner="kd"),
         executor="serial",
     )
 

@@ -197,7 +197,12 @@ class TestCatalogRoundTrip:
         )
         catalog.register(
             "dynamic",
-            DynamicPASS(table, "value", ["a", "b"], config),
+            DynamicPASS(
+                table,
+                "value",
+                ["a", "b"],
+                PASSConfig(n_partitions=16, partitioner="kd", seed=0),
+            ),
             table_name="persisted",
         )
         catalog.register_table(table, "persisted")

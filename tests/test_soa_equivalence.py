@@ -10,13 +10,15 @@ poisoning, same ``nodes_visited`` count.  These tests compare float bits
 (``struct.pack``) rather than values so that ``-0.0 != 0.0`` and differing
 NaN payloads would fail, across random trees, predicates, batches, the
 zero-variance shortcut, post-insert/delete staleness states, a sharded
-gather and a ``from_buffers`` round trip.  ``grouped_query`` alone shares
+gather and a ``from_buffers`` round trip, and on both sides of the
+partial-leaf kernels' frontier-size cutoff.  ``grouped_query`` alone shares
 per-cell moments across its classic aggregates and is held to
 summation-order equality for those (its sketch aggregates are bit-identical).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import struct
@@ -31,13 +33,7 @@ from hypothesis import given, strategies as st
 from repro.core.batching import batch_query, compile_batch, grouped_query
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
-from repro.core.soa import (
-    FlatSynopsis,
-    _count_contribution,
-    _fast_mean,
-    _fast_var,
-    _sum_contribution,
-)
+from repro.core.soa import FlatFrontier, FlatSynopsis, _fast_mean, _fast_var
 from repro.core.updates import DynamicPASS, StaleExtremaWarning
 from repro.data.table import Table
 from repro.distributed.parallel import build_sharded_pass
@@ -45,6 +41,10 @@ from repro.query.aggregates import AggregateType
 from repro.query.groupby import AggregateSpec, GroupByQuery, GroupingColumn
 from repro.query.predicate import Interval, RectPredicate
 from repro.query.query import AggregateQuery
+from repro.sampling.estimators import (
+    stratum_count_contribution,
+    stratum_sum_contribution,
+)
 from repro.sampling.stratified import Stratum
 from repro.sketches.union import sketch_union_result
 
@@ -419,6 +419,7 @@ class TestBatchBitIdentity:
         assert_batch_matches_oracle(synopsis, queries)
 
     @given(
+        n_columns=st.sampled_from([1, 2]),
         seed=st.integers(min_value=0, max_value=2),
         n_inserts=st.integers(min_value=0, max_value=25),
         n_deletes=st.integers(min_value=0, max_value=10),
@@ -426,40 +427,58 @@ class TestBatchBitIdentity:
         picks=_picks,
     )
     def test_batches_after_updates_and_a_stale_sample_rebuild(
-        self, seed, n_inserts, n_deletes, pool, picks
+        self, n_columns, seed, n_inserts, n_deletes, pool, picks
     ):
-        table = _constant_region_table(1, seed)
-        dynamic = DynamicPASS(table, "value", ["c0"], config=_batch_config(1, 16, seed))
+        """1-D frontiers stay on the scalar kernels, 2-D ones gather."""
+        table = _constant_region_table(n_columns, seed)
+        columns = [f"c{i}" for i in range(n_columns)]
+        dynamic = DynamicPASS(
+            table, "value", columns, config=_batch_config(n_columns, 16, seed)
+        )
         synopsis = dynamic.synopsis
         flat = synopsis.flat  # warm: updates go through the sync hooks
         rng = np.random.default_rng(seed + 100)
+
+        def routable(row) -> bool:
+            # The boxes of a k-d tree's internal nodes overlap, and the
+            # point descent of the update path dead-ends on a few percent of
+            # points; those rows cannot be inserted or deleted at all.
+            try:
+                synopsis.tree.leaf_for_point({c: row[c] for c in columns})
+            except KeyError:
+                return False
+            return True
+
         for _ in range(n_inserts):
-            dynamic.insert(
-                {"c0": float(rng.uniform(0, 100)), "value": float(rng.uniform(0, 90))}
-            )
+            row = {column: float(rng.uniform(0, 100)) for column in columns}
+            if routable(row):
+                dynamic.insert({**row, "value": float(rng.uniform(0, 90))})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StaleExtremaWarning)
             for _ in range(n_deletes):
-                row = int(rng.integers(0, N_ROWS))
-                dynamic.delete(
-                    {
-                        "c0": float(table.column("c0")[row]),
-                        "value": float(table.column("value")[row]),
-                    }
-                )
+                index = int(rng.integers(0, N_ROWS))
+                row = {
+                    column: float(table.column(column)[index])
+                    for column in columns + ["value"]
+                }
+                if routable(row):
+                    dynamic.delete(row)
             # Deleting a *sampled* tuple shrinks that leaf's reservoir: a
             # length-changing swap, which marks the CSR samples stale.
-            stratum = next(s for s in synopsis.leaf_samples if s.sample_size)
-            dynamic.delete(
-                {
-                    "c0": float(stratum.sample_columns["c0"][0]),
-                    "value": float(stratum.sample_columns["value"][0]),
+            for stratum in synopsis.leaf_samples:
+                if not stratum.sample_size:
+                    continue
+                row = {
+                    column: float(stratum.sample_columns[column][0])
+                    for column in columns + ["value"]
                 }
-            )
+                if routable(row):
+                    dynamic.delete(row)
+                    break
         assert flat._samples_stale
         assert_batch_matches_oracle(
             synopsis,
-            _batch(1, pool, picks),
+            _batch(n_columns, pool, picks),
             context=f"after {n_inserts} inserts / {n_deletes + 1} deletes ",
         )
         assert not flat._samples_stale
@@ -576,6 +595,299 @@ class TestShardedGatherBitIdentity:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _sharded_2d():
+    """Three shards, each a 16-leaf k-d tree: per-shard frontiers gather."""
+    return build_sharded_pass(
+        _constant_region_table(2, 0),
+        "value",
+        "c0",
+        n_shards=3,
+        predicate_columns=["c0", "c1"],
+        config=_batch_config(2, 16, 0),
+        executor="serial",
+    )
+
+
+class TestShardedClassicGatherBitIdentity:
+    @given(
+        fractions=st.lists(_fraction_pair, min_size=2, max_size=2),
+        agg=st.sampled_from(CLASSIC_AGGS),
+    )
+    def test_gather_equals_the_gathered_oracle_answers(self, fractions, agg):
+        """Each shard's flat answer is its oracle answer, so the merges agree."""
+        sharded = _sharded_2d()
+        query = AggregateQuery(agg, "value", _predicate(2, fractions))
+        survivors = sharded.surviving_shards(query)
+        pruned = sharded.population_size - sum(
+            sharded.shards[i].population_size for i in survivors
+        )
+        want = sharded._gather(
+            query,
+            survivors,
+            lambda i, subquery: sharded.shards[i].query_object(subquery),
+            sharded._lam,
+            pruned,
+        )
+        assert_results_identical(sharded.query(query), want)
+
+
+KERNEL_COLUMNS = ("c0", "c1")
+#: A rectangle just inside the data domain: every outer leaf is partial.
+KERNEL_FRAME = RectPredicate({column: Interval(1.0, 99.0) for column in KERNEL_COLUMNS})
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_table() -> Table:
+    """4000 rows in 2-D: 16 k-d leaves of 250 rows, 150 of them sampled.
+
+    A leaf's sample is longer than numpy's 128-element pairwise-sum block, so
+    a segment sum that is not ``np.add.reduce`` over the leaf's own slice
+    would show in the last bits.
+    """
+    rng = np.random.default_rng(21)
+    columns = {column: rng.uniform(0.0, 100.0, size=4000) for column in KERNEL_COLUMNS}
+    columns["value"] = rng.normal(50.0, 15.0, size=4000)
+    return Table(columns, name="soa_kernels")
+
+
+def _edit_sample(synopsis, leaf: int, edit) -> None:
+    """Replace one leaf's sample by ``edit(column name, values)`` per column."""
+    stratum = synopsis.leaf_samples[leaf]
+    synopsis.replace_leaf_sample(
+        leaf,
+        Stratum(
+            box=stratum.box,
+            size=stratum.size,
+            sample_columns={
+                column: edit(column, np.asarray(values, dtype=float))
+                for column, values in stratum.sample_columns.items()
+            },
+        ),
+    )
+
+
+def _kernel_build(with_fpc: bool):
+    """An undoctored 16-leaf k-d synopsis and the leaves ``KERNEL_FRAME`` cuts."""
+    synopsis = build_pass(
+        _kernel_table(),
+        "value",
+        list(KERNEL_COLUMNS),
+        PASSConfig(
+            n_partitions=16,
+            sample_rate=0.6,
+            partitioner="kd",
+            zero_variance_rule=False,
+            with_fpc=with_fpc,
+            seed=4,
+        ),
+    )
+    flat = synopsis.flat
+    boundary = flat._leaf_of_row[flat.frontier(KERNEL_FRAME).partial].tolist()
+    synopsis.invalidate_flat()
+    return synopsis, boundary
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel_synopsis(with_fpc: bool):
+    """A k-d synopsis with every leaf state the moment kernels branch on.
+
+    Seven boundary leaves are doctored: an empty sample, a one-row sample
+    (``k <= 1``: variance 0), a fully sampled leaf (correction 0.0), a leaf
+    of size 1 (correction 1.0), a leaf smaller than its sample (correction
+    clamped at 0.0), an empty leaf, and a leaf whose sampled rows match no
+    predicate.
+    """
+    synopsis, boundary = _kernel_build(with_fpc)
+    leaves = synopsis.tree.leaves
+    empty, single, full, size_one, oversampled, no_rows, unmatched = boundary[:7]
+    _edit_sample(synopsis, empty, lambda column, values: values[:0])
+    _edit_sample(synopsis, single, lambda column, values: values[:1])
+    _edit_sample(
+        synopsis,
+        full,
+        lambda column, values: np.resize(values, leaves[full].size),
+    )
+    for leaf, size in ((size_one, 1), (oversampled, 5), (no_rows, 0)):
+        leaves[leaf].stats = dataclasses.replace(leaves[leaf].stats, count=size)
+    _edit_sample(
+        synopsis,
+        unmatched,
+        lambda column, values: values + 1e6 if column != "value" else values,
+    )
+    return synopsis
+
+
+@functools.lru_cache(maxsize=None)
+def _nonfinite_synopsis():
+    """The kernel build with ``inf`` / ``-inf`` / ``NaN`` sample values.
+
+    One leaf each carries a single ``+inf``, a single ``-inf`` and a single
+    ``NaN`` among finite values; a fourth holds nothing but ``-inf`` (its MAX
+    candidate is infinite yet still a candidate, unlike an infinite covered
+    statistic).  Only MIN / MAX are meaningful here.
+    """
+    synopsis, boundary = _kernel_build(False)
+    for leaf, (position, poison) in zip(
+        boundary, ((3, math.inf), (140, -math.inf), (77, math.nan), (None, -math.inf))
+    ):
+
+        def edit(column, values, position=position, poison=poison):
+            if column != "value":
+                return values
+            values = values.copy()
+            values[slice(None) if position is None else position] = poison
+            return values
+
+        _edit_sample(synopsis, leaf, edit)
+    return synopsis
+
+
+@functools.lru_cache(maxsize=None)
+def _attached(synopsis_factory, *args) -> FlatSynopsis:
+    """A kernel fixture through ``export_buffers`` / ``from_buffers``."""
+    return FlatSynopsis.from_buffers(*synopsis_factory(*args).flat.export_buffers())
+
+
+def _rectangles_by_partial_count(synopsis) -> dict[int, RectPredicate]:
+    """One rectangle per partial-leaf count reachable on ``synopsis``."""
+    rng = np.random.default_rng(9)
+    found: dict[int, RectPredicate] = {
+        0: RectPredicate({column: Interval(-1.0, 101.0) for column in KERNEL_COLUMNS})
+    }
+    for _ in range(600):
+        intervals = {}
+        for column in KERNEL_COLUMNS:
+            width = 100.0 * 10.0 ** rng.uniform(-3.0, 0.0)
+            low = rng.uniform(0.0, 100.0 - width)
+            intervals[column] = Interval(low, low + width)
+        predicate = RectPredicate(intervals)
+        count = synopsis.flat.frontier(predicate).partial.shape[0]
+        found.setdefault(count, predicate)
+    return found
+
+
+def assert_every_path_matches_oracle(synopsis, attached, query, context="") -> None:
+    """``query``, ``batch_query`` and a buffer-backed engine carry the oracle's bits."""
+    want = synopsis.query_object(query)
+    assert_results_identical(synopsis.query(query), want, context=context + "flat ")
+    assert_results_identical(
+        batch_query(synopsis, [query])[0], want, context=context + "batch "
+    )
+    assert_results_identical(
+        attached.query(query), want, context=context + "from_buffers "
+    )
+
+
+class TestPartialLeafKernels:
+    """The frontier-wide kernels and the scalar ones carry the oracle's bits."""
+
+    def test_fixture_has_every_leaf_state(self):
+        synopsis = _kernel_synopsis(True)
+        states = {
+            (min(leaf.size, 6), min(stratum.sample_size, leaf.size + 1, 3))
+            for leaf, stratum in zip(synopsis.tree.leaves, synopsis.leaf_samples)
+        }
+        # (size capped at 6, sample size capped at 3 and at size + 1)
+        assert {(6, 0), (6, 1), (1, 2), (5, 3), (0, 1), (6, 3)} <= states
+        assert any(
+            leaf.size == stratum.sample_size > 128
+            for leaf, stratum in zip(synopsis.tree.leaves, synopsis.leaf_samples)
+        )
+
+    @pytest.mark.parametrize("with_fpc", [False, True])
+    @pytest.mark.parametrize("agg", CLASSIC_AGGS)
+    def test_frontiers_on_both_sides_of_the_cutoff(self, agg, with_fpc):
+        synopsis = _kernel_synopsis(with_fpc)
+        rectangles = _rectangles_by_partial_count(synopsis)
+        assert {0, 1, 2, 3, 4} <= set(rectangles) and max(rectangles) >= 10
+        cases = [rectangles[count] for count in (0, 1, 2, 3, 4, max(rectangles))]
+        for predicate in cases + [KERNEL_FRAME]:  # the frame cuts every doctored leaf
+            assert_every_path_matches_oracle(
+                synopsis,
+                _attached(_kernel_synopsis, with_fpc),
+                AggregateQuery(agg, "value", predicate),
+                context=f"{predicate} ",
+            )
+
+    @given(
+        fractions=st.lists(_fraction_pair, min_size=1, max_size=2),
+        agg=st.sampled_from(CLASSIC_AGGS),
+        with_fpc=st.booleans(),
+    )
+    def test_random_rectangles_over_the_doctored_leaves(self, fractions, agg, with_fpc):
+        """One fraction pair leaves ``c1`` unconstrained: a one-column mask."""
+        assert_every_path_matches_oracle(
+            _kernel_synopsis(with_fpc),
+            _attached(_kernel_synopsis, with_fpc),
+            AggregateQuery(agg, "value", _predicate(len(fractions), fractions)),
+        )
+
+    @pytest.mark.parametrize("agg", CLASSIC_AGGS)
+    def test_a_frontier_in_which_no_sampled_row_matches(self, agg):
+        """No MIN / MAX candidate at all: the estimate is NaN on both paths."""
+        synopsis = _kernel_synopsis(False)
+        # A sliver around the point where the k-d tree's first cuts cross,
+        # far thinner than the gap to the nearest sampled row.
+        predicate = RectPredicate(
+            {
+                column: Interval(centre - 1e-3, centre + 1e-3)
+                for column in KERNEL_COLUMNS
+                for centre in [float(np.median(_kernel_table().column(column)))]
+            }
+        )
+        frontier = synopsis.flat.frontier(predicate)
+        assert frontier.partial.shape[0] > 2 and not frontier.covered.shape[0]
+        count = synopsis.query(AggregateQuery("COUNT", "value", predicate))
+        assert count.tuples_processed > 0 and count.estimate == 0.0
+        query = AggregateQuery(agg, "value", predicate)
+        assert_every_path_matches_oracle(
+            synopsis, _attached(_kernel_synopsis, False), query
+        )
+        if agg in ("MIN", "MAX"):
+            assert math.isnan(synopsis.query(query).estimate)
+
+    @given(
+        fractions=st.lists(_fraction_pair, min_size=1, max_size=2),
+        agg=st.sampled_from(("MIN", "MAX")),
+    )
+    def test_extrema_over_infinite_and_nan_sample_values(self, fractions, agg):
+        assert_every_path_matches_oracle(
+            _nonfinite_synopsis(),
+            _attached(_nonfinite_synopsis),
+            AggregateQuery(agg, "value", _predicate(len(fractions), fractions)),
+        )
+
+    @pytest.mark.parametrize("agg", ("MIN", "MAX"))
+    def test_nonfinite_values_reach_the_estimate(self, agg):
+        """The fixture is not vacuous: the poisoned rows do match."""
+        synopsis = _nonfinite_synopsis()
+        query = AggregateQuery(agg, "value", KERNEL_FRAME)
+        assert_every_path_matches_oracle(
+            synopsis, _attached(_nonfinite_synopsis), query
+        )
+        estimate = synopsis.query(query).estimate
+        assert math.isnan(estimate) or math.isinf(estimate)
+
+    @pytest.mark.parametrize("agg", CLASSIC_AGGS)
+    def test_missing_sample_column_raises_like_the_oracle(self, agg):
+        """A predicate column the samples lack is the oracle's ``KeyError``."""
+        synopsis = _kernel_synopsis(False)
+        query = AggregateQuery(
+            agg,
+            "value",
+            RectPredicate({"c0": Interval(20.0, 70.0), "zz": Interval(0.0, 1.0)}),
+        )
+        for answer in (
+            synopsis.query_object,
+            synopsis.query,
+            _attached(_kernel_synopsis, False).query,
+            lambda query: batch_query(synopsis, [query]),
+        ):
+            with pytest.raises(KeyError, match="'zz' not provided"):
+                answer(query)
+
+
 class TestUfuncReplicas:
     """The scalar numpy replicas used by the flat path are bitwise faithful."""
 
@@ -598,43 +910,90 @@ class TestUfuncReplicas:
         assert _bits(_fast_var(values)) == _bits(float(np.var(values)))
 
     @given(
-        sizes=st.lists(st.integers(min_value=1, max_value=60), min_size=3, max_size=8),
+        sizes=st.lists(st.integers(min_value=1, max_value=300), min_size=3, max_size=8),
         seed=st.integers(min_value=0, max_value=9),
+        with_fpc=st.booleans(),
+        constrained=st.booleans(),
     )
-    def test_batched_moments_match_scalar_contributions(self, sizes, seed):
-        """`_segment_pairs` over gathered segments == the per-leaf replicas."""
-        synopsis = _synopsis(1, 16, 0, False)
-        flat = synopsis.flat
+    def test_batched_moments_match_scalar_contributions(
+        self, sizes, seed, with_fpc, constrained
+    ):
+        """The frontier-wide variance / FPC assembly == the oracle's per leaf.
+
+        Stratum sizes are drawn freely around the ~150-row samples, so the
+        correction is clamped at 0.0 (size below the sample), exactly 0.0
+        (size pinned to the first leaf's sample), inside (0, 1) and 1.0
+        (size 1); the fixture's one-row sample exercises ``k <= 1``.  Without
+        constraints the mask is all ones.
+        """
+        flat = _kernel_synopsis(with_fpc).flat
+        sample_counts = flat._sample_counts
         rng = np.random.default_rng(seed)
-        strata = synopsis.leaf_samples
         leaves = [
             int(leaf)
-            for leaf in rng.choice(len(strata), size=len(sizes), replace=False)
-            if strata[int(leaf)].sample_size > 0
+            for leaf in rng.choice(len(sample_counts), size=len(sizes), replace=False)
+            if sample_counts[leaf] > 0
         ]
-        strata_sizes = [int(s) for s in sizes[: len(leaves)]]
-        if not leaves:
-            return
-        low, high = 20.0, 80.0
-        constraints = flat._mask_constraints(
-            RectPredicate({"c0": Interval(low, high)})
+        strata_sizes = [int(sample_counts[leaves[0]])] + sizes[1 : len(leaves)]
+        constraints = (
+            flat._mask_constraints(RectPredicate({"c0": Interval(20.0, 80.0)}))
+            if constrained
+            else []
         )
         sum_pairs, count_pairs = flat._batched_partial_moments(
-            strata_sizes, leaves, constraints, need_sum=True, need_count=True
+            (strata_sizes, leaves, None, sample_counts[leaves].tolist()),
+            constraints,
+            need_sum=True,
+            need_count=True,
         )
         offsets = flat._samples.offsets
         values_column = flat._samples.columns["value"]
         for i, (size, leaf) in enumerate(zip(strata_sizes, leaves)):
             start, stop = int(offsets[leaf]), int(offsets[leaf + 1])
             mask = flat._leaf_mask(constraints, start, stop)
-            expect_sum = _sum_contribution(
-                values_column[start:stop], mask, size, flat._with_fpc
+            expect_sum = stratum_sum_contribution(
+                values_column[start:stop], mask, size, with_fpc
             )
-            expect_count = _count_contribution(mask, size, flat._with_fpc)
-            assert _bits(sum_pairs[i][0]) == _bits(expect_sum[0])
-            assert _bits(sum_pairs[i][1]) == _bits(expect_sum[1])
-            assert _bits(count_pairs[i][0]) == _bits(expect_count[0])
-            assert _bits(count_pairs[i][1]) == _bits(expect_count[1])
+            expect_count = stratum_count_contribution(mask, size, with_fpc)
+            assert _bits(sum_pairs[i][0]) == _bits(expect_sum.estimate)
+            assert _bits(sum_pairs[i][1]) == _bits(expect_sum.variance)
+            assert _bits(count_pairs[i][0]) == _bits(expect_count.estimate)
+            assert _bits(count_pairs[i][1]) == _bits(expect_count.variance)
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("agg", ("MIN", "MAX"))
+    def test_gathered_extrema_match_per_leaf_reductions(self, agg, constrained):
+        """One ``reduceat`` over the compacted gather == ``.max()`` per leaf."""
+        flat = _nonfinite_synopsis().flat
+        rows = np.flatnonzero(flat._is_leaf)
+        leaves = flat._leaf_of_row[rows]
+        constraints = (
+            flat._mask_constraints(RectPredicate({"c0": Interval(20.0, 80.0)}))
+            if constrained
+            else []
+        )
+        frontier = FlatFrontier(covered=rows[:0], partial=rows, nodes_visited=0)
+        got = flat._extremum_answer(
+            AggregateType.parse(agg),
+            frontier,
+            leaves,
+            constraints,
+            flat.hard_bounds_rows(AggregateType.parse(agg), rows[:0], rows),
+            0,
+            0,
+        )
+        offsets = flat._samples.offsets
+        values_column = flat._samples.columns["value"]
+        candidates = []
+        for leaf in leaves.tolist():
+            start, stop = int(offsets[leaf]), int(offsets[leaf + 1])
+            matched = values_column[start:stop][
+                flat._leaf_mask(constraints, start, stop)
+            ]
+            if matched.shape[0]:
+                candidates.append(float(matched.max() if agg == "MAX" else matched.min()))
+        want = max(candidates) if agg == "MAX" else min(candidates)
+        assert _bits(got.estimate) == _bits(want)
 
 
 def test_nan_bits_still_compare_equal():
