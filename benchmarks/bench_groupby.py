@@ -13,7 +13,9 @@ Run standalone::
 
     python benchmarks/bench_groupby.py            # full: 1M rows
     python benchmarks/bench_groupby.py --tiny     # CI smoke: seconds
-    python benchmarks/bench_groupby.py --check    # assert >= 3x at 64 groups
+    python benchmarks/bench_groupby.py --check    # assert >= 3x at 64 groups, and
+                                                  # serving-path percentiles carry
+                                                  # per-query bits
     python benchmarks/bench_groupby.py --json OUT # write perf-gate metrics
 
 (Like ``bench_distributed.py`` this is a plain script, not a
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import struct
 import sys
 import time
 from pathlib import Path
@@ -38,6 +41,7 @@ from repro.core.config import PASSConfig
 from repro.data.table import Table
 from repro.distributed.parallel import build_sharded_pass
 from repro.query.groupby import AggregateSpec, GroupByQuery, GroupingColumn
+from repro.serving import ServingEngine, SynopsisCatalog
 
 KEY_HIGH = 1000.0
 AGGREGATES = ("SUM", "COUNT", "AVG")
@@ -125,13 +129,8 @@ def bench_quantile_groupby(synopsis, n_groups: int, repeats: int) -> dict:
     return {"groups": n_groups, "total_ms": elapsed_ms}
 
 
-def bench_sharded(
-    table: Table, config: PASSConfig, n_shards: int, n_groups: int
-) -> dict:
+def bench_sharded(sharded, n_groups: int) -> dict:
     """Grouped scatter-gather latency through ShardedSynopsis.query_grouped."""
-    sharded = build_sharded_pass(
-        table, "value", "key", n_shards=n_shards, config=config, executor="serial"
-    )
     plan = make_groupby(n_groups).compile()
     grouped = sharded.query_grouped(plan)
     assert len(grouped) == n_groups
@@ -140,10 +139,55 @@ def bench_sharded(
     )
     print(
         f"\n== Sharded grouped: {n_groups} groups x {len(AGGREGATES)} aggregates "
-        f"over {n_shards} shards: {elapsed_ms:.2f} ms "
+        f"over {sharded.n_shards} shards: {elapsed_ms:.2f} ms "
         f"({elapsed_ms / n_groups:.3f} ms/group) =="
     )
-    return {"shards": n_shards, "groups": n_groups, "total_ms": elapsed_ms}
+    return {"shards": sharded.n_shards, "groups": n_groups, "total_ms": elapsed_ms}
+
+
+def _result_bits(result) -> tuple:
+    floats = (
+        result.estimate,
+        result.ci_half_width,
+        result.variance,
+        result.hard_lower,
+        result.hard_upper,
+    )
+    return (
+        struct.pack("<5d", *floats),
+        result.tuples_processed,
+        result.tuples_skipped,
+        result.exact,
+    )
+
+
+def check_served_percentiles(table: Table, backends: dict, n_groups: int) -> bool:
+    """The percentile plan through ``ServingEngine.execute_grouped``.
+
+    The serving path answers a cell's p50 / p95 / p99 from one shared sketch
+    union (single synopsis: ``BatchPlan.execute``; sharded: the gather of
+    ``ShardedSynopsis.query_batch``), and every served answer must carry the
+    bits of executing its query alone on the same backend.
+    """
+    plan = make_quantile_groupby(n_groups).compile()
+    print(f"\n== Served percentiles: {n_groups} groups x 3 through execute_grouped ==")
+    ok = True
+    for name, backend in backends.items():
+        catalog = SynopsisCatalog()
+        catalog.register(name, backend, table_name=table.name)
+        engine = ServingEngine(catalog, cache_size=0)
+        served = engine.execute_grouped(plan)
+        served_ms = 1e3 * min(
+            _timed(lambda: engine.execute_grouped(plan)) for _ in range(3)
+        )
+        mismatches = sum(
+            _result_bits(answer) != _result_bits(backend.query(plan.cell_query(cell, spec)))
+            for index, cell in plan.live_cells()
+            for spec, answer in zip(plan.aggregates, served.cells[index])
+        )
+        print(f"  {name:>8}: {served_ms:8.2f} ms, {mismatches} answers differ from per-query")
+        ok = ok and mismatches == 0
+    return ok
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -157,7 +201,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="assert the grouped path beats the naive loop >= 3x at 64 groups",
+        help=(
+            "assert the grouped path beats the naive loop >= 3x at 64 groups and "
+            "served percentile plans carry the bits of per-query execution"
+        ),
     )
     parser.add_argument(
         "--json",
@@ -185,7 +232,10 @@ def main(argv: list[str] | None = None) -> int:
 
     rows = bench_single_synopsis(synopsis, group_counts, repeats)
     quantile_row = bench_quantile_groupby(synopsis, 64, repeats)
-    sharded_row = bench_sharded(table, config, n_shards, max(group_counts))
+    sharded = build_sharded_pass(
+        table, "value", "key", n_shards=n_shards, config=config, executor="serial"
+    )
+    sharded_row = bench_sharded(sharded, max(group_counts))
 
     at_64 = next((row for row in rows if row["groups"] == 64), rows[-1])
     print(f"\nshared-mask speedup at {at_64['groups']} groups: {at_64['speedup']:.1f}x")
@@ -212,12 +262,19 @@ def main(argv: list[str] | None = None) -> int:
         Path(args.json).write_text(json.dumps({"metrics": metrics}, indent=2))
         print(f"wrote {args.json}")
 
-    if args.check and at_64["speedup"] < 3.0:
+    if not args.check:
+        return 0
+    failed = at_64["speedup"] < 3.0
+    if failed:
         print(f"FAIL: expected >= 3x at 64 groups, measured {at_64['speedup']:.1f}x")
-        return 1
-    if args.check:
+    else:
         print("grouped speedup check passed")
-    return 0
+    if check_served_percentiles(table, {"single": synopsis, "sharded": sharded}, 64):
+        print("served percentile bit-identity check passed")
+    else:
+        print("FAIL: served percentile answers differ from per-query execution")
+        failed = True
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -9,10 +9,13 @@ answers a list of queries.  Compilation computes one MCF frontier per
 *distinct* (predicate, AVG-ness) — the SUM / COUNT / MIN / MAX of one
 dashboard panel, and its QUANTILE / COUNT_DISTINCT, share a frontier — and
 execution feeds each query's frontier to the same kernel ``synopsis.query``
-runs (:meth:`FlatSynopsis.answer`, all seven aggregates), so a batch is
-bit-identical to sequential execution because it *is* the same kernel.  The
-serving engine's ``execute_batch`` and the distributed layer's
-scatter-gather path build on it.
+runs (:meth:`FlatSynopsis.answer` for the classic aggregates;
+:meth:`FlatSynopsis.sketch_union` once per (frontier, sketch kind) for the
+sketch aggregates, every quantile of a predicate assembled from the one
+union), so a batch is bit-identical to sequential execution because it *is*
+the same kernel minus the repeated identical work.  The serving engine's
+``execute_batch`` and the distributed layer's scatter-gather path build on
+it.
 
 :func:`grouped_query` is the single-synopsis executor for compiled
 :class:`~repro.query.groupby.GroupByPlan` batches.  It exploits the grouped
@@ -38,7 +41,7 @@ from repro.query.groupby import (
 )
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
-from repro.sketches.union import sketch_union_result
+from repro.sketches.union import shared_union_results
 
 __all__ = [
     "BatchPlan",
@@ -98,15 +101,37 @@ class BatchPlan:
         """Answer every query from its slot's frontier with the flat kernel.
 
         Results align with the input order and are bit-identical to calling
-        ``synopsis.query(query)`` per query.
+        ``synopsis.query(query)`` per query.  Classic aggregates run
+        :meth:`FlatSynopsis.answer` one by one; QUANTILE / COUNT_DISTINCT
+        queries are set aside and answered together, one frontier reduction
+        per (slot, sketch kind) however many quantiles ask for it
+        (:func:`~repro.sketches.union.shared_union_results`).
         """
-        flat = self.synopsis.flat
+        synopsis = self.synopsis
+        flat = synopsis.flat
+        frontiers = self.slot_frontiers
         with self.obs.tracer.span("execute.per_query") as span:
             span.set_attribute("batch_size", len(self.queries))
-            return [
-                flat.answer(query, self.slot_frontiers[slot])
-                for query, slot in zip(self.queries, self.slots)
-            ]
+            results: list[AQPResult | None] = []
+            pending = None  # (position, (slot, sketch kind), query) triples
+            for query, slot in zip(self.queries, self.slots):
+                if query.agg in SKETCH_AGGREGATES:
+                    if pending is None:
+                        pending = []
+                    pending.append((len(results), (slot, query.agg), query))
+                    results.append(None)
+                else:
+                    results.append(flat.answer(query, frontiers[slot]))
+            if pending is not None:
+                for position, result in shared_union_results(
+                    pending,
+                    lambda position, query: synopsis.sketch_union(
+                        query, frontiers[self.slots[position]]
+                    ),
+                    synopsis.population_size,
+                ):
+                    results[position] = result
+            return results  # type: ignore[return-value]
 
     # perfbench/layers.py wraps this name and perfbench/ is frozen by
     # BENCHMARK.json; nothing else may call it.  A later `benchmark` PR
@@ -216,7 +241,9 @@ def grouped_query(
     sketch kind (:meth:`PASSSynopsis.sketch_union`, the flat sketch kernel)
     over the frontier already computed for the classic aggregates, so a
     mixed plan still costs one index lookup per cell, its p50 / p95 / p99
-    share one merge pass, and the sketch answers equal sequential
+    share one merge pass and one sorted view
+    (:func:`~repro.sketches.union.shared_union_results`, the sharing every
+    batching tier uses), and the sketch answers equal sequential
     ``synopsis.query`` execution bit for bit.
     """
     lam = synopsis.lam if lam is None else lam
@@ -264,28 +291,32 @@ def grouped_query(
         moments = {}
 
     classic_aggs = tuple(plan.aggregates[i].agg for i in classic_slots)
-    answers: dict[int, tuple[AQPResult, ...]] = {}
-    for slot, (index, cell, frontier) in enumerate(surviving):
-        row: list[AQPResult | None] = [None] * len(plan.aggregates)
-        if classic_slots:
+    rows: list[list[AQPResult | None]] = [
+        [None] * len(plan.aggregates) for _ in surviving
+    ]
+    if classic_slots:
+        for slot, (_, _, frontier) in enumerate(surviving):
             classic_row = flat.assemble_cell_row(
                 classic_aggs, frontier, moments, slot, lam, with_fpc, population
             )
             for position, result in zip(classic_slots, classic_row):
-                row[position] = result
-        # One union per sketch kind per cell: the reduction depends only on
-        # the predicate, so p50/p95/p99 specs share a single QuantileSketch
-        # merge pass and differ only in result assembly.
-        cell_unions: dict[AggregateType, object] = {}
-        for position in sketch_slots:
-            spec = plan.aggregates[position]
-            query = plan.cell_query(cell, spec)
-            union = cell_unions.get(spec.agg)
-            if union is None:
-                union = synopsis.sketch_union(query, frontier)
-                cell_unions[spec.agg] = union
-            row[position] = sketch_union_result(query, union, population)
-        answers[index] = tuple(row)
+                rows[slot][position] = result
+    # One union per (cell, sketch kind): the reduction depends only on the
+    # predicate, so p50 / p95 / p99 specs share one merge pass and one sorted
+    # view and differ only in result assembly.
+    pending = [
+        ((slot, position), (slot, spec.agg), plan.cell_query(cell, spec))
+        for slot, (_, cell, _) in enumerate(surviving)
+        for position, spec in enumerate(plan.aggregates)
+        if spec.agg in SKETCH_AGGREGATES
+    ]
+    for (slot, position), result in shared_union_results(
+        pending,
+        lambda target, query: synopsis.sketch_union(query, surviving[target[0]][2]),
+        population,
+    ):
+        rows[slot][position] = result
+    answers = {index: tuple(row) for (index, _, _), row in zip(surviving, rows)}
 
     empty = tuple(empty_group_result(spec.agg, population) for spec in plan.aggregates)
     return GroupedResult(

@@ -372,10 +372,10 @@ class PASSSynopsis:
         """Reduce a sketch-aggregate query to its mergeable frontier union.
 
         The in-process entry to :meth:`FlatSynopsis.sketch_union` for
-        callers that need the union rather than the answer: the grouped
-        executor shares one union among a cell's percentiles (and passes the
-        cell's ``frontier``, already computed for the classic aggregates),
-        the sharded gather merges one union per shard.
+        callers that need the union rather than the answer: the batch and
+        grouped executors share one union among a predicate's percentiles
+        (and pass the ``frontier`` they already computed), the sharded
+        gather merges one union per shard.
         """
         flat = self.flat
         if frontier is None:

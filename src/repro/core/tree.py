@@ -523,20 +523,33 @@ class PartitionTree:
     # Dynamic maintenance helpers
     # ------------------------------------------------------------------
     def leaf_for_point(self, point: dict[str, float]) -> PartitionNode:
-        """The leaf whose box contains the given predicate-column point."""
+        """The leaf whose box contains the given predicate-column point.
+
+        A depth-first descent into the first child whose box contains the
+        point.  Sibling boxes of a k-d tree overlap, so a containing child
+        may hold no containing leaf; the descent then backs up and tries the
+        next containing sibling, and raises ``KeyError`` only when no leaf
+        contains the point.  On a 1-D tree siblings are disjoint and the
+        first choice is always the right one.
+        """
         node = self._root
-        while not node.is_leaf:
-            for child in node.children:
+        if node.is_leaf:
+            return node
+        untried = [iter(node.children)]
+        while untried:
+            for child in untried[-1]:
                 if all(
                     child.box.interval(column).contains_value(value)
                     for column, value in point.items()
                     if column in child.box
                 ):
-                    node = child
+                    if child.is_leaf:
+                        return child
+                    untried.append(iter(child.children))
                     break
             else:
-                raise KeyError(f"no leaf contains point {point!r}")
-        return node
+                untried.pop()
+        raise KeyError(f"no leaf contains point {point!r}")
 
     def path_to_leaf(self, leaf: PartitionNode) -> list[PartitionNode]:
         """Root-to-leaf path ending at ``leaf`` (used by dynamic updates)."""

@@ -30,8 +30,9 @@ one level lower: scalar per-shard answers cannot merge (a quantile of
 quantiles is meaningless), so each surviving shard reduces the query to its
 mergeable *sketch union* (:meth:`PASSSynopsis.sketch_union`), the gather
 phase merges the unions — sketch merges plus additive boundary slack — and
-one :func:`~repro.sketches.union.sketch_union_result` call produces the
-answer.  The merged certified bounds therefore cover the same rank / count
+:func:`~repro.sketches.union.sketch_union_results` assembles every query
+over that predicate from the merged union.  The merged certified bounds
+therefore cover the same rank / count
 error terms as a single synopsis over the union of the shards' data, which
 is exactly the metamorphic property the hypothesis test layer asserts.
 
@@ -60,12 +61,18 @@ from repro.core.updates import DynamicPASS
 from repro.distributed.planner import ShardRouting
 from repro.obs import Observability
 from repro.query.aggregates import SKETCH_AGGREGATES, AggregateType
-from repro.query.groupby import GroupByPlan, GroupByQuery, GroupedResult, execute_plan
+from repro.query.groupby import (
+    GroupByPlan,
+    GroupByQuery,
+    GroupedResult,
+    empty_group_result,
+    execute_plan,
+)
 from repro.query.predicate import Box
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult, LAMBDA_99
 from repro.sampling.estimators import EstimateWithVariance, ratio_estimate
-from repro.sketches.union import sketch_union_result
+from repro.sketches.union import SketchUnion, shared_union_results
 
 if TYPE_CHECKING:
     from repro.obs.metrics import Counter, NullCounter
@@ -375,7 +382,12 @@ class ShardedSynopsis:
         subqueries whose combined estimates and bounds are merged in the
         gather phase).  Sketch
         aggregates (QUANTILE / COUNT_DISTINCT) gather per-shard *sketch
-        unions* instead of scalar answers (see the module docstring).
+        unions* instead of scalar answers (see the module docstring), once
+        per distinct (predicate, sketch kind) of the batch: one frontier and
+        one union per surviving shard, one merge chain, and every quantile
+        of the predicate assembled from the merged union
+        (:func:`~repro.sketches.union.shared_union_results`) against the
+        population snapshot the classic gather uses.
         """
         queries = list(queries)
         lam = self._lam if lam is None else lam
@@ -429,18 +441,30 @@ class ShardedSynopsis:
         # snapshotted once for the whole batch (the read path is hot).
         populations = [_pass_of(shard).population_size for shard in self._shards]
         total_population = sum(populations)
-        results = []
+        results: list[AQPResult | None] = []
+        pending = []  # (position, (predicate, sketch kind), query) triples
         for query, shard_indices in zip(queries, survivors):
-            if query.agg in SKETCH_AGGREGATES:
-                results.append(self._gather_sketch(query, shard_indices))
-                continue
-            pruned_population = total_population - sum(
-                populations[i] for i in shard_indices
-            )
-            results.append(
-                self._gather(query, shard_indices, answer, lam, pruned_population)
-            )
-        return results
+            if query.agg not in SKETCH_AGGREGATES:
+                pruned_population = total_population - sum(
+                    populations[i] for i in shard_indices
+                )
+                results.append(
+                    self._gather(query, shard_indices, answer, lam, pruned_population)
+                )
+            elif shard_indices:
+                key = (query.predicate.canonical_key(), query.agg)
+                pending.append((len(results), key, query))
+                results.append(None)
+            else:
+                # Every shard pruned: the predicate region is provably empty.
+                results.append(empty_group_result(query.agg, total_population))
+        for position, result in shared_union_results(
+            pending,
+            lambda position, query: self._gather_union(query, survivors[position]),
+            total_population,
+        ):
+            results[position] = result
+        return results  # type: ignore[return-value]
 
     def query_grouped(
         self, groupby: GroupByQuery | GroupByPlan, lam: float | None = None
@@ -468,37 +492,23 @@ class ShardedSynopsis:
     # ------------------------------------------------------------------
     # Gather math
     # ------------------------------------------------------------------
-    def _gather_sketch(
+    def _gather_union(
         self, query: AggregateQuery, shard_indices: Sequence[int]
-    ) -> AQPResult:
-        """Merged QUANTILE / COUNT_DISTINCT answer from per-shard sketch unions.
+    ) -> SketchUnion:
+        """The merged sketch union of a QUANTILE / COUNT_DISTINCT query.
 
         Each surviving shard reduces the query to its mergeable sketch union
-        along its own flat frontier; the unions merge exactly (sketch merges plus
-        additive boundary slack) and one result assembly produces the
-        answer — the same algebra a single synopsis over the union of the
-        shards' data would run, which keeps sharded and single-synopsis
-        estimates within each other's certified bounds.
+        along its own flat frontier, and the unions merge exactly (sketch
+        merges plus additive boundary slack) — the same algebra a single
+        synopsis over the union of the shards' data would run, which keeps
+        sharded and single-synopsis estimates within each other's certified
+        bounds.  Called once per distinct (predicate, sketch kind) of a batch.
         """
         union = None
         for index in shard_indices:
             shard_union = _pass_of(self._shards[index]).sketch_union(query)
             union = shard_union if union is None else union.merge(shard_union)
-        if union is None:
-            # Every shard pruned: the predicate region is provably empty.
-            empty = query.agg == AggregateType.COUNT_DISTINCT
-            value = 0.0 if empty else float("nan")
-            return AQPResult(
-                estimate=value,
-                ci_half_width=0.0,
-                variance=0.0,
-                hard_lower=value,
-                hard_upper=value,
-                tuples_processed=0,
-                tuples_skipped=self.population_size,
-                exact=True,
-            )
-        return sketch_union_result(query, union, self.population_size)
+        return union
 
     @staticmethod
     def _subqueries(query: AggregateQuery) -> list[AggregateQuery]:

@@ -34,6 +34,7 @@ NaN values are ignored on insertion (SQL NULL semantics).
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -139,6 +140,11 @@ class QuantileSketch:
         weight is preserved exactly and no rank error is introduced beyond
         later compactions.  With ``total_weight < len(values)`` only the
         first ``total_weight`` sorted values are kept (weight 1 each).
+
+        Only two weights occur — ``base + 1`` on the first ``extra`` sorted
+        values, ``base`` on the rest — so the items a level receives are a
+        prefix, a suffix or all of the sorted values, read off the two
+        weights' bits without a per-value weight array.
         """
         values = np.asarray(values, dtype=float).ravel()
         if values.size and np.isnan(values).any():
@@ -148,19 +154,19 @@ class QuantileSketch:
             return
         values = np.sort(values)
         base, extra = divmod(total_weight, values.size)
-        weights = np.full(values.size, base, dtype=np.int64)
-        weights[:extra] += 1
         self._min = min(self._min, float(values[0]))
         self._max = max(self._max, float(values[-1]))
         self._n += total_weight
-        level = 0
-        while np.any(weights):
-            chosen = values[(weights & 1).astype(bool)]
-            if chosen.size:
+        for level in range((base + 1).bit_length()):
+            # The (possibly empty) prefix joins on its weight's bit, the
+            # suffix on its own: both, either or neither.
+            start = 0 if ((base + 1) >> level) & 1 else extra
+            stop = values.size if (base >> level) & 1 else extra
+            if stop > start:
                 self._ensure_level(level)
-                self._levels[level] = np.concatenate([self._levels[level], chosen])
-            weights >>= 1
-            level += 1
+                self._levels[level] = np.concatenate(
+                    [self._levels[level], values[start:stop]]
+                )
         self._compress()
 
     # ------------------------------------------------------------------
@@ -215,17 +221,28 @@ class QuantileSketch:
         index = int(np.searchsorted(values, value, side="right"))
         return 0 if index == 0 else int(cumulative[index - 1])
 
+    def values_at_ranks(self, ranks: Sequence[float]) -> list[float]:
+        """:meth:`value_at_rank` of every rank, from one sorted view.
+
+        Sorting the retained items is the whole cost of a rank lookup, so
+        callers that need several ranks of one sketch (a result's estimate
+        and its two certified bounds; a cell's p50 / p95 / p99) ask for them
+        together.  Each rank is clipped into ``[1, n]``; every value is NaN
+        for an empty sketch.
+        """
+        values, cumulative = self._sorted_weighted()
+        if values.size == 0:
+            return [float("nan")] * len(ranks)
+        clipped = np.clip(np.asarray(ranks, dtype=float), 1.0, float(cumulative[-1]))
+        index = np.searchsorted(cumulative, clipped, side="left")
+        return values[np.minimum(index, values.size - 1)].tolist()
+
     def value_at_rank(self, rank: float) -> float:
         """Smallest retained value whose cumulative weight reaches ``rank``.
 
         ``rank`` is clipped into ``[1, n]``; NaN for an empty sketch.
         """
-        values, cumulative = self._sorted_weighted()
-        if values.size == 0:
-            return float("nan")
-        rank = min(max(float(rank), 1.0), float(cumulative[-1]))
-        index = int(np.searchsorted(cumulative, rank, side="left"))
-        return float(values[min(index, values.size - 1)])
+        return self.values_at_ranks([rank])[0]
 
     def quantile(self, q: float) -> float:
         """The value at quantile ``q`` (rank ``ceil(q * n)``, clipped to >= 1).
@@ -236,10 +253,7 @@ class QuantileSketch:
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self._n == 0:
-            return float("nan")
-        target = max(1, min(math.ceil(q * self._n), self._n))
-        return self.value_at_rank(target)
+        return self.value_at_rank(max(1, min(math.ceil(q * self._n), self._n)))
 
     @property
     def min(self) -> float:

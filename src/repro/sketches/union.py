@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,10 +50,13 @@ __all__ = [
     "PartialLeaf",
     "QuantileSketchUnion",
     "DistinctSketchUnion",
+    "SketchUnion",
     "frontier_union",
     "quantile_union",
     "distinct_union",
     "sketch_union_result",
+    "sketch_union_results",
+    "shared_union_results",
     "pack_leaf_sketches",
     "unpack_leaf_sketches",
 ]
@@ -206,6 +209,10 @@ class DistinctSketchUnion:
         )
 
 
+#: What a sketch aggregate's frontier reduces to, whichever the kind.
+SketchUnion = QuantileSketchUnion | DistinctSketchUnion
+
+
 def pack_leaf_sketches(
     sketches: Sequence[LeafSketches],
 ) -> tuple[list[str], dict[str, np.ndarray]]:
@@ -262,7 +269,7 @@ def frontier_union(
     sketches: Sequence[LeafSketches] | None,
     covered_leaves: Iterable[int],
     partial_leaves: Iterable[PartialLeaf],
-) -> QuantileSketchUnion | DistinctSketchUnion:
+) -> SketchUnion:
     """Reduce a sketch aggregate's frontier to its mergeable union.
 
     ``sketches`` is the synopsis' per-leaf list (None when it was built
@@ -355,13 +362,25 @@ def distinct_union(
 
 
 def sketch_union_result(
-    query: AggregateQuery,
-    union: QuantileSketchUnion | DistinctSketchUnion,
-    population: int,
+    query: AggregateQuery, union: SketchUnion, population: int
 ) -> AQPResult:
     """Turn a (possibly merged) sketch union into an :class:`AQPResult`.
 
-    The same assembly serves the single-synopsis path and the distributed
+    :func:`sketch_union_results` for a single query.
+    """
+    return sketch_union_results([query], union, population)[0]
+
+
+def sketch_union_results(
+    queries: Sequence[AggregateQuery], union: SketchUnion, population: int
+) -> list[AQPResult]:
+    """Answer every query of one predicate and sketch kind from its union.
+
+    A union depends only on the predicate and the sketch kind, never on the
+    quantile asked for, so a cell's p50 / p95 / p99 are three assemblies of
+    one union — and all their rank lookups read one sorted view of the
+    merged sketch (:meth:`QuantileSketch.values_at_ranks`).  The same
+    assembly serves the single-synopsis path and the distributed
     scatter-gather path (which merges per-shard unions first), so sharded
     answers follow the exact same sketch algebra as single-synopsis ones.
 
@@ -396,7 +415,7 @@ def sketch_union_result(
             # NULL) or only unsampled boundary mass (bounded by partial
             # extrema when they exist).
             empty = union.boundary_weight == 0
-            return AQPResult(
+            result = AQPResult(
                 estimate=float("nan"),
                 ci_half_width=0.0 if empty else float("nan"),
                 variance=0.0 if empty else float("nan"),
@@ -406,38 +425,44 @@ def sketch_union_result(
                 tuples_skipped=skipped,
                 exact=empty,
             )
-        q = query.quantile if query.quantile is not None else 0.5
-        estimate = sketch.quantile(q)
+            return [result] * len(queries)
         # +1 rank of slack: an interpolated (percentile_cont-style) true
         # quantile lies between the order statistics adjacent to the
         # nearest-rank target, so the certified window must straddle them.
         bound = union.rank_error_bound() + 1
-        target = max(1, min(math.ceil(q * n), n))
-        if target - bound >= 1:
-            hard_lower = sketch.value_at_rank(target - bound)
-        else:
-            hard_lower = min(sketch.min, union.value_floor)
-        if target + bound <= n:
-            hard_upper = sketch.value_at_rank(target + bound)
-        else:
-            hard_upper = max(sketch.max, union.value_ceil)
-        return AQPResult(
-            estimate=estimate,
-            ci_half_width=0.0 if exact else float("nan"),
-            variance=0.0 if exact else float("nan"),
-            hard_lower=hard_lower,
-            hard_upper=hard_upper,
-            tuples_processed=union.processed,
-            tuples_skipped=skipped,
-            exact=exact,
+        quantiles = [0.5 if query.quantile is None else query.quantile for query in queries]
+        targets = [max(1, min(math.ceil(q * n), n)) for q in quantiles]
+        values = iter(
+            sketch.values_at_ranks(
+                [r for t in targets for r in (t, t - bound, t + bound)]
+            )
         )
+        results = []
+        for target, estimate, low, high in zip(targets, values, values, values):
+            if target - bound < 1:
+                low = min(sketch.min, union.value_floor)
+            if target + bound > n:
+                high = max(sketch.max, union.value_ceil)
+            results.append(
+                AQPResult(
+                    estimate=estimate,
+                    ci_half_width=0.0 if exact else float("nan"),
+                    variance=0.0 if exact else float("nan"),
+                    hard_lower=low,
+                    hard_upper=high,
+                    tuples_processed=union.processed,
+                    tuples_skipped=skipped,
+                    exact=exact,
+                )
+            )
+        return results
 
     lower_estimate = union.lower.estimate()
     upper_estimate = union.upper.estimate()
     estimate = upper_estimate if exact else 0.5 * (lower_estimate + upper_estimate)
     hard_lower = max(0.0, lower_estimate * (1.0 - union.lower.error_fraction()))
     hard_upper = upper_estimate * (1.0 + union.upper.error_fraction())
-    return AQPResult(
+    result = AQPResult(
         estimate=estimate,
         ci_half_width=0.0 if exact else float("nan"),
         variance=0.0 if exact else float("nan"),
@@ -447,3 +472,34 @@ def sketch_union_result(
         tuples_skipped=skipped,
         exact=exact,
     )
+    return [result] * len(queries)
+
+
+def shared_union_results(
+    pending: Iterable[tuple[Hashable, Hashable, AggregateQuery]],
+    reduce: Callable[[Hashable, AggregateQuery], SketchUnion],
+    population: int,
+) -> list[tuple[Hashable, AQPResult]]:
+    """Answer sketch queries with one reduction per (predicate, sketch kind).
+
+    ``pending`` holds ``(target, key, query)`` triples: ``key`` names the
+    (predicate, sketch kind) pair the query reduces along, ``target`` is the
+    caller's handle for the answer.  ``reduce(target, query)`` builds the
+    union and is called once per distinct key, for the first triple carrying
+    it; every query of the key is assembled from that union
+    (:func:`sketch_union_results`), so the ``(target, result)`` pairs
+    returned carry the bits of per-query execution — only the repeated
+    identical reductions and sorts are gone.  The batch executor, the
+    grouped executor and the sharded gather all share unions through this
+    function, and nothing it builds outlives the call: an update between
+    two calls is always seen.
+    """
+    groups: dict[Hashable, list[tuple[Hashable, Hashable, AggregateQuery]]] = {}
+    for item in pending:
+        groups.setdefault(item[1], []).append(item)
+    answered = []
+    for members in groups.values():
+        union = reduce(members[0][0], members[0][2])
+        results = sketch_union_results([m[2] for m in members], union, population)
+        answered.extend(zip((m[0] for m in members), results))
+    return answered

@@ -23,6 +23,7 @@ under the ``ci`` profile registered in ``conftest.py``):
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -90,6 +91,58 @@ def _assert_rank_bound(sketch: QuantileSketch, data: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def _update_weighted_by_masks(
+    sketch: QuantileSketch, values: np.ndarray, total_weight: int
+) -> None:
+    """``update_weighted`` as first written: a weight per value, a mask per bit.
+
+    The reference the prefix / suffix placement must reproduce exactly.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    values = values[~np.isnan(values)]
+    if values.size == 0 or total_weight <= 0:
+        return
+    values = np.sort(values)
+    base, extra = divmod(total_weight, values.size)
+    weights = np.full(values.size, base, dtype=np.int64)
+    weights[:extra] += 1
+    sketch._min = min(sketch._min, float(values[0]))
+    sketch._max = max(sketch._max, float(values[-1]))
+    sketch._n += total_weight
+    level = 0
+    while np.any(weights):
+        chosen = values[(weights & 1).astype(bool)]
+        if chosen.size:
+            sketch._ensure_level(level)
+            sketch._levels[level] = np.concatenate([sketch._levels[level], chosen])
+        weights >>= 1
+        level += 1
+    sketch._compress()
+
+
+def _value_at_rank_scalar(sketch: QuantileSketch, rank: float) -> float:
+    """``value_at_rank`` as first written: its own sorted view, scalar clipping."""
+    values, cumulative = sketch._sorted_weighted()
+    rank = min(max(float(rank), 1.0), float(cumulative[-1]))
+    index = int(np.searchsorted(cumulative, rank, side="left"))
+    return float(values[min(index, values.size - 1)])
+
+
+def _assert_same_state(sketch: QuantileSketch, reference: QuantileSketch) -> None:
+    assert len(sketch._levels) == len(reference._levels)
+    for level, expected in zip(sketch._levels, reference._levels):
+        assert level.tobytes() == expected.tobytes()
+    assert sketch._compactions == reference._compactions
+    assert sketch._n == reference._n
+    assert sketch._rank_error == reference._rank_error
+    assert _bits(sketch._min) == _bits(reference._min)
+    assert _bits(sketch._max) == _bits(reference._max)
+
+
 class TestQuantileSketchLaws:
     @given(a=value_arrays(), b=value_arrays(), k=st.sampled_from([8, 16, 64]))
     def test_merge_commutativity_is_exact(self, a, b, k):
@@ -154,6 +207,67 @@ class TestQuantileSketchLaws:
         assert sketch.n == weight
         assert sketch.min >= np.min(data) - 0.0  # inserted values come from data
         assert sketch.max <= np.max(data)
+
+    @given(
+        updates=st.lists(
+            st.tuples(
+                value_arrays(max_size=60),
+                st.booleans(),
+                # Below the value count (only a prefix is kept), exact
+                # multiples of it (no extra unit) and everything in between.
+                st.integers(min_value=0, max_value=4000),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        other=value_arrays(),
+        k=st.sampled_from([8, 16, 64]),
+    )
+    def test_weighted_update_places_the_items_of_the_per_value_weights(
+        self, updates, other, k
+    ):
+        """The prefix / suffix placement is the per-bit mask loop, bit for bit."""
+        sketch, reference = QuantileSketch(k), QuantileSketch(k)
+        for values, with_nans, weight, exact_multiple in updates:
+            if with_nans:
+                values = np.concatenate([values, [math.nan, math.nan]])
+                np.random.default_rng(values.size).shuffle(values)
+            if exact_multiple:
+                weight -= weight % int((~np.isnan(values)).sum())
+            sketch.update_weighted(values, weight)
+            _update_weighted_by_masks(reference, values, weight)
+            _assert_same_state(sketch, reference)
+        tail = QuantileSketch(k)
+        tail.update_array(other)
+        _assert_same_state(sketch.merge(tail), reference.merge(tail))
+
+    @given(
+        data=value_arrays(max_size=600),
+        k=st.sampled_from([8, 64]),
+        ranks=st.lists(
+            st.one_of(
+                st.integers(min_value=-5, max_value=3000),
+                st.floats(min_value=-5.0, max_value=3000.0, allow_nan=False),
+            ),
+            max_size=12,
+        ),
+    )
+    def test_values_at_ranks_is_value_at_rank_per_rank(self, data, k, ranks):
+        sketch = QuantileSketch(k)
+        sketch.update_array(data)
+        ranks += [0, 1, sketch.n, sketch.n + 1]  # the clipped ends, always
+        got = sketch.values_at_ranks(ranks)
+        assert [_bits(v) for v in got] == [
+            _bits(sketch.value_at_rank(rank)) for rank in ranks
+        ]
+        assert [_bits(v) for v in got] == [
+            _bits(_value_at_rank_scalar(sketch, rank)) for rank in ranks
+        ]
+        assert all(type(value) is float for value in got)
+        empty = QuantileSketch(k).values_at_ranks(ranks)
+        assert len(empty) == len(ranks) and all(math.isnan(v) for v in empty)
+        assert QuantileSketch(k).values_at_ranks([]) == sketch.values_at_ranks([]) == []
 
 
 # ---------------------------------------------------------------------------

@@ -439,20 +439,9 @@ class TestBatchBitIdentity:
         flat = synopsis.flat  # warm: updates go through the sync hooks
         rng = np.random.default_rng(seed + 100)
 
-        def routable(row) -> bool:
-            # The boxes of a k-d tree's internal nodes overlap, and the
-            # point descent of the update path dead-ends on a few percent of
-            # points; those rows cannot be inserted or deleted at all.
-            try:
-                synopsis.tree.leaf_for_point({c: row[c] for c in columns})
-            except KeyError:
-                return False
-            return True
-
         for _ in range(n_inserts):
             row = {column: float(rng.uniform(0, 100)) for column in columns}
-            if routable(row):
-                dynamic.insert({**row, "value": float(rng.uniform(0, 90))})
+            dynamic.insert({**row, "value": float(rng.uniform(0, 90))})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StaleExtremaWarning)
             for _ in range(n_deletes):
@@ -461,8 +450,7 @@ class TestBatchBitIdentity:
                     column: float(table.column(column)[index])
                     for column in columns + ["value"]
                 }
-                if routable(row):
-                    dynamic.delete(row)
+                dynamic.delete(row)
             # Deleting a *sampled* tuple shrinks that leaf's reservoir: a
             # length-changing swap, which marks the CSR samples stale.
             for stratum in synopsis.leaf_samples:
@@ -472,9 +460,8 @@ class TestBatchBitIdentity:
                     column: float(stratum.sample_columns[column][0])
                     for column in columns + ["value"]
                 }
-                if routable(row):
-                    dynamic.delete(row)
-                    break
+                dynamic.delete(row)
+                break
         assert flat._samples_stale
         assert_batch_matches_oracle(
             synopsis,
@@ -482,6 +469,24 @@ class TestBatchBitIdentity:
             context=f"after {n_inserts} inserts / {n_deletes + 1} deletes ",
         )
         assert not flat._samples_stale
+
+    @pytest.mark.parametrize("n_columns", [2, 3])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_row_routes_to_a_leaf_whose_box_contains_it(self, n_columns, seed):
+        """Sibling boxes of a k-d tree overlap; the point descent backtracks."""
+        synopsis = _batch_synopsis(n_columns, 16, seed)
+        table = _constant_region_table(n_columns, seed)
+        columns = [f"c{i}" for i in range(n_columns)]
+        rows = np.column_stack([table.column(column) for column in columns])
+        for row in rows.tolist():
+            point = dict(zip(columns, row))
+            box = synopsis.tree.leaf_for_point(point).box
+            assert all(
+                box.interval(column).contains_value(value)
+                for column, value in point.items()
+            )
+        with pytest.raises(KeyError, match="no leaf contains"):
+            synopsis.tree.leaf_for_point({column: math.nan for column in columns})
 
 
 @functools.lru_cache(maxsize=None)
