@@ -10,21 +10,106 @@ the growing data without rebuilding the synopsis.
 Run with::
 
     python examples/streaming_updates.py
+
+``--check`` switches to CI mode: after the insert / delete stream every
+monitored answer must lie inside its hard bounds against an exact scan of the
+replayed table, and a ``save_synopsis`` / ``load_synopsis`` round trip must
+answer bit-identically and accept further updates; exits non-zero otherwise.
 """
 
 from __future__ import annotations
+
+import argparse
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from repro import AggregateQuery, ExactEngine, PASSConfig, RectPredicate, load_dataset
 from repro.core.updates import DynamicPASS
 from repro.data.table import Table
+from repro.serving.persistence import load_synopsis, save_synopsis
 
 N_ROWS = 50_000
 N_INSERTS = 5_000
 
 
-def main() -> None:
+def _replayed(table: Table, rows: list[dict[str, float]]) -> Table:
+    """The original table plus the inserted rows that are still live."""
+    return Table(
+        {
+            column: np.concatenate(
+                [table.column(column), np.array([row[column] for row in rows])]
+            )
+            for column in table.column_names
+        }
+    )
+
+
+def check(dynamic: DynamicPASS, table: Table, live_rows: list[dict]) -> int:
+    """CI mode: hard bounds against the replayed table, then a save / load."""
+    predicate = RectPredicate.from_bounds(time=(0.5, 0.8))
+    monitored = [
+        AggregateQuery(agg, "light", region)
+        for agg in ("SUM", "COUNT", "AVG", "MIN", "MAX")
+        for region in (predicate, RectPredicate.from_bounds(time=(0.1, 0.65)))
+    ]
+    exact = ExactEngine(_replayed(table, live_rows))
+    failures = []
+    for query in monitored:
+        result, truth = dynamic.query(query), exact.execute(query)
+        slack = 1e-9 * max(1.0, abs(truth))
+        if not result.hard_lower - slack <= truth <= result.hard_upper + slack:
+            failures.append(
+                f"{query.agg.value}: exact {truth!r} outside "
+                f"[{result.hard_lower!r}, {result.hard_upper!r}]"
+            )
+
+    def bits(result) -> bytes:
+        return struct.pack(
+            "<5d2q",
+            result.estimate,
+            result.ci_half_width,
+            result.variance,
+            result.hard_lower,
+            result.hard_upper,
+            result.tuples_processed,
+            result.tuples_skipped,
+        )
+
+    with tempfile.TemporaryDirectory() as directory:
+        path = save_synopsis(dynamic, Path(directory) / "streaming")
+        loaded = load_synopsis(path)
+    for query in monitored:
+        if bits(loaded.query(query)) != bits(dynamic.query(query)):
+            failures.append(f"{query.agg.value}: reloaded synopsis answers differently")
+    row = dict(live_rows[0], light=123.0)
+    before = loaded.population_size
+    loaded.insert(row)
+    loaded.delete(row)
+    if loaded.population_size != before or loaded.updates_since_build != (
+        dynamic.updates_since_build + 2
+    ):
+        failures.append("reloaded synopsis did not apply further updates")
+    for failure in failures:
+        print(f"CHECK FAILED: {failure}")
+    if not failures:
+        print(
+            f"streaming check OK: {len(monitored)} monitored answers inside their "
+            "hard bounds; save / load round trip bit-identical and updatable"
+        )
+    return 1 if failures else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="CI mode: verify hard bounds and a save / load round trip",
+    )
+    options = parser.parse_args()
     dataset = load_dataset("intel", n_rows=N_ROWS)
     table = dataset.table
     rng = np.random.default_rng(7)
@@ -68,15 +153,7 @@ def main() -> None:
 
     after = dynamic.query(query)
     # Ground truth over the concatenation of the old table and the new rows.
-    appended = Table(
-        {
-            column: np.concatenate(
-                [table.column(column), np.array([row[column] for row in new_rows])]
-            )
-            for column in table.column_names
-        }
-    )
-    truth = ExactEngine(appended).execute(query)
+    truth = ExactEngine(_replayed(table, new_rows)).execute(query)
     print(f"After updates : estimate {after.estimate:,.0f} (exact {truth:,.0f})")
     print(f"Relative error after streaming inserts: {after.relative_error(truth):.3%}")
 
@@ -88,7 +165,10 @@ def main() -> None:
         "When updates accumulate, `DynamicPASS.rebuild(table)` re-runs the "
         "partitioning optimizer from a fresh snapshot."
     )
+    if options.check:
+        return check(dynamic, table, new_rows[1_000:])
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -164,14 +164,18 @@ def build_leaf_samples(
             keep_columns.append(column)
     data = table.columns(keep_columns)
 
-    masks = [box.mask({col: data[col] for col in box.columns}) for box in leaf_boxes]
-    sizes = [int(mask.sum()) for mask in masks]
+    # Row indices, not masks: one full-table mask per leaf held at once is
+    # n_leaves x n_rows bytes (the builder's peak memory on large inputs).
+    leaf_rows = [
+        np.flatnonzero(box.mask({col: data[col] for col in box.columns}))
+        for box in leaf_boxes
+    ]
+    sizes = [int(indices.shape[0]) for indices in leaf_rows]
     n_dimensions = max(1, len({col for box in leaf_boxes for col in box.columns}))
     budgets = _leaf_budgets(table.n_rows, sizes, config, n_dimensions)
 
     samples: list[Stratum] = []
-    for box, mask, size, budget in zip(leaf_boxes, masks, sizes, budgets):
-        indices = np.flatnonzero(mask)
+    for box, indices, size, budget in zip(leaf_boxes, leaf_rows, sizes, budgets):
         n_draw = min(budget, size)
         if n_draw > 0:
             chosen = rng.choice(indices, size=n_draw, replace=False)

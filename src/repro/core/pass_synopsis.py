@@ -23,6 +23,11 @@ bit-identical oracle the flat engine is property-tested against; nothing
 calls it at runtime.  For QUANTILE / COUNT_DISTINCT the two differ only in
 how they find the covered leaves and matched sample values they hand to the
 one pair of merge loops in :mod:`repro.sketches.union`.
+
+Once the flat engine exists its arrays are the one mutable state
+(:class:`~repro.core.updates.DynamicPASS` writes them).  The object tree and
+strata — what the builder produced, what the oracle and the npz export read
+— follow them through :meth:`PASSSynopsis._refresh_objects`, on access only.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.aggregation.strat_agg import hard_bounds
+from repro.query.predicate import Box
 from repro.core.tree import (
     MCFResult,
     PartitionNode,
@@ -126,7 +132,10 @@ class PASSSynopsis:
         self._with_fpc = with_fpc
         self.build_seconds = build_seconds
         self.effective_partitioner = effective_partitioner
+        self._leaf_boxes = tuple(leaf.box for leaf in tree.leaves)
         self._flat: FlatSynopsis | None = None
+        #: ``FlatSynopsis.mutations`` the object tree and strata reflect.
+        self._objects_at = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -134,7 +143,13 @@ class PASSSynopsis:
     @property
     def tree(self) -> PartitionTree:
         """The partition tree of precomputed aggregates."""
+        self._refresh_objects()
         return self._tree
+
+    @property
+    def leaf_boxes(self) -> tuple[Box, ...]:
+        """The leaves' boxes in leaf-index order (immutable geometry)."""
+        return self._leaf_boxes
 
     @property
     def zero_variance_rule(self) -> bool:
@@ -145,9 +160,8 @@ class PASSSynopsis:
     def flat(self) -> FlatSynopsis:
         """The lazily-built structure-of-arrays engine over this synopsis.
 
-        Built on first access and kept in sync by the mutation hooks
-        (:meth:`notify_stats_mutated`, :meth:`replace_leaf_sample`); drop it
-        with :meth:`invalidate_flat` after out-of-band tree surgery.
+        Built on first access from the object tree and strata; from then on
+        its arrays are the mutable state and the objects follow them.
         """
         flat = self._flat
         if flat is None:
@@ -155,34 +169,16 @@ class PASSSynopsis:
             self._flat = flat
         return flat
 
-    def invalidate_flat(self) -> None:
-        """Discard the flat engine (rebuilt from scratch on next access)."""
-        self._flat = None
-
-    def notify_stats_mutated(self, nodes: Sequence[PartitionNode]) -> None:
-        """Mirror in-place node-statistics mutations into the flat engine.
-
-        The dynamic update path calls this after rewriting the statistics
-        along a root-to-leaf path; a no-op until the flat engine exists.
-        """
-        if self._flat is not None:
-            self._flat.update_node_stats(nodes)
-
     @property
     def leaf_samples(self) -> list[Stratum]:
         """The stratified samples attached to the leaves (leaf-index order)."""
+        self._refresh_objects()
         return list(self._leaf_samples)
 
     @property
     def leaf_sketches(self) -> list[LeafSketches] | None:
         """The per-leaf sketches (leaf-index order), or None when absent."""
         return None if self._leaf_sketches is None else list(self._leaf_sketches)
-
-    def leaf_sketches_at(self, leaf_index: int) -> LeafSketches:
-        """The sketches of one leaf, without copying the list (hot path)."""
-        if self._leaf_sketches is None:
-            raise ValueError("synopsis was built without sketches")
-        return self._leaf_sketches[leaf_index]
 
     @property
     def has_sketches(self) -> bool:
@@ -213,31 +209,25 @@ class PASSSynopsis:
     def population_size(self) -> int:
         """Number of tuples summarized by the synopsis.
 
-        Read from the root statistics so it stays correct while
-        :class:`~repro.core.updates.DynamicPASS` maintains the tree in place.
+        The root's COUNT, read from the flat arrays once they exist (they
+        are what :class:`~repro.core.updates.DynamicPASS` maintains).
         """
+        if self._flat is not None:
+            return self._flat.population_size
         return self._tree.root.stats.count
 
     @property
     def sample_size(self) -> int:
         """Total number of stored sample tuples across all leaves."""
-        return sum(stratum.sample_size for stratum in self._leaf_samples)
+        return sum(stratum.sample_size for stratum in self.leaf_samples)
 
     def storage_bytes(self) -> int:
         """Approximate footprint: tree aggregates, leaf samples, and sketches."""
-        samples = sum(stratum.storage_bytes() for stratum in self._leaf_samples)
+        samples = sum(stratum.storage_bytes() for stratum in self.leaf_samples)
         sketches = sum(
             sketches.storage_bytes() for sketches in self._leaf_sketches or ()
         )
         return self._tree.storage_bytes() + samples + sketches
-
-    def replace_leaf_sample(self, leaf_index: int, stratum: Stratum) -> None:
-        """Swap the stratified sample of one leaf (dynamic-update support)."""
-        if not 0 <= leaf_index < len(self._leaf_samples):
-            raise IndexError(f"leaf index {leaf_index} out of range")
-        self._leaf_samples[leaf_index] = stratum
-        if self._flat is not None:
-            self._flat.replace_leaf_sample(leaf_index, stratum)
 
     # ------------------------------------------------------------------
     # Persistence (array export / import)
@@ -251,6 +241,7 @@ class PASSSynopsis:
         :meth:`from_arrays` is exact: a reloaded synopsis returns bit-identical
         estimates.
         """
+        self._refresh_objects()
         arrays: dict[str, np.ndarray] = {}
         for key, value in self._tree.to_arrays().items():
             arrays[f"tree/{key}"] = value
@@ -389,12 +380,38 @@ class PASSSynopsis:
     # ------------------------------------------------------------------
     # The object-path oracle (no runtime caller)
     # ------------------------------------------------------------------
+    def _refresh_objects(self) -> None:
+        """Bring the object tree and strata up to date with the flat arrays.
+
+        A no-op unless the arrays were written since the last refresh: then
+        every node object (the same objects) gets its row's statistics and
+        every stratum is rebuilt from its CSR rows.  Only readers of the
+        objects call it — ``tree``, ``leaf_samples``, ``storage_bytes``,
+        ``to_arrays``, the oracle below — never an update or a query.
+        """
+        flat = self._flat
+        if flat is None or flat.mutations == self._objects_at:
+            return
+        self._objects_at = flat.mutations
+        for node, stats in zip(self._tree.geometry().nodes, flat.node_stats()):
+            node.stats = stats
+        self._leaf_samples = [
+            Stratum(
+                box=stratum.box,
+                size=leaf.stats.count,
+                sample_columns={c: v.copy() for c, v in flat.leaf_sample(i).items()},
+            )
+            for i, (leaf, stratum) in enumerate(
+                zip(self._tree.leaves, self._leaf_samples)
+            )
+        ]
+
     def lookup(self, query: AggregateQuery) -> MCFResult:
         """Run the object MCF index lookup for a query (oracle only)."""
         use_zero_variance = (
             self._zero_variance_rule and query.agg == AggregateType.AVG
         )
-        return self._tree.minimal_coverage_frontier(
+        return self.tree.minimal_coverage_frontier(
             query.predicate, zero_variance_rule=use_zero_variance
         )
 

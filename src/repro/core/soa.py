@@ -22,13 +22,14 @@ Layout (specified normatively in ``docs/ARCHITECTURE.md``):
   reverse).  Ascending row order therefore *is* the object path's visit
   order, which is what makes frontier extraction order-preserving.
 * **Stats** — ``node_sum`` / ``node_min`` / ``node_max`` (float64) and
-  ``node_count`` (int64), kept in sync with the object tree by
-  :meth:`FlatSynopsis.update_node_stats`.
+  ``node_count`` (int64); an insert / delete rewrites them along the
+  ``parent`` chain (:meth:`FlatSynopsis.add_value` / ``remove_value``).
 * **Bounds** — one contiguous float64 low/high array *per predicate
   column* (±inf where a node's box does not constrain the column).
 * **Samples** — CSR: ``offsets`` (int64, ``n_leaves + 1``) into one
   concatenated float64 array per sample column; leaf ``i`` owns
-  ``column[offsets[i]:offsets[i + 1]]``.
+  ``column[offsets[i]:offsets[i + 1]]``, rewritten only by
+  :meth:`FlatSynopsis.replace_leaf_sample`.
 * **Sketches** — the owning synopsis' own ``LeafSketches`` list (the very
   objects ``DynamicPASS`` updates, so there is nothing to sync); exported
   as ragged-packed arrays (:func:`repro.sketches.union.pack_leaf_sketches`)
@@ -51,16 +52,25 @@ with no level-by-level loop.  When the AVG zero-variance rule could stop
 the descent early (some partially-overlapped node has ``min == max``), the
 code falls back to an exact level-order replay of the descent
 (:meth:`FlatSynopsis._replay_frontier`).
+
+These arrays are also the one *mutable* state of a built synopsis: a
+:class:`~repro.core.updates.DynamicPASS` routes a tuple over the leaf rows'
+bounds (:meth:`FlatSynopsis.leaf_for_point`), adds or removes its value along
+the ``parent`` chain and replaces the leaf's CSR rows, all in place.  The
+object tree and ``Stratum`` list the builder produced are brought up to date
+from here, on access, by ``PASSSynopsis``'s refresh (it compares
+:attr:`FlatSynopsis.mutations`); a buffer-backed instance is read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.aggregation.partition import PartitionStats
 from repro.aggregation.strat_agg import HardBounds
 from repro.query.aggregates import AggregateType
 from repro.query.predicate import RectPredicate
@@ -102,6 +112,8 @@ _NO_VALUES = np.zeros(0, dtype=float)
 #: property of the input, not an option (measurement in
 #: ``docs/ARCHITECTURE.md``); both partial-leaf kernels branch on it.
 _SCALAR_FRONTIER_LEAVES = 2
+
+_READ_ONLY = "a buffer-backed FlatSynopsis is read-only: update the publishing instance"
 
 
 def _fast_mean(values: np.ndarray) -> float:
@@ -199,9 +211,9 @@ class FlatSamples:
 
     ``offsets`` has ``n_leaves + 1`` entries; leaf ``i``'s sample occupies
     ``columns[c][offsets[i]:offsets[i + 1]]`` for every sample column
-    ``c``.  Offsets are *compact* (no slack): a same-length reservoir swap
-    writes in place, a length-changing one marks the structure stale for a
-    lazy rebuild.
+    ``c``.  Offsets are *compact* (no slack): a same-length replacement
+    writes in place, a length-changing one splices the columns and shifts the
+    offsets after the leaf (:meth:`FlatSynopsis.replace_leaf_sample`).
     """
 
     offsets: np.ndarray
@@ -212,9 +224,9 @@ class FlatSynopsis:
     """Structure-of-arrays execution engine over a :class:`PASSSynopsis`.
 
     Built once from the object synopsis (the same encoding
-    ``PASSSynopsis.to_arrays`` uses) and kept in sync through the
-    :meth:`update_node_stats` / :meth:`replace_leaf_sample` hooks that
-    ``PASSSynopsis`` and ``DynamicPASS`` call on every mutation.
+    ``PASSSynopsis.to_arrays`` uses); from then on the arrays are the
+    synopsis' one mutable state, written only by :meth:`add_value`,
+    :meth:`remove_value` and :meth:`replace_leaf_sample`.
     :meth:`query` / :meth:`answer` return answers bit-identical to the object
     path for all seven aggregates (see the module docstring for the
     contract); the grouped kernels agree with it up to floating-point
@@ -223,13 +235,12 @@ class FlatSynopsis:
     Parameters
     ----------
     synopsis:
-        The owning object synopsis; tree geometry, statistics, and leaf
+        The built object synopsis; tree geometry, statistics, and leaf
         samples are snapshotted into arrays at construction.  Its per-leaf
         sketches are shared, not copied.
     """
 
     def __init__(self, synopsis: "PASSSynopsis") -> None:
-        self._synopsis = synopsis
         self._value_column = synopsis.value_column
         self._lam = synopsis.lam
         self._zero_variance_rule = synopsis.zero_variance_rule
@@ -252,8 +263,9 @@ class FlatSynopsis:
         self._node_max = np.fromiter(
             (node.stats.max for node in nodes), dtype=float, count=n
         )
-        self._row_by_id = {id(node): row for row, node in enumerate(nodes)}
         self._zv_cache: np.ndarray | None = None
+        #: Mutation calls applied so far (see :attr:`mutations`).
+        self._mutations = 0
 
         self._parent = geometry.parent
         parent0 = geometry.parent.copy()
@@ -261,6 +273,7 @@ class FlatSynopsis:
         self._parent0 = parent0
         self._is_leaf = geometry.is_leaf
         self._leaf_of_row = geometry.leaf_index
+        self._read_only = False
         self._levels = geometry.levels
         self._column_index = geometry.column_index
         self._col_lows = tuple(
@@ -272,8 +285,7 @@ class FlatSynopsis:
             for c in range(len(geometry.column_index))
         )
 
-        self._samples: FlatSamples = self._build_samples()
-        self._samples_stale = False
+        self._samples: FlatSamples = self._build_samples(synopsis.leaf_samples)
 
         self._leaf_sketches: list[LeafSketches] | None = synopsis.leaf_sketches
         #: ``(sketch keys, export buffers)`` of a buffer-backed instance
@@ -282,11 +294,10 @@ class FlatSynopsis:
         self._leaf_spans: tuple[list[int], np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
-    # Construction / synchronisation
+    # Construction
     # ------------------------------------------------------------------
-    def _build_samples(self) -> FlatSamples:
+    def _build_samples(self, strata: Sequence[Stratum]) -> FlatSamples:
         """Snapshot the object strata into compact CSR arrays."""
-        strata = self._synopsis.leaf_samples
         sizes = [stratum.sample_size for stratum in strata]
         offsets = np.zeros(len(strata) + 1, dtype=np.int64)
         np.cumsum(np.asarray(sizes, dtype=np.int64), out=offsets[1:])
@@ -314,13 +325,6 @@ class FlatSynopsis:
         self._sample_counts = np.diff(offsets)
         return FlatSamples(offsets=offsets, columns=columns)
 
-    def _ensure_samples(self) -> FlatSamples:
-        """The CSR samples, rebuilt lazily after a length-changing swap."""
-        if self._samples_stale:
-            self._samples = self._build_samples()
-            self._samples_stale = False
-        return self._samples
-
     def export_buffers(self) -> tuple[dict, dict[str, np.ndarray]]:
         """Export the execution state as ``(header, arrays)`` flat buffers.
 
@@ -336,11 +340,11 @@ class FlatSynopsis:
         arrays meaning (``sketch_keys`` is empty for a synopsis built
         without sketches).
 
-        Arrays holding live synced state (node stats, sketches) are snapshot
-        copies, so later dynamic updates to this instance do not mutate the
-        export.
+        Arrays holding mutable state (node stats, samples, sketches) are
+        snapshot copies, so later dynamic updates to this instance do not
+        mutate the export.
         """
-        samples = self._ensure_samples()
+        samples = self._samples
         n = self._n_nodes
         n_cols = len(self._column_index)
         depth = np.zeros(n, dtype=np.int64)
@@ -397,15 +401,14 @@ class FlatSynopsis:
         allocations, both O(nodes); the packed sketches are unpacked into
         sketch objects (the one copy) on the first sketch query.
 
-        Buffer-backed instances are read-only query engines: there is no
-        owning object synopsis behind them, so the mutation hooks
-        (:meth:`update_node_stats`, :meth:`replace_leaf_sample`) must not
-        be used — writers rebuild and republish a fresh segment instead
-        (see :mod:`repro.serving.shm`).  Answers are bit-identical to the
+        Buffer-backed instances are read-only query engines: the mutation
+        calls (:meth:`add_value`, :meth:`remove_value`,
+        :meth:`replace_leaf_sample`) raise ``TypeError`` — writers update
+        their own instance and republish a fresh segment instead (see
+        :mod:`repro.serving.shm`).  Answers are bit-identical to the
         instance that exported the buffers.
         """
         self = cls.__new__(cls)
-        self._synopsis = None  # type: ignore[assignment]
         self._value_column = str(header["value_column"])
         self._lam = float(header["lam"])
         self._zero_variance_rule = bool(header["zero_variance_rule"])
@@ -418,13 +421,14 @@ class FlatSynopsis:
         self._node_count = arrays["node_count"]
         self._node_min = arrays["node_min"]
         self._node_max = arrays["node_max"]
-        self._row_by_id = {}
         self._zv_cache = None
+        self._mutations = 0
 
         self._parent = arrays["parent"]
         self._parent0 = arrays["parent0"]
         self._is_leaf = arrays["is_leaf"]
         self._leaf_of_row = arrays["leaf_of_row"]
+        self._read_only = True
         depth = arrays["depth"]
         self._levels = tuple(
             np.flatnonzero(depth == level_depth)
@@ -446,7 +450,6 @@ class FlatSynopsis:
                 for column in header["sample_columns"]
             },
         )
-        self._samples_stale = False
         self._sample_counts = np.diff(offsets)
 
         sketch_keys = [str(key) for key in header["sketch_keys"]]
@@ -455,47 +458,145 @@ class FlatSynopsis:
         self._leaf_spans = None
         return self
 
-    def update_node_stats(self, nodes: Sequence[object]) -> None:
-        """Mirror in-place statistic mutations of the given tree nodes.
+    # ------------------------------------------------------------------
+    # Updates (driven by repro.core.updates.DynamicPASS)
+    # ------------------------------------------------------------------
+    @property
+    def mutations(self) -> int:
+        """Writes applied so far; views derived from the arrays compare it."""
+        return self._mutations
 
-        Called by the dynamic update path after a root-to-leaf insert /
-        delete pass; cost is O(path length) array writes.  Nodes not in
-        this tree are ignored (defensive: never happens in-process).
+    @property
+    def population_size(self) -> int:
+        """Number of tuples summarized (the root's COUNT)."""
+        return int(self._node_count[0])
+
+    @property
+    def sample_counts(self) -> np.ndarray:
+        """Per-leaf sample sizes in leaf-index order (a read-only view)."""
+        counts = self._sample_counts.view()
+        counts.flags.writeable = False
+        return counts
+
+    def leaf_for_point(self, point: Mapping[str, float]) -> int:
+        """Index of the leaf whose box contains ``point`` — the one routing.
+
+        Only the columns the geometry knows are tested, so ``point`` may be a
+        whole row or name a subset of the predicate columns.  Of several
+        containing leaves (shared closed bounds, partial points) the first in
+        the tree's left-to-right order wins: the *last* containing leaf row,
+        geometry order being right to left.  ``KeyError`` when none does (a
+        NaN coordinate is inside no interval).
         """
-        row_by_id = self._row_by_id
-        for node in nodes:
-            row = row_by_id.get(id(node))
-            if row is None:
-                continue
-            stats = node.stats  # type: ignore[attr-defined]
-            self._node_sum[row] = stats.sum
-            self._node_count[row] = stats.count
-            self._node_min[row] = stats.min
-            self._node_max[row] = stats.max
+        inside = self._is_leaf
+        for column, c in self._column_index.items():
+            if column in point:
+                value = point[column]
+                inside = inside & (self._col_lows[c] <= value)
+                inside &= value <= self._col_highs[c]
+        rows = np.flatnonzero(inside)
+        if not rows.shape[0]:
+            raise KeyError(f"no leaf contains point {dict(point)!r}")
+        return int(self._leaf_of_row[rows[-1]])
+
+    def node_stats(
+        self, rows: np.ndarray | slice = slice(None)
+    ) -> list[PartitionStats]:
+        """:class:`PartitionStats` of node ``rows`` (default: all, row order)."""
+        columns = (self._node_sum, self._node_count, self._node_min, self._node_max)
+        return [
+            PartitionStats(*stats)
+            for stats in zip(*(column[rows].tolist() for column in columns))
+        ]
+
+    def leaf_stats(self, leaf: int) -> PartitionStats:
+        """The current SUM / COUNT / MIN / MAX of leaf ``leaf``."""
+        return self.node_stats(np.flatnonzero(self._leaf_of_row == leaf))[0]
+
+    def _begin_stats_write(self, leaf: int) -> np.ndarray:
+        """Node rows from leaf ``leaf`` up the ``parent`` chain to the root."""
+        if self._read_only:
+            raise TypeError(_READ_ONLY)
+        rows = [int(np.flatnonzero(self._leaf_of_row == leaf)[0])]
+        while rows[-1]:
+            rows.append(int(self._parent[rows[-1]]))
         self._zv_cache = None
+        self._mutations += 1
+        return np.array(rows)
 
-    def replace_leaf_sample(self, leaf_index: int, stratum: Stratum) -> None:
-        """Mirror a leaf-sample replacement into the CSR arrays.
+    def add_value(self, leaf: int, value: float) -> None:
+        """``PartitionStats.add_value`` on leaf ``leaf`` and every ancestor.
 
-        A same-length swap with the same column set (the common case —
-        reservoir replacement preserves the sample size) writes in place;
-        anything else marks the CSR structure stale for a lazy rebuild on
-        the next access.
+        The same IEEE operations: ``sum + value``, ``count + 1``, and MIN /
+        MAX move only when ``value`` compares strictly beyond them (a NaN
+        never becomes an extremum).
         """
-        if self._samples_stale:
-            return
+        rows = self._begin_stats_write(leaf)
+        self._node_sum[rows] += value
+        self._node_count[rows] += 1
+        mins, maxs = self._node_min[rows], self._node_max[rows]
+        self._node_min[rows] = np.where(value < mins, value, mins)
+        self._node_max[rows] = np.where(value > maxs, value, maxs)
+
+    def remove_value(self, leaf: int, value: float) -> None:
+        """``PartitionStats.remove_value`` on leaf ``leaf`` and every ancestor.
+
+        ``sum - value`` and ``count - 1`` with MIN / MAX kept (conservative);
+        a node left without tuples gets the empty statistics.
+        """
+        rows = self._begin_stats_write(leaf)
+        if not self._node_count[rows[0]]:
+            raise ValueError("cannot remove a value from an empty partition")
+        self._node_sum[rows] -= value
+        self._node_count[rows] -= 1
+        emptied = rows[self._node_count[rows] == 0]
+        self._node_sum[emptied] = 0.0
+        self._node_min[emptied] = np.inf
+        self._node_max[emptied] = -np.inf
+
+    def leaf_sample(self, leaf: int) -> dict[str, np.ndarray]:
+        """Leaf ``leaf``'s sample rows: one read-only CSR view per column."""
+        start, stop = self._samples.offsets[leaf : leaf + 2].tolist()
+        views = {c: values[start:stop] for c, values in self._samples.columns.items()}
+        for view in views.values():
+            view.flags.writeable = False
+        return views
+
+    def replace_leaf_sample(
+        self, leaf: int, columns: Mapping[str, np.ndarray]
+    ) -> None:
+        """Replace leaf ``leaf``'s sample rows — the one sample write.
+
+        ``columns`` carries every CSR sample column, all of one length.  An
+        unchanged length is written in place; otherwise the compact columns
+        are spliced and the offsets after the leaf shifted, so every other
+        leaf keeps its rows bit for bit.
+        """
+        if self._read_only:
+            raise TypeError(_READ_ONLY)
         samples = self._samples
-        start = int(samples.offsets[leaf_index])
-        stop = int(samples.offsets[leaf_index + 1])
-        if stratum.sample_size != stop - start or any(
-            column not in stratum.sample_columns for column in samples.columns
-        ):
-            self._samples_stale = True
-            return
-        for column, array in samples.columns.items():
-            array[start:stop] = np.asarray(
-                stratum.sample_columns[column], dtype=float
+        if not 0 <= leaf < self._sample_counts.shape[0]:
+            raise IndexError(f"leaf index {leaf} out of range")
+        start, stop = samples.offsets[leaf : leaf + 2].tolist()
+        rows = {c: np.asarray(columns[c], dtype=float) for c in samples.columns}
+        length = next(iter(rows.values())).shape[0]
+        if any(values.shape != (length,) for values in rows.values()):
+            raise ValueError("sample columns must be 1-D and of one length")
+        if length == stop - start:
+            for column, values in samples.columns.items():
+                values[start:stop] = rows[column]
+        else:
+            offsets = samples.offsets.copy()
+            offsets[leaf + 1 :] += length - (stop - start)
+            self._samples = FlatSamples(
+                offsets,
+                {
+                    c: np.concatenate([values[:start], rows[c], values[stop:]])
+                    for c, values in samples.columns.items()
+                },
             )
+            self._sample_counts[leaf] = length
+        self._mutations += 1
 
     def _zv_flags(self) -> np.ndarray:
         """Per-node ``stats.has_zero_variance`` flags, cached until stats change."""
@@ -782,7 +883,7 @@ class FlatSynopsis:
         must only invoke this when at least one partial leaf exists, which
         is exactly when the object path would evaluate (and raise).
         """
-        columns = self._ensure_samples().columns
+        columns = self._samples.columns
         for column in predicate.columns:
             if column not in columns:
                 raise KeyError(f"column {column!r} not provided for mask evaluation")
@@ -869,7 +970,6 @@ class FlatSynopsis:
             )
         bounds = self.hard_bounds_rows(agg, frontier.covered, frontier.partial)
 
-        self._ensure_samples()
         partial_rows = frontier.partial
         leaves = self._leaf_of_row[partial_rows]
         sample_counts = self._sample_counts[leaves]
@@ -1311,7 +1411,7 @@ class FlatSynopsis:
         self, predicate: RectPredicate, partial_rows: np.ndarray
     ) -> Iterator[PartialLeaf]:
         """The non-empty partial leaves as the sketch merge loops read them."""
-        samples = self._ensure_samples()
+        samples = self._samples
         offsets = samples.offsets
         constraints = (
             self._mask_constraints(predicate) if partial_rows.shape[0] else []
@@ -1359,7 +1459,7 @@ class FlatSynopsis:
                 per_leaf.setdefault(leaf, []).append(slot)
 
         moments: dict[tuple[int, int], _LeafMoments | None] = {}
-        samples = self._ensure_samples()
+        samples = self._samples
         offsets = samples.offsets
         value_values = samples.columns.get(self._value_column)
         for leaf_index, slots in per_leaf.items():

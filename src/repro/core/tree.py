@@ -37,8 +37,8 @@ def boxes_to_arrays(boxes: Sequence[Box]) -> dict[str, np.ndarray]:
     """Encode a list of boxes as flat numpy arrays (for npz persistence).
 
     The encoding records which columns each box constrains (boxes are named
-    interval mappings, and membership matters: ``leaf_for_point`` only tests
-    columns present in a box), so the round trip through
+    interval mappings, and membership is part of a box's identity), so the
+    round trip through
     :func:`boxes_from_arrays` reproduces each box exactly.
     """
     columns = sorted({column for box in boxes for column in box.columns})
@@ -518,55 +518,6 @@ class PartitionTree:
             geometry = _TreeGeometry.build(self._root)
             self._geometry_cache = geometry
         return geometry
-
-    # ------------------------------------------------------------------
-    # Dynamic maintenance helpers
-    # ------------------------------------------------------------------
-    def leaf_for_point(self, point: dict[str, float]) -> PartitionNode:
-        """The leaf whose box contains the given predicate-column point.
-
-        A depth-first descent into the first child whose box contains the
-        point.  Sibling boxes of a k-d tree overlap, so a containing child
-        may hold no containing leaf; the descent then backs up and tries the
-        next containing sibling, and raises ``KeyError`` only when no leaf
-        contains the point.  On a 1-D tree siblings are disjoint and the
-        first choice is always the right one.
-        """
-        node = self._root
-        if node.is_leaf:
-            return node
-        untried = [iter(node.children)]
-        while untried:
-            for child in untried[-1]:
-                if all(
-                    child.box.interval(column).contains_value(value)
-                    for column, value in point.items()
-                    if column in child.box
-                ):
-                    if child.is_leaf:
-                        return child
-                    untried.append(iter(child.children))
-                    break
-            else:
-                untried.pop()
-        raise KeyError(f"no leaf contains point {point!r}")
-
-    def path_to_leaf(self, leaf: PartitionNode) -> list[PartitionNode]:
-        """Root-to-leaf path ending at ``leaf`` (used by dynamic updates)."""
-
-        def find(node: PartitionNode) -> list[PartitionNode] | None:
-            if node is leaf:
-                return [node]
-            for child in node.children:
-                suffix = find(child)
-                if suffix is not None:
-                    return [node] + suffix
-            return None
-
-        path = find(self._root)
-        if path is None:
-            raise KeyError("leaf does not belong to this tree")
-        return path
 
 
 def _bounding_box(boxes: Sequence[Box]) -> Box:

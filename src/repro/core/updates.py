@@ -1,12 +1,16 @@
 """Dynamic maintenance of a PASS synopsis (Section 4.5).
 
-Insertions and deletions are handled without rebuilding the structure:
+Insertions and deletions are applied, without rebuilding, to the one mutable
+copy of the synopsis — the :class:`~repro.core.soa.FlatSynopsis` arrays:
 
-* the tuple is routed to its leaf partition by walking the tree;
-* the SUM / COUNT / MIN / MAX statistics of every node on the root-to-leaf
-  path are updated in O(height) time;
-* the leaf's stratified sample is maintained with reservoir sampling, so it
-  stays a uniform sample of the leaf's (growing) population.
+* the tuple is routed to its leaf over the leaf rows' bounds
+  (``leaf_for_point``);
+* SUM / COUNT / MIN / MAX of every row on the leaf-to-root ``parent`` chain
+  are updated in O(height) time (``add_value`` / ``remove_value``);
+* the leaf's stratified sample — its CSR rows, stored nowhere else — is kept
+  by reservoir sampling (:func:`~repro.sampling.reservoir.reservoir_slot`),
+  so it stays a uniform sample of the leaf's (growing) population; only the
+  reservoirs' ``capacity`` / ``seen`` counters live here.
 
 After many updates the partitioning may drift away from the optimum the
 builder found; :meth:`DynamicPASS.updates_since_build` and the normalized
@@ -52,12 +56,11 @@ import numpy as np
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
 from repro.core.pass_synopsis import PASSSynopsis
-from repro.core.tree import PartitionNode
 from repro.data.table import Table
+from repro.query.predicate import Box
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
-from repro.sampling.reservoir import ReservoirSample
-from repro.sampling.stratified import Stratum
+from repro.sampling.reservoir import reservoir_slot
 
 __all__ = ["DynamicPASS", "StaleExtremaWarning"]
 
@@ -77,7 +80,8 @@ class DynamicPASS:
         Passed through to :func:`~repro.core.builder.build_pass`.
     reservoir_capacity:
         Per-leaf reservoir capacity; defaults to each leaf's initial sample
-        size (so storage stays constant under inserts).
+        size (so storage stays constant under inserts); a larger built
+        sample is cut to it, by the reservoir rule, at construction.
     extra_sample_columns:
         Additional columns retained in the samples and reservoirs (see
         :func:`~repro.core.builder.build_leaf_samples`).
@@ -97,43 +101,55 @@ class DynamicPASS:
         self._predicate_columns = list(predicate_columns)
         self._config = config or PASSConfig()
         self._extra_sample_columns = list(extra_sample_columns or [])
-        self._synopsis = build_pass(
-            table,
-            value_column,
-            predicate_columns,
-            self._config,
-            extra_sample_columns=self._extra_sample_columns,
+        if reservoir_capacity is not None and reservoir_capacity < 0:
+            raise ValueError("reservoir capacity must be positive")
+        self._reservoir_capacity = reservoir_capacity
+        self._adopt(
+            build_pass(
+                table,
+                value_column,
+                predicate_columns,
+                self._config,
+                extra_sample_columns=self._extra_sample_columns,
+            ),
+            rng,
         )
-        generator = (
-            rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        )
-        self._sample_columns = (
-            list(self._synopsis.leaf_samples[0].sample_columns.keys())
-            if self._synopsis.leaf_samples
-            else [value_column]
-        )
-
-        # Seed one reservoir per leaf from the builder's stratified sample so
-        # the initial state matches the static synopsis exactly.
-        self._reservoirs: list[ReservoirSample] = []
-        for stratum in self._synopsis.leaf_samples:
-            capacity = reservoir_capacity or max(1, stratum.sample_size)
-            reservoir = ReservoirSample(capacity, rng=generator)
-            for row_index in range(stratum.sample_size):
-                row = {
-                    column: float(values[row_index])
-                    for column, values in stratum.sample_columns.items()
-                }
-                reservoir.offer(row)
-            # The reservoir has now "seen" only its own sample; record the
-            # true leaf population so acceptance probabilities stay unbiased.
-            reservoir.rebase_seen(max(stratum.size, len(reservoir)))
-            self._reservoirs.append(reservoir)
+        populations = [stratum.size for stratum in self._synopsis.leaf_samples]
+        counts = self._flat.sample_counts
+        self._capacity = np.maximum(1, counts)
+        if reservoir_capacity:
+            self._capacity[:] = reservoir_capacity
+        for leaf in np.flatnonzero(counts > self._capacity).tolist():
+            # Offer the built sample, row by row, to the smaller reservoir.
+            capacity = int(self._capacity[leaf])
+            kept = list(range(capacity))
+            for offered in range(capacity, int(counts[leaf])):
+                slot = reservoir_slot(capacity, capacity, offered + 1, self._rng)
+                if slot is not None:
+                    kept[slot] = offered
+            rows = {c: v[kept] for c, v in self._flat.leaf_sample(leaf).items()}
+            self._flat.replace_leaf_sample(leaf, rows)
+        # A reservoir seeded with a sample has "seen" the leaf's population:
+        # acceptance probabilities are relative to it, not to the sample.
+        self._seen = np.maximum(populations, counts)
         self._updates_since_build = 0
         self._build_population = self.population_size
         self._minmax_possibly_stale = False
         self._sketch_stale_deletes = 0
         self._extrema_stale_deletes = 0
+
+    def _adopt(
+        self, synopsis: PASSSynopsis, rng: np.random.Generator | int | None
+    ) -> None:
+        """Take ``synopsis``' flat arrays as the state updates are applied to."""
+        self._rng = (
+            rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+        )
+        self._synopsis = synopsis
+        self._flat = synopsis.flat
+        self._leaf_boxes = synopsis.leaf_boxes
+        self._sketches = synopsis.leaf_sketches
+        self._sample_columns = list(self._flat.leaf_sample(0))
 
     # ------------------------------------------------------------------
     # Introspection
@@ -171,7 +187,7 @@ class DynamicPASS:
     @property
     def population_size(self) -> int:
         """Current number of tuples summarized."""
-        return self._synopsis.tree.root.stats.count
+        return self._flat.population_size
 
     @property
     def staleness(self) -> float:
@@ -221,34 +237,47 @@ class DynamicPASS:
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def insert(self, row: Mapping[str, float]) -> None:
-        """Insert one tuple: update path statistics, sketches, and the reservoir."""
-        leaf = self._route(row)
-        value = float(row[self._value_column])
-        path = self._synopsis.tree.path_to_leaf(leaf)
-        for node in path:
-            node.stats = node.stats.add_value(value)
-        self._synopsis.notify_stats_mutated(path)
-        if self._synopsis.has_sketches and not np.isnan(value):
-            sketches = self._synopsis.leaf_sketches_at(leaf.leaf_index)
+    def insert(self, row: Mapping[str, float]) -> Box:
+        """Insert one tuple: update path statistics, sketches, and the reservoir.
+
+        Returns the box of the leaf the tuple landed in (serving layers
+        invalidate the cached results overlapping it).
+        """
+        leaf, value, sample_row = self._locate(row)
+        flat = self._flat
+        flat.add_value(leaf, value)
+        if self._sketches is not None and not np.isnan(value):
+            sketches = self._sketches[leaf]
             sketches.quantile.update(value)
             sketches.distinct.update(value)
-        reservoir = self._reservoirs[leaf.leaf_index]
-        reservoir.offer({column: float(row[column]) for column in self._sample_columns})
-        self._refresh_leaf_sample(leaf)
+        self._seen[leaf] += 1
+        held = int(flat.sample_counts[leaf])
+        slot = reservoir_slot(
+            held, int(self._capacity[leaf]), int(self._seen[leaf]), self._rng
+        )
+        if slot is not None:
+            # Appended while there is room (slot == held), else overwritten.
+            rows = {
+                c: np.concatenate([values[:slot], [sample_row[c]], values[slot + 1 :]])
+                for c, values in flat.leaf_sample(leaf).items()
+            }
+            flat.replace_leaf_sample(leaf, rows)
         self._updates_since_build += 1
+        return self._leaf_boxes[leaf]
 
-    def delete(self, row: Mapping[str, float]) -> None:
+    def delete(self, row: Mapping[str, float]) -> Box:
         """Delete one tuple: update path statistics and drop it from the sample.
 
         MIN / MAX bounds become conservative (they are not tightened on
-        deletion); SUM / COUNT / AVG stay exact.
+        deletion); SUM / COUNT / AVG stay exact.  Returns the leaf's box
+        (see :meth:`insert`).
         """
-        leaf = self._route(row)
-        value = float(row[self._value_column])
-        if leaf.stats.count == 0:
+        leaf, value, sample_row = self._locate(row)
+        flat = self._flat
+        stats = flat.leaf_stats(leaf)
+        if stats.count == 0:
             raise ValueError("cannot delete from an empty partition")
-        if value <= leaf.stats.min or value >= leaf.stats.max:
+        if value <= stats.min or value >= stats.max:
             # The deleted tuple may have been the partition's extremum; the
             # MIN / MAX bounds on the whole path are now only conservative.
             if not self._minmax_possibly_stale:
@@ -260,20 +289,23 @@ class DynamicPASS:
                 )
             self._minmax_possibly_stale = True
             self._extrema_stale_deletes += 1
-        path = self._synopsis.tree.path_to_leaf(leaf)
-        for node in path:
-            node.stats = node.stats.remove_value(value)
-        self._synopsis.notify_stats_mutated(path)
-        if self._synopsis.has_sketches and not np.isnan(value):
+        flat.remove_value(leaf, value)
+        if self._sketches is not None and not np.isnan(value):
             # Sketches cannot un-see a value; track the drift instead (see
             # the module docstring and sketch_staleness).
             self._sketch_stale_deletes += 1
-        reservoir = self._reservoirs[leaf.leaf_index]
-        reservoir.discard(
-            {column: float(row[column]) for column in self._sample_columns}
+        # Drop the first sampled row equal to the tuple, if any: the rest is
+        # a uniform sample of the survivors only approximately, which
+        # Section 4.5 accepts until a rebuild.
+        sample = flat.leaf_sample(leaf)
+        hits = np.flatnonzero(
+            np.logical_and.reduce([v == sample_row[c] for c, v in sample.items()])
         )
-        self._refresh_leaf_sample(leaf)
+        if hits.shape[0]:
+            rows = {c: np.delete(values, hits[0]) for c, values in sample.items()}
+            flat.replace_leaf_sample(leaf, rows)
         self._updates_since_build += 1
+        return self._leaf_boxes[leaf]
 
     def query(self, query: AggregateQuery, lam: float | None = None) -> AQPResult:
         """Answer a query from the (updated) synopsis."""
@@ -286,6 +318,7 @@ class DynamicPASS:
             self._value_column,
             self._predicate_columns,
             config=self._config,
+            reservoir_capacity=self._reservoir_capacity,
             extra_sample_columns=self._extra_sample_columns,
         )
 
@@ -301,21 +334,13 @@ class DynamicPASS:
         valid) eviction choices.
         """
         arrays, header = self._synopsis.to_arrays()
-        lengths = [len(reservoir) for reservoir in self._reservoirs]
-        arrays["reservoir/offsets"] = np.concatenate([[0], np.cumsum(lengths)]).astype(
-            np.int64
-        )
-        arrays["reservoir/seen"] = np.array(
-            [reservoir.seen for reservoir in self._reservoirs], dtype=np.int64
-        )
-        arrays["reservoir/capacity"] = np.array(
-            [reservoir.capacity for reservoir in self._reservoirs], dtype=np.int64
-        )
-        for column in self._sample_columns:
-            parts = [reservoir.column(column) for reservoir in self._reservoirs]
-            arrays[f"reservoir/column/{column}"] = (
-                np.concatenate(parts) if parts else np.zeros(0, dtype=float)
-            )
+        # The reservoir rows are the leaf samples: the archive keeps both
+        # names, the synopsis stores them once.
+        arrays["reservoir/offsets"] = arrays["strata/offsets"]
+        arrays["reservoir/seen"] = self._seen.copy()
+        arrays["reservoir/capacity"] = self._capacity.copy()
+        for column in header["sample_columns"]:
+            arrays[f"reservoir/column/{column}"] = arrays[f"samples/{column}"]
         config = dataclasses.asdict(self._config)
         config["agg_template"] = self._config.agg_template.value
         header.update(
@@ -340,11 +365,15 @@ class DynamicPASS:
         header: Mapping,
         rng: np.random.Generator | int | None = 0,
     ) -> "DynamicPASS":
-        """Rebuild an instance exported with :meth:`to_arrays` (no re-build)."""
-        synopsis = PASSSynopsis.from_arrays(dict(arrays), dict(header))
-        generator = (
-            rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        )
+        """Rebuild an instance exported with :meth:`to_arrays` (no re-build).
+
+        The leaf samples are the archive's ``reservoir/*`` rows (older
+        archives may carry an uncut build sample under ``samples/*``).
+        """
+        arrays = dict(arrays)
+        arrays["strata/offsets"] = arrays["reservoir/offsets"]
+        for column in header["sample_columns"]:
+            arrays[f"samples/{column}"] = arrays[f"reservoir/column/{column}"]
         instance = cls.__new__(cls)
         instance._value_column = str(header["value_column"])
         instance._predicate_columns = list(header["predicate_columns"])
@@ -353,27 +382,13 @@ class DynamicPASS:
         # carry it.
         config = {k: v for k, v in header["config"].items() if k != "execution"}
         instance._config = PASSConfig(**config)
-        instance._synopsis = synopsis
-        instance._sample_columns = list(header["sample_columns"])
-        offsets = np.asarray(arrays["reservoir/offsets"], dtype=np.int64)
-        seen = np.asarray(arrays["reservoir/seen"], dtype=np.int64)
-        capacity = np.asarray(arrays["reservoir/capacity"], dtype=np.int64)
-        columns = {
-            column: np.asarray(arrays[f"reservoir/column/{column}"], dtype=float)
-            for column in instance._sample_columns
-        }
-        instance._reservoirs = []
-        for i in range(len(seen)):
-            reservoir = ReservoirSample(int(capacity[i]), rng=generator)
-            for row_index in range(int(offsets[i]), int(offsets[i + 1])):
-                reservoir.offer(
-                    {
-                        column: float(values[row_index])
-                        for column, values in columns.items()
-                    }
-                )
-            reservoir.rebase_seen(max(int(seen[i]), len(reservoir)))
-            instance._reservoirs.append(reservoir)
+        instance._reservoir_capacity = None
+        instance._adopt(PASSSynopsis.from_arrays(arrays, dict(header)), rng)
+        instance._capacity = np.array(arrays["reservoir/capacity"], dtype=np.int64)
+        instance._seen = np.maximum(
+            np.asarray(arrays["reservoir/seen"], dtype=np.int64),
+            instance._flat.sample_counts,
+        )
         instance._updates_since_build = int(header["updates_since_build"])
         instance._build_population = int(header["build_population"])
         instance._minmax_possibly_stale = bool(header["minmax_possibly_stale"])
@@ -384,25 +399,17 @@ class DynamicPASS:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _route(self, row: Mapping[str, float]) -> PartitionNode:
-        point = {
-            column: float(row[column])
-            for column in self._predicate_columns
-            if column in row
-        }
-        if not point:
+    def _locate(
+        self, row: Mapping[str, float]
+    ) -> tuple[int, float, dict[str, float]]:
+        """``(leaf index, value, sample-column values)`` of an update row.
+
+        Everything that can reject the row happens here, before any write.
+        """
+        if not any(column in row for column in self._predicate_columns):
             raise KeyError(
                 f"row must provide the predicate columns {self._predicate_columns}"
             )
-        return self._synopsis.tree.leaf_for_point(point)
-
-    def _refresh_leaf_sample(self, leaf: PartitionNode) -> None:
-        """Rebuild the leaf's Stratum view from its reservoir contents."""
-        reservoir = self._reservoirs[leaf.leaf_index]
-        old = self._synopsis.leaf_samples[leaf.leaf_index]
-        new_stratum = Stratum(
-            box=old.box,
-            size=leaf.stats.count,
-            sample_columns=reservoir.as_columns(self._sample_columns),
-        )
-        self._synopsis.replace_leaf_sample(leaf.leaf_index, new_stratum)
+        sample_row = {column: float(row[column]) for column in self._sample_columns}
+        leaf = self._flat.leaf_for_point(row)
+        return leaf, float(row[self._value_column]), sample_row

@@ -56,7 +56,7 @@ import numpy as np
 
 from repro.core.batching import batch_query
 from repro.core.pass_synopsis import PASSSynopsis
-from repro.core.tree import PartitionNode, boxes_from_arrays, boxes_to_arrays
+from repro.core.tree import boxes_from_arrays, boxes_to_arrays
 from repro.core.updates import DynamicPASS
 from repro.distributed.planner import ShardRouting
 from repro.obs import Observability
@@ -292,14 +292,14 @@ class ShardedSynopsis:
         """Index of the shard owning a row."""
         return self._routing.shard_for_row(row)
 
-    def leaf_for_point(self, point: Mapping[str, float]) -> PartitionNode:
-        """The owning shard's leaf containing a predicate-column point.
+    def leaf_box(self, row: Mapping[str, float]) -> Box:
+        """The box of the owning shard's leaf containing a row's point.
 
-        Serving layers use the leaf's box to invalidate exactly the cached
-        results an update can affect.
+        Serving layers use it to invalidate exactly the cached results an
+        update can affect.
         """
-        shard = self._shards[self.shard_for_row(point)]
-        return _pass_of(shard).tree.leaf_for_point(dict(point))
+        synopsis = _pass_of(self._shards[self.shard_for_row(row)])
+        return synopsis.leaf_boxes[synopsis.flat.leaf_for_point(row)]
 
     def surviving_shards(self, query: AggregateQuery) -> list[int]:
         """Shards whose key range may contain tuples matching the query.

@@ -8,7 +8,7 @@ from repro.sampling.estimators import (
     stratum_sum_contribution,
     uniform_estimate,
 )
-from repro.sampling.reservoir import ReservoirSample
+from repro.sampling.reservoir import reservoir_slot
 from repro.sampling.stratified import StratifiedSampleSynopsis, Stratum
 from repro.sampling.uniform import UniformSampleSynopsis
 
@@ -19,7 +19,7 @@ __all__ = [
     "stratum_mean_estimate",
     "stratum_sum_contribution",
     "uniform_estimate",
-    "ReservoirSample",
+    "reservoir_slot",
     "StratifiedSampleSynopsis",
     "Stratum",
     "UniformSampleSynopsis",

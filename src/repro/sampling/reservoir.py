@@ -1,125 +1,32 @@
 """Reservoir sampling (Vitter's Algorithm R).
 
-Section 4.5 of the paper points out that PASS can maintain statistically
-consistent per-stratum samples under insertions by using reservoir sampling
-[Vitter 1985]: every stratum keeps a fixed-capacity reservoir that, at any
-point in the insertion stream, is a uniform sample of all tuples seen so far.
-
-:class:`ReservoirSample` implements the classic Algorithm R over dictionaries
-of column values (one reservoir per leaf partition in the dynamic-update
-machinery of :mod:`repro.core.updates`).
+Section 4.5 of the paper keeps per-stratum samples statistically consistent
+under insertions with reservoir sampling [Vitter 1985]: a fixed-capacity
+reservoir that is, at any point of the stream, a uniform sample of all tuples
+seen so far.  :func:`reservoir_slot` is the accept / evict rule and nothing
+else: a leaf's reservoir rows are its slice of the flat CSR sample columns,
+and :class:`repro.core.updates.DynamicPASS` keeps ``capacity`` / ``seen``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
-
 import numpy as np
 
-__all__ = ["ReservoirSample"]
+__all__ = ["reservoir_slot"]
 
 
-class ReservoirSample:
-    """A fixed-capacity uniform sample maintained over a stream of rows.
+def reservoir_slot(
+    held: int, capacity: int, seen: int, rng: np.random.Generator
+) -> int | None:
+    """Where the ``seen``-th row offered to a reservoir goes, if anywhere.
 
-    Parameters
-    ----------
-    capacity:
-        Maximum number of rows retained.  While fewer than ``capacity`` rows
-        have been observed every row is kept; afterwards each new row replaces
-        a random retained row with probability ``capacity / seen``.
-    rng:
-        Numpy generator or seed controlling replacement decisions.
+    While the reservoir holds fewer than ``capacity`` rows the answer is
+    ``held`` (append: the first ``capacity`` rows are all kept, and ``rng`` is
+    not consumed).  Afterwards it is a uniformly drawn slot to overwrite — the
+    row is accepted with probability ``capacity / seen`` — or ``None`` when
+    the row is rejected.  ``seen`` counts this row.
     """
-
-    def __init__(
-        self, capacity: int, rng: np.random.Generator | int | None = 0
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("reservoir capacity must be positive")
-        self._capacity = capacity
-        self._rng = (
-            rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        )
-        self._rows: list[dict[str, float]] = []
-        self._seen = 0
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def capacity(self) -> int:
-        """Maximum number of retained rows."""
-        return self._capacity
-
-    @property
-    def seen(self) -> int:
-        """Total number of rows offered to the reservoir so far."""
-        return self._seen
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    @property
-    def rows(self) -> list[dict[str, float]]:
-        """A copy of the currently retained rows."""
-        return [dict(row) for row in self._rows]
-
-    # ------------------------------------------------------------------
-    # Stream maintenance
-    # ------------------------------------------------------------------
-    def offer(self, row: Mapping[str, float]) -> dict[str, float] | None:
-        """Offer a new row to the reservoir.
-
-        Returns
-        -------
-        The row that was evicted to make room (when the reservoir was full and
-        the new row was accepted), or ``None`` when nothing was evicted.  When
-        the new row is rejected the method also returns ``None``; callers that
-        need to distinguish can compare ``len(reservoir)`` before and after.
-        """
-        self._seen += 1
-        row = dict(row)
-        if len(self._rows) < self._capacity:
-            self._rows.append(row)
-            return None
-        slot = int(self._rng.integers(0, self._seen))
-        if slot < self._capacity:
-            evicted = self._rows[slot]
-            self._rows[slot] = row
-            return evicted
-        return None
-
-    def rebase_seen(self, seen: int) -> None:
-        """Reset the observed-row counter (e.g. when seeding from an existing sample).
-
-        Used when a reservoir is initialised with a pre-drawn uniform sample of
-        a population of ``seen`` rows: future acceptance probabilities must be
-        computed relative to the true population size, not the sample size.
-        """
-        if seen < len(self._rows):
-            raise ValueError("seen count cannot be smaller than the retained rows")
-        self._seen = seen
-
-    def discard(self, match: Mapping[str, float]) -> bool:
-        """Remove one retained row equal to ``match`` (used on deletions).
-
-        Returns True when a row was removed.  Removing a row keeps the
-        remaining reservoir a uniform sample of the surviving population only
-        approximately; Section 4.5 of the paper accepts this and recommends
-        re-optimisation after many updates.
-        """
-        match = dict(match)
-        for index, row in enumerate(self._rows):
-            if row == match:
-                del self._rows[index]
-                return True
-        return False
-
-    def column(self, name: str) -> np.ndarray:
-        """Values of one column across the retained rows."""
-        return np.array([row[name] for row in self._rows], dtype=float)
-
-    def as_columns(self, names: list[str]) -> Dict[str, np.ndarray]:
-        """The retained rows as a dict of column arrays."""
-        return {name: self.column(name) for name in names}
+    if held < capacity:
+        return held
+    slot = int(rng.integers(0, seen))
+    return slot if slot < capacity else None

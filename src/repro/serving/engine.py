@@ -527,28 +527,22 @@ class ServingEngine:
                 {"synopsis": name, "kind": kind},
             ).inc()
         with self._lock.write_locked():
-            point = {
-                column: float(row[column])
-                for column in entry.predicate_columns
-                if column in row
-            }
+            apply = getattr(entry.synopsis, kind)
             if entry.is_sharded:
-                leaf = entry.synopsis.leaf_for_point(point)
+                # A sharded update reports its shard, not its leaf.
+                box = entry.synopsis.leaf_box(row)
+                apply(row)
             else:
-                leaf = entry.pass_synopsis.tree.leaf_for_point(point)
-            if kind == "insert":
-                entry.synopsis.insert(row)
-            else:
-                entry.synopsis.delete(row)
+                box = apply(row)
             # Mirror the update into the auditor's truth oracle while still
             # holding the write lock, so oracle epochs order strictly with
             # the read-locked offers above.
             auditor = self._auditor
             if auditor is not None:
                 auditor.note_update(entry.table_name, row, kind)
-            dropped = self._invalidate_overlapping(name, leaf.box)
+            dropped = self._invalidate_overlapping(name, box)
         self._stats_for(name).record_invalidations(dropped)
-        return leaf.box
+        return box
 
     def _invalidate_overlapping(self, name: str, box) -> int:
         """Drop cached results of ``name`` whose region overlaps ``box``."""

@@ -160,7 +160,9 @@ class TestSynopsisIntrospection:
     def test_replace_leaf_sample_bounds_checked(self, skewed_pass):
         _, synopsis = skewed_pass
         with pytest.raises(IndexError):
-            synopsis.replace_leaf_sample(10_000, synopsis.leaf_samples[0])
+            synopsis.flat.replace_leaf_sample(
+                10_000, synopsis.leaf_samples[0].sample_columns
+            )
 
 
 class TestHardBoundProperty:

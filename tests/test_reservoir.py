@@ -1,74 +1,129 @@
-"""Tests for reservoir sampling (Vitter's Algorithm R)."""
+"""Tests for reservoir sampling (Vitter's Algorithm R).
+
+The accept / evict rule is :func:`repro.sampling.reservoir.reservoir_slot`;
+the rows live in the flat CSR sample columns and ``DynamicPASS`` keeps the
+``capacity`` / ``seen`` counters, so the row-level behaviours (discard of an
+equal row, the rebased ``seen``) are checked through it.
+"""
 
 from __future__ import annotations
+
+import contextlib
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sampling.reservoir import ReservoirSample
+from repro.core.config import PASSConfig
+from repro.core.updates import DynamicPASS, StaleExtremaWarning
+from repro.data.table import Table
+from repro.sampling.reservoir import reservoir_slot
+
+
+def _retained(capacity: int, n_items: int, seed: int) -> list[int]:
+    """Stream items ``0 .. n_items - 1`` through a reservoir; what it holds."""
+    rng = np.random.default_rng(seed)
+    held: list[int] = []
+    for item in range(n_items):
+        slot = reservoir_slot(len(held), capacity, item + 1, rng)
+        if slot is None:
+            continue
+        if slot == len(held):
+            held.append(item)
+        else:
+            held[slot] = item
+    return held
+
+
+def _dynamic(reservoir_capacity: int | None = None) -> tuple[Table, DynamicPASS]:
+    rng = np.random.default_rng(5)
+    table = Table(
+        {"key": np.arange(400, dtype=float), "value": rng.normal(50.0, 10.0, size=400)}
+    )
+    config = PASSConfig(n_partitions=4, sample_rate=0.2, partitioner="equal", seed=0)
+    return table, DynamicPASS(
+        table, "value", ["key"], config=config, reservoir_capacity=reservoir_capacity
+    )
+
+
+@contextlib.contextmanager
+def _ignoring_stale_extrema():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StaleExtremaWarning)
+        yield
 
 
 class TestReservoirBasics:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            ReservoirSample(0)
+            _dynamic(reservoir_capacity=-1)
 
     def test_keeps_everything_below_capacity(self):
-        reservoir = ReservoirSample(10, rng=0)
-        for i in range(5):
-            reservoir.offer({"x": float(i)})
-        assert len(reservoir) == 5
-        assert reservoir.seen == 5
+        assert _retained(10, 5, seed=0) == [0, 1, 2, 3, 4]
+
+    def test_below_capacity_consumes_no_random_numbers(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        assert [reservoir_slot(i, 10, i + 1, rng) for i in range(10)] == list(range(10))
+        assert rng.bit_generator.state == before
 
     def test_never_exceeds_capacity(self):
-        reservoir = ReservoirSample(8, rng=0)
-        for i in range(1_000):
-            reservoir.offer({"x": float(i)})
-        assert len(reservoir) == 8
-        assert reservoir.seen == 1_000
+        assert len(_retained(8, 1_000, seed=0)) == 8
 
-    def test_offer_returns_evicted_row_when_replacing(self):
-        reservoir = ReservoirSample(1, rng=0)
-        reservoir.offer({"x": 0.0})
-        evictions = sum(
-            1 for i in range(1, 200) if reservoir.offer({"x": float(i)}) is not None
-        )
+    def test_a_full_reservoir_replaces_inside_its_capacity(self):
+        rng = np.random.default_rng(0)
+        slots = [reservoir_slot(1, 1, seen, rng) for seen in range(2, 201)]
         # With capacity 1 the expected number of acceptances is H_200 - 1 ~ 4.9;
-        # any positive count shows replacement happens and returns the victim.
-        assert evictions > 0
+        # any positive count shows replacement happens, always at slot 0.
+        assert set(slots) == {None, 0}
 
-    def test_rows_returns_copies(self):
-        reservoir = ReservoirSample(2, rng=0)
-        reservoir.offer({"x": 1.0})
-        rows = reservoir.rows
-        rows[0]["x"] = 99.0
-        assert reservoir.rows[0]["x"] == 1.0
+    def test_discard_removes_one_matching_row(self):
+        table, dynamic = _dynamic()
+        flat = dynamic.synopsis.flat
+        leaf = 1
+        sample = {c: v.copy() for c, v in flat.leaf_sample(leaf).items()}
+        sampled = {column: float(values[3]) for column, values in sample.items()}
+        with _ignoring_stale_extrema():
+            dynamic.delete(sampled)
+        after = flat.leaf_sample(leaf)
+        assert len(after["key"]) == len(sample["key"]) - 1
+        assert sampled["key"] not in after["key"].tolist()
+        for column, values in sample.items():
+            assert after[column].tolist() == np.delete(values, 3).tolist()
+        # A tuple that was never sampled leaves the sample alone.
+        keys = table.column("key")
+        in_leaf = dynamic.synopsis.leaf_boxes[leaf].mask({"key": keys})
+        unsampled = next(
+            int(i)
+            for i in np.flatnonzero(in_leaf)
+            if keys[i] not in sample["key"].tolist()
+        )
+        with _ignoring_stale_extrema():
+            dynamic.delete(
+                {
+                    "key": float(keys[unsampled]),
+                    "value": float(table.column("value")[unsampled]),
+                }
+            )
+        assert flat.leaf_sample(leaf)["key"].tolist() == after["key"].tolist()
 
-    def test_column_and_as_columns(self):
-        reservoir = ReservoirSample(3, rng=0)
-        for i in range(3):
-            reservoir.offer({"x": float(i), "y": float(10 + i)})
-        assert list(reservoir.column("x")) == [0.0, 1.0, 2.0]
-        columns = reservoir.as_columns(["x", "y"])
-        assert set(columns) == {"x", "y"}
-
-    def test_discard_removes_matching_row(self):
-        reservoir = ReservoirSample(3, rng=0)
-        reservoir.offer({"x": 1.0})
-        reservoir.offer({"x": 2.0})
-        assert reservoir.discard({"x": 1.0})
-        assert not reservoir.discard({"x": 42.0})
-        assert len(reservoir) == 1
-
-    def test_rebase_seen_validation(self):
-        reservoir = ReservoirSample(3, rng=0)
-        reservoir.offer({"x": 1.0})
-        reservoir.rebase_seen(500)
-        assert reservoir.seen == 500
-        with pytest.raises(ValueError):
-            reservoir.rebase_seen(0)
+    def test_seen_is_rebased_to_the_leaf_population(self):
+        _, dynamic = _dynamic()
+        arrays, _ = dynamic.to_arrays()
+        # 100 rows per leaf, 20 % sampled: the reservoir has "seen" the
+        # whole leaf, so a new row is accepted with probability 40 / 101.
+        assert arrays["reservoir/seen"].tolist() == [100] * 4
+        assert arrays["reservoir/capacity"].tolist() == [40] * 4
+        accepted = 0
+        for i in range(300):
+            dynamic.insert({"key": 0.5, "value": 1e6 + i})
+            accepted += 1e6 + i in dynamic.synopsis.flat.leaf_sample(0)["value"]
+        arrays, _ = dynamic.to_arrays()
+        assert arrays["reservoir/seen"].tolist() == [400, 100, 100, 100]
+        # sum_{n=101}^{400} 40 / n ~ 55.2 expected acceptances.
+        assert 30 < accepted < 85
 
 
 class TestReservoirUniformity:
@@ -77,11 +132,8 @@ class TestReservoirUniformity:
         capacity, stream_length, trials = 10, 100, 400
         counts = np.zeros(stream_length)
         for trial in range(trials):
-            reservoir = ReservoirSample(capacity, rng=trial)
-            for i in range(stream_length):
-                reservoir.offer({"x": float(i)})
-            for row in reservoir.rows:
-                counts[int(row["x"])] += 1
+            for item in _retained(capacity, stream_length, seed=trial):
+                counts[item] += 1
         frequencies = counts / trials
         expected = capacity / stream_length
         # Early and late stream elements must be retained at similar rates.
@@ -93,8 +145,4 @@ class TestReservoirUniformity:
     )
     @settings(max_examples=50)
     def test_size_invariant(self, capacity, n_items):
-        reservoir = ReservoirSample(capacity, rng=7)
-        for i in range(n_items):
-            reservoir.offer({"x": float(i)})
-        assert len(reservoir) == min(capacity, n_items)
-        assert reservoir.seen == n_items
+        assert len(_retained(capacity, n_items, seed=7)) == min(capacity, n_items)

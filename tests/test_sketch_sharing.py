@@ -35,7 +35,6 @@ from repro.query.aggregates import SKETCH_AGGREGATES
 from repro.query.groupby import AggregateSpec, GroupByQuery, GroupingColumn
 from repro.query.predicate import Box, Interval, RectPredicate
 from repro.query.query import AggregateQuery
-from repro.sampling.stratified import Stratum
 from repro.serving import AsyncServingEngine, ServingEngine, SynopsisCatalog
 from repro.sketches.quantile import QuantileSketch
 
@@ -84,14 +83,9 @@ def _table() -> Table:
 
 def _strip_sample(synopsis, leaf: int) -> None:
     """Leave one populated leaf without a sample (its partial mass is unseen)."""
-    stratum = synopsis.leaf_samples[leaf]
-    synopsis.replace_leaf_sample(
-        leaf,
-        Stratum(
-            box=stratum.box,
-            size=stratum.size,
-            sample_columns={column: np.zeros(0) for column in stratum.sample_columns},
-        ),
+    flat = synopsis.flat
+    flat.replace_leaf_sample(
+        leaf, {column: np.zeros(0) for column in flat.leaf_sample(leaf)}
     )
 
 

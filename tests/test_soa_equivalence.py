@@ -45,7 +45,6 @@ from repro.sampling.estimators import (
     stratum_count_contribution,
     stratum_sum_contribution,
 )
-from repro.sampling.stratified import Stratum
 from repro.sketches.union import sketch_union_result
 
 N_ROWS = 1500
@@ -426,7 +425,7 @@ class TestBatchBitIdentity:
         pool=_pool,
         picks=_picks,
     )
-    def test_batches_after_updates_and_a_stale_sample_rebuild(
+    def test_batches_after_updates_and_a_length_changing_sample_update(
         self, n_columns, seed, n_inserts, n_deletes, pool, picks
     ):
         """1-D frontiers stay on the scalar kernels, 2-D ones gather."""
@@ -436,7 +435,6 @@ class TestBatchBitIdentity:
             table, "value", columns, config=_batch_config(n_columns, 16, seed)
         )
         synopsis = dynamic.synopsis
-        flat = synopsis.flat  # warm: updates go through the sync hooks
         rng = np.random.default_rng(seed + 100)
 
         for _ in range(n_inserts):
@@ -452,7 +450,7 @@ class TestBatchBitIdentity:
                 }
                 dynamic.delete(row)
             # Deleting a *sampled* tuple shrinks that leaf's reservoir: a
-            # length-changing swap, which marks the CSR samples stale.
+            # length-changing replacement, which splices the CSR columns.
             for stratum in synopsis.leaf_samples:
                 if not stratum.sample_size:
                     continue
@@ -462,31 +460,11 @@ class TestBatchBitIdentity:
                 }
                 dynamic.delete(row)
                 break
-        assert flat._samples_stale
         assert_batch_matches_oracle(
             synopsis,
             _batch(n_columns, pool, picks),
             context=f"after {n_inserts} inserts / {n_deletes + 1} deletes ",
         )
-        assert not flat._samples_stale
-
-    @pytest.mark.parametrize("n_columns", [2, 3])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_every_row_routes_to_a_leaf_whose_box_contains_it(self, n_columns, seed):
-        """Sibling boxes of a k-d tree overlap; the point descent backtracks."""
-        synopsis = _batch_synopsis(n_columns, 16, seed)
-        table = _constant_region_table(n_columns, seed)
-        columns = [f"c{i}" for i in range(n_columns)]
-        rows = np.column_stack([table.column(column) for column in columns])
-        for row in rows.tolist():
-            point = dict(zip(columns, row))
-            box = synopsis.tree.leaf_for_point(point).box
-            assert all(
-                box.interval(column).contains_value(value)
-                for column, value in point.items()
-            )
-        with pytest.raises(KeyError, match="no leaf contains"):
-            synopsis.tree.leaf_for_point({column: math.nan for column in columns})
 
 
 @functools.lru_cache(maxsize=None)
@@ -503,16 +481,7 @@ def _ragged_synopsis():
     strata = synopsis.leaf_samples
     populated = [i for i, stratum in enumerate(strata) if stratum.size][:30:10]
     for leaf in populated:
-        synopsis.replace_leaf_sample(
-            leaf,
-            Stratum(
-                box=strata[leaf].box,
-                size=strata[leaf].size,
-                sample_columns={
-                    column: np.zeros(0) for column in strata[leaf].sample_columns
-                },
-            ),
-        )
+        _edit_sample(synopsis, leaf, lambda column, values: values[:0])
     return synopsis
 
 
@@ -658,17 +627,13 @@ def _kernel_table() -> Table:
 
 def _edit_sample(synopsis, leaf: int, edit) -> None:
     """Replace one leaf's sample by ``edit(column name, values)`` per column."""
-    stratum = synopsis.leaf_samples[leaf]
-    synopsis.replace_leaf_sample(
+    flat = synopsis.flat
+    flat.replace_leaf_sample(
         leaf,
-        Stratum(
-            box=stratum.box,
-            size=stratum.size,
-            sample_columns={
-                column: edit(column, np.asarray(values, dtype=float))
-                for column, values in stratum.sample_columns.items()
-            },
-        ),
+        {
+            column: edit(column, values)
+            for column, values in flat.leaf_sample(leaf).items()
+        },
     )
 
 
@@ -687,9 +652,10 @@ def _kernel_build(with_fpc: bool):
             seed=4,
         ),
     )
-    flat = synopsis.flat
+    # A throwaway engine: the synopsis builds its own after the callers have
+    # doctored node statistics on the object tree.
+    flat = FlatSynopsis(synopsis)
     boundary = flat._leaf_of_row[flat.frontier(KERNEL_FRAME).partial].tolist()
-    synopsis.invalidate_flat()
     return synopsis, boundary
 
 
@@ -706,15 +672,12 @@ def _kernel_synopsis(with_fpc: bool):
     synopsis, boundary = _kernel_build(with_fpc)
     leaves = synopsis.tree.leaves
     empty, single, full, size_one, oversampled, no_rows, unmatched = boundary[:7]
-    _edit_sample(synopsis, empty, lambda column, values: values[:0])
-    _edit_sample(synopsis, single, lambda column, values: values[:1])
-    _edit_sample(
-        synopsis,
-        full,
-        lambda column, values: np.resize(values, leaves[full].size),
-    )
+    full_size = leaves[full].size
     for leaf, size in ((size_one, 1), (oversampled, 5), (no_rows, 0)):
         leaves[leaf].stats = dataclasses.replace(leaves[leaf].stats, count=size)
+    _edit_sample(synopsis, empty, lambda column, values: values[:0])
+    _edit_sample(synopsis, single, lambda column, values: values[:1])
+    _edit_sample(synopsis, full, lambda column, values: np.resize(values, full_size))
     _edit_sample(
         synopsis,
         unmatched,

@@ -159,26 +159,3 @@ class TestMCF:
         assert {node.leaf_index for node in result.partial} == expected_partial
         covered_rows = sum(node.stats.count for node in result.covered)
         assert covered_rows == expected_covered_rows
-
-
-class TestTreeNavigation:
-    def test_leaf_for_point(self):
-        values = np.arange(1.0, 101.0)
-        tree, boxes, _ = build_1d_tree(values, [24.5, 49.5, 74.5])
-        leaf = tree.leaf_for_point({"key": 30.0})
-        assert leaf.box == boxes[1]
-        with pytest.raises(KeyError):
-            tree.leaf_for_point({"key": float("nan")})
-
-    def test_path_to_leaf(self):
-        values = np.arange(1.0, 101.0)
-        tree, _, _ = build_1d_tree(values, [24.5, 49.5, 74.5])
-        leaf = tree.leaves[2]
-        path = tree.path_to_leaf(leaf)
-        assert path[0] is tree.root
-        assert path[-1] is leaf
-        foreign = PartitionTree.build_from_leaves(
-            [Box({"key": Interval(0, 1)})], [PartitionStats.empty()]
-        ).leaves[0]
-        with pytest.raises(KeyError):
-            tree.path_to_leaf(foreign)

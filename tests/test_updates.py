@@ -41,12 +41,22 @@ class TestInsertions:
 
     def test_insert_updates_every_node_on_the_path(self, dynamic_setup):
         _, dynamic = dynamic_setup
-        leaf = dynamic.synopsis.tree.leaf_for_point({"key": 100.5})
-        path = dynamic.synopsis.tree.path_to_leaf(leaf)
-        before = [node.stats.count for node in path]
-        dynamic.insert({"key": 100.5, "value": 10.0})
-        after = [node.stats.count for node in path]
-        assert all(b + 1 == a for b, a in zip(before, after))
+        tree = dynamic.synopsis.tree
+        leaf = tree.leaves[dynamic.synopsis.flat.leaf_for_point({"key": 100.5})]
+        path = [
+            node
+            for node in tree.root.iter_subtree()
+            if any(inner is leaf for inner in node.iter_subtree())
+        ]
+        assert path[0] is tree.root and path[-1] is leaf and len(path) == 4
+        before = {id(node): node.stats.count for node in tree.root.iter_subtree()}
+        box = dynamic.insert({"key": 100.5, "value": 10.0})
+        assert box == leaf.box
+        # The same node objects, read again through the synopsis.
+        assert dynamic.synopsis.tree is tree
+        for node in tree.root.iter_subtree():
+            on_path = any(node is member for member in path)
+            assert node.stats.count == before[id(node)] + on_path
 
     def test_inserted_extremum_widens_hard_bounds(self, dynamic_setup):
         table, dynamic = dynamic_setup
