@@ -14,7 +14,7 @@ from repro.core.builder import (
 from repro.core.config import PARTITIONER_CHOICES, PASSConfig
 from repro.core.pass_synopsis import PASSSynopsis
 from repro.core.soa import FlatFrontier, FlatSamples, FlatSynopsis
-from repro.core.tree import MCFResult, PartitionNode, PartitionTree
+from repro.core.tree import PartitionNode, PartitionTree
 from repro.core.updates import DynamicPASS
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "FlatFrontier",
     "FlatSamples",
     "FlatSynopsis",
-    "MCFResult",
     "PartitionNode",
     "PartitionTree",
     "DynamicPASS",

@@ -7,6 +7,8 @@ bottom-up, draws the per-leaf stratified samples under the configured
 sampling budget and mode (ESS or BSS), and (unless disabled via
 ``with_sketches=False``) attaches the mergeable per-leaf quantile and
 distinct-count sketches that answer QUANTILE / COUNT_DISTINCT queries.
+:class:`~repro.core.pass_synopsis.PASSSynopsis` flattens those objects into
+the arrays it keeps; the recorded build time includes that.
 """
 
 from __future__ import annotations
@@ -288,15 +290,15 @@ def build_pass(
         config,
         extra_columns=extra_sample_columns,
     )
-    build_seconds = time.perf_counter() - start
-    return PASSSynopsis(
+    synopsis = PASSSynopsis(
         tree=tree,
         leaf_samples=samples,
         value_column=value_column,
         lam=config.lam,
         zero_variance_rule=config.zero_variance_rule,
         with_fpc=config.with_fpc,
-        build_seconds=build_seconds,
         effective_partitioner=effective_partitioner,
         leaf_sketches=leaf_sketches,
     )
+    synopsis.build_seconds = time.perf_counter() - start
+    return synopsis

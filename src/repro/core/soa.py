@@ -1,47 +1,56 @@
-"""Array-native (structure-of-arrays) execution core for the PASS synopsis.
+"""The PASS synopsis as flat arrays: its one state and its one executor.
 
-The object execution path answers a query by walking ``PartitionNode``
-objects and touching one Python ``Stratum`` per partially-overlapped leaf;
-profiling shows that per-node/per-leaf Python dispatch — not arithmetic —
-dominates single-query latency.  This module re-hosts the synopsis state in
-a handful of contiguous arrays (:class:`FlatSynopsis`) and rewrites the hot
-kernels (frontier descent, predicate mask evaluation, moment and extremum
-reductions) to run over those arrays with zero Python-object traversal: the
-partial-leaf kernels gather the whole frontier's sample rows through one
-index and leave per-leaf Python only in the ``np.add.reduce`` calls the
-summation contract names (:func:`_slice_sums`).  It is the only
-runtime executor of all seven aggregates: SUM / COUNT / AVG / MIN / MAX
-reduce sample moments, QUANTILE / COUNT_DISTINCT reduce the per-leaf
-sketches along the same frontier (:meth:`FlatSynopsis.sketch_union`).
+A built synopsis *is* the handful of contiguous buffers described below
+(:class:`FlatSynopsis`): the builder's ``PartitionNode`` tree, ``Stratum``
+list and per-leaf sketches are laid out once by :func:`flatten` and dropped,
+and a fresh build, a file loaded by ``mmap``, a shared-memory attachment and
+a shard shipped across a process boundary all construct the same object from
+the same ``(header, arrays)`` pair.  The hot kernels (frontier descent,
+predicate mask evaluation, moment and extremum reductions) run over those
+arrays with zero Python-object traversal: the partial-leaf kernels gather the
+whole frontier's sample rows through one index and leave per-leaf Python only
+in the ``np.add.reduce`` calls the summation contract names
+(:func:`_slice_sums`).  It is the only executor of all seven aggregates:
+SUM / COUNT / AVG / MIN / MAX reduce sample moments, QUANTILE /
+COUNT_DISTINCT reduce the per-leaf sketches along the same frontier
+(:meth:`FlatSynopsis.sketch_union`).
 
-Layout (specified normatively in ``docs/ARCHITECTURE.md``):
+Layout (the array keys of :meth:`FlatSynopsis.export_buffers`; specified
+normatively, with the file / segment framing, in ``docs/ARCHITECTURE.md``):
 
 * **Node order** — every per-node array is indexed by the tree's *geometry
-  order*: the DFS stack-pop order of ``PartitionTree.minimal_coverage_
-  frontier`` (root first, children pushed left-to-right and popped in
-  reverse).  Ascending row order therefore *is* the object path's visit
-  order, which is what makes frontier extraction order-preserving.
+  order*: the stack-pop order of the sequential MCF descent (root first,
+  children pushed left-to-right and popped in reverse).  Ascending row order
+  therefore *is* the reference descent's visit order, which is what makes
+  frontier extraction order-preserving.
 * **Stats** — ``node_sum`` / ``node_min`` / ``node_max`` (float64) and
   ``node_count`` (int64); an insert / delete rewrites them along the
   ``parent`` chain (:meth:`FlatSynopsis.add_value` / ``remove_value``).
-* **Bounds** — one contiguous float64 low/high array *per predicate
-  column* (±inf where a node's box does not constrain the column).
-* **Samples** — CSR: ``offsets`` (int64, ``n_leaves + 1``) into one
-  concatenated float64 array per sample column; leaf ``i`` owns
-  ``column[offsets[i]:offsets[i + 1]]``, rewritten only by
+* **Topology** — ``parent`` / ``parent0`` (the root pointing at itself),
+  ``is_leaf``, ``leaf_of_row`` and ``depth``.
+* **Bounds** — ``col_lows`` / ``col_highs``: one contiguous float64 row *per
+  predicate column* (±inf where a node's box does not constrain the column).
+* **Samples** — CSR: ``sample_offsets`` (int64, ``n_leaves + 1``) into one
+  concatenated float64 ``sample/<column>`` array per sample column; leaf
+  ``i`` owns ``column[offsets[i]:offsets[i + 1]]``, rewritten only by
   :meth:`FlatSynopsis.replace_leaf_sample`.
-* **Sketches** — the owning synopsis' own ``LeafSketches`` list (the very
-  objects ``DynamicPASS`` updates, so there is nothing to sync); exported
-  as ragged-packed arrays (:func:`repro.sketches.union.pack_leaf_sketches`)
-  and unpacked on a buffer-backed instance's first sketch query.
+* **Sketches** — ragged-packed under ``sketch/<key>``
+  (:func:`repro.sketches.union.pack_leaf_sketches`) and unpacked into
+  ``LeafSketches`` objects on the first sketch query or update; from then on
+  the objects are the sketches' state (``DynamicPASS`` updates them) and an
+  export packs them again.
 
-Equivalence contract: with the same synopsis state, every answer produced
-here is **bit-identical** to the object path — same covered/partial order,
-same floating-point summation order, same sketch merge order, same
-``nodes_visited`` — enforced by the property suite in
-``tests/test_soa_equivalence.py``.  The object path
-(``PASSSynopsis.query_object``) is the oracle that suite compares against;
-nothing calls it at runtime.
+An instance is read-only iff its arrays are (views over a read-only mapping);
+:class:`~repro.core.updates.DynamicPASS` copies a mapping's arrays to get
+writable ones.  It routes a tuple over the leaf rows' bounds
+(:meth:`FlatSynopsis.leaf_for_point`), adds or removes its value along the
+``parent`` chain and replaces the leaf's CSR rows, all in place.
+
+Equivalence contract: every answer produced here is **bit-identical** to the
+reference object descent in ``tests/oracle.py`` run over the node / stratum
+objects the same arrays decode to — same covered/partial order, same
+floating-point summation order, same sketch merge order, same
+``nodes_visited`` — enforced by ``tests/test_soa_equivalence.py``.
 
 The frontier uses a closed form instead of replaying the descent: box
 nesting means a predicate that covers (or misses) a node also covers
@@ -52,28 +61,21 @@ with no level-by-level loop.  When the AVG zero-variance rule could stop
 the descent early (some partially-overlapped node has ``min == max``), the
 code falls back to an exact level-order replay of the descent
 (:meth:`FlatSynopsis._replay_frontier`).
-
-These arrays are also the one *mutable* state of a built synopsis: a
-:class:`~repro.core.updates.DynamicPASS` routes a tuple over the leaf rows'
-bounds (:meth:`FlatSynopsis.leaf_for_point`), adds or removes its value along
-the ``parent`` chain and replaces the leaf's CSR rows, all in place.  The
-object tree and ``Stratum`` list the builder produced are brought up to date
-from here, on access, by ``PASSSynopsis``'s refresh (it compares
-:attr:`FlatSynopsis.mutations`); a buffer-backed instance is read-only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.aggregation.partition import PartitionStats
 from repro.aggregation.strat_agg import HardBounds
 from repro.query.aggregates import AggregateType
-from repro.query.predicate import RectPredicate
+from repro.core.tree import PartitionTree
+from repro.query.predicate import Box, Interval, RectPredicate
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
 from repro.sampling.estimators import (
@@ -93,10 +95,7 @@ from repro.sketches.union import (
     unpack_leaf_sketches,
 )
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.pass_synopsis import PASSSynopsis
-
-__all__ = ["FlatFrontier", "FlatSamples", "FlatSynopsis"]
+__all__ = ["FlatFrontier", "FlatSamples", "FlatSynopsis", "flatten"]
 
 #: Per-(cell, leaf) masked-sample sufficient statistics of the grouped
 #: executor: the number of matching samples, their value sum and sum of
@@ -113,7 +112,26 @@ _NO_VALUES = np.zeros(0, dtype=float)
 #: ``docs/ARCHITECTURE.md``); both partial-leaf kernels branch on it.
 _SCALAR_FRONTIER_LEAVES = 2
 
-_READ_ONLY = "a buffer-backed FlatSynopsis is read-only: update the publishing instance"
+_READ_ONLY = (
+    "this FlatSynopsis views read-only buffers: update the instance that owns them"
+)
+
+#: The array keys every ``(header, arrays)`` pair carries (``sample/<column>``
+#: and ``sketch/<key>`` follow the header's name lists).
+_KERNEL_ARRAYS = (
+    "node_sum",
+    "node_count",
+    "node_min",
+    "node_max",
+    "parent",
+    "parent0",
+    "is_leaf",
+    "leaf_of_row",
+    "depth",
+    "col_lows",
+    "col_highs",
+    "sample_offsets",
+)
 
 
 def _fast_mean(values: np.ndarray) -> float:
@@ -146,8 +164,8 @@ def _slice_sums(data: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
 
     This call *is* the summation contract for order-sensitive sums (value
     sums, squared deviations): numpy's pairwise reduction over one leaf's
-    contiguous slice, exactly what ``ndarray.mean`` / ``np.var`` run on the
-    object stratum.  A segmented ``reduceat`` / ``bincount`` accumulates
+    contiguous slice, exactly what ``ndarray.mean`` / ``np.var`` run on a
+    ``Stratum``'s sample.  A segmented ``reduceat`` / ``bincount`` accumulates
     sequentially and would move the last ulp.
     """
     return np.array(
@@ -175,24 +193,12 @@ def _stratum_contribution(
 
 
 @dataclass(frozen=True)
-class _ExternalGeometry:
-    """Bound-array stand-in for ``_TreeGeometry`` on buffer-backed instances.
-
-    Carries only what the flat kernels read — the per-node bound matrices —
-    as transposed views of the externally owned column-major buffers.
-    """
-
-    lows: np.ndarray
-    highs: np.ndarray
-
-
-@dataclass(frozen=True)
 class FlatFrontier:
     """An MCF result as geometry-order node rows instead of node objects.
 
     ``covered`` / ``partial`` hold ascending node-row indices; because
-    geometry order equals the object descent's visit order, iterating them
-    reproduces the object path's covered/partial order exactly.
+    geometry order equals the reference descent's visit order, iterating
+    them reproduces its covered/partial order exactly.
     """
 
     covered: np.ndarray
@@ -220,146 +226,198 @@ class FlatSamples:
     columns: dict[str, np.ndarray]
 
 
-class FlatSynopsis:
-    """Structure-of-arrays execution engine over a :class:`PASSSynopsis`.
+def flatten(
+    tree: PartitionTree,
+    leaf_samples: Sequence[Stratum],
+    leaf_sketches: Sequence[LeafSketches] | None,
+    value_column: str,
+    lam: float,
+    zero_variance_rule: bool,
+    with_fpc: bool,
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Lay the builder's objects out as the ``(header, arrays)`` of a synopsis.
 
-    Built once from the object synopsis (the same encoding
-    ``PASSSynopsis.to_arrays`` uses); from then on the arrays are the
-    synopsis' one mutable state, written only by :meth:`add_value`,
-    :meth:`remove_value` and :meth:`replace_leaf_sample`.
-    :meth:`query` / :meth:`answer` return answers bit-identical to the object
-    path for all seven aggregates (see the module docstring for the
+    The one objects -> buffers function: node statistics, topology and bounds
+    in geometry order, the strata as compact CSR sample columns, the per-leaf
+    sketches ragged-packed.  The sample column set is the first stratum's, in
+    insertion order, restricted to columns every stratum carries (builders
+    always produce a uniform set; hand-assembled synopses may not).  Nothing
+    in the result aliases the objects.
+    """
+    geometry = tree.geometry()
+    nodes = geometry.nodes
+    n = len(nodes)
+    parent0 = geometry.parent.copy()
+    parent0[0] = 0  # root "reaches" itself in the closed-form extraction
+    sizes = np.fromiter(
+        (stratum.sample_size for stratum in leaf_samples),
+        dtype=np.int64,
+        count=len(leaf_samples),
+    )
+    offsets = np.zeros(len(leaf_samples) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    sample_columns = [
+        column
+        for column in (leaf_samples[0].sample_columns if leaf_samples else ())
+        if all(column in stratum.sample_columns for stratum in leaf_samples)
+    ]
+    header = {
+        "value_column": value_column,
+        "lam": float(lam),
+        "zero_variance_rule": bool(zero_variance_rule),
+        "with_fpc": bool(with_fpc),
+        "columns": list(geometry.column_index),
+        "sample_columns": sample_columns,
+        "sketch_keys": [],
+    }
+    arrays: dict[str, np.ndarray] = {
+        "node_sum": np.fromiter((node.stats.sum for node in nodes), float, n),
+        "node_count": np.fromiter((node.stats.count for node in nodes), np.int64, n),
+        "node_min": np.fromiter((node.stats.min for node in nodes), float, n),
+        "node_max": np.fromiter((node.stats.max for node in nodes), float, n),
+        "parent": geometry.parent,
+        "parent0": parent0,
+        "is_leaf": geometry.is_leaf,
+        "leaf_of_row": geometry.leaf_index,
+        "depth": geometry.depth,
+        "col_lows": np.ascontiguousarray(geometry.lows.T),
+        "col_highs": np.ascontiguousarray(geometry.highs.T),
+        "sample_offsets": offsets,
+    }
+    for column in sample_columns:
+        arrays[f"sample/{column}"] = (
+            np.concatenate(
+                [
+                    np.asarray(stratum.sample_columns[column], dtype=float)
+                    for stratum in leaf_samples
+                ]
+            )
+            if int(offsets[-1])
+            else np.zeros(0, dtype=float)
+        )
+    if leaf_sketches is not None:
+        header["sketch_keys"], packed = pack_leaf_sketches(leaf_sketches)
+        arrays.update(packed)
+    return header, arrays
+
+
+class FlatSynopsis:
+    """A PASS synopsis: structure-of-arrays state plus the kernels over it.
+
+    Constructed over a ``(header, arrays)`` pair — :func:`flatten`'s for a
+    fresh build, :meth:`export_buffers`' of another instance, or views parsed
+    out of a mapped file or shared-memory segment — taking every kernel array
+    *by reference*: no sample or statistic array is copied, so a reader
+    serves queries over a mapping without duplicating the synopsis.  Derived
+    index structures (descent levels from the depth array, per-leaf sample
+    counts from the CSR offsets) are the only allocations, both O(nodes); the
+    packed sketches are unpacked into sketch objects (the one copy) on the
+    first sketch query.
+
+    The arrays are the synopsis' one mutable state, written only by
+    :meth:`add_value`, :meth:`remove_value` and :meth:`replace_leaf_sample`;
+    over read-only arrays those raise ``TypeError`` — writers update their
+    own instance and publish or save it afresh.  :meth:`query` /
+    :meth:`answer` return answers bit-identical to the reference object
+    descent for all seven aggregates (see the module docstring for the
     contract); the grouped kernels agree with it up to floating-point
     summation order.
 
     Parameters
     ----------
-    synopsis:
-        The built object synopsis; tree geometry, statistics, and leaf
-        samples are snapshotted into arrays at construction.  Its per-leaf
-        sketches are shared, not copied.
+    header:
+        The scalar configuration (value column, lambda, zero-variance rule,
+        FPC flag) plus the ordered predicate-column, sample-column and
+        sketch-key name lists that give the anonymous arrays meaning
+        (``sketch_keys`` is empty for a synopsis without sketches).
+    arrays:
+        The buffers listed in the module docstring.  ``ValueError`` when a
+        kernel array the header implies is missing.
     """
 
-    def __init__(self, synopsis: "PASSSynopsis") -> None:
-        self._value_column = synopsis.value_column
-        self._lam = synopsis.lam
-        self._zero_variance_rule = synopsis.zero_variance_rule
-        self._with_fpc = synopsis.with_fpc
+    def __init__(self, header: Mapping, arrays: Mapping[str, np.ndarray]) -> None:
+        sample_columns = [str(column) for column in header["sample_columns"]]
+        sketch_keys = [str(key) for key in header["sketch_keys"]]
+        missing = [
+            key
+            for key in (
+                *_KERNEL_ARRAYS,
+                *(f"sample/{column}" for column in sample_columns),
+                *(f"sketch/{key}" for key in sketch_keys),
+            )
+            if key not in arrays
+        ]
+        if missing:
+            raise ValueError(f"synopsis buffers lack the arrays {missing}")
+        self._value_column = str(header["value_column"])
+        self._lam = float(header["lam"])
+        self._zero_variance_rule = bool(header["zero_variance_rule"])
+        self._with_fpc = bool(header["with_fpc"])
 
-        geometry = synopsis.tree.geometry()
-        self._geometry = geometry
-        nodes = geometry.nodes
-        n = len(nodes)
+        self._node_sum = arrays["node_sum"]
+        self._node_count = arrays["node_count"]
+        self._node_min = arrays["node_min"]
+        self._node_max = arrays["node_max"]
+        n = int(self._node_sum.shape[0])
         self._n_nodes = n
-        self._node_sum = np.fromiter(
-            (node.stats.sum for node in nodes), dtype=float, count=n
-        )
-        self._node_count = np.fromiter(
-            (node.stats.count for node in nodes), dtype=np.int64, count=n
-        )
-        self._node_min = np.fromiter(
-            (node.stats.min for node in nodes), dtype=float, count=n
-        )
-        self._node_max = np.fromiter(
-            (node.stats.max for node in nodes), dtype=float, count=n
-        )
         self._zv_cache: np.ndarray | None = None
-        #: Mutation calls applied so far (see :attr:`mutations`).
-        self._mutations = 0
 
-        self._parent = geometry.parent
-        parent0 = geometry.parent.copy()
-        parent0[0] = 0  # root "reaches" itself in the closed-form extraction
-        self._parent0 = parent0
-        self._is_leaf = geometry.is_leaf
-        self._leaf_of_row = geometry.leaf_index
-        self._read_only = False
-        self._levels = geometry.levels
-        self._column_index = geometry.column_index
-        self._col_lows = tuple(
-            np.ascontiguousarray(geometry.lows[:, c])
-            for c in range(len(geometry.column_index))
+        self._parent = arrays["parent"]
+        self._parent0 = arrays["parent0"]
+        self._is_leaf = arrays["is_leaf"]
+        self._leaf_of_row = arrays["leaf_of_row"]
+        self._depth = arrays["depth"]
+        self._levels = tuple(
+            np.flatnonzero(self._depth == level_depth)
+            for level_depth in range(int(self._depth.max()) + 1 if n else 0)
         )
-        self._col_highs = tuple(
-            np.ascontiguousarray(geometry.highs[:, c])
-            for c in range(len(geometry.column_index))
+        columns = [str(column) for column in header["columns"]]
+        self._column_index = {column: c for c, column in enumerate(columns)}
+        #: Bounds as ``(n_columns, n_nodes)`` matrices (:meth:`frontiers_for`
+        #: broadcasts over their transposes) and as one contiguous row per
+        #: column (:meth:`frontier`).
+        self._bounds = (arrays["col_lows"], arrays["col_highs"])
+        self._col_lows = tuple(self._bounds[0][c] for c in range(len(columns)))
+        self._col_highs = tuple(self._bounds[1][c] for c in range(len(columns)))
+
+        offsets = arrays["sample_offsets"]
+        self._samples = FlatSamples(
+            offsets=offsets,
+            columns={column: arrays[f"sample/{column}"] for column in sample_columns},
         )
+        self._sample_counts = np.diff(offsets)
 
-        self._samples: FlatSamples = self._build_samples(synopsis.leaf_samples)
-
-        self._leaf_sketches: list[LeafSketches] | None = synopsis.leaf_sketches
-        #: ``(sketch keys, export buffers)`` of a buffer-backed instance
-        #: until the first sketch query unpacks them.
-        self._packed_sketches: tuple[list[str], dict[str, np.ndarray]] | None = None
+        self._leaf_sketches: list[LeafSketches] | None = None
+        #: ``(sketch keys, arrays)`` until the first sketch use unpacks them.
+        self._packed_sketches: tuple[list[str], Mapping[str, np.ndarray]] | None = (
+            (sketch_keys, arrays) if sketch_keys else None
+        )
         self._leaf_spans: tuple[list[int], np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
-    # Construction
+    # Export and introspection
     # ------------------------------------------------------------------
-    def _build_samples(self, strata: Sequence[Stratum]) -> FlatSamples:
-        """Snapshot the object strata into compact CSR arrays."""
-        sizes = [stratum.sample_size for stratum in strata]
-        offsets = np.zeros(len(strata) + 1, dtype=np.int64)
-        np.cumsum(np.asarray(sizes, dtype=np.int64), out=offsets[1:])
-        # Column set: insertion order of the first stratum, restricted to
-        # columns every stratum carries (builders always produce a uniform
-        # set; hand-assembled synopses may not).
-        columns: dict[str, np.ndarray] = {}
-        if strata:
-            shared = [
-                column
-                for column in strata[0].sample_columns
-                if all(column in stratum.sample_columns for stratum in strata)
-            ]
-            for column in shared:
-                columns[column] = (
-                    np.concatenate(
-                        [
-                            np.asarray(stratum.sample_columns[column], dtype=float)
-                            for stratum in strata
-                        ]
-                    )
-                    if int(offsets[-1])
-                    else np.zeros(0, dtype=float)
-                )
-        self._sample_counts = np.diff(offsets)
-        return FlatSamples(offsets=offsets, columns=columns)
-
     def export_buffers(self) -> tuple[dict, dict[str, np.ndarray]]:
-        """Export the execution state as ``(header, arrays)`` flat buffers.
+        """Export the synopsis state as ``(header, arrays)`` flat buffers.
 
         The returned arrays are exactly the contiguous buffers the query
         kernels read — node statistics, descent topology, column-major bound
         rows, and the CSR samples — plus the per-leaf sketches ragged-packed
-        under ``sketch/<key>``, so :meth:`from_buffers` over them (or
-        over byte-identical copies, e.g. views into a shared-memory segment)
-        reconstructs an engine whose answers are bit-identical to this one.
-        The header carries the scalar configuration (value column, lambda,
-        zero-variance rule, FPC flag) plus the ordered predicate-column,
-        sample-column and sketch-key name lists that give the anonymous
-        arrays meaning (``sketch_keys`` is empty for a synopsis built
-        without sketches).
+        under ``sketch/<key>``, so constructing a :class:`FlatSynopsis` over
+        them (or over byte-identical copies, e.g. views into a mapped file
+        or a shared-memory segment) gives an engine whose answers are
+        bit-identical to this one.
 
         Arrays holding mutable state (node stats, samples, sketches) are
         snapshot copies, so later dynamic updates to this instance do not
-        mutate the export.
+        mutate the export; the immutable topology and bounds are shared.
         """
         samples = self._samples
-        n = self._n_nodes
-        n_cols = len(self._column_index)
-        depth = np.zeros(n, dtype=np.int64)
-        for level_depth, level in enumerate(self._levels):
-            depth[level] = level_depth
-        col_lows = np.zeros((n_cols, n), dtype=float)
-        col_highs = np.zeros((n_cols, n), dtype=float)
-        for c in range(n_cols):
-            col_lows[c] = self._col_lows[c]
-            col_highs[c] = self._col_highs[c]
         header = {
             "value_column": self._value_column,
-            "lam": float(self._lam),
-            "zero_variance_rule": bool(self._zero_variance_rule),
-            "with_fpc": bool(self._with_fpc),
+            "lam": self._lam,
+            "zero_variance_rule": self._zero_variance_rule,
+            "with_fpc": self._with_fpc,
             "columns": list(self._column_index),
             "sample_columns": list(samples.columns),
             "sketch_keys": [],
@@ -369,103 +427,100 @@ class FlatSynopsis:
             "node_count": self._node_count.copy(),
             "node_min": self._node_min.copy(),
             "node_max": self._node_max.copy(),
-            "parent": np.ascontiguousarray(self._parent, dtype=np.int64),
-            "parent0": np.ascontiguousarray(self._parent0, dtype=np.int64),
-            "is_leaf": np.ascontiguousarray(self._is_leaf, dtype=bool),
-            "leaf_of_row": np.ascontiguousarray(self._leaf_of_row, dtype=np.int64),
-            "depth": depth,
-            "col_lows": col_lows,
-            "col_highs": col_highs,
+            "parent": self._parent,
+            "parent0": self._parent0,
+            "is_leaf": self._is_leaf,
+            "leaf_of_row": self._leaf_of_row,
+            "depth": self._depth,
+            "col_lows": self._bounds[0],
+            "col_highs": self._bounds[1],
             "sample_offsets": samples.offsets.copy(),
         }
         for column, values in samples.columns.items():
             arrays[f"sample/{column}"] = values.copy()
-        sketches = self._sketches()
-        if sketches is not None:
-            header["sketch_keys"], packed = pack_leaf_sketches(sketches)
+        if self._packed_sketches is not None:
+            keys, packed = self._packed_sketches
+            header["sketch_keys"] = list(keys)
+            arrays["sketch/lengths"] = packed["sketch/lengths"]
+            arrays.update((f"sketch/{key}", packed[f"sketch/{key}"]) for key in keys)
+        elif self._leaf_sketches is not None:
+            header["sketch_keys"], packed = pack_leaf_sketches(self._leaf_sketches)
             arrays.update(packed)
         return header, arrays
 
-    @classmethod
-    def from_buffers(
-        cls, header: dict, arrays: dict[str, np.ndarray]
-    ) -> "FlatSynopsis":
-        """Build an execution engine over externally owned buffers, zero-copy.
+    @property
+    def value_column(self) -> str:
+        """The aggregation column."""
+        return self._value_column
 
-        The inverse of :meth:`export_buffers`: every kernel array is taken
-        *by reference* — no sample or statistic array is copied — so the
-        caller can hand in views over a read-only shared-memory segment and
-        serve queries without duplicating the synopsis in each process.
-        Derived index structures (descent levels from the depth array,
-        per-leaf sample counts from the CSR offsets) are the only
-        allocations, both O(nodes); the packed sketches are unpacked into
-        sketch objects (the one copy) on the first sketch query.
+    @property
+    def lam(self) -> float:
+        """Default confidence-interval multiplier."""
+        return self._lam
 
-        Buffer-backed instances are read-only query engines: the mutation
-        calls (:meth:`add_value`, :meth:`remove_value`,
-        :meth:`replace_leaf_sample`) raise ``TypeError`` — writers update
-        their own instance and republish a fresh segment instead (see
-        :mod:`repro.serving.shm`).  Answers are bit-identical to the
-        instance that exported the buffers.
+    @property
+    def zero_variance_rule(self) -> bool:
+        """Whether AVG lookups apply the zero-variance descent rule (3.4)."""
+        return self._zero_variance_rule
+
+    @property
+    def with_fpc(self) -> bool:
+        """Whether per-leaf estimates apply finite-population corrections."""
+        return self._with_fpc
+
+    @property
+    def columns(self) -> list[str]:
+        """The predicate columns the node boxes bound, in bound-array order."""
+        return list(self._column_index)
+
+    @property
+    def has_sketches(self) -> bool:
+        """True when the synopsis can answer QUANTILE / COUNT_DISTINCT."""
+        return self._leaf_sketches is not None or self._packed_sketches is not None
+
+    @property
+    def sample_size(self) -> int:
+        """Total number of stored sample tuples across all leaves."""
+        return int(self._samples.offsets[-1])
+
+    def _leaf_rows(self) -> np.ndarray:
+        """The leaves' node rows in leaf-index order."""
+        rows = np.flatnonzero(self._is_leaf)
+        return rows[np.argsort(self._leaf_of_row[rows])]
+
+    def leaf_populations(self) -> np.ndarray:
+        """Per-leaf tuple counts (the leaf rows' COUNT) in leaf-index order."""
+        return self._node_count[self._leaf_rows()]
+
+    def leaf_boxes(self) -> tuple[Box, ...]:
+        """The leaves' boxes in leaf-index order, decoded from the bounds."""
+        rows = self._leaf_rows()
+        lows, highs = (bounds[:, rows].T.tolist() for bounds in self._bounds)
+        return tuple(
+            Box(
+                {
+                    column: Interval(low[c], high[c])
+                    for column, c in self._column_index.items()
+                }
+            )
+            for low, high in zip(lows, highs)
+        )
+
+    def storage_bytes(self) -> int:
+        """Approximate footprint: node aggregates and bounds, samples, sketches.
+
+        Four 8-byte statistics plus a low / high pair per predicate column
+        for every node, the sample columns' bytes, and the retained items of
+        the per-leaf sketches.
         """
-        self = cls.__new__(cls)
-        self._value_column = str(header["value_column"])
-        self._lam = float(header["lam"])
-        self._zero_variance_rule = bool(header["zero_variance_rule"])
-        self._with_fpc = bool(header["with_fpc"])
-
-        node_sum = arrays["node_sum"]
-        n = int(node_sum.shape[0])
-        self._n_nodes = n
-        self._node_sum = node_sum
-        self._node_count = arrays["node_count"]
-        self._node_min = arrays["node_min"]
-        self._node_max = arrays["node_max"]
-        self._zv_cache = None
-        self._mutations = 0
-
-        self._parent = arrays["parent"]
-        self._parent0 = arrays["parent0"]
-        self._is_leaf = arrays["is_leaf"]
-        self._leaf_of_row = arrays["leaf_of_row"]
-        self._read_only = True
-        depth = arrays["depth"]
-        self._levels = tuple(
-            np.flatnonzero(depth == level_depth)
-            for level_depth in range(int(depth.max()) + 1 if n else 0)
-        )
-        columns = [str(column) for column in header["columns"]]
-        self._column_index = {column: c for c, column in enumerate(columns)}
-        col_lows = arrays["col_lows"]
-        col_highs = arrays["col_highs"]
-        self._col_lows = tuple(col_lows[c] for c in range(len(columns)))
-        self._col_highs = tuple(col_highs[c] for c in range(len(columns)))
-        self._geometry = _ExternalGeometry(lows=col_lows.T, highs=col_highs.T)
-
-        offsets = arrays["sample_offsets"]
-        self._samples = FlatSamples(
-            offsets=offsets,
-            columns={
-                str(column): arrays[f"sample/{column}"]
-                for column in header["sample_columns"]
-            },
-        )
-        self._sample_counts = np.diff(offsets)
-
-        sketch_keys = [str(key) for key in header["sketch_keys"]]
-        self._leaf_sketches = None
-        self._packed_sketches = (sketch_keys, arrays) if sketch_keys else None
-        self._leaf_spans = None
-        return self
+        nodes = self._n_nodes * (4 * 8 + 2 * 8 * len(self._column_index))
+        samples = sum(values.nbytes for values in self._samples.columns.values())
+        sketches = sum(leaf.storage_bytes() for leaf in self.leaf_sketches() or ())
+        return nodes + samples + sketches
 
     # ------------------------------------------------------------------
     # Updates (driven by repro.core.updates.DynamicPASS)
     # ------------------------------------------------------------------
-    @property
-    def mutations(self) -> int:
-        """Writes applied so far; views derived from the arrays compare it."""
-        return self._mutations
-
     @property
     def population_size(self) -> int:
         """Number of tuples summarized (the root's COUNT)."""
@@ -515,13 +570,12 @@ class FlatSynopsis:
 
     def _begin_stats_write(self, leaf: int) -> np.ndarray:
         """Node rows from leaf ``leaf`` up the ``parent`` chain to the root."""
-        if self._read_only:
+        if not self._node_sum.flags.writeable:
             raise TypeError(_READ_ONLY)
         rows = [int(np.flatnonzero(self._leaf_of_row == leaf)[0])]
         while rows[-1]:
             rows.append(int(self._parent[rows[-1]]))
         self._zv_cache = None
-        self._mutations += 1
         return np.array(rows)
 
     def add_value(self, leaf: int, value: float) -> None:
@@ -572,9 +626,9 @@ class FlatSynopsis:
         are spliced and the offsets after the leaf shifted, so every other
         leaf keeps its rows bit for bit.
         """
-        if self._read_only:
-            raise TypeError(_READ_ONLY)
         samples = self._samples
+        if not samples.offsets.flags.writeable:
+            raise TypeError(_READ_ONLY)
         if not 0 <= leaf < self._sample_counts.shape[0]:
             raise IndexError(f"leaf index {leaf} out of range")
         start, stop = samples.offsets[leaf : leaf + 2].tolist()
@@ -596,7 +650,6 @@ class FlatSynopsis:
                 },
             )
             self._sample_counts[leaf] = length
-        self._mutations += 1
 
     def _zv_flags(self) -> np.ndarray:
         """Per-node ``stats.has_zero_variance`` flags, cached until stats change."""
@@ -614,8 +667,9 @@ class FlatSynopsis:
     ) -> FlatFrontier:
         """Run the MCF index lookup over the bound arrays (Algorithm 1).
 
-        Identical to ``PartitionTree.minimal_coverage_frontier`` — covered /
-        partial order and ``nodes_visited`` included — via the closed form
+        Identical to the sequential stack descent over node objects (the
+        reference in ``tests/oracle.py``) — covered / partial order and
+        ``nodes_visited`` included — via the closed form
         described in the module docstring, with a level-order replay
         fallback when ``zero_variance`` stops could fire.
         """
@@ -676,8 +730,7 @@ class FlatSynopsis:
     ) -> FlatFrontier:
         """Level-order descent replay for the AVG zero-variance shortcut.
 
-        Identical to the sequential descent of
-        ``PartitionTree.minimal_coverage_frontier``: a node is visited iff
+        Identical to the sequential descent: a node is visited iff
         its parent was reached, partially overlapped, not stopped by a cover
         / zero-variance hit, and not a leaf.
         """
@@ -730,8 +783,8 @@ class FlatSynopsis:
                     lows[j, c] = low
                     highs[j, c] = high
 
-        node_lows = self._geometry.lows[:, :, None]
-        node_highs = self._geometry.highs[:, :, None]
+        node_lows = self._bounds[0].T[:, :, None]
+        node_highs = self._bounds[1].T[:, :, None]
         p_lows = lows.T[None, :, :]
         p_highs = highs.T[None, :, :]
         disjoint = ((p_lows > node_highs) | (node_lows > p_highs)).any(axis=1)
@@ -780,8 +833,8 @@ class FlatSynopsis:
         """:func:`repro.aggregation.strat_agg.hard_bounds` over node rows.
 
         Faithful replication — Python-scalar summation in row order after
-        dropping empty partitions — so the bounds are bit-identical to the
-        object path's.
+        dropping empty partitions — so the bounds are bit-identical to that
+        function's over the same statistics.
         """
         counts_cov = self._node_count[covered_rows].tolist()
         counts_par = self._node_count[partial_rows].tolist()
@@ -881,7 +934,7 @@ class FlatSynopsis:
         Raises the same ``KeyError`` as ``Stratum.match_mask`` when the
         predicate constrains a column the samples do not carry — callers
         must only invoke this when at least one partial leaf exists, which
-        is exactly when the object path would evaluate (and raise).
+        is exactly when ``Stratum.match_mask`` would evaluate (and raise).
         """
         columns = self._samples.columns
         for column in predicate.columns:
@@ -901,7 +954,7 @@ class FlatSynopsis:
         """Boolean match mask for one leaf's CSR slice.
 
         Conjunction of per-column range tests — identical bools to
-        ``RectPredicate.mask`` on the object stratum (boolean AND is exact,
+        ``RectPredicate.mask`` on a ``Stratum``'s sample (boolean AND is exact,
         so dropping the unbounded intervals the canonical key omits cannot
         change the result).
         """
@@ -924,8 +977,8 @@ class FlatSynopsis:
     def query(self, query: AggregateQuery, lam: float | None = None) -> AQPResult:
         """Answer any aggregate query over the flat arrays.
 
-        Bit-identical to the oracle ``PASSSynopsis.query_object`` for all
-        seven aggregates.
+        Bit-identical to the reference object descent (``tests/oracle.py``)
+        for all seven aggregates.
         """
         return self.answer(query, self.query_frontier(query), lam=lam)
 
@@ -1182,7 +1235,7 @@ class FlatSynopsis:
         Covered nodes contribute exactly (Python-scalar sums in row order);
         each sampled partial leaf adds its stratified contribution; an
         unsampled one adds the hard-bound midpoint and poisons the variance
-        with NaN — exactly ``PASSSynopsis._sum_count_estimate``.
+        with NaN — exactly the reference accumulation in ``tests/oracle.py``.
         """
         is_sum = agg == AggregateType.SUM
         if is_sum:
@@ -1220,7 +1273,7 @@ class FlatSynopsis:
     ) -> tuple[float, float]:
         """AVG as the SUM/COUNT delta-method ratio, with one mask per leaf.
 
-        The object path runs two independent passes (SUM then COUNT), each
+        The reference runs two independent passes (SUM then COUNT), each
         re-evaluating the predicate mask; both accumulate the exact same
         per-leaf masks, so computing the mask once and feeding both
         accumulators yields bit-identical numerator and denominator.
@@ -1347,7 +1400,7 @@ class FlatSynopsis:
         values reach the merge loops in the oracle's order (covered nodes in
         row order, each node's leaves in the object tree's pre-order, then
         partial leaves in row order), so every merge happens in the same
-        sequence and the union is bit-identical to the object path's.
+        sequence and the union is bit-identical to the reference's.
 
         The union is the scatter-gather hand-off: per-shard unions merge
         with :meth:`QuantileSketchUnion.merge` /
@@ -1362,13 +1415,17 @@ class FlatSynopsis:
             )
         return frontier_union(
             query.agg,
-            self._sketches(),
+            self.leaf_sketches(),
             self._covered_leaves(frontier.covered),
             self._partial_leaves(query.predicate, frontier.partial),
         )
 
-    def _sketches(self) -> list[LeafSketches] | None:
-        """The per-leaf sketches (None without), unpacked on first use."""
+    def leaf_sketches(self) -> list[LeafSketches] | None:
+        """The per-leaf sketches (None without), unpacked on first use.
+
+        The returned objects are the sketches' state from here on:
+        :class:`~repro.core.updates.DynamicPASS` updates them in place.
+        """
         if self._leaf_sketches is None and self._packed_sketches is not None:
             self._leaf_sketches = unpack_leaf_sketches(*self._packed_sketches)
             self._packed_sketches = None
@@ -1377,7 +1434,7 @@ class FlatSynopsis:
     def _covered_leaves(self, covered_rows: np.ndarray) -> list[int]:
         """Leaf indices under the covered rows, in the oracle's merge order.
 
-        The object path walks each covered node's subtree in pre-order,
+        The reference walks each covered node's subtree in pre-order,
         children left to right.  Geometry order is the same walk with the
         children reversed, so a node's subtree is the contiguous row range
         ``[row, row + subtree size)`` and its leaves in left-to-right order

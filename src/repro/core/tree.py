@@ -1,17 +1,17 @@
-"""The partition tree and the Minimal Coverage Frontier (MCF) algorithm.
+"""The partition tree as the builder assembles it — a build-time helper.
 
 A partition tree (Definition 3.1) is a hierarchy of partitions in which every
 child is contained in its parent, siblings are disjoint, and siblings jointly
 cover their parent.  Every node carries the precomputed SUM / COUNT / MIN /
-MAX of its tuples.  The leaves carry (elsewhere, in the PASS synopsis) the
-stratified samples.
+MAX of its tuples.
 
-The MCF algorithm (Algorithm 1) walks the tree for a query predicate and
-returns the minimal set of nodes that covers the query: internal or leaf
-nodes fully covered by the predicate (answered exactly from their aggregates)
-and leaf nodes partially overlapped (answered from their samples).  Nodes
-disjoint from the predicate are pruned, which is the source of PASS's data
-skipping.
+:func:`~repro.core.builder.build_pass` groups the leaf partitions into this
+object tree bottom-up (:meth:`PartitionTree.build_from_leaves`) and
+:func:`repro.core.soa.flatten` lays it out as arrays in *geometry order*
+(:meth:`PartitionTree.geometry`); a built synopsis keeps the arrays and lets
+these objects go.  The Minimal Coverage Frontier lookup (Algorithm 1) runs on
+the arrays (:meth:`repro.core.soa.FlatSynopsis.frontier`); its reference
+descent over node objects lives in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -22,60 +22,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.aggregation.partition import PartitionStats
-from repro.query.predicate import Box, Interval, RectPredicate, Relation
+from repro.query.predicate import Box, Interval
 
-__all__ = [
-    "PartitionNode",
-    "PartitionTree",
-    "MCFResult",
-    "boxes_to_arrays",
-    "boxes_from_arrays",
-]
-
-
-def boxes_to_arrays(boxes: Sequence[Box]) -> dict[str, np.ndarray]:
-    """Encode a list of boxes as flat numpy arrays (for npz persistence).
-
-    The encoding records which columns each box constrains (boxes are named
-    interval mappings, and membership is part of a box's identity), so the
-    round trip through
-    :func:`boxes_from_arrays` reproduces each box exactly.
-    """
-    columns = sorted({column for box in boxes for column in box.columns})
-    n = len(boxes)
-    low = np.zeros((n, len(columns)), dtype=float)
-    high = np.zeros((n, len(columns)), dtype=float)
-    present = np.zeros((n, len(columns)), dtype=bool)
-    for i, box in enumerate(boxes):
-        for j, column in enumerate(columns):
-            if column in box:
-                interval = box.interval(column)
-                present[i, j] = True
-                low[i, j] = interval.low
-                high[i, j] = interval.high
-    return {
-        "columns": np.array(columns, dtype=str),
-        "low": low,
-        "high": high,
-        "present": present,
-    }
-
-
-def boxes_from_arrays(arrays: dict[str, np.ndarray]) -> list[Box]:
-    """Inverse of :func:`boxes_to_arrays`."""
-    columns = [str(column) for column in arrays["columns"]]
-    low = np.asarray(arrays["low"], dtype=float)
-    high = np.asarray(arrays["high"], dtype=float)
-    present = np.asarray(arrays["present"], dtype=bool)
-    boxes: list[Box] = []
-    for i in range(low.shape[0]):
-        intervals = {
-            column: Interval(float(low[i, j]), float(high[i, j]))
-            for j, column in enumerate(columns)
-            if present[i, j]
-        }
-        boxes.append(Box(intervals))
-    return boxes
+__all__ = ["PartitionNode", "PartitionTree"]
 
 
 @dataclass
@@ -120,31 +69,6 @@ class PartitionNode:
 
 
 @dataclass(frozen=True)
-class MCFResult:
-    """Outcome of an MCF traversal for one query predicate.
-
-    Attributes
-    ----------
-    covered:
-        Nodes fully covered by the predicate (answered exactly).
-    partial:
-        Leaf nodes partially overlapped by the predicate (answered from
-        samples).
-    nodes_visited:
-        Number of tree nodes examined; the paper's O(gamma log B) cost.
-    """
-
-    covered: tuple[PartitionNode, ...]
-    partial: tuple[PartitionNode, ...]
-    nodes_visited: int
-
-    @property
-    def is_exact(self) -> bool:
-        """True when no partial overlaps remain (the query aligns with the tree)."""
-        return not self.partial
-
-
-@dataclass(frozen=True)
 class _TreeGeometry:
     """Flat, immutable geometry of a partition tree for array MCF lookups.
 
@@ -156,8 +80,8 @@ class _TreeGeometry:
         in index order reproduces the sequential node order bit for bit.
     parent:
         Index of each node's parent in ``nodes`` (-1 for the root).
-    levels:
-        Node indices grouped by depth, shallowest first.
+    depth:
+        Each node's distance from the root.
     column_index:
         Column name -> column position of the bound arrays.
     lows / highs:
@@ -169,7 +93,7 @@ class _TreeGeometry:
 
     nodes: tuple[PartitionNode, ...]
     parent: np.ndarray
-    levels: tuple[np.ndarray, ...]
+    depth: np.ndarray
     column_index: dict[str, int]
     lows: np.ndarray
     highs: np.ndarray
@@ -202,15 +126,10 @@ class _TreeGeometry:
                 interval = node.box.interval(column)
                 lows[i, c] = interval.low
                 highs[i, c] = interval.high
-        depth_array = np.asarray(depths)
-        levels = tuple(
-            np.flatnonzero(depth_array == depth)
-            for depth in range(int(depth_array.max()) + 1)
-        )
         return cls(
             nodes=tuple(nodes),
-            parent=np.asarray(parents),
-            levels=levels,
+            parent=np.asarray(parents, dtype=np.int64),
+            depth=np.asarray(depths, dtype=np.int64),
             column_index=column_index,
             lows=lows,
             highs=highs,
@@ -242,7 +161,6 @@ class PartitionTree:
     def __init__(self, root: PartitionNode, leaves: Sequence[PartitionNode]) -> None:
         self._root = root
         self._leaves = list(leaves)
-        self._geometry_cache: _TreeGeometry | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -373,151 +291,17 @@ class PartitionTree:
         return self.n_nodes * (per_node + per_box)
 
     # ------------------------------------------------------------------
-    # Persistence (array export / import)
-    # ------------------------------------------------------------------
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """Export the full tree structure as flat numpy arrays.
-
-        Nodes are laid out in pre-order; each node records its child count,
-        its leaf index (-1 for internal nodes), its four aggregate statistics,
-        and its box.  The encoding is exact — statistics round-trip bit for
-        bit — so a reloaded synopsis answers queries identically.
-        """
-        nodes = list(self._root.iter_subtree())
-        arrays = {
-            "n_children": np.array(
-                [len(node.children) for node in nodes], dtype=np.int64
-            ),
-            "leaf_index": np.array(
-                [-1 if node.leaf_index is None else node.leaf_index for node in nodes],
-                dtype=np.int64,
-            ),
-            "sum": np.array([node.stats.sum for node in nodes], dtype=float),
-            "count": np.array([node.stats.count for node in nodes], dtype=np.int64),
-            "min": np.array([node.stats.min for node in nodes], dtype=float),
-            "max": np.array([node.stats.max for node in nodes], dtype=float),
-        }
-        for key, value in boxes_to_arrays([node.box for node in nodes]).items():
-            arrays[f"box_{key}"] = value
-        return arrays
-
-    @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "PartitionTree":
-        """Rebuild a tree previously exported with :meth:`to_arrays`."""
-        n_children = np.asarray(arrays["n_children"], dtype=np.int64)
-        leaf_index = np.asarray(arrays["leaf_index"], dtype=np.int64)
-        sums = np.asarray(arrays["sum"], dtype=float)
-        counts = np.asarray(arrays["count"], dtype=np.int64)
-        mins = np.asarray(arrays["min"], dtype=float)
-        maxs = np.asarray(arrays["max"], dtype=float)
-        boxes = boxes_from_arrays(
-            {
-                key[len("box_") :]: value
-                for key, value in arrays.items()
-                if key.startswith("box_")
-            }
-        )
-        if not len(n_children):
-            raise ValueError("cannot rebuild a tree from empty arrays")
-
-        cursor = 0
-
-        def build() -> PartitionNode:
-            nonlocal cursor
-            index = cursor
-            cursor += 1
-            node = PartitionNode(
-                box=boxes[index],
-                stats=PartitionStats(
-                    sum=float(sums[index]),
-                    count=int(counts[index]),
-                    min=float(mins[index]),
-                    max=float(maxs[index]),
-                ),
-                leaf_index=None if leaf_index[index] < 0 else int(leaf_index[index]),
-            )
-            node.children = [build() for _ in range(int(n_children[index]))]
-            return node
-
-        root = build()
-        if cursor != len(n_children):
-            raise ValueError("tree arrays are inconsistent: trailing nodes")
-        leaf_nodes = [
-            node for node in root.iter_subtree() if node.leaf_index is not None
-        ]
-        leaves: list[PartitionNode] = [None] * len(
-            leaf_nodes
-        )  # type: ignore[list-item]
-        for node in leaf_nodes:
-            if (
-                not 0 <= node.leaf_index < len(leaf_nodes)
-                or leaves[node.leaf_index] is not None
-            ):
-                raise ValueError("tree arrays are inconsistent: bad leaf indices")
-            leaves[node.leaf_index] = node
-        return cls(root=root, leaves=leaves)
-
-    # ------------------------------------------------------------------
-    # MCF
-    # ------------------------------------------------------------------
-    def minimal_coverage_frontier(
-        self,
-        predicate: RectPredicate,
-        zero_variance_rule: bool = False,
-    ) -> MCFResult:
-        """Run Algorithm 1 for a query predicate.
-
-        Parameters
-        ----------
-        predicate:
-            The query's rectangular predicate.
-        zero_variance_rule:
-            When True, any partially-overlapped node whose values all coincide
-            (min == max) is treated as covered — valid for AVG queries only
-            (Section 3.4).
-        """
-        covered: list[PartitionNode] = []
-        partial: list[PartitionNode] = []
-        visited = 0
-
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            visited += 1
-            relation = predicate.relation_to_box(node.box)
-            if relation == Relation.DISJOINT:
-                continue
-            if relation == Relation.COVER:
-                covered.append(node)
-                continue
-            if zero_variance_rule and node.stats.has_zero_variance:
-                covered.append(node)
-                continue
-            if node.is_leaf:
-                partial.append(node)
-                continue
-            stack.extend(node.children)
-        return MCFResult(
-            covered=tuple(covered), partial=tuple(partial), nodes_visited=visited
-        )
-
-    # ------------------------------------------------------------------
     # Flat geometry
     # ------------------------------------------------------------------
     def geometry(self) -> "_TreeGeometry":
-        """The cached flat node-geometry table of the array-native core.
+        """The flat node-geometry table :func:`repro.core.soa.flatten` lays out.
 
-        Rows are ordered by the DFS visit order of
-        :meth:`minimal_coverage_frontier`, which :mod:`repro.core.soa`
-        relies on for order-preserving frontier extraction.  Only immutable
-        structure is cached (boxes, parent links, leaf flags); node
-        *statistics* mutate under dynamic updates and are never part of it.
+        Rows are ordered by the visit order of the sequential MCF descent
+        (root first, children pushed left to right and popped in reverse),
+        which :mod:`repro.core.soa` relies on for order-preserving frontier
+        extraction.
         """
-        geometry = self._geometry_cache
-        if geometry is None:
-            geometry = _TreeGeometry.build(self._root)
-            self._geometry_cache = geometry
-        return geometry
+        return _TreeGeometry.build(self._root)
 
 
 def _bounding_box(boxes: Sequence[Box]) -> Box:

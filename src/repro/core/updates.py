@@ -102,7 +102,10 @@ class DynamicPASS:
         self._config = config or PASSConfig()
         self._extra_sample_columns = list(extra_sample_columns or [])
         if reservoir_capacity is not None and reservoir_capacity < 0:
-            raise ValueError("reservoir capacity must be positive")
+            raise ValueError(
+                "reservoir capacity must not be negative "
+                "(None or 0: each leaf's built sample size)"
+            )
         self._reservoir_capacity = reservoir_capacity
         self._adopt(
             build_pass(
@@ -114,7 +117,6 @@ class DynamicPASS:
             ),
             rng,
         )
-        populations = [stratum.size for stratum in self._synopsis.leaf_samples]
         counts = self._flat.sample_counts
         self._capacity = np.maximum(1, counts)
         if reservoir_capacity:
@@ -131,7 +133,7 @@ class DynamicPASS:
             self._flat.replace_leaf_sample(leaf, rows)
         # A reservoir seeded with a sample has "seen" the leaf's population:
         # acceptance probabilities are relative to it, not to the sample.
-        self._seen = np.maximum(populations, counts)
+        self._seen = np.maximum(self._flat.leaf_populations(), counts)
         self._updates_since_build = 0
         self._build_population = self.population_size
         self._minmax_possibly_stale = False
@@ -148,7 +150,7 @@ class DynamicPASS:
         self._synopsis = synopsis
         self._flat = synopsis.flat
         self._leaf_boxes = synopsis.leaf_boxes
-        self._sketches = synopsis.leaf_sketches
+        self._sketches = self._flat.leaf_sketches()
         self._sample_columns = list(self._flat.leaf_sample(0))
 
     # ------------------------------------------------------------------
@@ -319,28 +321,27 @@ class DynamicPASS:
             self._predicate_columns,
             config=self._config,
             reservoir_capacity=self._reservoir_capacity,
+            rng=self._rng,
             extra_sample_columns=self._extra_sample_columns,
         )
 
     # ------------------------------------------------------------------
-    # Persistence (array export / import)
+    # Persistence (flat buffers)
     # ------------------------------------------------------------------
-    def to_arrays(self) -> tuple[dict[str, np.ndarray], dict]:
-        """Export synopsis, reservoirs, and update counters as flat arrays.
+    def export_buffers(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """The synopsis' ``(header, arrays)`` plus the update state.
 
-        The reservoir *contents* round-trip exactly (so a reloaded instance
-        answers queries identically); the reservoir RNG state is not
-        persisted, so post-reload insertions make different (but equally
-        valid) eviction choices.
+        On top of :meth:`PASSSynopsis.export_buffers`: the per-leaf reservoir
+        ``seen`` / ``capacity`` arrays, and in the header ``kind:
+        "dynamic"``, the build parameters and the update counters.  The
+        sample rows round-trip exactly (so a reloaded instance answers
+        queries identically); the reservoir RNG state is not persisted, so
+        post-reload insertions make different (but equally valid) eviction
+        choices.
         """
-        arrays, header = self._synopsis.to_arrays()
-        # The reservoir rows are the leaf samples: the archive keeps both
-        # names, the synopsis stores them once.
-        arrays["reservoir/offsets"] = arrays["strata/offsets"]
-        arrays["reservoir/seen"] = self._seen.copy()
-        arrays["reservoir/capacity"] = self._capacity.copy()
-        for column in header["sample_columns"]:
-            arrays[f"reservoir/column/{column}"] = arrays[f"samples/{column}"]
+        header, arrays = self._synopsis.export_buffers()
+        arrays["seen"] = self._seen.copy()
+        arrays["capacity"] = self._capacity.copy()
         config = dataclasses.asdict(self._config)
         config["agg_template"] = self._config.agg_template.value
         header.update(
@@ -349,6 +350,7 @@ class DynamicPASS:
                 "predicate_columns": list(self._predicate_columns),
                 "extra_sample_columns": list(self._extra_sample_columns),
                 "config": config,
+                "reservoir_capacity": self._reservoir_capacity,
                 "updates_since_build": self._updates_since_build,
                 "build_population": self._build_population,
                 "minmax_possibly_stale": self._minmax_possibly_stale,
@@ -356,44 +358,35 @@ class DynamicPASS:
                 "extrema_stale_deletes": self._extrema_stale_deletes,
             }
         )
-        return arrays, header
+        return header, arrays
 
     @classmethod
-    def from_arrays(
+    def from_buffers(
         cls,
-        arrays: Mapping[str, np.ndarray],
         header: Mapping,
+        arrays: Mapping[str, np.ndarray],
         rng: np.random.Generator | int | None = 0,
     ) -> "DynamicPASS":
-        """Rebuild an instance exported with :meth:`to_arrays` (no re-build).
+        """Rebuild an instance from :meth:`export_buffers` (no re-build).
 
-        The leaf samples are the archive's ``reservoir/*`` rows (older
-        archives may carry an uncut build sample under ``samples/*``).
+        Every array is copied, so the instance owns writable state even when
+        ``arrays`` are read-only views of a mapped file.
         """
-        arrays = dict(arrays)
-        arrays["strata/offsets"] = arrays["reservoir/offsets"]
-        for column in header["sample_columns"]:
-            arrays[f"samples/{column}"] = arrays[f"reservoir/column/{column}"]
+        arrays = {key: np.array(value) for key, value in arrays.items()}
         instance = cls.__new__(cls)
         instance._value_column = str(header["value_column"])
         instance._predicate_columns = list(header["predicate_columns"])
-        instance._extra_sample_columns = list(header.get("extra_sample_columns", []))
-        # Archives written while PASSConfig had an ``execution`` field still
-        # carry it.
-        config = {k: v for k, v in header["config"].items() if k != "execution"}
-        instance._config = PASSConfig(**config)
-        instance._reservoir_capacity = None
-        instance._adopt(PASSSynopsis.from_arrays(arrays, dict(header)), rng)
-        instance._capacity = np.array(arrays["reservoir/capacity"], dtype=np.int64)
-        instance._seen = np.maximum(
-            np.asarray(arrays["reservoir/seen"], dtype=np.int64),
-            instance._flat.sample_counts,
-        )
+        instance._extra_sample_columns = list(header["extra_sample_columns"])
+        instance._config = PASSConfig(**header["config"])
+        instance._reservoir_capacity = header["reservoir_capacity"]
+        instance._adopt(PASSSynopsis.from_buffers(header, arrays), rng)
+        instance._capacity = arrays["capacity"]
+        instance._seen = arrays["seen"]
         instance._updates_since_build = int(header["updates_since_build"])
         instance._build_population = int(header["build_population"])
         instance._minmax_possibly_stale = bool(header["minmax_possibly_stale"])
-        instance._sketch_stale_deletes = int(header.get("sketch_stale_deletes", 0))
-        instance._extrema_stale_deletes = int(header.get("extrema_stale_deletes", 0))
+        instance._sketch_stale_deletes = int(header["sketch_stale_deletes"])
+        instance._extrema_stale_deletes = int(header["extrema_stale_deletes"])
         return instance
 
     # ------------------------------------------------------------------

@@ -6,8 +6,8 @@ This subsystem makes PASS horizontally scalable:
   range- or hash-sharded chunks on a chosen shard column;
 * :class:`ParallelBuilder` (and the :func:`build_sharded_pass` convenience)
   builds the per-shard synopses concurrently across CPU cores, shipping
-  picklable build specs to workers and reassembling their results through
-  the exact ``to_arrays`` / ``from_arrays`` paths;
+  picklable build specs to workers and adopting the ``(header, arrays)``
+  pairs they return (``export_buffers`` / ``from_buffers``);
 * :class:`ShardedSynopsis` answers aggregate queries by scatter-gather —
   prune shards whose key range cannot match, query the survivors through
   the batch path, and merge the per-shard estimates, variances,

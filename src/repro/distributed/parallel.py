@@ -6,11 +6,12 @@ synopsis per shard parallelizes cleanly across processes:
 
 * the parent ships each worker a picklable :class:`ShardBuildSpec` (the
   shard's raw numpy columns plus the build configuration);
-* the worker builds the shard synopsis and returns its flat-array export
-  (:meth:`PASSSynopsis.to_arrays` / :meth:`DynamicPASS.to_arrays`) — arrays
-  and a JSON-safe header, both cheap to pickle and exact;
-* the parent reassembles the shards with the matching ``from_arrays`` and
-  wires them into a :class:`~repro.distributed.sharded.ShardedSynopsis`.
+* the worker builds the shard synopsis and returns what it is — the
+  ``(header, arrays)`` pair of :meth:`PASSSynopsis.export_buffers` /
+  :meth:`DynamicPASS.export_buffers`, the same pair a saved file or a
+  shared-memory segment carries — cheap to pickle and exact;
+* the parent adopts each pair with the matching ``from_buffers`` and wires
+  the shards into a :class:`~repro.distributed.sharded.ShardedSynopsis`.
 
 Because every build is seeded, the result is bit-identical no matter how
 many workers ran it (``executor="serial"`` exists for tests and platforms
@@ -90,37 +91,18 @@ class ShardBuildSpec:
     extra_sample_columns: tuple[str, ...] = ()
 
 
-def _build_shard(spec: ShardBuildSpec) -> tuple[dict[str, np.ndarray], dict]:
-    """Worker entry point: build one shard and export it as flat arrays."""
+def _build_shard(spec: ShardBuildSpec) -> tuple[dict, dict[str, np.ndarray]]:
+    """Worker entry point: build one shard, return its ``(header, arrays)``."""
     table = Table(dict(spec.columns), name=spec.table_name)
-    if spec.dynamic:
-        shard = DynamicPASS(
-            table,
-            spec.value_column,
-            list(spec.predicate_columns),
-            spec.config,
-            extra_sample_columns=list(spec.extra_sample_columns),
-        )
-        return shard.to_arrays()
-    synopsis = build_pass(
+    build = DynamicPASS if spec.dynamic else build_pass
+    shard = build(
         table,
         spec.value_column,
         list(spec.predicate_columns),
         spec.config,
         extra_sample_columns=list(spec.extra_sample_columns),
     )
-    arrays, header = synopsis.to_arrays()
-    header["kind"] = "pass"
-    return arrays, header
-
-
-def _restore_shard(
-    arrays: dict[str, np.ndarray], header: dict
-) -> PASSSynopsis | DynamicPASS:
-    """Parent-side reassembly of a worker's export."""
-    if header.get("kind") == "dynamic":
-        return DynamicPASS.from_arrays(arrays, header)
-    return PASSSynopsis.from_arrays(arrays, header)
+    return shard.export_buffers()
 
 
 class ParallelBuilder:
@@ -198,7 +180,8 @@ class ParallelBuilder:
         start = time.perf_counter()
         exports = self._run(specs)
         build_seconds = time.perf_counter() - start
-        shards = [_restore_shard(arrays, header) for arrays, header in exports]
+        kind = DynamicPASS if dynamic else PASSSynopsis
+        shards = [kind.from_buffers(header, arrays) for header, arrays in exports]
         return ShardedSynopsis(
             shards=shards,
             key_boxes=plan.key_boxes,
@@ -212,7 +195,7 @@ class ParallelBuilder:
 
     def _run(
         self, specs: Sequence[ShardBuildSpec]
-    ) -> list[tuple[dict[str, np.ndarray], dict]]:
+    ) -> list[tuple[dict, dict[str, np.ndarray]]]:
         if self.executor == "serial" or len(specs) <= 1:
             return [_build_shard(spec) for spec in specs]
         workers = self.max_workers

@@ -56,7 +56,6 @@ import numpy as np
 
 from repro.core.batching import batch_query
 from repro.core.pass_synopsis import PASSSynopsis
-from repro.core.tree import boxes_from_arrays, boxes_to_arrays
 from repro.core.updates import DynamicPASS
 from repro.distributed.planner import ShardRouting
 from repro.obs import Observability
@@ -68,7 +67,7 @@ from repro.query.groupby import (
     empty_group_result,
     execute_plan,
 )
-from repro.query.predicate import Box
+from repro.query.predicate import Box, Interval
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult, LAMBDA_99
 from repro.sampling.estimators import EstimateWithVariance, ratio_estimate
@@ -78,8 +77,6 @@ if TYPE_CHECKING:
     from repro.obs.metrics import Counter, NullCounter
 
 __all__ = ["ShardedSynopsis"]
-
-_FORMAT = 1
 
 
 def _pass_of(shard: PASSSynopsis | DynamicPASS) -> PASSSynopsis:
@@ -661,80 +658,76 @@ class ShardedSynopsis:
         )
 
     # ------------------------------------------------------------------
-    # Persistence (array export / import)
+    # Persistence (flat buffers)
     # ------------------------------------------------------------------
-    def to_arrays(self) -> tuple[dict[str, np.ndarray], dict]:
-        """Export every shard plus the routing metadata as flat arrays.
+    def export_buffers(self) -> tuple[dict, dict[str, np.ndarray]]:
+        """Every shard's ``(header, arrays)`` plus the routing metadata.
 
-        Shard arrays are namespaced under ``shard<i>/``; the key boxes are
-        stored under ``router/``.  The round trip through :meth:`from_arrays`
-        is exact per shard, so a reloaded sharded synopsis returns
-        bit-identical merged estimates.
+        Shard arrays are namespaced under ``shard<i>/``, their headers listed
+        under ``shard_headers`` and the key boxes (a few floats per shard)
+        kept in the header.  The round trip through :meth:`from_buffers` is
+        exact per shard, so a reloaded sharded synopsis returns bit-identical
+        merged estimates.
         """
         arrays: dict[str, np.ndarray] = {}
         shard_headers: list[dict] = []
         for i, shard in enumerate(self._shards):
-            shard_arrays, shard_header = shard.to_arrays()
-            if not isinstance(shard, DynamicPASS):
-                shard_header["kind"] = "pass"
+            shard_header, shard_arrays = shard.export_buffers()
             for key, value in shard_arrays.items():
                 arrays[f"shard{i}/{key}"] = value
             shard_headers.append(shard_header)
-        for key, value in boxes_to_arrays(self._key_boxes).items():
-            arrays[f"router/box_{key}"] = value
         header = {
-            "format": _FORMAT,
             "kind": "sharded",
             "value_column": self.value_column,
             "shard_column": self._shard_column,
             "strategy": self._strategy,
             "lam": self._lam,
-            "n_shards": self.n_shards,
             "hash_modulus": self._routing.hash_modulus,
             "hash_owners": list(self._routing.hash_owners),
             "build_seconds": self.build_seconds,
+            "key_boxes": [
+                {
+                    column: [interval.low, interval.high]
+                    for column, interval in box.intervals.items()
+                }
+                for box in self._key_boxes
+            ],
             "shard_headers": shard_headers,
         }
-        return arrays, header
+        return header, arrays
 
     @classmethod
-    def from_arrays(
-        cls, arrays: Mapping[str, np.ndarray], header: Mapping
+    def from_buffers(
+        cls, header: Mapping, arrays: Mapping[str, np.ndarray]
     ) -> "ShardedSynopsis":
-        """Rebuild a sharded synopsis exported with :meth:`to_arrays`."""
-        shard_headers = header["shard_headers"]
+        """Rebuild a sharded synopsis exported with :meth:`export_buffers`.
+
+        Static shards take their arrays by reference, dynamic ones copy.
+        """
         shards: list[PASSSynopsis | DynamicPASS] = []
-        for i, shard_header in enumerate(shard_headers):
+        for i, shard_header in enumerate(header["shard_headers"]):
             prefix = f"shard{i}/"
             shard_arrays = {
                 key[len(prefix) :]: value
                 for key, value in arrays.items()
                 if key.startswith(prefix)
             }
-            if shard_header.get("kind") == "dynamic":
-                shards.append(DynamicPASS.from_arrays(shard_arrays, shard_header))
-            else:
-                shards.append(
-                    PASSSynopsis.from_arrays(shard_arrays, dict(shard_header))
+            dynamic = shard_header.get("kind") == "dynamic"
+            shards.append(
+                (DynamicPASS if dynamic else PASSSynopsis).from_buffers(
+                    shard_header, shard_arrays
                 )
-        key_boxes = boxes_from_arrays(
-            {
-                key[len("router/box_") :]: value
-                for key, value in arrays.items()
-                if key.startswith("router/box_")
-            }
-        )
+            )
         return cls(
             shards=shards,
-            key_boxes=key_boxes,
+            key_boxes=[
+                Box({column: Interval(*bounds) for column, bounds in box.items()})
+                for box in header["key_boxes"]
+            ],
             shard_column=str(header["shard_column"]),
             strategy=str(header["strategy"]),
             lam=float(header["lam"]),
-            hash_modulus=(
-                None
-                if header.get("hash_modulus") is None
-                else int(header["hash_modulus"])
-            ),
-            hash_owners=tuple(int(owner) for owner in header.get("hash_owners", ())),
-            build_seconds=float(header.get("build_seconds", 0.0)),
+            hash_modulus=header["hash_modulus"],
+            hash_owners=tuple(header["hash_owners"]),
+            build_seconds=float(header["build_seconds"]),
         )

@@ -272,8 +272,8 @@ class SynopsisCatalog:
     ) -> CatalogEntry:
         """Register a synopsis under a unique name.
 
-        ``predicate_columns`` defaults to the columns of the partition tree's
-        root box (the columns the synopsis was partitioned on) — for sharded
+        ``predicate_columns`` defaults to the columns the synopsis' node
+        boxes bound (the columns it was partitioned on) — for sharded
         synopses, the union of the shards' partitioning columns plus the
         shard column; the value column is always read from the synopsis
         itself.
@@ -286,7 +286,7 @@ class SynopsisCatalog:
                 columns: set[str] = {synopsis.shard_column}
                 for shard in synopsis.shards:
                     inner = shard.synopsis if isinstance(shard, DynamicPASS) else shard
-                    columns.update(inner.tree.root.box.columns)
+                    columns.update(inner.flat.columns)
                 predicate_columns = tuple(sorted(columns))
         else:
             inner = synopsis.synopsis if isinstance(synopsis, DynamicPASS) else synopsis
@@ -297,7 +297,7 @@ class SynopsisCatalog:
                 )
             value_column = inner.value_column
             if predicate_columns is None:
-                predicate_columns = tuple(sorted(inner.tree.root.box.columns))
+                predicate_columns = tuple(sorted(inner.flat.columns))
         entry = CatalogEntry(
             name=name,
             synopsis=synopsis,

@@ -1,25 +1,35 @@
-"""Shared-memory synopsis segments and the epoch/generation publish protocol.
+"""The synopsis' one serial form, shared-memory segments, and the epoch protocol.
 
-PR 8's array-native :class:`~repro.core.soa.FlatSynopsis` made a synopsis a
-handful of flat numpy buffers; this module lays those buffers out in
-:class:`multiprocessing.shared_memory.SharedMemory` so a process-per-core
-worker pool (:mod:`repro.serving.server`) can serve queries over **zero-copy
-read-only views** of one shared copy instead of pickling the synopsis into
-every worker.
+A synopsis is a ``(header, arrays)`` pair of flat numpy buffers
+(:meth:`~repro.core.soa.FlatSynopsis.export_buffers`).  This module owns the
+byte layout that pair is written in — :class:`SegmentLayout` writes it into
+any buffer, :func:`parse_segment` reads it back as zero-copy views — and uses
+it for :class:`multiprocessing.shared_memory.SharedMemory` segments, so a
+process-per-core worker pool (:mod:`repro.serving.server`) serves queries
+over **read-only views** of one shared copy instead of pickling the synopsis
+into every worker.  :mod:`repro.serving.persistence` writes the very same
+bytes to a file and maps them back, so a restart and a pool attach are one
+code path.
 
-Segment layout (one segment per synopsis; normative, mirrored in
+Layout (one segment or file per synopsis; normative, mirrored in
 ``docs/ARCHITECTURE.md``):
 
 * bytes ``0..8`` — magic ``b"PASSSEG1"``;
 * bytes ``8..16`` — little-endian ``uint64`` length of the JSON header;
-* bytes ``16..16+len`` — the JSON header: the synopsis scalars from
-  :meth:`FlatSynopsis.export_buffers` plus an array directory (key, dtype,
-  shape, byte offset per buffer) — the kernel arrays and, for a synopsis
-  built with sketches, its per-leaf sketches ragged-packed under
+* bytes ``16..16+len`` — the JSON header: ``format`` (the layout version),
+  ``size`` (the bytes the whole layout occupies), ``synopsis`` (the
+  exported header: scalars and name lists) and ``arrays``, the directory
+  (key, dtype, shape, byte offset per buffer) — the kernel arrays and, for
+  a synopsis built with sketches, its per-leaf sketches ragged-packed under
   ``sketch/<key>``;
 * each array payload at its directory offset, every offset **page-aligned**
   (so a buffer never straddles an unrelated buffer's cache lines and the
   kernel can share pages cleanly).
+
+A file is outside input and a segment's owner may have died mid-write, so the
+reader checks everything it is about to trust (magic, header length, format,
+every directory entry's dtype and extent) and raises ``ValueError`` naming
+the source.
 
 Coordination between the single writer and the readers is a tiny separate
 **epoch register** segment updated with a seqlock:
@@ -48,6 +58,7 @@ idempotent and doubles as crash cleanup (see :func:`_attach_untracked`).
 from __future__ import annotations
 
 import json
+import math
 import mmap
 import secrets
 import struct
@@ -62,8 +73,11 @@ from repro.core.soa import FlatSynopsis
 from repro.core.updates import DynamicPASS
 
 __all__ = [
+    "FORMAT_VERSION",
     "SEGMENT_MAGIC",
     "REGISTER_MAGIC",
+    "SegmentLayout",
+    "parse_segment",
     "SynopsisSegment",
     "AttachedSegment",
     "EpochRegister",
@@ -74,7 +88,12 @@ __all__ = [
     "attach_flat_synopsis",
 ]
 
-#: First eight bytes of every synopsis data segment.
+#: Layout version in every segment / file header (and every manifest and
+#: archive :mod:`repro.serving.persistence` writes); bumped on incompatible
+#: changes.  Version 1 was the compressed-npz archive.
+FORMAT_VERSION = 2
+
+#: First eight bytes of every synopsis data segment and synopsis file.
 SEGMENT_MAGIC = b"PASSSEG1"
 
 #: First eight bytes of every epoch-register segment.
@@ -130,6 +149,128 @@ def _align(offset: int) -> int:
     return (offset + _PAGE - 1) // _PAGE * _PAGE
 
 
+class SegmentLayout:
+    """Where a ``(header, arrays)`` pair goes in a buffer of ``size`` bytes.
+
+    ``header`` must be JSON-safe (every ``export_buffers`` header is).
+    Construct, allocate ``size`` bytes wherever they should live (shared
+    memory, a ``bytearray`` bound for a file), then :meth:`write` into them.
+    """
+
+    def __init__(self, header: Mapping, arrays: Mapping[str, np.ndarray]) -> None:
+        self._payloads = [np.ascontiguousarray(array) for array in arrays.values()]
+        directory = [
+            {
+                "key": key,
+                "dtype": payload.dtype.str,
+                "shape": list(payload.shape),
+                "offset": 0,
+            }
+            for key, payload in zip(arrays, self._payloads)
+        ]
+        document = {
+            "format": FORMAT_VERSION,
+            "size": 0,
+            "synopsis": dict(header),
+            "arrays": directory,
+        }
+        # Two passes: offsets depend on the header length, which depends on
+        # the offsets (they are JSON numbers).  Size the header area from a
+        # zero-offset template plus generous per-entry slack for the digits.
+        template = json.dumps(document).encode("utf-8")
+        offset = _align(16 + len(template) + 32 * len(directory) + 64)
+        header_area = offset
+        for entry, payload in zip(directory, self._payloads):
+            entry["offset"] = offset
+            offset = _align(offset + max(payload.nbytes, 1))
+        #: Bytes the layout occupies (a whole number of pages).
+        self.size = document["size"] = offset
+        self._directory = directory
+        self._encoded = json.dumps(document).encode("utf-8")
+        if 16 + len(self._encoded) > header_area:
+            raise RuntimeError("segment header overflowed its reserved space")
+
+    def write(self, buf) -> None:
+        """Write magic, header and every payload into writable ``buf``."""
+        buf[0:8] = SEGMENT_MAGIC
+        struct.pack_into("<Q", buf, 8, len(self._encoded))
+        buf[16 : 16 + len(self._encoded)] = self._encoded
+        for entry, payload in zip(self._directory, self._payloads):
+            view = np.ndarray(
+                payload.shape, dtype=payload.dtype, buffer=buf, offset=entry["offset"]
+            )
+            view[...] = payload
+
+
+def _array_spec(entry: Mapping, available: int) -> tuple[str, np.dtype, tuple, int]:
+    """``(key, dtype, shape, offset)`` of an entry inside ``available`` bytes."""
+    key = str(entry["key"])
+    dtype = np.dtype(entry["dtype"])
+    if dtype.kind not in "biuf":
+        raise ValueError(f"array {key!r} has non-numeric dtype {dtype}")
+    shape = tuple(int(extent) for extent in entry["shape"])
+    offset = int(entry["offset"])
+    if offset < 0 or any(extent < 0 for extent in shape):
+        raise ValueError(f"array {key!r} has a negative extent")
+    if offset + dtype.itemsize * math.prod(shape) > available:
+        raise ValueError(f"array {key!r} ends past the {available} bytes present")
+    return key, dtype, shape, offset
+
+
+def _read_directory(view: memoryview, source: str) -> tuple[dict, list[tuple]]:
+    """Validate a segment's framing; ``(synopsis header, array specs)``.
+
+    Every failure is a ``ValueError`` naming ``source``; nothing here keeps
+    a reference into ``view``.
+    """
+    if len(view) < 16 or bytes(view[0:8]) != SEGMENT_MAGIC:
+        raise ValueError(f"{source} is not a synopsis segment (bad magic)")
+    (header_len,) = struct.unpack_from("<Q", view, 8)
+    if 16 + header_len > len(view):
+        raise ValueError(
+            f"{source} is truncated: its header claims {header_len} bytes, "
+            f"{len(view) - 16} follow"
+        )
+    try:
+        document = json.loads(bytes(view[16 : 16 + header_len]).decode("utf-8"))
+        version = document["format"]
+    except (ValueError, KeyError, TypeError) as error:
+        raise ValueError(f"{source} has an unreadable header: {error}") from error
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported synopsis format {version!r} in {source} "
+            f"(this build reads version {FORMAT_VERSION})"
+        )
+    try:
+        if int(document["size"]) > len(view):
+            raise ValueError(f"{len(view)} of {document['size']} bytes present")
+        header = dict(document["synopsis"])
+        specs = [_array_spec(entry, len(view)) for entry in document["arrays"]]
+    except (ValueError, KeyError, TypeError) as error:
+        raise ValueError(
+            f"{source} is truncated or has a corrupt array directory: {error}"
+        ) from error
+    return header, specs
+
+
+def parse_segment(buf, source: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The ``(header, arrays)`` a :class:`SegmentLayout` wrote into ``buf``.
+
+    ``arrays`` are read-only numpy views straight over ``buf`` (a shared
+    mapping, an ``mmap`` of a file), which must outlive them.  ``source``
+    (a path or segment name) is named in the ``ValueError`` any malformed
+    input raises — no array is created before the whole directory checks out.
+    """
+    with memoryview(buf) as view:
+        header, specs = _read_directory(view, source)
+    arrays: dict[str, np.ndarray] = {}
+    for key, dtype, shape, offset in specs:
+        array = np.ndarray(shape, dtype=dtype, buffer=buf, offset=offset)
+        array.flags.writeable = False
+        arrays[key] = array
+    return header, arrays
+
+
 def _flat_of(
     synopsis: "PASSSynopsis | DynamicPASS | FlatSynopsis",
 ) -> FlatSynopsis:
@@ -175,57 +316,14 @@ class SynopsisSegment:
     ) -> "SynopsisSegment":
         """Lay ``(header, arrays)`` out in a fresh shared-memory segment.
 
-        ``header`` must be JSON-safe (the :meth:`FlatSynopsis.
-        export_buffers` header is); each array is copied once into the
-        segment at a page-aligned offset recorded in the embedded
-        directory.  Returns the owning handle.
+        Each array is copied once into the segment (:class:`SegmentLayout`).
+        Returns the owning handle.
         """
-        directory = []
-        payloads = []
-        for key, array in arrays.items():
-            contiguous = np.ascontiguousarray(array)
-            directory.append(
-                {
-                    "key": key,
-                    "dtype": contiguous.dtype.str,
-                    "shape": list(contiguous.shape),
-                }
-            )
-            payloads.append(contiguous)
-        header_doc = {
-            "format": 1,
-            "synopsis": dict(header),
-            "arrays": directory,
-        }
-        # Two passes: offsets depend on the header length, which depends on
-        # the offsets (they are JSON numbers).  Size the header area from a
-        # zero-offset template plus generous per-entry slack for the digits.
-        for entry in directory:
-            entry["offset"] = 0
-        template = json.dumps(header_doc).encode("utf-8")
-        offset = _align(16 + len(template) + 32 * len(directory) + 64)
-        for entry, payload in zip(directory, payloads):
-            entry["offset"] = offset
-            offset = _align(offset + max(payload.nbytes, 1))
-        encoded = json.dumps(header_doc).encode("utf-8")
-        if directory and 16 + len(encoded) > directory[0]["offset"]:
-            raise RuntimeError("segment header overflowed its reserved space")
+        layout = SegmentLayout(header, arrays)
         segment = shared_memory.SharedMemory(
-            create=True, size=max(offset, _PAGE), name=_segment_name(_SEGMENT_PREFIX)
+            create=True, size=layout.size, name=_segment_name(_SEGMENT_PREFIX)
         )
-        buf = segment.buf
-        buf[0:8] = SEGMENT_MAGIC
-        struct.pack_into("<Q", buf, 8, len(encoded))
-        buf[16 : 16 + len(encoded)] = encoded
-        for entry, payload in zip(directory, payloads):
-            start = entry["offset"]
-            view = np.ndarray(
-                payload.shape,
-                dtype=np.dtype(entry["dtype"]),
-                buffer=buf,
-                offset=start,
-            )
-            view[...] = payload
+        layout.write(segment.buf)
         return cls(segment)
 
     def close(self) -> None:
@@ -251,23 +349,11 @@ class AttachedSegment:
 
     def __init__(self, name: str) -> None:
         self._segment = _attach_untracked(name)
-        buf = self._segment.buf
-        if bytes(buf[0:8]) != SEGMENT_MAGIC:
+        try:
+            self.header, self.arrays = parse_segment(self._segment.buf, name)
+        except ValueError:
             self._segment.close()
-            raise ValueError(f"{name} is not a synopsis segment (bad magic)")
-        (header_len,) = struct.unpack_from("<Q", buf, 8)
-        doc = json.loads(bytes(buf[16 : 16 + header_len]).decode("utf-8"))
-        self.header: dict = doc["synopsis"]
-        self.arrays: dict[str, np.ndarray] = {}
-        for entry in doc["arrays"]:
-            view = np.ndarray(
-                tuple(entry["shape"]),
-                dtype=np.dtype(entry["dtype"]),
-                buffer=buf,
-                offset=entry["offset"],
-            )
-            view.flags.writeable = False
-            self.arrays[entry["key"]] = view
+            raise
 
     @property
     def name(self) -> str:
@@ -287,7 +373,7 @@ def attach_flat_synopsis(name: str) -> tuple[FlatSynopsis, AttachedSegment]:
     alive; close the handle only after the engine is discarded.
     """
     attached = AttachedSegment(name)
-    return FlatSynopsis.from_buffers(attached.header, attached.arrays), attached
+    return FlatSynopsis(attached.header, attached.arrays), attached
 
 
 class EpochReadTimeout(TimeoutError):

@@ -17,7 +17,7 @@ That reduction is :func:`frontier_union` (:func:`quantile_union` /
 :func:`distinct_union`): the merge loops exist once, over plain leaf indices
 and matched-value arrays, and do not care who found the frontier — the flat engine
 (:meth:`repro.core.soa.FlatSynopsis.sketch_union`, the runtime path) or the
-object oracle (``PASSSynopsis.query_object``).
+object oracle of ``tests/oracle.py``.
 
 Union objects are mergeable with the same discipline as the sketches
 themselves, which is exactly what the distributed scatter-gather path needs:

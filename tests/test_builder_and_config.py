@@ -14,6 +14,8 @@ from repro.core.builder import (
 from repro.core.config import PARTITIONER_CHOICES, PASSConfig
 from repro.query.aggregates import AggregateType
 
+import oracle
+
 
 class TestPASSConfig:
     def test_defaults_are_valid(self):
@@ -214,15 +216,18 @@ class TestBuildPass:
             ["key"],
             PASSConfig(n_partitions=4, opt_sample_size=200),
         )
-        assert synopsis.tree.root.stats.count == skewed_table.n_rows
+        assert synopsis.population_size == skewed_table.n_rows
 
     def test_multi_column_fanout(self, multi_table):
         config = PASSConfig(
             n_partitions=16, sample_rate=0.02, partitioner="kd", opt_sample_size=800
         )
-        synopsis = build_pass(multi_table, "value", ["a", "b", "c"], config)
-        assert synopsis.tree.n_leaves >= 16
-        synopsis.tree.validate()
+        synopsis, objects = oracle.built_with_objects(
+            build_pass, multi_table, "value", ["a", "b", "c"], config
+        )
+        assert synopsis.n_partitions == objects.tree.n_leaves >= 16
+        objects.tree.validate()
+        oracle.objects_of(synopsis).tree.validate()
 
     def test_effective_partitioner_recorded(self, skewed_table, multi_table):
         one_d = build_pass(
@@ -248,9 +253,9 @@ class TestBuildPass:
         config = PASSConfig(n_partitions=4, sample_rate=0.05)
         synopsis = build_pass(skewed_table, "value", ["key"], config, leaf_boxes=boxes)
         assert synopsis.effective_partitioner == "precomputed"
-        arrays, header = synopsis.to_arrays()
+        header, arrays = synopsis.export_buffers()
         assert header["effective_partitioner"] == "precomputed"
         from repro.core.pass_synopsis import PASSSynopsis
 
-        reloaded = PASSSynopsis.from_arrays(arrays, header)
+        reloaded = PASSSynopsis.from_buffers(header, arrays)
         assert reloaded.effective_partitioner == "precomputed"

@@ -1,18 +1,21 @@
-"""Updates applied to the flat arrays: invariants, routing, isolation, no refresh.
+"""Updates applied to the flat arrays: invariants, routing, isolation, no objects.
 
 ``DynamicPASS`` writes inserts and deletes straight into ``FlatSynopsis`` —
 node statistics along the ``parent`` chain, one leaf's rows of the CSR sample
-columns — and the object tree / strata follow on access.  These tests hold
-the arrays to a recomputation from the replayed table after every step, pin
-the one routing function to a left-to-right reference walk, and check that a
-length-changing sample update touches nothing but its leaf and that no served
-operation runs the object refresh.
+columns — the synopsis' only state.  These tests hold the arrays to a
+recomputation from the replayed table after every step (and to the oracle
+over the objects they decode to), pin the one routing function to a
+left-to-right reference walk, and check that a length-changing sample update
+touches nothing but its leaf and that no served operation leaves a node,
+tree or stratum object behind.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
+import types
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from repro.aggregation.partition import PartitionStats
 from repro.core.config import PASSConfig
 from repro.core.pass_synopsis import PASSSynopsis
 from repro.core.soa import FlatSynopsis
-from repro.core.tree import PartitionTree
+from repro.core.tree import PartitionNode, PartitionTree
 from repro.core.updates import DynamicPASS
 from repro.data.table import Table
 from repro.distributed.parallel import build_sharded_pass
@@ -33,15 +36,17 @@ from repro.query.query import AggregateQuery
 from repro.sampling.stratified import Stratum
 from repro.serving.catalog import SynopsisCatalog
 from repro.serving.engine import ServingEngine
+from repro.serving.persistence import load_synopsis, save_synopsis
 from repro.serving.shm import (
     EpochRegister,
     SynopsisPublisher,
     attach_flat_synopsis,
     read_published,
 )
+import oracle
 from test_soa_equivalence import (
     ALL_KINDS,
-    _batch_synopsis,
+    _batch_built,
     _constant_region_table,
     _query,
     assert_results_identical,
@@ -136,6 +141,7 @@ def _assert_arrays_match_replay(dynamic: DynamicPASS, live: list[dict]) -> None:
 
 def _assert_flat_matches_oracle(dynamic: DynamicPASS, rng: np.random.Generator) -> None:
     n_columns = len(dynamic.predicate_columns)
+    objects = oracle.objects_of(dynamic)
     for kind in ALL_KINDS:
         fractions = [sorted(rng.uniform(0.0, 1.0, size=2)) for _ in range(n_columns)]
         predicate = RectPredicate(
@@ -147,7 +153,7 @@ def _assert_flat_matches_oracle(dynamic: DynamicPASS, rng: np.random.Generator) 
         query = _query(kind, predicate)
         assert_results_identical(
             dynamic.synopsis.query(query),
-            dynamic.synopsis.query_object(query),
+            oracle.query_object(objects, query),
             context=f"{kind} {predicate} ",
         )
 
@@ -250,7 +256,9 @@ def test_a_write_drops_the_cached_zero_variance_flags():
     constant = synopsis.query(query)  # caches the flags
     assert constant.exact and constant.estimate == 42.0
     dynamic.insert({"c0": 20.0, "value": 1000.0})
-    assert_results_identical(synopsis.query(query), synopsis.query_object(query))
+    assert_results_identical(
+        synopsis.query(query), oracle.query_object(dynamic, query)
+    )
     assert not synopsis.query(query).exact
 
 
@@ -266,7 +274,7 @@ def _first_containing_leaf(tree: PartitionTree, point: dict[str, float]) -> int:
     raise KeyError(point)
 
 
-def _shared_boundary_synopsis() -> PASSSynopsis:
+def _shared_boundary_synopsis() -> tuple[PASSSynopsis, PartitionTree]:
     """A 2 x 3 grid of *closed* boxes: edges and corners belong to several."""
     boxes = [
         Box({"x": Interval(x, x + 1.0), "y": Interval(y, y + 1.0)})
@@ -283,7 +291,7 @@ def _shared_boundary_synopsis() -> PASSSynopsis:
         )
         for box in boxes
     ]
-    return PASSSynopsis(tree, strata, "value")
+    return PASSSynopsis(tree, strata, "value"), tree
 
 
 class TestRouting:
@@ -291,14 +299,14 @@ class TestRouting:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_row_routes_to_the_first_containing_leaf(self, n_columns, seed):
         """Sibling boxes of a k-d tree overlap; leaves are tried left to right."""
-        synopsis = _batch_synopsis(n_columns, 16, seed)
+        synopsis, objects = _batch_built(n_columns, 16, seed)
         table = _constant_region_table(n_columns, seed)
         columns = _columns(n_columns)
         rows = np.column_stack([table.column(column) for column in columns])
         for row in rows.tolist():
             point = dict(zip(columns, row))
             leaf = synopsis.flat.leaf_for_point(point)
-            assert leaf == _first_containing_leaf(synopsis.tree, point)
+            assert leaf == _first_containing_leaf(objects.tree, point)
             box = synopsis.leaf_boxes[leaf]
             assert all(
                 box.interval(column).contains_value(value)
@@ -307,30 +315,34 @@ class TestRouting:
             # A partial point constrains only the columns it names.
             partial = {columns[-1]: row[-1]}
             assert synopsis.flat.leaf_for_point(partial) == _first_containing_leaf(
-                synopsis.tree, partial
+                objects.tree, partial
             )
         with pytest.raises(KeyError, match="no leaf contains"):
             synopsis.flat.leaf_for_point({column: math.nan for column in columns})
 
     def test_shared_boundaries_go_to_the_leftmost_leaf(self):
-        synopsis = _shared_boundary_synopsis()
+        synopsis, tree = _shared_boundary_synopsis()
         flat = synopsis.flat
         for x in (0.0, 0.5, 1.0, 1.5, 2.0):
             for y in (0.0, 1.0, 1.5, 2.0, 3.0):
                 for point in ({"x": x, "y": y}, {"x": x}, {"y": y}, {"zz": 7.0}):
                     assert flat.leaf_for_point(point) == _first_containing_leaf(
-                        synopsis.tree, point
+                        tree, point
                     ), point
         assert flat.leaf_for_point({"x": 1.0, "y": 1.0}) == _first_containing_leaf(
-            synopsis.tree, {"x": 1.0, "y": 1.0}
+            tree, {"x": 1.0, "y": 1.0}
         )
         for outside in ({"x": 2.5, "y": 0.5}, {"x": math.nan}, {"x": 0.5, "y": -0.1}):
             with pytest.raises(KeyError):
                 flat.leaf_for_point(outside)
 
     def test_buffer_backed_engines_route_but_do_not_accept_writes(self):
-        synopsis = _batch_synopsis(2, 16, 0)
-        attached = FlatSynopsis.from_buffers(*synopsis.flat.export_buffers())
+        synopsis, _ = _batch_built(2, 16, 0)
+        header, arrays = synopsis.flat.export_buffers()
+        arrays = {key: array.copy() for key, array in arrays.items()}
+        for array in arrays.values():  # what a mapping's views are
+            array.flags.writeable = False
+        attached = FlatSynopsis(header, arrays)
         point = {"c0": 40.0, "c1": 60.0}
         leaf = attached.leaf_for_point(point)
         assert leaf == synopsis.flat.leaf_for_point(point)
@@ -342,7 +354,11 @@ class TestRouting:
         ):
             with pytest.raises(TypeError, match="read-only"):
                 write()
-        assert attached.node_stats() == before and attached.mutations == 0
+        assert attached.node_stats() == before
+        # Read-only is a property of the arrays, not of how they got here.
+        writable = FlatSynopsis(*synopsis.flat.export_buffers())
+        writable.add_value(leaf, 1.0)
+        assert writable.population_size == attached.population_size + 1
 
 
 # ----------------------------------------------------------------------
@@ -450,11 +466,40 @@ class TestLengthChangingSampleUpdate:
 
 
 # ----------------------------------------------------------------------
-# (e) no object refresh on the update or query path
+# (e) one state: no node / tree / stratum object behind a served synopsis
 # ----------------------------------------------------------------------
+def _reachable(root) -> list:
+    """Every object reachable from ``root`` through ``gc.get_referents``."""
+    seen, stack, found = {id(root)}, [root], []
+    while stack:
+        current = stack.pop()
+        found.append(current)
+        if isinstance(current, (type, types.ModuleType)):
+            continue  # classes and modules reach the whole interpreter
+        for referent in gc.get_referents(current):
+            if id(referent) not in seen:
+                seen.add(id(referent))
+                stack.append(referent)
+    return found
+
+
+def _builder_objects(root) -> list:
+    return [
+        value
+        for value in _reachable(root)
+        if isinstance(value, (PartitionNode, PartitionTree, Stratum))
+    ]
+
+
 class TestNoRefreshOnTheHotPath:
+    def test_a_fresh_build_keeps_no_builder_objects(self):
+        synopsis, objects = _batch_built(2, 16, 0)
+        assert _builder_objects(objects)  # the walk does find them where they are
+        assert _builder_objects(synopsis) == []
+
     @pytest.mark.parametrize("sharded", [False, True])
-    def test_a_thousand_served_operations_never_refresh(self, monkeypatch, sharded):
+    def test_a_thousand_served_operations_never_refresh(self, sharded):
+        """There is nothing to refresh: the arrays are the only state."""
         table = _small_table(1, 2, n_rows=600)
         config = PASSConfig(
             n_partitions=4,
@@ -467,22 +512,13 @@ class TestNoRefreshOnTheHotPath:
             served = build_sharded_pass(
                 table, "value", "c0", 3, config=config, executor="serial", dynamic=True
             )
-            synopses = [shard.synopsis for shard in served.shards]
+            shards = served.shards
         else:
             served = DynamicPASS(table, "value", ["c0"], config=config)
-            synopses = [served.synopsis]
+            shards = [served]
         catalog = SynopsisCatalog()
         catalog.register("t", served, table_name="t")
         engine = ServingEngine(catalog)
-        nodes = [list(synopsis.tree.root.iter_subtree()) for synopsis in synopses]
-
-        refreshes = []
-        refresh = PASSSynopsis._refresh_objects
-        monkeypatch.setattr(
-            PASSSynopsis,
-            "_refresh_objects",
-            lambda self: (refreshes.append(self), refresh(self))[1],
-        )
         rng = np.random.default_rng(0)
         inserted = []
         for step in range(1000):
@@ -498,22 +534,21 @@ class TestNoRefreshOnTheHotPath:
                 engine.execute(
                     _query(kind, RectPredicate({"c0": Interval(low, low + 15.0)}))
                 )
-        assert refreshes == []
+        assert _builder_objects(served) == []
 
-        # Reading the tree afterwards shows the updates on the same objects.
-        for synopsis, captured in zip(synopses, nodes):
-            tree = synopsis.tree
-            assert list(tree.root.iter_subtree()) == captured
-            assert all(a is b for a, b in zip(tree.root.iter_subtree(), captured))
-            assert tree.root.stats.count == synopsis.flat.population_size
+        # Decoding the arrays afterwards shows every update.
+        for shard in shards:
+            flat = shard.synopsis.flat
+            objects = oracle.objects_of(shard)
+            assert objects.tree.root.stats.count == flat.population_size
             assert [
-                node.stats for node in tree.geometry().nodes
-            ] == synopsis.flat.node_stats()
-            assert [s.sample_size for s in synopsis.leaf_samples] == list(
-                synopsis.flat.sample_counts
+                node.stats for node in objects.tree.geometry().nodes
+            ] == flat.node_stats()
+            assert [s.sample_size for s in objects.leaf_samples] == list(
+                flat.sample_counts
             )
-        assert sum(s.population_size for s in synopses) == table.n_rows + len(inserted)
-        assert len(refreshes) > 0
+            objects.tree.validate()
+        assert sum(s.population_size for s in shards) == table.n_rows + len(inserted)
 
 
 # ----------------------------------------------------------------------
@@ -547,7 +582,8 @@ class TestReservoirCapacity:
         )
         first = dynamic.query(query)
         assert first.tuples_processed == 10
-        assert [s.sample_size for s in dynamic.synopsis.leaf_samples] == [5] * 8
+        decoded = oracle.objects_of(dynamic).leaf_samples
+        assert [stratum.sample_size for stratum in decoded] == [5] * 8
         # ... and an update leaves the other leaves' rows alone.
         rows = _snapshot(flat)
         dynamic.insert({"c0": 50.0, "value": 1.0})
@@ -564,43 +600,29 @@ class TestReservoirCapacity:
         table, dynamic = _small_dynamic(1, 0, reservoir_capacity=5)
         dynamic.insert({"c0": 1.0, "value": 2.0})
         dynamic.rebuild(table)
-        arrays, _ = dynamic.to_arrays()
-        assert arrays["reservoir/capacity"].tolist() == [5] * 8
+        _, arrays = dynamic.export_buffers()
+        assert arrays["capacity"].tolist() == [5] * 8
         assert dynamic.synopsis.flat.sample_counts.tolist() == [5] * 8
         assert dynamic.updates_since_build == 0
 
-    def test_a_loaded_archive_serves_its_reservoir_rows(self):
-        """An archive saved before the cut happened at construction.
-
-        There ``samples/*`` held the uncut build sample and ``reservoir/*``
-        the five rows a leaf would serve after its next update.
-        """
-        _, dynamic = _small_dynamic(1, 0)
-        arrays, header = dynamic.to_arrays()
-        offsets = arrays["strata/offsets"]
-        keep = np.concatenate([np.arange(start, start + 5) for start in offsets[:-1]])
-        arrays["reservoir/offsets"] = np.arange(0, 45, 5)
-        arrays["reservoir/capacity"] = np.full(8, 5)
-        for column in header["sample_columns"]:
-            arrays[f"reservoir/column/{column}"] = arrays[f"samples/{column}"][keep]
-        loaded = DynamicPASS.from_arrays(arrays, header)
+    def test_a_loaded_archive_serves_its_reservoir_rows(self, tmp_path):
+        """The cut rows are the saved rows: a load neither re-cuts nor re-draws."""
+        _, dynamic = _small_dynamic(1, 0, reservoir_capacity=5)
+        dynamic.insert({"c0": 50.0, "value": 1.0})
+        loaded = load_synopsis(save_synopsis(dynamic, tmp_path / "cut"))
         flat = loaded.synopsis.flat
         assert flat.sample_counts.tolist() == [5] * 8
-        for leaf in range(8):
-            for column, values in flat.leaf_sample(leaf).items():
-                start = offsets[leaf]
-                assert (
-                    values.tobytes()
-                    == arrays[f"samples/{column}"][start : start + 5].tobytes()
-                )
+        assert _snapshot(flat) == _snapshot(dynamic.synopsis.flat)
         query = AggregateQuery(
             "SUM", "value", RectPredicate({"c0": Interval(10.0, 90.0)})
         )
         assert loaded.query(query).tuples_processed == 10
-        exported, _ = loaded.to_arrays()
-        assert exported["samples/value"].tobytes() == exported[
-            "reservoir/column/value"
-        ].tobytes()
+        assert_results_identical(loaded.query(query), dynamic.query(query))
+        header, arrays = loaded.export_buffers()
+        assert arrays["capacity"].tolist() == [5] * 8
+        assert arrays["seen"].tolist() == dynamic.export_buffers()[1]["seen"].tolist()
+        # The configured capacity survives the load, so a rebuild keeps it.
+        assert header["reservoir_capacity"] == 5
 
 
 # ----------------------------------------------------------------------

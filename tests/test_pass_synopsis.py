@@ -14,6 +14,8 @@ from repro.core.config import PASSConfig
 from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery, ExactEngine
 
+import oracle
+
 
 @pytest.fixture(scope="module")
 def skewed_pass():
@@ -38,7 +40,7 @@ def skewed_pass():
 class TestQueryProcessing:
     def test_aligned_query_is_exact(self, skewed_pass):
         table, synopsis = skewed_pass
-        box = synopsis.tree.leaves[2].box
+        box = synopsis.leaf_boxes[2]
         predicate = RectPredicate({"key": box.interval("key")})
         for agg in ("SUM", "COUNT", "AVG", "MIN", "MAX"):
             query = AggregateQuery(agg, "value", predicate)
@@ -116,7 +118,7 @@ class TestQueryProcessing:
         narrow = AggregateQuery.sum(
             "value", RectPredicate.from_bounds(key=(10.0, 60.0))
         )
-        box = synopsis.tree.leaves[0].box
+        box = synopsis.leaf_boxes[0]
         aligned = AggregateQuery.sum(
             "value", RectPredicate({"key": box.interval("key")})
         )
@@ -124,7 +126,7 @@ class TestQueryProcessing:
         assert 0.0 <= synopsis.skip_rate(narrow) <= 1.0
         # Read off the flat frontier; equal to the object descent's value.
         for query in (aligned, narrow):
-            partial = synopsis.lookup(query).partial
+            partial = oracle.lookup(synopsis, query).partial
             assert synopsis.skip_rate(query) == (
                 1.0 - sum(node.size for node in partial) / synopsis.population_size
             )
@@ -143,10 +145,15 @@ class TestSynopsisIntrospection:
     def test_sizes_and_storage(self, skewed_pass):
         table, synopsis = skewed_pass
         assert synopsis.population_size == table.n_rows
-        assert synopsis.n_partitions == synopsis.tree.n_leaves
+        objects = oracle.objects_of(synopsis)
+        assert synopsis.n_partitions == objects.tree.n_leaves
         assert synopsis.sample_size == sum(
-            stratum.sample_size for stratum in synopsis.leaf_samples
+            stratum.sample_size for stratum in objects.leaf_samples
         )
+        # The footprint the object graph used to report, now read off arrays.
+        assert synopsis.storage_bytes() == objects.tree.storage_bytes() + sum(
+            stratum.storage_bytes() for stratum in objects.leaf_samples
+        ) + sum(sketches.storage_bytes() for sketches in objects.leaf_sketches or ())
         assert synopsis.storage_bytes() > 0
         assert synopsis.value_column == "value"
 
@@ -155,14 +162,13 @@ class TestSynopsisIntrospection:
         from repro.core.pass_synopsis import PASSSynopsis
 
         with pytest.raises(ValueError):
-            PASSSynopsis(synopsis.tree, synopsis.leaf_samples[:-1], "value")
+            objects = oracle.objects_of(synopsis)
+            PASSSynopsis(objects.tree, objects.leaf_samples[:-1], "value")
 
     def test_replace_leaf_sample_bounds_checked(self, skewed_pass):
         _, synopsis = skewed_pass
         with pytest.raises(IndexError):
-            synopsis.flat.replace_leaf_sample(
-                10_000, synopsis.leaf_samples[0].sample_columns
-            )
+            synopsis.flat.replace_leaf_sample(10_000, synopsis.flat.leaf_sample(0))
 
 
 class TestHardBoundProperty:

@@ -2,9 +2,9 @@
 
 The acceptance property: ``kill -9`` at *any* instant during
 :func:`~repro.serving.persistence.save_synopsis` never leaves an unloadable
-archive behind.  A restart after the crash sees either the complete old
-archive or the complete new one — never a truncated zip that makes
-``load_synopsis`` raise ``BadZipFile`` / ``ValueError``.
+file behind.  A restart after the crash sees either the complete old file or
+the complete new one — never a truncated one that makes ``load_synopsis``
+raise ``ValueError``.
 
 The injection runs a real save in a child process with the crash wired into
 the exact point under test (mid temp-file write, or between the temp write
@@ -131,22 +131,19 @@ def run_crashing_save(tmp_path: Path, path: Path, crash_point: str) -> None:
             persistence.os.replace = crashing_replace
         elif crash_point == "mid_write":
             import io
-            real_savez = np.savez_compressed
-            calls = [0]
-            def crashing_savez(handle, **arrays):
-                calls[0] += 1
-                if calls[0] == 1:
-                    # First archive is the workload fingerprint sibling;
-                    # write it for real so the crash hits the synopsis write.
-                    return real_savez(handle, **arrays)
+            real_write = persistence._write_segment
+            def crashing_write(handle, header, arrays):
+                # The workload fingerprint sibling was already written for
+                # real (it is an npz, not a segment): the crash hits the
+                # synopsis write.
                 buffer = io.BytesIO()
-                real_savez(buffer, **arrays)
+                real_write(buffer, header, arrays)
                 payload = buffer.getvalue()
                 handle.write(payload[: len(payload) // 2])
                 handle.flush()
                 os.fsync(handle.fileno())
                 die()
-            persistence.np.savez_compressed = crashing_savez
+            persistence._write_segment = crashing_write
         else:
             raise SystemExit(f"unknown crash point {{crash_point!r}}")
 
@@ -176,14 +173,14 @@ class TestKillDuringSave:
         self, tmp_path: Path, crash_point: str
     ) -> None:
         """Old archive stays byte-complete when a re-save is killed."""
-        path = tmp_path / "synopsis.npz"
+        path = tmp_path / "synopsis.pass"
         old = build(seed=1)
         save_synopsis(old, path)
         expected = [old.query(query) for query in workload()]
 
         run_crashing_save(tmp_path, path, crash_point)
 
-        # The loader must see the complete old archive — never a torn zip.
+        # The loader must see the complete old file — never a torn one.
         loaded = load_synopsis(path)
         for query, want in zip(workload(), expected):
             assert_identical(loaded.query(query), want)
@@ -192,7 +189,7 @@ class TestKillDuringSave:
         self, tmp_path: Path, crash_point: str
     ) -> None:
         """A killed first-time save leaves a clean miss, not a corrupt file."""
-        path = tmp_path / "fresh.npz"
+        path = tmp_path / "fresh.pass"
         run_crashing_save(tmp_path, path, crash_point)
         # Either nothing exists (clean miss a restart can rebuild from) or —
         # never — a file that exists but fails to load.
@@ -208,7 +205,7 @@ class TestKillDuringSave:
         conservative); the reverse — a fresh synopsis referencing a stale or
         missing fingerprint — must never happen.
         """
-        path = tmp_path / "paired.npz"
+        path = tmp_path / "paired.pass"
         old = build(seed=1)
         save_synopsis(old, path)
         run_crashing_save(tmp_path, path, crash_point)

@@ -111,17 +111,17 @@ class TestReservoirBasics:
 
     def test_seen_is_rebased_to_the_leaf_population(self):
         _, dynamic = _dynamic()
-        arrays, _ = dynamic.to_arrays()
+        _, arrays = dynamic.export_buffers()
         # 100 rows per leaf, 20 % sampled: the reservoir has "seen" the
         # whole leaf, so a new row is accepted with probability 40 / 101.
-        assert arrays["reservoir/seen"].tolist() == [100] * 4
-        assert arrays["reservoir/capacity"].tolist() == [40] * 4
+        assert arrays["seen"].tolist() == [100] * 4
+        assert arrays["capacity"].tolist() == [40] * 4
         accepted = 0
         for i in range(300):
             dynamic.insert({"key": 0.5, "value": 1e6 + i})
             accepted += 1e6 + i in dynamic.synopsis.flat.leaf_sample(0)["value"]
-        arrays, _ = dynamic.to_arrays()
-        assert arrays["reservoir/seen"].tolist() == [400, 100, 100, 100]
+        _, arrays = dynamic.export_buffers()
+        assert arrays["seen"].tolist() == [400, 100, 100, 100]
         # sum_{n=101}^{400} 40 / n ~ 55.2 expected acceptances.
         assert 30 < accepted < 85
 

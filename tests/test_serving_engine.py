@@ -208,9 +208,9 @@ class TestUpdatesAndInvalidation:
 
     def test_insert_invalidates_overlapping_cached_results(self, dynamic_engine):
         dynamic, engine = dynamic_engine
-        leaves = dynamic.synopsis.tree.leaves
-        touched_box = leaves[0].box
-        untouched_box = leaves[-1].box
+        boxes = dynamic.synopsis.leaf_boxes
+        touched_box = boxes[0]
+        untouched_box = boxes[-1]
         touched = AggregateQuery.sum(
             "value", RectPredicate({"key": touched_box.interval("key")})
         )
@@ -235,7 +235,7 @@ class TestUpdatesAndInvalidation:
 
     def test_delete_invalidates_too(self, dynamic_engine):
         dynamic, engine = dynamic_engine
-        box = dynamic.synopsis.tree.leaves[2].box
+        box = dynamic.synopsis.leaf_boxes[2]
         query = AggregateQuery.count(
             "value", RectPredicate({"key": box.interval("key")})
         )

@@ -8,7 +8,10 @@ saved from — same estimates, intervals, hard bounds, and telemetry counters.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import mmap
+import struct
 
 import numpy as np
 import pytest
@@ -16,8 +19,8 @@ import pytest
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
 from repro.core.pass_synopsis import PASSSynopsis
-from repro.core.tree import PartitionTree
 from repro.core.updates import DynamicPASS
+from repro.distributed.parallel import build_sharded_pass
 from repro.data.table import Table
 from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery
@@ -29,6 +32,9 @@ from repro.serving.persistence import (
     save_catalog,
     save_synopsis,
 )
+from repro.serving.shm import SEGMENT_MAGIC, attach_flat_synopsis
+
+import oracle
 
 
 def assert_identical(a, b):
@@ -67,16 +73,43 @@ def workload(table: Table) -> list[AggregateQuery]:
     return queries
 
 
+def _read_header(path) -> tuple[dict, int]:
+    """A saved file's JSON header document and its encoded length."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", raw, 8)
+    return json.loads(raw[16 : 16 + length]), length
+
+
+def _rewrite_header(path, edit) -> None:
+    """Apply ``edit(document)`` to a saved file's header, in place.
+
+    The header area has slack before the first page-aligned payload, so an
+    edited document of about the same size fits without moving anything.
+    """
+    document, _ = _read_header(path)
+    raw = bytearray(path.read_bytes())
+    header_area = min((entry["offset"] for entry in document["arrays"]), default=0)
+    edit(document)
+    encoded = json.dumps(document).encode("utf-8")
+    assert 16 + len(encoded) <= header_area
+    struct.pack_into("<Q", raw, 8, len(encoded))
+    raw[16 : 16 + len(encoded)] = encoded
+    path.write_bytes(raw)
+
+
 class TestTreeArrays:
     def test_round_trip_preserves_structure_and_stats(self, table):
-        synopsis = build_pass(
+        """The builder's tree -> arrays -> the oracle's decoded tree."""
+        synopsis, built = oracle.built_with_objects(
+            build_pass,
             table,
             "value",
             ["a"],
             PASSConfig(n_partitions=16, partitioner="equal", seed=0),
         )
-        tree = synopsis.tree
-        rebuilt = PartitionTree.from_arrays(tree.to_arrays())
+        tree = built.tree
+        decoded = oracle.objects_of(synopsis)
+        rebuilt = decoded.tree
         assert rebuilt.n_leaves == tree.n_leaves
         assert rebuilt.n_nodes == tree.n_nodes
         assert rebuilt.height == tree.height
@@ -87,23 +120,22 @@ class TestTreeArrays:
             assert loaded.box == original.box
             assert loaded.leaf_index == original.leaf_index
         rebuilt.validate()
+        for original, loaded in zip(built.leaf_samples, decoded.leaf_samples):
+            assert loaded.box == original.box and loaded.size == original.size
+            assert list(loaded.sample_columns) == list(original.sample_columns)
+            for column, values in original.sample_columns.items():
+                assert loaded.sample_columns[column].tobytes() == values.tobytes()
+        assert synopsis.leaf_boxes == tuple(leaf.box for leaf in tree.leaves)
 
-    def test_rejects_empty_arrays(self):
-        with pytest.raises(ValueError, match="empty"):
-            PartitionTree.from_arrays(
-                {
-                    "n_children": np.zeros(0, dtype=np.int64),
-                    "leaf_index": np.zeros(0, dtype=np.int64),
-                    "sum": np.zeros(0),
-                    "count": np.zeros(0, dtype=np.int64),
-                    "min": np.zeros(0),
-                    "max": np.zeros(0),
-                    "box_columns": np.array([], dtype=str),
-                    "box_low": np.zeros((0, 0)),
-                    "box_high": np.zeros((0, 0)),
-                    "box_present": np.zeros((0, 0), dtype=bool),
-                }
-            )
+    def test_rejects_empty_arrays(self, table, tmp_path):
+        """A file whose directory lacks the kernel arrays is refused by name."""
+        synopsis = build_pass(
+            table, "value", ["a"], PASSConfig(n_partitions=4, partitioner="equal")
+        )
+        path = save_synopsis(synopsis, tmp_path / "hollow")
+        _rewrite_header(path, lambda document: document.update(arrays=[]))
+        with pytest.raises(ValueError, match=r"hollow\.pass.*lack the arrays"):
+            load_synopsis(path)
 
 
 class TestSynopsisRoundTrip:
@@ -135,7 +167,7 @@ class TestSynopsisRoundTrip:
         )
         assert_identical(synopsis.query(query), loaded.query(query))
 
-    def test_npz_suffix_appended(self, table, tmp_path):
+    def test_suffix_appended(self, table, tmp_path):
         synopsis = build_pass(
             table,
             "value",
@@ -143,8 +175,11 @@ class TestSynopsisRoundTrip:
             PASSConfig(n_partitions=4, partitioner="equal", seed=0),
         )
         path = save_synopsis(synopsis, tmp_path / "plain")
-        assert path.suffix == ".npz"
+        assert path.name == "plain.pass"
         assert path.exists()
+        assert save_synopsis(synopsis, tmp_path / "named.pass").name == "named.pass"
+        # Loading normalizes the same way.
+        assert load_synopsis(tmp_path / "plain").population_size == table.n_rows
 
 
 class TestDynamicRoundTrip:
@@ -223,75 +258,138 @@ class TestCatalogRoundTrip:
 
 
 class TestFormatVersioning:
-    def test_header_records_format_version(self, table, tmp_path):
-        import json
-
+    @pytest.fixture
+    def saved(self, table, tmp_path):
         synopsis = build_pass(
             table,
             "value",
             ["a"],
             PASSConfig(n_partitions=4, partitioner="equal", seed=0),
         )
-        path = save_synopsis(synopsis, tmp_path / "versioned")
-        with np.load(path, allow_pickle=False) as data:
-            header = json.loads(data["__header__"].item())
-        assert header["format"] == FORMAT_VERSION
+        return save_synopsis(synopsis, tmp_path / "versioned")
 
-    def test_unsupported_version_rejected(self, table, tmp_path):
-        import json
+    def test_header_records_format_version(self, saved):
+        document, _ = _read_header(saved)
+        assert document["format"] == FORMAT_VERSION == 2
+        assert saved.read_bytes()[:8] == SEGMENT_MAGIC
 
-        synopsis = build_pass(
-            table,
-            "value",
-            ["a"],
-            PASSConfig(n_partitions=4, partitioner="equal", seed=0),
+    def test_unsupported_version_rejected(self, saved):
+        _rewrite_header(
+            saved, lambda document: document.update(format=FORMAT_VERSION + 1)
         )
-        path = save_synopsis(synopsis, tmp_path / "future")
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {key: data[key] for key in data.files}
-        header = json.loads(arrays["__header__"].item())
-        header["format"] = FORMAT_VERSION + 1
-        arrays["__header__"] = np.array(json.dumps(header))
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(ValueError, match="unsupported synopsis format"):
+        with pytest.raises(
+            ValueError, match=r"unsupported synopsis format 3 in .*versioned\.pass"
+        ):
+            load_synopsis(saved)
+
+    def test_v1_npz_archive_is_refused(self, tmp_path):
+        """Version 1 was a compressed npz; there is no second read path."""
+        path = tmp_path / "old.pass"
+        with open(path, "wb") as handle:
+            np.savez_compressed(
+                handle, __header__=json.dumps({"format": 1}), values=np.arange(3)
+            )
+        with pytest.raises(
+            ValueError, match=r"unsupported synopsis format 1 in .*old\.pass"
+        ):
             load_synopsis(path)
-
-    @pytest.mark.parametrize("execution", ["object", "soa"])
-    def test_archive_with_execution_header_still_loads(
-        self, table, workload, tmp_path, execution
-    ):
-        """Archives from before the one-executor change carry ``execution``
-        in the synopsis header and (dynamic ones) in the saved config."""
-        import json
-
-        dynamic = DynamicPASS(
-            table,
-            "value",
-            ["a"],
-            PASSConfig(n_partitions=8, partitioner="equal", sample_rate=0.05, seed=0),
-        )
-        dynamic.insert({"a": 50.0, "b": 1.0, "value": 7.0})
-        static = build_pass(
-            table, "value", ["a"], PASSConfig(n_partitions=16, seed=3)
-        )
-        for name, saved in (("old_dynamic", dynamic), ("old_static", static)):
-            path = save_synopsis(saved, tmp_path / name)
-            with np.load(path, allow_pickle=False) as data:
-                arrays = {key: data[key] for key in data.files}
-            header = json.loads(arrays["__header__"].item())
-            assert "execution" not in header
-            header["execution"] = execution
-            if "config" in header:
-                assert "execution" not in header["config"]
-                header["config"]["execution"] = execution
-            arrays["__header__"] = np.array(json.dumps(header))
-            np.savez_compressed(path, **arrays)
-            loaded = load_synopsis(path)
-            for query in workload:
-                assert_identical(saved.query(query), loaded.query(query))
 
     def test_non_synopsis_archive_rejected(self, tmp_path):
-        path = tmp_path / "junk.npz"
-        np.savez_compressed(path, values=np.arange(3))
-        with pytest.raises(ValueError, match="missing header"):
+        path = tmp_path / "junk.pass"
+        path.write_bytes(b"not a synopsis at all" * 400)
+        with pytest.raises(ValueError, match=r"junk\.pass is not a synopsis segment"):
             load_synopsis(path)
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match=r"junk\.pass.*empty"):
+            load_synopsis(path)
+        with pytest.raises(TypeError, match="expected a PASSSynopsis"):
+            save_synopsis(object(), path)
+
+
+class TestOutsideInput:
+    """A saved file is outside input: every defect is a ``ValueError`` naming it."""
+
+    @pytest.fixture(scope="class")
+    def files(self, table, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("outside")
+        config = PASSConfig(
+            n_partitions=8, partitioner="equal", with_sketches=True, seed=0
+        )
+        sharded = build_sharded_pass(
+            table, "value", "a", n_shards=2, config=config, executor="serial"
+        )
+        return {
+            "static": save_synopsis(
+                build_pass(table, "value", ["a"], config), directory / "static"
+            ),
+            "dynamic": save_synopsis(
+                DynamicPASS(table, "value", ["a"], config), directory / "dynamic"
+            ),
+            "sharded": save_synopsis(sharded, directory / "sharded"),
+        }
+
+    @pytest.mark.parametrize("kind", ["static", "dynamic", "sharded"])
+    def test_truncation_sweep(self, files, kind, tmp_path):
+        """Cut at every page boundary, inside the header and at the last byte."""
+        raw = files[kind].read_bytes()
+        assert len(raw) % mmap.PAGESIZE == 0
+        _, header_len = _read_header(files[kind])
+        cuts = sorted(
+            {0, 7, 8, 15, 16, 16 + header_len // 2, 16 + header_len, len(raw) - 1}
+            | set(range(mmap.PAGESIZE, len(raw), mmap.PAGESIZE))
+        )
+        path = tmp_path / f"{kind}-cut.pass"
+        for cut in cuts:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match=r"-cut\.pass"):
+                load_synopsis(path)
+        path.write_bytes(raw)
+        assert load_synopsis(path).population_size > 0
+
+    def test_flipped_magic(self, files, tmp_path):
+        raw = bytearray(files["static"].read_bytes())
+        raw[3] ^= 0xFF
+        path = tmp_path / "magic.pass"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=r"magic\.pass.*bad magic"):
+            load_synopsis(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda entry: entry.update(offset=1 << 40), "ends past"),
+            (lambda entry: entry.update(shape=[1 << 40]), "ends past"),
+            (lambda entry: entry.update(offset=-8), "negative"),
+            (lambda entry: entry.update(dtype="|O"), "dtype"),
+            (lambda entry: entry.update(dtype="<U4"), "dtype"),
+            (lambda entry: entry.update(dtype="no-such-type"), "corrupt"),
+            (lambda entry: entry.pop("shape"), "corrupt"),
+        ],
+    )
+    def test_corrupt_directory_entries(self, files, tmp_path, edit, message):
+        path = tmp_path / "directory.pass"
+        path.write_bytes(files["static"].read_bytes())
+        _rewrite_header(path, lambda document: edit(document["arrays"][3]))
+        with pytest.raises(ValueError, match=rf"directory\.pass.*{message}"):
+            load_synopsis(path)
+
+    def test_header_that_is_not_json(self, files, tmp_path):
+        raw = bytearray(files["static"].read_bytes())
+        raw[16:24] = b"\xff\xfe{{{{}}"
+        path = tmp_path / "header.pass"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=r"header\.pass.*unreadable header"):
+            load_synopsis(path)
+
+    def test_a_live_segment_is_checked_the_same_way(self, table):
+        """``attach`` runs the one reader: a foreign segment is a ValueError."""
+        from multiprocessing import shared_memory
+
+        foreign = shared_memory.SharedMemory(create=True, size=mmap.PAGESIZE)
+        try:
+            foreign.buf[:8] = b"NOTAPASS"
+            with pytest.raises(ValueError, match="bad magic"):
+                attach_flat_synopsis(foreign.name)
+        finally:
+            foreign.close()
+            foreign.unlink()

@@ -7,7 +7,7 @@ carry the bits (``struct.pack``) of per-query execution — ``synopsis.query``
 on a single synopsis (and the ``query_object`` oracle), ``sharded.query`` on a
 sharded one — in every tier: ``batch_query``, the serving engine's
 ``execute_batch`` / ``execute_grouped``, the async tier, the sharded
-``query_batch`` / ``query_grouped`` and a ``from_buffers`` round trip.  The
+``query_batch`` / ``query_grouped`` and an ``export_buffers`` round trip.  The
 call-count tests pin the saving itself, and the update test pins that
 nothing shared outlives the call that built it.
 """
@@ -37,6 +37,8 @@ from repro.query.predicate import Box, Interval, RectPredicate
 from repro.query.query import AggregateQuery
 from repro.serving import AsyncServingEngine, ServingEngine, SynopsisCatalog
 from repro.sketches.quantile import QuantileSketch
+
+import oracle
 
 N_ROWS = 4000
 CONFIG = PASSConfig(
@@ -176,7 +178,7 @@ class TestBatchedSketchAnswersCarryPerQueryBits:
     def test_fixtures_reach_every_branch(self):
         single, sharded = _single(), _sharded()
         flat = single.flat
-        queries = _queries(single.tree.leaves[5].box)
+        queries = _queries(single.leaf_boxes[5])
         partial_counts = {
             flat.query_frontier(query).partial.shape[0] for query in queries
         }
@@ -184,7 +186,7 @@ class TestBatchedSketchAnswersCarryPerQueryBits:
         unsampled = AggregateQuery.at_quantile(
             "value",
             0.5,
-            RectPredicate({"key": Interval(*_inside(single.tree.leaves[5].box, 0.25, 0.75))}),
+            RectPredicate({"key": Interval(*_inside(single.leaf_boxes[5], 0.25, 0.75))}),
         )
         union = single.sketch_union(unsampled)
         assert union.sketch.n == 0 and union.boundary_weight > 0
@@ -196,12 +198,13 @@ class TestBatchedSketchAnswersCarryPerQueryBits:
 
     def test_single_synopsis_tiers(self):
         synopsis = _single()
-        queries = _queries(synopsis.tree.leaves[5].box)
+        queries = _queries(synopsis.leaf_boxes[5])
         want = [synopsis.query(query) for query in queries]
-        attached = FlatSynopsis.from_buffers(*synopsis.flat.export_buffers())
+        attached = FlatSynopsis(*synopsis.flat.export_buffers())
+        reference = oracle.objects_of(synopsis)
         tiers = {
-            "query_object": [synopsis.query_object(query) for query in queries],
-            "from_buffers": [attached.query(query) for query in queries],
+            "query_object": [oracle.query_object(reference, q) for q in queries],
+            "export_buffers": [attached.query(query) for query in queries],
             "batch_query": batch_query(synopsis, queries),
             "execute_batch": _engine("single", synopsis, 0).execute_batch(queries),
             "execute_batch cached": _engine("single", synopsis, 4096).execute_batch(
@@ -216,7 +219,7 @@ class TestBatchedSketchAnswersCarryPerQueryBits:
 
     def test_sharded_tiers(self):
         sharded = _sharded()
-        queries = _queries(sharded.shards[1].tree.leaves[2].box)
+        queries = _queries(sharded.shards[1].leaf_boxes[2])
         want = [sharded.query(query) for query in queries]
         tiers = {
             "query_batch": sharded.query_batch(queries),
@@ -256,7 +259,8 @@ class TestBatchedSketchAnswersCarryPerQueryBits:
     def test_grouped_single_synopsis_tiers(self):
         synopsis = _single()
         engine = _engine("single", synopsis, 0)
-        for plan in self._grouped_plans(synopsis.tree.leaves[5].box):
+        reference = oracle.objects_of(synopsis)
+        for plan in self._grouped_plans(synopsis.leaf_boxes[5]):
             served = engine.execute_grouped(plan)
             direct = grouped_query(synopsis, plan)
             for index, cell in plan.live_cells():
@@ -275,13 +279,15 @@ class TestBatchedSketchAnswersCarryPerQueryBits:
                             f"grouped_query {query!r}",
                         )
                         assert_same_bits(
-                            want, synopsis.query_object(query), f"oracle {query!r}"
+                            want,
+                            oracle.query_object(reference, query),
+                            f"oracle {query!r}",
                         )
 
     def test_grouped_sharded_tiers(self):
         sharded = _sharded()
         engine = _engine("sharded", sharded, 0)
-        for plan in self._grouped_plans(sharded.shards[1].tree.leaves[2].box):
+        for plan in self._grouped_plans(sharded.shards[1].leaf_boxes[2]):
             served = engine.execute_grouped(plan)
             gathered = sharded.query_grouped(plan)
             for index, cell in plan.live_cells():

@@ -1,6 +1,9 @@
 """Property tests: the SoA execution engine is bit-identical to the object path.
 
-The contract documented in ``docs/ARCHITECTURE.md`` and ``repro.core.soa`` is
+The object path is the test-side oracle (``tests/oracle.py``), run over the
+builder's own tree / strata / sketches for fresh builds and over the objects
+the arrays decode to once a fixture has been updated or doctored.  The
+contract documented in ``docs/ARCHITECTURE.md`` and ``repro.core.soa`` is
 not "numerically close" but *bit-identical*: for every aggregate — the five
 classic ones and the sketch-backed QUANTILE / COUNT_DISTINCT — the flat
 engine must reproduce the object path's `AQPResult` field for field at the
@@ -10,7 +13,7 @@ poisoning, same ``nodes_visited`` count.  These tests compare float bits
 (``struct.pack``) rather than values so that ``-0.0 != 0.0`` and differing
 NaN payloads would fail, across random trees, predicates, batches, the
 zero-variance shortcut, post-insert/delete staleness states, a sharded
-gather and a ``from_buffers`` round trip, and on both sides of the
+gather and an ``export_buffers`` round trip, and on both sides of the
 partial-leaf kernels' frontier-size cutoff.  ``grouped_query`` alone shares
 per-cell moments across its classic aggregates and is held to
 summation-order equality for those (its sketch aggregates are bit-identical).
@@ -46,6 +49,8 @@ from repro.sampling.estimators import (
     stratum_sum_contribution,
 )
 from repro.sketches.union import sketch_union_result
+
+import oracle
 
 N_ROWS = 1500
 CLASSIC_AGGS = ("SUM", "COUNT", "AVG", "MIN", "MAX")
@@ -94,7 +99,8 @@ def _table(n_columns: int, seed: int) -> Table:
 
 
 @functools.lru_cache(maxsize=None)
-def _synopsis(n_columns: int, n_partitions: int, seed: int, zero_variance: bool):
+def _built(n_columns: int, n_partitions: int, seed: int, zero_variance: bool):
+    """``(synopsis, the builder's own objects it was flattened from)``."""
     table = _table(n_columns, seed)
     config = PASSConfig(
         n_partitions=n_partitions,
@@ -105,7 +111,23 @@ def _synopsis(n_columns: int, n_partitions: int, seed: int, zero_variance: bool)
         with_sketches=True,
         seed=seed,
     )
-    return build_pass(table, "value", [f"c{i}" for i in range(n_columns)], config)
+    return oracle.built_with_objects(
+        build_pass, table, "value", [f"c{i}" for i in range(n_columns)], config
+    )
+
+
+def _synopsis(*args):
+    return _built(*args)[0]
+
+
+def _objects(*args) -> oracle.SynopsisObjects:
+    return _built(*args)[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(factory, *args) -> oracle.SynopsisObjects:
+    """The objects a cached, never-again-updated fixture's arrays decode to."""
+    return oracle.objects_of(factory(*args))
 
 
 def _query(kind, predicate: RectPredicate) -> AggregateQuery:
@@ -144,20 +166,20 @@ class TestSingleQueryBitIdentity:
     def test_random_trees_and_predicates(
         self, n_columns, n_partitions, seed, fractions, kind
     ):
-        synopsis = _synopsis(n_columns, n_partitions, seed, False)
+        synopsis, objects = _built(n_columns, n_partitions, seed, False)
         predicate = _predicate(n_columns, fractions)
         query = _query(kind, predicate)
         assert_results_identical(
             synopsis.query(query),
-            synopsis.query_object(query),
+            oracle.query_object(objects, query),
             context=f"{kind} {predicate} ",
         )
 
     @given(kind=st.sampled_from(ALL_KINDS))
     def test_unconstrained_predicate_is_exact_on_both_paths(self, kind):
-        synopsis = _synopsis(1, 64, 0, False)
+        synopsis, objects = _built(1, 64, 0, False)
         query = _query(kind, RectPredicate.everything())
-        flat, obj = synopsis.query(query), synopsis.query_object(query)
+        flat, obj = synopsis.query(query), oracle.query_object(objects, query)
         assert_results_identical(flat, obj)
         assert flat.tuples_processed == 0  # answered from the root alone
         # 1500 rows merged: the quantile sketch compacted, the KMV saturated.
@@ -169,10 +191,17 @@ class TestSingleQueryBitIdentity:
     )
     def test_zero_variance_rule_replay(self, fractions, agg):
         """The level-order zero-variance replay matches the object descent."""
-        synopsis = _synopsis(2, 64, 1, True)
+        synopsis, objects = _built(2, 64, 1, True)
         predicate = _predicate(2, fractions)
         query = AggregateQuery(agg, "value", predicate)
-        assert_results_identical(synopsis.query(query), synopsis.query_object(query))
+        assert_results_identical(
+            synopsis.query(query), oracle.query_object(objects, query)
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def _geometry_nodes(*args):
+    return _objects(*args).tree.geometry().nodes
 
 
 class TestFrontierBitIdentity:
@@ -182,12 +211,12 @@ class TestFrontierBitIdentity:
     )
     def test_frontier_order_and_visit_count(self, n_columns, fractions):
         """Covered/partial node order and nodes_visited match the descent."""
-        synopsis = _synopsis(n_columns, 64, 2, False)
+        synopsis, objects = _built(n_columns, 64, 2, False)
         predicate = _predicate(n_columns, fractions)
         flat = synopsis.flat.frontier(predicate)
-        obj = synopsis.tree.minimal_coverage_frontier(predicate)
+        obj = oracle.minimal_coverage_frontier(objects.tree, predicate)
         # Flat rows index the tree's geometry-order node table.
-        nodes = synopsis.tree.geometry().nodes
+        nodes = _geometry_nodes(n_columns, 64, 2, False)
         assert [id(nodes[row]) for row in flat.covered.tolist()] == [
             id(node) for node in obj.covered
         ]
@@ -209,7 +238,7 @@ class TestGroupedMatchesOracle:
         cell's aggregates, so floats agree to rounding; everything read
         straight from partition statistics is exact.
         """
-        synopsis = _synopsis(2, 64, seed, False)
+        synopsis, objects = _built(2, 64, seed, False)
         edges = [100.0 * i / n_bins for i in range(n_bins + 1)]
         plan = GroupByQuery(
             groupings=(
@@ -223,7 +252,7 @@ class TestGroupedMatchesOracle:
         grouped = grouped_query(synopsis, plan)
         for index, cell in plan.live_cells():
             for spec, got in zip(plan.aggregates, grouped.cells[index]):
-                want = synopsis.query_object(plan.cell_query(cell, spec))
+                want = oracle.query_object(objects, plan.cell_query(cell, spec))
                 context = f"{cell.labels} {spec.name} "
                 for field in RESULT_FLOAT_FIELDS:
                     assert getattr(got, field) == pytest.approx(
@@ -246,7 +275,7 @@ class TestGroupedMatchesOracle:
         Unlike the classic aggregates, nothing is re-associated: the cell's
         union is the flat sketch kernel over the cell's frontier.
         """
-        synopsis = _synopsis(2, 64, seed, False)
+        synopsis, objects = _built(2, 64, seed, False)
         edges = [100.0 * i / n_bins for i in range(n_bins + 1)]
         sketch_specs = tuple(
             AggregateSpec(agg, "value", quantile) for agg, quantile in SKETCH_KINDS
@@ -263,7 +292,7 @@ class TestGroupedMatchesOracle:
             for spec, got in zip(sketch_specs, grouped.cells[index][1:]):
                 assert_results_identical(
                     got,
-                    synopsis.query_object(plan.cell_query(cell, spec)),
+                    oracle.query_object(objects, plan.cell_query(cell, spec)),
                     context=f"{cell.labels} {spec.name} ",
                 )
 
@@ -279,7 +308,7 @@ class TestDynamicStalenessBitIdentity:
     def test_post_update_queries_stay_identical(
         self, seed, n_inserts, n_deletes, fractions, kind
     ):
-        """Insert/delete-synced flat arrays answer like the mutated objects."""
+        """The updated arrays answer like the objects they decode to."""
         table = _table(1, seed)
         config = PASSConfig(
             n_partitions=16,
@@ -290,10 +319,6 @@ class TestDynamicStalenessBitIdentity:
             seed=seed,
         )
         dynamic = DynamicPASS(table, "value", ["c0"], config=config)
-        synopsis = dynamic.synopsis
-        # Warm the flat engine *before* mutating so the test exercises the
-        # incremental sync hooks, not a post-mutation rebuild.
-        synopsis.flat
         rng = np.random.default_rng(seed + 100)
         for _ in range(n_inserts):
             dynamic.insert(
@@ -311,8 +336,8 @@ class TestDynamicStalenessBitIdentity:
                 )
         query = _query(kind, _predicate(1, fractions))
         assert_results_identical(
-            synopsis.query(query),
-            synopsis.query_object(query),
+            dynamic.query(query),
+            oracle.query_object(dynamic, query),
             context=f"after {n_inserts} inserts / {n_deletes} deletes ",
         )
 
@@ -346,13 +371,19 @@ def _batch_config(n_columns: int, n_partitions: int, seed: int) -> PASSConfig:
 
 
 @functools.lru_cache(maxsize=None)
-def _batch_synopsis(n_columns: int, n_partitions: int, seed: int):
-    return build_pass(
+def _batch_built(n_columns: int, n_partitions: int, seed: int):
+    """``(synopsis, the builder's own objects)`` over the constant-region table."""
+    return oracle.built_with_objects(
+        build_pass,
         _constant_region_table(n_columns, seed),
         "value",
         [f"c{i}" for i in range(n_columns)],
         _batch_config(n_columns, n_partitions, seed),
     )
+
+
+def _batch_synopsis(*args):
+    return _batch_built(*args)[0]
 
 
 def _batch(n_columns: int, pool, picks) -> list[AggregateQuery]:
@@ -370,13 +401,17 @@ def _batch(n_columns: int, pool, picks) -> list[AggregateQuery]:
     return queries
 
 
-def assert_batch_matches_oracle(synopsis, queries, context: str = "") -> None:
+def assert_batch_matches_oracle(
+    synopsis, queries, context: str = "", reference=None
+) -> None:
+    """``reference``: the oracle's objects (default: decoded from ``synopsis``)."""
     answers = batch_query(synopsis, queries)
     assert len(answers) == len(queries)
+    reference = oracle.objects_of(synopsis if reference is None else reference)
     for query, answer in zip(queries, answers):
         assert_results_identical(
             answer,
-            synopsis.query_object(query),
+            oracle.query_object(reference, query),
             context=f"{context}{query.agg.value} {query.predicate} ",
         )
 
@@ -403,19 +438,21 @@ class TestBatchBitIdentity:
     def test_random_batches_match_query_object(
         self, n_columns, n_partitions, seed, pool, picks
     ):
-        synopsis = _batch_synopsis(n_columns, n_partitions, seed)
-        assert_batch_matches_oracle(synopsis, _batch(n_columns, pool, picks))
+        synopsis, objects = _batch_built(n_columns, n_partitions, seed)
+        assert_batch_matches_oracle(
+            synopsis, _batch(n_columns, pool, picks), reference=objects
+        )
 
     def test_avg_takes_its_own_frontier_under_the_zero_variance_rule(self):
         """The fixture does exercise the AVG-only descent (not vacuous)."""
-        synopsis = _batch_synopsis(1, 64, 0)
+        synopsis, objects = _batch_built(1, 64, 0)
         predicate = RectPredicate({"c0": Interval(10.3, 70.7)})
         queries = [AggregateQuery(agg, "value", predicate) for agg in CLASSIC_AGGS[:3]]
         plan = compile_batch(synopsis, queries)
         assert plan.slots == [0, 0, 1]
         sum_frontier, avg_frontier = plan.slot_frontiers
         assert avg_frontier.partial.shape[0] < sum_frontier.partial.shape[0]
-        assert_batch_matches_oracle(synopsis, queries)
+        assert_batch_matches_oracle(synopsis, queries, reference=objects)
 
     @given(
         n_columns=st.sampled_from([1, 2]),
@@ -451,15 +488,11 @@ class TestBatchBitIdentity:
                 dynamic.delete(row)
             # Deleting a *sampled* tuple shrinks that leaf's reservoir: a
             # length-changing replacement, which splices the CSR columns.
-            for stratum in synopsis.leaf_samples:
-                if not stratum.sample_size:
-                    continue
-                row = {
-                    column: float(stratum.sample_columns[column][0])
-                    for column in columns + ["value"]
-                }
-                dynamic.delete(row)
-                break
+            flat = synopsis.flat
+            sample = flat.leaf_sample(int(np.flatnonzero(flat.sample_counts)[0]))
+            dynamic.delete(
+                {column: float(sample[column][0]) for column in columns + ["value"]}
+            )
         assert_batch_matches_oracle(
             synopsis,
             _batch(n_columns, pool, picks),
@@ -478,24 +511,23 @@ def _ragged_synopsis():
     synopsis = build_pass(
         _constant_region_table(2, 0), "value", ["c0", "c1"], _batch_config(2, 64, 0)
     )
-    strata = synopsis.leaf_samples
-    populated = [i for i, stratum in enumerate(strata) if stratum.size][:30:10]
-    for leaf in populated:
+    populated = np.flatnonzero(synopsis.flat.leaf_populations())[:30:10]
+    for leaf in populated.tolist():
         _edit_sample(synopsis, leaf, lambda column, values: values[:0])
     return synopsis
 
 
 @functools.lru_cache(maxsize=None)
 def _ragged_attached() -> FlatSynopsis:
-    """``_ragged_synopsis`` through ``export_buffers`` / ``from_buffers``."""
-    return FlatSynopsis.from_buffers(*_ragged_synopsis().flat.export_buffers())
+    """``_ragged_synopsis`` through ``export_buffers`` and the constructor."""
+    return FlatSynopsis(*_ragged_synopsis().flat.export_buffers())
 
 
 class TestSketchKernelOnRaggedTrees:
     def test_fixture_has_every_irregular_leaf_state(self):
-        synopsis = _ragged_synopsis()
-        leaves = synopsis.tree.leaves
-        strata = synopsis.leaf_samples
+        objects = _reference(_ragged_synopsis)
+        leaves = objects.tree.leaves
+        strata = objects.leaf_samples
         assert any(leaf.size == 0 for leaf in leaves)
         assert any(
             leaf.size > 0 and stratum.sample_size == 0
@@ -508,7 +540,7 @@ class TestSketchKernelOnRaggedTrees:
 
         assert not all(
             is_consecutive_run(node)
-            for node in synopsis.tree.root.iter_subtree()
+            for node in objects.tree.root.iter_subtree()
             if not node.is_leaf
         )
 
@@ -519,14 +551,14 @@ class TestSketchKernelOnRaggedTrees:
     def test_flat_oracle_and_buffer_round_trip_agree(self, fractions, kind):
         synopsis = _ragged_synopsis()
         query = _query(kind, _predicate(2, fractions))
-        want = synopsis.query_object(query)
+        want = oracle.query_object(_reference(_ragged_synopsis), query)
         assert_results_identical(synopsis.query(query), want, context="flat ")
         assert_results_identical(
-            _ragged_attached().query(query), want, context="from_buffers "
+            _ragged_attached().query(query), want, context="export_buffers "
         )
 
     def test_buffer_backed_engine_unpacks_sketches_on_first_use(self):
-        flat = FlatSynopsis.from_buffers(*_ragged_synopsis().flat.export_buffers())
+        flat = FlatSynopsis(*_ragged_synopsis().flat.export_buffers())
         predicate = RectPredicate({"c0": Interval(20.0, 70.0)})
         flat.query(AggregateQuery("SUM", "value", predicate))
         assert flat._leaf_sketches is None
@@ -546,6 +578,11 @@ def _sharded():
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _shard_references(factory) -> list[oracle.SynopsisObjects]:
+    return [oracle.objects_of(shard) for shard in factory().shards]
+
+
 class TestShardedGatherBitIdentity:
     @given(
         fractions=st.lists(_fraction_pair, min_size=1, max_size=1),
@@ -562,7 +599,10 @@ class TestShardedGatherBitIdentity:
             return
         union = functools.reduce(
             lambda merged, other: merged.merge(other),
-            (sharded.shards[i].sketch_union_object(query) for i in survivors),
+            (
+                oracle.sketch_union_object(_shard_references(_sharded)[i], query)
+                for i in survivors
+            ),
         )
         assert_results_identical(
             got, sketch_union_result(query, union, sharded.population_size)
@@ -599,7 +639,9 @@ class TestShardedClassicGatherBitIdentity:
         want = sharded._gather(
             query,
             survivors,
-            lambda i, subquery: sharded.shards[i].query_object(subquery),
+            lambda i, subquery: oracle.query_object(
+                _shard_references(_sharded_2d)[i], subquery
+            ),
             sharded._lam,
             pruned,
         )
@@ -638,8 +680,10 @@ def _edit_sample(synopsis, leaf: int, edit) -> None:
 
 
 def _kernel_build(with_fpc: bool):
-    """An undoctored 16-leaf k-d synopsis and the leaves ``KERNEL_FRAME`` cuts."""
-    synopsis = build_pass(
+    """An undoctored 16-leaf k-d build — the builder's own objects — and the
+    leaves ``KERNEL_FRAME`` cuts."""
+    synopsis, objects = oracle.built_with_objects(
+        build_pass,
         _kernel_table(),
         "value",
         list(KERNEL_COLUMNS),
@@ -652,11 +696,11 @@ def _kernel_build(with_fpc: bool):
             seed=4,
         ),
     )
-    # A throwaway engine: the synopsis builds its own after the callers have
-    # doctored node statistics on the object tree.
-    flat = FlatSynopsis(synopsis)
+    # A throwaway synopsis: the callers flatten ``objects`` again after they
+    # have doctored node statistics on the object tree.
+    flat = synopsis.flat
     boundary = flat._leaf_of_row[flat.frontier(KERNEL_FRAME).partial].tolist()
-    return synopsis, boundary
+    return objects, boundary
 
 
 @functools.lru_cache(maxsize=None)
@@ -669,12 +713,13 @@ def _kernel_synopsis(with_fpc: bool):
     clamped at 0.0), an empty leaf, and a leaf whose sampled rows match no
     predicate.
     """
-    synopsis, boundary = _kernel_build(with_fpc)
-    leaves = synopsis.tree.leaves
+    objects, boundary = _kernel_build(with_fpc)
+    leaves = objects.tree.leaves
     empty, single, full, size_one, oversampled, no_rows, unmatched = boundary[:7]
     full_size = leaves[full].size
     for leaf, size in ((size_one, 1), (oversampled, 5), (no_rows, 0)):
         leaves[leaf].stats = dataclasses.replace(leaves[leaf].stats, count=size)
+    synopsis = objects.synopsis()
     _edit_sample(synopsis, empty, lambda column, values: values[:0])
     _edit_sample(synopsis, single, lambda column, values: values[:1])
     _edit_sample(synopsis, full, lambda column, values: np.resize(values, full_size))
@@ -695,7 +740,8 @@ def _nonfinite_synopsis():
     candidate is infinite yet still a candidate, unlike an infinite covered
     statistic).  Only MIN / MAX are meaningful here.
     """
-    synopsis, boundary = _kernel_build(False)
+    objects, boundary = _kernel_build(False)
+    synopsis = objects.synopsis()
     for leaf, (position, poison) in zip(
         boundary, ((3, math.inf), (140, -math.inf), (77, math.nan), (None, -math.inf))
     ):
@@ -713,8 +759,8 @@ def _nonfinite_synopsis():
 
 @functools.lru_cache(maxsize=None)
 def _attached(synopsis_factory, *args) -> FlatSynopsis:
-    """A kernel fixture through ``export_buffers`` / ``from_buffers``."""
-    return FlatSynopsis.from_buffers(*synopsis_factory(*args).flat.export_buffers())
+    """A kernel fixture through ``export_buffers`` and the constructor."""
+    return FlatSynopsis(*synopsis_factory(*args).flat.export_buffers())
 
 
 def _rectangles_by_partial_count(synopsis) -> dict[int, RectPredicate]:
@@ -735,15 +781,20 @@ def _rectangles_by_partial_count(synopsis) -> dict[int, RectPredicate]:
     return found
 
 
-def assert_every_path_matches_oracle(synopsis, attached, query, context="") -> None:
-    """``query``, ``batch_query`` and a buffer-backed engine carry the oracle's bits."""
-    want = synopsis.query_object(query)
+def assert_every_path_matches_oracle(factory, args, query, context="") -> None:
+    """``query``, ``batch_query`` and a buffer-backed engine carry the oracle's bits.
+
+    ``factory(*args)`` is a cached fixture; the oracle runs over the objects
+    its (doctored) arrays decode to.
+    """
+    synopsis, attached = factory(*args), _attached(factory, *args)
+    want = oracle.query_object(_reference(factory, *args), query)
     assert_results_identical(synopsis.query(query), want, context=context + "flat ")
     assert_results_identical(
         batch_query(synopsis, [query])[0], want, context=context + "batch "
     )
     assert_results_identical(
-        attached.query(query), want, context=context + "from_buffers "
+        attached.query(query), want, context=context + "export_buffers "
     )
 
 
@@ -751,16 +802,16 @@ class TestPartialLeafKernels:
     """The frontier-wide kernels and the scalar ones carry the oracle's bits."""
 
     def test_fixture_has_every_leaf_state(self):
-        synopsis = _kernel_synopsis(True)
+        objects = _reference(_kernel_synopsis, True)
         states = {
             (min(leaf.size, 6), min(stratum.sample_size, leaf.size + 1, 3))
-            for leaf, stratum in zip(synopsis.tree.leaves, synopsis.leaf_samples)
+            for leaf, stratum in zip(objects.tree.leaves, objects.leaf_samples)
         }
         # (size capped at 6, sample size capped at 3 and at size + 1)
         assert {(6, 0), (6, 1), (1, 2), (5, 3), (0, 1), (6, 3)} <= states
         assert any(
             leaf.size == stratum.sample_size > 128
-            for leaf, stratum in zip(synopsis.tree.leaves, synopsis.leaf_samples)
+            for leaf, stratum in zip(objects.tree.leaves, objects.leaf_samples)
         )
 
     @pytest.mark.parametrize("with_fpc", [False, True])
@@ -772,8 +823,8 @@ class TestPartialLeafKernels:
         cases = [rectangles[count] for count in (0, 1, 2, 3, 4, max(rectangles))]
         for predicate in cases + [KERNEL_FRAME]:  # the frame cuts every doctored leaf
             assert_every_path_matches_oracle(
-                synopsis,
-                _attached(_kernel_synopsis, with_fpc),
+                _kernel_synopsis,
+                (with_fpc,),
                 AggregateQuery(agg, "value", predicate),
                 context=f"{predicate} ",
             )
@@ -786,8 +837,8 @@ class TestPartialLeafKernels:
     def test_random_rectangles_over_the_doctored_leaves(self, fractions, agg, with_fpc):
         """One fraction pair leaves ``c1`` unconstrained: a one-column mask."""
         assert_every_path_matches_oracle(
-            _kernel_synopsis(with_fpc),
-            _attached(_kernel_synopsis, with_fpc),
+            _kernel_synopsis,
+            (with_fpc,),
             AggregateQuery(agg, "value", _predicate(len(fractions), fractions)),
         )
 
@@ -809,9 +860,7 @@ class TestPartialLeafKernels:
         count = synopsis.query(AggregateQuery("COUNT", "value", predicate))
         assert count.tuples_processed > 0 and count.estimate == 0.0
         query = AggregateQuery(agg, "value", predicate)
-        assert_every_path_matches_oracle(
-            synopsis, _attached(_kernel_synopsis, False), query
-        )
+        assert_every_path_matches_oracle(_kernel_synopsis, (False,), query)
         if agg in ("MIN", "MAX"):
             assert math.isnan(synopsis.query(query).estimate)
 
@@ -821,8 +870,8 @@ class TestPartialLeafKernels:
     )
     def test_extrema_over_infinite_and_nan_sample_values(self, fractions, agg):
         assert_every_path_matches_oracle(
-            _nonfinite_synopsis(),
-            _attached(_nonfinite_synopsis),
+            _nonfinite_synopsis,
+            (),
             AggregateQuery(agg, "value", _predicate(len(fractions), fractions)),
         )
 
@@ -831,9 +880,7 @@ class TestPartialLeafKernels:
         """The fixture is not vacuous: the poisoned rows do match."""
         synopsis = _nonfinite_synopsis()
         query = AggregateQuery(agg, "value", KERNEL_FRAME)
-        assert_every_path_matches_oracle(
-            synopsis, _attached(_nonfinite_synopsis), query
-        )
+        assert_every_path_matches_oracle(_nonfinite_synopsis, (), query)
         estimate = synopsis.query(query).estimate
         assert math.isnan(estimate) or math.isinf(estimate)
 
@@ -847,7 +894,7 @@ class TestPartialLeafKernels:
             RectPredicate({"c0": Interval(20.0, 70.0), "zz": Interval(0.0, 1.0)}),
         )
         for answer in (
-            synopsis.query_object,
+            functools.partial(oracle.query_object, _reference(_kernel_synopsis, False)),
             synopsis.query,
             _attached(_kernel_synopsis, False).query,
             lambda query: batch_query(synopsis, [query]),

@@ -1,4 +1,8 @@
-"""Tests for the partition tree, its invariants, and the MCF algorithm."""
+"""Tests for the partition tree, its invariants, and the MCF algorithm.
+
+Algorithm 1 is pinned on the reference stack descent of ``tests/oracle.py``
+(the array kernels are held to it in ``tests/test_soa_equivalence.py``).
+"""
 
 from __future__ import annotations
 
@@ -11,6 +15,8 @@ from repro.aggregation.partition import PartitionStats
 from repro.core.tree import PartitionTree
 from repro.partitioning.boundaries import boxes_from_boundaries
 from repro.query.predicate import Box, Interval, RectPredicate
+
+from oracle import minimal_coverage_frontier
 
 
 def build_1d_tree(values: np.ndarray, boundaries: list[float], fanout: int = 2):
@@ -85,7 +91,7 @@ class TestMCF:
                 )
             }
         )
-        result = tree.minimal_coverage_frontier(predicate)
+        result = minimal_coverage_frontier(tree, predicate)
         assert result.is_exact
         covered_count = sum(node.stats.count for node in result.covered)
         assert covered_count == 50
@@ -94,7 +100,7 @@ class TestMCF:
         values = np.arange(1.0, 101.0)
         tree, _, _ = build_1d_tree(values, [24.5, 49.5, 74.5])
         predicate = RectPredicate.from_bounds(key=(10.0, 60.0))
-        result = tree.minimal_coverage_frontier(predicate)
+        result = minimal_coverage_frontier(tree, predicate)
         assert not result.is_exact
         assert all(node.is_leaf for node in result.partial)
         assert len(result.partial) == 2  # the two boundary leaves
@@ -103,14 +109,14 @@ class TestMCF:
         values = np.arange(1.0, 101.0)
         tree, _, _ = build_1d_tree(values, [24.5, 49.5, 74.5])
         predicate = RectPredicate.from_bounds(key=(30.0, 40.0))
-        result = tree.minimal_coverage_frontier(predicate)
+        result = minimal_coverage_frontier(tree, predicate)
         assert not result.covered
         assert [node.leaf_index for node in result.partial] == [1]
 
     def test_unconstrained_query_covers_root_only(self):
         values = np.arange(1.0, 101.0)
         tree, _, _ = build_1d_tree(values, [24.5, 49.5, 74.5])
-        result = tree.minimal_coverage_frontier(RectPredicate.everything())
+        result = minimal_coverage_frontier(tree, RectPredicate.everything())
         assert len(result.covered) == 1
         assert result.covered[0] is tree.root
         assert result.nodes_visited == 1
@@ -119,8 +125,8 @@ class TestMCF:
         values = np.concatenate([np.full(50, 3.0), np.arange(1.0, 51.0)])
         tree, _, _ = build_1d_tree(values, [24.5, 49.5, 74.5])
         predicate = RectPredicate.from_bounds(key=(10.0, 90.0))
-        without = tree.minimal_coverage_frontier(predicate, zero_variance_rule=False)
-        with_rule = tree.minimal_coverage_frontier(predicate, zero_variance_rule=True)
+        without = minimal_coverage_frontier(tree, predicate, zero_variance_rule=False)
+        with_rule = minimal_coverage_frontier(tree, predicate, zero_variance_rule=True)
         assert len(with_rule.partial) < len(without.partial)
 
     def test_visit_count_grows_slower_than_leaves_for_selective_queries(self):
@@ -130,7 +136,7 @@ class TestMCF:
         tree, _, _ = build_1d_tree(values, boundaries)
         assert tree.n_leaves == 256
         predicate = RectPredicate.from_bounds(key=(100.0, 104.0))
-        result = tree.minimal_coverage_frontier(predicate)
+        result = minimal_coverage_frontier(tree, predicate)
         assert result.nodes_visited < 3 * np.log2(tree.n_leaves) * 4
 
     @given(st.data())
@@ -145,7 +151,7 @@ class TestMCF:
         low = data.draw(st.floats(min_value=-10, max_value=n_rows + 10))
         high = data.draw(st.floats(min_value=low, max_value=n_rows + 20))
         predicate = RectPredicate.from_bounds(key=(low, high))
-        result = tree.minimal_coverage_frontier(predicate)
+        result = minimal_coverage_frontier(tree, predicate)
 
         # Brute force: classify each leaf directly.
         expected_partial = set()

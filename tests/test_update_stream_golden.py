@@ -1,11 +1,16 @@
-"""A golden update stream: answers and final export pinned to recorded digests.
+"""A golden update stream: answers and final state pinned to recorded digests.
 
-The digests below were recorded by running :func:`run_stream` on the commit
-*before* updates moved onto the flat arrays (object tree + list-of-dicts
-reservoirs + sync hooks).  The stream uses only the public surface both sides
-share — ``DynamicPASS.insert / delete / query / to_arrays`` with the default
-reservoir capacity — so a match means 1,500 mixed operations leave every
-answer and every exported array bit-identical to that implementation.
+The *answer* digests below were recorded by running :func:`run_stream` on the
+commit *before* updates moved onto the flat arrays (object tree +
+list-of-dicts reservoirs + sync hooks) and have not been edited since.  The
+*final-state* digests are over ``export_buffers()`` — every array, the update
+counters — and were recorded on the parent of the commit that made the arrays
+the synopsis (where ``FlatSynopsis.export_buffers`` already existed and the
+``seen`` / ``capacity`` counters were read off the then ``to_arrays``), not
+on the change itself.  The stream uses only ``DynamicPASS.insert / delete /
+query`` with the default reservoir capacity, so a match means 1,500 mixed
+operations leave every answer and every exported array bit-identical to
+those implementations.
 """
 
 from __future__ import annotations
@@ -37,17 +42,27 @@ AGGS = (
     ("QUANTILE", 0.95),
 )
 
-#: ``n_columns -> (answers digest, export digest)`` recorded at the parent.
+#: ``n_columns -> (answers digest, final-state digest)``, see the docstring.
 GOLDEN = {
     1: (
         "ebe876a599c3c3e4c6ebf1d97f35b77138afd7744399f1847b1817e904407f6e",
-        "c33d052243bfcc1fbb411405749bd8af26c106a6d567df17342779cbc00ad996",
+        "256906f4a8f973c2c56b0bee01346a6504244364d969f2da8b66071da7b40d03",
     ),
     2: (
         "4e3bf11791f3b37081afacd1c31f6571aac46326887bcf6d2cfda720119f289a",
-        "4977be1fb14ddc27cbca91c3bd11d00fc78378e2d8452c62de556394bc660144",
+        "a5d047ef70612ada702141fb44d121295d1803095d75b1c21d24bae0e3c94ed7",
     ),
 }
+
+#: The header fields of the final state that are update state (the rest is
+#: build configuration, and ``build_seconds`` a wall-clock reading).
+_COUNTERS = (
+    "updates_since_build",
+    "build_population",
+    "minmax_possibly_stale",
+    "sketch_stale_deletes",
+    "extrema_stale_deletes",
+)
 
 
 def _table(n_columns: int) -> Table:
@@ -60,9 +75,9 @@ def _table(n_columns: int) -> Table:
 
 
 def _export_digest(dynamic: DynamicPASS) -> str:
-    arrays, header = dynamic.to_arrays()
-    header = {key: value for key, value in header.items() if key != "build_seconds"}
-    digest = hashlib.sha256(json.dumps(header, sort_keys=True).encode())
+    header, arrays = dynamic.export_buffers()
+    counters = {key: header[key] for key in _COUNTERS}
+    digest = hashlib.sha256(json.dumps(counters, sort_keys=True).encode())
     for key in sorted(arrays):
         array = np.ascontiguousarray(arrays[key])
         digest.update(f"{key}|{array.dtype.str}|{array.shape}|".encode())

@@ -11,6 +11,8 @@ from repro.data.table import Table
 from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery, ExactEngine
 
+import oracle
+
 
 @pytest.fixture
 def dynamic_setup():
@@ -29,34 +31,39 @@ def dynamic_setup():
     return table, dynamic
 
 
+def _root_sum(dynamic: DynamicPASS) -> float:
+    return dynamic.synopsis.flat.node_stats(slice(0, 1))[0].sum
+
+
 class TestInsertions:
     def test_insert_updates_counts_and_sums(self, dynamic_setup):
         table, dynamic = dynamic_setup
         before_count = dynamic.population_size
-        before_sum = dynamic.synopsis.tree.root.stats.sum
+        before_sum = _root_sum(dynamic)
         dynamic.insert({"key": 100.5, "value": 42.0})
         assert dynamic.population_size == before_count + 1
-        assert dynamic.synopsis.tree.root.stats.sum == pytest.approx(before_sum + 42.0)
+        assert _root_sum(dynamic) == pytest.approx(before_sum + 42.0)
         assert dynamic.updates_since_build == 1
 
     def test_insert_updates_every_node_on_the_path(self, dynamic_setup):
         _, dynamic = dynamic_setup
-        tree = dynamic.synopsis.tree
-        leaf = tree.leaves[dynamic.synopsis.flat.leaf_for_point({"key": 100.5})]
+        flat = dynamic.synopsis.flat
+        tree = oracle.objects_of(dynamic).tree
+        leaf = tree.leaves[flat.leaf_for_point({"key": 100.5})]
+        # Node rows are the decoded tree's geometry order.
+        nodes = tree.geometry().nodes
         path = [
-            node
-            for node in tree.root.iter_subtree()
+            row
+            for row, node in enumerate(nodes)
             if any(inner is leaf for inner in node.iter_subtree())
         ]
-        assert path[0] is tree.root and path[-1] is leaf and len(path) == 4
-        before = {id(node): node.stats.count for node in tree.root.iter_subtree()}
+        assert nodes[path[0]] is tree.root and nodes[path[-1]] is leaf
+        assert len(path) == 4
+        before = [stats.count for stats in flat.node_stats()]
         box = dynamic.insert({"key": 100.5, "value": 10.0})
         assert box == leaf.box
-        # The same node objects, read again through the synopsis.
-        assert dynamic.synopsis.tree is tree
-        for node in tree.root.iter_subtree():
-            on_path = any(node is member for member in path)
-            assert node.stats.count == before[id(node)] + on_path
+        for row, stats in enumerate(flat.node_stats()):
+            assert stats.count == before[row] + (row in path)
 
     def test_inserted_extremum_widens_hard_bounds(self, dynamic_setup):
         table, dynamic = dynamic_setup
@@ -110,10 +117,10 @@ class TestDeletions:
     def test_delete_then_insert_round_trip(self, dynamic_setup):
         table, dynamic = dynamic_setup
         row = {"key": 5.0, "value": float(table.column("value")[5])}
-        before_sum = dynamic.synopsis.tree.root.stats.sum
+        before_sum = _root_sum(dynamic)
         dynamic.delete(row)
         dynamic.insert(row)
-        assert dynamic.synopsis.tree.root.stats.sum == pytest.approx(before_sum)
+        assert _root_sum(dynamic) == pytest.approx(before_sum)
         assert dynamic.updates_since_build == 2
 
 
@@ -125,6 +132,40 @@ class TestRebuild:
         dynamic.rebuild(table)
         assert dynamic.updates_since_build == 0
         assert dynamic.population_size == table.n_rows
+
+    def test_rebuild_keeps_the_instance_generator(self, dynamic_setup):
+        """Identity and state continue: a rebuild neither swaps the generator
+        for ``default_rng(0)`` nor replays its draws."""
+        table, _ = dynamic_setup
+        config = PASSConfig(
+            n_partitions=8, sample_rate=0.1, partitioner="equal", seed=0
+        )
+        generator = np.random.default_rng(123)
+        # A capacity below the built sample makes construction itself draw.
+        dynamic = DynamicPASS(
+            table, "value", ["key"], config=config, reservoir_capacity=5, rng=generator
+        )
+        states = [generator.bit_generator.state]
+        for _ in range(2):
+            dynamic.rebuild(table)
+            assert dynamic._rng is generator
+            states.append(generator.bit_generator.state)
+        assert states[0] != states[1] != states[2] != states[0]
+
+        # A seed becomes one generator that is kept, not re-seeded.
+        seeded = DynamicPASS(
+            table, "value", ["key"], config=config, reservoir_capacity=5, rng=123
+        )
+        first = seeded._rng
+        for expected in states[1:]:
+            seeded.rebuild(table)
+            assert seeded._rng is first
+            assert first.bit_generator.state == expected
+
+    def test_negative_reservoir_capacity_is_named_as_such(self, dynamic_setup):
+        table, _ = dynamic_setup
+        with pytest.raises(ValueError, match="must not be negative"):
+            DynamicPASS(table, "value", ["key"], reservoir_capacity=-1)
 
 
 class TestStaleness:
@@ -151,12 +192,12 @@ class TestStaleExtrema:
 
         from repro.core.updates import StaleExtremaWarning
 
-        leaf = dynamic.synopsis.tree.leaves[0]
-        extremum = leaf.stats.max
+        flat = dynamic.synopsis.flat
+        extremum = flat.leaf_stats(0).max
         keys = table.column("key")
         values = table.column("value")
         # Find the actual row holding the leaf's maximum.
-        in_leaf = leaf.box.mask({"key": keys})
+        in_leaf = dynamic.synopsis.leaf_boxes[0].mask({"key": keys})
         index = int(np.flatnonzero(in_leaf & (values == extremum))[0])
         row = {"key": float(keys[index]), "value": float(values[index])}
 
@@ -165,10 +206,10 @@ class TestStaleExtrema:
             dynamic.delete(row)
         assert dynamic.minmax_possibly_stale
         # Bounds stay conservative (valid but possibly loose).
-        assert leaf.stats.max == extremum
+        assert flat.leaf_stats(0).max == extremum
 
         # A second stale deletion does not warn again.
-        extremum2 = leaf.stats.min
+        extremum2 = flat.leaf_stats(0).min
         index2 = int(np.flatnonzero(in_leaf & (values == extremum2))[0])
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error", StaleExtremaWarning)
@@ -180,13 +221,11 @@ class TestStaleExtrema:
 
         from repro.core.updates import StaleExtremaWarning
 
-        leaf = dynamic.synopsis.tree.leaves[0]
+        stats = dynamic.synopsis.flat.leaf_stats(0)
         keys = table.column("key")
         values = table.column("value")
-        in_leaf = leaf.box.mask({"key": keys})
-        interior = np.flatnonzero(
-            in_leaf & (values > leaf.stats.min) & (values < leaf.stats.max)
-        )
+        in_leaf = dynamic.synopsis.leaf_boxes[0].mask({"key": keys})
+        interior = np.flatnonzero(in_leaf & (values > stats.min) & (values < stats.max))
         index = int(interior[0])
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error", StaleExtremaWarning)
