@@ -81,7 +81,7 @@ def test_stratified_query_latency(benchmark, intel_spec, sum_query):
 
 
 def test_mcf_lookup_latency(benchmark, pass_synopsis, sum_query):
-    benchmark(pass_synopsis.lookup, sum_query)
+    benchmark(pass_synopsis.flat.frontier, sum_query.predicate)
 
 
 def test_adp_partitioning_time(benchmark, intel_spec):

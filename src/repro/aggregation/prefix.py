@@ -4,7 +4,9 @@ The partitioning optimizers (Section 4.3 and Appendix A) repeatedly need the
 sum, sum of squares, and count of the aggregation column over contiguous rank
 ranges ``[i, j]`` of the table sorted by the predicate column.  Precomputing
 prefix sums makes each such range query O(1), which is what turns the naive
-O(k N^4) dynamic program into the practical variants.
+O(k N^4) dynamic program into the practical variants.  Every range method
+takes ints (and returns a ``float``) or int arrays of lanes (and returns an
+array), so a whole DP level is one gather.
 """
 
 from __future__ import annotations
@@ -13,7 +15,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PrefixSums"]
+__all__ = ["PrefixSums", "check_ranges", "float_if_scalar"]
+
+
+def check_ranges(start, end, length: int) -> None:
+    """Raise ``IndexError`` unless every ``[start, end]`` lane is a valid range.
+
+    A valid lane is a closed index range of an array of ``length`` items;
+    ``start`` and ``end`` are ints or broadcastable int arrays, and one bad
+    lane fails the whole call, naming the first such lane.
+    """
+    bad = (np.asarray(start) < 0) | (np.asarray(end) >= length) | (start > end)
+    if np.any(bad):
+        starts, ends = np.broadcast_arrays(start, end)
+        lane = np.flatnonzero(bad)[0]
+        raise IndexError(
+            f"invalid range [{starts.flat[lane]}, {ends.flat[lane]}] "
+            f"for array of length {length}"
+        )
+
+
+def float_if_scalar(values):
+    """``values`` as a ``float`` when it is a scalar (0-d), unchanged otherwise."""
+    return float(values) if np.ndim(values) == 0 else values
 
 
 @dataclass(frozen=True)
@@ -22,7 +46,7 @@ class PrefixSums:
 
     The array is indexed by *rank* (position in the sorted order the caller
     established); ranges are half-open-free: :meth:`range_sum(i, j)` covers the
-    closed index range ``[i, j]``.
+    closed index range ``[i, j]``.  ``i`` and ``j`` may be int arrays of lanes.
     """
 
     values: np.ndarray
@@ -42,34 +66,28 @@ class PrefixSums:
     def __len__(self) -> int:
         return int(self.values.shape[0])
 
-    def _check(self, start: int, end: int) -> None:
-        if start < 0 or end >= len(self) or start > end:
-            raise IndexError(
-                f"invalid range [{start}, {end}] for array of length {len(self)}"
-            )
-
-    def range_count(self, start: int, end: int) -> int:
+    def range_count(self, start, end):
         """Number of items in the closed index range ``[start, end]``."""
-        self._check(start, end)
+        check_ranges(start, end, len(self))
         return end - start + 1
 
-    def range_sum(self, start: int, end: int) -> float:
+    def range_sum(self, start, end):
         """Sum of the values in the closed index range ``[start, end]``."""
-        self._check(start, end)
-        return float(self._prefix[end + 1] - self._prefix[start])
+        check_ranges(start, end, len(self))
+        return float_if_scalar(self._prefix[end + 1] - self._prefix[start])
 
-    def range_sum_sq(self, start: int, end: int) -> float:
+    def range_sum_sq(self, start, end):
         """Sum of squared values in the closed index range ``[start, end]``."""
-        self._check(start, end)
-        return float(self._prefix_sq[end + 1] - self._prefix_sq[start])
+        check_ranges(start, end, len(self))
+        return float_if_scalar(self._prefix_sq[end + 1] - self._prefix_sq[start])
 
-    def range_mean(self, start: int, end: int) -> float:
+    def range_mean(self, start, end):
         """Mean of the values in the closed index range ``[start, end]``."""
         return self.range_sum(start, end) / self.range_count(start, end)
 
-    def range_variance(self, start: int, end: int) -> float:
+    def range_variance(self, start, end):
         """Population variance of the values in ``[start, end]`` (clamped at 0)."""
         count = self.range_count(start, end)
         mean = self.range_sum(start, end) / count
         variance = self.range_sum_sq(start, end) / count - mean * mean
-        return max(0.0, variance)
+        return float_if_scalar(np.where(variance > 0.0, variance, 0.0))

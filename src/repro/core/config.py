@@ -51,7 +51,8 @@ class PASSConfig:
         size as a fraction of the optimization sample).
     opt_sample_size:
         Size ``m`` of the uniform sample the optimizer runs on.  ``None``
-        selects the per-optimizer default.
+        selects the per-optimizer default: ``min(1000, N)`` for ADP and hill
+        climbing, ``min(5000, N)`` for the k-d optimizers.
     allocation:
         Per-leaf sampling allocation in BSS mode: ``"equal"`` (``K/k`` per
         leaf, default — matching the ST baseline and concentrating samples in

@@ -12,7 +12,8 @@ provided, mirroring the paper's progression:
   experiments: optimize over a uniform sample of ``m`` tuples, approximate the
   worst in-bucket query with the constant-factor oracles of Appendix A, and
   exploit the monotonicity of the DP to binary-search each split point.
-  Runs in ``O(k * m * log m)`` oracle calls.
+  The ``m`` binary searches of a DP level run in lockstep, so it makes
+  ``O(k log m)`` batched oracle calls over ``m`` lanes.
 * :func:`optimal_count_partition` — the closed-form optimum for COUNT
   templates (equal-count buckets, Lemma A.1).
 
@@ -83,7 +84,12 @@ def _run_dp(
     """Core min-max dynamic program over the oracle's rank space.
 
     Returns the break ranks (end rank of every partition except the last) and
-    the optimal objective value.
+    the optimal objective value.  Level ``j`` depends only on level ``j - 1``,
+    so all ``m`` rows of a level are solved together: :func:`_crossings`
+    binary-searches every row's split in lockstep, then one batched oracle
+    call scores each row's candidate splits ``h`` (the three around its
+    crossing, or every ``h < i`` when ``use_binary_search`` is off) as one
+    candidate matrix.
     """
     m = oracle.n_samples
     if m == 0:
@@ -96,28 +102,29 @@ def _run_dp(
     best = np.full((m + 1, k), np.inf)
     parent = np.full((m + 1, k), -1, dtype=int)
     best[0, :] = 0.0
-    for i in range(1, m + 1):
-        best[i, 0] = oracle.max_variance(0, i - 1)
-        parent[i, 0] = 0
+    ends = np.arange(m)  # lane i - 1: the last rank of the first i samples
+    best[1:, 0] = oracle.max_variance(0, ends)
+    parent[1:, 0] = 0
 
     for j in range(1, k):
-        for i in range(1, m + 1):
-            if use_binary_search:
-                h = _binary_search_split(oracle, best, i, j)
-                candidates = [c for c in (h - 1, h, h + 1) if 0 <= c <= i - 1]
-            else:
-                candidates = list(range(0, i))
-            best_value = np.inf
-            best_h = 0
-            for candidate in candidates:
-                value = max(
-                    best[candidate, j - 1], oracle.max_variance(candidate, i - 1)
-                )
-                if value < best_value:
-                    best_value = value
-                    best_h = candidate
-            best[i, j] = best_value
-            parent[i, j] = best_h
+        prev = best[:, j - 1]
+        if use_binary_search:
+            candidates = _crossings(oracle, prev, ends)[:, None] + np.array([-1, 0, 1])
+        else:
+            candidates = np.broadcast_to(ends, (m, m))
+        valid = (candidates >= 0) & (candidates <= ends[:, None])
+        # Invalid candidates become empty ranges, which the oracle skips.
+        variance = oracle.max_variance(
+            np.where(valid, candidates, ends[:, None] + 1), ends[:, None]
+        )
+        bound = prev[np.where(valid, candidates, 0)]
+        value = np.where(variance > bound, variance, bound)  # max(bound, variance)
+        value = np.where(valid & (value < np.inf), value, np.inf)
+        # argmin keeps the first minimum: the scalar strict-< scan in
+        # candidate order, and h = 0 when no candidate beats inf.
+        pick = np.argmin(value, axis=1)
+        best[1:, j] = value[ends, pick]
+        parent[1:, j] = np.where(best[1:, j] < np.inf, candidates[ends, pick], 0)
 
     # Reconstruct the break ranks from the parent pointers.
     breaks: list[int] = []
@@ -133,23 +140,27 @@ def _run_dp(
     return breaks, float(best[m, k - 1])
 
 
-def _binary_search_split(
-    oracle: MaxVarianceOracle, best: np.ndarray, i: int, j: int
-) -> int:
-    """Binary-search the crossing point of the two monotone DP terms.
+def _crossings(
+    oracle: MaxVarianceOracle, prev: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """Binary-search every lane's crossing of the two monotone DP terms at once.
 
-    ``best[h, j-1]`` is non-decreasing in ``h`` while the max variance of the
-    final bucket ``[h, i-1]`` is non-increasing, so the optimal split is where
-    they cross (Appendix A.5).
+    ``prev[h]`` (the previous level) is non-decreasing in ``h`` while the max
+    variance of the final bucket ``[h, end]`` is non-increasing, so the
+    optimal split is where they cross (Appendix A.5).  The searches run in
+    lockstep: one oracle call over the still-open lanes per halving step,
+    ``ceil(log2 m)`` steps in all.
     """
-    lo, hi = 0, i - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if best[mid, j - 1] < oracle.max_variance(mid, i - 1):
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
+    lo = np.zeros_like(ends)
+    hi = ends.copy()
+    while True:
+        open_lanes = np.flatnonzero(lo < hi)
+        if open_lanes.size == 0:
+            return lo
+        mid = (lo[open_lanes] + hi[open_lanes]) // 2
+        rises = prev[mid] < oracle.max_variance(mid, ends[open_lanes])
+        lo[open_lanes] = np.where(rises, mid + 1, lo[open_lanes])
+        hi[open_lanes] = np.where(rises, hi[open_lanes], mid)
 
 
 def _ranks_to_boundaries(
@@ -222,7 +233,7 @@ def approximate_dp_partition(
         samples.
     opt_sample_size / opt_sample_rate:
         Size of the uniform optimization sample ``m`` (default:
-        ``min(2000, N)``).  At most one of the two may be given.
+        ``min(1000, N)``).  At most one of the two may be given.
     rng:
         Numpy generator or seed for the optimization sample.
     """

@@ -27,15 +27,10 @@ __all__ = ["hill_climbing_partition"]
 
 def _objective(oracle: MaxVarianceOracle, breaks: list[int]) -> float:
     """Max single-partition query variance of a break-rank configuration."""
-    m = oracle.n_samples
-    edges = [-1] + sorted(breaks) + [m - 1]
-    worst = 0.0
-    for start_edge, end_edge in zip(edges[:-1], edges[1:]):
-        start = start_edge + 1
-        if start > end_edge:
-            continue
-        worst = max(worst, oracle.max_variance(start, end_edge))
-    return worst
+    edges = np.array([-1] + sorted(breaks) + [oracle.n_samples - 1])
+    variance = oracle.max_variance(edges[:-1] + 1, edges[1:])
+    # A running max(worst, v) from 0.0: empty partitions score 0.0.
+    return float(np.where(variance > 0.0, variance, 0.0).max(initial=0.0))
 
 
 def hill_climbing_partition(

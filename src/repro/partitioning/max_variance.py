@@ -16,29 +16,36 @@ too slow, so the paper proposes constant-factor approximations:
 
 :class:`MaxVarianceOracle` packages these approximations (plus an exact
 brute-force fallback used by tests) behind a single ``max_variance(start,
-end)`` interface over rank ranges of the sorted sample.
+end)`` interface over rank ranges of the sorted sample.  ``start`` and
+``end`` may be int arrays of lanes, so a partitioner scores a whole DP level
+in one call; every lane evaluates the same IEEE operations in the same order
+as a scalar call, so batching never changes a bit.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Tuple
 
 import numpy as np
 
-from repro.aggregation.prefix import PrefixSums
-from repro.partitioning.variance import (
-    avg_query_variance,
-    count_query_variance,
-    sum_query_variance,
-)
+from repro.aggregation.prefix import PrefixSums, check_ranges, float_if_scalar
 from repro.query.aggregates import AggregateType
 
 __all__ = ["SparseTable", "MaxVarianceOracle", "brute_force_max_variance"]
 
 
+def _positive_part(values):
+    """Python's ``max(0.0, x)`` per lane: NaN and ``-0.0`` give ``0.0``."""
+    return np.where(values > 0.0, values, 0.0)
+
+
 class SparseTable:
-    """Static range-maximum queries in O(1) after O(n log n) preprocessing."""
+    """Static range-maximum queries in O(1) after O(n log n) preprocessing.
+
+    Row ``level`` of the zero-padded ``(levels, n)`` table holds the maxima
+    of the windows of ``2**level`` values, so a batch of lookups is one
+    fancy index.
+    """
 
     def __init__(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=float)
@@ -46,30 +53,25 @@ class SparseTable:
             raise ValueError("SparseTable expects a one-dimensional array")
         n = values.shape[0]
         self._n = n
-        if n == 0:
-            self._table = [np.zeros(0)]
-            return
-        levels = max(1, int(math.floor(math.log2(n))) + 1)
-        table = [values.copy()]
-        for level in range(1, levels):
-            span = 1 << level
+        table = np.zeros((max(1, n.bit_length()), n))
+        table[0] = values
+        for level in range(1, table.shape[0]):
+            half = 1 << (level - 1)
+            size = n - 2 * half + 1
             prev = table[level - 1]
-            size = n - span + 1
-            if size <= 0:
-                break
-            table.append(np.maximum(prev[:size], prev[span // 2 : span // 2 + size]))
+            table[level, :size] = np.maximum(prev[:size], prev[half : half + size])
         self._table = table
 
-    def query(self, start: int, end: int) -> float:
-        """Maximum of the values in the closed index range ``[start, end]``."""
-        if start < 0 or end >= self._n or start > end:
-            raise IndexError(f"invalid range [{start}, {end}] for length {self._n}")
-        length = end - start + 1
-        level = int(math.floor(math.log2(length)))
-        span = 1 << level
-        left = self._table[level][start]
-        right = self._table[level][end - span + 1]
-        return float(max(left, right))
+    def query(self, start, end):
+        """Maximum of the values in the closed index range ``[start, end]``.
+
+        Ints give a ``float``; int arrays of lanes give an array.
+        """
+        check_ranges(start, end, self._n)
+        level = np.frexp(end - start + 1)[1] - 1  # floor(log2(length)), exactly
+        left = self._table[level, start]
+        right = self._table[level, end - (1 << level) + 1]
+        return float_if_scalar(np.where(right > left, right, left))
 
     def argmax(self, start: int, end: int) -> int:
         """Index of (one of) the maxima in ``[start, end]``.
@@ -143,17 +145,27 @@ class MaxVarianceOracle:
     # ------------------------------------------------------------------
     # Public lookup
     # ------------------------------------------------------------------
-    def max_variance(self, start: int, end: int) -> float:
-        """Approximate max variance of a query inside rank range ``[start, end]``."""
-        if start > end:
-            return 0.0
-        if self._exact:
-            return self._exact_max(start, end)
-        if self._agg == AggregateType.COUNT:
-            return self._count_max(start, end)
-        if self._agg == AggregateType.SUM:
-            return self._median_split_max(start, end)
-        return self._avg_window_max(start, end)
+    def max_variance(self, start, end):
+        """Approximate max variance of a query inside rank range ``[start, end]``.
+
+        Ints give a ``float``; broadcastable int arrays of lanes give an array
+        of their shape.  ``start > end`` lanes are ``0.0``; any other lane the
+        approximation reads out of range raises ``IndexError``.
+        """
+        start, end = np.broadcast_arrays(start, end)
+        lanes = start <= end
+        out = np.zeros(lanes.shape)
+        if np.any(lanes):
+            start, end = start[lanes], end[lanes]
+            if self._exact:
+                out[lanes] = self._exact_max(start, end)
+            elif self._agg == AggregateType.COUNT:
+                out[lanes] = self._count_max(start, end)
+            elif self._agg == AggregateType.SUM:
+                out[lanes] = self._median_split_max(start, end)
+            else:
+                out[lanes] = self._avg_window_max(start, end)
+        return float_if_scalar(out)
 
     def max_variance_query(self, start: int, end: int) -> Tuple[int, int]:
         """The (approximate) worst query's rank range inside ``[start, end]``.
@@ -171,72 +183,84 @@ class MaxVarianceOracle:
                 return (best, best + self._window - 1)
             return (start, end)
         mid = (start + end) // 2
-        left = self._partition_variance(start, mid, start, end)
+        n_partition = end - start + 1
+        left = self._partition_variance(start, mid, n_partition)
         right = (
-            self._partition_variance(mid + 1, end, start, end) if mid < end else -1.0
+            self._partition_variance(mid + 1, end, n_partition) if mid < end else -1.0
         )
         return (start, mid) if left >= right else (mid + 1, end)
 
     # ------------------------------------------------------------------
-    # Per-aggregate approximations
+    # Per-aggregate approximations, over int arrays of non-empty lanes
     # ------------------------------------------------------------------
-    def _count_max(self, start: int, end: int) -> float:
+    def _count_max(self, start: np.ndarray, end: np.ndarray) -> np.ndarray:
         n_partition = end - start + 1
-        return count_query_variance(n_partition, n_partition / 2.0)
+        n_query = n_partition / 2.0
+        core = n_partition * n_query - n_query * n_query
+        return _positive_part(core) / n_partition
 
-    def _median_split_max(self, start: int, end: int) -> float:
-        if start == end:
-            return sum_query_variance(
-                1.0,
-                self._prefix.range_sum(start, end),
-                self._prefix.range_sum_sq(start, end),
-            )
+    def _median_split_max(self, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+        n_partition = end - start + 1
         mid = (start + end) // 2
-        left = self._partition_variance(start, mid, start, end)
-        right = self._partition_variance(mid + 1, end, start, end)
-        return max(left, right)
+        left = self._partition_variance(start, mid, n_partition)
+        # A one-item lane has no right half; it reads [end, end] and keeps left.
+        right = self._partition_variance(np.minimum(mid + 1, end), end, n_partition)
+        return np.where((start < end) & (right > left), right, left)
 
-    def _avg_window_max(self, start: int, end: int) -> float:
+    def _avg_window_max(self, start: np.ndarray, end: np.ndarray) -> np.ndarray:
         n_partition = end - start + 1
         window = self._window
-        if n_partition < 2 * window or self._window_scores is None:
-            # Appendix A.4: partitions with fewer than 2*delta*m samples are
-            # treated as having zero meaningful-query variance.
-            return 0.0
+        out = np.zeros(n_partition.shape)
+        # Appendix A.4: partitions with fewer than 2*delta*m samples are
+        # treated as having zero meaningful-query variance.
+        wide = n_partition >= 2 * window
+        if self._window_scores is None or not np.any(wide):
+            return out
         # The worst AVG window maximizes its sum of squares (Appendix A.4);
         # a range-max over the precomputed window scores finds it in O(1).
         # Lemma A.2 bounds the core term by (n_i - |q|) * sum(t^2) from below
         # and n_i * sum(t^2) from above, so scoring with the lower bound keeps
         # the constant-factor guarantee while avoiding a per-call argmax scan.
-        last_start = end - window + 1
-        best_score = self._window_scores.query(start, last_start)
-        core_lower = (n_partition - window) * best_score
-        return core_lower / (n_partition * window * window)
+        n_wide = n_partition[wide]
+        best_score = self._window_scores.query(start[wide], end[wide] - window + 1)
+        core_lower = (n_wide - window) * best_score
+        out[wide] = core_lower / (n_wide * window * window)
+        return out
 
-    def _partition_variance(
-        self, q_start: int, q_end: int, p_start: int, p_end: int
-    ) -> float:
-        """Variance of the query ``[q_start, q_end]`` inside partition ``[p_start, p_end]``."""
-        n_partition = p_end - p_start + 1
+    def _partition_variance(self, q_start, q_end, n_partition):
+        """Variance of the query ``[q_start, q_end]`` inside a partition.
+
+        ``n_partition`` is the partition's size in ranks; every argument may
+        be an int array of lanes.
+        """
         q_sum = self._prefix.range_sum(q_start, q_end)
         q_sum_sq = self._prefix.range_sum_sq(q_start, q_end)
         n_query = q_end - q_start + 1
-        if self._agg == AggregateType.SUM:
-            return sum_query_variance(n_partition, q_sum, q_sum_sq)
         if self._agg == AggregateType.COUNT:
-            return count_query_variance(n_partition, n_query)
-        return avg_query_variance(n_partition, n_query, q_sum, q_sum_sq)
+            core = n_partition * n_query - n_query * n_query
+            return _positive_part(core) / n_partition
+        core = _positive_part(n_partition * q_sum_sq - q_sum * q_sum)
+        if self._agg == AggregateType.SUM:
+            return core / n_partition
+        return core / (n_partition * n_query * n_query)
 
     # ------------------------------------------------------------------
     # Exact enumeration (tests / naive DP)
     # ------------------------------------------------------------------
-    def _exact_max(self, start: int, end: int) -> float:
-        best = 0.0
+    def _exact_max(self, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+        """Each lane's max over its whole sub-interval triangle, in one expression."""
         min_len = self._window if self._agg == AggregateType.AVG else 1
-        for q_start in range(start, end + 1):
-            for q_end in range(q_start + min_len - 1, end + 1):
-                best = max(best, self._partition_variance(q_start, q_end, start, end))
-        return best
+        out = np.zeros(start.shape)
+        for lane, (p_start, p_end) in enumerate(zip(start.tolist(), end.tolist())):
+            n_partition = p_end - p_start + 1
+            q_start, q_end = np.triu_indices(n_partition, min_len - 1)
+            variance = self._partition_variance(
+                p_start + q_start, p_start + q_end, n_partition
+            )
+            # Each variance is already >= +0.0 and never NaN (the core term is
+            # clamped), so a max from 0.0 is the scalar running max(best, v).
+            out[lane] = variance.max(initial=0.0)
+        return out
 
 
 def brute_force_max_variance(

@@ -20,6 +20,13 @@ The objects come from one of two places:
 Every function taking ``source`` accepts a :class:`SynopsisObjects` or
 anything with ``export_buffers()`` (decoded on the spot; hold on to
 :func:`objects_of`'s result to query a fixed state many times).
+
+The module is also the reference of the 1-D partitioners (Section 4.3,
+Appendix A): :class:`ScalarMaxVarianceOracle` scores one rank range per call
+in Python floats, :func:`scalar_run_dp` solves the DP one row and one binary
+search at a time, and :func:`scalar_partitioners` swaps both into
+``repro.partitioning`` so its public partitioners can be run against their
+lockstep, batched selves.
 """
 
 from __future__ import annotations
@@ -36,6 +43,12 @@ from repro.aggregation.partition import PartitionStats
 from repro.aggregation.strat_agg import hard_bounds
 from repro.core.pass_synopsis import PASSSynopsis
 from repro.core.tree import PartitionNode, PartitionTree
+from repro.partitioning import dp, hill_climbing
+from repro.partitioning.variance import (
+    avg_query_variance,
+    count_query_variance,
+    sum_query_variance,
+)
 from repro.query.aggregates import SKETCH_AGGREGATES, AggregateType
 from repro.query.predicate import Box, Interval, RectPredicate, Relation
 from repro.query.query import AggregateQuery
@@ -477,3 +490,204 @@ def _extremum_answer(
         tuples_skipped=skipped,
         exact=exact,
     )
+
+
+# ----------------------------------------------------------------------
+# The 1-D partitioners, one rank range and one DP row at a time
+# ----------------------------------------------------------------------
+class ScalarMaxVarianceOracle:
+    """``MaxVarianceOracle`` over ints only: one rank range per Python call.
+
+    Same constructor and the same approximations (median split for SUM,
+    closed form for COUNT, sparse-table window max for AVG, the O(range^2)
+    enumeration when ``exact``), evaluated in Python floats over list prefix
+    sums and a list-of-levels sparse table.
+    """
+
+    def __init__(self, values, agg=AggregateType.SUM, delta=0.01, exact=False):
+        values = np.asarray(values, dtype=float)
+        self._agg = AggregateType.parse(agg)
+        if self._agg not in (AggregateType.SUM, AggregateType.COUNT, AggregateType.AVG):
+            raise ValueError("partitioning supports SUM, COUNT and AVG query templates")
+        if not 0.0 < delta <= 1.0:
+            raise ValueError("delta must be in (0, 1]")
+        self._exact = exact
+        self._m = int(values.shape[0])
+        sums_sq = np.concatenate([[0.0], np.cumsum(values**2)])
+        self._prefix = np.concatenate([[0.0], np.cumsum(values)]).tolist()
+        self._prefix_sq = sums_sq.tolist()
+        self._window = max(1, int(round(delta * self._m)))
+        self._levels: list[list[float]] | None = None
+        if self._agg == AggregateType.AVG and not exact and self._m >= self._window:
+            starts = np.arange(0, self._m - self._window + 1)
+            scores = sums_sq[starts + self._window] - sums_sq[starts]
+            levels = [scores]
+            while 2 << (len(levels) - 1) <= scores.shape[0]:
+                half = 1 << (len(levels) - 1)
+                prev = levels[-1]
+                size = scores.shape[0] - 2 * half + 1
+                levels.append(np.maximum(prev[:size], prev[half : half + size]))
+            self._levels = [level.tolist() for level in levels]
+
+    @property
+    def n_samples(self) -> int:
+        """Number of samples the oracle indexes."""
+        return self._m
+
+    def max_variance(self, start: int, end: int) -> float:
+        """Approximate max variance of a query inside rank range ``[start, end]``."""
+        if start > end:
+            return 0.0
+        if self._exact:
+            return self._exact_max(start, end)
+        if self._agg == AggregateType.COUNT:
+            n_partition = end - start + 1
+            return count_query_variance(n_partition, n_partition / 2.0)
+        if self._agg == AggregateType.SUM:
+            return self._median_split_max(start, end)
+        return self._avg_window_max(start, end)
+
+    def _range_sums(self, start: int, end: int) -> tuple[float, float]:
+        if start < 0 or end >= self._m or start > end:
+            raise IndexError(f"invalid range [{start}, {end}] for length {self._m}")
+        return (
+            self._prefix[end + 1] - self._prefix[start],
+            self._prefix_sq[end + 1] - self._prefix_sq[start],
+        )
+
+    def _median_split_max(self, start: int, end: int) -> float:
+        if start == end:
+            return sum_query_variance(1.0, *self._range_sums(start, end))
+        mid = (start + end) // 2
+        left = self._partition_variance(start, mid, start, end)
+        right = self._partition_variance(mid + 1, end, start, end)
+        return max(left, right)
+
+    def _avg_window_max(self, start: int, end: int) -> float:
+        n_partition = end - start + 1
+        window = self._window
+        if n_partition < 2 * window or self._levels is None:
+            return 0.0
+        last_start = end - window + 1
+        if start < 0 or last_start >= len(self._levels[0]):
+            raise IndexError(f"invalid range [{start}, {last_start}]")
+        level = int(math.floor(math.log2(last_start - start + 1)))
+        left = self._levels[level][start]
+        right = self._levels[level][last_start - (1 << level) + 1]
+        best_score = max(left, right)
+        return (n_partition - window) * best_score / (n_partition * window * window)
+
+    def _partition_variance(
+        self, q_start: int, q_end: int, p_start: int, p_end: int
+    ) -> float:
+        n_partition = p_end - p_start + 1
+        q_sum, q_sum_sq = self._range_sums(q_start, q_end)
+        n_query = q_end - q_start + 1
+        if self._agg == AggregateType.SUM:
+            return sum_query_variance(n_partition, q_sum, q_sum_sq)
+        if self._agg == AggregateType.COUNT:
+            return count_query_variance(n_partition, n_query)
+        return avg_query_variance(n_partition, n_query, q_sum, q_sum_sq)
+
+    def _exact_max(self, start: int, end: int) -> float:
+        best = 0.0
+        min_len = self._window if self._agg == AggregateType.AVG else 1
+        for q_start in range(start, end + 1):
+            for q_end in range(q_start + min_len - 1, end + 1):
+                best = max(best, self._partition_variance(q_start, q_end, start, end))
+        return best
+
+
+def scalar_run_dp(
+    oracle, n_partitions: int, use_binary_search: bool
+) -> tuple[list[int], float]:
+    """The min-max DP one row ``i`` and one candidate split at a time."""
+    m = oracle.n_samples
+    if m == 0:
+        raise ValueError("cannot partition an empty sample")
+    k = max(1, min(n_partitions, m))
+    best = np.full((m + 1, k), np.inf)
+    parent = np.full((m + 1, k), -1, dtype=int)
+    best[0, :] = 0.0
+    for i in range(1, m + 1):
+        best[i, 0] = oracle.max_variance(0, i - 1)
+        parent[i, 0] = 0
+    for j in range(1, k):
+        for i in range(1, m + 1):
+            if use_binary_search:
+                h = _binary_search_split(oracle, best, i, j)
+                candidates = [c for c in (h - 1, h, h + 1) if 0 <= c <= i - 1]
+            else:
+                candidates = list(range(0, i))
+            best_value = np.inf
+            best_h = 0
+            for candidate in candidates:
+                value = max(
+                    best[candidate, j - 1], oracle.max_variance(candidate, i - 1)
+                )
+                if value < best_value:
+                    best_value = value
+                    best_h = candidate
+            best[i, j] = best_value
+            parent[i, j] = best_h
+    breaks: list[int] = []
+    i = m
+    for j in range(k - 1, 0, -1):
+        h = int(parent[i, j])
+        if 0 < h < m:
+            breaks.append(h - 1)
+        i = h
+        if i <= 0:
+            break
+    breaks.sort()
+    return breaks, float(best[m, k - 1])
+
+
+def _binary_search_split(oracle, best: np.ndarray, i: int, j: int) -> int:
+    """Where ``best[h, j-1]`` (non-decreasing) crosses the bucket ``[h, i-1]``."""
+    lo, hi = 0, i - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if best[mid, j - 1] < oracle.max_variance(mid, i - 1):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def scalar_objective(oracle, breaks: list[int]) -> float:
+    """Hill climbing's max single-partition variance, one partition per call."""
+    m = oracle.n_samples
+    edges = [-1] + sorted(breaks) + [m - 1]
+    worst = 0.0
+    for start_edge, end_edge in zip(edges[:-1], edges[1:]):
+        start = start_edge + 1
+        if start > end_edge:
+            continue
+        worst = max(worst, oracle.max_variance(start, end_edge))
+    return worst
+
+
+@contextlib.contextmanager
+def scalar_partitioners() -> Iterator[None]:
+    """Run ``repro.partitioning``'s 1-D partitioners on the scalar reference.
+
+    Inside the block ADP, the naive DP and hill climbing build a
+    :class:`ScalarMaxVarianceOracle` and solve with :func:`scalar_run_dp` /
+    :func:`scalar_objective`; everything around them (sampling, sorting,
+    cut values) is the library's own code.
+    """
+    patches = [
+        (dp, "MaxVarianceOracle", ScalarMaxVarianceOracle),
+        (dp, "_run_dp", scalar_run_dp),
+        (hill_climbing, "MaxVarianceOracle", ScalarMaxVarianceOracle),
+        (hill_climbing, "_objective", scalar_objective),
+    ]
+    originals = [(module, name, getattr(module, name)) for module, name, _ in patches]
+    for module, name, replacement in patches:
+        setattr(module, name, replacement)
+    try:
+        yield
+    finally:
+        for module, name, original in originals:
+            setattr(module, name, original)

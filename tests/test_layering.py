@@ -3,7 +3,9 @@
 The arrays are the synopsis.  The per-node object executor, the refresh that
 dragged node / stratum objects after the arrays, the second ``FlatSynopsis``
 constructor and the ``tree/* strata/* samples/* reservoir/*`` npz vocabulary
-were deleted; this is the grep a re-anchor would otherwise run by hand.
+were deleted, and the scalar per-row binary search of the ADP partitioner
+lives on only as the reference in ``tests/oracle.py``; this is the grep a
+re-anchor would otherwise run by hand.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ SOURCES = sorted(SRC.rglob("*.py"))
 DELETED_NAMES = re.compile(
     r"query_object|sketch_union_object|_refresh_objects|_objects_at"
     r"|minimal_coverage_frontier|MCFResult|_ExternalGeometry"
-    r"|boxes_to_arrays|boxes_from_arrays"
+    r"|boxes_to_arrays|boxes_from_arrays|_binary_search_split"
 )
 NPZ_KEY_PREFIXES = re.compile(r"\"(tree|strata|samples|reservoir)/")
 
