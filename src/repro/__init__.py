@@ -38,7 +38,6 @@ Quickstart
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
 from repro.core.pass_synopsis import PASSSynopsis
-from repro.core.tree import PartitionTree
 from repro.core.updates import DynamicPASS
 from repro.data.loaders import load_dataset
 from repro.data.table import Table
@@ -68,7 +67,6 @@ __all__ = [
     "build_pass",
     "PASSConfig",
     "PASSSynopsis",
-    "PartitionTree",
     "DynamicPASS",
     "load_dataset",
     "Table",

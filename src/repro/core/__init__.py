@@ -14,7 +14,6 @@ from repro.core.builder import (
 from repro.core.config import PARTITIONER_CHOICES, PASSConfig
 from repro.core.pass_synopsis import PASSSynopsis
 from repro.core.soa import FlatFrontier, FlatSamples, FlatSynopsis
-from repro.core.tree import PartitionNode, PartitionTree
 from repro.core.updates import DynamicPASS
 
 __all__ = [
@@ -31,7 +30,5 @@ __all__ = [
     "FlatFrontier",
     "FlatSamples",
     "FlatSynopsis",
-    "PartitionNode",
-    "PartitionTree",
     "DynamicPASS",
 ]

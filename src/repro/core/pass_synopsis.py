@@ -17,25 +17,24 @@ Query processing follows Section 3.3 exactly:
 All of it runs on flat arrays: a :class:`PASSSynopsis` is a
 :class:`repro.core.soa.FlatSynopsis` (see ``docs/ARCHITECTURE.md``) plus the
 two facts about its build the arrays do not carry (how long it took, which
-partitioner ran).  The constructor flattens the builder's tree, strata and
-sketches once and lets them go; :meth:`PASSSynopsis.from_buffers` adopts a
-``(header, arrays)`` pair that already is the flat form — a loaded file, a
-shard built in another process.  The per-node object implementation the flat
-kernels are property-tested against lives in ``tests/oracle.py``.
+partitioner ran).  It is constructed over a ``(header, arrays)`` pair only:
+the one :func:`~repro.core.builder.build_pass` emits, a loaded file, a shard
+built in another process (:meth:`PASSSynopsis.from_buffers`, the entry
+persistence and the parallel builder dispatch on).  The per-node object
+implementation the flat kernels are property-tested against, and the object
+build they are held to, live in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
-from repro.core.soa import FlatFrontier, FlatSynopsis, flatten
-from repro.core.tree import PartitionTree
+from repro.core.soa import FlatFrontier, FlatSynopsis
 from repro.query.predicate import Box
 from repro.query.query import AggregateQuery
-from repro.result import AQPResult, LAMBDA_99
-from repro.sampling.stratified import Stratum
+from repro.result import AQPResult
 from repro.sketches.union import (
     DistinctSketchUnion,
     LeafSketches,
@@ -50,77 +49,20 @@ class PASSSynopsis:
 
     Parameters
     ----------
-    tree:
-        Partition tree whose leaves align 1:1 with ``leaf_samples``.
-    leaf_samples:
-        One :class:`~repro.sampling.stratified.Stratum` per tree leaf, in
-        leaf-index order.
-    value_column:
-        The aggregation column the synopsis answers queries about.
-    lam:
-        Default confidence-interval multiplier.
-    zero_variance_rule:
-        Enable the AVG-only MCF shortcut of Section 3.4.
-    with_fpc:
-        Apply finite-population corrections to per-leaf estimates.
-    build_seconds:
-        Wall-clock construction cost recorded by the builder (reported in the
-        cost tables).
-    effective_partitioner:
-        The partitioner the builder actually ran (which may differ from the
-        configured one — 1-D optimizers fall back to ``"kd"`` on
-        multi-dimensional inputs), ``"precomputed"`` when the leaf boxes were
-        supplied, or ``None`` for hand-assembled synopses.
-    leaf_sketches:
-        Optional mergeable per-leaf sketches (:class:`LeafSketches`, aligned
-        with the tree leaves) enabling QUANTILE / COUNT_DISTINCT queries;
-        ``None`` for synopses built without sketch support.
+    header / arrays:
+        The :class:`FlatSynopsis` pair, whose header may also carry the two
+        build facts: ``build_seconds`` (the wall-clock construction cost the
+        builder records, reported in the cost tables; 0.0 when absent) and
+        ``effective_partitioner`` (the partitioner the builder actually ran,
+        which may differ from the configured one — 1-D optimizers fall back
+        to ``"kd"`` on multi-dimensional inputs — ``"precomputed"`` when the
+        leaf boxes were supplied, ``None`` when absent).
     """
 
-    def __init__(
-        self,
-        tree: PartitionTree,
-        leaf_samples: Sequence[Stratum],
-        value_column: str,
-        lam: float = LAMBDA_99,
-        zero_variance_rule: bool = True,
-        with_fpc: bool = False,
-        build_seconds: float = 0.0,
-        effective_partitioner: str | None = None,
-        leaf_sketches: Sequence[LeafSketches] | None = None,
-    ) -> None:
-        if tree.n_leaves != len(leaf_samples):
-            raise ValueError(
-                f"tree has {tree.n_leaves} leaves "
-                f"but {len(leaf_samples)} samples were given"
-            )
-        if leaf_sketches is not None and len(leaf_sketches) != tree.n_leaves:
-            raise ValueError(
-                f"tree has {tree.n_leaves} leaves "
-                f"but {len(leaf_sketches)} leaf sketches were given"
-            )
-        header, arrays = flatten(
-            tree,
-            leaf_samples,
-            leaf_sketches,
-            value_column=value_column,
-            lam=lam,
-            zero_variance_rule=zero_variance_rule,
-            with_fpc=with_fpc,
-        )
-        self._adopt(
-            FlatSynopsis(header, arrays), build_seconds, effective_partitioner
-        )
-
-    def _adopt(
-        self,
-        flat: FlatSynopsis,
-        build_seconds: float,
-        effective_partitioner: str | None,
-    ) -> None:
-        self._flat = flat
-        self.build_seconds = build_seconds
-        self.effective_partitioner = effective_partitioner
+    def __init__(self, header: Mapping, arrays: Mapping[str, np.ndarray]) -> None:
+        self._flat = FlatSynopsis(header, arrays)
+        self.build_seconds = float(header.get("build_seconds", 0.0))
+        self.effective_partitioner = header.get("effective_partitioner")
         self._leaf_boxes: tuple[Box, ...] | None = None
 
     @classmethod
@@ -132,13 +74,7 @@ class PASSSynopsis:
         The arrays are taken by reference (see :class:`FlatSynopsis`): over a
         read-only mapping the synopsis is read-only.
         """
-        self = cls.__new__(cls)
-        self._adopt(
-            FlatSynopsis(header, arrays),
-            float(header.get("build_seconds", 0.0)),
-            header.get("effective_partitioner"),
-        )
-        return self
+        return cls(header, arrays)
 
     def export_buffers(self) -> tuple[dict, dict[str, np.ndarray]]:
         """:meth:`FlatSynopsis.export_buffers` plus the two build facts."""

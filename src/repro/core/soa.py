@@ -1,11 +1,11 @@
 """The PASS synopsis as flat arrays: its one state and its one executor.
 
 A built synopsis *is* the handful of contiguous buffers described below
-(:class:`FlatSynopsis`): the builder's ``PartitionNode`` tree, ``Stratum``
-list and per-leaf sketches are laid out once by :func:`flatten` and dropped,
-and a fresh build, a file loaded by ``mmap``, a shared-memory attachment and
-a shard shipped across a process boundary all construct the same object from
-the same ``(header, arrays)`` pair.  The hot kernels (frontier descent,
+(:class:`FlatSynopsis`): :func:`repro.core.builder.build_pass` emits them
+directly from one leaf-assignment pass over the table, and a fresh build, a
+file loaded by ``mmap``, a shared-memory attachment and a shard shipped
+across a process boundary all construct the same object from the same
+``(header, arrays)`` pair.  The hot kernels (frontier descent,
 predicate mask evaluation, moment and extremum reductions) run over those
 arrays with zero Python-object traversal: the partial-leaf kernels gather the
 whole frontier's sample rows through one index and leave per-leaf Python only
@@ -74,7 +74,6 @@ import numpy as np
 from repro.aggregation.partition import PartitionStats
 from repro.aggregation.strat_agg import HardBounds
 from repro.query.aggregates import AggregateType
-from repro.core.tree import PartitionTree
 from repro.query.predicate import Box, Interval, RectPredicate
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
@@ -83,7 +82,6 @@ from repro.sampling.estimators import (
     finite_population_correction,
     ratio_estimate,
 )
-from repro.sampling.stratified import Stratum
 from repro.sketches.union import (
     DistinctSketchUnion,
     LeafSketches,
@@ -95,7 +93,7 @@ from repro.sketches.union import (
     unpack_leaf_sketches,
 )
 
-__all__ = ["FlatFrontier", "FlatSamples", "FlatSynopsis", "flatten"]
+__all__ = ["FlatFrontier", "FlatSamples", "FlatSynopsis"]
 
 #: Per-(cell, leaf) masked-sample sufficient statistics of the grouped
 #: executor: the number of matching samples, their value sum and sum of
@@ -226,85 +224,10 @@ class FlatSamples:
     columns: dict[str, np.ndarray]
 
 
-def flatten(
-    tree: PartitionTree,
-    leaf_samples: Sequence[Stratum],
-    leaf_sketches: Sequence[LeafSketches] | None,
-    value_column: str,
-    lam: float,
-    zero_variance_rule: bool,
-    with_fpc: bool,
-) -> tuple[dict, dict[str, np.ndarray]]:
-    """Lay the builder's objects out as the ``(header, arrays)`` of a synopsis.
-
-    The one objects -> buffers function: node statistics, topology and bounds
-    in geometry order, the strata as compact CSR sample columns, the per-leaf
-    sketches ragged-packed.  The sample column set is the first stratum's, in
-    insertion order, restricted to columns every stratum carries (builders
-    always produce a uniform set; hand-assembled synopses may not).  Nothing
-    in the result aliases the objects.
-    """
-    geometry = tree.geometry()
-    nodes = geometry.nodes
-    n = len(nodes)
-    parent0 = geometry.parent.copy()
-    parent0[0] = 0  # root "reaches" itself in the closed-form extraction
-    sizes = np.fromiter(
-        (stratum.sample_size for stratum in leaf_samples),
-        dtype=np.int64,
-        count=len(leaf_samples),
-    )
-    offsets = np.zeros(len(leaf_samples) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    sample_columns = [
-        column
-        for column in (leaf_samples[0].sample_columns if leaf_samples else ())
-        if all(column in stratum.sample_columns for stratum in leaf_samples)
-    ]
-    header = {
-        "value_column": value_column,
-        "lam": float(lam),
-        "zero_variance_rule": bool(zero_variance_rule),
-        "with_fpc": bool(with_fpc),
-        "columns": list(geometry.column_index),
-        "sample_columns": sample_columns,
-        "sketch_keys": [],
-    }
-    arrays: dict[str, np.ndarray] = {
-        "node_sum": np.fromiter((node.stats.sum for node in nodes), float, n),
-        "node_count": np.fromiter((node.stats.count for node in nodes), np.int64, n),
-        "node_min": np.fromiter((node.stats.min for node in nodes), float, n),
-        "node_max": np.fromiter((node.stats.max for node in nodes), float, n),
-        "parent": geometry.parent,
-        "parent0": parent0,
-        "is_leaf": geometry.is_leaf,
-        "leaf_of_row": geometry.leaf_index,
-        "depth": geometry.depth,
-        "col_lows": np.ascontiguousarray(geometry.lows.T),
-        "col_highs": np.ascontiguousarray(geometry.highs.T),
-        "sample_offsets": offsets,
-    }
-    for column in sample_columns:
-        arrays[f"sample/{column}"] = (
-            np.concatenate(
-                [
-                    np.asarray(stratum.sample_columns[column], dtype=float)
-                    for stratum in leaf_samples
-                ]
-            )
-            if int(offsets[-1])
-            else np.zeros(0, dtype=float)
-        )
-    if leaf_sketches is not None:
-        header["sketch_keys"], packed = pack_leaf_sketches(leaf_sketches)
-        arrays.update(packed)
-    return header, arrays
-
-
 class FlatSynopsis:
     """A PASS synopsis: structure-of-arrays state plus the kernels over it.
 
-    Constructed over a ``(header, arrays)`` pair — :func:`flatten`'s for a
+    Constructed over a ``(header, arrays)`` pair — the builder's for a
     fresh build, :meth:`export_buffers`' of another instance, or views parsed
     out of a mapped file or shared-memory segment — taking every kernel array
     *by reference*: no sample or statistic array is copied, so a reader
@@ -332,18 +255,20 @@ class FlatSynopsis:
         (``sketch_keys`` is empty for a synopsis without sketches).
     arrays:
         The buffers listed in the module docstring.  ``ValueError`` when a
-        kernel array the header implies is missing.
+        kernel array the header implies is missing, or when the samples or
+        sketches are not one per leaf.
     """
 
     def __init__(self, header: Mapping, arrays: Mapping[str, np.ndarray]) -> None:
         sample_columns = [str(column) for column in header["sample_columns"]]
         sketch_keys = [str(key) for key in header["sketch_keys"]]
+        packed_keys = ["lengths", *sketch_keys] if sketch_keys else []
         missing = [
             key
             for key in (
                 *_KERNEL_ARRAYS,
                 *(f"sample/{column}" for column in sample_columns),
-                *(f"sketch/{key}" for key in sketch_keys),
+                *(f"sketch/{key}" for key in packed_keys),
             )
             if key not in arrays
         ]
@@ -381,6 +306,13 @@ class FlatSynopsis:
         self._col_highs = tuple(self._bounds[1][c] for c in range(len(columns)))
 
         offsets = arrays["sample_offsets"]
+        n_leaves = int(np.count_nonzero(self._is_leaf))
+        per_leaf = {"leaf samples": offsets.shape[0] - 1}
+        if sketch_keys:
+            per_leaf["leaf sketches"] = arrays["sketch/lengths"].shape[0]
+        for kind, rows in per_leaf.items():
+            if rows != n_leaves:
+                raise ValueError(f"the tree has {n_leaves} leaves but {rows} {kind}")
         self._samples = FlatSamples(
             offsets=offsets,
             columns={column: arrays[f"sample/{column}"] for column in sample_columns},

@@ -13,8 +13,13 @@ The objects come from one of two places:
 
 * :func:`objects_of` decodes them from a synopsis' ``export_buffers()`` —
   whatever state the arrays are in (after updates, after a load);
-* :func:`built_with_objects` hands back the builder's *own* tree, strata and
-  sketches of a fresh build, before they were flattened, so the oracle is
+* :func:`reference_build` builds them from the table the way the builder did
+  before it emitted arrays directly: one ``Box.mask`` scan per leaf for the
+  statistics and another for the samples, a ``PartitionTree`` grouped
+  bottom-up from ``PartitionNode`` objects, one ``Stratum`` per leaf, laid
+  out by :func:`flatten`.  :func:`built_with_objects` runs ``build_pass``
+  and the reference build side by side, asserts their arrays are byte for
+  byte the same, and hands back the reference's objects, so the oracle is
   not only ever fed the arrays' reading of themselves.
 
 Every function taking ``source`` accepts a :class:`SynopsisObjects` or
@@ -32,17 +37,18 @@ lockstep, batched selves.
 from __future__ import annotations
 
 import contextlib
-import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from repro.aggregation.partition import PartitionStats
 from repro.aggregation.strat_agg import hard_bounds
+from repro.core import builder
+from repro.core.config import PASSConfig
 from repro.core.pass_synopsis import PASSSynopsis
-from repro.core.tree import PartitionNode, PartitionTree
+from repro.data.table import Table
 from repro.partitioning import dp, hill_climbing
 from repro.partitioning.variance import (
     avg_query_variance,
@@ -66,14 +72,383 @@ from repro.sketches.union import (
     PartialLeaf,
     QuantileSketchUnion,
     frontier_union,
+    pack_leaf_sketches,
     sketch_union_result,
     unpack_leaf_sketches,
 )
 
 
+# ----------------------------------------------------------------------
+# The partition tree as node objects (Definition 3.1)
+# ----------------------------------------------------------------------
+@dataclass
+class PartitionNode:
+    """One node of a partition tree.
+
+    Attributes
+    ----------
+    box:
+        The node's partitioning condition ``psi``.
+    stats:
+        Precomputed aggregates of the node's tuples (mutable so dynamic
+        updates can maintain them in place).
+    children:
+        Child nodes; empty for leaves.
+    leaf_index:
+        Position of the node in the tree's leaf list when it is a leaf,
+        ``None`` otherwise.  The PASS synopsis uses it to find the stratified
+        sample attached to the leaf.
+    """
+
+    box: Box
+    stats: PartitionStats
+    children: list["PartitionNode"] = field(default_factory=list)
+    leaf_index: int | None = None
+
+    @property
+    def is_leaf(self) -> bool:
+        """True when the node has no children."""
+        return not self.children
+
+    @property
+    def size(self) -> int:
+        """Number of dataset tuples in the node's partition."""
+        return self.stats.count
+
+    def iter_subtree(self) -> Iterator["PartitionNode"]:
+        """Pre-order traversal of the subtree rooted at this node."""
+        yield self
+        for child in self.children:
+            yield from child.iter_subtree()
+
+
+@dataclass(frozen=True)
+class _TreeGeometry:
+    """Flat, immutable geometry of a partition tree for array MCF lookups.
+
+    Attributes
+    ----------
+    nodes:
+        Every tree node in the exact visit order of the sequential MCF
+        descent (reverse-child DFS preorder), so emitting frontier members
+        in index order reproduces the sequential node order bit for bit.
+    parent:
+        Index of each node's parent in ``nodes`` (-1 for the root).
+    depth:
+        Each node's distance from the root.
+    column_index:
+        Column name -> column position of the bound arrays.
+    lows / highs:
+        Per-node box bounds, shape ``(n_nodes, n_columns)`` (±inf for
+        unconstrained columns).
+    is_leaf:
+        Per-node leaf flag.
+    """
+
+    nodes: tuple[PartitionNode, ...]
+    parent: np.ndarray
+    depth: np.ndarray
+    column_index: dict[str, int]
+    lows: np.ndarray
+    highs: np.ndarray
+    is_leaf: np.ndarray
+    leaf_index: np.ndarray
+
+    @classmethod
+    def build(cls, root: PartitionNode) -> "_TreeGeometry":
+        nodes: list[PartitionNode] = []
+        parents: list[int] = []
+        depths: list[int] = []
+        stack: list[tuple[PartitionNode, int, int]] = [(root, -1, 0)]
+        while stack:
+            node, parent_index, depth = stack.pop()
+            index = len(nodes)
+            nodes.append(node)
+            parents.append(parent_index)
+            depths.append(depth)
+            stack.extend((child, index, depth + 1) for child in node.children)
+
+        columns: dict[str, None] = {}
+        for node in nodes:
+            for column in node.box.columns:
+                columns.setdefault(column, None)
+        column_index = {column: c for c, column in enumerate(columns)}
+        lows = np.full((len(nodes), len(column_index)), -np.inf)
+        highs = np.full((len(nodes), len(column_index)), np.inf)
+        for i, node in enumerate(nodes):
+            for column, c in column_index.items():
+                interval = node.box.interval(column)
+                lows[i, c] = interval.low
+                highs[i, c] = interval.high
+        return cls(
+            nodes=tuple(nodes),
+            parent=np.asarray(parents, dtype=np.int64),
+            depth=np.asarray(depths, dtype=np.int64),
+            column_index=column_index,
+            lows=lows,
+            highs=highs,
+            is_leaf=np.fromiter(
+                (node.is_leaf for node in nodes), dtype=bool, count=len(nodes)
+            ),
+            leaf_index=np.fromiter(
+                (
+                    node.leaf_index if node.leaf_index is not None else -1
+                    for node in nodes
+                ),
+                dtype=np.int64,
+                count=len(nodes),
+            ),
+        )
+
+
+class PartitionTree:
+    """A partition tree built bottom-up from a flat leaf partitioning.
+
+    Parameters
+    ----------
+    root:
+        Root node covering the whole dataset.
+    leaves:
+        The leaf nodes in leaf-index order.
+    """
+
+    def __init__(self, root: PartitionNode, leaves: Sequence[PartitionNode]) -> None:
+        self._root = root
+        self._leaves = list(leaves)
+
+    # ------------------------------------------------------------------
+    # Construction
+    # ------------------------------------------------------------------
+    @classmethod
+    def build_from_leaves(
+        cls,
+        leaf_boxes: Sequence[Box],
+        leaf_stats: Sequence[PartitionStats],
+        fanout: int = 2,
+    ) -> "PartitionTree":
+        """Build a balanced tree bottom-up by grouping consecutive leaves.
+
+        Leaves are first ordered spatially (lexicographically by the lower
+        bounds of their box intervals) so that siblings are geometrically
+        adjacent and parent bounding boxes stay tight, then grouped ``fanout``
+        at a time level by level until a single root remains.  Parent
+        statistics are the merge of their children's statistics; parent boxes
+        are the bounding box of their children (tight for contiguous 1-D
+        partitions, conservative for k-d leaf sets — either way every tuple of
+        a descendant is inside its ancestors' boxes, which is what the MCF
+        pruning relies on).
+        """
+        if len(leaf_boxes) != len(leaf_stats):
+            raise ValueError("leaf_boxes and leaf_stats must have the same length")
+        if not leaf_boxes:
+            raise ValueError("cannot build a tree without leaves")
+        if fanout < 2:
+            raise ValueError("fanout must be at least 2")
+
+        order = sorted(
+            range(len(leaf_boxes)),
+            key=lambda i: tuple(
+                (column, leaf_boxes[i].interval(column).low)
+                for column in sorted(leaf_boxes[i].columns)
+            ),
+        )
+        leaves = [
+            PartitionNode(box=leaf_boxes[i], stats=leaf_stats[i], leaf_index=i)
+            for i in order
+        ]
+        # Restore leaf_index to the caller's ordering (the sample list order).
+        level: list[PartitionNode] = leaves
+        while len(level) > 1:
+            next_level: list[PartitionNode] = []
+            for start in range(0, len(level), fanout):
+                group = level[start : start + fanout]
+                if len(group) == 1:
+                    next_level.append(group[0])
+                    continue
+                stats = PartitionStats.empty()
+                for node in group:
+                    stats = stats.merge(node.stats)
+                next_level.append(
+                    PartitionNode(
+                        box=_bounding_box([node.box for node in group]),
+                        stats=stats,
+                        children=list(group),
+                    )
+                )
+            level = next_level
+        root = level[0]
+        ordered_leaves: list[PartitionNode] = [None] * len(
+            leaf_boxes
+        )  # type: ignore[list-item]
+        for node in leaves:
+            ordered_leaves[node.leaf_index] = node
+        return cls(root=root, leaves=ordered_leaves)
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    @property
+    def root(self) -> PartitionNode:
+        """The root node (the whole dataset)."""
+        return self._root
+
+    @property
+    def leaves(self) -> list[PartitionNode]:
+        """Leaf nodes in leaf-index order."""
+        return list(self._leaves)
+
+    @property
+    def n_leaves(self) -> int:
+        """Number of leaf partitions."""
+        return len(self._leaves)
+
+    @property
+    def n_nodes(self) -> int:
+        """Total number of nodes in the tree."""
+        return sum(1 for _ in self._root.iter_subtree())
+
+    @property
+    def height(self) -> int:
+        """Length of the longest root-to-leaf path (root alone = 0)."""
+
+        def depth(node: PartitionNode) -> int:
+            if node.is_leaf:
+                return 0
+            return 1 + max(depth(child) for child in node.children)
+
+        return depth(self._root)
+
+    def validate(self) -> None:
+        """Check the partition-tree invariants of Definition 3.1.
+
+        Raises ``ValueError`` when a parent's statistics are not the merge of
+        its children's or when a child's tuple count exceeds its parent's.
+        """
+        for node in self._root.iter_subtree():
+            if node.is_leaf:
+                continue
+            merged = PartitionStats.empty()
+            for child in node.children:
+                merged = merged.merge(child.stats)
+                if child.stats.count > node.stats.count:
+                    raise ValueError("child partition larger than its parent")
+            if merged.count != node.stats.count or not np.isclose(
+                merged.sum, node.stats.sum
+            ):
+                raise ValueError("parent statistics are not the merge of the children")
+
+    def storage_bytes(self) -> int:
+        """Approximate bytes of the aggregate statistics stored in the tree."""
+        # sum, count, min, max per node, 8 bytes each, plus box bounds.
+        per_node = 4 * 8
+        per_box = sum(2 * 8 for _ in self._root.box.columns)
+        return self.n_nodes * (per_node + per_box)
+
+    # ------------------------------------------------------------------
+    # Flat geometry
+    # ------------------------------------------------------------------
+    def geometry(self) -> "_TreeGeometry":
+        """The flat node-geometry table :func:`flatten` lays out.
+
+        Rows are ordered by the visit order of the sequential MCF descent
+        (root first, children pushed left to right and popped in reverse),
+        which :mod:`repro.core.soa` relies on for order-preserving frontier
+        extraction.
+        """
+        return _TreeGeometry.build(self._root)
+
+
+def _bounding_box(boxes: Sequence[Box]) -> Box:
+    """The smallest box containing every box in ``boxes``."""
+    columns = sorted({column for box in boxes for column in box.columns})
+    intervals = {}
+    for column in columns:
+        lows = [box.interval(column).low for box in boxes]
+        highs = [box.interval(column).high for box in boxes]
+        intervals[column] = Interval(min(lows), max(highs))
+    return Box(intervals)
+
+
+def flatten(
+    tree: PartitionTree,
+    leaf_samples: Sequence[Stratum],
+    leaf_sketches: Sequence[LeafSketches] | None,
+    value_column: str,
+    lam: float,
+    zero_variance_rule: bool,
+    with_fpc: bool,
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """Lay synopsis objects out as the ``(header, arrays)`` of a synopsis.
+
+    Node statistics, topology and bounds in geometry order, the strata as
+    compact CSR sample columns, the per-leaf sketches ragged-packed.  The
+    sample column set is the first stratum's, in insertion order, restricted
+    to columns every stratum carries (builders always produce a uniform set;
+    hand-assembled synopses may not).  Nothing in the result aliases the
+    objects.
+    """
+    geometry = tree.geometry()
+    nodes = geometry.nodes
+    n = len(nodes)
+    parent0 = geometry.parent.copy()
+    parent0[0] = 0  # root "reaches" itself in the closed-form extraction
+    sizes = np.fromiter(
+        (stratum.sample_size for stratum in leaf_samples),
+        dtype=np.int64,
+        count=len(leaf_samples),
+    )
+    offsets = np.zeros(len(leaf_samples) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    sample_columns = [
+        column
+        for column in (leaf_samples[0].sample_columns if leaf_samples else ())
+        if all(column in stratum.sample_columns for stratum in leaf_samples)
+    ]
+    header = {
+        "value_column": value_column,
+        "lam": float(lam),
+        "zero_variance_rule": bool(zero_variance_rule),
+        "with_fpc": bool(with_fpc),
+        "columns": list(geometry.column_index),
+        "sample_columns": sample_columns,
+        "sketch_keys": [],
+    }
+    arrays: dict[str, np.ndarray] = {
+        "node_sum": np.fromiter((node.stats.sum for node in nodes), float, n),
+        "node_count": np.fromiter((node.stats.count for node in nodes), np.int64, n),
+        "node_min": np.fromiter((node.stats.min for node in nodes), float, n),
+        "node_max": np.fromiter((node.stats.max for node in nodes), float, n),
+        "parent": geometry.parent,
+        "parent0": parent0,
+        "is_leaf": geometry.is_leaf,
+        "leaf_of_row": geometry.leaf_index,
+        "depth": geometry.depth,
+        "col_lows": np.ascontiguousarray(geometry.lows.T),
+        "col_highs": np.ascontiguousarray(geometry.highs.T),
+        "sample_offsets": offsets,
+    }
+    for column in sample_columns:
+        arrays[f"sample/{column}"] = (
+            np.concatenate(
+                [
+                    np.asarray(stratum.sample_columns[column], dtype=float)
+                    for stratum in leaf_samples
+                ]
+            )
+            if int(offsets[-1])
+            else np.zeros(0, dtype=float)
+        )
+    if leaf_sketches is not None:
+        header["sketch_keys"], packed = pack_leaf_sketches(leaf_sketches)
+        arrays.update(packed)
+    return header, arrays
+
+
+
+
 @dataclass
 class SynopsisObjects:
-    """A synopsis as the objects the builder assembles (and ``src/`` drops)."""
+    """A synopsis as node and stratum objects (``src/`` keeps only arrays)."""
 
     tree: PartitionTree
     leaf_samples: list[Stratum]
@@ -90,14 +465,16 @@ class SynopsisObjects:
 
     def synopsis(self) -> PASSSynopsis:
         """Flatten these objects (as they are now) into a fresh synopsis."""
-        return PASSSynopsis(
-            self.tree,
-            self.leaf_samples,
-            self.value_column,
-            lam=self.lam,
-            zero_variance_rule=self.zero_variance_rule,
-            with_fpc=self.with_fpc,
-            leaf_sketches=self.leaf_sketches,
+        return PASSSynopsis.from_buffers(
+            *flatten(
+                self.tree,
+                self.leaf_samples,
+                self.leaf_sketches,
+                value_column=self.value_column,
+                lam=self.lam,
+                zero_variance_rule=self.zero_variance_rule,
+                with_fpc=self.with_fpc,
+            )
         )
 
 
@@ -159,51 +536,148 @@ def objects_of(source) -> SynopsisObjects:
     )
 
 
-@contextlib.contextmanager
-def recording_builds() -> Iterator[list[SynopsisObjects]]:
-    """Collect the objects every ``PASSSynopsis(tree, strata, ...)`` is given.
+def reference_leaf_samples(
+    table: Table,
+    value_column: str,
+    predicate_columns: Sequence[str],
+    leaf_boxes: Sequence[Box],
+    config: PASSConfig,
+    extra_columns: Sequence[str] | None = None,
+) -> list[Stratum]:
+    """``build_leaf_samples`` as one ``Stratum`` per leaf, rows found by mask."""
+    rng = np.random.default_rng(config.seed + 1)
+    keep_columns = [value_column] + [
+        column for column in predicate_columns if column != value_column
+    ]
+    for column in extra_columns or ():
+        if column not in keep_columns:
+            keep_columns.append(column)
+    box_columns = sorted({col for box in leaf_boxes for col in box.columns})
+    for column in box_columns:
+        if column not in keep_columns:
+            keep_columns.append(column)
+    data = table.columns(keep_columns)
 
-    Inside the block the constructor is wrapped; the yielded list receives
-    one :class:`SynopsisObjects` per synopsis built from objects, holding the
-    builder's own tree, strata and sketches (not copies).
-    """
-    builds: list[SynopsisObjects] = []
-    original = PASSSynopsis.__init__
-    signature = inspect.signature(original)
+    leaf_rows = [
+        np.flatnonzero(box.mask({col: data[col] for col in box.columns}))
+        for box in leaf_boxes
+    ]
+    sizes = [int(indices.shape[0]) for indices in leaf_rows]
+    n_dimensions = max(1, len({col for box in leaf_boxes for col in box.columns}))
+    budgets = builder._leaf_budgets(table.n_rows, sizes, config, n_dimensions)
 
-    def recording(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        given = bound.arguments
-        builds.append(
-            SynopsisObjects(
-                tree=given["tree"],
-                leaf_samples=list(given["leaf_samples"]),
-                leaf_sketches=(
-                    None
-                    if given["leaf_sketches"] is None
-                    else list(given["leaf_sketches"])
-                ),
-                value_column=given["value_column"],
-                lam=given["lam"],
-                zero_variance_rule=given["zero_variance_rule"],
-                with_fpc=given["with_fpc"],
-            )
+    samples: list[Stratum] = []
+    for box, indices, size, budget in zip(leaf_boxes, leaf_rows, sizes, budgets):
+        n_draw = min(budget, size)
+        if n_draw > 0:
+            chosen = rng.choice(indices, size=n_draw, replace=False)
+        else:
+            chosen = np.array([], dtype=int)
+        sample_columns = {
+            column: data[column][chosen].astype(float) for column in keep_columns
+        }
+        samples.append(Stratum(box=box, size=size, sample_columns=sample_columns))
+    return samples
+
+
+def reference_build(
+    table: Table,
+    value_column: str,
+    predicate_columns: Sequence[str],
+    config: PASSConfig | None = None,
+    leaf_boxes: Sequence[Box] | None = None,
+    extra_sample_columns: Sequence[str] | None = None,
+) -> SynopsisObjects:
+    """``build_pass``'s objects, built the object way (same arguments)."""
+    config = config or PASSConfig()
+    predicate_columns = list(predicate_columns)
+    if leaf_boxes is None:
+        leaf_boxes = builder.build_leaf_boxes(
+            table, value_column, predicate_columns, config
         )
-        original(*args, **kwargs)
+    leaf_boxes = list(leaf_boxes)
 
-    PASSSynopsis.__init__ = recording
-    try:
-        yield builds
-    finally:
-        PASSSynopsis.__init__ = original
+    values = table.column(value_column).astype(float)
+    stats: list[PartitionStats] = []
+    leaf_sketches: list[LeafSketches] | None = [] if config.with_sketches else None
+    for box in leaf_boxes:
+        mask = box.mask(table.columns(box.columns))
+        leaf_values = values[mask]
+        stats.append(PartitionStats.from_values(leaf_values))
+        if leaf_sketches is not None:
+            leaf_sketches.append(
+                LeafSketches.from_values(
+                    leaf_values,
+                    quantile_k=config.sketch_quantile_k,
+                    distinct_k=config.sketch_distinct_k,
+                )
+            )
+
+    fanout = config.fanout
+    if fanout is None:
+        fanout = (
+            2 if len(predicate_columns) == 1 else min(8, 2 ** len(predicate_columns))
+        )
+    return SynopsisObjects(
+        tree=PartitionTree.build_from_leaves(leaf_boxes, stats, fanout=fanout),
+        leaf_samples=reference_leaf_samples(
+            table,
+            value_column,
+            predicate_columns,
+            leaf_boxes,
+            config,
+            extra_columns=extra_sample_columns,
+        ),
+        leaf_sketches=leaf_sketches,
+        value_column=value_column,
+        lam=config.lam,
+        zero_variance_rule=config.zero_variance_rule,
+        with_fpc=config.with_fpc,
+    )
+
+
+def _canonical_nan(array: np.ndarray) -> np.ndarray:
+    if array.dtype.kind != "f":
+        return np.ascontiguousarray(array)
+    return np.where(np.isnan(array), np.nan, array)
+
+
+def assert_same_buffers(got, want) -> None:
+    """Two synopses' ``export_buffers()`` agree byte for byte.
+
+    The header is compared without the two build facts (a wall-clock
+    reading and the partitioner's name), which only ``build_pass`` records.
+    A NaN compares by value, not by sign and payload: which operand's NaN an
+    addition of two NaNs returns is the compiled add's choice, and it is not
+    even one choice in CPython (its specialised float-add bytecode and
+    ``float.__add__`` disagree), so the object build's NaN bits depend on
+    how warm the interpreter is.  Every other bit, ``-0.0`` included, counts.
+    """
+    (got_header, got_arrays), (want_header, want_arrays) = (
+        got.export_buffers(),
+        want.export_buffers(),
+    )
+    for header in (got_header, want_header):
+        header.pop("build_seconds")
+        header.pop("effective_partitioner")
+    assert got_header == want_header
+    assert sorted(got_arrays) == sorted(want_arrays)
+    for key, array in got_arrays.items():
+        expected = want_arrays[key]
+        assert (array.dtype, array.shape) == (expected.dtype, expected.shape), key
+        got_bytes = _canonical_nan(array).tobytes()
+        assert got_bytes == _canonical_nan(expected).tobytes(), key
 
 
 def built_with_objects(build: Callable, *args, **kwargs):
-    """``(build(*args, **kwargs), the objects of the one synopsis it built)``."""
-    with recording_builds() as builds:
-        built = build(*args, **kwargs)
-    (objects,) = builds
+    """``(build(*args, **kwargs), the reference build's objects)``.
+
+    ``build`` is ``build_pass`` (or a wrapper taking its arguments); the
+    synopsis it returns must be byte-identical to the reference build's.
+    """
+    built = build(*args, **kwargs)
+    objects = reference_build(*args, **kwargs)
+    assert_same_buffers(built, objects.synopsis())
     return built, objects
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.builder import (
@@ -147,8 +148,9 @@ class TestBuildLeafSamples:
         boxes = build_leaf_boxes(skewed_table, "value", ["key"], config)
         samples = build_leaf_samples(skewed_table, "value", ["key"], boxes, config)
         budget = config.total_sample_budget(skewed_table.n_rows)
-        for stratum in samples:
-            assert stratum.sample_size <= max(1, budget // 2)
+        assert samples.offsets.shape[0] == len(boxes) + 1
+        for sample_size in np.diff(samples.offsets).tolist():
+            assert sample_size <= max(1, budget // 2)
 
     def test_bss_mode_caps_total_samples(self, skewed_table):
         config = PASSConfig(
@@ -160,7 +162,7 @@ class TestBuildLeafSamples:
         )
         boxes = build_leaf_boxes(skewed_table, "value", ["key"], config)
         samples = build_leaf_samples(skewed_table, "value", ["key"], boxes, config)
-        total = sum(stratum.sample_size for stratum in samples)
+        total = int(samples.offsets[-1])
         budget = config.total_sample_budget(skewed_table.n_rows)
         assert total <= budget + len(boxes)  # rounding slack of one per leaf
 
@@ -175,8 +177,11 @@ class TestBuildLeafSamples:
         )
         boxes = build_leaf_boxes(adversarial_small, "value", ["key"], config)
         samples = build_leaf_samples(adversarial_small, "value", ["key"], boxes, config)
-        sizes = [stratum.size for stratum in samples]
-        sample_sizes = [stratum.sample_size for stratum in samples]
+        sizes = [
+            int(np.count_nonzero(box.mask(adversarial_small.columns(box.columns))))
+            for box in boxes
+        ]
+        sample_sizes = np.diff(samples.offsets).tolist()
         # The largest leaf must receive the largest share of the budget.
         assert sample_sizes[sizes.index(max(sizes))] == max(sample_sizes)
 
@@ -188,9 +193,29 @@ class TestBuildLeafSamples:
         samples = build_leaf_samples(
             multi_table, "value", ["a", "b", "c"], boxes, config
         )
-        for stratum in samples:
-            if stratum.sample_size:
-                assert {"value", "a", "b", "c"} <= set(stratum.sample_columns)
+        assert samples.offsets[-1] > 0
+        assert {"value", "a", "b", "c"} <= set(samples.columns)
+        for values in samples.columns.values():
+            assert values.shape == (samples.offsets[-1],)
+
+    def test_samples_are_the_reference_strata(self, multi_table):
+        """The CSR draws are the mask-found strata's, row for row."""
+        config = PASSConfig(
+            n_partitions=8, sample_rate=0.05, partitioner="kd", opt_sample_size=500
+        )
+        boxes = build_leaf_boxes(multi_table, "value", ["a", "b"], config)
+        samples = build_leaf_samples(multi_table, "value", ["a", "b"], boxes, config)
+        strata = oracle.reference_leaf_samples(
+            multi_table, "value", ["a", "b"], boxes, config
+        )
+        offsets = samples.offsets.tolist()
+        for leaf, stratum in enumerate(strata):
+            assert offsets[leaf + 1] - offsets[leaf] == stratum.sample_size
+            for column, values in samples.columns.items():
+                np.testing.assert_array_equal(
+                    values[offsets[leaf] : offsets[leaf + 1]],
+                    stratum.sample_columns[column],
+                )
 
 
 class TestBuildPass:

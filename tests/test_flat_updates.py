@@ -27,12 +27,12 @@ from repro.aggregation.partition import PartitionStats
 from repro.core.config import PASSConfig
 from repro.core.pass_synopsis import PASSSynopsis
 from repro.core.soa import FlatSynopsis
-from repro.core.tree import PartitionNode, PartitionTree
 from repro.core.updates import DynamicPASS
 from repro.data.table import Table
 from repro.distributed.parallel import build_sharded_pass
 from repro.query.predicate import Box, Interval, RectPredicate
 from repro.query.query import AggregateQuery
+from repro.result import LAMBDA_99
 from repro.sampling.stratified import Stratum
 from repro.serving.catalog import SynopsisCatalog
 from repro.serving.engine import ServingEngine
@@ -262,7 +262,7 @@ def test_a_write_drops_the_cached_zero_variance_flags():
     assert not synopsis.query(query).exact
 
 
-def _first_containing_leaf(tree: PartitionTree, point: dict[str, float]) -> int:
+def _first_containing_leaf(tree: oracle.PartitionTree, point: dict[str, float]) -> int:
     """Reference: the first leaf, left to right, whose box contains ``point``."""
     for node in tree.root.iter_subtree():
         if node.is_leaf and all(
@@ -274,7 +274,7 @@ def _first_containing_leaf(tree: PartitionTree, point: dict[str, float]) -> int:
     raise KeyError(point)
 
 
-def _shared_boundary_synopsis() -> tuple[PASSSynopsis, PartitionTree]:
+def _shared_boundary_synopsis() -> tuple[PASSSynopsis, oracle.PartitionTree]:
     """A 2 x 3 grid of *closed* boxes: edges and corners belong to several."""
     boxes = [
         Box({"x": Interval(x, x + 1.0), "y": Interval(y, y + 1.0)})
@@ -282,7 +282,7 @@ def _shared_boundary_synopsis() -> tuple[PASSSynopsis, PartitionTree]:
         for y in (0.0, 1.0, 2.0)
     ]
     stats = [PartitionStats.from_values(np.array([float(i)])) for i in range(len(boxes))]
-    tree = PartitionTree.build_from_leaves(boxes, stats, fanout=4)
+    tree = oracle.PartitionTree.build_from_leaves(boxes, stats, fanout=4)
     strata = [
         Stratum(
             box=box,
@@ -291,7 +291,16 @@ def _shared_boundary_synopsis() -> tuple[PASSSynopsis, PartitionTree]:
         )
         for box in boxes
     ]
-    return PASSSynopsis(tree, strata, "value"), tree
+    objects = oracle.SynopsisObjects(
+        tree=tree,
+        leaf_samples=strata,
+        leaf_sketches=None,
+        value_column="value",
+        lam=LAMBDA_99,
+        zero_variance_rule=True,
+        with_fpc=False,
+    )
+    return objects.synopsis(), tree
 
 
 class TestRouting:
@@ -487,7 +496,7 @@ def _builder_objects(root) -> list:
     return [
         value
         for value in _reachable(root)
-        if isinstance(value, (PartitionNode, PartitionTree, Stratum))
+        if isinstance(value, (oracle.PartitionNode, oracle.PartitionTree, Stratum))
     ]
 
 

@@ -19,7 +19,6 @@ from repro.core.batching import grouped_query
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
 from repro.core.pass_synopsis import PASSSynopsis
-from repro.core.tree import PartitionTree
 from repro.data.table import Table
 from repro.query.groupby import (
     AggregateSpec,
@@ -30,7 +29,10 @@ from repro.query.groupby import (
 )
 from repro.query.predicate import Box, Interval, RectPredicate
 from repro.query.query import ExactEngine
+from repro.result import LAMBDA_99
 from repro.sampling.stratified import Stratum
+
+import oracle
 
 ALL_AGGS = ("SUM", "COUNT", "AVG", "MIN", "MAX")
 
@@ -268,8 +270,15 @@ def _hand_synopsis_with_empty_leaf() -> PASSSynopsis:
             },
         ),
     ]
-    tree = PartitionTree.build_from_leaves(boxes, stats)
-    return PASSSynopsis(tree=tree, leaf_samples=strata, value_column="value")
+    return oracle.SynopsisObjects(
+        tree=oracle.PartitionTree.build_from_leaves(boxes, stats),
+        leaf_samples=strata,
+        leaf_sketches=None,
+        value_column="value",
+        lam=LAMBDA_99,
+        zero_variance_rule=True,
+        with_fpc=False,
+    ).synopsis()
 
 
 def test_grouped_query_prunes_provably_empty_cells():

@@ -3,9 +3,11 @@
 The arrays are the synopsis.  The per-node object executor, the refresh that
 dragged node / stratum objects after the arrays, the second ``FlatSynopsis``
 constructor and the ``tree/* strata/* samples/* reservoir/*`` npz vocabulary
-were deleted, and the scalar per-row binary search of the ADP partitioner
-lives on only as the reference in ``tests/oracle.py``; this is the grep a
-re-anchor would otherwise run by hand.
+were deleted; the scalar per-row binary search of the ADP partitioner and the
+object tree the builder used to assemble (``PartitionTree`` /
+``PartitionNode``, one ``Box.mask`` scan per leaf) live on only as references
+in ``tests/oracle.py``.  This is the grep a re-anchor would otherwise run by
+hand.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ DELETED_NAMES = re.compile(
     r"query_object|sketch_union_object|_refresh_objects|_objects_at"
     r"|minimal_coverage_frontier|MCFResult|_ExternalGeometry"
     r"|boxes_to_arrays|boxes_from_arrays|_binary_search_split"
+    r"|PartitionTree|PartitionNode|build_from_leaves|_TreeGeometry"
 )
 NPZ_KEY_PREFIXES = re.compile(r"\"(tree|strata|samples|reservoir)/")
 
@@ -40,6 +43,12 @@ def test_the_sources_are_where_this_test_thinks():
 
 def test_deleted_names_do_not_reappear():
     assert _hits(DELETED_NAMES) == []
+
+
+def test_the_builder_scans_the_table_once():
+    """Leaf membership comes from one assignment pass, never a mask per leaf."""
+    source = (SRC / "repro" / "core" / "builder.py").read_text()
+    assert ".mask(" not in source
 
 
 def test_npz_key_vocabulary_does_not_reappear():

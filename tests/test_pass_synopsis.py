@@ -161,9 +161,11 @@ class TestSynopsisIntrospection:
         _, synopsis = skewed_pass
         from repro.core.pass_synopsis import PASSSynopsis
 
-        with pytest.raises(ValueError):
-            objects = oracle.objects_of(synopsis)
-            PASSSynopsis(objects.tree, objects.leaf_samples[:-1], "value")
+        for key in ("sample_offsets", "sketch/lengths"):
+            header, arrays = synopsis.export_buffers()
+            arrays[key] = arrays[key][:-1]
+            with pytest.raises(ValueError, match="leaves but"):
+                PASSSynopsis.from_buffers(header, arrays)
 
     def test_replace_leaf_sample_bounds_checked(self, skewed_pass):
         _, synopsis = skewed_pass

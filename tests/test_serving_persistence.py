@@ -99,7 +99,7 @@ def _rewrite_header(path, edit) -> None:
 
 class TestTreeArrays:
     def test_round_trip_preserves_structure_and_stats(self, table):
-        """The builder's tree -> arrays -> the oracle's decoded tree."""
+        """The reference build's tree -> arrays -> the oracle's decoded tree."""
         synopsis, built = oracle.built_with_objects(
             build_pass,
             table,

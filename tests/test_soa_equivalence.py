@@ -1,8 +1,8 @@
 """Property tests: the SoA execution engine is bit-identical to the object path.
 
 The object path is the test-side oracle (``tests/oracle.py``), run over the
-builder's own tree / strata / sketches for fresh builds and over the objects
-the arrays decode to once a fixture has been updated or doctored.  The
+reference (object) build's tree / strata / sketches for fresh builds and over
+the objects the arrays decode to once a fixture has been updated or doctored.  The
 contract documented in ``docs/ARCHITECTURE.md`` and ``repro.core.soa`` is
 not "numerically close" but *bit-identical*: for every aggregate — the five
 classic ones and the sketch-backed QUANTILE / COUNT_DISTINCT — the flat
@@ -100,7 +100,7 @@ def _table(n_columns: int, seed: int) -> Table:
 
 @functools.lru_cache(maxsize=None)
 def _built(n_columns: int, n_partitions: int, seed: int, zero_variance: bool):
-    """``(synopsis, the builder's own objects it was flattened from)``."""
+    """``(synopsis, the reference build's objects, byte-identical to it)``."""
     table = _table(n_columns, seed)
     config = PASSConfig(
         n_partitions=n_partitions,
@@ -372,7 +372,8 @@ def _batch_config(n_columns: int, n_partitions: int, seed: int) -> PASSConfig:
 
 @functools.lru_cache(maxsize=None)
 def _batch_built(n_columns: int, n_partitions: int, seed: int):
-    """``(synopsis, the builder's own objects)`` over the constant-region table."""
+    """``(synopsis, the reference build's objects)`` over the constant-region
+    table."""
     return oracle.built_with_objects(
         build_pass,
         _constant_region_table(n_columns, seed),
@@ -680,8 +681,8 @@ def _edit_sample(synopsis, leaf: int, edit) -> None:
 
 
 def _kernel_build(with_fpc: bool):
-    """An undoctored 16-leaf k-d build — the builder's own objects — and the
-    leaves ``KERNEL_FRAME`` cuts."""
+    """An undoctored 16-leaf k-d build — the reference build's objects — and
+    the leaves ``KERNEL_FRAME`` cuts."""
     synopsis, objects = oracle.built_with_objects(
         build_pass,
         _kernel_table(),

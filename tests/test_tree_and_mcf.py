@@ -12,11 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aggregation.partition import PartitionStats
-from repro.core.tree import PartitionTree
 from repro.partitioning.boundaries import boxes_from_boundaries
 from repro.query.predicate import Box, Interval, RectPredicate
 
-from oracle import minimal_coverage_frontier
+from oracle import PartitionTree, minimal_coverage_frontier
 
 
 def build_1d_tree(values: np.ndarray, boundaries: list[float], fanout: int = 2):
