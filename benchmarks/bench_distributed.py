@@ -1,33 +1,23 @@
-"""Distributed-layer benchmarks: parallel build speedup and scatter-gather latency.
+"""Distributed-layer benchmark: scatter-gather latency vs shard count.
 
-Two measurements back the distributed subsystem's claims:
-
-1. **Parallel build speedup** — wall-clock time to build the per-shard
-   synopses of a fixed shard plan with 1, 2, and 4 process workers.  The
-   per-shard work is embarrassingly parallel, so on a multi-core machine the
-   speedup at 4 workers should exceed 1.5x (``--check`` asserts it; the
-   assertion is skipped on machines with fewer than 2 cores, where no
-   speedup is physically possible).
-2. **Scatter-gather latency vs shard count** — per-query latency of a mixed
-   SUM / COUNT / AVG workload through :meth:`ShardedSynopsis.query` and the
-   batched :meth:`ShardedSynopsis.query_batch`, across increasing shard
-   counts, with the shard-pruning rate recorded alongside.
+Per-query latency of a mixed SUM / COUNT / AVG workload through
+:meth:`ShardedSynopsis.query` and the batched
+:meth:`ShardedSynopsis.query_batch`, across increasing shard counts, with
+the shard-pruning rate recorded alongside.
 
 Run standalone::
 
     python benchmarks/bench_distributed.py            # full: 1M rows
     python benchmarks/bench_distributed.py --tiny     # CI smoke: seconds
-    python benchmarks/bench_distributed.py --check    # assert the speedup
 
 (The other ``bench_*`` files are pytest-benchmark suites; this one is a
-plain script so CI can smoke-test the multi-process path directly.)
+plain script so CI can smoke-test it directly.)
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -38,7 +28,7 @@ import numpy as np
 
 from repro.core.config import PASSConfig
 from repro.data.table import Table
-from repro.distributed.parallel import ParallelBuilder
+from repro.distributed.parallel import build_sharded_from_plan
 from repro.distributed.planner import ShardPlanner
 from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery
@@ -65,29 +55,6 @@ def make_workload(n_queries: int, seed: int = 1) -> list[AggregateQuery]:
     return queries[:n_queries]
 
 
-def bench_build_speedup(
-    table: Table, config: PASSConfig, n_shards: int, worker_counts: list[int]
-) -> dict[int, float]:
-    """Wall-clock build seconds of the same shard plan per worker count."""
-    plan = ShardPlanner(n_shards, "range").plan(table, "key")
-    seconds: dict[int, float] = {}
-    print(f"\n== Parallel build: {table.n_rows:,} rows, {plan.n_shards} shards ==")
-    for workers in worker_counts:
-        builder = ParallelBuilder(max_workers=workers, executor="process")
-        start = time.perf_counter()
-        sharded = builder.build(plan, "value", ["key"], config)
-        elapsed = time.perf_counter() - start
-        seconds[workers] = elapsed
-        assert sharded.population_size == table.n_rows
-        speedup = seconds[worker_counts[0]] / elapsed
-        print(
-            f"  workers={workers}: {elapsed:7.2f}s"
-            f"  (speedup vs {worker_counts[0]} worker"
-            f"{'s' if worker_counts[0] > 1 else ''}: {speedup:.2f}x)"
-        )
-    return seconds
-
-
 def _timed(run) -> float:
     start = time.perf_counter()
     run()
@@ -106,7 +73,7 @@ def bench_scatter_gather(
     print(f"\n== Scatter-gather latency: {n_queries} queries ==")
     print(f"  {'shards':>6} {'seq ms/q':>10} {'batch ms/q':>11} {'pruned %':>9}")
     for n_shards in shard_counts:
-        sharded = ParallelBuilder(executor="serial").build(
+        sharded = build_sharded_from_plan(
             ShardPlanner(n_shards, "range").plan(table, "key"),
             "value",
             ["key"],
@@ -155,11 +122,6 @@ def main(argv: list[str] | None = None) -> int:
         help="CI smoke configuration: a few thousand rows, seconds of runtime",
     )
     parser.add_argument(
-        "--check",
-        action="store_true",
-        help="assert build speedup > 1.5x at 4 workers (multi-core machines only)",
-    )
-    parser.add_argument(
         "--json",
         type=str,
         default=None,
@@ -169,22 +131,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.tiny:
-        n_rows, worker_counts, shard_counts, n_queries = (
-            20_000,
-            [1, 2],
-            [1, 2, 4],
-            30,
-        )
+        n_rows, shard_counts, n_queries = 20_000, [1, 2, 4], 30
         config = PASSConfig(
             n_partitions=16, sample_rate=0.01, opt_sample_size=500, seed=0
         )
     else:
-        n_rows, worker_counts, shard_counts, n_queries = (
-            args.rows,
-            [1, 2, 4],
-            [1, 2, 4, 8],
-            args.queries,
-        )
+        n_rows, shard_counts, n_queries = args.rows, [1, 2, 4, 8], args.queries
         config = PASSConfig(
             n_partitions=64, sample_rate=0.005, opt_sample_size=2000, seed=0
         )
@@ -192,9 +144,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"generating {n_rows:,} rows ...")
     table = generate_table(n_rows)
 
-    build_seconds = bench_build_speedup(
-        table, config, max(worker_counts), worker_counts
-    )
     scatter_rows = bench_scatter_gather(table, config, shard_counts, n_queries)
 
     if args.json:
@@ -216,21 +165,6 @@ def main(argv: list[str] | None = None) -> int:
         Path(args.json).write_text(json.dumps({"metrics": metrics}, indent=2))
         print(f"wrote {args.json}")
 
-    max_workers = max(worker_counts)
-    speedup = build_seconds[worker_counts[0]] / build_seconds[max_workers]
-    cores = os.cpu_count() or 1
-    print(
-        f"\nbuild speedup at {max_workers} workers: {speedup:.2f}x "
-        f"({cores} core{'s' if cores != 1 else ''} available)"
-    )
-    if args.check:
-        if cores < 2:
-            print("single-core machine: speedup check skipped")
-        elif speedup <= 1.5:
-            print(f"FAIL: expected speedup > 1.5x, measured {speedup:.2f}x")
-            return 1
-        else:
-            print("speedup check passed")
     return 0
 
 

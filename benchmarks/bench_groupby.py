@@ -233,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     rows = bench_single_synopsis(synopsis, group_counts, repeats)
     quantile_row = bench_quantile_groupby(synopsis, 64, repeats)
     sharded = build_sharded_pass(
-        table, "value", "key", n_shards=n_shards, config=config, executor="serial"
+        table, "value", "key", n_shards=n_shards, config=config
     )
     sharded_row = bench_sharded(sharded, max(group_counts))
 

@@ -1,4 +1,4 @@
-"""Distributed quickstart: shard, build in parallel, scatter-gather, stream.
+"""Distributed quickstart: shard, build, scatter-gather, stream.
 
 Run with::
 
@@ -10,8 +10,8 @@ Run with::
 The script walks the distributed lifecycle end to end:
 
 1. split a generated table into range shards with a :class:`ShardPlanner`;
-2. build one dynamic PASS synopsis per shard across CPU cores with a
-   :class:`ParallelBuilder`;
+2. build one dynamic PASS synopsis per shard with
+   :func:`build_sharded_from_plan`;
 3. answer queries by scatter-gather through the :class:`ShardedSynopsis` —
    watch shard pruning skip work for selective predicates;
 4. serve the sharded synopsis through the regular :class:`ServingEngine`
@@ -27,7 +27,6 @@ import numpy as np
 
 from repro import (
     AggregateQuery,
-    ParallelBuilder,
     RectPredicate,
     PASSConfig,
     ServingEngine,
@@ -35,6 +34,7 @@ from repro import (
     StreamingShardRouter,
     SynopsisCatalog,
     Table,
+    build_sharded_from_plan,
 )
 
 
@@ -52,10 +52,9 @@ def main() -> None:
     for box, chunk in zip(plan.key_boxes, plan.tables):
         print(f"  {chunk.name}: {chunk.n_rows:,} rows, key ∈ {box.interval('key')!r}")
 
-    # 2. Build one dynamic synopsis per shard, in parallel across processes.
+    # 2. Build one dynamic synopsis per shard (shard i on seed 0 + i).
     config = PASSConfig(n_partitions=32, sample_rate=0.01, opt_sample_size=1000, seed=0)
-    builder = ParallelBuilder(max_workers=4, executor="process")
-    sharded = builder.build(plan, "value", ["key"], config, dynamic=True)
+    sharded = build_sharded_from_plan(plan, "value", ["key"], config, dynamic=True)
     print(
         f"\nBuilt {sharded.n_shards} shards in {sharded.build_seconds:.2f}s "
         f"({sharded.n_partitions} partitions, {sharded.sample_size:,} samples total)"

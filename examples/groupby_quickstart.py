@@ -97,7 +97,7 @@ def main() -> None:
 
     # 4. Sharded scatter-gather: exact mergeable per-group aggregation.
     sharded = build_sharded_pass(
-        table, value, key, n_shards=4, config=config, executor="serial"
+        table, value, key, n_shards=4, config=config
     )
     grouped_sharded = sharded.query_grouped(plan)
     worst = max(

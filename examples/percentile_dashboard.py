@@ -134,7 +134,7 @@ def main() -> None:
     # Sharded scatter-gather stays inside the certified bounds
     # ------------------------------------------------------------------
     sharded = build_sharded_pass(
-        table, "latency_ms", "hour", n_shards=4, config=config, executor="serial"
+        table, "latency_ms", "hour", n_shards=4, config=config
     )
     print("\n== 4-shard scatter-gather vs single synopsis (p95, evening) ==")
     query = AggregateQuery("QUANTILE", "latency_ms", evening, quantile=0.95)

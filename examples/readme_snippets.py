@@ -86,7 +86,6 @@ def distributed() -> None:
         n_shards=8,
         config=PASSConfig(n_partitions=32),
         dynamic=True,
-        max_workers=8,
     )
     result = sharded.query(
         AggregateQuery.sum("value", RectPredicate.from_bounds(key=(10, 20)))

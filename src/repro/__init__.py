@@ -19,7 +19,7 @@ Sampling (Nearly) Optimally for Approximate Query Processing" end to end:
   experiment section (:mod:`repro.evaluation`);
 * the serving layer — synopsis catalog with query routing, persistence, and a
   concurrent caching query engine (:mod:`repro.serving`);
-* the distributed layer — shard planning, parallel multi-core builds,
+* the distributed layer — shard planning, per-shard builds,
   scatter-gather query execution, and a streaming shard router
   (:mod:`repro.distributed`).
 
@@ -41,7 +41,7 @@ from repro.core.pass_synopsis import PASSSynopsis
 from repro.core.updates import DynamicPASS
 from repro.data.loaders import load_dataset
 from repro.data.table import Table
-from repro.distributed.parallel import ParallelBuilder, build_sharded_pass
+from repro.distributed.parallel import build_sharded_from_plan, build_sharded_pass
 from repro.distributed.planner import ShardPlan, ShardPlanner
 from repro.distributed.router import StreamingShardRouter
 from repro.distributed.sharded import ShardedSynopsis
@@ -85,7 +85,7 @@ __all__ = [
     "ServingEngine",
     "ShardPlan",
     "ShardPlanner",
-    "ParallelBuilder",
+    "build_sharded_from_plan",
     "build_sharded_pass",
     "ShardedSynopsis",
     "StreamingShardRouter",

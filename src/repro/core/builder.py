@@ -35,6 +35,8 @@ from repro.partitioning.equal import equal_depth_partition
 from repro.partitioning.hill_climbing import hill_climbing_partition
 from repro.partitioning.kdtree import kd_partition
 from repro.query.predicate import Box
+from repro.sketches.distinct import DistinctSketch
+from repro.sketches.quantile import QuantileSketch
 from repro.sketches.union import LeafSketches, pack_leaf_sketches
 
 __all__ = [
@@ -472,7 +474,7 @@ def build_pass(
     leaf_sum = np.zeros(n_leaves)
     leaf_min = np.full(n_leaves, np.inf)
     leaf_max = np.full(n_leaves, -np.inf)
-    sketches: list[LeafSketches] = []
+    quantiles: list[QuantileSketch] = []
     for leaf, rows in enumerate(assigned.rows):
         segment = values[rows]
         if segment.shape[0]:
@@ -480,13 +482,9 @@ def build_pass(
             leaf_min[leaf] = segment.min()
             leaf_max[leaf] = segment.max()
         if config.with_sketches:
-            sketches.append(
-                LeafSketches.from_values(
-                    segment,
-                    quantile_k=config.sketch_quantile_k,
-                    distinct_k=config.sketch_distinct_k,
-                )
-            )
+            quantile = QuantileSketch(config.sketch_quantile_k)
+            quantile.update_array(segment)
+            quantiles.append(quantile)
     columns, arrays = _node_arrays(
         assigned, leaf_sum, leaf_count, leaf_min, leaf_max, fanout
     )
@@ -512,7 +510,19 @@ def build_pass(
         "effective_partitioner": effective_partitioner,
     }
     if config.with_sketches:
-        header["sketch_keys"], packed = pack_leaf_sketches(sketches)
+        # Every leaf's distinct sketch comes from one hash pass over the
+        # values in leaf order; the quantile compactors stay per leaf, as a
+        # leaf below capacity keeps its values in row order.
+        offsets = np.zeros(n_leaves + 1, dtype=np.int64)
+        np.cumsum(leaf_count, out=offsets[1:])
+        distincts = DistinctSketch.from_segments(
+            values[np.concatenate(assigned.rows)],
+            offsets,
+            config.sketch_distinct_k,
+        )
+        header["sketch_keys"], packed = pack_leaf_sketches(
+            [LeafSketches(q, d) for q, d in zip(quantiles, distincts)]
+        )
         arrays.update(packed)
     synopsis = PASSSynopsis(header, arrays)
     synopsis.build_seconds = time.perf_counter() - start

@@ -18,9 +18,8 @@ All of it runs on flat arrays: a :class:`PASSSynopsis` is a
 :class:`repro.core.soa.FlatSynopsis` (see ``docs/ARCHITECTURE.md``) plus the
 two facts about its build the arrays do not carry (how long it took, which
 partitioner ran).  It is constructed over a ``(header, arrays)`` pair only:
-the one :func:`~repro.core.builder.build_pass` emits, a loaded file, a shard
-built in another process (:meth:`PASSSynopsis.from_buffers`, the entry
-persistence and the parallel builder dispatch on).  The per-node object
+the one :func:`~repro.core.builder.build_pass` emits, or a loaded file
+(:meth:`PASSSynopsis.from_buffers`, the entry persistence dispatches on).  The per-node object
 implementation the flat kernels are property-tested against, and the object
 build they are held to, live in ``tests/oracle.py``.
 """

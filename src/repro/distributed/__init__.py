@@ -1,13 +1,12 @@
-"""Distributed layer: sharding, parallel multi-core builds, scatter-gather.
+"""Distributed layer: sharding, per-shard builds, scatter-gather.
 
 This subsystem makes PASS horizontally scalable:
 
 * :class:`ShardPlanner` splits a :class:`~repro.data.table.Table` into
   range- or hash-sharded chunks on a chosen shard column;
-* :class:`ParallelBuilder` (and the :func:`build_sharded_pass` convenience)
-  builds the per-shard synopses concurrently across CPU cores, shipping
-  picklable build specs to workers and adopting the ``(header, arrays)``
-  pairs they return (``export_buffers`` / ``from_buffers``);
+* :func:`build_sharded_from_plan` (and the :func:`build_sharded_pass`
+  convenience) builds the per-shard synopses in the calling process, one
+  seeded build per shard;
 * :class:`ShardedSynopsis` answers aggregate queries by scatter-gather —
   prune shards whose key range cannot match, query the survivors through
   the batch path, and merge the per-shard estimates, variances,
@@ -24,12 +23,7 @@ and serve through a :class:`~repro.serving.engine.ServingEngine` like any
 other synopsis, and persist through :mod:`repro.serving.persistence`.
 """
 
-from repro.distributed.parallel import (
-    EXECUTORS,
-    ParallelBuilder,
-    ShardBuildSpec,
-    build_sharded_pass,
-)
+from repro.distributed.parallel import build_sharded_from_plan, build_sharded_pass
 from repro.distributed.planner import (
     STRATEGIES,
     ShardPlan,
@@ -46,10 +40,8 @@ __all__ = [
     "ShardRouting",
     "STRATEGIES",
     "hash_assign",
-    "ShardBuildSpec",
-    "ParallelBuilder",
+    "build_sharded_from_plan",
     "build_sharded_pass",
-    "EXECUTORS",
     "ShardedSynopsis",
     "StreamingShardRouter",
     "ShardUpdateStats",

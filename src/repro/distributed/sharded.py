@@ -107,8 +107,7 @@ class ShardedSynopsis:
         Hash-routing metadata for ``strategy="hash"`` plans (see
         :class:`~repro.distributed.planner.ShardRouting`).
     build_seconds:
-        Wall-clock build cost (for parallel builds: the critical path, not
-        the per-shard sum).
+        Wall-clock build cost of all the shards.
     """
 
     def __init__(

@@ -14,11 +14,23 @@ expansion policies correspond to the experiment's two systems:
 The optimization operates over a uniform sample of the data (like ADP); the
 returned boxes partition the full predicate space and are consumed directly
 by the PASS builder and the baselines.
+
+The leaves form a list: a split removes its leaf and appends the children,
+so the survivors keep their insertion order.  Max-variance expands the
+first best-scoring leaf in that order among the splittable leaves at most
+``max_depth_spread - 1`` levels below the shallowest leaf (unsplittable
+leaves included), or among all splittable leaves when none qualifies.
+Each expansion reads one heap per depth keyed ``(-score, insertion order)``
+and a leaf count per depth, never the whole list, so growing ``k`` leaves
+costs O(k log k) rather than O(k^2).  Breadth-first draws uniformly from
+the shallowest splittable leaves in list order.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,11 +79,6 @@ class _Leaf:
     indices: np.ndarray
     depth: int
     score: float = 0.0
-    splittable: bool = True
-
-    def can_split(self) -> bool:
-        """True while the leaf holds at least two sample points and no split failed."""
-        return self.splittable and self.indices.shape[0] > 1
 
 
 def _leaf_score(values: np.ndarray, agg: AggregateType, delta_samples: int) -> float:
@@ -107,15 +114,12 @@ def _split_leaf(
     where ``d'`` is the number of splittable dimensions.  Returns an empty
     list when the leaf cannot be split at all.
     """
-    if leaf.indices.shape[0] <= 1:
-        return []
     local = points[leaf.indices]
+    lows, highs = local.min(axis=0).tolist(), local.max(axis=0).tolist()
+    medians = np.median(local, axis=0).tolist()
     splittable: list[tuple[int, float]] = []
-    for dim in range(local.shape[1]):
-        low = float(local[:, dim].min())
-        high = float(local[:, dim].max())
+    for dim, (low, high, median) in enumerate(zip(lows, highs, medians)):
         if low < high:
-            median = float(np.median(local[:, dim]))
             # Guard against a median equal to the maximum, which would put
             # every point on the left side and create an empty right child.
             if median >= high:
@@ -211,41 +215,60 @@ def kd_partition(
         depth=0,
     )
     root.score = _leaf_score(values[root.indices], agg, delta_samples)
-    leaves: list[_Leaf] = [root]
 
+    # The leaves in list order (insertion sequence -> leaf): a split removes
+    # its leaf and appends the children, so survivors never reorder.
+    leaves: dict[int, _Leaf] = {}
+    per_depth: Counter[int] = Counter()
+    # Per depth, the leaves still worth splitting (two or more sample points,
+    # no failed split): sequence numbers in list order (breadth-first), or a
+    # heap keyed ``(-score, seq)`` whose top is the depth's first best leaf
+    # (max-variance; a score is a count or clamped at 0.0, so never NaN).
+    queues: dict[int, list] = {}
+    sequence = itertools.count()
+
+    def add(leaf: _Leaf) -> None:
+        seq = next(sequence)
+        leaves[seq] = leaf
+        per_depth[leaf.depth] += 1
+        if leaf.indices.shape[0] > 1:
+            queue = queues.setdefault(leaf.depth, [])
+            if policy == "breadth_first":
+                queue.append(seq)
+            else:
+                heapq.heappush(queue, (-leaf.score, seq))
+
+    add(root)
     while len(leaves) < n_leaves:
-        splittable = [leaf for leaf in leaves if leaf.can_split()]
-        if not splittable:
+        depths = [depth for depth, queue in queues.items() if queue]
+        if not depths:
             break
-        min_depth = min(leaf.depth for leaf in leaves)
         if policy == "breadth_first":
-            shallowest = min(leaf.depth for leaf in splittable)
-            candidates = [leaf for leaf in splittable if leaf.depth == shallowest]
-            chosen = candidates[int(generator.integers(0, len(candidates)))]
+            queue = queues[min(depths)]
+            seq = queue.pop(int(generator.integers(0, len(queue))))
         else:
+            min_depth = min(depth for depth, count in per_depth.items() if count)
             eligible = [
-                leaf
-                for leaf in splittable
-                if leaf.depth + 1 - min_depth <= max_depth_spread
+                depth for depth in depths if depth + 1 - min_depth <= max_depth_spread
             ]
-            if not eligible:
-                eligible = splittable
-            chosen = max(eligible, key=lambda leaf: leaf.score)
+            best = min(queues[depth][0] + (depth,) for depth in eligible or depths)
+            seq = heapq.heappop(queues[best[2]])[1]
+        chosen = leaves[seq]
         children = _split_leaf(chosen, points, columns)
         if not children:
-            # Every dimension is constant inside this leaf: mark it so it is
-            # never selected again.
-            chosen.splittable = False
+            # Every dimension is constant inside this leaf: it stays a leaf
+            # (and counts toward the shallowest depth), out of its queue.
             continue
+        del leaves[seq]
+        per_depth[chosen.depth] -= 1
         for child in children:
             child.score = _leaf_score(values[child.indices], agg, delta_samples)
-        leaves.remove(chosen)
-        leaves.extend(children)
+            add(child)
 
-    objective = max((leaf.score for leaf in leaves), default=0.0)
+    objective = max((leaf.score for leaf in leaves.values()), default=0.0)
     return KDPartitioningResult(
         columns=tuple(columns),
-        boxes=tuple(leaf.box for leaf in leaves),
-        leaf_depths=tuple(leaf.depth for leaf in leaves),
+        boxes=tuple(leaf.box for leaf in leaves.values()),
+        leaf_depths=tuple(leaf.depth for leaf in leaves.values()),
         objective=float(max(objective, 0.0)),
     )

@@ -8,8 +8,8 @@ This module is the scale-out tier:
 
 * a :class:`SynopsisPublisher` (:mod:`repro.serving.shm`) lays the flat
   synopsis buffers out in shared memory, once;
-* :class:`MPServingPool` runs one worker process per core (``spawn`` start
-  method, shared with :data:`repro.distributed.parallel.SPAWN_CONTEXT`);
+* :class:`MPServingPool` runs one worker process per core (the ``spawn``
+  start method of :data:`SPAWN_CONTEXT`);
   each worker rehydrates zero-copy :class:`~repro.core.soa.FlatSynopsis`
   views over the shared segments — no worker ever holds a private copy of
   a synopsis, so memory stays O(one synopsis) no matter the core count;
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -43,7 +44,6 @@ from multiprocessing.connection import Connection, wait
 from multiprocessing.process import BaseProcess
 from typing import Mapping, NamedTuple, Sequence
 
-from repro.distributed.parallel import SPAWN_CONTEXT
 from repro.obs import Observability
 from repro.obs.export import prometheus_text
 from repro.query.groupby import (
@@ -69,7 +69,18 @@ __all__ = [
     "query_to_payload",
     "result_to_payload",
     "result_from_payload",
+    "SPAWN_CONTEXT",
 ]
+
+#: The one multiprocessing context every pool in this codebase uses.  The
+#: platform default on Linux is ``fork``, which clones a process that may be
+#: holding serving locks, metrics-registry mutexes, or the accuracy auditor's
+#: daemon-thread state mid-operation — a forked child then deadlocks the
+#: moment it touches one of those orphaned locks.  ``spawn`` starts workers
+#: from a clean interpreter, which is safe to combine with the threaded
+#: serving stack (and is the only start method the shared-memory serving
+#: workers in :mod:`repro.serving.server` support).
+SPAWN_CONTEXT = multiprocessing.get_context("spawn")
 
 
 # ----------------------------------------------------------------------

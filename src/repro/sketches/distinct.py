@@ -106,6 +106,44 @@ class DistinctSketch:
             return
         self._absorb(np.unique(splitmix64(values)))
 
+    @classmethod
+    def from_segments(
+        cls, values: np.ndarray, offsets: np.ndarray, k: int = DEFAULT_DISTINCT_K
+    ) -> list["DistinctSketch"]:
+        """One sketch per segment ``values[offsets[i]:offsets[i + 1]]``.
+
+        Bit for bit what :meth:`update_array` builds from each segment on
+        its own: NaNs are dropped and every value hashed in one pass, each
+        segment's hashes are sorted in place (the segments already lie in
+        order, so this is the (segment, hash) order without a ``lexsort``),
+        and one pass over the sorted hashes keeps each segment's first
+        ``k`` distinct ones; a segment with more is saturated.  The builder
+        makes every leaf's sketch this way.
+        """
+        values = np.asarray(values, dtype=float)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        # Positions, not masks or running counts, mark the dropped entries:
+        # both lists are usually short, and a full-length cumsum per pass
+        # costs megabytes of resident memory on a large build.
+        missing = np.flatnonzero(np.isnan(values))
+        bounds = offsets - np.searchsorted(missing, offsets)
+        hashes = splitmix64(np.delete(values, missing) if missing.size else values)
+        for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            hashes[start:stop].sort()
+        repeat = hashes[1:] == hashes[:-1]
+        inner = bounds[1:-1]
+        repeat[inner[(inner > 0) & (inner < hashes.shape[0])] - 1] = False
+        repeated = np.flatnonzero(repeat) + 1
+        distinct = np.delete(hashes, repeated) if repeated.size else hashes
+        starts = (bounds - np.searchsorted(repeated, bounds)).tolist()
+        sketches = []
+        for start, stop in zip(starts[:-1], starts[1:]):
+            sketch = cls(k)
+            sketch._hashes = distinct[start : min(stop, start + sketch._k)]
+            sketch._saturated = stop - start > sketch._k
+            sketches.append(sketch)
+        return sketches
+
     # ------------------------------------------------------------------
     # Merge
     # ------------------------------------------------------------------

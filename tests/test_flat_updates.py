@@ -449,7 +449,6 @@ class TestLengthChangingSampleUpdate:
             config=PASSConfig(
                 n_partitions=4, sample_rate=0.25, partitioner="equal", seed=2
             ),
-            executor="serial",
             dynamic=True,
         )
         catalog = SynopsisCatalog()
@@ -519,7 +518,7 @@ class TestNoRefreshOnTheHotPath:
         )
         if sharded:
             served = build_sharded_pass(
-                table, "value", "c0", 3, config=config, executor="serial", dynamic=True
+                table, "value", "c0", 3, config=config, dynamic=True
             )
             shards = served.shards
         else:

@@ -68,7 +68,6 @@ def sharded(table):
         n_shards=4,
         predicate_columns=["key", "cat"],
         config=dataclasses.replace(FULL_CONFIG, partitioner="kd"),
-        executor="serial",
     )
 
 

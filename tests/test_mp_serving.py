@@ -37,7 +37,7 @@ from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
 from repro.core.soa import FlatSynopsis
 from repro.data.table import Table
-from repro.distributed.parallel import ParallelBuilder
+from repro.distributed.parallel import build_sharded_from_plan
 from repro.distributed.planner import ShardPlanner
 from repro.distributed.router import StreamingShardRouter
 from repro.evaluation.harness import evaluate_grouped_workload
@@ -234,7 +234,7 @@ class TestSegmentRoundTrip:
         synopsis, _ = synopses
         table = make_table(seed=9, n=1200)
         plan = ShardPlanner(2, "range").plan(table, "key")
-        sharded = ParallelBuilder(executor="serial").build(
+        sharded = build_sharded_from_plan(
             plan,
             "value",
             ["key"],
@@ -618,7 +618,7 @@ class TestMPServingPool:
     def test_router_swap_republishes_through_the_publisher(self):
         table = make_table(seed=11, n=1500)
         plan = ShardPlanner(1, "range").plan(table, "key")
-        sharded = ParallelBuilder(executor="serial").build(
+        sharded = build_sharded_from_plan(
             plan,
             "value",
             ["key"],
@@ -660,7 +660,7 @@ class TestMPServingPool:
     def test_multi_shard_router_is_rejected(self):
         table = make_table(seed=15, n=1200)
         plan = ShardPlanner(2, "range").plan(table, "key")
-        sharded = ParallelBuilder(executor="serial").build(
+        sharded = build_sharded_from_plan(
             plan,
             "value",
             ["key"],

@@ -301,7 +301,7 @@ class TestSnapshotContracts:
         assert all(isinstance(key, str) for key in serving_dict)
 
     def test_shard_update_stats_as_dict(self):
-        from repro.distributed.parallel import ParallelBuilder
+        from repro.distributed.parallel import build_sharded_from_plan
         from repro.distributed.planner import ShardPlanner
         from repro.distributed.router import StreamingShardRouter
 
@@ -317,7 +317,7 @@ class TestSnapshotContracts:
             n_partitions=4, sample_rate=0.1, opt_sample_size=100, seed=1
         )
         plan = ShardPlanner(2, "range").plan(table, "key")
-        sharded = ParallelBuilder(executor="serial").build(
+        sharded = build_sharded_from_plan(
             plan, "value", ["key"], config, dynamic=True
         )
         router = StreamingShardRouter(sharded, plan.tables, rebuild_threshold=None)

@@ -89,7 +89,6 @@ def _build(kind: str, n_columns: int, with_sketches: bool):
         predicate_columns=columns,
         config=config,
         dynamic=True,
-        executor="serial",
     )
     # Mixed: shard 1 becomes a static synopsis over the same rows.
     rows = sharded.key_boxes[1].mask({"c0": table.column("c0")})

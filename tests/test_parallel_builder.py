@@ -1,6 +1,8 @@
-"""Tests for the parallel multi-core shard builder."""
+"""Tests for the shard builder, which builds every shard in the calling process."""
 
 from __future__ import annotations
+
+import multiprocessing.process
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
 from repro.core.updates import DynamicPASS
 from repro.data.table import Table
-from repro.distributed.parallel import ParallelBuilder, build_sharded_pass
+from repro.distributed.parallel import build_sharded_from_plan, build_sharded_pass
 from repro.distributed.planner import ShardPlanner
 from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery
@@ -47,7 +49,7 @@ def _same(a: float, b: float) -> bool:
 
 def test_serial_build_matches_per_shard_manual_build(table, config):
     plan = ShardPlanner(3, "range").plan(table, "key")
-    sharded = ParallelBuilder(executor="serial").build(plan, "value", ["key"], config)
+    sharded = build_sharded_from_plan(plan, "value", ["key"], config)
     for index, chunk in enumerate(plan.tables):
         manual = build_pass(
             chunk, "value", ["key"], config.with_overrides(seed=config.seed + index)
@@ -57,31 +59,9 @@ def test_serial_build_matches_per_shard_manual_build(table, config):
             assert _same(shard.query(query).estimate, manual.query(query).estimate)
 
 
-def test_process_pool_build_is_bit_identical_to_serial(table, config):
-    plan = ShardPlanner(3, "range").plan(table, "key")
-    serial = ParallelBuilder(executor="serial").build(plan, "value", ["key"], config)
-    parallel = ParallelBuilder(max_workers=2, executor="process").build(
-        plan, "value", ["key"], config
-    )
-    for query in QUERIES:
-        a, b = serial.query(query), parallel.query(query)
-        assert _same(a.estimate, b.estimate)
-        assert _same(a.variance, b.variance)
-
-
-def test_thread_pool_build_matches_serial(table, config):
-    plan = ShardPlanner(2, "range").plan(table, "key")
-    serial = ParallelBuilder(executor="serial").build(plan, "value", ["key"], config)
-    threaded = ParallelBuilder(max_workers=2, executor="thread").build(
-        plan, "value", ["key"], config
-    )
-    query = QUERIES[0]
-    assert serial.query(query).estimate == threaded.query(query).estimate
-
-
 def test_dynamic_build_produces_updatable_shards(table, config):
     plan = ShardPlanner(2, "range").plan(table, "key")
-    sharded = ParallelBuilder(executor="serial").build(
+    sharded = build_sharded_from_plan(
         plan, "value", ["key"], config, dynamic=True
     )
     assert sharded.supports_updates
@@ -98,7 +78,6 @@ def test_build_sharded_pass_convenience(table, config):
         "key",
         n_shards=3,
         config=config,
-        executor="serial",
     )
     assert sharded.n_shards == 3
     assert sharded.population_size == table.n_rows
@@ -107,7 +86,7 @@ def test_build_sharded_pass_convenience(table, config):
 
 def test_population_and_sample_accounting(table, config):
     plan = ShardPlanner(4, "range").plan(table, "key")
-    sharded = ParallelBuilder(executor="serial").build(plan, "value", ["key"], config)
+    sharded = build_sharded_from_plan(plan, "value", ["key"], config)
     assert sharded.population_size == table.n_rows
     assert sharded.sample_size == sum(
         s.sample_size for s in map(_unwrap, sharded.shards)
@@ -123,8 +102,14 @@ def _unwrap(shard):
     return shard.synopsis if isinstance(shard, DynamicPASS) else shard
 
 
-def test_validation_errors():
-    with pytest.raises(ValueError, match="unknown executor"):
-        ParallelBuilder(executor="gpu")
-    with pytest.raises(ValueError, match="max_workers"):
-        ParallelBuilder(max_workers=0)
+@pytest.mark.parametrize("dynamic", [False, True])
+def test_sharded_build_starts_no_child_process(table, config, monkeypatch, dynamic):
+    def refuse(process):
+        raise AssertionError(f"a sharded build started a child process: {process!r}")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    sharded = build_sharded_pass(
+        table, "value", "key", n_shards=4, config=config, dynamic=dynamic
+    )
+    assert sharded.n_shards == 4
+    assert sharded.population_size == table.n_rows

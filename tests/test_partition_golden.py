@@ -21,11 +21,31 @@ with one box mask per leaf and flattened an object tree): ``kernel_2d``'s
 build, a ``taxi_multidim``-style build (2-column k-d boxes handed to a
 5-predicate-column BSS build with proportional allocation) and a 3-D
 fanout-8 build with an extra sample column and sketches.
+
+The sharded and k-d partition cases (``SHARDED_GOLDEN`` and
+``KD_PARTITION_GOLDEN``) were recorded on the commit *before* the shard
+builds ran in the calling process, the k-d greedy ran on per-depth
+priority queues and the leaf distinct-count sketches came from one hash
+pass over the leaf-ordered values (when shards were built in a spawned
+process pool, and every k-d expansion rescanned every leaf).  The sharded
+digest covers every array of ``ShardedSynopsis.export_buffers()`` and its
+header without the ``build_seconds`` readings; the partition digest
+covers the k-d leaf boxes' bounds in list order, the leaf depths and the
+objective's bits.
+The COUNT template scores a leaf by its sample count, so equal scores are
+the rule there and the first-in-list-order tie break decides; its small
+integer grid also leaves some leaves unsplittable and the depth spread
+past its limit.  In the NaN case every leaf holding a NaN sample value
+scores 0 (the variance term clamps its NaN to zero), another source of
+ties.  The two skewed cases make the depth-spread rule bind: one over
+continuous columns, one with ``max_depth_spread=1`` where unsplittable
+grid leaves leave no leaf eligible and the fall-back picks among all.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -35,6 +55,7 @@ from repro.core.config import PASSConfig
 from repro.data.generators import uniform_random
 from repro.data.loaders import load_dataset
 from repro.data.table import Table
+from repro.distributed.parallel import build_sharded_pass
 from repro.partitioning.dp import approximate_dp_partition, naive_dp_partition
 from repro.partitioning.hill_climbing import hill_climbing_partition
 from repro.partitioning.kdtree import kd_partition
@@ -53,6 +74,23 @@ KD_GOLDEN = {
     "kernel_2d": "073e6e956558e5596152992ebc2574ec9c3b4d04bf54258c0e68abd092a10adc",
     "taxi_bss": "f47a28312cbfd0b77962b337d66f16fab93094024910927f4357b04ff00ebf52",
     "kd_3d_fanout8": "e3424bcbb692f181b63e8c24b3f8a1aefdbcb02a13bfc4bb94fcff2bbae3061e",
+}
+
+#: case -> SHA-256 over a 4-shard build's ``export_buffers()`` (see above).
+SHARDED_GOLDEN = {
+    "hash_dynamic": "f389c9249cb7773da7c6b704624e74a6cd195128b51bebf937f188ccecb37329",
+    "hash_static": "809bb5e126d96b157fba7f026c035d45cffc60ca490ef7acb5ea6279f68d0957",
+    "range_dynamic": "d62fbb9a9f29de4b3787c09ec99b5a699925b2c0bb42f8199b95a6ead5ac5dde",
+    "range_static": "c5511c1fbf3ec0a2410c5791fa936a7a79b72edbda4b3242e26e990ddcab00f9",
+}
+
+#: case -> SHA-256 over a ``kd_partition`` result's boxes, depths, objective.
+KD_PARTITION_GOLDEN = {
+    "count_grid": "f7198648e2b30503283eaf049c2fce6f4da40882e255c04c2d6376ea4bdc0039",
+    "grid_spread_1": "7c6cefcfe64744410347c3d2162256c07e0ac7e4a028b975b30ba6fd670fc348",
+    "kd_us_3d": "a369f804c8e3462ec277a960d1e42354f1b575a12b4efb4fc56bdbf45672f3bb",
+    "nan_values": "420296b494d0dfb078688cd8076a2da8481afc896ea2edd46c83f834408dd312",
+    "skewed_spread": "d0622aa87d5638db0fd337c99b110044114896fd82061c6ab94be3584243c3d3",
 }
 
 #: case -> SHA-256 over break ranks, boundaries and the objective's bits.
@@ -144,6 +182,101 @@ def _kd_build(case: str):
     )
 
 
+def _without_build_seconds(header):
+    if isinstance(header, dict):
+        return {
+            key: _without_build_seconds(value)
+            for key, value in header.items()
+            if key != "build_seconds"
+        }
+    if isinstance(header, list):
+        return [_without_build_seconds(value) for value in header]
+    return header
+
+
+def _sharded_digest(sharded) -> str:
+    header, arrays = sharded.export_buffers()
+    digest = hashlib.sha256()
+    digest.update(
+        json.dumps(_without_build_seconds(header), sort_keys=True).encode()
+    )
+    for key in sorted(arrays):
+        array = np.ascontiguousarray(arrays[key])
+        digest.update(f"{key}|{array.dtype.str}|{array.shape}|".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _kd_partition_digest(result) -> str:
+    parts = [",".join(result.columns)]
+    for box, depth in zip(result.boxes, result.leaf_depths):
+        intervals = [(column, box.interval(column)) for column in result.columns]
+        bounds = ",".join(
+            f"{column}:{interval.low.hex()}:{interval.high.hex()}"
+            for column, interval in intervals
+        )
+        parts.append(f"{depth}|{bounds}")
+    parts.append(float(result.objective).hex())
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+def _sharded_build(case: str):
+    strategy, kind = case.split("_")
+    return build_sharded_pass(
+        _groupby_table(),
+        "value",
+        "key",
+        n_shards=4,
+        strategy=strategy,
+        config=PASSConfig(n_partitions=16),
+        dynamic=kind == "dynamic",
+    )
+
+
+def _kd_partition(case: str):
+    if case == "kd_us_3d":
+        table = uniform_random(n_rows=40_000, n_predicate_columns=3, seed=13)
+        return kd_partition(
+            table, "value", ["c0", "c1", "c2"], 300, policy="breadth_first", rng=8
+        )
+    rng = np.random.default_rng(21)
+    n = 20_000
+    columns = {
+        "c0": rng.integers(0, 8, size=n).astype(float),
+        "c1": rng.integers(0, 40, size=n).astype(float),
+        "value": rng.uniform(0.0, 100.0, size=n),
+    }
+    if case == "count_grid":
+        return kd_partition(
+            Table(columns), "value", ["c0", "c1"], 400, agg="COUNT",
+            opt_sample_size=2_000, rng=4,
+        )
+    if case == "nan_values":
+        columns["c1"] = rng.uniform(0.0, 1.0, size=n)
+        columns["value"][rng.random(n) < 0.002] = np.nan
+        return kd_partition(Table(columns), "value", ["c0", "c1"], 64, rng=6)
+    # A heavy corner pulls the greedy deep, so the depth-spread rule binds.
+    rng = np.random.default_rng(31)
+    c0, c1 = rng.uniform(0.0, 1.0, size=n), rng.uniform(0.0, 1.0, size=n)
+    if case == "skewed_spread":
+        value = rng.lognormal(0.0, 1.0, size=n)
+        value[(c0 < 0.1) & (c1 < 0.1)] *= 1000
+        table = Table({"c0": c0, "c1": c1, "value": value})
+        return kd_partition(table, "value", ["c0", "c1"], 200, rng=9)
+    # Half the rows on a 3 x 3 grid: leaves holding only grid points cannot
+    # split, pin the shallowest depth, and leave the spread rule no
+    # eligible leaf (the fall-back to every splittable leaf).
+    grid = rng.random(n) < 0.5
+    c0[grid] = rng.integers(0, 3, grid.sum()) / 3.0
+    c1[grid] = rng.integers(0, 3, grid.sum()) / 3.0
+    value = rng.lognormal(0.0, 2.0, size=n)
+    value[(c0 < 0.2) & (c1 < 0.2)] *= 50
+    table = Table({"c0": c0, "c1": c1, "value": value})
+    return kd_partition(
+        table, "value", ["c0", "c1"], 200, max_depth_spread=1, rng=9
+    )
+
+
 def _partition(case: str, intel):
     table, value = intel.table, intel.value_column
     column = intel.default_predicate_column
@@ -174,3 +307,13 @@ def test_partition_matches_the_recorded_digest(case, intel):
 @pytest.mark.parametrize("case", sorted(KD_GOLDEN))
 def test_kd_synopsis_arrays_match_the_recorded_digest(case):
     assert _arrays_digest(_kd_build(case)) == KD_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(SHARDED_GOLDEN))
+def test_sharded_build_matches_the_recorded_digest(case):
+    assert _sharded_digest(_sharded_build(case)) == SHARDED_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(KD_PARTITION_GOLDEN))
+def test_kd_partition_matches_the_recorded_digest(case):
+    assert _kd_partition_digest(_kd_partition(case)) == KD_PARTITION_GOLDEN[case]

@@ -50,7 +50,7 @@ def _synopsis(n_shards: int):
     if n_shards == 1:
         return build_pass(_table(), "value", ["key"], config)
     return build_sharded_pass(
-        _table(), "value", "key", n_shards=n_shards, config=config, executor="serial"
+        _table(), "value", "key", n_shards=n_shards, config=config
     )
 
 

@@ -316,7 +316,7 @@ class TestOutsideInput:
             n_partitions=8, partitioner="equal", with_sketches=True, seed=0
         )
         sharded = build_sharded_pass(
-            table, "value", "a", n_shards=2, config=config, executor="serial"
+            table, "value", "a", n_shards=2, config=config
         )
         return {
             "static": save_synopsis(

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import PASSConfig
 from repro.data.table import Table
-from repro.distributed.parallel import ParallelBuilder
+from repro.distributed.parallel import build_sharded_from_plan
 from repro.distributed.planner import ShardPlanner
 from repro.distributed.router import StreamingShardRouter
 from repro.query.predicate import RectPredicate
@@ -34,7 +34,7 @@ def config() -> PASSConfig:
 
 def _build(table, config, n_shards=3, threshold=None):
     plan = ShardPlanner(n_shards, "range").plan(table, "key")
-    sharded = ParallelBuilder(executor="serial").build(
+    sharded = build_sharded_from_plan(
         plan, "value", ["key"], config, dynamic=True
     )
     router = StreamingShardRouter(sharded, plan.tables, rebuild_threshold=threshold)
@@ -139,7 +139,7 @@ def test_rows_missing_schema_columns_are_rejected(table, config):
 
 def test_router_requires_dynamic_shards(table, config):
     plan = ShardPlanner(2, "range").plan(table, "key")
-    static = ParallelBuilder(executor="serial").build(plan, "value", ["key"], config)
+    static = build_sharded_from_plan(plan, "value", ["key"], config)
     with pytest.raises(TypeError, match="DynamicPASS"):
         StreamingShardRouter(static, plan.tables)
 

@@ -44,7 +44,7 @@ def config() -> PASSConfig:
 @pytest.fixture(scope="module")
 def sharded(table, config) -> ShardedSynopsis:
     return build_sharded_pass(
-        table, "value", "key", n_shards=4, config=config, executor="serial"
+        table, "value", "key", n_shards=4, config=config
     )
 
 
@@ -203,7 +203,6 @@ class TestPruning:
             n_shards=4,
             strategy="hash",
             config=config,
-            executor="serial",
         )
         query = AggregateQuery("COUNT", "value", PREDICATES[0])
         assert len(sharded.surviving_shards(query)) == sharded.n_shards
@@ -233,7 +232,6 @@ class TestPruning:
             n_shards=3,
             predicate_columns=["a"],
             config=config,
-            executor="serial",
         )
         engine = ExactEngine(mixed)
         for predicate in (
@@ -261,7 +259,7 @@ class TestPruning:
     def test_hash_point_predicate_routes_to_one_shard(self, table, config):
         sharded = build_sharded_pass(
             table, "value", "key", n_shards=4, strategy="hash",
-            config=config, executor="serial",
+            config=config,
         )
         key = float(table.column("key")[0])
         query = AggregateQuery(
@@ -300,7 +298,7 @@ class TestUpdatesAndValidation:
     def test_dynamic_updates_route_to_owning_shard(self, table, config):
         sharded = build_sharded_pass(
             table, "value", "key", n_shards=3, config=config,
-            dynamic=True, executor="serial",
+            dynamic=True,
         )
         query = AggregateQuery("COUNT", "value", RectPredicate.everything())
         before = sharded.query(query).estimate
@@ -318,7 +316,7 @@ class TestUpdatesAndValidation:
         sharded = build_sharded_pass(
             small, "value", "key", n_shards=16, strategy="hash",
             config=PASSConfig(n_partitions=2, sample_rate=0.5, seed=0),
-            dynamic=True, executor="serial",
+            dynamic=True,
         )
         before = sharded.population_size
         for key in (-3.0, 123.456, 9999.0):
@@ -388,7 +386,7 @@ class TestServingIntegration:
     def test_engine_update_invalidates_sharded_cache(self, table, config):
         sharded = build_sharded_pass(
             table, "value", "key", n_shards=3, config=config,
-            dynamic=True, executor="serial",
+            dynamic=True,
         )
         catalog = SynopsisCatalog()
         catalog.register("sharded_value", sharded, table_name=table.name)
@@ -418,7 +416,7 @@ class TestPersistence:
     def test_dynamic_round_trip_keeps_update_support(self, table, config, tmp_path):
         sharded = build_sharded_pass(
             table, "value", "key", n_shards=2, config=config,
-            dynamic=True, executor="serial",
+            dynamic=True,
         )
         sharded.insert({"key": 25.0, "value": 12.0})
         path = save_synopsis(sharded, tmp_path / "dynamic_sharded")
@@ -432,7 +430,7 @@ class TestPersistence:
     def test_hash_round_trip_preserves_routing(self, table, config, tmp_path):
         sharded = build_sharded_pass(
             table, "value", "key", n_shards=4, strategy="hash",
-            config=config, executor="serial",
+            config=config,
         )
         path = save_synopsis(sharded, tmp_path / "hash_sharded")
         reloaded = load_synopsis(path)

@@ -27,7 +27,7 @@ from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
 from repro.core.updates import DynamicPASS
 from repro.data.table import Table
-from repro.distributed.parallel import ParallelBuilder, build_sharded_pass
+from repro.distributed.parallel import build_sharded_from_plan, build_sharded_pass
 from repro.distributed.planner import ShardPlanner
 from repro.distributed.router import StreamingShardRouter
 from repro.evaluation.harness import evaluate_served_workload
@@ -70,7 +70,7 @@ def synopsis(workload_table, config):
 @pytest.fixture(scope="module")
 def sharded(workload_table, config):
     return build_sharded_pass(
-        workload_table, "value", "key", n_shards=4, config=config, executor="serial"
+        workload_table, "value", "key", n_shards=4, config=config
     )
 
 
@@ -404,7 +404,7 @@ class TestStreamingMaintenance:
 
     def test_router_surfaces_sketch_staleness(self, workload_table):
         plan = ShardPlanner(2, "range").plan(workload_table, "key")
-        shards = ParallelBuilder(executor="serial").build(
+        shards = build_sharded_from_plan(
             plan,
             "value",
             config=PASSConfig(n_partitions=8, sample_rate=0.01, partitioner="equal"),

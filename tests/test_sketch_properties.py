@@ -361,7 +361,6 @@ def sketch_workload():
             "key",
             n_shards=count,
             config=config,
-            executor="serial",
         )
         for count in _SHARD_COUNTS
     }

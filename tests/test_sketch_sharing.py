@@ -120,7 +120,6 @@ def _sharded(unsampled_leaf: bool = True) -> ShardedSynopsis:
         "key",
         n_shards=4,
         config=dataclasses.replace(CONFIG, n_partitions=4),
-        executor="serial",
     )
     if unsampled_leaf:
         _strip_sample(built.shards[1], 2)

@@ -575,7 +575,6 @@ def _sharded():
         "c0",
         n_shards=3,
         config=_batch_config(1, 16, 0),
-        executor="serial",
     )
 
 
@@ -620,7 +619,6 @@ def _sharded_2d():
         n_shards=3,
         predicate_columns=["c0", "c1"],
         config=_batch_config(2, 16, 0),
-        executor="serial",
     )
 
 
