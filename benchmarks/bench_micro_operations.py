@@ -9,12 +9,14 @@ rounds unlike the experiment reproductions.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
-from repro.core.updates import DynamicPASS
+from repro.core.updates import DynamicPASS, StaleExtremaWarning
 from repro.data.loaders import load_dataset
 from repro.data.loaders import DatasetSpec
 from repro.partitioning.dp import approximate_dp_partition
@@ -114,8 +116,8 @@ def test_pass_build_time(benchmark, intel_spec):
     )
 
 
-def test_dynamic_insert_throughput(benchmark, intel_spec):
-    dynamic = DynamicPASS(
+def _dynamic_intel(intel_spec) -> DynamicPASS:
+    return DynamicPASS(
         intel_spec.table,
         intel_spec.value_column,
         intel_spec.predicate_columns,
@@ -124,9 +126,38 @@ def test_dynamic_insert_throughput(benchmark, intel_spec):
         ),
         rng=0,
     )
+
+
+def test_dynamic_insert_throughput(benchmark, intel_spec):
+    dynamic = _dynamic_intel(intel_spec)
     rng = np.random.default_rng(3)
 
     def insert_one():
         dynamic.insert({"time": float(rng.uniform(0, 3)), "light": 123.0})
 
     benchmark(insert_one)
+
+
+def test_dynamic_delete_throughput(benchmark, intel_spec):
+    """Deletes of sampled rows: each drops a row from its leaf's slots in place."""
+    dynamic = _dynamic_intel(intel_spec)
+    flat = dynamic.synopsis.flat
+    sampled = np.flatnonzero(flat.sample_counts)
+    rng = np.random.default_rng(3)
+    deleted: list[dict[str, float]] = []
+
+    def pick_sampled_row():
+        # Untimed: restore the previous round's row, then pick the next one.
+        if deleted:
+            dynamic.insert(deleted.pop())
+        sample = flat.leaf_sample(int(rng.choice(sampled)))
+        position = int(rng.integers(next(iter(sample.values())).shape[0]))
+        row = {column: float(values[position]) for column, values in sample.items()}
+        deleted.append(row)
+        return (row,), {}
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", StaleExtremaWarning)
+        benchmark.pedantic(
+            dynamic.delete, setup=pick_sampled_row, rounds=2000, iterations=1
+        )

@@ -13,8 +13,11 @@ Run with::
 
 ``--check`` switches to CI mode: after the insert / delete stream every
 monitored answer must lie inside its hard bounds against an exact scan of the
-replayed table, and a ``save_synopsis`` / ``load_synopsis`` round trip must
-answer bit-identically and accept further updates; exits non-zero otherwise.
+replayed table, the saved file must hold the samples compact (its offsets
+the running sum of the per-leaf sample counts, with no spare update slots)
+at an unchanged ``storage_bytes()``, and a ``save_synopsis`` /
+``load_synopsis`` round trip must answer bit-identically and accept further
+updates; exits non-zero otherwise.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro import AggregateQuery, ExactEngine, PASSConfig, RectPredicate, load_d
 from repro.core.updates import DynamicPASS
 from repro.data.table import Table
 from repro.serving.persistence import load_synopsis, save_synopsis
+from repro.serving.shm import parse_segment
 
 N_ROWS = 50_000
 N_INSERTS = 5_000
@@ -80,7 +84,17 @@ def check(dynamic: DynamicPASS, table: Table, live_rows: list[dict]) -> int:
 
     with tempfile.TemporaryDirectory() as directory:
         path = save_synopsis(dynamic, Path(directory) / "streaming")
+        _, saved = parse_segment(path.read_bytes(), str(path))
         loaded = load_synopsis(path)
+    # Updates write into spare per-leaf slots; the file holds the rows only.
+    offsets = saved["sample_offsets"]
+    columns = [key for key in saved if key.startswith("sample/")]
+    if not np.array_equal(
+        np.diff(offsets), dynamic.synopsis.flat.sample_counts
+    ) or any(saved[key].shape[0] != offsets[-1] for key in columns):
+        failures.append("the churned synopsis was not saved compact")
+    if loaded.synopsis.storage_bytes() != dynamic.synopsis.storage_bytes():
+        failures.append("storage_bytes changed across the save / load round trip")
     for query in monitored:
         if bits(loaded.query(query)) != bits(dynamic.query(query)):
             failures.append(f"{query.agg.value}: reloaded synopsis answers differently")
@@ -97,7 +111,8 @@ def check(dynamic: DynamicPASS, table: Table, live_rows: list[dict]) -> int:
     if not failures:
         print(
             f"streaming check OK: {len(monitored)} monitored answers inside their "
-            "hard bounds; save / load round trip bit-identical and updatable"
+            "hard bounds; saved compact; save / load round trip bit-identical "
+            "and updatable"
         )
     return 1 if failures else 0
 

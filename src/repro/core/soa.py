@@ -32,8 +32,14 @@ normatively, with the file / segment framing, in ``docs/ARCHITECTURE.md``):
   predicate column* (±inf where a node's box does not constrain the column).
 * **Samples** — CSR: ``sample_offsets`` (int64, ``n_leaves + 1``) into one
   concatenated float64 ``sample/<column>`` array per sample column; leaf
-  ``i`` owns ``column[offsets[i]:offsets[i + 1]]``, rewritten only by
-  :meth:`FlatSynopsis.replace_leaf_sample`.
+  ``i`` owns ``column[offsets[i]:offsets[i + 1]]``.  That is the exported
+  (compact) form.  In memory the offsets are *slot* starts and the per-leaf
+  ``sample_counts`` are kept beside them: leaf ``i``'s rows are the first
+  ``counts[i]`` of its slots, and the kernels read exactly those.  Only a
+  writable synopsis a :class:`~repro.core.updates.DynamicPASS` owns reserves
+  spare slots (:meth:`FlatSynopsis.reserve_sample_slots`), so that a
+  reservoir insert writes its one row in place and a delete shifts rows
+  inside its own leaf; a static synopsis' slots are its rows.
 * **Sketches** — ragged-packed under ``sketch/<key>``
   (:func:`repro.sketches.union.pack_leaf_sketches`) and unpacked into
   ``LeafSketches`` objects on the first sketch query or update; from then on
@@ -44,7 +50,9 @@ An instance is read-only iff its arrays are (views over a read-only mapping);
 :class:`~repro.core.updates.DynamicPASS` copies a mapping's arrays to get
 writable ones.  It routes a tuple over the leaf rows' bounds
 (:meth:`FlatSynopsis.leaf_for_point`), adds or removes its value along the
-``parent`` chain and replaces the leaf's CSR rows, all in place.
+leaf's memoised ``parent`` chain and writes or drops one row of the leaf's
+slots (:meth:`FlatSynopsis.put_sample_row` / ``drop_sample_row``), all in
+place: an update costs O(depth + one leaf), whatever the synopsis' size.
 
 Equivalence contract: every answer produced here is **bit-identical** to the
 reference object descent in ``tests/oracle.py`` run over the node / stratum
@@ -171,6 +179,23 @@ def _slice_sums(data: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
     )
 
 
+def _row_index(
+    starts: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(loc, index)``: the slots of ``counts[i]`` rows from ``starts[i]``.
+
+    ``index`` lists every leaf's row slots, leaf after leaf, so
+    ``column.take(index)`` concatenates the leaves' rows; leaf ``i`` owns
+    positions ``loc[i]:loc[i + 1]`` of it.  Built with ``cumsum`` /
+    ``repeat`` / ``arange``.
+    """
+    loc = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+    np.cumsum(counts, out=loc[1:])
+    index = np.arange(loc[-1])
+    index += np.repeat(starts - loc[:-1], counts)
+    return loc, index
+
+
 def _stratum_contribution(
     data: np.ndarray, size: int, with_fpc: bool
 ) -> tuple[float, float]:
@@ -211,13 +236,16 @@ class FlatFrontier:
 
 @dataclass
 class FlatSamples:
-    """CSR leaf samples: per-column concatenated values plus row offsets.
+    """CSR leaf samples: per-column concatenated values plus slot offsets.
 
-    ``offsets`` has ``n_leaves + 1`` entries; leaf ``i``'s sample occupies
-    ``columns[c][offsets[i]:offsets[i + 1]]`` for every sample column
-    ``c``.  Offsets are *compact* (no slack): a same-length replacement
-    writes in place, a length-changing one splices the columns and shifts the
-    offsets after the leaf (:meth:`FlatSynopsis.replace_leaf_sample`).
+    ``offsets`` has ``n_leaves + 1`` entries; leaf ``i`` owns the slots
+    ``columns[c][offsets[i]:offsets[i + 1]]`` of every sample column ``c``,
+    and its sample is the first ``sample_counts[i]`` of them (the counts
+    live on :class:`FlatSynopsis`).  The slots beyond a leaf's rows are
+    *slack*: reserved for a :class:`~repro.core.updates.DynamicPASS` by
+    :meth:`FlatSynopsis.reserve_sample_slots`, never read by a kernel, and
+    dropped by :meth:`FlatSynopsis.export_buffers`, whose offsets are always
+    compact.  A static synopsis has no slack.
     """
 
     offsets: np.ndarray
@@ -235,12 +263,15 @@ class FlatSynopsis:
     index structures (descent levels from the depth array, per-leaf sample
     counts from the CSR offsets) are the only allocations, both O(nodes); the
     packed sketches are unpacked into sketch objects (the one copy) on the
-    first sketch query.
+    first sketch query, and the update path's leaf index (leaf rows, their
+    bounds, memoised root paths) is built on the first update.
 
     The arrays are the synopsis' one mutable state, written only by
-    :meth:`add_value`, :meth:`remove_value` and :meth:`replace_leaf_sample`;
-    over read-only arrays those raise ``TypeError`` — writers update their
-    own instance and publish or save it afresh.  :meth:`query` /
+    :meth:`add_value`, :meth:`remove_value`, :meth:`put_sample_row`,
+    :meth:`drop_sample_row`, :meth:`replace_leaf_sample` and
+    :meth:`reserve_sample_slots`; over read-only arrays those raise
+    ``TypeError`` — writers update their own instance and publish or save it
+    afresh.  :meth:`query` /
     :meth:`answer` return answers bit-identical to the reference object
     descent for all seven aggregates (see the module docstring for the
     contract); the grouped kernels agree with it up to floating-point
@@ -318,6 +349,12 @@ class FlatSynopsis:
             columns={column: arrays[f"sample/{column}"] for column in sample_columns},
         )
         self._sample_counts = np.diff(offsets)
+        #: The update path's index, built on first use: the leaves' node rows
+        #: in leaf-index order, the leaf rows' bounds in geometry order, and
+        #: one memoised leaf-to-root row path per updated leaf.
+        self._leaf_row_index: np.ndarray | None = None
+        self._leaf_bounds: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._leaf_paths: dict[int, np.ndarray] = {}
 
         self._leaf_sketches: list[LeafSketches] | None = None
         #: ``(sketch keys, arrays)`` until the first sketch use unpacks them.
@@ -343,8 +380,11 @@ class FlatSynopsis:
         Arrays holding mutable state (node stats, samples, sketches) are
         snapshot copies, so later dynamic updates to this instance do not
         mutate the export; the immutable topology and bounds are shared.
+        The samples are exported compact — slack slots dropped, offsets the
+        running sum of ``sample_counts`` — so the bytes do not depend on
+        whether an updater reserved slots.
         """
-        samples = self._samples
+        samples = self._compact_samples()
         header = {
             "value_column": self._value_column,
             "lam": self._lam,
@@ -366,10 +406,10 @@ class FlatSynopsis:
             "depth": self._depth,
             "col_lows": self._bounds[0],
             "col_highs": self._bounds[1],
-            "sample_offsets": samples.offsets.copy(),
+            "sample_offsets": samples.offsets,
         }
         for column, values in samples.columns.items():
-            arrays[f"sample/{column}"] = values.copy()
+            arrays[f"sample/{column}"] = values
         if self._packed_sketches is not None:
             keys, packed = self._packed_sketches
             header["sketch_keys"] = list(keys)
@@ -413,12 +453,16 @@ class FlatSynopsis:
     @property
     def sample_size(self) -> int:
         """Total number of stored sample tuples across all leaves."""
-        return int(self._samples.offsets[-1])
+        return int(self._sample_counts.sum())
 
     def _leaf_rows(self) -> np.ndarray:
-        """The leaves' node rows in leaf-index order."""
-        rows = np.flatnonzero(self._is_leaf)
-        return rows[np.argsort(self._leaf_of_row[rows])]
+        """The leaves' node rows in leaf-index order (memoised)."""
+        rows = self._leaf_row_index
+        if rows is None:
+            rows = np.flatnonzero(self._is_leaf)
+            rows = rows[np.argsort(self._leaf_of_row[rows])]
+            self._leaf_row_index = rows
+        return rows
 
     def leaf_populations(self) -> np.ndarray:
         """Per-leaf tuple counts (the leaf rows' COUNT) in leaf-index order."""
@@ -442,11 +486,13 @@ class FlatSynopsis:
         """Approximate footprint: node aggregates and bounds, samples, sketches.
 
         Four 8-byte statistics plus a low / high pair per predicate column
-        for every node, the sample columns' bytes, and the retained items of
-        the per-leaf sketches.
+        for every node, the sample rows' bytes (rows, not slots: the compact
+        export's), and the retained items of the per-leaf sketches.
         """
         nodes = self._n_nodes * (4 * 8 + 2 * 8 * len(self._column_index))
-        samples = sum(values.nbytes for values in self._samples.columns.values())
+        samples = self.sample_size * sum(
+            values.itemsize for values in self._samples.columns.values()
+        )
         sketches = sum(leaf.storage_bytes() for leaf in self.leaf_sketches() or ())
         return nodes + samples + sketches
 
@@ -473,18 +519,29 @@ class FlatSynopsis:
         containing leaves (shared closed bounds, partial points) the first in
         the tree's left-to-right order wins: the *last* containing leaf row,
         geometry order being right to left.  ``KeyError`` when none does (a
-        NaN coordinate is inside no interval).
+        NaN coordinate is inside no interval).  Only the leaf rows' bounds
+        are tested.
         """
-        inside = self._is_leaf
+        bounds = self._leaf_bounds
+        if bounds is None:
+            rows = np.flatnonzero(self._is_leaf)
+            bounds = (
+                self._leaf_of_row[rows],
+                self._bounds[0][:, rows],
+                self._bounds[1][:, rows],
+            )
+            self._leaf_bounds = bounds
+        leaves, lows, highs = bounds
+        inside = np.ones(leaves.shape[0], dtype=bool)
         for column, c in self._column_index.items():
             if column in point:
                 value = point[column]
-                inside = inside & (self._col_lows[c] <= value)
-                inside &= value <= self._col_highs[c]
-        rows = np.flatnonzero(inside)
-        if not rows.shape[0]:
+                inside &= lows[c] <= value
+                inside &= value <= highs[c]
+        hits = np.flatnonzero(inside)
+        if not hits.shape[0]:
             raise KeyError(f"no leaf contains point {dict(point)!r}")
-        return int(self._leaf_of_row[rows[-1]])
+        return int(leaves[hits[-1]])
 
     def node_stats(
         self, rows: np.ndarray | slice = slice(None)
@@ -498,17 +555,29 @@ class FlatSynopsis:
 
     def leaf_stats(self, leaf: int) -> PartitionStats:
         """The current SUM / COUNT / MIN / MAX of leaf ``leaf``."""
-        return self.node_stats(np.flatnonzero(self._leaf_of_row == leaf))[0]
+        return self.node_stats(self._leaf_rows()[leaf : leaf + 1])[0]
+
+    def _leaf_path(self, leaf: int) -> np.ndarray:
+        """Node rows from leaf ``leaf`` up the ``parent`` chain to the root.
+
+        Memoised per leaf: the topology never changes.
+        """
+        path = self._leaf_paths.get(leaf)
+        if path is None:
+            if not 0 <= leaf < self._sample_counts.shape[0]:
+                raise IndexError(f"leaf index {leaf} out of range")
+            rows = [int(self._leaf_rows()[leaf])]
+            while rows[-1]:
+                rows.append(int(self._parent[rows[-1]]))
+            path = self._leaf_paths[leaf] = np.array(rows)
+        return path
 
     def _begin_stats_write(self, leaf: int) -> np.ndarray:
-        """Node rows from leaf ``leaf`` up the ``parent`` chain to the root."""
+        """:meth:`_leaf_path` of a leaf whose statistics are about to change."""
         if not self._node_sum.flags.writeable:
             raise TypeError(_READ_ONLY)
-        rows = [int(np.flatnonzero(self._leaf_of_row == leaf)[0])]
-        while rows[-1]:
-            rows.append(int(self._parent[rows[-1]]))
         self._zv_cache = None
-        return np.array(rows)
+        return self._leaf_path(leaf)
 
     def add_value(self, leaf: int, value: float) -> None:
         """``PartitionStats.add_value`` on leaf ``leaf`` and every ancestor.
@@ -541,47 +610,140 @@ class FlatSynopsis:
         self._node_max[emptied] = -np.inf
 
     def leaf_sample(self, leaf: int) -> dict[str, np.ndarray]:
-        """Leaf ``leaf``'s sample rows: one read-only CSR view per column."""
-        start, stop = self._samples.offsets[leaf : leaf + 2].tolist()
+        """Leaf ``leaf``'s sample rows: one read-only CSR view per column.
+
+        The views alias the synopsis' slots, so a later update to the leaf
+        shows through them; copy what must outlive one.
+        """
+        start = int(self._samples.offsets[leaf])
+        stop = start + int(self._sample_counts[leaf])
         views = {c: values[start:stop] for c, values in self._samples.columns.items()}
         for view in views.values():
             view.flags.writeable = False
         return views
 
-    def replace_leaf_sample(
-        self, leaf: int, columns: Mapping[str, np.ndarray]
-    ) -> None:
-        """Replace leaf ``leaf``'s sample rows — the one sample write.
-
-        ``columns`` carries every CSR sample column, all of one length.  An
-        unchanged length is written in place; otherwise the compact columns
-        are spliced and the offsets after the leaf shifted, so every other
-        leaf keeps its rows bit for bit.
-        """
+    def _begin_sample_write(self, leaf: int) -> tuple[int, int, int]:
+        """``(first slot, rows, slots)`` of a leaf whose rows are about to change."""
         samples = self._samples
         if not samples.offsets.flags.writeable:
             raise TypeError(_READ_ONLY)
         if not 0 <= leaf < self._sample_counts.shape[0]:
             raise IndexError(f"leaf index {leaf} out of range")
         start, stop = samples.offsets[leaf : leaf + 2].tolist()
+        return start, int(self._sample_counts[leaf]), stop - start
+
+    def replace_leaf_sample(
+        self, leaf: int, columns: Mapping[str, np.ndarray]
+    ) -> None:
+        """Replace leaf ``leaf``'s sample rows with exactly ``columns``.
+
+        ``columns`` carries every CSR sample column, all of one length, and
+        becomes the leaf's rows *and* slots: a length equal to the leaf's
+        slot count is written in place; otherwise the columns are spliced
+        and the slot starts after the leaf shifted, so every other leaf
+        keeps its rows and slots bit for bit.  The one-row updates of a
+        reserved synopsis go through :meth:`put_sample_row` /
+        :meth:`drop_sample_row` instead.
+        """
+        start, _, slots = self._begin_sample_write(leaf)
+        samples = self._samples
         rows = {c: np.asarray(columns[c], dtype=float) for c in samples.columns}
         length = next(iter(rows.values())).shape[0]
         if any(values.shape != (length,) for values in rows.values()):
             raise ValueError("sample columns must be 1-D and of one length")
-        if length == stop - start:
+        if length == slots:
             for column, values in samples.columns.items():
-                values[start:stop] = rows[column]
+                values[start : start + slots] = rows[column]
         else:
             offsets = samples.offsets.copy()
-            offsets[leaf + 1 :] += length - (stop - start)
+            offsets[leaf + 1 :] += length - slots
             self._samples = FlatSamples(
                 offsets,
                 {
-                    c: np.concatenate([values[:start], rows[c], values[stop:]])
+                    c: np.concatenate(
+                        [values[:start], rows[c], values[start + slots :]]
+                    )
                     for c, values in samples.columns.items()
                 },
             )
-            self._sample_counts[leaf] = length
+        self._sample_counts[leaf] = length
+
+    def put_sample_row(
+        self, leaf: int, position: int, row: Mapping[str, float]
+    ) -> None:
+        """Write ``row`` as leaf ``leaf``'s sample row ``position``.
+
+        ``position`` is an existing row (overwritten) or the leaf's row count
+        (appended).  An append into a free slot, like an overwrite, writes
+        one value per column in place; a leaf without a free slot grows its
+        slots by a :meth:`replace_leaf_sample` splice.
+        """
+        start, count, slots = self._begin_sample_write(leaf)
+        if not 0 <= position <= count:
+            raise IndexError(f"sample row {position} out of range")
+        if position == slots:
+            grown = {
+                c: np.append(values, row[c])
+                for c, values in self.leaf_sample(leaf).items()
+            }
+            self.replace_leaf_sample(leaf, grown)
+            return
+        for column, values in self._samples.columns.items():
+            values[start + position] = row[column]
+        if position == count:
+            self._sample_counts[leaf] = count + 1
+
+    def drop_sample_row(self, leaf: int, position: int) -> None:
+        """Remove leaf ``leaf``'s sample row ``position``, keeping row order.
+
+        The rows after it shift down one slot inside the leaf; the freed
+        last slot becomes slack.
+        """
+        start, count, _ = self._begin_sample_write(leaf)
+        if not 0 <= position < count:
+            raise IndexError(f"sample row {position} out of range")
+        first, stop = start + position, start + count
+        for values in self._samples.columns.values():
+            values[first : stop - 1] = values[first + 1 : stop]
+        self._sample_counts[leaf] = count - 1
+
+    def reserve_sample_slots(self, slots: np.ndarray) -> None:
+        """Give leaf ``i`` at least ``slots[i]`` sample slots (one relayout).
+
+        Each leaf keeps its rows and gets ``max(slots[i], rows)`` slots, so
+        that :meth:`put_sample_row` appends in place up to that many rows.
+        The columns and offsets are new arrays owned by this instance; the
+        slack slots hold zeros and are never read.
+        """
+        samples = self._samples
+        if not samples.offsets.flags.writeable:
+            raise TypeError(_READ_ONLY)
+        counts = self._sample_counts
+        offsets = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.maximum(slots, counts), out=offsets[1:])
+        _, source = _row_index(samples.offsets[:-1], counts)
+        _, target = _row_index(offsets[:-1], counts)
+        columns = {}
+        for column, values in samples.columns.items():
+            slotted = np.zeros(int(offsets[-1]))
+            slotted[target] = values.take(source)
+            columns[column] = slotted
+        self._samples = FlatSamples(offsets, columns)
+
+    def _compact_samples(self) -> FlatSamples:
+        """The samples without slack, as new arrays (the export's form)."""
+        samples = self._samples
+        counts = self._sample_counts
+        offsets = np.zeros(counts.shape[0] + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        if np.array_equal(offsets, samples.offsets):
+            return FlatSamples(
+                offsets, {c: values.copy() for c, values in samples.columns.items()}
+            )
+        _, index = _row_index(samples.offsets[:-1], counts)
+        return FlatSamples(
+            offsets, {c: values.take(index) for c, values in samples.columns.items()}
+        )
 
     def _zv_flags(self) -> np.ndarray:
         """Per-node ``stats.has_zero_variance`` flags, cached until stats change."""
@@ -1009,18 +1171,13 @@ class FlatSynopsis:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The frontier gather ``(counts, loc, index)`` of ``leaves``' samples.
 
-        ``index`` lists the CSR rows of every leaf in ``leaves``, leaf after
-        leaf in the given order, so ``column.take(index)`` is the
-        concatenation of the leaves' slices; leaf ``i`` owns positions
-        ``loc[i]:loc[i + 1]`` of it and ``counts[i]`` rows (none for an
-        unsampled leaf).  Built with ``cumsum`` / ``repeat`` / ``arange`` per
-        frontier and dropped with it — nothing is cached or stored.
+        :func:`_row_index` of the leaves' rows, in the given leaf order:
+        leaf ``i`` owns positions ``loc[i]:loc[i + 1]`` of ``index`` and
+        ``counts[i]`` rows (none for an unsampled leaf).  Built per frontier
+        and dropped with it — nothing is cached or stored.
         """
         counts = self._sample_counts[leaves]
-        loc = np.zeros(leaves.shape[0] + 1, dtype=np.int64)
-        np.cumsum(counts, out=loc[1:])
-        index = np.arange(loc[-1])
-        index += np.repeat(self._samples.offsets[leaves] - loc[:-1], counts)
+        loc, index = _row_index(self._samples.offsets[leaves], counts)
         return counts, loc, index
 
     def _gathered_mask(
@@ -1067,7 +1224,7 @@ class FlatSynopsis:
                 if size == 0 or n_sample == 0:
                     continue
                 start = int(offsets[leaf])
-                stop = int(offsets[leaf + 1])
+                stop = start + n_sample
                 data = self._leaf_mask(constraints, start, stop).astype(float)
                 if need_count:
                     count_pairs.append(
@@ -1272,9 +1429,10 @@ class FlatSynopsis:
         values_column = self._samples.columns.get(self._value_column)
         if leaves.shape[0] <= _SCALAR_FRONTIER_LEAVES:
             offsets = self._samples.offsets
+            counts = self._sample_counts
             for leaf in leaves.tolist():
                 start = int(offsets[leaf])
-                stop = int(offsets[leaf + 1])
+                stop = start + int(counts[leaf])
                 if stop == start:
                     continue
                 mask = self._leaf_mask(constraints, start, stop)
@@ -1407,13 +1565,14 @@ class FlatSynopsis:
         )
         values = samples.columns.get(self._value_column, _NO_VALUES)
         leaves = self._leaf_of_row[partial_rows]
+        starts = offsets[leaves]
         for leaf, size, low, high, start, stop in zip(
             leaves.tolist(),
             self._node_count[partial_rows].tolist(),
             self._node_min[partial_rows].tolist(),
             self._node_max[partial_rows].tolist(),
-            offsets[leaves].tolist(),
-            offsets[leaves + 1].tolist(),
+            starts.tolist(),
+            (starts + self._sample_counts[leaves]).tolist(),
         ):
             if size == 0:
                 continue
@@ -1453,8 +1612,8 @@ class FlatSynopsis:
         value_values = samples.columns.get(self._value_column)
         for leaf_index, slots in per_leaf.items():
             start = int(offsets[leaf_index])
-            stop = int(offsets[leaf_index + 1])
-            n_samples = stop - start
+            n_samples = int(self._sample_counts[leaf_index])
+            stop = start + n_samples
             if n_samples == 0:
                 for slot in slots:
                     moments[(slot, leaf_index)] = None

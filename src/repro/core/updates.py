@@ -5,12 +5,23 @@ copy of the synopsis — the :class:`~repro.core.soa.FlatSynopsis` arrays:
 
 * the tuple is routed to its leaf over the leaf rows' bounds
   (``leaf_for_point``);
-* SUM / COUNT / MIN / MAX of every row on the leaf-to-root ``parent`` chain
-  are updated in O(height) time (``add_value`` / ``remove_value``);
+* SUM / COUNT / MIN / MAX of every row on the leaf's memoised leaf-to-root
+  ``parent`` chain are updated in O(height) time (``add_value`` /
+  ``remove_value``);
 * the leaf's stratified sample — its CSR rows, stored nowhere else — is kept
   by reservoir sampling (:func:`~repro.sampling.reservoir.reservoir_slot`),
   so it stays a uniform sample of the leaf's (growing) population; only the
-  reservoirs' ``capacity`` / ``seen`` counters live here.
+  reservoirs' ``capacity`` / ``seen`` counters live here.  Every leaf owns
+  ``capacity`` sample *slots*, reserved when the synopsis is adopted or
+  loaded (``reserve_sample_slots``): an accepted insert writes its one row
+  in place (``put_sample_row``) and a delete shifts the rows of its own leaf
+  only (``drop_sample_row``).  Exports stay compact, so neither the saved
+  bytes nor ``storage_bytes`` see the slack;
+* the leaf's distinct-count sketch absorbs the value with one scalar hash
+  and one ``searchsorted`` insert.
+
+An update therefore costs O(depth + one leaf), independent of the number of
+leaves and of the other leaves' samples.
 
 After many updates the partitioning may drift away from the optimum the
 builder found; :meth:`DynamicPASS.updates_since_build` and the normalized
@@ -48,6 +59,7 @@ reconstructs the sketches from the current data and resets the counter.
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from typing import Mapping, Sequence
 
@@ -131,6 +143,7 @@ class DynamicPASS:
                     kept[slot] = offered
             rows = {c: v[kept] for c, v in self._flat.leaf_sample(leaf).items()}
             self._flat.replace_leaf_sample(leaf, rows)
+        self._flat.reserve_sample_slots(self._capacity)
         # A reservoir seeded with a sample has "seen" the leaf's population:
         # acceptance probabilities are relative to it, not to the sample.
         self._seen = np.maximum(self._flat.leaf_populations(), counts)
@@ -259,11 +272,7 @@ class DynamicPASS:
         )
         if slot is not None:
             # Appended while there is room (slot == held), else overwritten.
-            rows = {
-                c: np.concatenate([values[:slot], [sample_row[c]], values[slot + 1 :]])
-                for c, values in flat.leaf_sample(leaf).items()
-            }
-            flat.replace_leaf_sample(leaf, rows)
+            flat.put_sample_row(leaf, slot, sample_row)
         self._updates_since_build += 1
         return self._leaf_boxes[leaf]
 
@@ -298,14 +307,15 @@ class DynamicPASS:
             self._sketch_stale_deletes += 1
         # Drop the first sampled row equal to the tuple, if any: the rest is
         # a uniform sample of the survivors only approximately, which
-        # Section 4.5 accepts until a rebuild.
-        sample = flat.leaf_sample(leaf)
-        hits = np.flatnonzero(
-            np.logical_and.reduce([v == sample_row[c] for c, v in sample.items()])
-        )
+        # Section 4.5 accepts until a rebuild.  NaN matches NaN (a NaN-valued
+        # tuple's row is its own, though NaN != NaN).
+        matches = [
+            np.isnan(values) if math.isnan(sample_row[c]) else values == sample_row[c]
+            for c, values in flat.leaf_sample(leaf).items()
+        ]
+        hits = np.flatnonzero(np.logical_and.reduce(matches))
         if hits.shape[0]:
-            rows = {c: np.delete(values, hits[0]) for c, values in sample.items()}
-            flat.replace_leaf_sample(leaf, rows)
+            flat.drop_sample_row(leaf, int(hits[0]))
         self._updates_since_build += 1
         return self._leaf_boxes[leaf]
 
@@ -381,6 +391,7 @@ class DynamicPASS:
         instance._reservoir_capacity = header["reservoir_capacity"]
         instance._adopt(PASSSynopsis.from_buffers(header, arrays), rng)
         instance._capacity = arrays["capacity"]
+        instance._flat.reserve_sample_slots(instance._capacity)
         instance._seen = arrays["seen"]
         instance._updates_since_build = int(header["updates_since_build"])
         instance._build_population = int(header["build_population"])

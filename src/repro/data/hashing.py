@@ -16,13 +16,19 @@ collide on purpose.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
-__all__ = ["splitmix64"]
+__all__ = ["splitmix64", "splitmix64_scalar"]
 
-#: SplitMix64 finalizer multipliers.
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
+#: SplitMix64 finalizer multipliers, as Python ints and as numpy scalars.
+_MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_MIX_1, _MIX_2 = (np.uint64(multiplier) for multiplier in _MULTIPLIERS)
+
+_MASK_64 = (1 << 64) - 1
+_FLOAT64 = struct.Struct("<d")
+_UINT64 = struct.Struct("<Q")
 
 
 def splitmix64(values: np.ndarray) -> np.ndarray:
@@ -38,3 +44,13 @@ def splitmix64(values: np.ndarray) -> np.ndarray:
         mixed *= _MIX_2
         mixed ^= mixed >> np.uint64(31)
     return mixed
+
+
+def splitmix64_scalar(value: float) -> int:
+    """:func:`splitmix64` of one value, as a Python int (no array round trip)."""
+    (bits,) = _UINT64.unpack(_FLOAT64.pack(value + 0.0))
+    bits ^= bits >> 30
+    bits = (bits * _MULTIPLIERS[0]) & _MASK_64
+    bits ^= bits >> 27
+    bits = (bits * _MULTIPLIERS[1]) & _MASK_64
+    return bits ^ (bits >> 31)

@@ -14,7 +14,8 @@ into something that can serve query traffic:
   p95 / p99 dashboard caches each percentile separately while identical
   percentile queries still collapse onto one entry.  Updates invalidate
   exactly the cached results whose predicate region overlaps the updated
-  partition.
+  partition, with one broadcast comparison against the cached predicates'
+  bounds (:class:`_CachedRegions`) rather than a scan of the cache.
 
 Sketch aggregates (QUANTILE / COUNT_DISTINCT) serve through the same three
 mechanisms unchanged: the catalog routes them only to synopses carrying
@@ -40,10 +41,12 @@ from collections import OrderedDict
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Mapping, Sequence
 
+import numpy as np
+
 from repro.core.batching import batch_query
 from repro.obs import Observability
 from repro.query.groupby import GroupByPlan, GroupByQuery, GroupedResult
-from repro.query.predicate import Box
+from repro.query.predicate import Box, RectPredicate
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
 from repro.serving.catalog import CatalogEntry, SynopsisCatalog
@@ -63,6 +66,78 @@ EXACT_FALLBACK = "__exact__"
 #: Shared empty stages mapping for records with no stage breakdown
 #: (read-only by convention; avoids one dict allocation per record).
 _NO_STAGES: dict[str, float] = {}
+
+
+class _CachedRegions:
+    """The predicates of one synopsis' cached results as ``lo`` / ``hi`` rows.
+
+    Row ``i`` bounds the predicate of cache key ``keys[i]``: its interval on
+    each column of ``columns``, unbounded where it leaves the column free.
+    The rows stay packed in ``[0, len(keys))`` (a removal moves the last row
+    into the hole), so :meth:`overlapping` is one broadcast comparison.
+    """
+
+    __slots__ = ("columns", "keys", "row_of", "lo", "hi")
+
+    def __init__(self) -> None:
+        self.columns: dict[str, int] = {}
+        self.keys: list[tuple] = []
+        self.row_of: dict[tuple, int] = {}
+        self.lo = np.full((16, 0), -np.inf)
+        self.hi = np.full((16, 0), np.inf)
+
+    def add(self, key: tuple, predicate: RectPredicate) -> None:
+        """Track ``key``'s predicate (a no-op for a tracked key)."""
+        if key in self.row_of:
+            return
+        bounds = predicate.canonical_key()
+        new = [column for column, _, _ in bounds if column not in self.columns]
+        if new:
+            for column in new:
+                self.columns[column] = len(self.columns)
+            rows = self.lo.shape[0]
+            self.lo = np.hstack([self.lo, np.full((rows, len(new)), -np.inf)])
+            self.hi = np.hstack([self.hi, np.full((rows, len(new)), np.inf)])
+        row = len(self.keys)
+        if row == self.lo.shape[0]:
+            self.lo = np.vstack([self.lo, np.full_like(self.lo, -np.inf)])
+            self.hi = np.vstack([self.hi, np.full_like(self.hi, np.inf)])
+        self.lo[row] = -np.inf
+        self.hi[row] = np.inf
+        for column, low, high in bounds:
+            c = self.columns[column]
+            self.lo[row, c] = low
+            self.hi[row, c] = high
+        self.keys.append(key)
+        self.row_of[key] = row
+
+    def discard(self, key: tuple) -> None:
+        """Stop tracking ``key`` (a no-op for an untracked one)."""
+        row = self.row_of.pop(key, None)
+        if row is None:
+            return
+        last = self.keys.pop()
+        if last != key:
+            self.keys[row] = last
+            self.row_of[last] = row
+            self.lo[row] = self.lo[len(self.keys)]
+            self.hi[row] = self.hi[len(self.keys)]
+
+    def overlapping(self, box: Box) -> list[tuple]:
+        """The tracked keys whose predicate shares a point with ``box``.
+
+        ``RectPredicate.overlaps_box`` for every row at once: a column free
+        on either side is unbounded there.
+        """
+        n = len(self.keys)
+        if not n or not self.columns:
+            return list(self.keys)
+        intervals = [box.interval(column) for column in self.columns]
+        box_lo = np.array([interval.low for interval in intervals])
+        box_hi = np.array([interval.high for interval in intervals])
+        hit = self.lo[:n] <= box_hi
+        hit &= self.hi[:n] >= box_lo
+        return [self.keys[row] for row in np.flatnonzero(hit.all(axis=1)).tolist()]
 
 
 class ServingEngine:
@@ -106,6 +181,9 @@ class ServingEngine:
             OrderedDict()
         )
         self._cache_lock = threading.Lock()
+        #: Synopsis name -> the bounds of its cached predicates, built on the
+        #: first update to that synopsis and kept in step with the cache.
+        self._regions: dict[str, _CachedRegions] = {}
         self._stats: dict[str, ServingStats] = {}
         self._stats_lock = threading.Lock()
         self._auditor: "AccuracyAuditor | None" = None
@@ -544,17 +622,19 @@ class ServingEngine:
         self._stats_for(name).record_invalidations(dropped)
         return box
 
-    def _invalidate_overlapping(self, name: str, box) -> int:
+    def _invalidate_overlapping(self, name: str, box: Box) -> int:
         """Drop cached results of ``name`` whose region overlaps ``box``."""
         with self._cache_lock:
-            doomed = [
-                key
-                for key, (served_by, query, _) in self._cache.items()
-                if served_by == name
-                and (len(query.predicate) == 0 or query.predicate.overlaps_box(box))
-            ]
+            regions = self._regions.get(name)
+            if regions is None:
+                regions = self._regions[name] = _CachedRegions()
+                for key, (served_by, query, _) in self._cache.items():
+                    if served_by == name:
+                        regions.add(key, query.predicate)
+            doomed = regions.overlapping(box)
             for key in doomed:
                 del self._cache[key]
+                regions.discard(key)
         return len(doomed)
 
     def invalidate(self, name: str | None = None) -> int:
@@ -563,6 +643,7 @@ class ServingEngine:
             if name is None:
                 dropped = len(self._cache)
                 self._cache.clear()
+                self._regions.clear()
                 return dropped
             doomed = [
                 key
@@ -571,6 +652,7 @@ class ServingEngine:
             ]
             for key in doomed:
                 del self._cache[key]
+            self._regions.pop(name, None)
             return len(doomed)
 
     # ------------------------------------------------------------------
@@ -611,10 +693,23 @@ class ServingEngine:
         if not self._cache_size:
             return
         with self._cache_lock:
+            replaced = self._cache.get(key)
+            if replaced is not None and replaced[0] != value[0]:
+                self._forget_region(replaced[0], key)
             self._cache[key] = value
             self._cache.move_to_end(key)
+            regions = self._regions.get(value[0])
+            if regions is not None:
+                regions.add(key, value[1].predicate)
             while len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
+                evicted, (served_by, _, _) = self._cache.popitem(last=False)
+                self._forget_region(served_by, evicted)
+
+    def _forget_region(self, name: str, key: tuple) -> None:
+        """Untrack ``key`` in ``name``'s region bounds (caller holds the lock)."""
+        regions = self._regions.get(name)
+        if regions is not None:
+            regions.discard(key)
 
     def _stats_for(self, name: str) -> ServingStats:
         with self._stats_lock:

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from repro.data.hashing import splitmix64
+from repro.data.hashing import splitmix64, splitmix64_scalar
 
 __all__ = ["DistinctSketch"]
 
@@ -94,8 +94,26 @@ class DistinctSketch:
     # Updates
     # ------------------------------------------------------------------
     def update(self, value: float) -> None:
-        """Observe one value (NaN is ignored)."""
-        self.update_array([value])
+        """Observe one value (NaN is ignored).
+
+        Bit for bit :meth:`update_array` of ``[value]``: one scalar hash and
+        one ``searchsorted`` insert, under the same saturation rule.
+        """
+        value = float(value)
+        if math.isnan(value):
+            return
+        hashed = np.uint64(splitmix64_scalar(value))
+        hashes = self._hashes
+        position = int(hashes.searchsorted(hashed))
+        if position < hashes.shape[0] and hashes[position] == hashed:
+            return
+        if hashes.shape[0] == self._k:
+            # A (k + 1)-th distinct hash: the largest one leaves for good.
+            self._saturated = True
+            if position == self._k:
+                return
+            hashes = hashes[:-1]
+        self._hashes = np.insert(hashes, position, hashed)
 
     def update_array(self, values: np.ndarray) -> None:
         """Observe an array of values (NaN entries ignored)."""

@@ -129,10 +129,18 @@ def _assert_arrays_match_replay(dynamic: DynamicPASS, live: list[dict]) -> None:
         else:
             assert stats[row] == PartitionStats.empty()
 
-    offsets = flat._samples.offsets
     counts = flat.sample_counts
+    _, arrays = flat.export_buffers()
+    offsets = arrays["sample_offsets"]
     assert offsets[0] == 0 and np.array_equal(np.diff(offsets), counts)
-    assert all(len(column) == offsets[-1] for column in flat._samples.columns.values())
+    assert all(
+        len(arrays[f"sample/{column}"]) == offsets[-1]
+        for column in flat._samples.columns
+    )
+    # In memory, each leaf's rows fit inside its own slots.
+    slots = flat._samples.offsets
+    assert slots[0] == 0 and np.all(slots[:-1] + counts <= slots[1:])
+    assert all(len(column) == slots[-1] for column in flat._samples.columns.values())
     assert np.all(counts <= dynamic._capacity)
     for leaf, box in enumerate(synopsis.leaf_boxes):
         sample = flat.leaf_sample(leaf)
