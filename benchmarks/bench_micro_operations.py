@@ -83,7 +83,7 @@ def test_stratified_query_latency(benchmark, intel_spec, sum_query):
 
 
 def test_mcf_lookup_latency(benchmark, pass_synopsis, sum_query):
-    benchmark(pass_synopsis.flat.frontier, sum_query.predicate)
+    benchmark(pass_synopsis.frontier, sum_query.predicate)
 
 
 def test_adp_partitioning_time(benchmark, intel_spec):
@@ -141,8 +141,7 @@ def test_dynamic_insert_throughput(benchmark, intel_spec):
 def test_dynamic_delete_throughput(benchmark, intel_spec):
     """Deletes of sampled rows: each drops a row from its leaf's slots in place."""
     dynamic = _dynamic_intel(intel_spec)
-    flat = dynamic.synopsis.flat
-    sampled = np.flatnonzero(flat.sample_counts)
+    sampled = np.flatnonzero(dynamic.sample_counts)
     rng = np.random.default_rng(3)
     deleted: list[dict[str, float]] = []
 
@@ -150,7 +149,7 @@ def test_dynamic_delete_throughput(benchmark, intel_spec):
         # Untimed: restore the previous round's row, then pick the next one.
         if deleted:
             dynamic.insert(deleted.pop())
-        sample = flat.leaf_sample(int(rng.choice(sampled)))
+        sample = dynamic.leaf_sample(int(rng.choice(sampled)))
         position = int(rng.integers(next(iter(sample.values())).shape[0]))
         row = {column: float(values[position]) for column, values in sample.items()}
         deleted.append(row)

@@ -89,11 +89,11 @@ def check(dynamic: DynamicPASS, table: Table, live_rows: list[dict]) -> int:
     # Updates write into spare per-leaf slots; the file holds the rows only.
     offsets = saved["sample_offsets"]
     columns = [key for key in saved if key.startswith("sample/")]
-    if not np.array_equal(
-        np.diff(offsets), dynamic.synopsis.flat.sample_counts
-    ) or any(saved[key].shape[0] != offsets[-1] for key in columns):
+    if not np.array_equal(np.diff(offsets), dynamic.sample_counts) or any(
+        saved[key].shape[0] != offsets[-1] for key in columns
+    ):
         failures.append("the churned synopsis was not saved compact")
-    if loaded.synopsis.storage_bytes() != dynamic.synopsis.storage_bytes():
+    if loaded.storage_bytes() != dynamic.storage_bytes():
         failures.append("storage_bytes changed across the save / load round trip")
     for query in monitored:
         if bits(loaded.query(query)) != bits(dynamic.query(query)):
@@ -140,7 +140,7 @@ def main() -> int:
     )
     print(
         f"Initial synopsis over {dynamic.population_size} rows "
-        f"({dynamic.synopsis.n_partitions} partitions)."
+        f"({dynamic.n_partitions} partitions)."
     )
 
     # The monitored query: afternoon light levels.

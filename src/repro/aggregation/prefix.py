@@ -30,7 +30,7 @@ def check_ranges(start, end, length: int) -> None:
         starts, ends = np.broadcast_arrays(start, end)
         lane = np.flatnonzero(bad)[0]
         raise IndexError(
-            f"invalid range [{starts.flat[lane]}, {ends.flat[lane]}] "
+            f"invalid range [{starts.ravel()[lane]}, {ends.ravel()[lane]}] "
             f"for array of length {length}"
         )
 

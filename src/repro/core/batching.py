@@ -108,7 +108,6 @@ class BatchPlan:
         (:func:`~repro.sketches.union.shared_union_results`).
         """
         synopsis = self.synopsis
-        flat = synopsis.flat
         frontiers = self.slot_frontiers
         with self.obs.tracer.span("execute.per_query") as span:
             span.set_attribute("batch_size", len(self.queries))
@@ -121,7 +120,7 @@ class BatchPlan:
                     pending.append((len(results), (slot, query.agg), query))
                     results.append(None)
                 else:
-                    results.append(flat.answer(query, frontiers[slot]))
+                    results.append(synopsis.answer(query, frontiers[slot]))
             if pending is not None:
                 for position, result in shared_union_results(
                     pending,
@@ -172,9 +171,8 @@ def compile_batch(
                 slot_by_key[key] = slot
                 slot_queries.append(query)
             slots.append(slot)
-        flat = synopsis.flat
         with obs.tracer.span("frontier.descent") as descent_span:
-            slot_frontiers = [flat.query_frontier(query) for query in slot_queries]
+            slot_frontiers = [synopsis.query_frontier(query) for query in slot_queries]
             if obs.enabled:
                 descent_span.set_attribute(
                     "nodes_visited", sum(f.nodes_visited for f in slot_frontiers)
@@ -273,17 +271,16 @@ def grouped_query(
         for i in classic_slots
     )
 
-    flat = synopsis.flat
     live = plan.live_cells()
-    cell_frontiers = flat.frontiers_for([cell.predicate for _, cell in live])
+    cell_frontiers = synopsis.frontiers_for([cell.predicate for _, cell in live])
     surviving = [
         (index, cell, frontier)
         for (index, cell), frontier in zip(live, cell_frontiers)
-        if flat.frontier_count(frontier) > 0
+        if synopsis.frontier_count(frontier) > 0
     ]
 
     if classic_slots:
-        moments = flat.grouped_leaf_moments(
+        moments = synopsis.grouped_leaf_moments(
             [(cell.predicate, frontier) for _, cell, frontier in surviving],
             need_extrema,
         )
@@ -296,7 +293,7 @@ def grouped_query(
     ]
     if classic_slots:
         for slot, (_, _, frontier) in enumerate(surviving):
-            classic_row = flat.assemble_cell_row(
+            classic_row = synopsis.assemble_cell_row(
                 classic_aggs, frontier, moments, slot, lam, with_fpc, population
             )
             for position, result in zip(classic_slots, classic_row):

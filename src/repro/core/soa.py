@@ -283,7 +283,11 @@ class FlatSynopsis:
         The scalar configuration (value column, lambda, zero-variance rule,
         FPC flag) plus the ordered predicate-column, sample-column and
         sketch-key name lists that give the anonymous arrays meaning
-        (``sketch_keys`` is empty for a synopsis without sketches).
+        (``sketch_keys`` is empty for a synopsis without sketches), and the
+        two build facts every export writes back: ``build_seconds`` (0.0
+        when absent) and ``effective_partitioner`` (the partitioner the
+        builder ran, e.g. ``"kd"`` for a 1-D optimizer given several
+        columns, ``"precomputed"`` for supplied boxes; ``None`` if absent).
     arrays:
         The buffers listed in the module docstring.  ``ValueError`` when a
         kernel array the header implies is missing, or when the samples or
@@ -309,6 +313,8 @@ class FlatSynopsis:
         self._lam = float(header["lam"])
         self._zero_variance_rule = bool(header["zero_variance_rule"])
         self._with_fpc = bool(header["with_fpc"])
+        self.build_seconds = float(header.get("build_seconds", 0.0))
+        self.effective_partitioner = header.get("effective_partitioner")
 
         self._node_sum = arrays["node_sum"]
         self._node_count = arrays["node_count"]
@@ -353,6 +359,7 @@ class FlatSynopsis:
         #: in leaf-index order, the leaf rows' bounds in geometry order, and
         #: one memoised leaf-to-root row path per updated leaf.
         self._leaf_row_index: np.ndarray | None = None
+        self._leaf_boxes: tuple[Box, ...] | None = None
         self._leaf_bounds: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._leaf_paths: dict[int, np.ndarray] = {}
 
@@ -372,9 +379,10 @@ class FlatSynopsis:
         The returned arrays are exactly the contiguous buffers the query
         kernels read — node statistics, descent topology, column-major bound
         rows, and the CSR samples — plus the per-leaf sketches ragged-packed
-        under ``sketch/<key>``, so constructing a :class:`FlatSynopsis` over
-        them (or over byte-identical copies, e.g. views into a mapped file
-        or a shared-memory segment) gives an engine whose answers are
+        under ``sketch/<key>``, with the build facts in the header, so
+        constructing a :class:`FlatSynopsis` over them (or over
+        byte-identical copies, e.g. views into a mapped file or a
+        shared-memory segment) gives an engine whose answers are
         bit-identical to this one.
 
         Arrays holding mutable state (node stats, samples, sketches) are
@@ -393,6 +401,8 @@ class FlatSynopsis:
             "columns": list(self._column_index),
             "sample_columns": list(samples.columns),
             "sketch_keys": [],
+            "build_seconds": self.build_seconds,
+            "effective_partitioner": self.effective_partitioner,
         }
         arrays: dict[str, np.ndarray] = {
             "node_sum": self._node_sum.copy(),
@@ -468,19 +478,27 @@ class FlatSynopsis:
         """Per-leaf tuple counts (the leaf rows' COUNT) in leaf-index order."""
         return self._node_count[self._leaf_rows()]
 
+    @property
     def leaf_boxes(self) -> tuple[Box, ...]:
-        """The leaves' boxes in leaf-index order, decoded from the bounds."""
-        rows = self._leaf_rows()
-        lows, highs = (bounds[:, rows].T.tolist() for bounds in self._bounds)
-        return tuple(
-            Box(
-                {
-                    column: Interval(low[c], high[c])
-                    for column, c in self._column_index.items()
-                }
+        """The leaves' boxes in leaf-index order (decoded once, immutable)."""
+        if self._leaf_boxes is None:
+            rows = self._leaf_rows()
+            lows, highs = (bounds[:, rows].T.tolist() for bounds in self._bounds)
+            self._leaf_boxes = tuple(
+                Box(
+                    {
+                        column: Interval(low[c], high[c])
+                        for column, c in self._column_index.items()
+                    }
+                )
+                for low, high in zip(lows, highs)
             )
-            for low, high in zip(lows, highs)
-        )
+        return self._leaf_boxes
+
+    @property
+    def n_partitions(self) -> int:
+        """Number of leaf partitions."""
+        return int(self._sample_counts.shape[0])
 
     def storage_bytes(self) -> int:
         """Approximate footprint: node aggregates and bounds, samples, sketches.
@@ -1113,7 +1131,7 @@ class FlatSynopsis:
         agg = query.agg
         if agg in (AggregateType.QUANTILE, AggregateType.COUNT_DISTINCT):
             return sketch_union_result(
-                query, self.sketch_union(query, frontier), int(self._node_count[0])
+                query, self._frontier_union(query, frontier), int(self._node_count[0])
             )
         bounds = self.hard_bounds_rows(agg, frontier.covered, frontier.partial)
 
@@ -1477,16 +1495,18 @@ class FlatSynopsis:
     # Sketch aggregates (QUANTILE / COUNT_DISTINCT)
     # ------------------------------------------------------------------
     def sketch_union(
-        self, query: AggregateQuery, frontier: FlatFrontier
+        self, query: AggregateQuery, frontier: FlatFrontier | None = None
     ) -> QuantileSketchUnion | DistinctSketchUnion:
         """Reduce a sketch-aggregate query to its mergeable frontier union.
 
-        Fully covered frontier nodes contribute the pre-built sketches of
-        the leaves under them; partially overlapped leaves contribute
-        through their stratified sample — the CSR values the predicate mask
-        keeps — plus their population as *boundary weight* widening the
-        certified bounds (:func:`repro.sketches.union.frontier_union`).
-        Leaves and matched
+        ``frontier`` is the query's :meth:`query_frontier`, computed when not
+        given (the batch and grouped executors pass the one they already
+        hold, so a predicate's percentiles share it).  Fully covered
+        frontier nodes contribute the pre-built sketches of the leaves under
+        them; partially overlapped leaves contribute through their
+        stratified sample — the CSR values the predicate mask keeps — plus
+        their population as *boundary weight* widening the certified bounds
+        (:func:`repro.sketches.union.frontier_union`).  Leaves and matched
         values reach the merge loops in the oracle's order (covered nodes in
         row order, each node's leaves in the object tree's pre-order, then
         partial leaves in row order), so every merge happens in the same
@@ -1503,6 +1523,14 @@ class FlatSynopsis:
                 f"synopsis was built for column {self._value_column!r}, "
                 f"query aggregates {query.value_column!r}"
             )
+        if frontier is None:
+            frontier = self.query_frontier(query)
+        return self._frontier_union(query, frontier)
+
+    def _frontier_union(
+        self, query: AggregateQuery, frontier: FlatFrontier
+    ) -> QuantileSketchUnion | DistinctSketchUnion:
+        """:meth:`sketch_union`'s kernel, for a query already checked."""
         return frontier_union(
             query.agg,
             self.leaf_sketches(),

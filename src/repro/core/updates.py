@@ -1,7 +1,8 @@
 """Dynamic maintenance of a PASS synopsis (Section 4.5).
 
-Insertions and deletions are applied, without rebuilding, to the one mutable
-copy of the synopsis — the :class:`~repro.core.soa.FlatSynopsis` arrays:
+Insertions and deletions are applied, without rebuilding, to the synopsis
+itself — a :class:`DynamicPASS` is the :class:`~repro.core.soa.FlatSynopsis`
+it maintains, and its arrays are the one mutable copy:
 
 * the tuple is routed to its leaf over the leaf rows' bounds
   (``leaf_for_point``);
@@ -70,8 +71,6 @@ from repro.core.config import PASSConfig
 from repro.core.pass_synopsis import PASSSynopsis
 from repro.data.table import Table
 from repro.query.predicate import Box
-from repro.query.query import AggregateQuery
-from repro.result import AQPResult
 from repro.sampling.reservoir import reservoir_slot
 
 __all__ = ["DynamicPASS", "StaleExtremaWarning"]
@@ -81,8 +80,13 @@ class StaleExtremaWarning(UserWarning):
     """Warns that deletions may have left MIN / MAX node statistics loose."""
 
 
-class DynamicPASS:
+class DynamicPASS(PASSSynopsis):
     """A PASS synopsis that accepts streaming inserts and deletes.
+
+    It is the synopsis it maintains: the build's arrays are adopted by
+    reference and :meth:`insert` / :meth:`delete` rewrite them in place.  It
+    adds the reservoir counters, the update counters behind the drift
+    gauges and the build parameters :meth:`rebuild` reuses.
 
     Parameters
     ----------
@@ -109,7 +113,6 @@ class DynamicPASS:
         rng: np.random.Generator | int | None = 0,
         extra_sample_columns: Sequence[str] | None = None,
     ) -> None:
-        self._value_column = value_column
         self._predicate_columns = list(predicate_columns)
         self._config = config or PASSConfig()
         self._extra_sample_columns = list(extra_sample_columns or [])
@@ -119,17 +122,19 @@ class DynamicPASS:
                 "(None or 0: each leaf's built sample size)"
             )
         self._reservoir_capacity = reservoir_capacity
-        self._adopt(
-            build_pass(
-                table,
-                value_column,
-                predicate_columns,
-                self._config,
-                extra_sample_columns=self._extra_sample_columns,
-            ),
-            rng,
+        # Become the built synopsis: its attributes, arrays included, are
+        # taken over by reference.
+        built = build_pass(
+            table,
+            value_column,
+            predicate_columns,
+            self._config,
+            extra_sample_columns=self._extra_sample_columns,
         )
-        counts = self._flat.sample_counts
+        vars(self).update(vars(built))
+        self._rng = np.random.default_rng(rng)
+        self.leaf_sketches()  # unpacked now: inserts update the objects
+        counts = self.sample_counts
         self._capacity = np.maximum(1, counts)
         if reservoir_capacity:
             self._capacity[:] = reservoir_capacity
@@ -141,43 +146,25 @@ class DynamicPASS:
                 slot = reservoir_slot(capacity, capacity, offered + 1, self._rng)
                 if slot is not None:
                     kept[slot] = offered
-            rows = {c: v[kept] for c, v in self._flat.leaf_sample(leaf).items()}
-            self._flat.replace_leaf_sample(leaf, rows)
-        self._flat.reserve_sample_slots(self._capacity)
+            rows = {c: v[kept] for c, v in self.leaf_sample(leaf).items()}
+            self.replace_leaf_sample(leaf, rows)
+        self.reserve_sample_slots(self._capacity)
         # A reservoir seeded with a sample has "seen" the leaf's population:
         # acceptance probabilities are relative to it, not to the sample.
-        self._seen = np.maximum(self._flat.leaf_populations(), counts)
+        self._seen = np.maximum(self.leaf_populations(), counts)
         self._updates_since_build = 0
         self._build_population = self.population_size
         self._minmax_possibly_stale = False
         self._sketch_stale_deletes = 0
         self._extrema_stale_deletes = 0
 
-    def _adopt(
-        self, synopsis: PASSSynopsis, rng: np.random.Generator | int | None
-    ) -> None:
-        """Take ``synopsis``' flat arrays as the state updates are applied to."""
-        self._rng = (
-            rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-        )
-        self._synopsis = synopsis
-        self._flat = synopsis.flat
-        self._leaf_boxes = synopsis.leaf_boxes
-        self._sketches = self._flat.leaf_sketches()
-        self._sample_columns = list(self._flat.leaf_sample(0))
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def synopsis(self) -> PASSSynopsis:
-        """The underlying PASS synopsis (stats updated in place)."""
-        return self._synopsis
-
-    @property
-    def value_column(self) -> str:
-        """The aggregation column the synopsis answers queries about."""
-        return self._value_column
+    def synopsis(self) -> "DynamicPASS":
+        """This synopsis (updated in place; kept as an alias)."""
+        return self
 
     @property
     def predicate_columns(self) -> list[str]:
@@ -198,11 +185,6 @@ class DynamicPASS:
     def updates_since_build(self) -> int:
         """Number of inserts and deletes applied since the last (re)build."""
         return self._updates_since_build
-
-    @property
-    def population_size(self) -> int:
-        """Current number of tuples summarized."""
-        return self._flat.population_size
 
     @property
     def staleness(self) -> float:
@@ -259,35 +241,40 @@ class DynamicPASS:
         invalidate the cached results overlapping it).
         """
         leaf, value, sample_row = self._locate(row)
-        flat = self._flat
-        flat.add_value(leaf, value)
-        if self._sketches is not None and not np.isnan(value):
-            sketches = self._sketches[leaf]
-            sketches.quantile.update(value)
-            sketches.distinct.update(value)
+        self.add_value(leaf, value)
+        sketches = self.leaf_sketches()
+        if sketches is not None and not np.isnan(value):
+            sketches[leaf].quantile.update(value)
+            sketches[leaf].distinct.update(value)
         self._seen[leaf] += 1
-        held = int(flat.sample_counts[leaf])
+        held = int(self._sample_counts[leaf])
         slot = reservoir_slot(
             held, int(self._capacity[leaf]), int(self._seen[leaf]), self._rng
         )
         if slot is not None:
             # Appended while there is room (slot == held), else overwritten.
-            flat.put_sample_row(leaf, slot, sample_row)
+            self.put_sample_row(leaf, slot, sample_row)
         self._updates_since_build += 1
-        return self._leaf_boxes[leaf]
+        return self.leaf_boxes[leaf]
 
     def delete(self, row: Mapping[str, float]) -> Box:
         """Delete one tuple: update path statistics and drop it from the sample.
 
         MIN / MAX bounds become conservative (they are not tightened on
         deletion); SUM / COUNT / AVG stay exact.  Returns the leaf's box
-        (see :meth:`insert`).
+        (see :meth:`insert`).  ``ValueError``, before any write, when the
+        leaf is empty or the value lies outside its [MIN, MAX] (outer bounds
+        under deletes too, so no such tuple is in the leaf).
         """
         leaf, value, sample_row = self._locate(row)
-        flat = self._flat
-        stats = flat.leaf_stats(leaf)
+        stats = self.leaf_stats(leaf)
         if stats.count == 0:
             raise ValueError("cannot delete from an empty partition")
+        if value < stats.min or value > stats.max:
+            raise ValueError(
+                f"cannot delete value {value!r}: leaf {leaf} holds values in "
+                f"[{stats.min!r}, {stats.max!r}] only"
+            )
         if value <= stats.min or value >= stats.max:
             # The deleted tuple may have been the partition's extremum; the
             # MIN / MAX bounds on the whole path are now only conservative.
@@ -300,8 +287,8 @@ class DynamicPASS:
                 )
             self._minmax_possibly_stale = True
             self._extrema_stale_deletes += 1
-        flat.remove_value(leaf, value)
-        if self._sketches is not None and not np.isnan(value):
+        self.remove_value(leaf, value)
+        if self.has_sketches and not np.isnan(value):
             # Sketches cannot un-see a value; track the drift instead (see
             # the module docstring and sketch_staleness).
             self._sketch_stale_deletes += 1
@@ -311,23 +298,19 @@ class DynamicPASS:
         # tuple's row is its own, though NaN != NaN).
         matches = [
             np.isnan(values) if math.isnan(sample_row[c]) else values == sample_row[c]
-            for c, values in flat.leaf_sample(leaf).items()
+            for c, values in self.leaf_sample(leaf).items()
         ]
         hits = np.flatnonzero(np.logical_and.reduce(matches))
         if hits.shape[0]:
-            flat.drop_sample_row(leaf, int(hits[0]))
+            self.drop_sample_row(leaf, int(hits[0]))
         self._updates_since_build += 1
-        return self._leaf_boxes[leaf]
-
-    def query(self, query: AggregateQuery, lam: float | None = None) -> AQPResult:
-        """Answer a query from the (updated) synopsis."""
-        return self._synopsis.query(query, lam=lam)
+        return self.leaf_boxes[leaf]
 
     def rebuild(self, table: Table) -> None:
         """Re-optimize the synopsis from a fresh table snapshot."""
         self.__init__(
             table,
-            self._value_column,
+            self.value_column,
             self._predicate_columns,
             config=self._config,
             reservoir_capacity=self._reservoir_capacity,
@@ -341,7 +324,7 @@ class DynamicPASS:
     def export_buffers(self) -> tuple[dict, dict[str, np.ndarray]]:
         """The synopsis' ``(header, arrays)`` plus the update state.
 
-        On top of :meth:`PASSSynopsis.export_buffers`: the per-leaf reservoir
+        On top of :meth:`FlatSynopsis.export_buffers`: the per-leaf reservoir
         ``seen`` / ``capacity`` arrays, and in the header ``kind:
         "dynamic"``, the build parameters and the update counters.  The
         sample rows round-trip exactly (so a reloaded instance answers
@@ -349,7 +332,7 @@ class DynamicPASS:
         post-reload insertions make different (but equally valid) eviction
         choices.
         """
-        header, arrays = self._synopsis.export_buffers()
+        header, arrays = super().export_buffers()
         arrays["seen"] = self._seen.copy()
         arrays["capacity"] = self._capacity.copy()
         config = dataclasses.asdict(self._config)
@@ -384,14 +367,15 @@ class DynamicPASS:
         """
         arrays = {key: np.array(value) for key, value in arrays.items()}
         instance = cls.__new__(cls)
-        instance._value_column = str(header["value_column"])
+        PASSSynopsis.__init__(instance, header, arrays)
         instance._predicate_columns = list(header["predicate_columns"])
         instance._extra_sample_columns = list(header["extra_sample_columns"])
         instance._config = PASSConfig(**header["config"])
         instance._reservoir_capacity = header["reservoir_capacity"]
-        instance._adopt(PASSSynopsis.from_buffers(header, arrays), rng)
+        instance._rng = np.random.default_rng(rng)
+        instance.leaf_sketches()
         instance._capacity = arrays["capacity"]
-        instance._flat.reserve_sample_slots(instance._capacity)
+        instance.reserve_sample_slots(instance._capacity)
         instance._seen = arrays["seen"]
         instance._updates_since_build = int(header["updates_since_build"])
         instance._build_population = int(header["build_population"])
@@ -414,6 +398,6 @@ class DynamicPASS:
             raise KeyError(
                 f"row must provide the predicate columns {self._predicate_columns}"
             )
-        sample_row = {column: float(row[column]) for column in self._sample_columns}
-        leaf = self._flat.leaf_for_point(row)
+        sample_row = {column: float(row[column]) for column in self._samples.columns}
+        leaf = self.leaf_for_point(row)
         return leaf, float(row[self._value_column]), sample_row

@@ -201,26 +201,16 @@ class StreamingShardRouter:
                     "repro_shard_staleness",
                     "Per-shard update drift at scrape time.",
                     {"shard": str(index)},
-                ).set_function(self._staleness_reader(index))
+                ).set_function(self._gauge_reader(index, "staleness"))
                 registry.gauge(
                     "repro_shard_extrema_staleness",
                     "Per-shard extremum-delete drift at scrape time.",
                     {"shard": str(index)},
-                ).set_function(self._extrema_staleness_reader(index))
+                ).set_function(self._gauge_reader(index, "extrema_staleness"))
 
-    def _staleness_reader(self, index: int) -> Callable[[], float]:
-        def read() -> float:
-            shard = self._sharded.shards[index]
-            return shard.staleness if isinstance(shard, DynamicPASS) else 0.0
-
-        return read
-
-    def _extrema_staleness_reader(self, index: int) -> Callable[[], float]:
-        def read() -> float:
-            shard = self._sharded.shards[index]
-            return shard.extrema_staleness if isinstance(shard, DynamicPASS) else 0.0
-
-        return read
+    def _gauge_reader(self, index: int, gauge: str) -> Callable[[], float]:
+        """Reads shard ``index``'s drift gauge at scrape time (after swaps)."""
+        return lambda: getattr(self._sharded.shards[index], gauge)
 
     @property
     def sharded(self) -> ShardedSynopsis:
@@ -458,20 +448,10 @@ class StreamingShardRouter:
                     inserts=self._insert_counts[index],
                     deletes=self._delete_counts[index],
                     rebuilds=self._rebuild_counts[index],
-                    staleness=(
-                        shard.staleness if isinstance(shard, DynamicPASS) else 0.0
-                    ),
+                    staleness=shard.staleness,
                     population=shard.population_size,
-                    sketch_staleness=(
-                        shard.sketch_staleness
-                        if isinstance(shard, DynamicPASS)
-                        else 0.0
-                    ),
-                    extrema_staleness=(
-                        shard.extrema_staleness
-                        if isinstance(shard, DynamicPASS)
-                        else 0.0
-                    ),
+                    sketch_staleness=shard.sketch_staleness,
+                    extrema_staleness=shard.extrema_staleness,
                 )
             )
         return snapshots

@@ -41,9 +41,11 @@ SUM / COUNT query equals the sum of the per-shard estimates bit for bit, and
 the merged variance the sum of the per-shard variances — the property the
 acceptance tests assert.
 
-Streaming updates route to the owning shard's
-:class:`~repro.core.updates.DynamicPASS`; the higher-level rebuild policy
-lives in :class:`repro.distributed.router.StreamingShardRouter`.
+Shards are read as the synopses they are (a
+:class:`~repro.core.updates.DynamicPASS` is a ``PASSSynopsis``; a static
+shard's drift gauges read 0.0).  Streaming updates route to the owning
+shard's ``DynamicPASS``; the higher-level rebuild policy lives in
+:class:`repro.distributed.router.StreamingShardRouter`.
 """
 
 from __future__ import annotations
@@ -79,20 +81,15 @@ if TYPE_CHECKING:
 __all__ = ["ShardedSynopsis"]
 
 
-def _pass_of(shard: PASSSynopsis | DynamicPASS) -> PASSSynopsis:
-    """The underlying static synopsis of a shard."""
-    return shard.synopsis if isinstance(shard, DynamicPASS) else shard
-
-
 class ShardedSynopsis:
     """A horizontally sharded PASS synopsis with scatter-gather queries.
 
     Parameters
     ----------
     shards:
-        Per-shard synopses (:class:`PASSSynopsis` for read-only shards,
-        :class:`DynamicPASS` for shards accepting streaming updates), aligned
-        with ``key_boxes``.
+        Per-shard synopses, aligned with ``key_boxes``: a
+        :class:`PASSSynopsis` per shard, which is a :class:`DynamicPASS`
+        for a shard accepting streaming updates.
     key_boxes:
         The region of shard-column space each shard owns (from the
         :class:`~repro.distributed.planner.ShardPlan`).
@@ -112,7 +109,7 @@ class ShardedSynopsis:
 
     def __init__(
         self,
-        shards: Sequence[PASSSynopsis | DynamicPASS],
+        shards: Sequence[PASSSynopsis],
         key_boxes: Sequence[Box],
         shard_column: str,
         strategy: str = "range",
@@ -129,7 +126,7 @@ class ShardedSynopsis:
             raise ValueError(
                 f"{len(shards)} shards but {len(key_boxes)} key boxes were given"
             )
-        value_columns = {_pass_of(shard).value_column for shard in shards}
+        value_columns = {shard.value_column for shard in shards}
         if len(value_columns) != 1:
             raise ValueError(
                 f"shards aggregate different value columns: {sorted(value_columns)}"
@@ -180,7 +177,7 @@ class ShardedSynopsis:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def shards(self) -> list[PASSSynopsis | DynamicPASS]:
+    def shards(self) -> list[PASSSynopsis]:
         """The per-shard synopses, in shard order."""
         return list(self._shards)
 
@@ -207,22 +204,22 @@ class ShardedSynopsis:
     @property
     def value_column(self) -> str:
         """The aggregation column every shard answers queries about."""
-        return _pass_of(self._shards[0]).value_column
+        return self._shards[0].value_column
 
     @property
     def population_size(self) -> int:
         """Total number of tuples across all shards."""
-        return sum(_pass_of(shard).population_size for shard in self._shards)
+        return sum(shard.population_size for shard in self._shards)
 
     @property
     def sample_size(self) -> int:
         """Total number of stored sample tuples across all shards."""
-        return sum(_pass_of(shard).sample_size for shard in self._shards)
+        return sum(shard.sample_size for shard in self._shards)
 
     @property
     def n_partitions(self) -> int:
         """Total number of leaf partitions across all shards."""
-        return sum(_pass_of(shard).n_partitions for shard in self._shards)
+        return sum(shard.n_partitions for shard in self._shards)
 
     @property
     def supports_updates(self) -> bool:
@@ -232,50 +229,30 @@ class ShardedSynopsis:
     @property
     def staleness(self) -> float:
         """Worst per-shard update drift (0.0 for all-static shards)."""
-        stalenesses = self.per_shard_staleness()
-        return max(stalenesses) if stalenesses else 0.0
+        return max(self.per_shard_staleness())
 
     def per_shard_staleness(self) -> list[float]:
         """Update drift of each shard (0.0 for static shards)."""
-        return [
-            shard.staleness if isinstance(shard, DynamicPASS) else 0.0
-            for shard in self._shards
-        ]
+        return [shard.staleness for shard in self._shards]
 
     @property
     def supports_sketches(self) -> bool:
         """True when every shard can answer QUANTILE / COUNT_DISTINCT."""
-        return all(_pass_of(shard).has_sketches for shard in self._shards)
+        return all(shard.has_sketches for shard in self._shards)
 
     @property
     def sketch_staleness(self) -> float:
         """Worst per-shard sketch drift from unabsorbed deletions."""
-        stalenesses = self.per_shard_sketch_staleness()
-        return max(stalenesses) if stalenesses else 0.0
-
-    def per_shard_sketch_staleness(self) -> list[float]:
-        """Sketch drift of each shard (0.0 for static shards)."""
-        return [
-            shard.sketch_staleness if isinstance(shard, DynamicPASS) else 0.0
-            for shard in self._shards
-        ]
+        return max(shard.sketch_staleness for shard in self._shards)
 
     @property
     def extrema_staleness(self) -> float:
         """Worst per-shard extrema drift from extremum-hitting deletions."""
-        stalenesses = self.per_shard_extrema_staleness()
-        return max(stalenesses) if stalenesses else 0.0
-
-    def per_shard_extrema_staleness(self) -> list[float]:
-        """Extrema drift of each shard (0.0 for static shards)."""
-        return [
-            shard.extrema_staleness if isinstance(shard, DynamicPASS) else 0.0
-            for shard in self._shards
-        ]
+        return max(shard.extrema_staleness for shard in self._shards)
 
     def storage_bytes(self) -> int:
         """Total synopsis footprint across all shards."""
-        return sum(_pass_of(shard).storage_bytes() for shard in self._shards)
+        return sum(shard.storage_bytes() for shard in self._shards)
 
     # ------------------------------------------------------------------
     # Shard routing
@@ -294,8 +271,8 @@ class ShardedSynopsis:
         Serving layers use it to invalidate exactly the cached results an
         update can affect.
         """
-        synopsis = _pass_of(self._shards[self.shard_for_row(row)])
-        return synopsis.leaf_boxes[synopsis.flat.leaf_for_point(row)]
+        shard = self._shards[self.shard_for_row(row)]
+        return shard.leaf_boxes[shard.leaf_for_point(row)]
 
     def surviving_shards(self, query: AggregateQuery) -> list[int]:
         """Shards whose key range may contain tuples matching the query.
@@ -320,18 +297,17 @@ class ShardedSynopsis:
     # ------------------------------------------------------------------
     def insert(self, row: Mapping[str, float]) -> int:
         """Insert one tuple into the owning shard; returns the shard index."""
-        index = self.shard_for_row(row)
-        shard = self._shards[index]
-        if not isinstance(shard, DynamicPASS):
-            raise TypeError(
-                f"shard {index} is static; build the sharded synopsis with "
-                "dynamic=True to accept streaming updates"
-            )
+        index, shard = self._updatable_shard(row)
         shard.insert(row)
         return index
 
     def delete(self, row: Mapping[str, float]) -> int:
         """Delete one tuple from the owning shard; returns the shard index."""
+        index, shard = self._updatable_shard(row)
+        shard.delete(row)
+        return index
+
+    def _updatable_shard(self, row: Mapping[str, float]) -> tuple[int, DynamicPASS]:
         index = self.shard_for_row(row)
         shard = self._shards[index]
         if not isinstance(shard, DynamicPASS):
@@ -339,10 +315,9 @@ class ShardedSynopsis:
                 f"shard {index} is static; build the sharded synopsis with "
                 "dynamic=True to accept streaming updates"
             )
-        shard.delete(row)
-        return index
+        return index, shard
 
-    def replace_shard(self, index: int, shard: PASSSynopsis | DynamicPASS) -> None:
+    def replace_shard(self, index: int, shard: PASSSynopsis) -> None:
         """Atomically swap one shard's synopsis (per-shard rebuild support).
 
         The swap is a single reference assignment, so concurrent readers see
@@ -351,9 +326,9 @@ class ShardedSynopsis:
         """
         if not 0 <= index < len(self._shards):
             raise IndexError(f"shard index {index} out of range")
-        if _pass_of(shard).value_column != self.value_column:
+        if shard.value_column != self.value_column:
             raise ValueError(
-                f"replacement shard aggregates {_pass_of(shard).value_column!r}, "
+                f"replacement shard aggregates {shard.value_column!r}, "
                 f"expected {self.value_column!r}"
             )
         self._shards[index] = shard
@@ -425,7 +400,7 @@ class ShardedSynopsis:
 
         # Scatter execution: one batch per surviving shard.
         shard_answers: list[list[AQPResult]] = [
-            batch_query(_pass_of(self._shards[i]), subs) if subs else []
+            batch_query(self._shards[i], subs) if subs else []
             for i, subs in enumerate(shard_queries)
         ]
 
@@ -435,7 +410,7 @@ class ShardedSynopsis:
 
         # Gather: merge the per-shard parts of each query.  Populations are
         # snapshotted once for the whole batch (the read path is hot).
-        populations = [_pass_of(shard).population_size for shard in self._shards]
+        populations = [shard.population_size for shard in self._shards]
         total_population = sum(populations)
         results: list[AQPResult | None] = []
         pending = []  # (position, (predicate, sketch kind), query) triples
@@ -502,7 +477,7 @@ class ShardedSynopsis:
         """
         union = None
         for index in shard_indices:
-            shard_union = _pass_of(self._shards[index]).sketch_union(query)
+            shard_union = self._shards[index].sketch_union(query)
             union = shard_union if union is None else union.merge(shard_union)
         return union
 
@@ -703,7 +678,7 @@ class ShardedSynopsis:
 
         Static shards take their arrays by reference, dynamic ones copy.
         """
-        shards: list[PASSSynopsis | DynamicPASS] = []
+        shards: list[PASSSynopsis] = []
         for i, shard_header in enumerate(header["shard_headers"]):
             prefix = f"shard{i}/"
             shard_arrays = {

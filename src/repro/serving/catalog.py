@@ -81,12 +81,16 @@ def route_query(
 class CatalogEntry:
     """One registered synopsis and its routing metadata.
 
+    Sizes and drift gauges read straight off the synopsis, one object of
+    any kind (a static synopsis reports 0.0 drift).
+
     Attributes
     ----------
     name:
         Unique catalog name of the synopsis.
     synopsis:
-        The registered :class:`PASSSynopsis`, :class:`DynamicPASS`, or
+        The registered :class:`PASSSynopsis` (a :class:`DynamicPASS` when it
+        accepts updates) or
         :class:`~repro.distributed.sharded.ShardedSynopsis`.
     table_name:
         Name of the table the synopsis summarizes.
@@ -98,7 +102,7 @@ class CatalogEntry:
     """
 
     name: str
-    synopsis: PASSSynopsis | DynamicPASS | ShardedSynopsis
+    synopsis: PASSSynopsis | ShardedSynopsis
     table_name: str
     value_column: str
     predicate_columns: tuple[str, ...]
@@ -117,40 +121,32 @@ class CatalogEntry:
 
     @property
     def pass_synopsis(self) -> PASSSynopsis:
-        """The underlying static synopsis (unwrapping :class:`DynamicPASS`).
+        """The entry's single synopsis (static or dynamic).
 
-        Sharded entries have no single underlying synopsis; use
-        :attr:`synopsis` (and its scatter-gather methods) instead.
+        Sharded entries have no single synopsis; use :attr:`synopsis` (and
+        its scatter-gather methods) instead.
         """
         if isinstance(self.synopsis, ShardedSynopsis):
             raise TypeError(
                 f"synopsis {self.name!r} is sharded; query it through "
                 "entry.synopsis.query / query_batch"
             )
-        if isinstance(self.synopsis, DynamicPASS):
-            return self.synopsis.synopsis
         return self.synopsis
 
     @property
     def n_partitions(self) -> int:
         """Leaf partitions of the entry (summed across shards when sharded)."""
-        if isinstance(self.synopsis, ShardedSynopsis):
-            return self.synopsis.n_partitions
-        return self.pass_synopsis.n_partitions
+        return self.synopsis.n_partitions
 
     @property
     def staleness(self) -> float:
         """Update drift of the entry (0.0 for static synopses)."""
-        if isinstance(self.synopsis, (DynamicPASS, ShardedSynopsis)):
-            return self.synopsis.staleness
-        return 0.0
+        return self.synopsis.staleness
 
     @property
     def sketch_staleness(self) -> float:
         """Sketch update drift of the entry (0.0 for static synopses)."""
-        if isinstance(self.synopsis, (DynamicPASS, ShardedSynopsis)):
-            return self.synopsis.sketch_staleness
-        return 0.0
+        return self.synopsis.sketch_staleness
 
     @property
     def extrema_staleness(self) -> float:
@@ -158,16 +154,14 @@ class CatalogEntry:
 
         0.0 for static synopses; for sharded entries, the worst shard.
         """
-        if isinstance(self.synopsis, (DynamicPASS, ShardedSynopsis)):
-            return self.synopsis.extrema_staleness
-        return 0.0
+        return self.synopsis.extrema_staleness
 
     @property
     def supports_sketches(self) -> bool:
         """True when the entry can answer QUANTILE / COUNT_DISTINCT queries."""
         if isinstance(self.synopsis, ShardedSynopsis):
             return self.synopsis.supports_sketches
-        return self.pass_synopsis.has_sketches
+        return self.synopsis.has_sketches
 
 
 class SynopsisCatalog:
@@ -266,7 +260,7 @@ class SynopsisCatalog:
     def register(
         self,
         name: str,
-        synopsis: PASSSynopsis | DynamicPASS | ShardedSynopsis,
+        synopsis: PASSSynopsis | ShardedSynopsis,
         table_name: str = "table",
         predicate_columns: Sequence[str] | None = None,
     ) -> CatalogEntry:
@@ -280,29 +274,24 @@ class SynopsisCatalog:
         """
         if name in self._entries:
             raise ValueError(f"synopsis {name!r} is already registered")
-        if isinstance(synopsis, ShardedSynopsis):
-            value_column = synopsis.value_column
-            if predicate_columns is None:
-                columns: set[str] = {synopsis.shard_column}
+        if not isinstance(synopsis, (PASSSynopsis, ShardedSynopsis)):
+            raise TypeError(
+                "expected a PASSSynopsis, DynamicPASS, or ShardedSynopsis, "
+                f"got {type(synopsis)!r}"
+            )
+        if predicate_columns is None:
+            if isinstance(synopsis, ShardedSynopsis):
+                columns = {synopsis.shard_column}
                 for shard in synopsis.shards:
-                    inner = shard.synopsis if isinstance(shard, DynamicPASS) else shard
-                    columns.update(inner.flat.columns)
-                predicate_columns = tuple(sorted(columns))
-        else:
-            inner = synopsis.synopsis if isinstance(synopsis, DynamicPASS) else synopsis
-            if not isinstance(inner, PASSSynopsis):
-                raise TypeError(
-                    "expected a PASSSynopsis, DynamicPASS, or ShardedSynopsis, "
-                    f"got {type(synopsis)!r}"
-                )
-            value_column = inner.value_column
-            if predicate_columns is None:
-                predicate_columns = tuple(sorted(inner.flat.columns))
+                    columns.update(shard.columns)
+            else:
+                columns = set(synopsis.columns)
+            predicate_columns = tuple(sorted(columns))
         entry = CatalogEntry(
             name=name,
             synopsis=synopsis,
             table_name=table_name,
-            value_column=value_column,
+            value_column=synopsis.value_column,
             predicate_columns=tuple(predicate_columns),
         )
         self._entries[name] = entry

@@ -508,10 +508,7 @@ class ServingEngine:
         if entry is not None:
             with tracer.span("synopsis.query") as span:
                 span.set_attribute("synopsis", entry.name)
-                if entry.is_sharded:
-                    result = entry.synopsis.query(query)
-                else:
-                    result = entry.pass_synopsis.query(query)
+                result = entry.synopsis.query(query)
             return entry.name, result
         with tracer.span("exact.scan"):
             return EXACT_FALLBACK, self._exact_result(query, table)
@@ -549,7 +546,7 @@ class ServingEngine:
                     span.set_attribute("batch_size", len(batch))
                     batch_results = entry.synopsis.query_batch(batch)
             else:
-                batch_results = batch_query(entry.pass_synopsis, batch, obs=self._obs)
+                batch_results = batch_query(entry.synopsis, batch, obs=self._obs)
             for index, result in zip(indices, batch_results):
                 answers[index] = (name, result)
         return answers  # type: ignore[return-value]

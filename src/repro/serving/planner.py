@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from typing import Callable, Sequence, TypeVar
 
-from repro.core.updates import DynamicPASS
 from repro.query.groupby import (
     GroupByPlan,
     GroupByQuery,
@@ -150,7 +149,7 @@ class GroupByPlanner:
         if entry is None:
             return set()
         live = plan.live_cells()
-        # (flat engine, slots into ``live``) per tree to consult: a sharded
+        # (synopsis, slots into ``live``) per tree to consult: a sharded
         # entry asks each shard only about the cells its key range overlaps.
         if entry.is_sharded:
             sharded = entry.synopsis
@@ -160,20 +159,22 @@ class GroupByPlanner:
                 for shard_index in sharded.surviving_shards(representative):
                     by_shard.setdefault(shard_index, []).append(slot)
             groups = []
-            for shard_index, slots in by_shard.items():
-                shard = sharded.shards[shard_index]
-                inner = shard.synopsis if isinstance(shard, DynamicPASS) else shard
-                groups.append((inner.flat, slots))
+            groups = [
+                (sharded.shards[shard_index], slots)
+                for shard_index, slots in by_shard.items()
+            ]
         else:
-            groups = [(entry.pass_synopsis.flat, list(range(len(live))))]
+            groups = [(entry.pass_synopsis, list(range(len(live))))]
         occupied: set[int] = set()
-        for flat, slots in groups:
+        for synopsis, slots in groups:
             slots = [slot for slot in slots if slot not in occupied]
-            frontiers = flat.frontiers_for([live[slot][1].predicate for slot in slots])
+            frontiers = synopsis.frontiers_for(
+                [live[slot][1].predicate for slot in slots]
+            )
             occupied.update(
                 slot
                 for slot, frontier in zip(slots, frontiers)
-                if flat.frontier_count(frontier)
+                if synopsis.frontier_count(frontier)
             )
         return {index for slot, (index, _) in enumerate(live) if slot not in occupied}
 

@@ -68,9 +68,7 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from repro.core.pass_synopsis import PASSSynopsis
 from repro.core.soa import FlatSynopsis
-from repro.core.updates import DynamicPASS
 
 __all__ = [
     "FORMAT_VERSION",
@@ -269,22 +267,6 @@ def parse_segment(buf, source: str) -> tuple[dict, dict[str, np.ndarray]]:
         array.flags.writeable = False
         arrays[key] = array
     return header, arrays
-
-
-def _flat_of(
-    synopsis: "PASSSynopsis | DynamicPASS | FlatSynopsis",
-) -> FlatSynopsis:
-    """The flat execution engine behind any supported synopsis kind."""
-    if isinstance(synopsis, FlatSynopsis):
-        return synopsis
-    if isinstance(synopsis, DynamicPASS):
-        return synopsis.synopsis.flat
-    if isinstance(synopsis, PASSSynopsis):
-        return synopsis.flat
-    raise TypeError(
-        "expected a PASSSynopsis, DynamicPASS, or FlatSynopsis, "
-        f"got {type(synopsis)!r}"
-    )
 
 
 class SynopsisSegment:
@@ -567,7 +549,7 @@ class SynopsisPublisher:
     def publish(
         self,
         name: str,
-        synopsis: "PASSSynopsis | DynamicPASS | FlatSynopsis",
+        synopsis: FlatSynopsis,
         *,
         table_name: str | None = None,
         predicate_columns: tuple[str, ...] | None = None,
@@ -579,11 +561,14 @@ class SynopsisPublisher:
         old complete generation or the new one.  ``predicate_columns``
         defaults to the synopsis' bound columns and, with ``table_name``
         (None = any table), feeds worker-side routing
-        (:class:`PublishedEntry`).
+        (:class:`PublishedEntry`).  The segment holds the kernel state of any
+        kind of synopsis (:meth:`FlatSynopsis.export_buffers`): a
+        ``DynamicPASS``' reservoir and update state stay with the writer.
         """
         self._require_open()
-        flat = _flat_of(synopsis)
-        header, arrays = flat.export_buffers()
+        if not isinstance(synopsis, FlatSynopsis):
+            raise TypeError(f"expected a FlatSynopsis, got {type(synopsis)!r}")
+        header, arrays = FlatSynopsis.export_buffers(synopsis)
         segment = SynopsisSegment.write(header, arrays)
         previous = self._segments.get(name)
         self._segments[name] = segment

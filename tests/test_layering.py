@@ -3,11 +3,13 @@
 The arrays are the synopsis.  The per-node object executor, the refresh that
 dragged node / stratum objects after the arrays, the second ``FlatSynopsis``
 constructor and the ``tree/* strata/* samples/* reservoir/*`` npz vocabulary
-were deleted; the scalar per-row binary search of the ADP partitioner and the
-object tree the builder used to assemble (``PartitionTree`` /
-``PartitionNode``, one ``Box.mask`` scan per leaf) live on only as references
-in ``tests/oracle.py``.  This is the grep a re-anchor would otherwise run by
-hand.
+were deleted, as were the helpers a synopsis was unwrapped with
+(``_pass_of`` / ``_flat_of``: a ``DynamicPASS`` is a ``PASSSynopsis`` is a
+``FlatSynopsis``); the scalar per-row binary search of the ADP partitioner
+and the object tree the builder used to assemble (``PartitionTree`` /
+``PartitionNode``, one ``Box.mask`` scan per leaf) live on only as
+references in ``tests/oracle.py``.  This is the grep a re-anchor would
+otherwise run by hand.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ DELETED_NAMES = re.compile(
     r"|minimal_coverage_frontier|MCFResult|_ExternalGeometry"
     r"|boxes_to_arrays|boxes_from_arrays|_binary_search_split"
     r"|PartitionTree|PartitionNode|build_from_leaves|_TreeGeometry"
+    r"|_pass_of|_flat_of"
 )
 NPZ_KEY_PREFIXES = re.compile(r"\"(tree|strata|samples|reservoir)/")
 
@@ -96,6 +99,42 @@ def test_flat_synopsis_has_one_constructor_and_no_stored_read_only_flag():
     ]
     assert constructors == ["__init__"]
     assert "_read_only" not in source and "mutations" not in source
+
+
+#: Objects with a ``synopsis`` *field* (a catalog entry, a batch plan, a
+#: query-log or drift record) are read through these names only.
+RECORD_NAMES = {"entry", "record", "self"}
+
+
+def test_a_synopsis_is_never_unwrapped():
+    """``.flat`` / ``.synopsis`` are aliases of the object itself, never read.
+
+    ``PASSSynopsis`` is a ``FlatSynopsis`` and ``DynamicPASS`` a
+    ``PASSSynopsis``; the two alias properties stay only for callers outside
+    ``src/``.  A ``.synopsis`` read through a record name is that record's
+    field, not an unwrap.
+    """
+    definitions, reads = [], []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.relative_to(SRC)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.ClassDef):
+                definitions += [
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and item.name in ("flat", "synopsis")
+                ]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                record_field = (
+                    node.attr == "synopsis"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in RECORD_NAMES
+                )
+                if node.attr in ("flat", "synopsis") and not record_field:
+                    reads.append(f"{where}: .{node.attr}")
+    assert sorted(definitions) == ["DynamicPASS.synopsis", "PASSSynopsis.flat"]
+    assert reads == []
 
 
 def test_npz_io_is_confined_to_the_fingerprint_functions():
