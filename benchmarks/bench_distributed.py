@@ -1,9 +1,12 @@
-"""Distributed-layer benchmark: scatter-gather latency vs shard count.
+"""Distributed-layer benchmark: sharded query latency vs shard count.
 
 Per-query latency of a mixed SUM / COUNT / AVG workload through
 :meth:`ShardedSynopsis.query` and the batched
-:meth:`ShardedSynopsis.query_batch`, across increasing shard counts, with
-the shard-pruning rate recorded alongside.
+:meth:`ShardedSynopsis.query_batch` (the shards stitched into one tree, so
+both run the one flat kernel), across increasing shard counts, with the
+shard-pruning rate recorded alongside; then the cost of one per-shard
+rebuild through :class:`StreamingShardRouter` and the part of it spent
+re-stitching the tree (:meth:`ShardedSynopsis.replace_shard`).
 
 Run standalone::
 
@@ -30,6 +33,7 @@ from repro.core.config import PASSConfig
 from repro.data.table import Table
 from repro.distributed.parallel import build_sharded_from_plan
 from repro.distributed.planner import ShardPlanner
+from repro.distributed.router import StreamingShardRouter
 from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery
 
@@ -61,16 +65,16 @@ def _timed(run) -> float:
     return time.perf_counter() - start
 
 
-def bench_scatter_gather(
+def bench_sharded_queries(
     table: Table,
     config: PASSConfig,
     shard_counts: list[int],
     n_queries: int,
 ) -> list[dict]:
-    """Per-query scatter-gather latency and pruning rate per shard count."""
+    """Per-query sharded latency and pruning rate per shard count."""
     workload = make_workload(n_queries)
     rows = []
-    print(f"\n== Scatter-gather latency: {n_queries} queries ==")
+    print(f"\n== Sharded query latency: {n_queries} queries ==")
     print(f"  {'shards':>6} {'seq ms/q':>10} {'batch ms/q':>11} {'pruned %':>9}")
     for n_shards in shard_counts:
         sharded = build_sharded_from_plan(
@@ -105,6 +109,35 @@ def bench_scatter_gather(
             f"  {sharded.n_shards:>6} {sequential_ms:>10.3f} {batch_ms:>11.3f}"
             f" {100 * pruned:>8.1f}%"
         )
+    return rows
+
+
+def bench_shard_rebuilds(
+    table: Table, config: PASSConfig, shard_counts: list[int]
+) -> list[dict]:
+    """One per-shard rebuild's wall time, and its re-stitch's, per shard count.
+
+    A rebuild builds the replacement from the shard's rows alone, then
+    re-stitches the whole tree around it; the second column shows how the
+    re-stitch grows with the synopsis while the build stays one shard's.
+    """
+    rows = []
+    print("\n== Per-shard rebuild (shard 0), best of 3 ==")
+    print(f"  {'shards':>6} {'rebuild ms':>11} {'re-stitch ms':>13}")
+    for n_shards in shard_counts:
+        plan = ShardPlanner(n_shards, "range").plan(table, "key")
+        sharded = build_sharded_from_plan(plan, "value", ["key"], config, dynamic=True)
+        router = StreamingShardRouter(sharded, plan.tables, rebuild_threshold=None)
+        rebuild_ms = min(_timed(lambda: router.rebuild(0)) for _ in range(3)) * 1e3
+        shard = sharded.shards[0]
+        stitch_seconds = min(
+            _timed(lambda: sharded.replace_shard(0, shard)) for _ in range(3)
+        )
+        stitch_ms = stitch_seconds * 1e3
+        rows.append(
+            {"shards": n_shards, "rebuild_ms": rebuild_ms, "restitch_ms": stitch_ms}
+        )
+        print(f"  {n_shards:>6} {rebuild_ms:>11.1f} {stitch_ms:>13.1f}")
     return rows
 
 
@@ -144,10 +177,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"generating {n_rows:,} rows ...")
     table = generate_table(n_rows)
 
-    scatter_rows = bench_scatter_gather(table, config, shard_counts, n_queries)
+    sharded_rows = bench_sharded_queries(table, config, shard_counts, n_queries)
+    bench_shard_rebuilds(table, config, shard_counts)
 
     if args.json:
-        widest = scatter_rows[-1]
+        widest = sharded_rows[-1]
         metrics = {
             "distributed_batch_ms_per_query": {
                 "value": widest["batch_ms"],

@@ -7,7 +7,7 @@ passes over the touched leaf samples.  The grouped executor
 vectorized mask pass per group cell, so its cost scales with G rather than
 G x A, and empty cells are pruned from frontier statistics before any mask
 work.  This benchmark measures that gap on a single synopsis and the same
-shape through the sharded scatter-gather path.
+shape on a sharded synopsis (the shards stitched into one tree).
 
 Run standalone::
 
@@ -130,7 +130,7 @@ def bench_quantile_groupby(synopsis, n_groups: int, repeats: int) -> dict:
 
 
 def bench_sharded(sharded, n_groups: int) -> dict:
-    """Grouped scatter-gather latency through ShardedSynopsis.query_grouped."""
+    """Grouped latency through ShardedSynopsis.query_grouped (one tree)."""
     plan = make_groupby(n_groups).compile()
     grouped = sharded.query_grouped(plan)
     assert len(grouped) == n_groups
@@ -165,9 +165,8 @@ def check_served_percentiles(table: Table, backends: dict, n_groups: int) -> boo
     """The percentile plan through ``ServingEngine.execute_grouped``.
 
     The serving path answers a cell's p50 / p95 / p99 from one shared sketch
-    union (single synopsis: ``BatchPlan.execute``; sharded: the gather of
-    ``ShardedSynopsis.query_batch``), and every served answer must carry the
-    bits of executing its query alone on the same backend.
+    union (``BatchPlan.execute``, on either backend), and every served answer
+    must carry the bits of executing its query alone on the same backend.
     """
     plan = make_quantile_groupby(n_groups).compile()
     print(f"\n== Served percentiles: {n_groups} groups x 3 through execute_grouped ==")

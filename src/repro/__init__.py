@@ -19,9 +19,8 @@ Sampling (Nearly) Optimally for Approximate Query Processing" end to end:
   experiment section (:mod:`repro.evaluation`);
 * the serving layer — synopsis catalog with query routing, persistence, and a
   concurrent caching query engine (:mod:`repro.serving`);
-* the distributed layer — shard planning, per-shard builds,
-  scatter-gather query execution, and a streaming shard router
-  (:mod:`repro.distributed`).
+* the distributed layer — shard planning, per-shard builds stitched into
+  one tree, and a streaming shard router (:mod:`repro.distributed`).
 
 Quickstart
 ----------

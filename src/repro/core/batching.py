@@ -14,8 +14,7 @@ runs (:meth:`FlatSynopsis.answer` for the classic aggregates;
 sketch aggregates, every quantile of a predicate assembled from the one
 union), so a batch is bit-identical to sequential execution because it *is*
 the same kernel minus the repeated identical work.  The serving engine's
-``execute_batch`` and the distributed layer's scatter-gather path build on
-it.
+``execute_batch`` and ``ShardedSynopsis.query_batch`` build on it.
 
 :func:`grouped_query` is the single-synopsis executor for compiled
 :class:`~repro.query.groupby.GroupByPlan` batches.  It exploits the grouped

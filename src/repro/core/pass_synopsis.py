@@ -50,6 +50,8 @@ class PASSSynopsis(FlatSynopsis):
     #: Drift gauges of a synopsis no update has touched (see
     #: :class:`~repro.core.updates.DynamicPASS`, which tracks them).
     staleness = sketch_staleness = extrema_staleness = 0.0
+    #: Whether :meth:`insert` / ``delete`` exist (see ``DynamicPASS``).
+    supports_updates = False
 
     @classmethod
     def from_buffers(
@@ -86,7 +88,6 @@ class PASSSynopsis(FlatSynopsis):
         The in-process entry to :meth:`FlatSynopsis.sketch_union` for
         callers that need the union rather than the answer: the batch and
         grouped executors share one union among a predicate's percentiles
-        (and pass the ``frontier`` they already computed), the sharded
-        gather merges one union per shard.
+        (and pass the ``frontier`` they already computed).
         """
         return super().sketch_union(query, frontier)

@@ -40,6 +40,12 @@ normatively, with the file / segment framing, in ``docs/ARCHITECTURE.md``):
   spare slots (:meth:`FlatSynopsis.reserve_sample_slots`), so that a
   reservoir insert writes its one row in place and a delete shifts rows
   inside its own leaf; a static synopsis' slots are its rows.
+* **Shards** — a sharded synopsis (:mod:`repro.distributed.sharded`) is one
+  stitched tree whose root's children are the shards' subtrees; its header
+  carries the routing (``sharding``) and ``shard_rows`` (int64, ``n_shards
+  x 2``) each shard's contiguous node-row range.  Hash shards overlap in key
+  space, so a point predicate on the shard column keeps only its owning
+  shard's rows of the frontier (:meth:`FlatSynopsis.frontier`).
 * **Sketches** — ragged-packed under ``sketch/<key>``
   (:func:`repro.sketches.union.pack_leaf_sketches`) and unpacked into
   ``LeafSketches`` objects on the first sketch query or update; from then on
@@ -80,6 +86,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.aggregation.partition import PartitionStats
+from repro.data.hashing import splitmix64_scalar
 from repro.aggregation.strat_agg import HardBounds
 from repro.query.aggregates import AggregateType
 from repro.query.predicate import Box, Interval, RectPredicate
@@ -307,8 +314,15 @@ class FlatSynopsis:
             )
             if key not in arrays
         ]
+        sharding = header.get("sharding")
+        if sharding is not None and "shard_rows" not in arrays:
+            missing.append("shard_rows")
         if missing:
             raise ValueError(f"synopsis buffers lack the arrays {missing}")
+        #: A sharded synopsis' routing and shard row ranges (see the module
+        #: docstring); None / None for any other synopsis.
+        self._sharding = sharding
+        self._shard_rows = arrays["shard_rows"] if sharding is not None else None
         self._value_column = str(header["value_column"])
         self._lam = float(header["lam"])
         self._zero_variance_rule = bool(header["zero_variance_rule"])
@@ -360,7 +374,7 @@ class FlatSynopsis:
         #: one memoised leaf-to-root row path per updated leaf.
         self._leaf_row_index: np.ndarray | None = None
         self._leaf_boxes: tuple[Box, ...] | None = None
-        self._leaf_bounds: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._leaf_bounds: tuple[np.ndarray, ...] | None = None
         self._leaf_paths: dict[int, np.ndarray] = {}
 
         self._leaf_sketches: list[LeafSketches] | None = None
@@ -420,6 +434,9 @@ class FlatSynopsis:
         }
         for column, values in samples.columns.items():
             arrays[f"sample/{column}"] = values
+        if self._sharding is not None:
+            header["sharding"] = self._sharding
+            arrays["shard_rows"] = self._shard_rows
         if self._packed_sketches is not None:
             keys, packed = self._packed_sketches
             header["sketch_keys"] = list(keys)
@@ -540,16 +557,25 @@ class FlatSynopsis:
         NaN coordinate is inside no interval).  Only the leaf rows' bounds
         are tested.
         """
+        return self._leaf_among(point, 0, self._n_nodes)
+
+    def _leaf_among(self, point: Mapping[str, float], start: int, stop: int) -> int:
+        """:meth:`leaf_for_point` over the leaves in node rows ``[start, stop)``."""
         bounds = self._leaf_bounds
         if bounds is None:
             rows = np.flatnonzero(self._is_leaf)
             bounds = (
+                rows,
                 self._leaf_of_row[rows],
                 self._bounds[0][:, rows],
                 self._bounds[1][:, rows],
             )
             self._leaf_bounds = bounds
-        leaves, lows, highs = bounds
+        rows, leaves, lows, highs = bounds
+        if start or stop < self._n_nodes:
+            first, last = rows.searchsorted([start, stop]).tolist()
+            leaves = leaves[first:last]
+            lows, highs = lows[:, first:last], highs[:, first:last]
         inside = np.ones(leaves.shape[0], dtype=bool)
         for column, c in self._column_index.items():
             if column in point:
@@ -783,7 +809,9 @@ class FlatSynopsis:
         reference in ``tests/oracle.py``) — covered / partial order and
         ``nodes_visited`` included — via the closed form
         described in the module docstring, with a level-order replay
-        fallback when ``zero_variance`` stops could fire.
+        fallback when ``zero_variance`` stops could fire.  On a hash-sharded
+        synopsis a point predicate on the shard column keeps only its owning
+        shard's rows (:meth:`_owner_only`).
         """
         n = self._n_nodes
         disjoint: np.ndarray | None = None
@@ -823,7 +851,10 @@ class FlatSynopsis:
         if zero_variance:
             zv = self._zv_flags()
             if bool(np.any(np.logical_and(partial, zv))):
-                return self._replay_frontier(cover, partial, zv)
+                frontier = self._replay_frontier(cover, partial, zv)
+                if self._sharding is None:
+                    return frontier
+                return self._owner_only(frontier, predicate)
 
         reached = partial[self._parent0]
         reached[0] = True
@@ -831,10 +862,38 @@ class FlatSynopsis:
         partial_mask = np.logical_and(partial, reached)
         np.logical_and(partial_mask, self._is_leaf, out=partial_mask)
         partial_rows = np.flatnonzero(partial_mask)
-        return FlatFrontier(
+        frontier = FlatFrontier(
             covered=covered_rows,
             partial=partial_rows,
             nodes_visited=int(np.count_nonzero(reached)),
+        )
+        if self._sharding is None:
+            return frontier
+        return self._owner_only(frontier, predicate)
+
+    def _owner_only(
+        self, frontier: FlatFrontier, predicate: RectPredicate
+    ) -> FlatFrontier:
+        """``frontier`` kept to the one hash shard ``predicate`` can match.
+
+        Hash shards overlap in key space, so the descent cannot tell them
+        apart; a point predicate on the shard column still names its owner
+        (``hash_owners[splitmix64(key) % hash_modulus]``, the router's rule),
+        and no other shard holds a row with that key.  Any other predicate,
+        or a range-sharded synopsis, keeps the whole frontier.
+        """
+        sharding = self._sharding
+        interval = predicate.interval(sharding["shard_column"])
+        if sharding["strategy"] != "hash" or interval.low != interval.high:
+            return frontier
+        bucket = splitmix64_scalar(float(interval.low)) % sharding["hash_modulus"]
+        start, stop = self._shard_rows[sharding["hash_owners"][bucket]].tolist()
+
+        def kept(rows: np.ndarray) -> np.ndarray:
+            return rows[(rows == 0) | ((rows >= start) & (rows < stop))]
+
+        return FlatFrontier(
+            kept(frontier.covered), kept(frontier.partial), frontier.nodes_visited
         )
 
     def _replay_frontier(
@@ -909,7 +968,7 @@ class FlatSynopsis:
         covered_mask = cover & reached
         partial_mask = partial & reached & self._is_leaf[:, None]
         visited = np.count_nonzero(reached, axis=0)
-        return [
+        frontiers = [
             FlatFrontier(
                 covered=np.flatnonzero(covered_mask[:, j]),
                 partial=np.flatnonzero(partial_mask[:, j]),
@@ -917,6 +976,12 @@ class FlatSynopsis:
             )
             for j in range(n_queries)
         ]
+        if self._sharding is not None:
+            frontiers = [
+                self._owner_only(frontier, predicate)
+                for frontier, predicate in zip(frontiers, predicates)
+            ]
+        return frontiers
 
     def frontier_count(self, frontier: FlatFrontier) -> int:
         """Tuples inside the frontier's covered + partial nodes (exact)."""
@@ -1512,10 +1577,7 @@ class FlatSynopsis:
         partial leaves in row order), so every merge happens in the same
         sequence and the union is bit-identical to the reference's.
 
-        The union is the scatter-gather hand-off: per-shard unions merge
-        with :meth:`QuantileSketchUnion.merge` /
-        :meth:`DistinctSketchUnion.merge`, and
-        :func:`~repro.sketches.union.sketch_union_result` turns any union
+        :func:`~repro.sketches.union.sketch_union_result` turns the union
         into an :class:`~repro.result.AQPResult`.
         """
         if query.value_column != self._value_column:

@@ -161,6 +161,8 @@ class DynamicPASS(PASSSynopsis):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
+    supports_updates = True
+
     @property
     def synopsis(self) -> "DynamicPASS":
         """This synopsis (updated in place; kept as an alias)."""

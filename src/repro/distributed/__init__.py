@@ -1,4 +1,4 @@
-"""Distributed layer: sharding, per-shard builds, scatter-gather.
+"""Distributed layer: sharding, per-shard builds, one stitched tree.
 
 This subsystem makes PASS horizontally scalable:
 
@@ -6,21 +6,16 @@ This subsystem makes PASS horizontally scalable:
   range- or hash-sharded chunks on a chosen shard column;
 * :func:`build_sharded_from_plan` (and the :func:`build_sharded_pass`
   convenience) builds the per-shard synopses in the calling process, one
-  seeded build per shard;
-* :class:`ShardedSynopsis` answers aggregate queries by scatter-gather —
-  prune shards whose key range cannot match, query the survivors through
-  the batch path, and merge the per-shard estimates, variances,
-  and deterministic bounds into a single :class:`~repro.result.AQPResult`
-  (the mergeability of PASS's partition statistics is what makes the merge
-  exact for the tree components);
-* :class:`StreamingShardRouter` directs inserts / deletes to the owning
-  shard's :class:`~repro.core.updates.DynamicPASS`, tracks per-shard
-  staleness, and re-optimizes drifted shards without pausing reads on the
-  others.
+  seeded build per shard, and stitches them into one tree;
+* :class:`ShardedSynopsis` is that tree: a shard is a subtree under one
+  root, so the one flat kernel answers it and shard pruning is the descent;
+* :class:`StreamingShardRouter` applies inserts / deletes to it, tracks
+  per-shard staleness, and rebuilds a drifted shard in place of its slice.
 
-Sharded synopses register in a :class:`~repro.serving.catalog.SynopsisCatalog`
-and serve through a :class:`~repro.serving.engine.ServingEngine` like any
-other synopsis, and persist through :mod:`repro.serving.persistence`.
+Sharded synopses register in a :class:`~repro.serving.catalog.SynopsisCatalog`,
+serve through a :class:`~repro.serving.engine.ServingEngine` like any other
+synopsis, persist through :mod:`repro.serving.persistence` as one file and
+publish to the worker pool as one segment.
 """
 
 from repro.distributed.parallel import build_sharded_from_plan, build_sharded_pass
@@ -32,7 +27,7 @@ from repro.distributed.planner import (
     hash_assign,
 )
 from repro.distributed.router import ShardUpdateStats, StreamingShardRouter
-from repro.distributed.sharded import ShardedSynopsis
+from repro.distributed.sharded import DynamicShardedSynopsis, ShardedSynopsis
 
 __all__ = [
     "ShardPlan",
@@ -43,6 +38,7 @@ __all__ = [
     "build_sharded_from_plan",
     "build_sharded_pass",
     "ShardedSynopsis",
+    "DynamicShardedSynopsis",
     "StreamingShardRouter",
     "ShardUpdateStats",
 ]

@@ -6,7 +6,7 @@ Shard ``i`` of a :class:`~repro.distributed.planner.ShardPlan` is built by
 shard samples are independent and every build is reproducible bit for bit.
 The shards are built one after another in this process: a shard build is
 cheaper than starting a worker interpreter and importing numpy into it, so
-no process pool is used.  The built shards are wired into a
+no process pool is used.  The built shards are stitched into one tree, a
 :class:`~repro.distributed.sharded.ShardedSynopsis`.
 """
 
@@ -32,7 +32,7 @@ def build_sharded_from_plan(
     config: PASSConfig | None = None,
     dynamic: bool = False,
 ) -> ShardedSynopsis:
-    """Build one synopsis per shard of ``plan`` and assemble the result.
+    """Build one synopsis per shard of ``plan`` and stitch them into one tree.
 
     Parameters
     ----------

@@ -1,15 +1,15 @@
 """Splitting a table into shards on a chosen shard column.
 
 The distributed layer scales PASS horizontally by partitioning the dataset
-into disjoint *shards*, building one synopsis per shard, and answering
-queries by scatter-gather over the shards.  Two sharding strategies are
-supported:
+into disjoint *shards*, building one synopsis per shard, and stitching the
+shards into one tree (:mod:`repro.distributed.sharded`).  Two sharding
+strategies are supported:
 
 * **range** — equal-depth key ranges on the shard column, the analogue of the
   1-D equal-depth partitioning the synopses themselves use.  Range shards own
   a contiguous slice of the key space, so a query whose predicate constrains
-  the shard column can *prune* the shards whose range cannot overlap it —
-  scatter-gather then touches only the surviving shards.
+  the shard column *prunes* the shards whose range cannot overlap it — the
+  descent never enters them.
 * **hash** — rows are assigned by a deterministic hash of the shard-column
   value.  Hash shards balance load under skewed key distributions but own no
   contiguous range, so range pruning is impossible (point predicates on the
@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.data.hashing import splitmix64
+from repro.data.hashing import splitmix64, splitmix64_scalar
 from repro.data.table import Table
 from repro.query.predicate import Box, Interval
 
@@ -81,8 +81,7 @@ class ShardRouting:
         """Index of the shard owning a shard-column value."""
         value = float(value)
         if self.strategy == "hash":
-            bucket = int(hash_assign(np.array([value]), self.hash_modulus)[0])
-            return self.hash_owners[bucket]
+            return self.hash_owners[splitmix64_scalar(value) % self.hash_modulus]
         for index, box in enumerate(self.key_boxes):
             if box.interval(self.shard_column).contains_value(value):
                 return index

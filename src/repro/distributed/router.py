@@ -1,37 +1,43 @@
 """Streaming updates over a sharded synopsis with per-shard rebuilds.
 
 The :class:`StreamingShardRouter` is the write path of the distributed
-layer.  It directs every insert / delete to the shard that owns the row's
-shard-column value, tracks each shard's update drift
-(:attr:`~repro.core.updates.DynamicPASS.staleness`), and — when a shard
-drifts past the rebuild threshold — re-optimizes *that shard only*: the
-replacement synopsis is built off to the side from the shard's current data
-and swapped in with a single reference assignment
-(:meth:`~repro.distributed.sharded.ShardedSynopsis.replace_shard`), so reads
-against every other shard (and against the old copy of the rebuilding shard)
-continue untouched.  This is the answering-queries-under-updates pattern:
-updates are O(tree height) per tuple, and the expensive re-optimization is
-amortized, localized to one shard, and never blocks the read path.
+layer.  It applies every insert / delete to the stitched
+:class:`~repro.distributed.sharded.ShardedSynopsis` — which routes the row
+to its shard first, then to a leaf among that shard's rows — and, when the
+owning shard's drift (``ShardedSynopsis.per_shard_staleness``) passes the
+rebuild threshold, re-optimizes *that shard only*: the replacement is built
+from the shard's current data and stitched in place of its slice
+(:meth:`~repro.distributed.sharded.ShardedSynopsis.replace_shard`), every
+other shard keeping its statistics, samples and reservoirs.  Updates are
+O(tree height) per tuple, and the expensive re-optimization is amortized and
+localized to one shard.
 
-Mutations to one shard are serialized by a per-shard lock; different shards
-update concurrently.  The router is the **single writer** for its synopsis:
+Every shard shares the stitched root's path, so the router takes one lock
+for all updates.  The router is the **single writer** for its synopsis:
 once a router owns a :class:`ShardedSynopsis`, apply every insert / delete
 through the router (not through ``ShardedSynopsis.insert`` or
 ``ServingEngine.insert`` directly) — a rebuild replays the router's own
 delta log, so updates applied behind its back would be silently lost.
 :meth:`StreamingShardRouter.rebuild` guards against that drift by checking
 the materialized snapshot against the shard's live population and raising on
-a mismatch.  When the synopsis is also registered in a caching
-:class:`~repro.serving.engine.ServingEngine`, drop the engine's cached
-results after router-applied updates (``engine.invalidate(name)``) — only
-updates applied through the engine invalidate its cache automatically.
+a mismatch.
+
+When the synopsis is also registered in a
+:class:`~repro.serving.engine.ServingEngine`, hand the router the engine's
+write lock (``router.set_write_lock(engine.write_locked)``): every in-place
+update and every re-stitch then runs under it, as ``ServingEngine.insert``
+does, so no query reads a half-written tree.  A rebuild's replacement shard
+is built outside it; readers wait for the re-stitch only.  Drop the engine's
+cached results after router-applied updates (``engine.invalidate(name)``) —
+only updates applied through the engine invalidate its cache automatically.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -77,20 +83,19 @@ class ShardUpdateStats:
         Number of re-optimizations the router triggered for the shard.
     staleness:
         The shard's current update drift (updates since its last build,
-        normalized by its build-time population).
+        normalized by its build-time population; see
+        :meth:`~repro.distributed.sharded.ShardedSynopsis.per_shard_staleness`).
     population:
         The shard's current tuple count.
     sketch_staleness:
         The shard's QUANTILE / COUNT_DISTINCT sketch drift: deletions the
         mergeable sketches could not absorb, normalized by the build-time
-        population (see :attr:`repro.core.updates.DynamicPASS.sketch_staleness`).
-        A rebuild reconstructs the sketches and resets it to 0.0.
+        population.  A rebuild reconstructs the sketches and resets it to 0.0.
     extrema_staleness:
         The shard's extremum-delete drift: deletions that hit a partition
         MIN / MAX (leaving the bound conservative), normalized by the
-        build-time population (see
-        :attr:`repro.core.updates.DynamicPASS.extrema_staleness`).  A
-        rebuild retightens the bounds and resets it to 0.0.
+        build-time population.  A rebuild retightens the bounds and resets
+        it to 0.0.
     """
 
     inserts: int
@@ -114,8 +119,8 @@ class StreamingShardRouter:
     Parameters
     ----------
     sharded:
-        The sharded synopsis to maintain; every shard must be a
-        :class:`DynamicPASS` (build with ``dynamic=True``).
+        The sharded synopsis to maintain, built from :class:`DynamicPASS`
+        shards (``dynamic=True``).
     shard_tables:
         The per-shard base tables from the :class:`ShardPlan`.  The router
         keeps them (plus the applied deltas) so a rebuild can materialize the
@@ -152,7 +157,8 @@ class StreamingShardRouter:
         self._sharded = sharded
         self._base_tables = list(shard_tables)
         self._rebuild_threshold = rebuild_threshold
-        self._locks = [threading.RLock() for _ in range(sharded.n_shards)]
+        self._lock = threading.RLock()
+        self._write_locked: Callable[[], AbstractContextManager] = nullcontext
         self._inserted: list[list[dict[str, float]]] = [
             [] for _ in range(sharded.n_shards)
         ]
@@ -201,16 +207,16 @@ class StreamingShardRouter:
                     "repro_shard_staleness",
                     "Per-shard update drift at scrape time.",
                     {"shard": str(index)},
-                ).set_function(self._gauge_reader(index, "staleness"))
+                ).set_function(self._gauge_reader(index, 0))
                 registry.gauge(
                     "repro_shard_extrema_staleness",
                     "Per-shard extremum-delete drift at scrape time.",
                     {"shard": str(index)},
-                ).set_function(self._gauge_reader(index, "extrema_staleness"))
+                ).set_function(self._gauge_reader(index, 2))
 
-    def _gauge_reader(self, index: int, gauge: str) -> Callable[[], float]:
-        """Reads shard ``index``'s drift gauge at scrape time (after swaps)."""
-        return lambda: getattr(self._sharded.shards[index], gauge)
+    def _gauge_reader(self, index: int, column: int) -> Callable[[], float]:
+        """Reads shard ``index``'s ``per_shard_drift`` column at scrape time."""
+        return lambda: float(self._sharded.per_shard_drift()[index, column])
 
     @property
     def sharded(self) -> ShardedSynopsis:
@@ -222,18 +228,30 @@ class StreamingShardRouter:
         """Staleness ratio that triggers an automatic per-shard rebuild."""
         return self._rebuild_threshold
 
+    def set_write_lock(
+        self, write_locked: Callable[[], AbstractContextManager] | None
+    ) -> None:
+        """Run every in-place write and re-stitch under ``write_locked()``.
+
+        Pass the serving engine's :meth:`~repro.serving.engine.ServingEngine.
+        write_locked` when the synopsis is served, so concurrent queries
+        never read it mid-write; ``None`` drops the lock.  Taken inside the
+        router's own lock, never around a replacement shard's build.
+        """
+        self._write_locked = write_locked or nullcontext
+
     def add_swap_listener(
         self, listener: Callable[[int, DynamicPASS], None]
     ) -> None:
         """Invoke ``listener(shard_index, replacement)`` after each rebuild.
 
-        Listeners fire right after the atomic :meth:`~repro.distributed.
-        sharded.ShardedSynopsis.replace_shard` swap, still under the
-        rebuilding shard's lock, so they observe swaps in order and never
-        see a torn shard.  This is how the shared-memory publisher
+        Listeners fire right after the replacement is stitched in
+        (:meth:`~repro.distributed.sharded.ShardedSynopsis.replace_shard`),
+        still under the router's lock, so they observe rebuilds in order.
+        This is how the shared-memory publisher
         (:meth:`repro.serving.shm.SynopsisPublisher.watch_router`)
-        republishes a rebuilt shard to the worker pool.  Listener
-        exceptions propagate to the updater that triggered the rebuild.
+        republishes the synopsis to the worker pool.  Listener exceptions
+        propagate to the updater that triggered the rebuild.
         """
         self._swap_listeners.append(listener)
 
@@ -248,41 +266,24 @@ class StreamingShardRouter:
     # ------------------------------------------------------------------
     def insert(self, row: Mapping[str, float]) -> int:
         """Insert one tuple into its owning shard; returns the shard index."""
-        return self._apply(row, "insert")
+        return self._apply(*self._record(row), "insert")
 
     def delete(self, row: Mapping[str, float]) -> int:
         """Delete one tuple from its owning shard; returns the shard index."""
-        return self._apply(row, "delete")
+        return self._apply(*self._record(row), "delete")
 
     def apply_many(
         self,
         rows: Sequence[Mapping[str, float]],
         kinds: str | Sequence[str] = "insert",
-        max_workers: int | None = None,
     ) -> list[int]:
-        """Apply a batch of updates with one fan-out pass per owning shard.
+        """Apply a batch of updates in arrival order under one lock acquisition.
 
-        This is the async tier's bulk write entry point: rows are grouped by
-        owning shard first, each shard's slice is applied in arrival order
-        under a *single* acquisition of that shard's lock, and — when
-        ``max_workers`` asks for it — different shards apply their slices
-        concurrently on a thread pool.  The per-shard locks make the fan-out
-        safe to run from any thread (asyncio executor threads included), and
-        per-shard ordering matches :meth:`insert` / :meth:`delete` call
-        order because grouping preserves arrival order within a shard.
-
-        Parameters
-        ----------
-        rows:
-            The update payloads (every row must carry the shard's full
-            schema, as with single-row updates).
-        kinds:
-            ``"insert"`` or ``"delete"`` applied to every row, or one kind
-            per row.
-        max_workers:
-            When given (> 1), shard groups apply concurrently on a thread
-            pool of at most this many workers; None applies shard groups
-            sequentially in the calling thread.
+        This is the async tier's bulk write entry point.  ``kinds`` is
+        ``"insert"`` or ``"delete"`` for every row, or one kind per row;
+        kinds and rows are checked before any row is applied.  Each row
+        behaves as :meth:`insert` / :meth:`delete` would, rebuild threshold
+        included.
 
         Returns the owning shard index per row, aligned with the input.
         """
@@ -296,61 +297,34 @@ class StreamingShardRouter:
         for kind in row_kinds:
             if kind not in ("insert", "delete"):
                 raise ValueError(f"unknown update kind {kind!r}")
+        records = [self._record(row) for row in rows]
+        with self._lock:
+            return [
+                self._apply(index, record, kind)
+                for (index, record), kind in zip(records, row_kinds)
+            ]
 
-        indices = [self._sharded.shard_for_row(row) for row in rows]
-        per_shard: dict[int, list[tuple[dict[str, float], str]]] = {}
-        for index, row, kind in zip(indices, rows, row_kinds):
-            per_shard.setdefault(index, []).append((self._full_row(index, row), kind))
-
-        def apply_shard(index: int) -> None:
-            with self._locks[index]:
-                shard = self._sharded.shards[index]
-                for record, kind in per_shard[index]:
-                    if kind == "insert":
-                        shard.insert(record)
-                        self._inserted[index].append(record)
-                        self._insert_counts[index] += 1
-                        self._m_inserts[index].inc()
-                    else:
-                        shard.delete(record)
-                        self._deleted[index].append(record)
-                        self._delete_counts[index] += 1
-                        self._m_deletes[index].inc()
-                if (
-                    self._rebuild_threshold is not None
-                    and shard.staleness >= self._rebuild_threshold
-                ):
-                    self._rebuild_locked(index)
-
-        if max_workers is not None and max_workers > 1 and len(per_shard) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(max_workers, len(per_shard))
-            ) as pool:
-                for future in [pool.submit(apply_shard, index) for index in per_shard]:
-                    future.result()
-        else:
-            for index in per_shard:
-                apply_shard(index)
-        return indices
-
-    def _apply(self, row: Mapping[str, float], kind: str) -> int:
+    def _record(self, row: Mapping[str, float]) -> tuple[int, dict[str, float]]:
+        """``(owning shard, the row in its shard table's full schema)``."""
         index = self._sharded.shard_for_row(row)
-        record = self._full_row(index, row)
-        with self._locks[index]:
-            shard = self._sharded.shards[index]
+        return index, self._full_row(index, row)
+
+    def _apply(self, index: int, record: dict[str, float], kind: str) -> int:
+        with self._lock:
+            with self._write_locked():
+                getattr(self._sharded, kind)(record)
             if kind == "insert":
-                shard.insert(record)
                 self._inserted[index].append(record)
                 self._insert_counts[index] += 1
                 self._m_inserts[index].inc()
             else:
-                shard.delete(record)
                 self._deleted[index].append(record)
                 self._delete_counts[index] += 1
                 self._m_deletes[index].inc()
             if (
                 self._rebuild_threshold is not None
-                and shard.staleness >= self._rebuild_threshold
+                and self._sharded.per_shard_staleness()[index]
+                >= self._rebuild_threshold
             ):
                 self._rebuild_locked(index)
         return index
@@ -374,30 +348,31 @@ class StreamingShardRouter:
     # ------------------------------------------------------------------
     def rebuild(self, index: int) -> None:
         """Re-optimize one shard from its current data (other shards untouched)."""
-        with self._locks[index]:
+        with self._lock:
             self._rebuild_locked(index)
 
     def _rebuild_locked(self, index: int) -> None:
         rebuild_start = time.perf_counter()
-        shard = self._sharded.shards[index]
+        sharded = self._sharded
         snapshot = self._materialize(index)
-        if snapshot.n_rows != shard.population_size:
+        population = sharded.shard_population(index)
+        if snapshot.n_rows != population:
             raise RuntimeError(
                 f"shard {index}'s delta log materializes {snapshot.n_rows} rows but "
-                f"the live shard holds {shard.population_size}: updates were applied "
+                f"the live shard holds {population}: updates were applied "
                 "outside this router (route every insert/delete through the router "
                 "so rebuilds cannot lose them)"
             )
+        config = sharded.config
         replacement = DynamicPASS(
             snapshot,
-            shard.value_column,
-            shard.predicate_columns,
-            config=shard.config,
-            extra_sample_columns=shard.extra_sample_columns,
+            sharded.value_column,
+            sharded.predicate_columns,
+            config=config.with_overrides(seed=config.seed + index),
+            extra_sample_columns=sharded.extra_sample_columns,
         )
-        # Atomic swap: readers see the old shard until this assignment and
-        # the fresh one after; no read on any shard ever waits for the build.
-        self._sharded.replace_shard(index, replacement)
+        with self._write_locked():
+            sharded.replace_shard(index, replacement)
         for listener in self._swap_listeners:
             listener(index, replacement)
         self._base_tables[index] = snapshot
@@ -408,7 +383,11 @@ class StreamingShardRouter:
         self._m_rebuild_seconds.observe(time.perf_counter() - rebuild_start)
 
     def _materialize(self, index: int) -> Table:
-        """The shard's current data: base table plus inserts minus deletes."""
+        """The shard's current data: base table plus inserts minus deletes.
+
+        A deleted row matches the first live row equal to it in every
+        column, NaN matching NaN (as :meth:`DynamicPASS.delete` matches).
+        """
         base = self._base_tables[index]
         columns = base.column_names
         arrays = {column: base.column(column).astype(float) for column in columns}
@@ -423,7 +402,9 @@ class StreamingShardRouter:
         for record in self._deleted[index]:
             match = keep.copy()
             for column in columns:
-                match &= arrays[column] == record[column]
+                value = record[column]
+                values = arrays[column]
+                match &= np.isnan(values) if math.isnan(value) else values == value
             hits = np.flatnonzero(match)
             if hits.shape[0] == 0:
                 raise ValueError(
@@ -440,18 +421,17 @@ class StreamingShardRouter:
     # ------------------------------------------------------------------
     def stats(self) -> list[ShardUpdateStats]:
         """Per-shard write-path telemetry, in shard order."""
-        snapshots = []
-        for index in range(self._sharded.n_shards):
-            shard = self._sharded.shards[index]
-            snapshots.append(
-                ShardUpdateStats(
-                    inserts=self._insert_counts[index],
-                    deletes=self._delete_counts[index],
-                    rebuilds=self._rebuild_counts[index],
-                    staleness=shard.staleness,
-                    population=shard.population_size,
-                    sketch_staleness=shard.sketch_staleness,
-                    extrema_staleness=shard.extrema_staleness,
-                )
+        sharded = self._sharded
+        drift = sharded.per_shard_drift().tolist()
+        return [
+            ShardUpdateStats(
+                inserts=self._insert_counts[index],
+                deletes=self._delete_counts[index],
+                rebuilds=self._rebuild_counts[index],
+                staleness=drift[index][0],
+                population=sharded.shard_population(index),
+                sketch_staleness=drift[index][1],
+                extrema_staleness=drift[index][2],
             )
-        return snapshots
+            for index in range(sharded.n_shards)
+        ]

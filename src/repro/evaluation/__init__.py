@@ -8,7 +8,6 @@ from repro.evaluation.harness import (
     evaluate_async_workload,
     evaluate_grouped_workload,
     evaluate_served_workload,
-    evaluate_sharded_workload,
     run_comparison,
 )
 from repro.evaluation.metrics import (
@@ -34,7 +33,6 @@ __all__ = [
     "evaluate_async_workload",
     "run_comparison",
     "evaluate_served_workload",
-    "evaluate_sharded_workload",
     "evaluate_grouped_workload",
     "QueryRecord",
     "WorkloadMetrics",

@@ -38,7 +38,6 @@ __all__ = [
     "run_comparison",
     "ground_truths",
     "evaluate_served_workload",
-    "evaluate_sharded_workload",
     "evaluate_grouped_workload",
     "AsyncWorkloadReport",
     "arrival_offsets",
@@ -113,51 +112,30 @@ def evaluate_served_workload(
         Execute the whole workload through ``execute_batch`` (per-query
         latency is then the batch average) instead of query by query.
     """
-    return _evaluate_timed_workload(
-        queries,
-        engine,
-        ground_truth,
-        batch,
-        run_one=lambda query: serving_engine.execute(query, table=table),
-        run_batch=lambda batch_queries: serving_engine.execute_batch(
-            batch_queries, table=table
-        ),
-    )
-
-
-def evaluate_sharded_workload(
-    sharded,
-    queries: Iterable[AggregateQuery],
-    engine: ExactEngine,
-    ground_truth: Sequence[float] | None = None,
-    batch: bool = False,
-) -> WorkloadMetrics:
-    """Evaluate a workload through a sharded synopsis (sharded mode).
-
-    Queries run through the scatter-gather path of a
-    :class:`~repro.distributed.sharded.ShardedSynopsis`; per-query latency
-    therefore includes shard pruning and the merge of per-shard estimates.
-
-    Parameters
-    ----------
-    sharded:
-        A :class:`~repro.distributed.sharded.ShardedSynopsis`.
-    queries / engine / ground_truth:
-        As in :func:`~repro.evaluation.metrics.evaluate_workload`.
-    batch:
-        Execute the whole workload through
-        :meth:`~repro.distributed.sharded.ShardedSynopsis.query_batch`
-        (per-query latency is then the batch average) instead of query by
-        query.
-    """
-    return _evaluate_timed_workload(
-        queries,
-        engine,
-        ground_truth,
-        batch,
-        run_one=sharded.query,
-        run_batch=sharded.query_batch,
-    )
+    queries = list(queries)
+    if ground_truth is None:
+        ground_truth = ground_truths(engine, queries)
+    if len(ground_truth) != len(queries):
+        raise ValueError("ground_truth length must match the number of queries")
+    if batch:
+        start = time.perf_counter()
+        results = serving_engine.execute_batch(queries, table=table)
+        per_query = (time.perf_counter() - start) / max(1, len(queries))
+        latencies = [per_query] * len(queries)
+    else:
+        results = []
+        latencies = []
+        for query in queries:
+            start = time.perf_counter()
+            results.append(serving_engine.execute(query, table=table))
+            latencies.append(time.perf_counter() - start)
+    records = [
+        QueryRecord(query=query, truth=truth, result=result, latency_seconds=latency)
+        for query, truth, result, latency in zip(
+            queries, ground_truth, results, latencies
+        )
+    ]
+    return WorkloadMetrics.from_records(records)
 
 
 def evaluate_grouped_workload(
@@ -181,8 +159,8 @@ def evaluate_grouped_workload(
         A :class:`~repro.serving.engine.ServingEngine` (routed + cached
         grouped serving) or :class:`~repro.serving.server.MPServingPool`
         (the same result from the worker pool), a
-        :class:`~repro.distributed.sharded.ShardedSynopsis` (scatter-gather
-        grouping), or a :class:`~repro.core.pass_synopsis.PASSSynopsis`
+        :class:`~repro.distributed.sharded.ShardedSynopsis` (grouping over
+        the stitched tree), or a :class:`~repro.core.pass_synopsis.PASSSynopsis`
         (single-synopsis shared-mask grouping).
     groupby:
         The group-by query, or an already compiled plan.
@@ -413,41 +391,6 @@ def evaluate_async_workload(
         p50_latency_ms=p50_ms,
         p99_latency_ms=p99_ms,
     )
-
-
-def _evaluate_timed_workload(
-    queries: Iterable[AggregateQuery],
-    engine: ExactEngine,
-    ground_truth: Sequence[float] | None,
-    batch: bool,
-    run_one,
-    run_batch,
-) -> WorkloadMetrics:
-    """Shared timing/record assembly for the served and sharded modes."""
-    queries = list(queries)
-    if ground_truth is None:
-        ground_truth = ground_truths(engine, queries)
-    if len(ground_truth) != len(queries):
-        raise ValueError("ground_truth length must match the number of queries")
-    if batch:
-        start = time.perf_counter()
-        results = run_batch(queries)
-        per_query = (time.perf_counter() - start) / max(1, len(queries))
-        latencies = [per_query] * len(queries)
-    else:
-        results = []
-        latencies = []
-        for query in queries:
-            start = time.perf_counter()
-            results.append(run_one(query))
-            latencies.append(time.perf_counter() - start)
-    records = [
-        QueryRecord(query=query, truth=truth, result=result, latency_seconds=latency)
-        for query, truth, result, latency in zip(
-            queries, ground_truth, results, latencies
-        )
-    ]
-    return WorkloadMetrics.from_records(records)
 
 
 def run_comparison(

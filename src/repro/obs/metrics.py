@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 #: Exponential latency buckets (seconds) from 10 microseconds to 10 seconds,
-#: wide enough for both a cache hit and a cold multi-shard scatter-gather.
+#: wide enough for both a cache hit and a cold grouped request.
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
     0.00001,
     0.000025,

@@ -20,8 +20,9 @@ with shared mask work:
 * :func:`repro.core.batching.grouped_query` on a single synopsis,
 * :meth:`repro.serving.engine.ServingEngine.execute_grouped` through the
   serving layer (per-group result caching included), and
-* :meth:`repro.distributed.sharded.ShardedSynopsis.query_grouped` by
-  scatter-gather with exact mergeable per-group aggregation across shards.
+* :meth:`repro.distributed.sharded.ShardedSynopsis.query_grouped`, which
+  is :func:`~repro.core.batching.grouped_query` over the shards' stitched
+  tree.
 
 The compiled form is deliberately dumb — plain queries over plain predicates
 — so every executor, cache, and persistence layer built for single-aggregate
@@ -316,7 +317,7 @@ class GroupByPlan:
 
     The plan is the hand-off between the query model and the executors: it
     owns the cell enumeration and the flat cell-major query order, so every
-    executor (single synopsis, serving engine, sharded scatter-gather)
+    executor (single synopsis, serving engine, worker pool)
     assembles its answers into an identically shaped
     :class:`GroupedResult`.
     """

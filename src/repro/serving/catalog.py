@@ -20,9 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, TypeVar
 
 from repro.core.pass_synopsis import PASSSynopsis
-from repro.core.updates import DynamicPASS
 from repro.data.table import Table
-from repro.distributed.sharded import ShardedSynopsis
 from repro.obs.quality import QualityScorecard, QualityStore
 from repro.query.aggregates import SKETCH_AGGREGATES
 from repro.query.query import AggregateQuery, ExactEngine
@@ -82,16 +80,17 @@ class CatalogEntry:
     """One registered synopsis and its routing metadata.
 
     Sizes and drift gauges read straight off the synopsis, one object of
-    any kind (a static synopsis reports 0.0 drift).
+    any kind (a static synopsis reports 0.0 drift, a sharded one its worst
+    shard's).
 
     Attributes
     ----------
     name:
         Unique catalog name of the synopsis.
     synopsis:
-        The registered :class:`PASSSynopsis` (a :class:`DynamicPASS` when it
-        accepts updates) or
-        :class:`~repro.distributed.sharded.ShardedSynopsis`.
+        The registered :class:`PASSSynopsis`: a ``DynamicPASS`` when it
+        accepts updates, a
+        :class:`~repro.distributed.sharded.ShardedSynopsis` when sharded.
     table_name:
         Name of the table the synopsis summarizes.
     value_column:
@@ -102,7 +101,7 @@ class CatalogEntry:
     """
 
     name: str
-    synopsis: PASSSynopsis | ShardedSynopsis
+    synopsis: PASSSynopsis
     table_name: str
     value_column: str
     predicate_columns: tuple[str, ...]
@@ -110,32 +109,16 @@ class CatalogEntry:
     @property
     def is_dynamic(self) -> bool:
         """True when the entry accepts streaming updates."""
-        if isinstance(self.synopsis, ShardedSynopsis):
-            return self.synopsis.supports_updates
-        return isinstance(self.synopsis, DynamicPASS)
-
-    @property
-    def is_sharded(self) -> bool:
-        """True when the entry answers queries by scatter-gather over shards."""
-        return isinstance(self.synopsis, ShardedSynopsis)
+        return self.synopsis.supports_updates
 
     @property
     def pass_synopsis(self) -> PASSSynopsis:
-        """The entry's single synopsis (static or dynamic).
-
-        Sharded entries have no single synopsis; use :attr:`synopsis` (and
-        its scatter-gather methods) instead.
-        """
-        if isinstance(self.synopsis, ShardedSynopsis):
-            raise TypeError(
-                f"synopsis {self.name!r} is sharded; query it through "
-                "entry.synopsis.query / query_batch"
-            )
+        """The entry's synopsis (an alias of :attr:`synopsis`)."""
         return self.synopsis
 
     @property
     def n_partitions(self) -> int:
-        """Leaf partitions of the entry (summed across shards when sharded)."""
+        """Leaf partitions of the entry."""
         return self.synopsis.n_partitions
 
     @property
@@ -152,15 +135,13 @@ class CatalogEntry:
     def extrema_staleness(self) -> float:
         """Fraction of deletes that may have stranded a partition extremum.
 
-        0.0 for static synopses; for sharded entries, the worst shard.
+        0.0 for static synopses.
         """
         return self.synopsis.extrema_staleness
 
     @property
     def supports_sketches(self) -> bool:
         """True when the entry can answer QUANTILE / COUNT_DISTINCT queries."""
-        if isinstance(self.synopsis, ShardedSynopsis):
-            return self.synopsis.supports_sketches
         return self.synopsis.has_sketches
 
 
@@ -187,10 +168,10 @@ class SynopsisCatalog:
         """Attach an observability context: routing-decision counters.
 
         Called by :class:`~repro.serving.engine.ServingEngine` when it is
-        constructed with an enabled context; binds sharded entries too, so
-        shard-pruning counters land in the same registry, and migrates the
-        quality scorecards into the context's registry-backed store so they
-        flow through the Prometheus exposition.  Idempotent.
+        constructed with an enabled context; registers each entry's
+        staleness gauges and migrates the quality scorecards into the
+        context's registry-backed store so they flow through the Prometheus
+        exposition.  Idempotent.
         """
         if not obs.enabled or self._obs is obs:
             return
@@ -199,8 +180,6 @@ class SynopsisCatalog:
         obs.quality.merge_from(self._quality)
         self._quality = obs.quality
         for entry in self._entries.values():
-            if entry.is_sharded:
-                entry.synopsis.bind_obs(obs)
             self._register_entry_gauges(entry)
 
     def _register_entry_gauges(self, entry: CatalogEntry) -> None:
@@ -260,33 +239,26 @@ class SynopsisCatalog:
     def register(
         self,
         name: str,
-        synopsis: PASSSynopsis | ShardedSynopsis,
+        synopsis: PASSSynopsis,
         table_name: str = "table",
         predicate_columns: Sequence[str] | None = None,
     ) -> CatalogEntry:
         """Register a synopsis under a unique name.
 
         ``predicate_columns`` defaults to the columns the synopsis' node
-        boxes bound (the columns it was partitioned on) — for sharded
-        synopses, the union of the shards' partitioning columns plus the
-        shard column; the value column is always read from the synopsis
-        itself.
+        boxes bound (the columns it was partitioned on, the shard column of
+        a sharded synopsis included); the value column is always read from
+        the synopsis itself.
         """
         if name in self._entries:
             raise ValueError(f"synopsis {name!r} is already registered")
-        if not isinstance(synopsis, (PASSSynopsis, ShardedSynopsis)):
+        if not isinstance(synopsis, PASSSynopsis):
             raise TypeError(
                 "expected a PASSSynopsis, DynamicPASS, or ShardedSynopsis, "
                 f"got {type(synopsis)!r}"
             )
         if predicate_columns is None:
-            if isinstance(synopsis, ShardedSynopsis):
-                columns = {synopsis.shard_column}
-                for shard in synopsis.shards:
-                    columns.update(shard.columns)
-            else:
-                columns = set(synopsis.columns)
-            predicate_columns = tuple(sorted(columns))
+            predicate_columns = tuple(sorted(synopsis.columns))
         entry = CatalogEntry(
             name=name,
             synopsis=synopsis,
@@ -295,10 +267,7 @@ class SynopsisCatalog:
             predicate_columns=tuple(predicate_columns),
         )
         self._entries[name] = entry
-        if self._obs is not None:
-            if entry.is_sharded:
-                entry.synopsis.bind_obs(self._obs)
-            self._register_entry_gauges(entry)
+        self._register_entry_gauges(entry)
         return entry
 
     def register_table(self, table: Table, name: str | None = None) -> ExactEngine:

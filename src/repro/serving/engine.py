@@ -20,8 +20,8 @@ into something that can serve query traffic:
 Sketch aggregates (QUANTILE / COUNT_DISTINCT) serve through the same three
 mechanisms unchanged: the catalog routes them only to synopses carrying
 per-leaf sketches (:attr:`CatalogEntry.supports_sketches`) and otherwise
-falls back to the exact engine, batches reduce them along shared frontiers,
-and sharded entries gather mergeable sketch unions across shards.
+falls back to the exact engine, and batches reduce them along shared
+frontiers — a sharded entry's too: it is one stitched tree.
 * **Batch execution** — :meth:`execute_batch` deduplicates the batch,
   groups cache misses by routed synopsis, computes one MCF frontier per
   distinct predicate, and answers every miss with the same flat kernel
@@ -157,7 +157,7 @@ class ServingEngine:
         The shared :class:`~repro.obs.Observability` context.  When given
         (and enabled), per-synopsis serving stats become registry-backed
         metrics, queries emit trace spans and structured query-log records,
-        and the catalog / sharded synopses are bound to the same context.
+        and the catalog is bound to the same context.
         Defaults to the shared disabled singleton (no-op instruments).
     """
 
@@ -260,6 +260,17 @@ class ServingEngine:
         them with updates exactly like any serving query.
         """
         return self._lock.read_locked()
+
+    def write_locked(self):
+        """The engine's exclusive write-lock context manager.
+
+        For writers outside the engine that update a served synopsis in
+        place, e.g. :meth:`StreamingShardRouter.set_write_lock
+        <repro.distributed.router.StreamingShardRouter.set_write_lock>`:
+        holding it serializes them with every query, as :meth:`insert`
+        does.  Not reentrant: run no engine call while holding it.
+        """
+        return self._lock.write_locked()
 
     def health(self, thresholds: "QualityThresholds | None" = None) -> dict:
         """The catalog-level quality health rollup (see ``SynopsisCatalog.health``)."""
@@ -538,15 +549,7 @@ class ServingEngine:
         for name, indices in by_entry.items():
             entry = entries[name]
             batch = [misses[index][1] for index in indices]
-            if entry.is_sharded:
-                # Scatter-gather batch: the sharded synopsis dedupes the
-                # subqueries of the whole group per shard.
-                with self._obs.tracer.span("sharded.query_batch") as span:
-                    span.set_attribute("synopsis", name)
-                    span.set_attribute("batch_size", len(batch))
-                    batch_results = entry.synopsis.query_batch(batch)
-            else:
-                batch_results = batch_query(entry.synopsis, batch, obs=self._obs)
+            batch_results = batch_query(entry.synopsis, batch, obs=self._obs)
             for index, result in zip(indices, batch_results):
                 answers[index] = (name, result)
         return answers  # type: ignore[return-value]
@@ -602,13 +605,7 @@ class ServingEngine:
                 {"synopsis": name, "kind": kind},
             ).inc()
         with self._lock.write_locked():
-            apply = getattr(entry.synopsis, kind)
-            if entry.is_sharded:
-                # A sharded update reports its shard, not its leaf.
-                box = entry.synopsis.leaf_box(row)
-                apply(row)
-            else:
-                box = apply(row)
+            box = getattr(entry.synopsis, kind)(row)
             # Mirror the update into the auditor's truth oracle while still
             # holding the write lock, so oracle epochs order strictly with
             # the read-locked offers above.

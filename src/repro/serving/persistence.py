@@ -5,8 +5,9 @@ a shared-memory segment holds (:mod:`repro.serving.shm`: magic, JSON header
 with the array directory, page-aligned payloads) — the ``(header, arrays)``
 of ``export_buffers``, whichever kind exported them: a static synopsis, a
 dynamic one (plus its reservoir ``seen`` / ``capacity`` arrays and update
-counters) or a sharded one (its shards namespaced ``shard<i>/`` in the one
-file).  Loading maps the file and hands the views to the same constructor a
+counters) or a sharded one (one stitched tree, its routing in the header and
+``shard_rows``; a file of the earlier per-shard ``shard<i>/`` layout is
+refused).  Loading maps the file and hands the views to the same constructor a
 pool worker's attach uses, so a loaded static synopsis is zero-copy and
 read-only and a restart is the attach code path; dynamic synopses copy their
 arrays to own writable ones.  The arrays round-trip bit for bit, so a
@@ -138,9 +139,10 @@ def save_synopsis(
     reservoir counters and update counters as well, so serving can resume
     accepting updates after a restart (the reservoir RNG state is the one
     piece that does not survive — see :meth:`DynamicPASS.export_buffers`).
-    Sharded synopses persist every shard (static or dynamic) plus the shard
-    routing metadata in the same file.  Passing ``workload`` additionally
-    writes the build-time fingerprint to a sibling ``<stem>.workload.npz``.
+    A sharded synopsis is one stitched tree: its arrays, routing and
+    per-shard drift counters go to the same one file.  Passing ``workload``
+    additionally writes the build-time fingerprint to a sibling
+    ``<stem>.workload.npz``.
 
     Both writes are atomic (same-directory temp file + ``os.replace``), and
     the workload sibling is written *before* the synopsis file, so a crash
@@ -202,7 +204,7 @@ def load_workload_fingerprint(path: str | Path) -> WorkloadFingerprint:
 def load_synopsis(path: str | Path) -> PASSSynopsis | DynamicPASS | ShardedSynopsis:
     """Load a synopsis saved with :func:`save_synopsis`.
 
-    The file is mapped, not read: a static synopsis (and every static shard)
+    The file is mapped, not read: a static synopsis (sharded or not)
     serves straight from read-only views of the mapping, which lives as long
     as they do.  ``ValueError`` naming ``path`` for anything that is not a
     complete file of the current format.

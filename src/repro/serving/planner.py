@@ -9,10 +9,9 @@ the declarative group-by form and the single-aggregate batch executors:
    table.
 2. **Empty-cell pruning** — before anything dispatches, each group cell's
    predicate is checked against the routed synopsis' partition-tree frontier
-   statistics (per shard for sharded entries).  A cell whose frontier
-   contains zero tuples is provably empty and is answered locally with SQL
-   empty-group semantics, costing no mask work, no cache slots, and no
-   scatter-gather fan-out.
+   statistics (a sharded entry's stitched tree included).  A cell whose
+   frontier contains zero tuples is provably empty and is answered locally
+   with SQL empty-group semantics, costing no mask work and no cache slots.
 3. **Dispatch** — the surviving cell-major batch runs through
    :meth:`~repro.serving.engine.ServingEngine.execute_batch`, so grouped
    traffic inherits the per-group result cache (every compiled query's
@@ -132,10 +131,9 @@ class GroupByPlanner:
         """Indices of group cells that provably contain no tuples.
 
         Each live cell's predicate runs a flat MCF lookup
-        (``FlatSynopsis.frontiers_for``, one broadcast per tree) over the
-        routed synopsis' partition tree (every surviving shard's tree for
-        sharded entries); a frontier whose covered and partial nodes hold zero
-        tuples cannot match anything.  Entries that route to the exact-scan
+        (``FlatSynopsis.frontiers_for``, one broadcast) over the routed
+        synopsis' partition tree; a frontier whose covered and partial nodes
+        hold zero tuples cannot match anything.  Entries that route to the exact-scan
         fallback are never pruned — there is no tree to consult.
 
         Callers serving live traffic must hold the serving engine's read
@@ -149,34 +147,13 @@ class GroupByPlanner:
         if entry is None:
             return set()
         live = plan.live_cells()
-        # (synopsis, slots into ``live``) per tree to consult: a sharded
-        # entry asks each shard only about the cells its key range overlaps.
-        if entry.is_sharded:
-            sharded = entry.synopsis
-            by_shard: dict[int, list[int]] = {}
-            for slot, (_, cell) in enumerate(live):
-                representative = plan.cell_query(cell, plan.aggregates[0])
-                for shard_index in sharded.surviving_shards(representative):
-                    by_shard.setdefault(shard_index, []).append(slot)
-            groups = []
-            groups = [
-                (sharded.shards[shard_index], slots)
-                for shard_index, slots in by_shard.items()
-            ]
-        else:
-            groups = [(entry.pass_synopsis, list(range(len(live))))]
-        occupied: set[int] = set()
-        for synopsis, slots in groups:
-            slots = [slot for slot in slots if slot not in occupied]
-            frontiers = synopsis.frontiers_for(
-                [live[slot][1].predicate for slot in slots]
-            )
-            occupied.update(
-                slot
-                for slot, frontier in zip(slots, frontiers)
-                if synopsis.frontier_count(frontier)
-            )
-        return {index for slot, (index, _) in enumerate(live) if slot not in occupied}
+        synopsis = entry.synopsis
+        frontiers = synopsis.frontiers_for([cell.predicate for _, cell in live])
+        return {
+            index
+            for (index, _), frontier in zip(live, frontiers)
+            if not synopsis.frontier_count(frontier)
+        }
 
     # ------------------------------------------------------------------
     # Dispatch

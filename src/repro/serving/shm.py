@@ -526,8 +526,8 @@ class SynopsisPublisher:
         publisher.close()          # unlink everything
 
     A :class:`~repro.distributed.router.StreamingShardRouter` rebuild can be
-    wired straight in through :meth:`watch_router`: every atomic shard swap
-    republishes the rebuilt shard's segment under this publisher.
+    wired straight in through :meth:`watch_router`: every shard rebuild
+    republishes the sharded synopsis' segment under this publisher.
     """
 
     def __init__(self) -> None:
@@ -592,30 +592,24 @@ class SynopsisPublisher:
             previous.close()
         return epoch
 
-    def publish_catalog(self, catalog) -> tuple[int, list[str]]:
-        """Publish every eligible entry of a :class:`SynopsisCatalog`.
+    def publish_catalog(self, catalog) -> int:
+        """Publish every entry of a :class:`SynopsisCatalog`; returns the epoch.
 
-        Single-synopsis entries (static or dynamic) publish under their
-        catalog name with their registered routing metadata, so worker-side
-        routing sees the same candidates as the in-process engine.  Sharded
-        entries are skipped — the worker pool routes whole queries, not
-        shard scatter/gather — and returned in the skipped list so callers
-        can keep serving them in-process.  Returns ``(epoch, skipped)``.
+        Each entry — static, dynamic or sharded (one stitched tree) —
+        publishes under its catalog name with its registered routing
+        metadata, so worker-side routing sees the same candidates as the
+        in-process engine.
         """
         self._require_open()
-        skipped = []
         epoch = self.epoch
         for entry in catalog.entries():
-            if entry.is_sharded:
-                skipped.append(entry.name)
-                continue
             epoch = self.publish(
                 entry.name,
                 entry.synopsis,
                 table_name=entry.table_name,
                 predicate_columns=entry.predicate_columns,
             )
-        return epoch, skipped
+        return epoch
 
     def retire(self, name: str) -> int:
         """Withdraw a published synopsis; returns the new epoch."""
@@ -629,30 +623,22 @@ class SynopsisPublisher:
         return epoch
 
     def watch_router(self, router, name: str, *, table_name: str | None = None):
-        """Republish on every atomic shard swap of a streaming router.
+        """Republish a streaming router's synopsis on every shard rebuild.
 
         Registers a swap listener on ``router`` (a
         :class:`~repro.distributed.router.StreamingShardRouter`) that
-        republishes the swapped shard's synopsis under ``name`` — the
-        "rebuild into a fresh segment, flip the epoch" write path.  Only
-        single-shard routers are publishable today (the worker pool routes
-        whole queries, not shard scatter/gather); a multi-shard router
-        raises.  Returns the listener so callers can detach it with
-        ``router.remove_swap_listener``.
+        republishes the whole sharded synopsis under ``name`` after a shard
+        is stitched in — the "rebuild into a fresh segment, flip the epoch"
+        write path — and publishes it once now.  Returns the listener so
+        callers can detach it with ``router.remove_swap_listener``.
         """
         self._require_open()
-        if router.sharded.n_shards != 1:
-            raise ValueError(
-                "only single-shard routers can republish through the worker "
-                f"pool (got {router.sharded.n_shards} shards); serve "
-                "multi-shard synopses through the in-process engine"
-            )
 
         def on_swap(index: int, shard) -> None:
-            self.publish(name, shard, table_name=table_name)
+            self.publish(name, router.sharded, table_name=table_name)
 
         router.add_swap_listener(on_swap)
-        self.publish(name, router.sharded.shards[0], table_name=table_name)
+        self.publish(name, router.sharded, table_name=table_name)
         return on_swap
 
     def _flip(self) -> int:

@@ -5,8 +5,8 @@ across partitions and shards because their sufficient statistics are linear.
 Percentiles and distinct counts are not linear, but they admit *mergeable
 sketches* — compact summaries ``S(A)`` with a ``merge`` operation satisfying
 ``estimate(merge(S(A), S(B)))`` within the same error bound as
-``estimate(S(A ∪ B)))`` — which preserves the scatter-gather merge discipline
-of the distributed layer:
+``estimate(S(A ∪ B)))`` — so a frontier's covered leaves answer through
+their merged sketches:
 
 * :class:`~repro.sketches.quantile.QuantileSketch` — a KLL/MRL-style
   compactor hierarchy answering rank / quantile queries with a *certified*

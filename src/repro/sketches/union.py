@@ -20,11 +20,9 @@ and matched-value arrays, and do not care who found the frontier — the flat en
 object oracle of ``tests/oracle.py``.
 
 Union objects are mergeable with the same discipline as the sketches
-themselves, which is exactly what the distributed scatter-gather path needs:
-each shard reduces its frontier to a union, the gather phase merges the
-unions, and :func:`sketch_union_result` turns the merged union into an
-:class:`~repro.result.AQPResult` — so a sharded answer is, by construction,
-the same sketch algebra as a single-synopsis answer.
+themselves (two reduced queries over disjoint data merge into the reduced
+query over their union), and :func:`sketch_union_result` turns any union
+into an :class:`~repro.result.AQPResult`.
 
 :func:`pack_leaf_sketches` / :func:`unpack_leaf_sketches` carry a synopsis'
 whole sketch list as a handful of ragged-packed arrays (the form the
@@ -159,7 +157,7 @@ class QuantileSketchUnion:
         return self.boundary_weight == 0 and self.sketch.is_exact
 
     def merge(self, other: "QuantileSketchUnion") -> "QuantileSketchUnion":
-        """Union of two reduced queries (the scatter-gather merge)."""
+        """Union of two reduced queries over disjoint data."""
         return QuantileSketchUnion(
             sketch=self.sketch.merge(other.sketch),
             boundary_weight=self.boundary_weight + other.boundary_weight,
@@ -200,7 +198,7 @@ class DistinctSketchUnion:
         return self.boundary_weight == 0 and self.upper.is_exact
 
     def merge(self, other: "DistinctSketchUnion") -> "DistinctSketchUnion":
-        """Union of two reduced queries (the scatter-gather merge)."""
+        """Union of two reduced queries over disjoint data."""
         return DistinctSketchUnion(
             lower=self.lower.merge(other.lower),
             upper=self.upper.merge(other.upper),
@@ -380,9 +378,8 @@ def sketch_union_results(
     quantile asked for, so a cell's p50 / p95 / p99 are three assemblies of
     one union — and all their rank lookups read one sorted view of the
     merged sketch (:meth:`QuantileSketch.values_at_ranks`).  The same
-    assembly serves the single-synopsis path and the distributed
-    scatter-gather path (which merges per-shard unions first), so sharded
-    answers follow the exact same sketch algebra as single-synopsis ones.
+    assembly serves every path, a sharded synopsis' (one stitched tree)
+    included.
 
     * **QUANTILE** — the estimate is the merged sketch's value at rank
       ``ceil(q * n)`` (the nearest-rank / ``percentile_disc`` convention).
@@ -489,10 +486,9 @@ def shared_union_results(
     it; every query of the key is assembled from that union
     (:func:`sketch_union_results`), so the ``(target, result)`` pairs
     returned carry the bits of per-query execution — only the repeated
-    identical reductions and sorts are gone.  The batch executor, the
-    grouped executor and the sharded gather all share unions through this
-    function, and nothing it builds outlives the call: an update between
-    two calls is always seen.
+    identical reductions and sorts are gone.  The batch executor and the
+    grouped executor share unions through this function, and nothing it
+    builds outlives the call: an update between two calls is always seen.
     """
     groups: dict[Hashable, list[tuple[Hashable, Hashable, AggregateQuery]]] = {}
     for item in pending:

@@ -462,15 +462,16 @@ class TestLengthChangingSampleUpdate:
         catalog = SynopsisCatalog()
         catalog.register("t", sharded, table_name="t")
         engine = ServingEngine(catalog)
-        flats = [shard.synopsis.flat for shard in sharded.shards]
-        before = [_snapshot(flat) for flat in flats]
+        # The shards are read as copies of their slices, before and after.
+        before = [_snapshot(flat) for flat in sharded.shards]
         shard, leaf = 1, 2
-        sampled = {c: float(v[0]) for c, v in flats[shard].leaf_sample(leaf).items()}
+        sliced = sharded.shards[shard]
+        sampled = {c: float(v[0]) for c, v in sliced.leaf_sample(leaf).items()}
         box = engine.delete("t", sampled)
-        assert box == sharded.shards[shard].synopsis.leaf_boxes[leaf]
+        assert box == sliced.leaf_boxes[leaf]
         box = engine.insert("t", sampled)
-        assert box == sharded.shards[shard].synopsis.leaf_boxes[leaf]
-        after = [_snapshot(flat) for flat in flats]
+        assert box == sliced.leaf_boxes[leaf]
+        after = [_snapshot(flat) for flat in sharded.shards]
         for s in range(3):
             for l in range(4):
                 if (s, l) != (shard, leaf):

@@ -5,7 +5,9 @@ dragged node / stratum objects after the arrays, the second ``FlatSynopsis``
 constructor and the ``tree/* strata/* samples/* reservoir/*`` npz vocabulary
 were deleted, as were the helpers a synopsis was unwrapped with
 (``_pass_of`` / ``_flat_of``: a ``DynamicPASS`` is a ``PASSSynopsis`` is a
-``FlatSynopsis``); the scalar per-row binary search of the ADP partitioner
+``FlatSynopsis``), and the sharded scatter-gather — its merge math, its
+subquery fan-out and every branch on ``is_sharded`` (a shard is a subtree of
+one stitched tree); the scalar per-row binary search of the ADP partitioner
 and the object tree the builder used to assemble (``PartitionTree`` /
 ``PartitionNode``, one ``Box.mask`` scan per leaf) live on only as
 references in ``tests/oracle.py``.  This is the grep a re-anchor would
@@ -27,6 +29,8 @@ DELETED_NAMES = re.compile(
     r"|boxes_to_arrays|boxes_from_arrays|_binary_search_split"
     r"|PartitionTree|PartitionNode|build_from_leaves|_TreeGeometry"
     r"|_pass_of|_flat_of"
+    r"|_merge_additive|_merge_avg|_merge_extremum|_gather_union|_subqueries"
+    r"|is_sharded"
 )
 NPZ_KEY_PREFIXES = re.compile(r"\"(tree|strata|samples|reservoir)/")
 

@@ -230,31 +230,6 @@ class TestSegmentRoundTrip:
         finally:
             publisher.close()
 
-    def test_publish_catalog_skips_sharded_entries(self, synopses):
-        synopsis, _ = synopses
-        table = make_table(seed=9, n=1200)
-        plan = ShardPlanner(2, "range").plan(table, "key")
-        sharded = build_sharded_from_plan(
-            plan,
-            "value",
-            ["key"],
-            PASSConfig(n_partitions=4, sample_rate=0.05, opt_sample_size=200, seed=0),
-        )
-        catalog = SynopsisCatalog()
-        catalog.register("single", synopsis, table_name="mp_test")
-        catalog.register("sharded", sharded, table_name="mp_test")
-        publisher = SynopsisPublisher()
-        try:
-            epoch, skipped = publisher.publish_catalog(catalog)
-            assert skipped == ["sharded"]
-            register = EpochRegister.attach(publisher.register_name)
-            _, manifest = register.read()
-            assert [e["name"] for e in manifest["entries"]] == ["single"]
-            register.close()
-        finally:
-            publisher.close()
-
-
 class TestMPServingPool:
     def test_batch_results_bit_identical_to_in_process_engine(self, synopses):
         synopsis, _ = synopses
@@ -333,8 +308,7 @@ class TestMPServingPool:
         }
         loser_of_by_key = catalog.get("by_both").pass_synopsis
         with SynopsisPublisher() as publisher:
-            _, skipped = publisher.publish_catalog(catalog)
-            assert skipped == []
+            publisher.publish_catalog(catalog)
             with MPServingPool(publisher.register_name, n_workers=1) as pool:
                 for winner, predicates in winners.items():
                     for predicate in predicates:
@@ -657,7 +631,8 @@ class TestMPServingPool:
             register.close()
             router.remove_swap_listener(listener)
 
-    def test_multi_shard_router_is_rejected(self):
+    def test_multi_shard_router_republishes_on_a_swap(self):
+        """Every shard rebuild republishes the one stitched segment."""
         table = make_table(seed=15, n=1200)
         plan = ShardPlanner(2, "range").plan(table, "key")
         sharded = build_sharded_from_plan(
@@ -667,10 +642,67 @@ class TestMPServingPool:
             PASSConfig(n_partitions=4, sample_rate=0.05, opt_sample_size=200, seed=0),
             dynamic=True,
         )
-        router = StreamingShardRouter(sharded, plan.tables, rebuild_threshold=None)
+        router = StreamingShardRouter(sharded, plan.tables, rebuild_threshold=0.05)
         with SynopsisPublisher() as publisher:
-            with pytest.raises(ValueError, match="single-shard"):
-                publisher.watch_router(router, "stream")
+            publisher.watch_router(router, "stream")
+            first_epoch = publisher.epoch
+            owner = sharded.shard_for_value(45.0)
+            for step in range(sharded.shard_population(owner)):
+                router.insert({"key": 45.0, "value": float(step % 9)})
+                if router.stats()[owner].rebuilds:
+                    break
+            assert router.stats()[owner].rebuilds == 1
+            assert publisher.epoch > first_epoch
+            register = EpochRegister.attach(publisher.register_name)
+            _, manifest = register.read()
+            (entry,) = manifest["entries"]
+            assert entry["population_size"] == sharded.population_size
+            flat, attached = attach_flat_synopsis(entry["segment"])
+            for query in seeded_queries(seed=16, n=15):
+                assert_identical(flat.query(query), sharded.query(query))
+            attached.close()
+            register.close()
+
+    @pytest.mark.parametrize("strategy", ["range", "hash"])
+    def test_a_sharded_entry_answers_like_the_engine(self, strategy):
+        """``publish_catalog`` publishes a 4-shard entry as one segment, and
+        the pool's answers are the engine's bit for bit — hash point
+        predicates, which prune to their owning shard, included."""
+        table = make_table(seed=17, n=3000)
+        sharded = build_sharded_from_plan(
+            ShardPlanner(4, strategy).plan(table, "key"),
+            "value",
+            ["key"],
+            PASSConfig(
+                n_partitions=4,
+                sample_rate=0.05,
+                opt_sample_size=200,
+                with_sketches=True,
+                seed=0,
+            ),
+        )
+        catalog = SynopsisCatalog()
+        catalog.register("sharded", sharded, table_name="mp_test")
+        engine = ServingEngine(catalog, cache_size=0)
+        points = [
+            AggregateQuery(agg, "value", RectPredicate({"key": Interval(key, key)}))
+            for key in table.column("key")[:4].tolist()
+            for agg in ("SUM", "COUNT")
+        ]
+        queries = seeded_queries(seed=18, n=20) + sketch_queries() + points
+        with SynopsisPublisher() as publisher:
+            publisher.publish_catalog(catalog)
+            register = EpochRegister.attach(publisher.register_name)
+            _, manifest = register.read()
+            register.close()
+            assert [entry["name"] for entry in manifest["entries"]] == ["sharded"]
+            with MPServingPool(publisher.register_name, n_workers=1) as pool:
+                for query in queries:
+                    assert_identical(
+                        pool.execute(query, "mp_test"), engine.execute(query, "mp_test")
+                    )
+                for got, query in zip(pool.execute_batch(queries, "mp_test"), queries):
+                    assert_identical(got, engine.execute(query, "mp_test"))
 
 
 class TestJSONProtocol:

@@ -1,12 +1,12 @@
 """One state, one constructor, one serial form.
 
 A synopsis is a ``(header, arrays)`` pair.  A fresh build, a saved file
-mapped back, a published segment attached and a shard adopted by a sharded
-synopsis all run ``FlatSynopsis(header, arrays)`` over the same bytes, so
-every stage returns the same bits for all seven aggregates — for a static
-synopsis, a dynamic one (which then keeps accepting updates) and a sharded
-one mixing both.  A loaded static synopsis serves straight off the mapping;
-a loaded dynamic one owns what it writes.
+mapped back, a published segment attached and the shards stitched into a
+sharded synopsis all run ``FlatSynopsis(header, arrays)`` over the same
+bytes, so every stage returns the same bits for all seven aggregates — for
+a static synopsis, a dynamic one (which then keeps accepting updates) and a
+sharded one stitched from both.  A loaded static synopsis serves straight
+off the mapping; a loaded dynamic one owns what it writes.
 """
 
 from __future__ import annotations
@@ -103,10 +103,9 @@ def _build(kind: str, n_columns: int, with_sketches: bool):
 def stages(tmp_path_factory):
     """``(kind, n_columns, with_sketches) -> {stage name: something with .query}``.
 
-    built -> saved -> loaded -> published -> attached, each made once.  A
-    sharded synopsis is not publishable as a whole (the pool routes whole
-    queries), so its stages are built / loaded and its shards' attachments
-    are compared shard by shard in their own test.
+    built -> saved -> loaded -> published -> attached, each made once; a
+    sharded synopsis also publishes each of its shards, compared shard by
+    shard in their own test.
     """
     directory = tmp_path_factory.mktemp("serial")
     publisher = SynopsisPublisher()
@@ -126,15 +125,14 @@ def stages(tmp_path_factory):
         built = _build(kind, n_columns, with_sketches)
         path = save_synopsis(built, directory / name)
         made = {"built": built, "loaded": load_synopsis(path), "path": path}
+        made["attached"] = attach(name, made["loaded"])
+        # What the oracle runs over: the loaded arrays, decoded.
+        made["reference"] = oracle.objects_of(made["loaded"])
         if kind == "sharded":
             made["attached shards"] = [
                 attach(f"{name}-{i}", shard)
                 for i, shard in enumerate(made["loaded"].shards)
             ]
-        else:
-            made["attached"] = attach(name, made["loaded"])
-            # What the oracle runs over: the loaded arrays, decoded.
-            made["reference"] = oracle.objects_of(made["loaded"])
         return made
 
     yield make
@@ -158,9 +156,7 @@ class TestEveryStageReturnsTheSameBits:
     ):
         made = stages(kind, n_columns, with_sketches)
         query = _query(aggregate, _predicate(n_columns, fractions))
-        engines = {
-            stage: made[stage] for stage in ("loaded", "attached") if stage in made
-        }
+        engines = {stage: made[stage] for stage in ("loaded", "attached")}
         try:
             want = made["built"].query(query)
         except ValueError:
@@ -172,10 +168,9 @@ class TestEveryStageReturnsTheSameBits:
             return
         for stage, engine in engines.items():
             assert_results_identical(engine.query(query), want, context=f"{stage} ")
-        if kind != "sharded":
-            assert_results_identical(
-                want, oracle.query_object(made["reference"], query), "oracle "
-            )
+        assert_results_identical(
+            want, oracle.query_object(made["reference"], query), "oracle "
+        )
 
     @given(
         n_columns=st.integers(min_value=1, max_value=3),
@@ -239,7 +234,7 @@ class TestALoadedDynamicSynopsisKeepsAcceptingUpdates:
 
 
 class TestZeroCopy:
-    def test_a_loaded_static_synopsis_serves_off_the_mapping(self, stages):
+    def test_a_loaded_static_synopsis_serves_off_the_mapping(self, stages, tmp_path):
         loaded = stages("static", 2, True)["loaded"]
         flat = loaded.flat
         _, arrays = flat.export_buffers()
@@ -267,9 +262,13 @@ class TestZeroCopy:
         ):
             with pytest.raises(TypeError, match="read-only"):
                 write()
-        # The static shard of a loaded sharded synopsis is the same kind of view.
-        static_shard = stages("sharded", 2, True)["loaded"].shards[1]
-        assert not static_shard.flat._node_sum.flags.writeable
+        # A loaded static sharded synopsis is the same kind of view.
+        static_sharded = build_sharded_pass(
+            _table(2, 1), "value", "c0", n_shards=3, config=_config(2, True)
+        )
+        sharded = load_synopsis(save_synopsis(static_sharded, tmp_path / "sharded"))
+        assert not sharded._node_sum.flags.writeable
+        assert not sharded._shard_rows.flags.writeable
 
     def test_a_loaded_dynamic_synopsis_owns_writable_arrays(self, stages):
         loaded = stages("dynamic", 2, True)["loaded"]
@@ -328,16 +327,13 @@ class TestOneVocabulary:
             "extrema_stale_deletes",
         }
 
-    def test_a_sharded_file_namespaces_its_shards(self, stages):
+    def test_a_sharded_file_is_one_stitched_tree(self, stages):
+        static = stages("static", 1, False)["built"].export_buffers()
         header, arrays = stages("sharded", 1, False)["built"].export_buffers()
-        assert header["kind"] == "sharded" and len(header["shard_headers"]) == 3
-        assert {key.split("/", 1)[0] for key in arrays} == {
-            "shard0",
-            "shard1",
-            "shard2",
-        }
-        assert [h.get("kind") for h in header["shard_headers"]] == [
-            "dynamic",
-            None,
-            "dynamic",
-        ]
+        assert header["kind"] == "sharded" and header["dynamic"]
+        assert header["shard_dynamic"] == [True, False, True]
+        assert set(arrays) == set(static[1]) | {"shard_rows", "seen", "capacity"}
+        assert arrays["shard_rows"].shape == (3, 2)
+        assert header["sharding"]["strategy"] == "range"
+        assert header["sharding"]["shard_column"] == "c0"
+        assert not any(key.startswith("shard0/") for key in arrays)

@@ -22,16 +22,19 @@ build, a ``taxi_multidim``-style build (2-column k-d boxes handed to a
 5-predicate-column BSS build with proportional allocation) and a 3-D
 fanout-8 build with an extra sample column and sketches.
 
-The sharded and k-d partition cases (``SHARDED_GOLDEN`` and
-``KD_PARTITION_GOLDEN``) were recorded on the commit *before* the shard
-builds ran in the calling process, the k-d greedy ran on per-depth
-priority queues and the leaf distinct-count sketches came from one hash
-pass over the leaf-ordered values (when shards were built in a spawned
-process pool, and every k-d expansion rescanned every leaf).  The sharded
-digest covers every array of ``ShardedSynopsis.export_buffers()`` and its
-header without the ``build_seconds`` readings; the partition digest
-covers the k-d leaf boxes' bounds in list order, the leaf depths and the
-objective's bits.
+The k-d partition cases (``KD_PARTITION_GOLDEN``) were recorded on the
+commit *before* the k-d greedy ran on per-depth priority queues and the leaf
+distinct-count sketches came from one hash pass over the leaf-ordered values
+(when every k-d expansion rescanned every leaf); the partition digest covers
+the k-d leaf boxes' bounds in list order, the leaf depths and the
+objective's bits.  The sharded cases (``SHARDED_GOLDEN``) were re-recorded
+on the commit that stitched the shards into one tree, whose export is a new
+layout: one root over the shards' subtrees, bounds clipped to the key
+boxes.  What did not move there — every shard's statistics, samples,
+sketches and reservoirs, byte for byte as its own build — is pinned by
+``test_sharded_synopsis.TestAShardIsASubtree``; the sharded digest covers
+every array of ``ShardedSynopsis.export_buffers()`` and its header without
+the ``build_seconds`` / ``shard_build_seconds`` readings.
 The COUNT template scores a leaf by its sample count, so equal scores are
 the rule there and the first-in-list-order tie break decides; its small
 integer grid also leaves some leaves unsplittable and the depth spread
@@ -78,10 +81,10 @@ KD_GOLDEN = {
 
 #: case -> SHA-256 over a 4-shard build's ``export_buffers()`` (see above).
 SHARDED_GOLDEN = {
-    "hash_dynamic": "f389c9249cb7773da7c6b704624e74a6cd195128b51bebf937f188ccecb37329",
-    "hash_static": "809bb5e126d96b157fba7f026c035d45cffc60ca490ef7acb5ea6279f68d0957",
-    "range_dynamic": "d62fbb9a9f29de4b3787c09ec99b5a699925b2c0bb42f8199b95a6ead5ac5dde",
-    "range_static": "c5511c1fbf3ec0a2410c5791fa936a7a79b72edbda4b3242e26e990ddcab00f9",
+    "hash_dynamic": "919f6154f1bc244ef252a2d43ca88037a1f205d45ea50f32c37c2b740a3d05ed",
+    "hash_static": "10fcc9aef0013eb5c2606644daa5406bcdade8b5ed1c60e97cfaa5fa80dc5c45",
+    "range_dynamic": "13bf65413c1e3ef0e0ca122dd0ecc0c3a86e1ffd8e203c004dd9238e3d699ace",
+    "range_static": "b9059f551d34ecee778fce55ec8c4be852f0cee8e499a26ec881d89aecf1be2f",
 }
 
 #: case -> SHA-256 over a ``kd_partition`` result's boxes, depths, objective.
@@ -187,7 +190,7 @@ def _without_build_seconds(header):
         return {
             key: _without_build_seconds(value)
             for key, value in header.items()
-            if key != "build_seconds"
+            if key not in ("build_seconds", "shard_build_seconds")
         }
     if isinstance(header, list):
         return [_without_build_seconds(value) for value in header]

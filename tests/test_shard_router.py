@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -10,8 +12,11 @@ from repro.data.table import Table
 from repro.distributed.parallel import build_sharded_from_plan
 from repro.distributed.planner import ShardPlanner
 from repro.distributed.router import StreamingShardRouter
-from repro.query.predicate import RectPredicate
+from repro.distributed.sharded import ShardedSynopsis
+from repro.query.predicate import Interval, RectPredicate
 from repro.query.query import AggregateQuery
+from repro.serving.catalog import SynopsisCatalog
+from repro.serving.engine import ServingEngine
 
 
 @pytest.fixture
@@ -81,10 +86,18 @@ def test_staleness_tracked_per_shard(table, config):
     )
 
 
+def _slices(sharded) -> list[dict[str, bytes]]:
+    """Each shard's exported arrays, as bytes."""
+    return [
+        {key: value.tobytes() for key, value in shard.export_buffers()[1].items()}
+        for shard in sharded.shards
+    ]
+
+
 def test_threshold_triggers_rebuild_of_only_the_drifted_shard(table, config):
     plan, sharded, router = _build(table, config, threshold=0.02)
     owner = sharded.shard_for_value(2.0)
-    untouched = [shard for i, shard in enumerate(sharded.shards) if i != owner]
+    untouched = [shard for i, shard in enumerate(_slices(sharded)) if i != owner]
     shard_population = sharded.shards[owner].population_size
     inserts = int(shard_population * 0.02) + 2
     for step in range(inserts):
@@ -93,9 +106,9 @@ def test_threshold_triggers_rebuild_of_only_the_drifted_shard(table, config):
     assert stats[owner].rebuilds >= 1
     # The rebuilt shard's staleness reset; the other shards were not touched.
     assert sharded.per_shard_staleness()[owner] < 0.02
-    for index, shard in enumerate(sharded.shards):
+    for index, shard in enumerate(_slices(sharded)):
         if index != owner:
-            assert shard in untouched  # same object: reads were never paused
+            assert shard in untouched  # the same bytes: only the owner moved
 
 
 def test_rebuild_materializes_inserts_and_deletes(table, config):
@@ -187,7 +200,7 @@ def test_apply_many_matches_single_row_updates(table, config):
     ]
     for row in rows:
         router_a.insert(row)
-    router_b.apply_many(rows, "insert", max_workers=3)
+    router_b.apply_many(rows, "insert")
     query = AggregateQuery("COUNT", "value", RectPredicate.everything())
     assert sharded_a.query(query).estimate == sharded_b.query(query).estimate
     for shard_a, shard_b in zip(sharded_a.shards, sharded_b.shards):
@@ -217,9 +230,89 @@ def test_apply_many_triggers_rebuild_past_threshold(table, config):
         {"key": float(rng.uniform(0.0, 30.0)), "value": float(rng.uniform(1.0, 5.0))}
         for _ in range(60)
     ]
-    router.apply_many(rows, "insert", max_workers=2)
+    router.apply_many(rows, "insert")
     stats = router.stats()
     assert sum(stat.rebuilds for stat in stats) >= 1
     # Rebuilds reset the rebuilt shards' staleness; totals stay correct.
     query = AggregateQuery("COUNT", "value", RectPredicate.everything())
     assert sharded.query(query).estimate == 1200 + len(rows)
+
+
+def test_a_nan_valued_delete_survives_the_rebuild(config):
+    """A NaN-valued row deleted through the router is found again at rebuild.
+
+    ``DynamicPASS.delete`` matches NaN to NaN, so the live shard accepts
+    the delete; the rebuild's materialization must match it the same way.
+    """
+    rng = np.random.default_rng(5)
+    n = 4000
+    key = rng.uniform(0.0, 30.0, size=n)
+    value = np.abs(rng.normal(10.0, 3.0, size=n))
+    value[:5] = np.nan
+    table = Table({"key": key, "value": value}, name="nan_router")
+    plan, sharded, router = _build(table, config, n_shards=2)
+    owner = sharded.shard_for_value(float(key[0]))
+    before = sharded.shard_population(owner)
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        router.delete({"key": float(key[0]), "value": float("nan")})
+    router.rebuild(owner)
+    assert sharded.shard_population(owner) == before - 1
+    assert router.stats()[owner].rebuilds == 1
+    assert sharded.population_size == n - 1
+
+
+def test_served_queries_run_beside_threshold_rebuilds(table, config, monkeypatch):
+    """Reads through the engine never see a half-written or half-stitched tree.
+
+    The router takes the engine's write lock around each in-place update
+    and each re-stitch, so two reader threads querying all the while get
+    exact COUNTs of some state between the first and the last insert.
+    """
+    plan, sharded, router = _build(table, config, threshold=0.02)
+    catalog = SynopsisCatalog()
+    catalog.register("sharded", sharded, table_name=table.name)
+    engine = ServingEngine(catalog, cache_size=0)
+    router.set_write_lock(engine.write_locked)
+    locked_restitches: list[bool] = []
+    replace_shard = ShardedSynopsis.replace_shard
+
+    def watched(self, index, shard):
+        locked_restitches.append(engine._lock._writer_active)
+        replace_shard(self, index, shard)
+
+    monkeypatch.setattr(ShardedSynopsis, "replace_shard", watched)
+    everything = AggregateQuery("COUNT", "value", RectPredicate.everything())
+    selective = AggregateQuery(
+        "AVG", "value", RectPredicate({"key": Interval(2.0, 14.0)})
+    )
+    counts: list[float] = []
+    errors: list[BaseException] = []
+    stop = threading.Event()
+
+    def read() -> None:
+        try:
+            while not stop.is_set():
+                counts.append(engine.execute(everything).estimate)
+                engine.execute(selective)
+        except BaseException as error:  # reported below
+            errors.append(error)
+
+    readers = [threading.Thread(target=read) for _ in range(2)]
+    for reader in readers:
+        reader.start()
+    inserts = 240
+    try:
+        for step in range(inserts):
+            router.insert({"key": 1.0 + step % 12, "value": 3.0})
+    finally:
+        stop.set()
+        for reader in readers:
+            reader.join()
+    assert errors == []
+    rebuilds = sum(stat.rebuilds for stat in router.stats())
+    assert rebuilds >= 2 and locked_restitches == [True] * rebuilds
+    assert counts and all(1200 <= count <= 1200 + inserts for count in counts)
+    assert engine.execute(everything).estimate == 1200 + inserts

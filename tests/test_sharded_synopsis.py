@@ -1,10 +1,13 @@
-"""Scatter-gather correctness of :class:`ShardedSynopsis`.
+"""Correctness of :class:`ShardedSynopsis`, the shards stitched into one tree.
 
-The acceptance property: for SUM / COUNT / MIN / MAX the merged point
-estimate and variance equal the mathematically merged per-shard quantities
-(exact equality — the deterministic tree components of PASS merge exactly),
-and AVG answers stay inside the combined confidence interval of an unsharded
-synopsis over the same data.
+A shard is a subtree: each shard's slice of the stitched arrays is its own
+build byte for byte (statistics, samples, sketches; only the bounds are
+clipped to the key box and the topology rebased), so for SUM / COUNT the
+stitched estimate, variance and hard bounds are the sums of the per-shard
+slices' answers up to summation order, MIN / MAX are their extrema exactly,
+and AVG (the single-synopsis estimator) stays inside the confidence
+interval of an unsharded synopsis over the same data.  The certified-bound
+properties over random shardings live in ``test_sharded_bounds.py``.
 """
 
 from __future__ import annotations
@@ -16,15 +19,24 @@ import pytest
 
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
+from repro.core.pass_synopsis import PASSSynopsis
 from repro.core.updates import DynamicPASS
 from repro.data.table import Table
-from repro.distributed.parallel import build_sharded_pass
-from repro.distributed.sharded import ShardedSynopsis
+from repro.distributed.parallel import build_sharded_from_plan, build_sharded_pass
+from repro.distributed.planner import ShardPlanner
+from repro.distributed.sharded import DynamicShardedSynopsis, ShardedSynopsis
 from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery, ExactEngine
 from repro.serving.catalog import SynopsisCatalog
 from repro.serving.engine import ServingEngine
-from repro.serving.persistence import load_synopsis, save_synopsis
+from repro.serving.persistence import (
+    _atomic_write,
+    _write_segment,
+    load_synopsis,
+    save_synopsis,
+)
+
+from test_soa_equivalence import assert_results_identical
 
 
 @pytest.fixture(scope="module")
@@ -68,14 +80,21 @@ class TestAdditiveMerge:
     @pytest.mark.parametrize("agg", ["SUM", "COUNT"])
     @pytest.mark.parametrize("predicate", PREDICATES)
     def test_estimate_and_variance_merge_exactly(self, sharded, agg, predicate):
+        """The stitched answer is the sum of its shards' slices' answers.
+
+        The slices carry the clipped bounds, so they see the same frontier
+        inside each shard; only the summation order differs.
+        """
         query = AggregateQuery(agg, "value", predicate)
         merged = sharded.query(query)
         survivors = sharded.surviving_shards(query)
-        parts = [_unwrap(sharded.shards[i]).query(query) for i in survivors]
-        assert merged.estimate == sum(part.estimate for part in parts)
-        assert merged.variance == sum(part.variance for part in parts)
-        assert merged.hard_lower == sum(part.hard_lower for part in parts)
-        assert merged.hard_upper == sum(part.hard_upper for part in parts)
+        shards = sharded.shards
+        parts = [shards[i].query(query) for i in survivors]
+        for field in ("estimate", "variance", "hard_lower", "hard_upper"):
+            assert getattr(merged, field) == pytest.approx(
+                sum(getattr(part, field) for part in parts), rel=1e-12, abs=1e-9
+            )
+        assert merged.exact == all(part.exact for part in parts)
 
     @pytest.mark.parametrize("agg", ["SUM", "COUNT"])
     def test_truth_inside_hard_bounds(self, sharded, engine, agg):
@@ -169,7 +188,10 @@ class TestAvgMerge:
             query = AggregateQuery("AVG", "value", predicate)
             result = sharded.query(query)
             truth = engine.execute(query)
-            assert result.hard_lower <= truth <= result.hard_upper
+            # The single-synopsis AVG bound of an exact answer is the root's
+            # SUM / COUNT: eps absorbs its summation order against the scan.
+            eps = 1e-12 * abs(truth)
+            assert result.hard_lower - eps <= truth <= result.hard_upper + eps
 
 
 class TestPruning:
@@ -302,10 +324,20 @@ class TestUpdatesAndValidation:
         )
         query = AggregateQuery("COUNT", "value", RectPredicate.everything())
         before = sharded.query(query).estimate
-        index = sharded.insert({"key": 50.0, "value": 10.0})
-        assert index == sharded.shard_for_value(50.0)
+        owner = sharded.shard_for_value(50.0)
+        populations = [sharded.shard_population(i) for i in range(3)]
+        row = {"key": 50.0, "value": 10.0}
+        box = sharded.insert(row)
+        assert box == sharded.leaf_boxes[sharded.leaf_for_point(row)]
+        assert box.interval("key").contains_value(50.0)
+        assert [sharded.shard_population(i) for i in range(3)] == [
+            population + (i == owner) for i, population in enumerate(populations)
+        ]
         assert sharded.query(query).estimate == before + 1
         assert sharded.staleness > 0.0
+        assert [s > 0.0 for s in sharded.per_shard_staleness()] == [
+            index == owner for index in range(3)
+        ]
 
     def test_hash_sharding_accepts_inserts_of_unseen_keys(self, config):
         # Keys whose hash bucket was empty at plan time route to the bucket's
@@ -320,8 +352,11 @@ class TestUpdatesAndValidation:
         )
         before = sharded.population_size
         for key in (-3.0, 123.456, 9999.0):
-            index = sharded.insert({"key": key, "value": 1.0})
-            assert 0 <= index < sharded.n_shards
+            owner = sharded.shard_for_value(key)
+            population = sharded.shard_population(owner)
+            sharded.insert({"key": key, "value": 1.0})
+            assert 0 <= owner < sharded.n_shards
+            assert sharded.shard_population(owner) == population + 1
         assert sharded.population_size == before + 3
 
     def test_value_column_mismatch_raises(self, sharded):
@@ -356,7 +391,7 @@ class TestServingIntegration:
     ):
         catalog = SynopsisCatalog()
         entry = catalog.register("sharded_value", sharded, table_name=table.name)
-        assert entry.is_sharded
+        assert entry.synopsis is sharded and entry.predicate_columns == ("key",)
         assert entry.n_partitions == sharded.n_partitions
         serving = ServingEngine(catalog)
         query = AggregateQuery("SUM", "value", PREDICATES[0])
@@ -438,3 +473,115 @@ class TestPersistence:
             assert reloaded.shard_for_value(float(value)) == sharded.shard_for_value(
                 float(value)
             )
+
+    def test_a_file_of_the_per_shard_layout_is_refused(self, sharded, tmp_path):
+        """The earlier layout (``shard<i>/`` arrays) is not converted."""
+        shard_header, shard_arrays = sharded.shards[0].export_buffers()
+        header = {"kind": "sharded", "shard_headers": [shard_header]}
+        arrays = {f"shard0/{key}": value for key, value in shard_arrays.items()}
+        path = tmp_path / "per_shard.pass"
+        _atomic_write(path, lambda handle: _write_segment(handle, header, arrays))
+        with pytest.raises(ValueError, match="per_shard.pass.*per-shard layout"):
+            load_synopsis(path)
+
+
+def _slice_matches_its_build(piece, built) -> None:
+    """Statistics, samples and sketches byte for byte; bounds clipped inside."""
+    (piece_header, piece_arrays), (header, arrays) = piece, built
+    for key in arrays:
+        if key not in ("col_lows", "col_highs"):
+            assert piece_arrays[key].dtype == arrays[key].dtype, key
+            assert piece_arrays[key].tobytes() == arrays[key].tobytes(), key
+    for c, column in enumerate(header["columns"]):
+        p = piece_header["columns"].index(column)
+        assert np.all(piece_arrays["col_lows"][p] >= arrays["col_lows"][c])
+        assert np.all(piece_arrays["col_highs"][p] <= arrays["col_highs"][c])
+
+
+class TestAShardIsASubtree:
+    @pytest.mark.parametrize("strategy", ["range", "hash"])
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_each_shard_slice_is_its_own_build(self, table, config, strategy, dynamic):
+        """The per-shard content the stitch must not move, pinned to fresh builds."""
+        plan = ShardPlanner(4, strategy).plan(table, "key")
+        sharded = build_sharded_from_plan(
+            plan,
+            "value",
+            ["key"],
+            config.with_overrides(with_sketches=True),
+            dynamic=dynamic,
+        )
+        build = DynamicPASS if dynamic else build_pass
+        for index, (piece, chunk) in enumerate(
+            zip(sharded.shards, plan.tables)
+        ):
+            reference = build(
+                chunk,
+                "value",
+                ["key"],
+                config.with_overrides(with_sketches=True, seed=config.seed + index),
+            )
+            _slice_matches_its_build(piece.export_buffers(), reference.export_buffers())
+
+    def test_the_shard_rows_are_contiguous_subtrees_under_one_root(self, sharded):
+        header, arrays = sharded.export_buffers()
+        rows = arrays["shard_rows"]
+        assert rows.shape == (sharded.n_shards, 2)
+        # Geometry order: the root, then the last shard's subtree first.
+        assert rows[-1, 0] == 1 and rows[0, 1] == arrays["node_sum"].shape[0]
+        assert np.all(rows[:-1, 0] == rows[1:, 1])
+        parent = arrays["parent"]
+        for start, stop in rows.tolist():
+            assert parent[start] == 0
+            inner = parent[start + 1 : stop]
+            assert np.all((inner >= start) & (inner < stop))
+        assert arrays["node_count"][0] == sharded.population_size
+
+    def test_every_node_nests_in_its_parent(self, sharded):
+        """The closed-form frontier's precondition, clipping included."""
+        _, arrays = sharded.export_buffers()
+        parent = arrays["parent"][1:]
+        lows, highs = arrays["col_lows"], arrays["col_highs"]
+        assert np.all(lows[:, 1:] >= lows[:, parent])
+        assert np.all(highs[:, 1:] <= highs[:, parent])
+
+    def test_a_mixed_stitch_takes_the_updates_its_dynamic_shards_own(
+        self, table, config
+    ):
+        built = {
+            dynamic: build_sharded_pass(
+                table, "value", "key", n_shards=2, config=config, dynamic=dynamic
+            )
+            for dynamic in (False, True)
+        }
+        mixed = ShardedSynopsis(
+            [built[True].shards[0], built[False].shards[1]],
+            built[False].key_boxes,
+            shard_column="key",
+        )
+        assert isinstance(mixed, DynamicShardedSynopsis)
+        assert not mixed.supports_updates  # not every shard is dynamic
+        assert [type(shard) for shard in mixed.shards] == [DynamicPASS, PASSSynopsis]
+        query = AggregateQuery("SUM", "value", PREDICATES[0])
+        assert_results_identical(mixed.query(query), built[False].query(query))
+        keys = table.column("key")
+        owned = [
+            next(float(k) for k in keys if mixed.shard_for_value(float(k)) == i)
+            for i in (0, 1)
+        ]
+        population = mixed.population_size
+        with pytest.raises(TypeError, match="static"):
+            mixed.insert({"key": owned[1], "value": 1.0})
+        assert mixed.population_size == population
+        mixed.insert({"key": owned[0], "value": 1.0})
+        assert mixed.population_size == population + 1
+        staleness = mixed.per_shard_staleness()
+        assert staleness[0] > 0.0 and staleness[1] == 0.0
+        # Its last dynamic shard replaced by a static one, the stitch is static;
+        # a static stitch given a dynamic shard takes its updates.
+        mixed.replace_shard(0, built[False].shards[0])
+        assert type(mixed) is ShardedSynopsis and not isinstance(mixed, DynamicPASS)
+        mixed.replace_shard(1, built[True].shards[1])
+        assert isinstance(mixed, DynamicShardedSynopsis)
+        mixed.insert({"key": owned[1], "value": 1.0})
+        assert mixed.per_shard_staleness()[0] == 0.0

@@ -418,7 +418,7 @@ class TestStreamingMaintenance:
         stats = router.stats()
         assert any(s.sketch_staleness > 0 for s in stats)
         assert shards.sketch_staleness > 0
-        assert shards.supports_sketches
+        assert shards.has_sketches
 
 
 class TestPersistenceRoundTrips:

@@ -21,6 +21,7 @@ import math
 import struct
 
 import numpy as np
+import pytest
 
 import repro.sketches.union as union_module
 from repro.core.batching import batch_query, grouped_query
@@ -121,8 +122,9 @@ def _sharded(unsampled_leaf: bool = True) -> ShardedSynopsis:
         n_shards=4,
         config=dataclasses.replace(CONFIG, n_partitions=4),
     )
+    shards = built.shards
     if unsampled_leaf:
-        _strip_sample(built.shards[1], 2)
+        _strip_sample(shards[1], 2)
     boxes = [
         Box(
             {
@@ -134,7 +136,7 @@ def _sharded(unsampled_leaf: bool = True) -> ShardedSynopsis:
         )
         for box in built.key_boxes
     ]
-    return ShardedSynopsis(built.shards, boxes, shard_column="key")
+    return ShardedSynopsis(shards, boxes, shard_column="key")
 
 
 def _queries(unsampled_box: Box) -> list[AggregateQuery]:
@@ -296,9 +298,16 @@ class TestBatchedSketchAnswersCarryPerQueryBits:
                     assert_same_bits(
                         served.cells[index][position], want, f"execute_grouped {query!r}"
                     )
-                    assert_same_bits(
-                        gathered.cells[index][position], want, f"query_grouped {query!r}"
-                    )
+                    # query_grouped is grouped_query: its classic cells
+                    # promise summation-order equality only, its sketch
+                    # cells the bits.
+                    got = gathered.cells[index][position]
+                    if spec.agg in SKETCH_AGGREGATES:
+                        assert_same_bits(got, want, f"query_grouped {query!r}")
+                    else:
+                        assert got.estimate == pytest.approx(
+                            want.estimate, rel=1e-9, nan_ok=True
+                        ), f"query_grouped {query!r}"
 
 
 def _percentile_plan(cells: int):
@@ -350,8 +359,9 @@ class TestOneReductionPerCell:
         frontiers = self._count(monkeypatch, FlatSynopsis, "query_frontier")
         sorts = self._count(monkeypatch, QuantileSketch, "_sorted_weighted")
         engine.execute_grouped(plan)
-        assert len(unions) == per_cell_shards
-        assert len(frontiers) == per_cell_shards
+        # One tree: a cell straddling shards is still one frontier, one union.
+        assert len(unions) == 64
+        assert len(frontiers) == 64
         assert len(sorts) == 64
 
 

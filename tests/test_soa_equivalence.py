@@ -13,7 +13,7 @@ poisoning, same ``nodes_visited`` count.  These tests compare float bits
 (``struct.pack``) rather than values so that ``-0.0 != 0.0`` and differing
 NaN payloads would fail, across random trees, predicates, batches, the
 zero-variance shortcut, post-insert/delete staleness states, a sharded
-gather and an ``export_buffers`` round trip, and on both sides of the
+synopsis' stitched tree and an ``export_buffers`` round trip, and on both sides of the
 partial-leaf kernels' frontier-size cutoff.  ``grouped_query`` alone shares
 per-cell moments across its classic aggregates and is held to
 summation-order equality for those (its sketch aggregates are bit-identical).
@@ -579,39 +579,29 @@ def _sharded():
 
 
 @functools.lru_cache(maxsize=None)
-def _shard_references(factory) -> list[oracle.SynopsisObjects]:
-    return [oracle.objects_of(shard) for shard in factory().shards]
+def _stitched_reference(factory) -> oracle.SynopsisObjects:
+    """The objects a sharded synopsis' stitched arrays decode to."""
+    return oracle.objects_of(factory())
 
 
-class TestShardedGatherBitIdentity:
+class TestShardedBitIdentity:
     @given(
         fractions=st.lists(_fraction_pair, min_size=1, max_size=1),
         kind=st.sampled_from(SKETCH_KINDS),
     )
-    def test_gather_equals_the_merged_oracle_unions(self, fractions, kind):
-        """Each shard's flat union is its oracle union, so the merges agree."""
+    def test_the_stitched_tree_unions_as_its_oracle(self, fractions, kind):
+        """A sharded synopsis is one tree: its flat union is its oracle union."""
         sharded = _sharded()
         query = _query(kind, _predicate(1, fractions))
-        survivors = sharded.surviving_shards(query)
-        got = sharded.query(query)
-        if not survivors:
-            assert got.exact
-            return
-        union = functools.reduce(
-            lambda merged, other: merged.merge(other),
-            (
-                oracle.sketch_union_object(_shard_references(_sharded)[i], query)
-                for i in survivors
-            ),
-        )
         assert_results_identical(
-            got, sketch_union_result(query, union, sharded.population_size)
+            sharded.query(query),
+            oracle.query_object(_stitched_reference(_sharded), query),
         )
 
 
 @functools.lru_cache(maxsize=None)
 def _sharded_2d():
-    """Three shards, each a 16-leaf k-d tree: per-shard frontiers gather."""
+    """Three shards, each a 16-leaf k-d tree, stitched under one root."""
     return build_sharded_pass(
         _constant_region_table(2, 0),
         "value",
@@ -622,29 +612,19 @@ def _sharded_2d():
     )
 
 
-class TestShardedClassicGatherBitIdentity:
+class TestShardedClassicBitIdentity:
     @given(
         fractions=st.lists(_fraction_pair, min_size=2, max_size=2),
         agg=st.sampled_from(CLASSIC_AGGS),
     )
-    def test_gather_equals_the_gathered_oracle_answers(self, fractions, agg):
-        """Each shard's flat answer is its oracle answer, so the merges agree."""
+    def test_the_stitched_tree_is_its_oracle(self, fractions, agg):
+        """Every classic answer of the stitched tree is its oracle's, bit for bit."""
         sharded = _sharded_2d()
         query = AggregateQuery(agg, "value", _predicate(2, fractions))
-        survivors = sharded.surviving_shards(query)
-        pruned = sharded.population_size - sum(
-            sharded.shards[i].population_size for i in survivors
+        assert_results_identical(
+            sharded.query(query),
+            oracle.query_object(_stitched_reference(_sharded_2d), query),
         )
-        want = sharded._gather(
-            query,
-            survivors,
-            lambda i, subquery: oracle.query_object(
-                _shard_references(_sharded_2d)[i], subquery
-            ),
-            sharded._lam,
-            pruned,
-        )
-        assert_results_identical(sharded.query(query), want)
 
 
 KERNEL_COLUMNS = ("c0", "c1")

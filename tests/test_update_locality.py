@@ -345,10 +345,8 @@ def test_broadcast_invalidation_on_served_updates():
             for table_name in ("single", "sharded"):
                 engine.execute(query, table=table_name)
         row = {"c0": float(rng.uniform(0.0, 100.0)), "value": 1.0}
-        if name == "sharded":
-            box = sharded.leaf_box(row)
-        else:
-            box = single.synopsis.leaf_boxes[single.synopsis.flat.leaf_for_point(row)]
+        synopsis = sharded if name == "sharded" else single
+        box = synopsis.leaf_boxes[synopsis.leaf_for_point(row)]
         expected = _scan_doomed(engine, name, box)
         assert expected
         before = set(engine._cache)
