@@ -1,10 +1,10 @@
 """Micro-benchmarks of the core operations (not tied to a paper figure).
 
 These measure the hot paths downstream users care about when sizing a
-deployment: per-query latency of each synopsis, MCF lookups, ADP optimization
-time, and dynamic-update throughput.  pytest-benchmark's statistics
-(mean / stddev / ops) are meaningful here, so the operations run for many
-rounds unlike the experiment reproductions.
+deployment: per-query latency of each synopsis, MCF lookups, a batch's shared
+moment pass, ADP optimization time, and dynamic-update throughput.
+pytest-benchmark's statistics (mean / stddev / ops) are meaningful here, so
+the operations run for many rounds unlike the experiment reproductions.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.core.batching import batch_query
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
 from repro.core.updates import DynamicPASS, StaleExtremaWarning
@@ -84,6 +85,21 @@ def test_stratified_query_latency(benchmark, intel_spec, sum_query):
 
 def test_mcf_lookup_latency(benchmark, pass_synopsis, sum_query):
     benchmark(pass_synopsis.frontier, sum_query.predicate)
+
+
+def test_batch_query_shared_moments(benchmark, intel_spec, pass_synopsis):
+    """A 64-cell x SUM / COUNT / AVG batch: one moment pass per cell."""
+    edges = np.quantile(intel_spec.table.column("time"), np.linspace(0.2, 0.8, 65))
+    batch = [
+        AggregateQuery(
+            agg,
+            intel_spec.value_column,
+            RectPredicate.from_bounds(time=(float(low), float(high))),
+        )
+        for low, high in zip(edges[:-1], edges[1:])
+        for agg in ("SUM", "COUNT", "AVG")
+    ]
+    benchmark(batch_query, pass_synopsis, batch)
 
 
 def test_adp_partitioning_time(benchmark, intel_spec):

@@ -5,16 +5,20 @@ Both executors run the array-native kernels of
 own.
 
 :func:`batch_query` (:func:`compile_batch` + :meth:`BatchPlan.execute`)
-answers a list of queries.  Compilation computes one MCF frontier per
-*distinct* (predicate, AVG-ness) — the SUM / COUNT / MIN / MAX of one
-dashboard panel, and its QUANTILE / COUNT_DISTINCT, share a frontier — and
-execution feeds each query's frontier to the same kernel ``synopsis.query``
-runs (:meth:`FlatSynopsis.answer` for the classic aggregates;
-:meth:`FlatSynopsis.sketch_union` once per (frontier, sketch kind) for the
-sketch aggregates, every quantile of a predicate assembled from the one
-union), so a batch is bit-identical to sequential execution because it *is*
-the same kernel minus the repeated identical work.  The serving engine's
-``execute_batch`` and ``ShardedSynopsis.query_batch`` build on it.
+answers a list of queries, doing each predicate's work once.  Compilation
+computes one MCF frontier per *distinct* (predicate, AVG-ness under the
+zero-variance rule) — the SUM / COUNT / MIN / MAX of one dashboard panel,
+and its QUANTILE / COUNT_DISTINCT, share a frontier — all in one
+:meth:`FlatSynopsis.frontiers_for` broadcast.  Execution feeds the frontiers
+to the same kernels ``synopsis.query`` runs: the classic queries of one
+(predicate, partial rows) share one :meth:`FlatSynopsis.answer_shared`,
+whose mask and per-leaf moment pass runs once for all of them (and of which
+:meth:`FlatSynopsis.answer` is the one-query case); the sketch aggregates
+take :meth:`FlatSynopsis.sketch_union` once per (frontier, sketch kind),
+every quantile of a predicate assembled from the one union.  A batch is
+bit-identical to sequential execution because it *is* the same kernel minus
+the repeated identical work.  The serving engine's ``execute_batch`` and
+``ShardedSynopsis.query_batch`` build on it.
 
 :func:`grouped_query` is the single-synopsis executor for compiled
 :class:`~repro.query.groupby.GroupByPlan` batches.  It exploits the grouped
@@ -28,6 +32,8 @@ dispatching anything.
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from repro.core.pass_synopsis import PASSSynopsis
 from repro.core.soa import FlatFrontier
@@ -100,31 +106,56 @@ class BatchPlan:
         """Answer every query from its slot's frontier with the flat kernel.
 
         Results align with the input order and are bit-identical to calling
-        ``synopsis.query(query)`` per query.  Classic aggregates run
-        :meth:`FlatSynopsis.answer` one by one; QUANTILE / COUNT_DISTINCT
-        queries are set aside and answered together, one frontier reduction
-        per (slot, sketch kind) however many quantiles ask for it
-        (:func:`~repro.sketches.union.shared_union_results`).
+        ``synopsis.query(query)`` per query.  Classic aggregates are grouped
+        by (canonical predicate, partial rows) and each group runs
+        :meth:`FlatSynopsis.answer_shared` once: the mask and moment pass
+        over its partial leaves happens once per group, however many of
+        SUM / COUNT / AVG / MIN / MAX ask; a predicate only one query uses
+        runs :meth:`FlatSynopsis.answer`'s code, being its one-query case.
+        QUANTILE / COUNT_DISTINCT queries are set aside and answered
+        together, one frontier reduction per (slot, sketch kind) however many
+        quantiles ask for it (:func:`~repro.sketches.union.shared_union_results`).
         """
         synopsis = self.synopsis
-        frontiers = self.slot_frontiers
+        queries, slots, frontiers = self.queries, self.slots, self.slot_frontiers
         with self.obs.tracer.span("execute.per_query") as span:
-            span.set_attribute("batch_size", len(self.queries))
-            results: list[AQPResult | None] = []
+            span.set_attribute("batch_size", len(queries))
+            results: list[AQPResult | None] = [None] * len(queries)
             pending = None  # (position, (slot, sketch kind), query) triples
-            for query, slot in zip(self.queries, self.slots):
+            # A slot's group is led by the first slot of its canonical
+            # predicate with the same partial rows: slots differ only by
+            # AVG-ness, and an AVG descent the zero-variance rule stopped
+            # early keeps other partial rows.
+            lead = list(range(len(frontiers)))
+            first_slot: dict[tuple, int] = {}
+            for slot, query in enumerate(self.slot_queries):
+                other = first_slot.setdefault(query.predicate.canonical_key(), slot)
+                if other != slot and np.array_equal(
+                    frontiers[other].partial, frontiers[slot].partial
+                ):
+                    lead[slot] = other
+            groups: list[list[int]] = [[] for _ in frontiers]
+            for position, (query, slot) in enumerate(zip(queries, slots)):
                 if query.agg in SKETCH_AGGREGATES:
                     if pending is None:
                         pending = []
-                    pending.append((len(results), (slot, query.agg), query))
-                    results.append(None)
+                    pending.append((position, (slot, query.agg), query))
                 else:
-                    results.append(synopsis.answer(query, frontiers[slot]))
+                    groups[lead[slot]].append(position)
+            for positions in groups:
+                if not positions:
+                    continue
+                answers = synopsis.answer_shared(
+                    [queries[position] for position in positions],
+                    [frontiers[slots[position]] for position in positions],
+                )
+                for position, result in zip(positions, answers):
+                    results[position] = result
             if pending is not None:
                 for position, result in shared_union_results(
                     pending,
                     lambda position, query: synopsis.sketch_union(
-                        query, frontiers[self.slots[position]]
+                        query, frontiers[slots[position]]
                     ),
                     synopsis.population_size,
                 ):
@@ -146,10 +177,15 @@ def compile_batch(
 ) -> BatchPlan:
     """Compile a batch: one flat MCF frontier per deduplicated slot.
 
-    Frontier slots dedupe per (canonical predicate, AVG-ness): AVG lookups
-    may descend differently under the zero-variance rule (Section 3.4), so
-    an AVG query never shares a frontier slot with a SUM / COUNT over the
-    same predicate.
+    Frontier slots dedupe per canonical predicate, and under the synopsis'
+    zero-variance rule also per AVG-ness: AVG lookups may then descend
+    differently (Section 3.4), so an AVG query gets a slot of its own
+    beside a SUM / COUNT over the same predicate.  With the rule off the
+    AVG frontier is the SUM / COUNT one and they share a slot.  Every
+    slot's frontier comes from one :meth:`FlatSynopsis.frontiers_for`
+    broadcast; an AVG slot carries the zero-variance flag, so it replays
+    the descent (:meth:`FlatSynopsis.frontier`) where a partial node
+    stops it.
 
     With an enabled ``obs``, compilation emits ``plan.compile`` /
     ``frontier.descent`` spans carrying the tree statistics
@@ -157,21 +193,27 @@ def compile_batch(
     the context into its execution span.
     """
     obs = obs if obs is not None else Observability.disabled()
+    zero_variance_rule = synopsis.zero_variance_rule
     with obs.tracer.span("plan.compile") as compile_span:
         queries = list(queries)
         slots: list[int] = []
         slot_by_key: dict[tuple, int] = {}
         slot_queries: list[AggregateQuery] = []
+        slot_flags: list[bool] = []
         for query in queries:
-            key = (query.predicate.canonical_key(), query.agg == AggregateType.AVG)
+            flag = zero_variance_rule and query.agg == AggregateType.AVG
+            key = (query.predicate.canonical_key(), flag)
             slot = slot_by_key.get(key)
             if slot is None:
                 slot = len(slot_queries)
                 slot_by_key[key] = slot
                 slot_queries.append(query)
+                slot_flags.append(flag)
             slots.append(slot)
         with obs.tracer.span("frontier.descent") as descent_span:
-            slot_frontiers = [synopsis.query_frontier(query) for query in slot_queries]
+            slot_frontiers = synopsis.frontiers_for(
+                [query.predicate for query in slot_queries], slot_flags
+            )
             if obs.enabled:
                 descent_span.set_attribute(
                     "nodes_visited", sum(f.nodes_visited for f in slot_frontiers)

@@ -125,6 +125,11 @@ _NO_VALUES = np.zeros(0, dtype=float)
 #: ``docs/ARCHITECTURE.md``); both partial-leaf kernels branch on it.
 _SCALAR_FRONTIER_LEAVES = 2
 
+#: :meth:`FlatSynopsis.frontiers_for` broadcasts at most this many
+#: (predicate, node) cells at a time: a handful of boolean matrices of this
+#: size are its only temporaries, whatever the batch size.
+_BROADCAST_CELLS = 1 << 18
+
 _READ_ONLY = (
     "this FlatSynopsis views read-only buffers: update the instance that owns them"
 )
@@ -201,6 +206,19 @@ def _row_index(
     index = np.arange(loc[-1])
     index += np.repeat(starts - loc[:-1], counts)
     return loc, index
+
+
+def _row_nonzeros(mask: np.ndarray) -> list[np.ndarray]:
+    """``np.flatnonzero`` of each row of a 2-D boolean matrix.
+
+    One ``flatnonzero`` over the whole matrix, cut at the row starts: on a
+    wide matrix several times cheaper than a 2-D ``np.nonzero``.
+    """
+    n_rows, width = mask.shape
+    flat = np.flatnonzero(mask)
+    cuts = flat.searchsorted(np.arange(n_rows + 1) * width).tolist()
+    columns = flat % width
+    return [columns[start:stop] for start, stop in zip(cuts, cuts[1:])]
 
 
 def _stratum_contribution(
@@ -349,9 +367,9 @@ class FlatSynopsis:
         )
         columns = [str(column) for column in header["columns"]]
         self._column_index = {column: c for c, column in enumerate(columns)}
-        #: Bounds as ``(n_columns, n_nodes)`` matrices (:meth:`frontiers_for`
-        #: broadcasts over their transposes) and as one contiguous row per
-        #: column (:meth:`frontier`).
+        #: Bounds as ``(n_columns, n_nodes)`` matrices (the export and the
+        #: leaf index read them) and as one contiguous row per column (the
+        #: frontier kernels, :meth:`frontier` and :meth:`frontiers_for`).
         self._bounds = (arrays["col_lows"], arrays["col_highs"])
         self._col_lows = tuple(self._bounds[0][c] for c in range(len(columns)))
         self._col_highs = tuple(self._bounds[1][c] for c in range(len(columns)))
@@ -928,59 +946,116 @@ class FlatSynopsis:
         )
 
     def frontiers_for(
-        self, predicates: Sequence[RectPredicate]
+        self,
+        predicates: Sequence[RectPredicate],
+        zero_variance: Sequence[bool] | None = None,
     ) -> list[FlatFrontier]:
-        """One MCF lookup per predicate in a single broadcasted pass.
+        """:meth:`frontier` of every predicate, in broadcasted passes.
 
-        Used by the grouped executor (which never applies the zero-variance
-        rule, so the closed form is always valid); each returned frontier is
-        identical to :meth:`frontier` — and therefore to the sequential
-        object descent — on the same predicate.
+        ``zero_variance[j]`` is :meth:`frontier`'s flag for ``predicates[j]``
+        (all off when omitted): the batch compiler sets it for AVG lookups
+        under the zero-variance rule, the grouped executor and planner leave
+        it off.  Each returned frontier is identical to :meth:`frontier` on
+        the same predicate and flag — and therefore to the sequential object
+        descent: the closed form runs over a ``(predicates, nodes)`` matrix,
+        one constrained column at a time, and a flagged predicate with a
+        zero-variance partial node replays its descent
+        (:meth:`_replay_frontier`) as :meth:`frontier` does.  The predicate
+        axis is cut into chunks of at most :data:`_BROADCAST_CELLS` matrix
+        cells, so the temporaries stay bounded however many predicates come.
+        One predicate is :meth:`frontier` itself: with nothing to amortise,
+        its broadcast costs about twice as much.
         """
-        n_queries = len(predicates)
-        if n_queries == 0:
-            return []
-        column_index = self._column_index
-        n_cols = len(column_index)
-        lows = np.full((n_queries, n_cols), -np.inf)
-        highs = np.full((n_queries, n_cols), np.inf)
-        never_covers = np.zeros(n_queries, dtype=bool)
-        for j, predicate in enumerate(predicates):
-            for column, low, high in predicate.canonical_key():
-                c = column_index.get(column)
-                if c is None:
-                    never_covers[j] = True
-                else:
-                    lows[j, c] = low
-                    highs[j, c] = high
-
-        node_lows = self._bounds[0].T[:, :, None]
-        node_highs = self._bounds[1].T[:, :, None]
-        p_lows = lows.T[None, :, :]
-        p_highs = highs.T[None, :, :]
-        disjoint = ((p_lows > node_highs) | (node_lows > p_highs)).any(axis=1)
-        cover = ((p_lows <= node_lows) & (node_highs <= p_highs)).all(axis=1)
-        cover &= ~never_covers[None, :]
-        partial = ~cover & ~disjoint
-
-        reached = partial[self._parent0, :]
-        reached[0, :] = True
-        covered_mask = cover & reached
-        partial_mask = partial & reached & self._is_leaf[:, None]
-        visited = np.count_nonzero(reached, axis=0)
-        frontiers = [
-            FlatFrontier(
-                covered=np.flatnonzero(covered_mask[:, j]),
-                partial=np.flatnonzero(partial_mask[:, j]),
-                nodes_visited=int(visited[j]),
+        if len(predicates) == 1:
+            flag = bool(zero_variance) and bool(zero_variance[0])
+            return [self.frontier(predicates[0], zero_variance=flag)]
+        chunk = max(1, _BROADCAST_CELLS // max(self._n_nodes, 1))
+        frontiers: list[FlatFrontier] = []
+        for first in range(0, len(predicates), chunk):
+            frontiers.extend(
+                self._frontier_chunk(
+                    predicates[first : first + chunk],
+                    None
+                    if zero_variance is None
+                    else zero_variance[first : first + chunk],
+                )
             )
-            for j in range(n_queries)
-        ]
         if self._sharding is not None:
             frontiers = [
                 self._owner_only(frontier, predicate)
                 for frontier, predicate in zip(frontiers, predicates)
             ]
+        return frontiers
+
+    def _frontier_chunk(
+        self,
+        predicates: Sequence[RectPredicate],
+        zero_variance: Sequence[bool] | None,
+    ) -> list[FlatFrontier]:
+        """:meth:`frontiers_for` of one chunk, before the hash-shard filter."""
+        n_queries = len(predicates)
+        column_index = self._column_index
+        # Per constrained column, every predicate's (low, high); one that
+        # leaves the column unconstrained gets (-inf, inf), which covers and
+        # misses exactly what the column's absence from its key does.
+        bounds: dict[int, tuple[list[float], list[float]]] = {}
+        never_covers: list[int] = []
+        for j, predicate in enumerate(predicates):
+            for column, low, high in predicate.canonical_key():
+                c = column_index.get(column)
+                if c is None:
+                    never_covers.append(j)
+                    continue
+                if c not in bounds:
+                    bounds[c] = ([-math.inf] * n_queries, [math.inf] * n_queries)
+                bounds[c][0][j] = low
+                bounds[c][1][j] = high
+        cover: np.ndarray | None = None
+        disjoint: np.ndarray | None = None
+        for c, (lows, highs) in bounds.items():
+            low = np.array(lows)[:, None]
+            high = np.array(highs)[:, None]
+            node_lows = self._col_lows[c]
+            node_highs = self._col_highs[c]
+            dis = np.greater(low, node_highs)
+            np.logical_or(dis, np.greater(node_lows, high), out=dis)
+            cov = np.less_equal(low, node_lows)
+            np.logical_and(cov, np.less_equal(node_highs, high), out=cov)
+            if cover is None:
+                cover, disjoint = cov, dis
+            else:
+                np.logical_and(cover, cov, out=cover)
+                np.logical_or(disjoint, dis, out=disjoint)
+        if cover is None:
+            # No geometry column constrained: containment is vacuously true
+            # for every node, and nothing is disjoint.
+            cover = np.ones((n_queries, self._n_nodes), dtype=bool)
+            disjoint = np.zeros((n_queries, self._n_nodes), dtype=bool)
+        if never_covers:
+            cover[never_covers] = False
+        partial = np.logical_or(cover, disjoint)
+        np.logical_not(partial, out=partial)
+
+        reached = np.take(partial, self._parent0, axis=1)
+        reached[:, 0] = True
+        covered_mask = np.logical_and(cover, reached)
+        partial_mask = np.logical_and(partial, reached)
+        np.logical_and(partial_mask, self._is_leaf, out=partial_mask)
+        frontiers = [
+            FlatFrontier(covered=covered, partial=partial_rows, nodes_visited=visited)
+            for covered, partial_rows, visited in zip(
+                _row_nonzeros(covered_mask),
+                _row_nonzeros(partial_mask),
+                np.add.reduce(reached, axis=1).tolist(),
+            )
+        ]
+        if zero_variance is not None and any(zero_variance):
+            zv = self._zv_flags()
+            flagged = [j for j, flag in enumerate(zero_variance) if flag]
+            stops = np.logical_or.reduce(np.logical_and(partial[flagged], zv), axis=1)
+            for j, stop in zip(flagged, stops.tolist()):
+                if stop:
+                    frontiers[j] = self._replay_frontier(cover[j], partial[j], zv)
         return frontiers
 
     def frontier_count(self, frontier: FlatFrontier) -> int:
@@ -1182,72 +1257,128 @@ class FlatSynopsis:
 
         ``frontier`` must be :meth:`query_frontier` of ``query`` (or of a
         query with the same predicate and AVG-ness) on the current synopsis
-        state; :meth:`query` and the batch executor both end here, which is
-        what makes a batch bit-identical to sequential execution.  ``lam``
-        scales the CLT interval, which QUANTILE / COUNT_DISTINCT answers do
-        not have (their bounds are the union's certified ones).
+        state; :meth:`query` ends here, and a classic aggregate is the
+        one-query case of :meth:`answer_shared`, which the batch executor
+        runs — what makes a batch bit-identical to sequential execution.
+        ``lam`` scales the CLT interval, which QUANTILE / COUNT_DISTINCT
+        answers do not have (their bounds are the union's certified ones).
         """
+        if query.agg in (AggregateType.QUANTILE, AggregateType.COUNT_DISTINCT):
+            self._check_value_column(query)
+            return sketch_union_result(
+                query, self._frontier_union(query, frontier), int(self._node_count[0])
+            )
+        return self.answer_shared((query,), (frontier,), lam)[0]
+
+    def answer_shared(
+        self,
+        queries: Sequence[AggregateQuery],
+        frontiers: Sequence[FlatFrontier],
+        lam: float | None = None,
+    ) -> list[AQPResult]:
+        """Answer SUM / COUNT / AVG / MIN / MAX queries of one predicate.
+
+        ``queries`` share a canonical predicate, ``frontiers[i]`` is
+        ``queries[i]``'s :meth:`query_frontier`, and all of them hold the
+        same partial rows (an AVG frontier may still differ in its covered
+        rows, Section 3.4).  The partial leaves' predicate mask and their
+        per-leaf stratified moments are what the queries share: the pass
+        runs once, with value sums when a SUM or AVG asks for them and
+        indicator sums when a COUNT or AVG does, and each query assembles
+        its answer from those per-leaf pairs in the scalar accumulation
+        order of the reference.  The pairs are the bits a single query's
+        pass yields, so every answer is bit-identical to :meth:`answer` —
+        which is this method's one-query case.
+        """
+        need_sum = need_count = False
+        for query in queries:
+            self._check_value_column(query)
+            agg = query.agg
+            if agg is AggregateType.SUM:
+                need_sum = True
+            elif agg is AggregateType.COUNT:
+                need_count = True
+            elif agg is AggregateType.AVG:
+                need_sum = need_count = True
+        lam = self._lam if lam is None else lam
+        partial_rows = frontiers[0].partial
+        leaves = self._leaf_of_row[partial_rows]
+        sample_counts = self._sample_counts[leaves]
+        sizes = self._node_count[partial_rows]
+        processed = int(np.add.reduce(sample_counts))
+        skipped = int(self._node_count[0]) - int(np.add.reduce(sizes))
+
+        constraints: list[tuple[np.ndarray, float, float]] = []
+        if partial_rows.shape[0]:
+            constraints = self._mask_constraints(queries[0].predicate)
+            # Every query's own predicate is checked: one that spells out an
+            # unbounded column the samples lack raises, as it would alone.
+            for query in queries[1:]:
+                self._mask_constraints(query.predicate)
+        if need_sum or need_count:
+            partial = (
+                sizes.tolist(),
+                leaves.tolist(),
+                self._node_sum[partial_rows].tolist(),
+                sample_counts.tolist(),
+            )
+            sum_pairs, count_pairs = self._batched_partial_moments(
+                partial, constraints, need_sum, need_count
+            )
+
+        results = []
+        for query, frontier in zip(queries, frontiers):
+            agg = query.agg
+            bounds = self.hard_bounds_rows(agg, frontier.covered, frontier.partial)
+            if agg in (AggregateType.MIN, AggregateType.MAX):
+                results.append(
+                    self._extremum_answer(
+                        agg, frontier, leaves, constraints, bounds, processed, skipped
+                    )
+                )
+                continue
+            if agg == AggregateType.AVG:
+                estimate, variance = self._avg_estimate(
+                    frontier, partial, sum_pairs, count_pairs
+                )
+            else:
+                estimate, variance = self._sum_count_estimate(
+                    agg,
+                    frontier,
+                    partial,
+                    sum_pairs if agg == AggregateType.SUM else count_pairs,
+                )
+
+            exact = frontier.is_exact
+            if exact:
+                half_width = 0.0
+                variance = 0.0
+            elif math.isnan(variance):
+                half_width = float("nan")
+                variance = float("nan")
+            else:
+                half_width = lam * math.sqrt(max(variance, 0.0))
+            results.append(
+                AQPResult(
+                    estimate=estimate,
+                    ci_half_width=half_width,
+                    variance=variance,
+                    hard_lower=bounds.lower,
+                    hard_upper=bounds.upper,
+                    tuples_processed=processed,
+                    tuples_skipped=skipped,
+                    exact=exact,
+                )
+            )
+        return results
+
+    def _check_value_column(self, query: AggregateQuery) -> None:
+        """``ValueError`` unless ``query`` aggregates the synopsis' column."""
         if query.value_column != self._value_column:
             raise ValueError(
                 f"synopsis was built for column {self._value_column!r}, "
                 f"query aggregates {query.value_column!r}"
             )
-        lam = self._lam if lam is None else lam
-        agg = query.agg
-        if agg in (AggregateType.QUANTILE, AggregateType.COUNT_DISTINCT):
-            return sketch_union_result(
-                query, self._frontier_union(query, frontier), int(self._node_count[0])
-            )
-        bounds = self.hard_bounds_rows(agg, frontier.covered, frontier.partial)
-
-        partial_rows = frontier.partial
-        leaves = self._leaf_of_row[partial_rows]
-        sample_counts = self._sample_counts[leaves]
-        sizes = self._node_count[partial_rows]
-        processed = int(sample_counts.sum())
-        skipped = int(self._node_count[0]) - int(sizes.sum())
-
-        constraints = (
-            self._mask_constraints(query.predicate)
-            if partial_rows.shape[0]
-            else []
-        )
-        if agg in (AggregateType.MIN, AggregateType.MAX):
-            return self._extremum_answer(
-                agg, frontier, leaves, constraints, bounds, processed, skipped
-            )
-        partial = (
-            sizes.tolist(),
-            leaves.tolist(),
-            self._node_sum[partial_rows].tolist(),
-            sample_counts.tolist(),
-        )
-        if agg == AggregateType.AVG:
-            estimate, variance = self._avg_estimate(frontier, partial, constraints)
-        else:
-            estimate, variance = self._sum_count_estimate(
-                agg, frontier, partial, constraints
-            )
-
-        exact = frontier.is_exact
-        if exact:
-            half_width = 0.0
-            variance = 0.0
-        elif math.isnan(variance):
-            half_width = float("nan")
-            variance = float("nan")
-        else:
-            half_width = lam * math.sqrt(max(variance, 0.0))
-        return AQPResult(
-            estimate=estimate,
-            ci_half_width=half_width,
-            variance=variance,
-            hard_lower=bounds.lower,
-            hard_upper=bounds.upper,
-            tuples_processed=processed,
-            tuples_skipped=skipped,
-            exact=exact,
-        )
 
     def _frontier_gather(
         self, leaves: np.ndarray
@@ -1284,8 +1415,9 @@ class FlatSynopsis:
     ) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
         """Stratified ``(estimate, variance)`` pairs for sampled partial leaves.
 
-        One pair per leaf of ``partial`` (:meth:`answer`'s per-partial-row
-        lists) with ``size > 0`` and a non-empty sample, in frontier order.
+        One pair per leaf of ``partial`` (:meth:`answer_shared`'s
+        per-partial-row lists) with ``size > 0`` and a non-empty sample, in
+        frontier order.
         Evaluates the predicate mask and the squared deviations once over the
         frontier gather of those leaves (a handful of vector ops total), then
         reduces each leaf's contiguous segment with ``np.add.reduce`` — the
@@ -1397,12 +1529,14 @@ class FlatSynopsis:
         agg: AggregateType,
         frontier: FlatFrontier,
         partial: tuple[list[int], list[int], list[float], list[int]],
-        constraints: Sequence[tuple[np.ndarray, float, float]],
+        pairs: Sequence[tuple[float, float]],
     ) -> tuple[float, float]:
         """SUM / COUNT estimate + variance, mirroring the object accumulation.
 
         ``partial`` holds the per-partial-row ``(sizes, leaf indices, node
-        sums, sample counts)`` lists :meth:`answer` gathered.
+        sums, sample counts)`` lists :meth:`answer_shared` gathered, and
+        ``pairs`` the sampled partial leaves' SUM (or COUNT) pairs of
+        :meth:`_batched_partial_moments`.
 
         Covered nodes contribute exactly (Python-scalar sums in row order);
         each sampled partial leaf adds its stratified contribution; an
@@ -1416,10 +1550,6 @@ class FlatSynopsis:
             estimate = float(sum(self._node_count[frontier.covered].tolist()))
         variance = 0.0
         sizes, _, node_sums, sample_counts = partial
-        sum_pairs, count_pairs = self._batched_partial_moments(
-            partial, constraints, need_sum=is_sum, need_count=not is_sum
-        )
-        pairs = sum_pairs if is_sum else count_pairs
         next_pair = 0
         for size, node_sum, n_sample in zip(sizes, node_sums, sample_counts):
             if size == 0:
@@ -1441,13 +1571,15 @@ class FlatSynopsis:
         self,
         frontier: FlatFrontier,
         partial: tuple[list[int], list[int], list[float], list[int]],
-        constraints: Sequence[tuple[np.ndarray, float, float]],
+        sum_pairs: Sequence[tuple[float, float]],
+        count_pairs: Sequence[tuple[float, float]],
     ) -> tuple[float, float]:
         """AVG as the SUM/COUNT delta-method ratio, with one mask per leaf.
 
         The reference runs two independent passes (SUM then COUNT), each
         re-evaluating the predicate mask; both accumulate the exact same
-        per-leaf masks, so computing the mask once and feeding both
+        per-leaf masks, so computing the mask once (the one pass of
+        :meth:`answer_shared`, whose pairs arrive here) and feeding both
         accumulators yields bit-identical numerator and denominator.
         """
         num = sum(self._node_sum[frontier.covered].tolist())
@@ -1455,9 +1587,6 @@ class FlatSynopsis:
         den = float(sum(self._node_count[frontier.covered].tolist()))
         den_var = 0.0
         sizes, _, node_sums, sample_counts = partial
-        sum_pairs, count_pairs = self._batched_partial_moments(
-            partial, constraints, need_sum=True, need_count=True
-        )
         next_pair = 0
         for size, node_sum, n_sample in zip(sizes, node_sums, sample_counts):
             if size == 0:
@@ -1513,6 +1642,7 @@ class FlatSynopsis:
         if leaves.shape[0] <= _SCALAR_FRONTIER_LEAVES:
             offsets = self._samples.offsets
             counts = self._sample_counts
+            extremum = (np.maximum if is_max else np.minimum).reduce
             for leaf in leaves.tolist():
                 start = int(offsets[leaf])
                 stop = start + int(counts[leaf])
@@ -1521,9 +1651,7 @@ class FlatSynopsis:
                 mask = self._leaf_mask(constraints, start, stop)
                 matched = values_column[start:stop][mask]
                 if matched.shape[0]:
-                    candidates.append(
-                        float(matched.max() if is_max else matched.min())
-                    )
+                    candidates.append(float(extremum(matched)))
         else:
             _, loc, index = self._frontier_gather(leaves)
             # Compacting keeps each leaf's matched values contiguous and in
@@ -1580,11 +1708,7 @@ class FlatSynopsis:
         :func:`~repro.sketches.union.sketch_union_result` turns the union
         into an :class:`~repro.result.AQPResult`.
         """
-        if query.value_column != self._value_column:
-            raise ValueError(
-                f"synopsis was built for column {self._value_column!r}, "
-                f"query aggregates {query.value_column!r}"
-            )
+        self._check_value_column(query)
         if frontier is None:
             frontier = self.query_frontier(query)
         return self._frontier_union(query, frontier)

@@ -368,6 +368,20 @@ class DynamicPASS(PASSSynopsis):
         ``arrays`` are read-only views of a mapped file.
         """
         arrays = {key: np.array(value) for key, value in arrays.items()}
+        return cls._own_buffers(header, arrays, rng)
+
+    @classmethod
+    def _own_buffers(
+        cls,
+        header: Mapping,
+        arrays: Mapping[str, np.ndarray],
+        rng: np.random.Generator | int | None,
+    ) -> "DynamicPASS":
+        """:meth:`from_buffers` taking ``arrays`` by reference.
+
+        Only for writable arrays nothing else holds (a fresh copy, or a
+        stitch just concatenated): the instance writes them in place.
+        """
         instance = cls.__new__(cls)
         PASSSynopsis.__init__(instance, header, arrays)
         instance._predicate_columns = list(header["predicate_columns"])

@@ -397,13 +397,15 @@ class ShardedSynopsis(PASSSynopsis):
     def _adopt(self, stitched: tuple[dict, dict[str, np.ndarray]]) -> None:
         """Become the synopsis over ``stitched``, of the class its shards give.
 
-        The reservoir RNG carries on.  Not atomic for concurrent readers: a
-        served synopsis is re-stitched under the engine's write lock
-        (:meth:`StreamingShardRouter.set_write_lock
+        ``stitched`` is :func:`_stitch`'s fresh ``(header, arrays)``, so a
+        dynamic stitch takes its arrays by reference instead of copying them
+        as :meth:`from_buffers` does.  The reservoir RNG carries on.  Not
+        atomic for concurrent readers: a served synopsis is re-stitched
+        under the engine's write lock (:meth:`StreamingShardRouter.set_write_lock
         <repro.distributed.router.StreamingShardRouter.set_write_lock>`).
         """
         rng = vars(self).get("_rng", 0)
-        synopsis = ShardedSynopsis.from_buffers(*stitched, rng=rng)
+        synopsis = ShardedSynopsis._own_buffers(*stitched, rng=rng)
         self.__class__ = type(synopsis)
         self.__dict__ = vars(synopsis)
 
@@ -428,13 +430,23 @@ class ShardedSynopsis(PASSSynopsis):
                 "a sharded synopsis of the per-shard layout (shard<i>/ arrays), "
                 "which this build no longer reads: rebuild it from its table"
             )
-        kind = DynamicShardedSynopsis if header["dynamic"] else ShardedSynopsis
-        if cls is not kind:
-            return kind.from_buffers(header, arrays, rng)
         if header["dynamic"]:
-            instance = super().from_buffers(header, arrays, rng)
+            arrays = {key: np.array(value) for key, value in arrays.items()}
+        return ShardedSynopsis._own_buffers(header, arrays, rng)
+
+    @classmethod
+    def _own_buffers(
+        cls,
+        header: Mapping,
+        arrays: Mapping[str, np.ndarray],
+        rng: np.random.Generator | int | None,
+    ) -> "ShardedSynopsis":
+        """:meth:`from_buffers` taking ``arrays`` by reference, also when dynamic."""
+        kind = DynamicShardedSynopsis if header["dynamic"] else ShardedSynopsis
+        if header["dynamic"]:
+            instance = super(ShardedSynopsis, kind)._own_buffers(header, arrays, rng)
         else:
-            instance = cls.__new__(cls)
+            instance = kind.__new__(kind)
             PASSSynopsis.__init__(instance, header, arrays)
         sharding = header["sharding"]
         instance._routing = ShardRouting(

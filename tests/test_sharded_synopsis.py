@@ -13,6 +13,7 @@ properties over random shardings live in ``test_sharded_bounds.py``.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from repro.core.updates import DynamicPASS
 from repro.data.table import Table
 from repro.distributed.parallel import build_sharded_from_plan, build_sharded_pass
 from repro.distributed.planner import ShardPlanner
+import repro.distributed.sharded as sharded_module
 from repro.distributed.sharded import DynamicShardedSynopsis, ShardedSynopsis
 from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery, ExactEngine
@@ -375,6 +377,55 @@ class TestUpdatesAndValidation:
         )
         with pytest.raises(ValueError, match="value"):
             sharded.replace_shard(0, other)
+
+    def test_replace_shard_adopts_the_fresh_stitch(self, table, config, monkeypatch):
+        """A dynamic re-stitch keeps ``_stitch``'s arrays instead of copying them.
+
+        Only the samples move once more, into the reservoirs' slotted layout;
+        the saving shows as a lower ``tracemalloc`` peak than adopting a copy
+        (what ``from_buffers`` does for buffers the synopsis does not own).
+        """
+        sharded = build_sharded_pass(
+            table, "value", "key", n_shards=4, config=config, dynamic=True
+        )
+        replacement = sharded.shards[1]
+        stitched = []
+        stitch = sharded_module._stitch
+
+        def recorded(*args):
+            stitched.append(stitch(*args))
+            return stitched[-1]
+
+        monkeypatch.setattr(sharded_module, "_stitch", recorded)
+        sharded.replace_shard(1, replacement)
+        ((_, arrays),) = stitched
+        assert isinstance(sharded, DynamicShardedSynopsis)
+        assert sharded._node_sum is arrays["node_sum"]
+        assert sharded._node_count is arrays["node_count"]
+        assert sharded._parent is arrays["parent"]
+        assert sharded._bounds[0] is arrays["col_lows"]
+        assert sharded._seen is arrays["seen"]
+        assert sharded._capacity is arrays["capacity"]
+        monkeypatch.setattr(sharded_module, "_stitch", stitch)
+
+        def peak() -> int:
+            tracemalloc.start()
+            try:
+                sharded.replace_shard(1, replacement)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        adopted = peak()
+        own = ShardedSynopsis._own_buffers.__func__
+
+        def copying(cls, header, arrays, rng):
+            copies = {key: np.array(value) for key, value in arrays.items()}
+            return own(cls, header, copies, rng)
+
+        monkeypatch.setattr(ShardedSynopsis, "_own_buffers", classmethod(copying))
+        copied = peak()
+        assert adopted < copied
 
     def test_mismatched_shards_and_boxes_raise(self, sharded):
         with pytest.raises(ValueError, match="key boxes"):

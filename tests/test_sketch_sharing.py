@@ -356,12 +356,23 @@ class TestOneReductionPerCell:
         )
         assert per_cell_shards > 64  # some cells straddle a shard boundary
         unions = self._count(monkeypatch, union_module, "quantile_union")
-        frontiers = self._count(monkeypatch, FlatSynopsis, "query_frontier")
+        descents = self._count(monkeypatch, FlatSynopsis, "query_frontier")
+        broadcasts = []
+        frontiers_for = FlatSynopsis.frontiers_for
+
+        def counted_frontiers(self, predicates, *args):
+            broadcasts.append(len(predicates))
+            return frontiers_for(self, predicates, *args)
+
+        monkeypatch.setattr(FlatSynopsis, "frontiers_for", counted_frontiers)
         sorts = self._count(monkeypatch, QuantileSketch, "_sorted_weighted")
         engine.execute_grouped(plan)
         # One tree: a cell straddling shards is still one frontier, one union.
+        # The planner's pruning pass and the batch compile each compute the
+        # cells' frontiers in one broadcast, one frontier per cell.
         assert len(unions) == 64
-        assert len(frontiers) == 64
+        assert not descents
+        assert broadcasts == [64, 64]
         assert len(sorts) == 64
 
 
