@@ -8,9 +8,11 @@ across a process boundary all construct the same object from the same
 ``(header, arrays)`` pair.  The hot kernels (frontier descent,
 predicate mask evaluation, moment and extremum reductions) run over those
 arrays with zero Python-object traversal: the partial-leaf kernels gather the
-whole frontier's sample rows through one index and leave per-leaf Python only
-in the ``np.add.reduce`` calls the summation contract names
-(:func:`_slice_sums`).  It is the only executor of all seven aggregates:
+whole frontier's sample rows through one index, a 0.0 lead slot before each
+leaf's rows, and reduce every leaf with one zero-led ``np.add.reduceat`` per
+sum — numpy's pairwise sum of each leaf's slice, the summation contract, with
+no per-leaf Python (:meth:`FlatSynopsis._frontier_gather`).  It is the only
+executor of all seven aggregates:
 SUM / COUNT / AVG / MIN / MAX reduce sample moments, QUANTILE /
 COUNT_DISTINCT reduce the per-leaf sketches along the same frontier
 (:meth:`FlatSynopsis.sketch_union`).
@@ -120,10 +122,10 @@ _NO_VALUES = np.zeros(0, dtype=float)
 
 #: Frontiers with at most this many partial leaves — every frontier of a 1-D
 #: synopsis — are answered leaf by leaf with the scalar replicas below: a
-#: frontier gather cannot amortise anything over one or two leaves.  A
+#: frontier gather cannot amortise anything over three leaves or fewer.  A
 #: property of the input, not an option (measurement in
 #: ``docs/ARCHITECTURE.md``); both partial-leaf kernels branch on it.
-_SCALAR_FRONTIER_LEAVES = 2
+_SCALAR_FRONTIER_LEAVES = 3
 
 #: :meth:`FlatSynopsis.frontiers_for` broadcasts at most this many
 #: (predicate, node) cells at a time: a handful of boolean matrices of this
@@ -177,20 +179,6 @@ def _fast_var(values: np.ndarray) -> float:
     return float(np.add.reduce(deviations) / n)
 
 
-def _slice_sums(data: np.ndarray, bounds: Sequence[int]) -> np.ndarray:
-    """``np.add.reduce`` over each ``data[bounds[i]:bounds[i + 1]]`` slice.
-
-    This call *is* the summation contract for order-sensitive sums (value
-    sums, squared deviations): numpy's pairwise reduction over one leaf's
-    contiguous slice, exactly what ``ndarray.mean`` / ``np.var`` run on a
-    ``Stratum``'s sample.  A segmented ``reduceat`` / ``bincount`` accumulates
-    sequentially and would move the last ulp.
-    """
-    return np.array(
-        [np.add.reduce(data[start:stop]) for start, stop in zip(bounds, bounds[1:])]
-    )
-
-
 def _row_index(
     starts: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -238,6 +226,95 @@ def _stratum_contribution(
     if with_fpc:
         variance *= finite_population_correction(size, sample_size)
     return estimate, variance
+
+
+class _RowBounds:
+    """:func:`~repro.aggregation.strat_agg.hard_bounds` of one frontier's rows.
+
+    Faithful replication — Python-scalar ``sum`` / ``min`` / ``max`` in row
+    order after dropping empty partitions — so every bound is bit-identical
+    to that function's over the same statistics.  Each per-row list is built
+    on first use and kept, so the SUM, COUNT and AVG of one (covered,
+    partial) pair share them.
+    """
+
+    __slots__ = ("covered_rows", "_flat", "_partial_rows", "_counts", "_lists")
+
+    def __init__(
+        self, flat: FlatSynopsis, covered_rows: np.ndarray, partial_rows: np.ndarray
+    ) -> None:
+        self._flat = flat
+        self.covered_rows = covered_rows
+        self._partial_rows = partial_rows
+        counts = flat._node_count
+        # Indexed by ``covered``: the partial rows' counts, then the covered.
+        self._counts = (counts[partial_rows].tolist(), counts[covered_rows].tolist())
+        self._lists: dict[tuple[str, bool], list[float]] = {}
+
+    def _values(self, stats: str, covered: bool) -> list[float]:
+        """Node array ``stats`` over the non-empty covered (or partial) rows."""
+        key = (stats, covered)
+        values = self._lists.get(key)
+        if values is None:
+            rows = self.covered_rows if covered else self._partial_rows
+            values = self._lists[key] = [
+                value
+                for value, count in zip(
+                    getattr(self._flat, stats)[rows].tolist(), self._counts[covered]
+                )
+                if count
+            ]
+        return values
+
+    def bounds(self, agg: AggregateType) -> HardBounds:
+        """The hard bounds of ``agg`` over the frontier."""
+        values = self._values
+        counts_par, counts_cov = self._counts
+        if agg == AggregateType.SUM:
+            covered_total = sum(values("_node_sum", True))
+            partial_total = sum(values("_node_sum", False))
+            return HardBounds(
+                lower=covered_total, upper=covered_total + partial_total
+            )
+        if agg == AggregateType.COUNT:
+            covered_total = sum(float(count) for count in counts_cov if count)
+            partial_total = sum(float(count) for count in counts_par if count)
+            return HardBounds(
+                lower=covered_total, upper=covered_total + partial_total
+            )
+
+        if agg == AggregateType.AVG:
+            has_partial = any(counts_par)
+            if has_partial:
+                partial_max = max(values("_node_max", False))
+                partial_min = min(values("_node_min", False))
+            if any(counts_cov):
+                covered_avg = sum(values("_node_sum", True)) / sum(counts_cov)
+                if has_partial:
+                    return HardBounds(
+                        lower=min(covered_avg, partial_min),
+                        upper=max(covered_avg, partial_max),
+                    )
+                return HardBounds(lower=covered_avg, upper=covered_avg)
+            if has_partial:
+                return HardBounds(lower=partial_min, upper=partial_max)
+            return HardBounds(lower=math.nan, upper=math.nan)
+
+        if agg in (AggregateType.MAX, AggregateType.MIN):
+            has_covered = any(counts_cov)
+            if not has_covered and not any(counts_par):
+                return HardBounds(lower=math.nan, upper=math.nan)
+            if agg == AggregateType.MAX:
+                covered_max = max(values("_node_max", True), default=-math.inf)
+                partial_max = max(values("_node_max", False), default=-math.inf)
+                lower = covered_max if has_covered else -math.inf
+                return HardBounds(lower=lower, upper=max(covered_max, partial_max))
+            covered_min = min(values("_node_min", True), default=math.inf)
+            partial_min = min(values("_node_min", False), default=math.inf)
+            upper = covered_min if has_covered else math.inf
+            return HardBounds(lower=min(covered_min, partial_min), upper=upper)
+
+        raise ValueError(f"unsupported aggregate: {agg!r}")
 
 
 @dataclass(frozen=True)
@@ -1084,96 +1161,10 @@ class FlatSynopsis:
     ) -> HardBounds:
         """:func:`repro.aggregation.strat_agg.hard_bounds` over node rows.
 
-        Faithful replication — Python-scalar summation in row order after
-        dropping empty partitions — so the bounds are bit-identical to that
-        function's over the same statistics.
+        One aggregate's case of :class:`_RowBounds`, which the executors
+        build once per frontier and ask for every aggregate of it.
         """
-        counts_cov = self._node_count[covered_rows].tolist()
-        counts_par = self._node_count[partial_rows].tolist()
-
-        if agg in (AggregateType.SUM, AggregateType.COUNT):
-            if agg == AggregateType.SUM:
-                vals_cov = self._node_sum[covered_rows].tolist()
-                vals_par = self._node_sum[partial_rows].tolist()
-                covered_total = sum(
-                    value for value, count in zip(vals_cov, counts_cov) if count
-                )
-                partial_total = sum(
-                    value for value, count in zip(vals_par, counts_par) if count
-                )
-            else:
-                covered_total = sum(float(count) for count in counts_cov if count)
-                partial_total = sum(float(count) for count in counts_par if count)
-            return HardBounds(
-                lower=covered_total, upper=covered_total + partial_total
-            )
-
-        if agg == AggregateType.AVG:
-            sums_cov = self._node_sum[covered_rows].tolist()
-            covered_sum = sum(
-                value for value, count in zip(sums_cov, counts_cov) if count
-            )
-            covered_count = sum(count for count in counts_cov if count)
-            covered_avg = (
-                covered_sum / covered_count if covered_count else float("nan")
-            )
-            maxs_par = self._node_max[partial_rows].tolist()
-            mins_par = self._node_min[partial_rows].tolist()
-            partial_max = max(
-                (value for value, count in zip(maxs_par, counts_par) if count),
-                default=-math.inf,
-            )
-            partial_min = min(
-                (value for value, count in zip(mins_par, counts_par) if count),
-                default=math.inf,
-            )
-            has_partial = any(counts_par)
-            if covered_count and has_partial:
-                return HardBounds(
-                    lower=min(covered_avg, partial_min),
-                    upper=max(covered_avg, partial_max),
-                )
-            if covered_count:
-                return HardBounds(lower=covered_avg, upper=covered_avg)
-            if has_partial:
-                return HardBounds(lower=partial_min, upper=partial_max)
-            return HardBounds(lower=math.nan, upper=math.nan)
-
-        if agg == AggregateType.MAX:
-            maxs_cov = self._node_max[covered_rows].tolist()
-            maxs_par = self._node_max[partial_rows].tolist()
-            covered_max = max(
-                (value for value, count in zip(maxs_cov, counts_cov) if count),
-                default=-math.inf,
-            )
-            partial_max = max(
-                (value for value, count in zip(maxs_par, counts_par) if count),
-                default=-math.inf,
-            )
-            has_covered = any(counts_cov)
-            if not has_covered and not any(counts_par):
-                return HardBounds(lower=math.nan, upper=math.nan)
-            lower = covered_max if has_covered else -math.inf
-            return HardBounds(lower=lower, upper=max(covered_max, partial_max))
-
-        if agg == AggregateType.MIN:
-            mins_cov = self._node_min[covered_rows].tolist()
-            mins_par = self._node_min[partial_rows].tolist()
-            covered_min = min(
-                (value for value, count in zip(mins_cov, counts_cov) if count),
-                default=math.inf,
-            )
-            partial_min = min(
-                (value for value, count in zip(mins_par, counts_par) if count),
-                default=math.inf,
-            )
-            has_covered = any(counts_cov)
-            if not has_covered and not any(counts_par):
-                return HardBounds(lower=math.nan, upper=math.nan)
-            upper = covered_min if has_covered else math.inf
-            return HardBounds(lower=min(covered_min, partial_min), upper=upper)
-
-        raise ValueError(f"unsupported aggregate: {agg!r}")
+        return _RowBounds(self, covered_rows, partial_rows).bounds(agg)
 
     # ------------------------------------------------------------------
     # Predicate mask evaluation over CSR slices
@@ -1326,10 +1317,22 @@ class FlatSynopsis:
                 partial, constraints, need_sum, need_count
             )
 
+        # Hard bounds are shared only by queries with equal covered rows: an
+        # AVG descent the zero-variance rule stopped early covers other rows.
+        row_bounds: list[_RowBounds] = []
         results = []
         for query, frontier in zip(queries, frontiers):
             agg = query.agg
-            bounds = self.hard_bounds_rows(agg, frontier.covered, frontier.partial)
+            covered = frontier.covered
+            for shared in row_bounds:
+                if shared.covered_rows is covered or np.array_equal(
+                    shared.covered_rows, covered
+                ):
+                    break
+            else:
+                shared = _RowBounds(self, covered, partial_rows)
+                row_bounds.append(shared)
+            bounds = shared.bounds(agg)
             if agg in (AggregateType.MIN, AggregateType.MAX):
                 results.append(
                     self._extremum_answer(
@@ -1383,28 +1386,38 @@ class FlatSynopsis:
     def _frontier_gather(
         self, leaves: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The frontier gather ``(counts, loc, index)`` of ``leaves``' samples.
+        """The zero-led frontier gather ``(counts, loc, index)`` of ``leaves``.
 
-        :func:`_row_index` of the leaves' rows, in the given leaf order:
-        leaf ``i`` owns positions ``loc[i]:loc[i + 1]`` of ``index`` and
-        ``counts[i]`` rows (none for an unsampled leaf).  Built per frontier
-        and dropped with it — nothing is cached or stored.
+        :func:`_row_index` of the leaves' rows, in the given leaf order, with
+        one *lead slot* reserved before each leaf's rows: leaf ``i`` owns
+        positions ``loc[i]:loc[i + 1]`` of ``index``, the first of them its
+        lead slot and the ``counts[i]`` after it its rows.  A lead slot reads
+        the slot before the leaf's first (the last one, for the leaf at
+        offset 0): some valid row whose value the kernels never use — the
+        mask is False there and every summand is forced to exactly 0.0, so
+        ``np.add.reduceat(x, loc[:-1])`` is 0.0 plus numpy's pairwise sum of
+        each leaf's rows, the bits of ``np.add.reduce`` over its slice.
+        Every leaf must be sampled.  Built per frontier and dropped with it —
+        nothing is cached or stored.
         """
         counts = self._sample_counts[leaves]
-        loc, index = _row_index(self._samples.offsets[leaves], counts)
+        loc, index = _row_index(self._samples.offsets[leaves] - 1, counts + 1)
         return counts, loc, index
 
     def _gathered_mask(
         self,
         constraints: Sequence[tuple[np.ndarray, float, float]],
         index: np.ndarray,
+        leads: np.ndarray,
     ) -> np.ndarray:
-        """:meth:`_leaf_mask` over the gathered rows: one ``take`` per column."""
-        return self._leaf_mask(
+        """:meth:`_leaf_mask` over the gathered rows, False at the ``leads``."""
+        mask = self._leaf_mask(
             [(values.take(index), low, high) for values, low, high in constraints],
             0,
             index.shape[0],
         )
+        mask[leads] = False
+        return mask
 
     def _batched_partial_moments(
         self,
@@ -1419,12 +1432,11 @@ class FlatSynopsis:
         per-partial-row lists) with ``size > 0`` and a non-empty sample, in
         frontier order.
         Evaluates the predicate mask and the squared deviations once over the
-        frontier gather of those leaves (a handful of vector ops total), then
-        reduces each leaf's contiguous segment with ``np.add.reduce`` — the
-        same pairwise summation over the same values in the same order as
-        the per-leaf scalar path, so every returned pair is bit-identical to
-        :func:`_stratum_contribution` on that leaf while amortizing the numpy
-        call overhead across the whole frontier.
+        zero-led frontier gather of those leaves, then reduces every leaf's
+        segment with one ``np.add.reduceat`` per sum — the same pairwise
+        summation over the same values in the same order as the per-leaf
+        scalar path, so every returned pair is bit-identical to
+        :func:`_stratum_contribution` on that leaf, with no per-leaf Python.
         """
         sizes, leaves, _, sample_counts = partial
         samples = self._samples
@@ -1451,53 +1463,40 @@ class FlatSynopsis:
                         _stratum_contribution(data, size, self._with_fpc)
                     )
             return sum_pairs, count_pairs
-        sampled = np.array(
-            [
-                (size, leaf)
-                for size, leaf, n_sample in zip(sizes, leaves, sample_counts)
-                if size > 0 and n_sample > 0
-            ],
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        strata_sizes = sampled[:, 0].astype(float)
-        counts, loc, index = self._frontier_gather(sampled[:, 1])
-        indicator = self._gathered_mask(constraints, index).astype(float)
-        bounds = loc.tolist()
+        all_sizes = np.array(sizes, dtype=np.int64)
+        sampled = (all_sizes > 0) & (np.array(sample_counts, dtype=np.int64) > 0)
+        strata_sizes = all_sizes[sampled].astype(float)
+        counts, loc, index = self._frontier_gather(
+            np.array(leaves, dtype=np.int64)[sampled]
+        )
+        leads = loc[:-1]
+        indicator = self._gathered_mask(constraints, index, leads).astype(float)
         if need_sum:
             contributions = samples.columns[self._value_column].take(index)
+            # Zeroed, not masked: a lead slot's row may hold an inf, and
+            # 0 x inf is NaN.
+            contributions[leads] = 0.0
             np.multiply(indicator, contributions, out=contributions)
             sum_pairs = self._segment_pairs(
-                contributions,
-                _slice_sums(contributions, bounds),
-                bounds,
-                counts,
-                strata_sizes,
+                contributions, leads, counts, strata_sizes
             )
         if need_count:
-            # Sums of 0.0 / 1.0 are exact integers in any order, so the
-            # sequential ``reduceat`` returns the pairwise sum's bits.
-            count_pairs = self._segment_pairs(
-                indicator,
-                np.add.reduceat(indicator, loc[:-1]),
-                bounds,
-                counts,
-                strata_sizes,
-            )
+            count_pairs = self._segment_pairs(indicator, leads, counts, strata_sizes)
         return sum_pairs, count_pairs
 
     def _segment_pairs(
         self,
         data: np.ndarray,
-        segment_sums: np.ndarray,
-        bounds: Sequence[int],
+        leads: np.ndarray,
         counts: np.ndarray,
         strata_sizes: np.ndarray,
     ) -> list[tuple[float, float]]:
         """Per-segment stratified ``(estimate, variance)`` over ``data``.
 
-        Segment ``i`` spans ``data[bounds[i]:bounds[i + 1]]`` (``counts[i]``
-        rows), sums to ``segment_sums[i]`` and scales to stratum size
-        ``strata_sizes[i]`` (float64).  Means and squared deviations follow
+        Segment ``i`` is the zero-led span of :meth:`_frontier_gather` from
+        ``leads[i]``: a 0.0 lead slot and ``counts[i]`` rows, scaled to
+        stratum size ``strata_sizes[i]`` (float64).  Sums are one zero-led
+        ``np.add.reduceat`` each, and means and squared deviations follow
         the exact ufunc sequence of :func:`_fast_mean` / :func:`_fast_var`;
         the mean division, ``size**2 * var / k``, the ``k <= 1`` rule and the
         finite-population correction run as whole-frontier float64 array
@@ -1505,10 +1504,11 @@ class FlatSynopsis:
         replicas, on integers float64 holds exactly, so the same bits.
         """
         sample_sizes = counts.astype(float)
-        means = segment_sums / sample_sizes
-        deviations = data - np.repeat(means, counts)
+        means = np.add.reduceat(data, leads) / sample_sizes
+        deviations = data - np.repeat(means, counts + 1)
         np.multiply(deviations, deviations, out=deviations)
-        sample_variances = _slice_sums(deviations, bounds) / sample_sizes
+        deviations[leads] = 0.0
+        sample_variances = np.add.reduceat(deviations, leads) / sample_sizes
         sample_variances[counts <= 1] = 0.0
         estimates = means * strata_sizes
         variances = strata_sizes * strata_sizes * sample_variances / sample_sizes
@@ -1653,12 +1653,16 @@ class FlatSynopsis:
                 if matched.shape[0]:
                     candidates.append(float(extremum(matched)))
         else:
-            _, loc, index = self._frontier_gather(leaves)
+            _, loc, index = self._frontier_gather(
+                leaves[self._sample_counts[leaves] > 0]
+            )
             # Compacting keeps each leaf's matched values contiguous and in
             # sample order — the very array the per-leaf path reduces — and
             # the leaf boundaries inside it are where the (sorted) matched
-            # positions cross ``loc``; an unsampled leaf spans nothing.
-            matched_rows = np.flatnonzero(self._gathered_mask(constraints, index))
+            # positions cross ``loc``; a lead slot is never matched.
+            matched_rows = np.flatnonzero(
+                self._gathered_mask(constraints, index, loc[:-1])
+            )
             cuts = matched_rows.searchsorted(loc)
             starts = cuts[:-1][cuts[1:] > cuts[:-1]]
             if starts.shape[0]:
@@ -1949,9 +1953,10 @@ class FlatSynopsis:
                 )
             return totals[agg]
 
+        row_bounds = _RowBounds(self, frontier.covered, partial_rows)
         row = []
         for agg in aggs:
-            bounds = self.hard_bounds_rows(agg, frontier.covered, partial_rows)
+            bounds = row_bounds.bounds(agg)
             if agg in (AggregateType.MIN, AggregateType.MAX):
                 is_max = agg == AggregateType.MAX
                 stats_values = (self._node_max if is_max else self._node_min)[

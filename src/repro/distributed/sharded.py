@@ -49,7 +49,6 @@ import numpy as np
 
 from repro.core.batching import batch_query, grouped_query
 from repro.core.pass_synopsis import PASSSynopsis
-from repro.core.soa import FlatSynopsis
 from repro.core.updates import DynamicPASS
 from repro.data.table import Table
 from repro.distributed.planner import ShardRouting
