@@ -3,11 +3,13 @@
 A G-group, A-aggregate query compiles into G x A canonical queries.  The
 naive executor answers them one by one — G x A index lookups and G x A mask
 passes over the touched leaf samples.  The grouped executor
-(:func:`repro.core.batching.grouped_query`) shares one frontier and one
-vectorized mask pass per group cell, so its cost scales with G rather than
-G x A, and empty cells are pruned from frontier statistics before any mask
-work.  This benchmark measures that gap on a single synopsis and the same
-shape on a sharded synopsis (the shards stitched into one tree).
+(:func:`repro.core.batching.grouped_query`) shares one frontier per group
+cell and answers every cell's classic aggregates in one gather, mask and
+``reduceat`` pass, with the bits of per-query execution, so its cost scales
+with G rather than G x A, and empty cells are pruned from frontier
+statistics before any mask work.  This benchmark measures that gap on a
+single synopsis and the same shape on a sharded synopsis (the shards
+stitched into one tree).
 
 Run standalone::
 

@@ -20,13 +20,11 @@ bit-identical to sequential execution because it *is* the same kernel minus
 the repeated identical work.  The serving engine's ``execute_batch`` and
 ``ShardedSynopsis.query_batch`` build on it.
 
-:func:`grouped_query` is the single-synopsis executor for compiled
-:class:`~repro.query.groupby.GroupByPlan` batches.  It exploits the grouped
-shape beyond what :func:`batch_query` can see: one MCF frontier per group
-cell is shared by every aggregate of the cell (a G-cell, A-aggregate query
-costs G index lookups and G mask passes rather than G x A), and cells whose
-frontier statistics show zero matching tuples are answered as empty without
-dispatching anything.
+:func:`grouped_query` answers a compiled
+:class:`~repro.query.groupby.GroupByPlan` the same way: one frontier per
+group cell (every aggregate of the cell shares it), provably empty cells
+answered without dispatching anything, and the classic aggregates of all
+the other cells in one :meth:`FlatSynopsis.answer_shared` pass.
 """
 
 from __future__ import annotations
@@ -145,9 +143,13 @@ class BatchPlan:
             for positions in groups:
                 if not positions:
                     continue
-                answers = synopsis.answer_shared(
-                    [queries[position] for position in positions],
-                    [frontiers[slots[position]] for position in positions],
+                (answers,) = synopsis.answer_shared(
+                    [
+                        (
+                            [queries[position] for position in positions],
+                            [frontiers[slots[position]] for position in positions],
+                        )
+                    ]
                 )
                 for position, result in zip(positions, answers):
                     results[position] = result
@@ -249,44 +251,19 @@ def batch_query(
     return compile_batch(synopsis, queries, obs=obs).execute()
 
 
-def grouped_query(
-    synopsis: PASSSynopsis, plan: GroupByPlan, lam: float | None = None
-) -> GroupedResult:
-    """Answer a compiled group-by plan with vectorized grouped execution.
+def grouped_query(synopsis: PASSSynopsis, plan: GroupByPlan) -> GroupedResult:
+    """Answer a compiled group-by plan with one kernel pass over its cells.
 
-    The executor exploits the grouped shape beyond what :func:`batch_query`
-    can see:
-
-    * one MCF lookup per group cell is shared by every aggregate of the cell
-      (G lookups instead of G x A);
-    * cells whose frontier statistics show zero matching tuples are answered
-      as exact empty groups without touching any sample;
-    * per partially-overlapped leaf, the match masks of every cell touching
-      it are evaluated in one broadcasted comparison and immediately reduced
-      to sufficient statistics (matched count, value sum, sum of squares,
-      extrema) with matrix products, so no per-(cell, aggregate) pass over
-      sample values remains — SUM / COUNT / AVG / MIN / MAX all assemble
-      from the same per-(cell, leaf) moments.
-
-    Estimates, variances, and bounds follow the exact same stratified
-    formulas as ``synopsis.query`` and agree with sequential execution up to
-    floating-point summation order.  The one semantic difference: AVG reuses
-    the cell's shared frontier, skipping the AVG-only zero-variance shortcut
-    (Section 3.4) — answers stay valid and only partially-overlapped
-    constant-valued partitions would ever notice.
-
-    Sketch aggregates (QUANTILE / COUNT_DISTINCT) ride the same per-cell
-    frontier: each surviving cell reduces to one mergeable sketch union per
-    sketch kind (:meth:`PASSSynopsis.sketch_union`, the flat sketch kernel)
-    over the frontier already computed for the classic aggregates, so a
-    mixed plan still costs one index lookup per cell, its p50 / p95 / p99
-    share one merge pass and one sorted view
-    (:func:`~repro.sketches.union.shared_union_results`, the sharing every
-    batching tier uses), and the sketch answers equal sequential
-    ``synopsis.query`` execution bit for bit.
+    Every cell takes one MCF lookup, all in one
+    :meth:`FlatSynopsis.frontiers_for` broadcast, and an AVG under the
+    zero-variance rule its own flagged lookup, as :func:`compile_batch`
+    gives it.  Cells whose frontier statistics show zero matching tuples are
+    answered as exact empty groups.  The classic aggregates of the other
+    cells are one :meth:`FlatSynopsis.answer_shared` call, one group per
+    (cell, partial rows); the sketch aggregates take one union per (cell,
+    sketch kind) (:func:`~repro.sketches.union.shared_union_results`).
+    Every answer is bit-identical to ``synopsis.query`` of its cell's query.
     """
-    lam = synopsis.lam if lam is None else lam
-    with_fpc = synopsis.with_fpc
     value_column = synopsis.value_column
     for spec in plan.aggregates:
         if spec.value_column != value_column:
@@ -294,57 +271,79 @@ def grouped_query(
                 f"synopsis was built for column {value_column!r}, "
                 f"aggregate targets {spec.value_column!r}"
             )
-    classic_slots = [
-        i for i, spec in enumerate(plan.aggregates) if spec.agg not in SKETCH_AGGREGATES
+    classic = [
+        (position, spec)
+        for position, spec in enumerate(plan.aggregates)
+        if spec.agg not in SKETCH_AGGREGATES
     ]
-    sketch_slots = [
-        i for i, spec in enumerate(plan.aggregates) if spec.agg in SKETCH_AGGREGATES
-    ]
-    if sketch_slots and not synopsis.has_sketches:
+    if len(classic) < len(plan.aggregates) and not synopsis.has_sketches:
         raise ValueError(
             "synopsis was built without sketches and cannot answer "
             "QUANTILE / COUNT_DISTINCT aggregates; rebuild with "
             "PASSConfig(with_sketches=True)"
         )
     population = synopsis.population_size
-    need_extrema = any(
-        plan.aggregates[i].agg in (AggregateType.MIN, AggregateType.MAX)
-        for i in classic_slots
-    )
 
     live = plan.live_cells()
-    cell_frontiers = synopsis.frontiers_for([cell.predicate for _, cell in live])
+    predicates = [cell.predicate for _, cell in live]
+    avg_own_frontier = synopsis.zero_variance_rule and any(
+        spec.agg == AggregateType.AVG for _, spec in classic
+    )
+    if avg_own_frontier:
+        # Each predicate twice, side by side: one broadcast row, and arrays
+        # shared unless a zero-variance stop cuts the AVG descent short.
+        frontiers = synopsis.frontiers_for(
+            [predicate for predicate in predicates for _ in range(2)],
+            [False, True] * len(live),
+        )
+        cell_frontiers, avg_frontiers = frontiers[::2], frontiers[1::2]
+    else:
+        cell_frontiers = avg_frontiers = synopsis.frontiers_for(predicates)
     surviving = [
-        (index, cell, frontier)
-        for (index, cell), frontier in zip(live, cell_frontiers)
+        (index, cell, frontier, avg_frontier)
+        for (index, cell), frontier, avg_frontier in zip(
+            live, cell_frontiers, avg_frontiers
+        )
         if synopsis.frontier_count(frontier) > 0
     ]
 
-    if classic_slots:
-        moments = synopsis.grouped_leaf_moments(
-            [(cell.predicate, frontier) for _, cell, frontier in surviving],
-            need_extrema,
-        )
-    else:
-        moments = {}
-
-    classic_aggs = tuple(plan.aggregates[i].agg for i in classic_slots)
     rows: list[list[AQPResult | None]] = [
         [None] * len(plan.aggregates) for _ in surviving
     ]
-    if classic_slots:
-        for slot, (_, _, frontier) in enumerate(surviving):
-            classic_row = synopsis.assemble_cell_row(
-                classic_aggs, frontier, moments, slot, lam, with_fpc, population
-            )
-            for position, result in zip(classic_slots, classic_row):
+    # One answer_shared group per (cell, partial rows): an AVG descent the
+    # zero-variance rule cut short keeps other rows, and is a group apart.
+    positions = [position for position, _ in classic]
+    groups: list[tuple[list[AggregateQuery], list[FlatFrontier]]] = []
+    targets: list[tuple[int, list[int]]] = []  # (cell slot, plan positions)
+    for slot, (_, cell, frontier, avg_frontier) in enumerate(
+        surviving if classic else ()
+    ):
+        queries = [plan.cell_query(cell, spec) for _, spec in classic]
+        if avg_frontier.partial is frontier.partial:
+            groups.append((queries, [frontier] * len(queries)))
+            targets.append((slot, positions))
+            continue
+        for avg, chosen in ((False, frontier), (True, avg_frontier)):
+            picked = [
+                i
+                for i, query in enumerate(queries)
+                if (query.agg == AggregateType.AVG) == avg
+            ]
+            if picked:
+                groups.append(([queries[i] for i in picked], [chosen] * len(picked)))
+                targets.append((slot, [positions[i] for i in picked]))
+    if groups:
+        for (slot, cell_positions), results in zip(
+            targets, synopsis.answer_shared(groups)
+        ):
+            for position, result in zip(cell_positions, results):
                 rows[slot][position] = result
     # One union per (cell, sketch kind): the reduction depends only on the
     # predicate, so p50 / p95 / p99 specs share one merge pass and one sorted
     # view and differ only in result assembly.
     pending = [
         ((slot, position), (slot, spec.agg), plan.cell_query(cell, spec))
-        for slot, (_, cell, _) in enumerate(surviving)
+        for slot, (_, cell, _, _) in enumerate(surviving)
         for position, spec in enumerate(plan.aggregates)
         if spec.agg in SKETCH_AGGREGATES
     ]
@@ -354,7 +353,7 @@ def grouped_query(
         population,
     ):
         rows[slot][position] = result
-    answers = {index: tuple(row) for (index, _, _), row in zip(surviving, rows)}
+    answers = {index: tuple(row) for (index, _, _, _), row in zip(surviving, rows)}
 
     empty = tuple(empty_group_result(spec.agg, population) for spec in plan.aggregates)
     return GroupedResult(
@@ -363,5 +362,3 @@ def grouped_query(
         labels=tuple(cell.labels for cell in plan.cells),
         cells=tuple(answers.get(index, empty) for index in range(plan.n_cells)),
     )
-
-

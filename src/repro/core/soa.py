@@ -112,12 +112,6 @@ from repro.sketches.union import (
 
 __all__ = ["FlatFrontier", "FlatSamples", "FlatSynopsis"]
 
-#: Per-(cell, leaf) masked-sample sufficient statistics of the grouped
-#: executor: the number of matching samples, their value sum and sum of
-#: squares, their min / max (when an extremum aggregate asked for them), and
-#: the leaf's sample size.
-_LeafMoments = tuple[int, float, float, float, float, float]
-
 _NO_VALUES = np.zeros(0, dtype=float)
 
 #: Frontiers with at most this many partial leaves — every frontier of a 1-D
@@ -233,22 +227,26 @@ class _RowBounds:
 
     Faithful replication — Python-scalar ``sum`` / ``min`` / ``max`` in row
     order after dropping empty partitions — so every bound is bit-identical
-    to that function's over the same statistics.  Each per-row list is built
-    on first use and kept, so the SUM, COUNT and AVG of one (covered,
-    partial) pair share them.
+    to that function's over the same statistics.  ``partial`` holds the
+    partial rows' counts and sums (the lists the estimators read); every
+    other per-row list is built on first use, and all are kept, so the SUM,
+    COUNT and AVG of one frontier share them.
     """
 
-    __slots__ = ("covered_rows", "_flat", "_partial_rows", "_counts", "_lists")
+    __slots__ = ("_flat", "_rows", "_partial_sums", "_counts", "_lists")
 
     def __init__(
-        self, flat: FlatSynopsis, covered_rows: np.ndarray, partial_rows: np.ndarray
+        self,
+        flat: FlatSynopsis,
+        covered_rows: np.ndarray,
+        partial_rows: np.ndarray,
+        partial: tuple[list[int], list[float], list[int]],
     ) -> None:
         self._flat = flat
-        self.covered_rows = covered_rows
-        self._partial_rows = partial_rows
-        counts = flat._node_count
-        # Indexed by ``covered``: the partial rows' counts, then the covered.
-        self._counts = (counts[partial_rows].tolist(), counts[covered_rows].tolist())
+        # Indexed by ``covered``: the partial rows, then the covered.
+        self._rows = (partial_rows, covered_rows)
+        self._partial_sums = partial[1]
+        self._counts = (partial[0], flat._node_count[covered_rows].tolist())
         self._lists: dict[tuple[str, bool], list[float]] = {}
 
     def _values(self, stats: str, covered: bool) -> list[float]:
@@ -256,13 +254,12 @@ class _RowBounds:
         key = (stats, covered)
         values = self._lists.get(key)
         if values is None:
-            rows = self.covered_rows if covered else self._partial_rows
+            if stats == "_node_sum" and not covered:
+                column = self._partial_sums
+            else:
+                column = getattr(self._flat, stats)[self._rows[covered]].tolist()
             values = self._lists[key] = [
-                value
-                for value, count in zip(
-                    getattr(self._flat, stats)[rows].tolist(), self._counts[covered]
-                )
-                if count
+                value for value, count in zip(column, self._counts[covered]) if count
             ]
         return values
 
@@ -1030,9 +1027,9 @@ class FlatSynopsis:
         """:meth:`frontier` of every predicate, in broadcasted passes.
 
         ``zero_variance[j]`` is :meth:`frontier`'s flag for ``predicates[j]``
-        (all off when omitted): the batch compiler sets it for AVG lookups
-        under the zero-variance rule, the grouped executor and planner leave
-        it off.  Each returned frontier is identical to :meth:`frontier` on
+        (all off when omitted): the batch compiler and the grouped executor
+        set it for AVG lookups under the zero-variance rule, the planner
+        leaves it off.  Each returned frontier is identical to :meth:`frontier` on
         the same predicate and flag — and therefore to the sequential object
         descent: the closed form runs over a ``(predicates, nodes)`` matrix,
         one constrained column at a time, and a flagged predicate with a
@@ -1041,7 +1038,11 @@ class FlatSynopsis:
         axis is cut into chunks of at most :data:`_BROADCAST_CELLS` matrix
         cells, so the temporaries stay bounded however many predicates come.
         One predicate is :meth:`frontier` itself: with nothing to amortise,
-        its broadcast costs about twice as much.
+        its broadcast costs about twice as much.  A predicate object listed
+        more than once in a chunk — an AVG lookup beside the SUM / COUNT one
+        — takes one broadcast row, and its entries' frontiers share their
+        ``covered`` / ``partial`` arrays unless a zero-variance stop makes the
+        flagged descent differ.
         """
         if len(predicates) == 1:
             flag = bool(zero_variance) and bool(zero_variance[0])
@@ -1070,14 +1071,22 @@ class FlatSynopsis:
         zero_variance: Sequence[bool] | None,
     ) -> list[FlatFrontier]:
         """:meth:`frontiers_for` of one chunk, before the hash-shard filter."""
-        n_queries = len(predicates)
+        row_of: dict[int, int] = {}
+        distinct: list[RectPredicate] = []
+        rows = []
+        for predicate in predicates:
+            row = row_of.setdefault(id(predicate), len(distinct))
+            if row == len(distinct):
+                distinct.append(predicate)
+            rows.append(row)
+        n_queries = len(distinct)
         column_index = self._column_index
         # Per constrained column, every predicate's (low, high); one that
         # leaves the column unconstrained gets (-inf, inf), which covers and
         # misses exactly what the column's absence from its key does.
         bounds: dict[int, tuple[list[float], list[float]]] = {}
         never_covers: list[int] = []
-        for j, predicate in enumerate(predicates):
+        for j, predicate in enumerate(distinct):
             for column, low, high in predicate.canonical_key():
                 c = column_index.get(column)
                 if c is None:
@@ -1118,28 +1127,37 @@ class FlatSynopsis:
         covered_mask = np.logical_and(cover, reached)
         partial_mask = np.logical_and(partial, reached)
         np.logical_and(partial_mask, self._is_leaf, out=partial_mask)
+        covered_rows = _row_nonzeros(covered_mask)
+        partial_rows = _row_nonzeros(partial_mask)
+        visited = np.add.reduce(reached, axis=1).tolist()
         frontiers = [
-            FlatFrontier(covered=covered, partial=partial_rows, nodes_visited=visited)
-            for covered, partial_rows, visited in zip(
-                _row_nonzeros(covered_mask),
-                _row_nonzeros(partial_mask),
-                np.add.reduce(reached, axis=1).tolist(),
+            FlatFrontier(
+                covered=covered_rows[row],
+                partial=partial_rows[row],
+                nodes_visited=visited[row],
             )
+            for row in rows
         ]
-        if zero_variance is not None and any(zero_variance):
-            zv = self._zv_flags()
-            flagged = [j for j, flag in enumerate(zero_variance) if flag]
-            stops = np.logical_or.reduce(np.logical_and(partial[flagged], zv), axis=1)
-            for j, stop in zip(flagged, stops.tolist()):
-                if stop:
-                    frontiers[j] = self._replay_frontier(cover[j], partial[j], zv)
+        if zero_variance is None or not any(zero_variance):
+            return frontiers
+        zv = self._zv_flags()
+        if not zv.any():
+            # No zero-variance node: no flagged descent stops early.
+            return frontiers
+        flagged = [j for j, flag in enumerate(zero_variance) if flag]
+        flagged_rows = [rows[j] for j in flagged]
+        stops = np.logical_or.reduce(np.logical_and(partial[flagged_rows], zv), axis=1)
+        for j, row, stop in zip(flagged, flagged_rows, stops.tolist()):
+            if stop:
+                frontiers[j] = self._replay_frontier(cover[row], partial[row], zv)
         return frontiers
 
     def frontier_count(self, frontier: FlatFrontier) -> int:
         """Tuples inside the frontier's covered + partial nodes (exact)."""
+        counts = self._node_count
         return int(
-            self._node_count[frontier.covered].sum()
-            + self._node_count[frontier.partial].sum()
+            np.add.reduce(counts[frontier.covered])
+            + np.add.reduce(counts[frontier.partial])
         )
 
     def skip_rate(self, query: AggregateQuery) -> float:
@@ -1149,22 +1167,6 @@ class FlatSynopsis:
             return 1.0
         partial_rows = self.query_frontier(query).partial
         return 1.0 - int(self._node_count[partial_rows].sum()) / population
-
-    # ------------------------------------------------------------------
-    # Hard bounds (Section 2.3) over node rows
-    # ------------------------------------------------------------------
-    def hard_bounds_rows(
-        self,
-        agg: AggregateType,
-        covered_rows: np.ndarray,
-        partial_rows: np.ndarray,
-    ) -> HardBounds:
-        """:func:`repro.aggregation.strat_agg.hard_bounds` over node rows.
-
-        One aggregate's case of :class:`_RowBounds`, which the executors
-        build once per frontier and ask for every aggregate of it.
-        """
-        return _RowBounds(self, covered_rows, partial_rows).bounds(agg)
 
     # ------------------------------------------------------------------
     # Predicate mask evaluation over CSR slices
@@ -1259,98 +1261,149 @@ class FlatSynopsis:
             return sketch_union_result(
                 query, self._frontier_union(query, frontier), int(self._node_count[0])
             )
-        return self.answer_shared((query,), (frontier,), lam)[0]
+        return self.answer_shared((((query,), (frontier,)),), lam)[0][0]
 
     def answer_shared(
         self,
-        queries: Sequence[AggregateQuery],
-        frontiers: Sequence[FlatFrontier],
+        groups: Sequence[tuple[Sequence[AggregateQuery], Sequence[FlatFrontier]]],
         lam: float | None = None,
-    ) -> list[AQPResult]:
-        """Answer SUM / COUNT / AVG / MIN / MAX queries of one predicate.
+    ) -> list[list[AQPResult]]:
+        """Answer SUM / COUNT / AVG / MIN / MAX queries, one predicate per group.
 
-        ``queries`` share a canonical predicate, ``frontiers[i]`` is
-        ``queries[i]``'s :meth:`query_frontier`, and all of them hold the
-        same partial rows (an AVG frontier may still differ in its covered
-        rows, Section 3.4).  The partial leaves' predicate mask and their
-        per-leaf stratified moments are what the queries share: the pass
-        runs once, with value sums when a SUM or AVG asks for them and
-        indicator sums when a COUNT or AVG does, and each query assembles
-        its answer from those per-leaf pairs in the scalar accumulation
-        order of the reference.  The pairs are the bits a single query's
-        pass yields, so every answer is bit-identical to :meth:`answer` —
-        which is this method's one-query case.
+        Each group is ``(queries, frontiers)``: the queries share a canonical
+        predicate, ``frontiers[i]`` is ``queries[i]``'s :meth:`query_frontier`,
+        and all of them hold the same partial rows (an AVG frontier may still
+        differ in its covered rows, Section 3.4).  One mask and moment pass
+        (:meth:`_batched_partial_moments`) serves every group, and each query
+        assembles its answer from its group's per-leaf pairs in the scalar
+        accumulation order of the reference.  The pairs are the bits a single
+        query's pass yields, so every answer — returned per group, in query
+        order — is bit-identical to :meth:`answer`, the one-query case.
         """
         need_sum = need_count = False
-        for query in queries:
-            self._check_value_column(query)
-            agg = query.agg
-            if agg is AggregateType.SUM:
-                need_sum = True
-            elif agg is AggregateType.COUNT:
-                need_count = True
-            elif agg is AggregateType.AVG:
-                need_sum = need_count = True
+        for queries, _ in groups:
+            for query in queries:
+                self._check_value_column(query)
+                agg = query.agg
+                if agg is AggregateType.SUM:
+                    need_sum = True
+                elif agg is AggregateType.COUNT:
+                    need_count = True
+                elif agg is AggregateType.AVG:
+                    need_sum = need_count = True
         lam = self._lam if lam is None else lam
-        partial_rows = frontiers[0].partial
+        partials = [frontiers[0].partial for _, frontiers in groups]
+        partial_rows = partials[0] if len(partials) == 1 else np.concatenate(partials)
         leaves = self._leaf_of_row[partial_rows]
-        sample_counts = self._sample_counts[leaves]
-        sizes = self._node_count[partial_rows]
-        processed = int(np.add.reduce(sample_counts))
-        skipped = int(self._node_count[0]) - int(np.add.reduce(sizes))
-
-        constraints: list[tuple[np.ndarray, float, float]] = []
-        if partial_rows.shape[0]:
-            constraints = self._mask_constraints(queries[0].predicate)
-            # Every query's own predicate is checked: one that spells out an
-            # unbounded column the samples lack raises, as it would alone.
-            for query in queries[1:]:
-                self._mask_constraints(query.predicate)
+        partial = (
+            self._node_count[partial_rows].tolist(),
+            self._node_sum[partial_rows].tolist(),
+            self._sample_counts[leaves].tolist(),
+        )
+        spans: list[tuple[list[tuple[np.ndarray, float, float]], int]] = []
+        stop = 0
+        for (queries, _), rows in zip(groups, partials):
+            stop += rows.shape[0]
+            spans.append((self._group_constraints(queries, rows), stop))
+        group_pairs: list[tuple[list, list]] = [([], [])] * len(groups)
         if need_sum or need_count:
-            partial = (
-                sizes.tolist(),
-                leaves.tolist(),
-                self._node_sum[partial_rows].tolist(),
-                sample_counts.tolist(),
+            group_pairs = self._batched_partial_moments(
+                (partial[0], leaves.tolist(), partial[2]), spans, need_sum, need_count
             )
-            sum_pairs, count_pairs = self._batched_partial_moments(
-                partial, constraints, need_sum, need_count
+        if len(groups) == 1:  # the single-predicate call: nothing to cut
+            (queries, frontiers), (constraints, _) = groups[0], spans[0]
+            answer = self._answer_group(
+                queries, frontiers, leaves, constraints, partial, group_pairs[0], lam
             )
+            return [answer]
+        answers = []
+        start = 0
+        for (queries, frontiers), (constraints, stop), pairs in zip(
+            groups, spans, group_pairs
+        ):
+            answers.append(
+                self._answer_group(
+                    queries,
+                    frontiers,
+                    leaves[start:stop],
+                    constraints,
+                    tuple(column[start:stop] for column in partial),
+                    pairs,
+                    lam,
+                )
+            )
+            start = stop
+        return answers
 
-        # Hard bounds are shared only by queries with equal covered rows: an
-        # AVG descent the zero-variance rule stopped early covers other rows.
-        row_bounds: list[_RowBounds] = []
+    def _group_constraints(
+        self, queries: Sequence[AggregateQuery], partial_rows: np.ndarray
+    ) -> list[tuple[np.ndarray, float, float]]:
+        """The mask constraints of a group's predicate (none without partial rows).
+
+        Every query's own predicate is checked: one that spells out an
+        unbounded column the samples lack raises, as it would alone.
+        """
+        if not partial_rows.shape[0]:
+            return []
+        predicate = queries[0].predicate
+        constraints = self._mask_constraints(predicate)
+        for query in queries[1:]:
+            if query.predicate is not predicate:
+                self._mask_constraints(query.predicate)
+        return constraints
+
+    def _answer_group(
+        self,
+        queries: Sequence[AggregateQuery],
+        frontiers: Sequence[FlatFrontier],
+        leaves: np.ndarray,
+        constraints: Sequence[tuple[np.ndarray, float, float]],
+        partial: tuple[list[int], list[float], list[int]],
+        pairs: tuple[list[tuple[float, float]], list[tuple[float, float]]],
+        lam: float,
+    ) -> list[AQPResult]:
+        """One group's answers from its SUM and COUNT ``pairs``, in reference order.
+
+        ``leaves`` / ``partial`` are the group's partial rows' leaf indices
+        and ``(sizes, node sums, sample counts)`` lists.  Hard bounds and the
+        [SUM, COUNT] totals are kept per covered rows: an AVG divides the two
+        of its frontier, and an AVG descent the zero-variance rule stopped
+        early covers other rows.
+        """
+        sum_pairs, count_pairs = pairs
+        processed = sum(partial[2])
+        skipped = int(self._node_count[0]) - sum(partial[0])
+        shared: list[tuple[np.ndarray, _RowBounds, list]] = []
         results = []
         for query, frontier in zip(queries, frontiers):
             agg = query.agg
-            covered = frontier.covered
-            for shared in row_bounds:
-                if shared.covered_rows is covered or np.array_equal(
-                    shared.covered_rows, covered
-                ):
+            for covered, row_bounds, totals in shared:
+                if covered is frontier.covered:
                     break
             else:
-                shared = _RowBounds(self, covered, partial_rows)
-                row_bounds.append(shared)
-            bounds = shared.bounds(agg)
-            if agg in (AggregateType.MIN, AggregateType.MAX):
+                covered, totals = frontier.covered, [None, None]
+                row_bounds = _RowBounds(self, covered, frontiers[0].partial, partial)
+                shared.append((covered, row_bounds, totals))
+            bounds = row_bounds.bounds(agg)
+            if agg is AggregateType.MIN or agg is AggregateType.MAX:
                 results.append(
                     self._extremum_answer(
                         agg, frontier, leaves, constraints, bounds, processed, skipped
                     )
                 )
                 continue
-            if agg == AggregateType.AVG:
-                estimate, variance = self._avg_estimate(
-                    frontier, partial, sum_pairs, count_pairs
+            if agg is not AggregateType.COUNT and totals[0] is None:
+                totals[0] = self._sum_count_estimate(
+                    AggregateType.SUM, frontier, partial, sum_pairs
                 )
+            if agg is not AggregateType.SUM and totals[1] is None:
+                totals[1] = self._sum_count_estimate(
+                    AggregateType.COUNT, frontier, partial, count_pairs
+                )
+            if agg is AggregateType.AVG:
+                estimate, variance = self._avg_estimate(frontier, *totals)
             else:
-                estimate, variance = self._sum_count_estimate(
-                    agg,
-                    frontier,
-                    partial,
-                    sum_pairs if agg == AggregateType.SUM else count_pairs,
-                )
+                estimate, variance = totals[agg is AggregateType.COUNT]
 
             exact = frontier.is_exact
             if exact:
@@ -1406,63 +1459,98 @@ class FlatSynopsis:
 
     def _gathered_mask(
         self,
-        constraints: Sequence[tuple[np.ndarray, float, float]],
+        spans: Sequence[tuple[Sequence[tuple[np.ndarray, float, float]], int]],
+        row_group: np.ndarray | None,
         index: np.ndarray,
         leads: np.ndarray,
     ) -> np.ndarray:
-        """:meth:`_leaf_mask` over the gathered rows, False at the ``leads``."""
-        mask = self._leaf_mask(
-            [(values.take(index), low, high) for values, low, high in constraints],
-            0,
-            index.shape[0],
-        )
+        """:meth:`_leaf_mask` over the gathered rows, False at the ``leads``.
+
+        ``spans`` as in :meth:`_batched_partial_moments`.  With several
+        groups, gathered row ``i`` is tested against the bounds of group
+        ``row_group[i]``, spread per column over the rows; NaN bounds — no
+        :class:`~repro.query.predicate.Interval` has them — mark a group that
+        leaves the column unconstrained, whose rows pass whatever they hold.
+        """
+        if len(spans) == 1:
+            mask = self._leaf_mask(
+                [(values.take(index), low, high) for values, low, high in spans[0][0]],
+                0,
+                index.shape[0],
+            )
+            mask[leads] = False
+            return mask
+        unset = [math.nan] * len(spans)
+        stacked: dict[int, tuple[np.ndarray, list[float], list[float]]] = {}
+        for g, (constraints, _) in enumerate(spans):
+            for values, low, high in constraints:
+                _, lows, highs = stacked.setdefault(
+                    id(values), (values, unset.copy(), unset.copy())
+                )
+                lows[g], highs[g] = low, high
+        mask = np.ones(index.shape[0], dtype=bool)
+        for values, lows, highs in stacked.values():
+            window = values.take(index)
+            low = np.array(lows).take(row_group)
+            column_mask = np.greater_equal(window, low)
+            column_mask &= np.less_equal(window, np.array(highs).take(row_group))
+            column_mask |= np.isnan(low)
+            mask &= column_mask
         mask[leads] = False
         return mask
 
     def _batched_partial_moments(
         self,
-        partial: tuple[list[int], list[int], list[float], list[int]],
-        constraints: Sequence[tuple[np.ndarray, float, float]],
+        partial: tuple[list[int], list[int], list[int]],
+        spans: Sequence[tuple[Sequence[tuple[np.ndarray, float, float]], int]],
         need_sum: bool,
         need_count: bool,
-    ) -> tuple[list[tuple[float, float]], list[tuple[float, float]]]:
+    ) -> list[tuple[list[tuple[float, float]], list[tuple[float, float]]]]:
         """Stratified ``(estimate, variance)`` pairs for sampled partial leaves.
 
-        One pair per leaf of ``partial`` (:meth:`answer_shared`'s
-        per-partial-row lists) with ``size > 0`` and a non-empty sample, in
-        frontier order.
-        Evaluates the predicate mask and the squared deviations once over the
-        zero-led frontier gather of those leaves, then reduces every leaf's
-        segment with one ``np.add.reduceat`` per sum — the same pairwise
-        summation over the same values in the same order as the per-leaf
-        scalar path, so every returned pair is bit-identical to
-        :func:`_stratum_contribution` on that leaf, with no per-leaf Python.
+        ``partial`` holds :meth:`answer_shared`'s per-partial-row ``(sizes,
+        leaf indices, sample counts)``, the groups' rows one after another;
+        ``spans`` one ``(constraints, stop)`` per group: its mask constraints
+        and the end of its rows.  Per group, one pair per row with ``size >
+        0`` and a non-empty sample, in frontier order.  The mask and squared
+        deviations are evaluated once over the zero-led frontier gather — one
+        segment per (group, leaf), under its group's bounds — and every
+        segment reduces with one ``np.add.reduceat`` per sum: the pairwise
+        summation of the per-leaf scalar path, so every pair is bit-identical
+        to :func:`_stratum_contribution` on its leaf.
         """
-        sizes, leaves, _, sample_counts = partial
+        sizes, leaves, sample_counts = partial
         samples = self._samples
-        sum_pairs: list[tuple[float, float]] = []
-        count_pairs: list[tuple[float, float]] = []
         if len(leaves) <= _SCALAR_FRONTIER_LEAVES:
             offsets = samples.offsets
             values_column = (
                 samples.columns[self._value_column] if need_sum else None
             )
-            for size, leaf, n_sample in zip(sizes, leaves, sample_counts):
-                if size == 0 or n_sample == 0:
-                    continue
-                start = int(offsets[leaf])
-                stop = start + n_sample
-                data = self._leaf_mask(constraints, start, stop).astype(float)
-                if need_count:
-                    count_pairs.append(
-                        _stratum_contribution(data, size, self._with_fpc)
-                    )
-                if need_sum:
-                    np.multiply(data, values_column[start:stop], out=data)
-                    sum_pairs.append(
-                        _stratum_contribution(data, size, self._with_fpc)
-                    )
-            return sum_pairs, count_pairs
+            group_pairs = []
+            first = 0
+            for constraints, stop in spans:
+                sum_pairs: list[tuple[float, float]] = []
+                count_pairs: list[tuple[float, float]] = []
+                for size, leaf, n_sample in zip(
+                    sizes[first:stop], leaves[first:stop], sample_counts[first:stop]
+                ):
+                    if size == 0 or n_sample == 0:
+                        continue
+                    start = int(offsets[leaf])
+                    end = start + n_sample
+                    data = self._leaf_mask(constraints, start, end).astype(float)
+                    if need_count:
+                        count_pairs.append(
+                            _stratum_contribution(data, size, self._with_fpc)
+                        )
+                    if need_sum:
+                        np.multiply(data, values_column[start:end], out=data)
+                        sum_pairs.append(
+                            _stratum_contribution(data, size, self._with_fpc)
+                        )
+                group_pairs.append((sum_pairs, count_pairs))
+                first = stop
+            return group_pairs
         all_sizes = np.array(sizes, dtype=np.int64)
         sampled = (all_sizes > 0) & (np.array(sample_counts, dtype=np.int64) > 0)
         strata_sizes = all_sizes[sampled].astype(float)
@@ -1470,7 +1558,13 @@ class FlatSynopsis:
             np.array(leaves, dtype=np.int64)[sampled]
         )
         leads = loc[:-1]
-        indicator = self._gathered_mask(constraints, index, leads).astype(float)
+        row_group = None
+        if len(spans) > 1:
+            stops = [0] + [stop for _, stop in spans]
+            segment_group = np.repeat(np.arange(len(spans)), np.diff(stops))[sampled]
+            row_group = np.repeat(segment_group, counts + 1)
+        indicator = self._gathered_mask(spans, row_group, index, leads).astype(float)
+        sum_pairs = count_pairs = []
         if need_sum:
             contributions = samples.columns[self._value_column].take(index)
             # Zeroed, not masked: a lead slot's row may hold an inf, and
@@ -1482,7 +1576,11 @@ class FlatSynopsis:
             )
         if need_count:
             count_pairs = self._segment_pairs(indicator, leads, counts, strata_sizes)
-        return sum_pairs, count_pairs
+        if len(spans) == 1:
+            return [(sum_pairs, count_pairs)]
+        # Group g's pairs are those of the sampled rows among its rows.
+        cuts = np.concatenate(([0], np.cumsum(sampled)))[stops].tolist()
+        return [(sum_pairs[a:b], count_pairs[a:b]) for a, b in zip(cuts, cuts[1:])]
 
     def _segment_pairs(
         self,
@@ -1528,16 +1626,14 @@ class FlatSynopsis:
         self,
         agg: AggregateType,
         frontier: FlatFrontier,
-        partial: tuple[list[int], list[int], list[float], list[int]],
+        partial: tuple[list[int], list[float], list[int]],
         pairs: Sequence[tuple[float, float]],
     ) -> tuple[float, float]:
         """SUM / COUNT estimate + variance, mirroring the object accumulation.
 
-        ``partial`` holds the per-partial-row ``(sizes, leaf indices, node
-        sums, sample counts)`` lists :meth:`answer_shared` gathered, and
-        ``pairs`` the sampled partial leaves' SUM (or COUNT) pairs of
-        :meth:`_batched_partial_moments`.
-
+        ``partial`` holds the frontier's per-partial-row ``(sizes, node sums,
+        sample counts)`` lists, and ``pairs`` its sampled partial leaves' SUM
+        (or COUNT) pairs of :meth:`_batched_partial_moments`.
         Covered nodes contribute exactly (Python-scalar sums in row order);
         each sampled partial leaf adds its stratified contribution; an
         unsampled one adds the hard-bound midpoint and poisons the variance
@@ -1549,9 +1645,8 @@ class FlatSynopsis:
         else:
             estimate = float(sum(self._node_count[frontier.covered].tolist()))
         variance = 0.0
-        sizes, _, node_sums, sample_counts = partial
         next_pair = 0
-        for size, node_sum, n_sample in zip(sizes, node_sums, sample_counts):
+        for size, node_sum, n_sample in zip(*partial):
             if size == 0:
                 estimate = estimate + 0.0
                 variance = variance + 0.0
@@ -1567,47 +1662,21 @@ class FlatSynopsis:
             variance = variance + part_var
         return estimate, variance
 
+    @staticmethod
     def _avg_estimate(
-        self,
         frontier: FlatFrontier,
-        partial: tuple[list[int], list[int], list[float], list[int]],
-        sum_pairs: Sequence[tuple[float, float]],
-        count_pairs: Sequence[tuple[float, float]],
+        numerator: tuple[float, float],
+        denominator: tuple[float, float],
     ) -> tuple[float, float]:
-        """AVG as the SUM/COUNT delta-method ratio, with one mask per leaf.
+        """AVG as the delta-method ratio of SUM and COUNT over its frontier.
 
-        The reference runs two independent passes (SUM then COUNT), each
-        re-evaluating the predicate mask; both accumulate the exact same
-        per-leaf masks, so computing the mask once (the one pass of
-        :meth:`answer_shared`, whose pairs arrive here) and feeding both
-        accumulators yields bit-identical numerator and denominator.
+        ``numerator`` / ``denominator`` are :meth:`_sum_count_estimate`'s
+        SUM and COUNT over the AVG's own frontier — the two accumulations
+        the reference divides, so an AVG shares them with a SUM / COUNT of
+        the same frontier.
         """
-        num = sum(self._node_sum[frontier.covered].tolist())
-        num_var = 0.0
-        den = float(sum(self._node_count[frontier.covered].tolist()))
-        den_var = 0.0
-        sizes, _, node_sums, sample_counts = partial
-        next_pair = 0
-        for size, node_sum, n_sample in zip(sizes, node_sums, sample_counts):
-            if size == 0:
-                num = num + 0.0
-                num_var = num_var + 0.0
-                den = den + 0.0
-                den_var = den_var + 0.0
-                continue
-            if n_sample == 0:
-                num = num + 0.5 * node_sum
-                num_var = float("nan")
-                den = den + 0.5 * size
-                den_var = float("nan")
-                continue
-            sum_est, sum_var = sum_pairs[next_pair]
-            cnt_est, cnt_var = count_pairs[next_pair]
-            next_pair += 1
-            num = num + sum_est
-            num_var = num_var + sum_var
-            den = den + cnt_est
-            den_var = den_var + cnt_var
+        num, num_var = numerator
+        den, den_var = denominator
         if den == 0:
             return float("nan"), float("nan")
         if frontier.is_exact:
@@ -1660,8 +1729,9 @@ class FlatSynopsis:
             # sample order — the very array the per-leaf path reduces — and
             # the leaf boundaries inside it are where the (sorted) matched
             # positions cross ``loc``; a lead slot is never matched.
+            spans = [(constraints, leaves.shape[0])]
             matched_rows = np.flatnonzero(
-                self._gathered_mask(constraints, index, loc[:-1])
+                self._gathered_mask(spans, None, index, loc[:-1])
             )
             cuts = matched_rows.searchsorted(loc)
             starts = cuts[:-1][cuts[1:] > cuts[:-1]]
@@ -1800,225 +1870,3 @@ class FlatSynopsis:
                     self._leaf_mask(constraints, start, stop)
                 ]
             yield leaf, size, low, high, stop - start, matched
-
-    # ------------------------------------------------------------------
-    # Grouped execution kernels (driven by repro.core.batching.grouped_query)
-    # ------------------------------------------------------------------
-    def grouped_leaf_moments(
-        self,
-        items: Sequence[tuple[RectPredicate, FlatFrontier]],
-        need_extrema: bool,
-    ) -> dict[tuple[int, int], _LeafMoments | None]:
-        """Per-(cell slot, leaf) masked-sample moments, one matrix pass per leaf.
-
-        ``items`` holds one ``(predicate, frontier)`` pair per slot.  Per
-        partially-overlapped leaf, the match masks of every cell touching it
-        are evaluated in one broadcasted comparison over the leaf's CSR
-        slice and reduced with matrix products.  ``None`` marks an unsampled
-        leaf (the caller falls back to the hard-bound midpoint, exactly like
-        the sequential estimator).
-        """
-        per_leaf: dict[int, list[int]] = {}
-        leaf_of_row = self._leaf_of_row
-        for slot, (_, frontier) in enumerate(items):
-            for leaf in leaf_of_row[frontier.partial].tolist():
-                per_leaf.setdefault(leaf, []).append(slot)
-
-        moments: dict[tuple[int, int], _LeafMoments | None] = {}
-        samples = self._samples
-        offsets = samples.offsets
-        value_values = samples.columns.get(self._value_column)
-        for leaf_index, slots in per_leaf.items():
-            start = int(offsets[leaf_index])
-            n_samples = int(self._sample_counts[leaf_index])
-            stop = start + n_samples
-            if n_samples == 0:
-                for slot in slots:
-                    moments[(slot, leaf_index)] = None
-                continue
-            matrix = np.ones((len(slots), n_samples), dtype=bool)
-            columns: dict[str, None] = {}
-            for slot in slots:
-                for column, _, _ in items[slot][0].canonical_key():
-                    columns.setdefault(column, None)
-            for column in columns:
-                values = samples.columns[column][start:stop]
-                intervals = [items[slot][0].interval(column) for slot in slots]
-                lows = np.array([interval.low for interval in intervals])
-                highs = np.array([interval.high for interval in intervals])
-                matrix &= (values[None, :] >= lows[:, None]) & (
-                    values[None, :] <= highs[:, None]
-                )
-            sample_values = value_values[start:stop]
-            matched = matrix.sum(axis=1)
-            sums = matrix @ sample_values
-            sums_sq = matrix @ (sample_values * sample_values)
-            if need_extrema:
-                minima = np.where(matrix, sample_values[None, :], np.inf).min(axis=1)
-                maxima = np.where(matrix, sample_values[None, :], -np.inf).max(
-                    axis=1
-                )
-            else:
-                minima = maxima = np.zeros(len(slots))
-            for row, slot in enumerate(slots):
-                moments[(slot, leaf_index)] = (
-                    int(matched[row]),
-                    float(sums[row]),
-                    float(sums_sq[row]),
-                    float(minima[row]),
-                    float(maxima[row]),
-                    float(n_samples),
-                )
-        return moments
-
-    def _stratified_total(
-        self,
-        agg: AggregateType,
-        frontier: FlatFrontier,
-        cell_moments: Sequence[_LeafMoments | None],
-        with_fpc: bool,
-    ) -> tuple[float, float]:
-        """SUM / COUNT estimate + variance from per-leaf moments.
-
-        Same stratified formulas as :meth:`_sum_count_estimate`: covered
-        nodes contribute exactly, sampled partial leaves contribute
-        ``N_i * mean(phi)`` with variance ``N_i^2 * var(phi) / K_i``, and
-        unsampled partial leaves fall back to the hard-bound midpoint with
-        unknown (NaN) variance.  ``cell_moments`` aligns with
-        ``frontier.partial``.
-        """
-        is_sum = agg == AggregateType.SUM
-        if is_sum:
-            estimate = sum(self._node_sum[frontier.covered].tolist())
-        else:
-            estimate = sum(
-                float(count) for count in self._node_count[frontier.covered].tolist()
-            )
-        variance = 0.0
-        sizes = self._node_count[frontier.partial].tolist()
-        node_sums = self._node_sum[frontier.partial].tolist()
-        for size, node_sum, data in zip(sizes, node_sums, cell_moments):
-            if size == 0:
-                continue
-            if data is None:
-                estimate += 0.5 * (node_sum if is_sum else size)
-                variance = float("nan")
-                continue
-            matched, sums, sums_sq, _, _, n_samples = data
-            if is_sum:
-                mean = sums / n_samples
-                mean_sq = sums_sq / n_samples
-            else:
-                mean = matched / n_samples
-                mean_sq = mean
-            sample_variance = (
-                max(mean_sq - mean * mean, 0.0) if n_samples > 1 else 0.0
-            )
-            estimate += size * mean
-            contribution = size * size * sample_variance / n_samples
-            if with_fpc:
-                contribution *= finite_population_correction(size, int(n_samples))
-            variance += contribution
-        return estimate, variance
-
-    def assemble_cell_row(
-        self,
-        aggs: Sequence[AggregateType],
-        frontier: FlatFrontier,
-        moments: dict[tuple[int, int], _LeafMoments | None],
-        slot: int,
-        lam: float,
-        with_fpc: bool,
-        population: int,
-    ) -> tuple[AQPResult, ...]:
-        """One group cell's per-aggregate answers from rows and moments.
-
-        The per-cell invariants (processed / skipped counts, the SUM and
-        COUNT totals that AVG shares) are computed once for the whole
-        aggregate list.
-        """
-        partial_rows = frontier.partial
-        leaf_ids = self._leaf_of_row[partial_rows].tolist()
-        cell_moments = [moments[(slot, leaf)] for leaf in leaf_ids]
-        processed = sum(int(data[5]) for data in cell_moments if data is not None)
-        partial_sizes = self._node_count[partial_rows].tolist()
-        skipped = population - sum(partial_sizes)
-        exact = frontier.is_exact
-        totals: dict[AggregateType, tuple[float, float]] = {}
-
-        def total(agg: AggregateType) -> tuple[float, float]:
-            if agg not in totals:
-                totals[agg] = self._stratified_total(
-                    agg, frontier, cell_moments, with_fpc
-                )
-            return totals[agg]
-
-        row_bounds = _RowBounds(self, frontier.covered, partial_rows)
-        row = []
-        for agg in aggs:
-            bounds = row_bounds.bounds(agg)
-            if agg in (AggregateType.MIN, AggregateType.MAX):
-                is_max = agg == AggregateType.MAX
-                stats_values = (self._node_max if is_max else self._node_min)[
-                    frontier.covered
-                ].tolist()
-                candidates = [
-                    value for value in stats_values if not math.isinf(value)
-                ]
-                for data in cell_moments:
-                    if data is not None and data[0] > 0:
-                        candidates.append(data[4] if is_max else data[3])
-                estimate = (
-                    (max(candidates) if is_max else min(candidates))
-                    if candidates
-                    else float("nan")
-                )
-                row.append(
-                    AQPResult(
-                        estimate=estimate,
-                        ci_half_width=0.0 if exact else float("nan"),
-                        variance=0.0 if exact else float("nan"),
-                        hard_lower=bounds.lower,
-                        hard_upper=bounds.upper,
-                        tuples_processed=processed,
-                        tuples_skipped=skipped,
-                        exact=exact,
-                    )
-                )
-                continue
-
-            if agg == AggregateType.AVG:
-                num, num_var = total(AggregateType.SUM)
-                den, den_var = total(AggregateType.COUNT)
-                if den == 0:
-                    estimate, variance = float("nan"), float("nan")
-                elif exact:
-                    estimate, variance = num / den, 0.0
-                else:
-                    combined = ratio_estimate(
-                        EstimateWithVariance(num, num_var),
-                        EstimateWithVariance(den, den_var),
-                    )
-                    estimate, variance = combined.estimate, combined.variance
-            else:
-                estimate, variance = total(agg)
-
-            if exact:
-                half_width, variance = 0.0, 0.0
-            elif math.isnan(variance):
-                half_width = float("nan")
-            else:
-                half_width = lam * math.sqrt(max(variance, 0.0))
-            row.append(
-                AQPResult(
-                    estimate=estimate,
-                    ci_half_width=half_width,
-                    variance=variance,
-                    hard_lower=bounds.lower,
-                    hard_upper=bounds.upper,
-                    tuples_processed=processed,
-                    tuples_skipped=skipped,
-                    exact=exact,
-                )
-            )
-        return tuple(row)

@@ -14,10 +14,11 @@ into disjoint intervals, grouping by distinct values partitions it into
 points, and the cross product of the per-column pieces tiles the grouped
 space into boxes.  A :class:`GroupByQuery` therefore compiles into a batch of
 canonical :class:`~repro.query.query.AggregateQuery` objects — one per
-(group cell x aggregate) — that the existing vectorized batch paths execute
-with shared mask work:
+(group cell x aggregate) — that the existing batch paths execute with
+shared mask work, every answer bit-identical to per-query execution:
 
-* :func:`repro.core.batching.grouped_query` on a single synopsis,
+* :func:`repro.core.batching.grouped_query` on a single synopsis (one
+  moment pass over all of a plan's cells),
 * :meth:`repro.serving.engine.ServingEngine.execute_grouped` through the
   serving layer (per-group result caching included), and
 * :meth:`repro.distributed.sharded.ShardedSynopsis.query_grouped`, which
@@ -354,7 +355,7 @@ class GroupByPlan:
         if cell.predicate is None:
             raise ValueError("cannot build a query for a provably empty cell")
         return AggregateQuery(
-            spec.agg, spec.value_column, cell.predicate, quantile=spec.quantile
+            spec.agg, spec.value_column, cell.predicate, spec.quantile
         )
 
     def queries(self, skip: Iterable[int] = ()) -> list[AggregateQuery]:

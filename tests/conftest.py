@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 try:
-    from hypothesis import HealthCheck, settings
+    from hypothesis import HealthCheck, Phase, settings
 except ImportError:  # pragma: no cover - hypothesis is an optional test dep
     pass
 else:
@@ -29,6 +29,16 @@ else:
         suppress_health_check=[HealthCheck.too_slow],
     )
     settings.register_profile("dev", deadline=None)
+    # The "mutants" profile is "dev" without shrinking: a deliberately broken
+    # kernel fails the first falsifying example, and shrinking it over the
+    # cached fixtures would take minutes per test.  Select it with
+    # HYPOTHESIS_PROFILE=mutants when checking that the suite kills a
+    # mutant.
+    settings.register_profile(
+        "mutants",
+        deadline=None,
+        phases=[phase for phase in Phase if phase is not Phase.shrink],
+    )
     settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 from repro.data.generators import adversarial, intel_wireless_like, nyc_taxi_like

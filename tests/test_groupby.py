@@ -10,6 +10,7 @@ cell, and frontier-statistics pruning of provably empty cells.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -191,15 +192,17 @@ def test_grouped_query_matches_sequential(synopsis, groupby):
         for result in grouped.cells[index]:
             sequential = synopsis.query(flat[position])
             position += 1
-            # The vectorized executor assembles the same stratified formulas
-            # from per-leaf matrix moments, so answers agree up to
-            # floating-point summation order.
-            for attr in ("estimate", "variance", "hard_lower", "hard_upper"):
+            # One answer_shared pass over every cell: the bits of the
+            # per-query kernel.
+            for attr in (
+                "estimate",
+                "ci_half_width",
+                "variance",
+                "hard_lower",
+                "hard_upper",
+            ):
                 got, want = getattr(result, attr), getattr(sequential, attr)
-                if math.isnan(want):
-                    assert math.isnan(got), attr
-                else:
-                    assert got == pytest.approx(want, rel=1e-6, abs=1e-9), attr
+                assert struct.pack("<d", got) == struct.pack("<d", want), attr
             assert result.exact == sequential.exact
             assert result.tuples_processed == sequential.tuples_processed
             assert result.tuples_skipped == sequential.tuples_skipped
@@ -260,7 +263,11 @@ def _hand_synopsis_with_empty_leaf() -> PASSSynopsis:
                 "value": np.array([1.0, 2.0, 3.0, 4.0]),
             },
         ),
-        Stratum(box=boxes[1], size=0, sample_columns={}),
+        Stratum(
+            box=boxes[1],
+            size=0,
+            sample_columns={"key": np.zeros(0), "value": np.zeros(0)},
+        ),
         Stratum(
             box=boxes[2],
             size=4,

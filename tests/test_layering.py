@@ -31,6 +31,7 @@ DELETED_NAMES = re.compile(
     r"|_pass_of|_flat_of"
     r"|_merge_additive|_merge_avg|_merge_extremum|_gather_union|_subqueries"
     r"|is_sharded"
+    r"|grouped_leaf_moments|assemble_cell_row|_stratified_total|hard_bounds_rows"
 )
 NPZ_KEY_PREFIXES = re.compile(r"\"(tree|strata|samples|reservoir)/")
 

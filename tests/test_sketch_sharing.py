@@ -21,7 +21,6 @@ import math
 import struct
 
 import numpy as np
-import pytest
 
 import repro.sketches.union as union_module
 from repro.core.batching import batch_query, grouped_query
@@ -271,14 +270,10 @@ class TestBatchedSketchAnswersCarryPerQueryBits:
                     assert_same_bits(
                         served.cells[index][position], want, f"execute_grouped {query!r}"
                     )
-                    # grouped_query's classic cells share moments and promise
-                    # summation-order equality only; its sketch cells the bits.
+                    assert_same_bits(
+                        direct.cells[index][position], want, f"grouped_query {query!r}"
+                    )
                     if spec.agg in SKETCH_AGGREGATES:
-                        assert_same_bits(
-                            direct.cells[index][position],
-                            want,
-                            f"grouped_query {query!r}",
-                        )
                         assert_same_bits(
                             want,
                             oracle.query_object(reference, query),
@@ -298,16 +293,8 @@ class TestBatchedSketchAnswersCarryPerQueryBits:
                     assert_same_bits(
                         served.cells[index][position], want, f"execute_grouped {query!r}"
                     )
-                    # query_grouped is grouped_query: its classic cells
-                    # promise summation-order equality only, its sketch
-                    # cells the bits.
                     got = gathered.cells[index][position]
-                    if spec.agg in SKETCH_AGGREGATES:
-                        assert_same_bits(got, want, f"query_grouped {query!r}")
-                    else:
-                        assert got.estimate == pytest.approx(
-                            want.estimate, rel=1e-9, nan_ok=True
-                        ), f"query_grouped {query!r}"
+                    assert_same_bits(got, want, f"query_grouped {query!r}")
 
 
 def _percentile_plan(cells: int):

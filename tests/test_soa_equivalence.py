@@ -14,9 +14,8 @@ poisoning, same ``nodes_visited`` count.  These tests compare float bits
 NaN payloads would fail, across random trees, predicates, batches, the
 zero-variance shortcut, post-insert/delete staleness states, a sharded
 synopsis' stitched tree and an ``export_buffers`` round trip, and on both sides of the
-partial-leaf kernels' frontier-size cutoff.  ``grouped_query`` alone shares
-per-cell moments across its classic aggregates and is held to
-summation-order equality for those (its sketch aggregates are bit-identical).
+partial-leaf kernels' frontier-size cutoff.  ``grouped_query``, whose one
+moment pass spans every cell of a plan, is held to the same bits.
 """
 
 from __future__ import annotations
@@ -36,7 +35,13 @@ from hypothesis import given, strategies as st
 from repro.core.batching import batch_query, compile_batch, grouped_query
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
-from repro.core.soa import FlatFrontier, FlatSynopsis, _fast_mean, _fast_var
+from repro.core.soa import (
+    FlatFrontier,
+    FlatSynopsis,
+    _RowBounds,
+    _fast_mean,
+    _fast_var,
+)
 from repro.core.updates import DynamicPASS, StaleExtremaWarning
 from repro.data.table import Table
 from repro.distributed.parallel import build_sharded_pass
@@ -48,7 +53,6 @@ from repro.sampling.estimators import (
     stratum_count_contribution,
     stratum_sum_contribution,
 )
-from repro.sketches.union import sketch_union_result
 
 import oracle
 
@@ -232,11 +236,11 @@ class TestGroupedMatchesOracle:
         seed=st.integers(min_value=0, max_value=2),
     )
     def test_grouped_plan_matches_per_cell_oracle(self, n_bins, seed):
-        """Grouped cells equal per-cell ``query_object`` up to summation order.
+        """Grouped cells carry the bits of per-cell ``query_object``.
 
-        The grouped kernel shares one set of per-leaf moments across a
-        cell's aggregates, so floats agree to rounding; everything read
-        straight from partition statistics is exact.
+        Every cell's classic aggregates are one group of a single
+        ``answer_shared`` pass, each cell's sample rows tested against its
+        own bounds.
         """
         synopsis, objects = _built(2, 64, seed, False)
         edges = [100.0 * i / n_bins for i in range(n_bins + 1)]
@@ -252,18 +256,45 @@ class TestGroupedMatchesOracle:
         grouped = grouped_query(synopsis, plan)
         for index, cell in plan.live_cells():
             for spec, got in zip(plan.aggregates, grouped.cells[index]):
-                want = oracle.query_object(objects, plan.cell_query(cell, spec))
-                context = f"{cell.labels} {spec.name} "
-                for field in RESULT_FLOAT_FIELDS:
-                    assert getattr(got, field) == pytest.approx(
-                        getattr(want, field), rel=1e-9, nan_ok=True
-                    ), context + field
-                assert got.exact == want.exact, context
-                assert got.tuples_processed == want.tuples_processed, context
-                assert got.tuples_skipped == want.tuples_skipped, context
-                if spec.agg in (AggregateType.SUM, AggregateType.COUNT):
-                    assert _bits(got.hard_lower) == _bits(want.hard_lower), context
-                    assert _bits(got.hard_upper) == _bits(want.hard_upper), context
+                assert_results_identical(
+                    got,
+                    oracle.query_object(objects, plan.cell_query(cell, spec)),
+                    context=f"{cell.labels} {spec.name} ",
+                )
+
+    @pytest.mark.parametrize("n_columns", [1, 2])
+    def test_avg_cells_take_their_own_frontier_under_the_zero_variance_rule(
+        self, n_columns
+    ):
+        """A cell's AVG answers from the descent the zero-variance rule stops.
+
+        The constant slab ``c0 < 30`` stops the AVG descent of every cell
+        with an edge inside it, so those AVGs answer from other partial rows
+        than their cell's SUM / COUNT, within the same ``answer_shared``
+        pass, and still carry the oracle's bits.
+        """
+        synopsis, objects = _batch_built(n_columns, 64, 0)
+        groupings = [GroupingColumn.bins("c0", [5.3, 10.3, 21.7, 27.9, 44.1, 70.7])]
+        if n_columns == 2:
+            groupings.append(GroupingColumn.bins("c1", [0.0, 50.0, 100.0]))
+        plan = GroupByQuery(
+            groupings=tuple(groupings),
+            aggregates=tuple(AggregateSpec(agg, "value") for agg in CLASSIC_AGGS),
+        ).compile()
+        grouped = grouped_query(synopsis, plan)
+        replayed = 0
+        for index, cell in plan.live_cells():
+            avg_frontier = synopsis.frontier(cell.predicate, zero_variance=True)
+            replayed += not np.array_equal(
+                avg_frontier.partial, synopsis.frontier(cell.predicate).partial
+            )
+            for spec, got in zip(plan.aggregates, grouped.cells[index]):
+                assert_results_identical(
+                    got,
+                    oracle.query_object(objects, plan.cell_query(cell, spec)),
+                    context=f"{cell.labels} {spec.name} ",
+                )
+        assert replayed
 
     @given(
         n_bins=st.integers(min_value=2, max_value=6),
@@ -294,6 +325,38 @@ class TestGroupedMatchesOracle:
                     got,
                     oracle.query_object(objects, plan.cell_query(cell, spec)),
                     context=f"{cell.labels} {spec.name} ",
+                )
+
+
+class TestAnswerSharedGroups:
+    @given(
+        fractions=st.lists(_fraction_pair, min_size=2, max_size=2),
+        seed=st.integers(min_value=0, max_value=2),
+    )
+    def test_groups_constraining_different_columns(self, fractions, seed):
+        """One pass over groups whose predicates constrain different columns.
+
+        A group that leaves a column unconstrained lets its rows pass that
+        column's test, whatever bounds the other groups put there.
+        """
+        synopsis, objects = _built(2, 64, seed, False)
+        (s0, w0), (s1, w1) = fractions
+        predicates = [
+            RectPredicate({"c0": Interval(100.0 * s0, 100.0 * (s0 + w0))}),
+            RectPredicate({"c1": Interval(100.0 * s1, 100.0 * (s1 + w1))}),
+            _predicate(2, fractions),
+            RectPredicate.everything(),
+        ]
+        groups = []
+        for predicate in predicates:
+            queries = [AggregateQuery(agg, "value", predicate) for agg in CLASSIC_AGGS]
+            groups.append((queries, [synopsis.query_frontier(q) for q in queries]))
+        for (queries, _), answers in zip(groups, synopsis.answer_shared(groups)):
+            for query, got in zip(queries, answers):
+                assert_results_identical(
+                    got,
+                    oracle.query_object(objects, query),
+                    context=f"{query.agg.value} {query.predicate} ",
                 )
 
 
@@ -934,9 +997,9 @@ class TestUfuncReplicas:
             if constrained
             else []
         )
-        sum_pairs, count_pairs = flat._batched_partial_moments(
-            (strata_sizes, leaves, None, sample_counts[leaves].tolist()),
-            constraints,
+        ((sum_pairs, count_pairs),) = flat._batched_partial_moments(
+            (strata_sizes, leaves, sample_counts[leaves].tolist()),
+            [(constraints, len(leaves))],
             need_sum=True,
             need_count=True,
         )
@@ -972,7 +1035,12 @@ class TestUfuncReplicas:
             frontier,
             leaves,
             constraints,
-            flat.hard_bounds_rows(AggregateType.parse(agg), rows[:0], rows),
+            _RowBounds(
+                flat,
+                rows[:0],
+                rows,
+                (flat._node_count[rows].tolist(), flat._node_sum[rows].tolist(), []),
+            ).bounds(AggregateType.parse(agg)),
             0,
             0,
         )

@@ -1,4 +1,4 @@
-"""Unused-import check for ``src/``: a stdlib ``ast`` mirror of ruff's F401.
+"""Unused-import check for the Python sources: an ``ast`` mirror of ruff's F401.
 
 An import is used when the name it binds is read in the scope that imports
 it (a module-level import anywhere in the module, a function's import inside
@@ -11,7 +11,7 @@ the lint gate holds where ruff is unavailable.
 
 Run from the repository root::
 
-    python tools/check_unused_imports.py          # check, exit 1 on findings
+    python tools/check_unused_imports.py          # src tests benchmarks examples tools
     python tools/check_unused_imports.py PATH...  # other files or directories
 """
 
@@ -23,7 +23,7 @@ import re
 import sys
 from pathlib import Path
 
-DEFAULT_PATHS = ("src",)
+DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples", "tools")
 _NOQA = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
