@@ -1,14 +1,14 @@
-"""Multi-process serving tier: scaling over one shared-memory synopsis.
+"""Multi-process serving tier: scaling over one published synopsis.
 
 The multi-process tier exists for CPU-bound query traffic that one
-interpreter cannot serve past roughly a single core: the publisher lays the
-flat synopsis out in shared memory once, and a spawn-based worker pool
-answers queries over zero-copy views.  This benchmark measures what that
+interpreter cannot serve past roughly a single core: the publisher writes
+the synopsis once as a generation file, and a spawn-based worker pool
+answers queries over zero-copy views of its mapping.  This benchmark measures what that
 buys and verifies what it must not cost:
 
 * **Worker scaling** — the same large query batch is timed through an
   :class:`~repro.serving.server.MPServingPool` with 1 worker and with 4
-  workers (fresh pools each round; pool spin-up and segment attach happen
+  workers (fresh pools each round; pool spin-up and file attach happen
   in an untimed warm-up batch).  Rounds are paired and the median
   per-round ratio reported, same estimator as the async-tier benchmark:
   machine drift moves both sides of a round together.  ``--check``
@@ -20,7 +20,7 @@ buys and verifies what it must not cost:
   :class:`~repro.serving.engine.ServingEngine` over the same synopsis;
   every :class:`~repro.result.AQPResult` must be field-identical
   (NaN-aware).  This is asserted on every run, check mode
-  or not: shared-memory serving is only correct if it is indistinguishable
+  or not: multi-process serving is only correct if it is indistinguishable
   from in-process serving.
 
 Standalone modes for CI::
@@ -94,8 +94,8 @@ def query_workload(spec, n_queries: int, seed: int = 0) -> list[AggregateQuery]:
 def _pool_seconds(register_name: str, queries, n_workers: int) -> float:
     """One timed batch through a fresh pool; spawn + attach stay untimed.
 
-    The warm-up batch forces worker start-up, the first epoch-register
-    read, and the shared-segment attach outside the measured region, so
+    The warm-up batch forces worker start-up, the first manifest read,
+    and the generation-file attach outside the measured region, so
     the timed number is steady-state serving throughput.
     """
     with MPServingPool(register_name, n_workers=n_workers) as pool:
@@ -179,7 +179,7 @@ def main(argv: list[str] | None = None) -> int:
         epoch = publisher.publish(
             "intel_light", synopsis, table_name=spec.table.name
         )
-        print(f"published one shared-memory generation (epoch {epoch})")
+        print(f"published one generation file (epoch {epoch})")
 
         scaling, one_qps, four_qps = paired_scaling(
             publisher.register_name, queries
@@ -220,7 +220,7 @@ def main(argv: list[str] | None = None) -> int:
         if mismatches:
             print(
                 f"CHECK FAILED: {mismatches} pool results differ from the "
-                "in-process engine (shared-memory serving must be bit-identical)"
+                "in-process engine (multi-process serving must be bit-identical)"
             )
             failed = True
         cores = os.cpu_count() or 1

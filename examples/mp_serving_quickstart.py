@@ -1,7 +1,7 @@
-"""Multi-process serving quickstart: shared memory, worker pool, HTTP.
+"""Multi-process serving quickstart: generation files, worker pool, HTTP.
 
-Builds a small PASS synopsis, publishes its flat buffers into shared
-memory once, and walks the full multi-process serving story:
+Builds a small PASS synopsis, publishes it once as a mapped generation
+file, and walks the full multi-process serving story:
 
 1. a spawn-based worker pool answers queries over zero-copy read-only
    views — bit-identical to the in-process ``ServingEngine``;
@@ -76,7 +76,7 @@ def main() -> None:
 
     obs = Observability()
     with SynopsisPublisher() as publisher:
-        # 1. Publish once; every worker maps the same shared segment.
+        # 1. Publish once; every worker maps the same generation file.
         epoch = publisher.publish("sensors_power", synopsis, table_name="sensors")
         print(f"published generation at epoch {epoch}")
 

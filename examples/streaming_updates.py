@@ -32,8 +32,7 @@ import numpy as np
 from repro import AggregateQuery, ExactEngine, PASSConfig, RectPredicate, load_dataset
 from repro.core.updates import DynamicPASS
 from repro.data.table import Table
-from repro.serving.persistence import load_synopsis, save_synopsis
-from repro.serving.shm import parse_segment
+from repro.serving.persistence import load_synopsis, parse_segment, save_synopsis
 
 N_ROWS = 50_000
 N_INSERTS = 5_000

@@ -3,9 +3,9 @@
 A built synopsis *is* the handful of contiguous buffers described below
 (:class:`FlatSynopsis`): :func:`repro.core.builder.build_pass` emits them
 directly from one leaf-assignment pass over the table, and a fresh build, a
-file loaded by ``mmap``, a shared-memory attachment and a shard shipped
-across a process boundary all construct the same object from the same
-``(header, arrays)`` pair.  The hot kernels (frontier descent,
+file loaded by ``mmap``, a pool worker's attachment of a published file and
+a shard shipped across a process boundary all construct the same object from
+the same ``(header, arrays)`` pair.  The hot kernels (frontier descent,
 predicate mask evaluation, moment and extremum reductions) run over those
 arrays with zero Python-object traversal: the partial-leaf kernels gather the
 whole frontier's sample rows through one index, a 0.0 lead slot before each
@@ -356,7 +356,7 @@ class FlatSynopsis:
 
     Constructed over a ``(header, arrays)`` pair — the builder's for a
     fresh build, :meth:`export_buffers`' of another instance, or views parsed
-    out of a mapped file or shared-memory segment — taking every kernel array
+    out of a mapped file — taking every kernel array
     *by reference*: no sample or statistic array is copied, so a reader
     serves queries over a mapping without duplicating the synopsis.  Derived
     index structures (descent levels from the depth array, per-leaf sample
@@ -487,9 +487,8 @@ class FlatSynopsis:
         rows, and the CSR samples — plus the per-leaf sketches ragged-packed
         under ``sketch/<key>``, with the build facts in the header, so
         constructing a :class:`FlatSynopsis` over them (or over
-        byte-identical copies, e.g. views into a mapped file or a
-        shared-memory segment) gives an engine whose answers are
-        bit-identical to this one.
+        byte-identical copies, e.g. views into a mapped file) gives an
+        engine whose answers are bit-identical to this one.
 
         Arrays holding mutable state (node stats, samples, sketches) are
         snapshot copies, so later dynamic updates to this instance do not
@@ -1370,7 +1369,6 @@ class FlatSynopsis:
         of its frontier, and an AVG descent the zero-variance rule stopped
         early covers other rows.
         """
-        sum_pairs, count_pairs = pairs
         processed = sum(partial[2])
         skipped = int(self._node_count[0]) - sum(partial[0])
         shared: list[tuple[np.ndarray, _RowBounds, list]] = []
@@ -1392,13 +1390,11 @@ class FlatSynopsis:
                     )
                 )
                 continue
-            if agg is not AggregateType.COUNT and totals[0] is None:
-                totals[0] = self._sum_count_estimate(
-                    AggregateType.SUM, frontier, partial, sum_pairs
-                )
-            if agg is not AggregateType.SUM and totals[1] is None:
-                totals[1] = self._sum_count_estimate(
-                    AggregateType.COUNT, frontier, partial, count_pairs
+            want_sum = agg is not AggregateType.COUNT and totals[0] is None
+            want_count = agg is not AggregateType.SUM and totals[1] is None
+            if want_sum or want_count:
+                self._sum_count_totals(
+                    frontier, partial, pairs, totals, want_sum, want_count
                 )
             if agg is AggregateType.AVG:
                 estimate, variance = self._avg_estimate(frontier, *totals)
@@ -1622,45 +1618,59 @@ class FlatSynopsis:
             variances *= np.maximum(correction, 0.0)
         return list(zip(estimates.tolist(), variances.tolist()))
 
-    def _sum_count_estimate(
+    def _sum_count_totals(
         self,
-        agg: AggregateType,
         frontier: FlatFrontier,
         partial: tuple[list[int], list[float], list[int]],
-        pairs: Sequence[tuple[float, float]],
-    ) -> tuple[float, float]:
-        """SUM / COUNT estimate + variance, mirroring the object accumulation.
+        pairs: tuple[list[tuple[float, float]], list[tuple[float, float]]],
+        totals: list,
+        want_sum: bool,
+        want_count: bool,
+    ) -> None:
+        """SUM and / or COUNT ``(estimate, variance)`` into ``totals``, one loop.
 
         ``partial`` holds the frontier's per-partial-row ``(sizes, node sums,
         sample counts)`` lists, and ``pairs`` its sampled partial leaves' SUM
-        (or COUNT) pairs of :meth:`_batched_partial_moments`.
-        Covered nodes contribute exactly (Python-scalar sums in row order);
-        each sampled partial leaf adds its stratified contribution; an
-        unsampled one adds the hard-bound midpoint and poisons the variance
-        with NaN — exactly the reference accumulation in ``tests/oracle.py``.
+        and COUNT pairs of :meth:`_batched_partial_moments`; ``totals[0]`` /
+        ``totals[1]`` receive the SUM / COUNT total when asked for.  Covered
+        nodes contribute exactly (Python-scalar sums in row order); each
+        sampled partial leaf adds its stratified contribution; an unsampled
+        one adds the hard-bound midpoint and poisons the variance with NaN —
+        for each total, exactly the reference accumulation in
+        ``tests/oracle.py``; an AVG walks the partial rows once for both.
         """
-        is_sum = agg == AggregateType.SUM
-        if is_sum:
-            estimate = sum(self._node_sum[frontier.covered].tolist())
-        else:
-            estimate = float(sum(self._node_count[frontier.covered].tolist()))
-        variance = 0.0
+        covered = frontier.covered
+        sum_est = sum(self._node_sum[covered].tolist()) if want_sum else 0.0
+        count_est = (
+            float(sum(self._node_count[covered].tolist())) if want_count else 0.0
+        )
+        sum_var = count_var = 0.0
+        sum_pairs, count_pairs = pairs
         next_pair = 0
         for size, node_sum, n_sample in zip(*partial):
             if size == 0:
-                estimate = estimate + 0.0
-                variance = variance + 0.0
-                continue
-            if n_sample == 0:
-                midpoint = 0.5 * (node_sum if is_sum else size)
-                estimate = estimate + midpoint
-                variance = float("nan")
-                continue
-            part_est, part_var = pairs[next_pair]
-            next_pair += 1
-            estimate = estimate + part_est
-            variance = variance + part_var
-        return estimate, variance
+                sum_est += 0.0
+                sum_var += 0.0
+                count_est += 0.0
+                count_var += 0.0
+            elif n_sample == 0:
+                sum_est += 0.5 * node_sum
+                count_est += 0.5 * size
+                sum_var = count_var = float("nan")
+            else:
+                if want_sum:
+                    part_est, part_var = sum_pairs[next_pair]
+                    sum_est += part_est
+                    sum_var += part_var
+                if want_count:
+                    part_est, part_var = count_pairs[next_pair]
+                    count_est += part_est
+                    count_var += part_var
+                next_pair += 1
+        if want_sum:
+            totals[0] = (sum_est, sum_var)
+        if want_count:
+            totals[1] = (count_est, count_var)
 
     @staticmethod
     def _avg_estimate(
@@ -1670,7 +1680,7 @@ class FlatSynopsis:
     ) -> tuple[float, float]:
         """AVG as the delta-method ratio of SUM and COUNT over its frontier.
 
-        ``numerator`` / ``denominator`` are :meth:`_sum_count_estimate`'s
+        ``numerator`` / ``denominator`` are :meth:`_sum_count_totals`'s
         SUM and COUNT over the AVG's own frontier — the two accumulations
         the reference divides, so an AVG shares them with a SUM / COUNT of
         the same frontier.

@@ -15,7 +15,7 @@ This subsystem makes PASS horizontally scalable:
 Sharded synopses register in a :class:`~repro.serving.catalog.SynopsisCatalog`,
 serve through a :class:`~repro.serving.engine.ServingEngine` like any other
 synopsis, persist through :mod:`repro.serving.persistence` as one file and
-publish to the worker pool as one segment.
+publish to the worker pool as one generation file.
 """
 
 from repro.distributed.parallel import build_sharded_from_plan, build_sharded_pass

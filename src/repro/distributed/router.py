@@ -248,7 +248,7 @@ class StreamingShardRouter:
         Listeners fire right after the replacement is stitched in
         (:meth:`~repro.distributed.sharded.ShardedSynopsis.replace_shard`),
         still under the router's lock, so they observe rebuilds in order.
-        This is how the shared-memory publisher
+        This is how the publisher
         (:meth:`repro.serving.shm.SynopsisPublisher.watch_router`)
         republishes the synopsis to the worker pool.  Listener exceptions
         propagate to the updater that triggered the rebuild.

@@ -13,10 +13,11 @@ scheduling into the batch path, bounded-queue backpressure with
 typed :class:`Overloaded` rejections, and writes serialized through the
 same scheduler with atomic box-overlap invalidation of coalesced futures.
 
-For multi-core traffic, the shared-memory tier serves one copy of each
+For multi-core traffic, the multi-process tier serves one copy of each
 synopsis to a process-per-core worker pool: a :class:`SynopsisPublisher`
-lays the flat buffers out in shared memory behind an epoch register, an
-:class:`MPServingPool` answers queries over zero-copy worker views, and an
+writes each generation as a ``.pass`` file named by an atomically swapped
+manifest, an :class:`MPServingPool` answers queries over zero-copy views of
+the mapped files, and an
 :class:`MPHTTPServer` front-ends the pool with a JSON protocol behind the
 same admission-control semantics.
 """
@@ -40,8 +41,8 @@ from repro.serving.persistence import (
 )
 from repro.serving.server import MPHTTPServer, MPServingPool, PoolBroken
 from repro.serving.shm import (
-    EpochReadTimeout,
     EpochRegister,
+    PublisherGone,
     SynopsisPublisher,
     attach_flat_synopsis,
 )
@@ -71,7 +72,7 @@ __all__ = [
     "ServingStats",
     "StatsSnapshot",
     "EpochRegister",
-    "EpochReadTimeout",
+    "PublisherGone",
     "SynopsisPublisher",
     "attach_flat_synopsis",
     "MPServingPool",

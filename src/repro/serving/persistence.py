@@ -1,20 +1,32 @@
-"""Versioned save / load of synopses and catalogs.
+"""The synopsis' one serial form, and versioned save / load of synopses and catalogs.
 
-A synopsis is persisted as a single ``.pass`` file holding exactly the bytes
-a shared-memory segment holds (:mod:`repro.serving.shm`: magic, JSON header
-with the array directory, page-aligned payloads) — the ``(header, arrays)``
-of ``export_buffers``, whichever kind exported them: a static synopsis, a
-dynamic one (plus its reservoir ``seen`` / ``capacity`` arrays and update
-counters) or a sharded one (one stitched tree, its routing in the header and
-``shard_rows``; a file of the earlier per-shard ``shard<i>/`` layout is
-refused).  Loading maps the file and hands the views to the same constructor a
-pool worker's attach uses, so a loaded static synopsis is zero-copy and
-read-only and a restart is the attach code path; dynamic synopses copy their
-arrays to own writable ones.  The arrays round-trip bit for bit, so a
+A synopsis is a ``(header, arrays)`` pair of flat numpy buffers
+(:meth:`~repro.core.soa.FlatSynopsis.export_buffers`), whichever kind
+exported them: a static synopsis, a dynamic one (plus its reservoir ``seen``
+/ ``capacity`` arrays and update counters) or a sharded one (one stitched
+tree, its routing in the header and ``shard_rows``; a file of the earlier
+per-shard ``shard<i>/`` layout is refused).  This module owns the byte
+layout that pair is written in — :class:`SegmentLayout` writes it into any
+buffer, :func:`parse_segment` reads it back as zero-copy views — with the one
+writer of a ``.pass`` file (:func:`_atomic_write` of the layout) and the one
+reader (:class:`MappedFile`, a read-only ``mmap``).  :func:`save_synopsis`
+and a :class:`~repro.serving.shm.SynopsisPublisher`'s generations are written
+by the same writer; :func:`load_synopsis` and a pool worker's attach map
+through the same reader, so a loaded static synopsis is zero-copy and
+read-only and a restart is the attach code path (dynamic synopses copy their
+arrays to own writable ones).  The arrays round-trip bit for bit, so a
 reloaded synopsis returns estimates identical to the instance that was saved
-— the property the serving tests assert.  A file is outside input: everything
-read from it is checked and rejected with a ``ValueError`` naming the path
-(version-1 ``.npz`` archives included — there is one read path).
+— the property the serving tests assert.
+
+The layout is normative in ``docs/ARCHITECTURE.md`` ("File and generation
+format"): the magic ``b"PASSSEG1"``, the little-endian ``uint64`` length of a
+JSON header — ``format``, ``size``, the exported ``synopsis`` header and the
+``arrays`` directory (key, dtype, shape, offset per buffer, packed sketches
+under ``sketch/<key>``) — and each payload at its **page-aligned** offset.  A
+file is outside input: the reader checks everything it is about to trust
+(magic, header length, format, every directory entry's dtype and extent) and
+raises ``ValueError`` naming the path — version-1 ``.npz`` archives included,
+there is one read path.
 
 A catalog is persisted as a directory: one ``<name>.pass`` per entry plus a
 ``catalog.json`` manifest with the routing metadata.  Tables themselves are
@@ -38,8 +50,10 @@ complete files on disk (the crash-injection tests in
 from __future__ import annotations
 
 import json
+import math
 import mmap
 import os
+import struct
 import tempfile
 from pathlib import Path
 from typing import BinaryIO, Callable, Mapping
@@ -52,10 +66,13 @@ from repro.data.table import Table
 from repro.distributed.sharded import ShardedSynopsis
 from repro.obs.drift import WorkloadFingerprint
 from repro.serving.catalog import SynopsisCatalog
-from repro.serving.shm import FORMAT_VERSION, SegmentLayout, parse_segment
 
 __all__ = [
     "FORMAT_VERSION",
+    "SEGMENT_MAGIC",
+    "SegmentLayout",
+    "parse_segment",
+    "MappedFile",
     "save_synopsis",
     "load_synopsis",
     "save_catalog",
@@ -64,6 +81,16 @@ __all__ = [
     "load_workload_fingerprint",
     "load_catalog_workloads",
 ]
+
+#: Layout version in every file header (and every catalog manifest and
+#: fingerprint archive); bumped on incompatible changes.  Version 1 was the
+#: compressed-npz archive.
+FORMAT_VERSION = 2
+
+#: First eight bytes of every synopsis file.
+SEGMENT_MAGIC = b"PASSSEG1"
+
+_PAGE = mmap.PAGESIZE
 
 #: Suffix of synopsis files / of workload-fingerprint archives.
 _SUFFIX = ".pass"
@@ -76,28 +103,140 @@ _HEADER_KEY = "__header__"
 _KINDS = {None: PASSSynopsis, "dynamic": DynamicPASS, "sharded": ShardedSynopsis}
 
 
-def _normalize(path: str | Path, suffix: str) -> Path:
-    path = Path(path)
-    if path.suffix != suffix:
-        path = path.with_name(path.name + suffix)
-    return path
+def _align(offset: int) -> int:
+    """Round ``offset`` up to the next page boundary."""
+    return (offset + _PAGE - 1) // _PAGE * _PAGE
 
 
-def _workload_path(path: Path) -> Path:
-    """Sibling ``<stem>.workload.npz`` path for a synopsis file path."""
-    return path.with_name(path.name[: -len(_SUFFIX)] + ".workload" + _WORKLOAD_SUFFIX)
+class SegmentLayout:
+    """Where a ``(header, arrays)`` pair goes in a buffer of ``size`` bytes.
+
+    ``header`` must be JSON-safe (every ``export_buffers`` header is).
+    Construct, allocate ``size`` bytes wherever they should live (shared
+    memory, a ``bytearray`` bound for a file), then :meth:`write` into them.
+    """
+
+    def __init__(self, header: Mapping, arrays: Mapping[str, np.ndarray]) -> None:
+        self._payloads = [np.ascontiguousarray(array) for array in arrays.values()]
+        directory = [
+            {
+                "key": key,
+                "dtype": payload.dtype.str,
+                "shape": list(payload.shape),
+                "offset": 0,
+            }
+            for key, payload in zip(arrays, self._payloads)
+        ]
+        document = {
+            "format": FORMAT_VERSION,
+            "size": 0,
+            "synopsis": dict(header),
+            "arrays": directory,
+        }
+        # Two passes: offsets depend on the header length, which depends on
+        # the offsets (they are JSON numbers).  Size the header area from a
+        # zero-offset template plus generous per-entry slack for the digits.
+        template = json.dumps(document).encode("utf-8")
+        offset = _align(16 + len(template) + 32 * len(directory) + 64)
+        header_area = offset
+        for entry, payload in zip(directory, self._payloads):
+            entry["offset"] = offset
+            offset = _align(offset + max(payload.nbytes, 1))
+        #: Bytes the layout occupies (a whole number of pages).
+        self.size = document["size"] = offset
+        self._directory = directory
+        self._encoded = json.dumps(document).encode("utf-8")
+        if 16 + len(self._encoded) > header_area:
+            raise RuntimeError("segment header overflowed its reserved space")
+
+    def write(self, buf) -> None:
+        """Write magic, header and every payload into writable ``buf``."""
+        buf[0:8] = SEGMENT_MAGIC
+        struct.pack_into("<Q", buf, 8, len(self._encoded))
+        buf[16 : 16 + len(self._encoded)] = self._encoded
+        for entry, payload in zip(self._directory, self._payloads):
+            view = np.ndarray(
+                payload.shape, dtype=payload.dtype, buffer=buf, offset=entry["offset"]
+            )
+            view[...] = payload
+
+
+def _array_spec(entry: Mapping, available: int) -> tuple[str, np.dtype, tuple, int]:
+    """``(key, dtype, shape, offset)`` of an entry inside ``available`` bytes."""
+    key = str(entry["key"])
+    dtype = np.dtype(entry["dtype"])
+    if dtype.kind not in "biuf":
+        raise ValueError(f"array {key!r} has non-numeric dtype {dtype}")
+    shape = tuple(int(extent) for extent in entry["shape"])
+    offset = int(entry["offset"])
+    if offset < 0 or any(extent < 0 for extent in shape):
+        raise ValueError(f"array {key!r} has a negative extent")
+    if offset + dtype.itemsize * math.prod(shape) > available:
+        raise ValueError(f"array {key!r} ends past the {available} bytes present")
+    return key, dtype, shape, offset
+
+
+def _read_directory(view: memoryview, source: str) -> tuple[dict, list[tuple]]:
+    """Validate a segment's framing; ``(synopsis header, array specs)``.
+
+    Every failure is a ``ValueError`` naming ``source``; nothing here keeps
+    a reference into ``view``.
+    """
+    if len(view) < 16 or bytes(view[0:8]) != SEGMENT_MAGIC:
+        raise ValueError(f"{source} is not a synopsis segment (bad magic)")
+    (header_len,) = struct.unpack_from("<Q", view, 8)
+    if 16 + header_len > len(view):
+        raise ValueError(
+            f"{source} is truncated: its header claims {header_len} bytes, "
+            f"{len(view) - 16} follow"
+        )
+    try:
+        document = json.loads(bytes(view[16 : 16 + header_len]).decode("utf-8"))
+        version = document["format"]
+    except (ValueError, KeyError, TypeError) as error:
+        raise ValueError(f"{source} has an unreadable header: {error}") from error
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported synopsis format {version!r} in {source} "
+            f"(this build reads version {FORMAT_VERSION})"
+        )
+    try:
+        if int(document["size"]) > len(view):
+            raise ValueError(f"{len(view)} of {document['size']} bytes present")
+        header = dict(document["synopsis"])
+        specs = [_array_spec(entry, len(view)) for entry in document["arrays"]]
+    except (ValueError, KeyError, TypeError) as error:
+        raise ValueError(
+            f"{source} is truncated or has a corrupt array directory: {error}"
+        ) from error
+    return header, specs
+
+
+def parse_segment(buf, source: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The ``(header, arrays)`` a :class:`SegmentLayout` wrote into ``buf``.
+
+    ``arrays`` are read-only numpy views straight over ``buf`` (a shared
+    mapping, an ``mmap`` of a file), which must outlive them.  ``source``
+    (a path or segment name) is named in the ``ValueError`` any malformed
+    input raises — no array is created before the whole directory checks out.
+    """
+    with memoryview(buf) as view:
+        header, specs = _read_directory(view, source)
+    arrays: dict[str, np.ndarray] = {}
+    for key, dtype, shape, offset in specs:
+        array = np.ndarray(shape, dtype=dtype, buffer=buf, offset=offset)
+        array.flags.writeable = False
+        arrays[key] = array
+    return header, arrays
 
 
 def _atomic_write(path: Path, write: Callable[[BinaryIO], None]) -> None:
     """Write a file durably: temp file in the same directory + rename.
 
-    Writing straight to the final path leaves a truncated file behind if the
-    process dies mid-write, and the loader then fails on what used to be a
-    good file.  Writing to a same-directory temporary file, fsyncing it and
-    ``os.replace``-ing it into place makes the publish atomic on POSIX: a
-    reader (or a post-crash restart) sees either the complete old file or the
-    complete new one, never a torn one.  The temp file is cleaned up on any
-    failure before the rename.
+    A same-directory temporary file, fsynced and ``os.replace``-d into place,
+    makes the write atomic on POSIX: a reader (or a post-crash restart) sees
+    the complete old file or the complete new one, never a torn one.  The
+    temp file is removed on any failure before the rename.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
@@ -125,6 +264,53 @@ def _write_segment(
     buffer = bytearray(layout.size)
     layout.write(buffer)
     handle.write(buffer)
+
+
+class MappedFile:
+    """A read-only ``mmap`` of one synopsis file and zero-copy views over it.
+
+    The one reader of the serial form: :func:`load_synopsis` and a pool
+    worker's :func:`~repro.serving.shm.attach_flat_synopsis` both map through
+    it.  ``header`` is the synopsis scalar header; ``arrays`` maps buffer keys
+    to read-only numpy views straight over the mapping, which stays valid
+    after the file's name is unlinked.  Keep the instance referenced for as
+    long as any view (or a synopsis built over the views) is in use, then
+    :meth:`close`.
+    """
+
+    def __init__(self, path: str | os.PathLike) -> None:
+        source = str(path)
+        with open(path, "rb") as handle:
+            if not os.fstat(handle.fileno()).st_size:
+                raise ValueError(f"{source} is not a synopsis file (it is empty)")
+            self._mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        try:
+            if self._mapping[:4] == b"PK\x03\x04":
+                raise ValueError(
+                    f"unsupported synopsis format 1 in {source}: a zip (npz) "
+                    f"archive (this build reads version {FORMAT_VERSION})"
+                )
+            self.header, self.arrays = parse_segment(self._mapping, source)
+        except ValueError:
+            self._mapping.close()
+            raise
+
+    def close(self) -> None:
+        """Drop the mapping.  Views into ``arrays`` must not be used after."""
+        self.arrays = {}
+        self._mapping.close()
+
+
+def _normalize(path: str | Path, suffix: str) -> Path:
+    path = Path(path)
+    if path.suffix != suffix:
+        path = path.with_name(path.name + suffix)
+    return path
+
+
+def _workload_path(path: Path) -> Path:
+    """Sibling ``<stem>.workload.npz`` path for a synopsis file path."""
+    return path.with_name(path.name[: -len(_SUFFIX)] + ".workload" + _WORKLOAD_SUFFIX)
 
 
 def save_synopsis(
@@ -204,24 +390,17 @@ def load_workload_fingerprint(path: str | Path) -> WorkloadFingerprint:
 def load_synopsis(path: str | Path) -> PASSSynopsis | DynamicPASS | ShardedSynopsis:
     """Load a synopsis saved with :func:`save_synopsis`.
 
-    The file is mapped, not read: a static synopsis (sharded or not)
-    serves straight from read-only views of the mapping, which lives as long
-    as they do.  ``ValueError`` naming ``path`` for anything that is not a
-    complete file of the current format.
+    The file is mapped, not read (:class:`MappedFile`): a static synopsis
+    (sharded or not) serves straight from read-only views of the mapping,
+    which lives as long as they do.  ``ValueError`` naming ``path`` for
+    anything that is not a complete file of the current format.
     """
     path = _normalize(path, _SUFFIX)
-    with open(path, "rb") as handle:
-        if not os.fstat(handle.fileno()).st_size:
-            raise ValueError(f"{path} is not a synopsis file (it is empty)")
-        mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-    if mapping[:4] == b"PK\x03\x04":
-        raise ValueError(
-            f"unsupported synopsis format 1 in {path}: a zip (npz) archive "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
-    header, arrays = parse_segment(mapping, str(path))
+    mapped = MappedFile(path)
     try:
-        return _KINDS[header.get("kind")].from_buffers(header, arrays)
+        return _KINDS[mapped.header.get("kind")].from_buffers(
+            mapped.header, mapped.arrays
+        )
     except (KeyError, TypeError, ValueError) as error:
         raise ValueError(
             f"{path} does not hold a loadable synopsis: {error}"

@@ -6,15 +6,19 @@ bounded by one interpreter's GIL: the numpy kernels release it only in
 bursts, so CPU-bound query traffic cannot use more than roughly one core.
 This module is the scale-out tier:
 
-* a :class:`SynopsisPublisher` (:mod:`repro.serving.shm`) lays the flat
-  synopsis buffers out in shared memory, once;
+* a :class:`SynopsisPublisher` (:mod:`repro.serving.shm`) writes each
+  generation of a synopsis as a ``.pass`` file, once, and swaps a manifest
+  naming it;
 * :class:`MPServingPool` runs one worker process per core (the ``spawn``
   start method of :data:`SPAWN_CONTEXT`);
-  each worker rehydrates zero-copy :class:`~repro.core.soa.FlatSynopsis`
-  views over the shared segments — no worker ever holds a private copy of
-  a synopsis, so memory stays O(one synopsis) no matter the core count;
-* workers validate the publisher's epoch on every chunk and re-attach when
-  a rebuild flipped it, so they never serve a torn synopsis;
+  each worker maps the files (``mmap``) and rehydrates zero-copy
+  :class:`~repro.core.soa.FlatSynopsis` views over them — no worker ever
+  holds a private copy of a synopsis, so memory stays O(one synopsis) no
+  matter the core count;
+* workers check the publisher's epoch (one ``readlink``) on every chunk and
+  re-attach when a publish moved it, so they never serve a torn synopsis;
+  once the publisher is gone they answer with
+  :class:`~repro.serving.shm.PublisherGone` (HTTP 503) and live on;
 * dispatch is one duplex pipe per worker: a caller checks idle workers out,
   sends chunks and reads the replies on its own thread (no relay threads
   between a request and its worker);
@@ -59,7 +63,12 @@ from repro.result import AQPResult
 from repro.serving.catalog import route_query
 from repro.serving.planner import route_plan
 from repro.serving.scheduler import AdmissionGate, Overloaded
-from repro.serving.shm import EpochRegister, attach_flat_synopsis, read_published
+from repro.serving.shm import (
+    EpochRegister,
+    PublisherGone,
+    attach_flat_synopsis,
+    read_published,
+)
 
 __all__ = [
     "MPServingPool",
@@ -78,7 +87,7 @@ __all__ = [
 #: daemon-thread state mid-operation — a forked child then deadlocks the
 #: moment it touches one of those orphaned locks.  ``spawn`` starts workers
 #: from a clean interpreter, which is safe to combine with the threaded
-#: serving stack (and is the only start method the shared-memory serving
+#: serving stack (and is the only start method the multi-process serving
 #: workers in :mod:`repro.serving.server` support).
 SPAWN_CONTEXT = multiprocessing.get_context("spawn")
 
@@ -166,7 +175,7 @@ def result_from_payload(payload: Mapping) -> AQPResult:
 # ----------------------------------------------------------------------
 # Worker side (module-level so the spawn pickler can reach it)
 # ----------------------------------------------------------------------
-#: Per-worker-process state: the attached epoch register, the epoch the
+#: Per-worker-process state: the publisher's manifest reader, the epoch the
 #: current attachments were made under, the manifest's entries (what
 #: ``route_query`` reads) and, by entry name, the rehydrated
 #: ``(flat engine, attachment)`` pairs.
@@ -195,7 +204,7 @@ def _worker_main(register_name: str, conn: Connection) -> None:
 
 
 def _worker_init(register_name: str) -> None:
-    """Attach the epoch register in this worker process."""
+    """Set up this worker process' reader of the publisher's manifest."""
     _WORKER.clear()
     _WORKER["register"] = EpochRegister.attach(register_name)
     _WORKER["epoch"] = -1
@@ -207,11 +216,11 @@ def _worker_init(register_name: str) -> None:
 def _worker_refresh() -> int:
     """Re-attach to the current generation when the epoch moved.
 
-    Returns the epoch the worker is serving under.  A publish can race the
-    manifest read (the named segment may be unlinked between the manifest
-    snapshot and the attach) — the refresh simply retries from a fresh
-    snapshot; the seqlock guarantees each snapshot is internally
-    consistent.
+    Returns the epoch the worker is serving under.  A publish can unlink a
+    file the manifest just read names; the refresh then reads the newer
+    manifest, and retries only while the epoch keeps moving.  A manifest that
+    names a removed file and stays put, or no manifest at all, means the
+    publisher is gone: :class:`PublisherGone`, which the caller receives.
     """
     register: EpochRegister = _WORKER["register"]
     if register.epoch() == _WORKER["epoch"]:
@@ -222,10 +231,15 @@ def _worker_refresh() -> int:
         try:
             for entry in entries:
                 engines[entry.name] = attach_flat_synopsis(entry.segment)
-        except FileNotFoundError:
+        except FileNotFoundError as missing:
             for _, attachment in engines.values():
                 attachment.close()
-            continue  # lost the race with a publish; take a fresh snapshot
+            if register.epoch() == epoch:
+                raise PublisherGone(
+                    f"publisher {register.name} is gone: {missing.filename} "
+                    "was removed"
+                ) from None
+            continue  # lost the race with a publish; read the newer manifest
         for _, old in _WORKER["engines"].values():
             old.close()
         _WORKER["entries"] = entries
@@ -289,8 +303,9 @@ class MPServingPool:
     Parameters
     ----------
     register_name:
-        The :attr:`SynopsisPublisher.register_name` of the owner's epoch
-        register (pass ``publisher.register_name``; the pool never writes).
+        The :attr:`SynopsisPublisher.register_name` of the owner's
+        generation directory (pass ``publisher.register_name``; the pool
+        never writes).
     n_workers:
         Worker process count (process-per-core; defaults to the machine's
         core count).
@@ -431,10 +446,11 @@ class MPServingPool:
 
         Any of the seven aggregates: the worker runs the flat kernel the
         in-process engine runs, over the mapped buffers (QUANTILE /
-        COUNT_DISTINCT unpack the segment's sketches on first use).  Raises
+        COUNT_DISTINCT unpack the file's sketches on first use).  Raises
         ``LookupError`` when no published synopsis can answer the query —
         wrong table or value column, an unpartitioned predicate column, or a
-        sketch aggregate with only sketch-less synopses published.
+        sketch aggregate with only sketch-less synopses published — and
+        :class:`~repro.serving.shm.PublisherGone` once the publisher closed.
         """
         return self.execute_batch([query], table)[0]
 
@@ -537,11 +553,7 @@ class MPServingPool:
         frontier holds no tuple that way, the pool runs them like any cell.
         """
         plan = groupby.compile() if isinstance(groupby, GroupByQuery) else groupby
-        register = EpochRegister.attach(self._register_name)
-        try:
-            _, entries = read_published(register)
-        finally:
-            register.close()
+        _, entries = read_published(EpochRegister.attach(self._register_name))
         entry = route_plan(plan, lambda query: route_query(entries, query, table))
         return execute_plan(
             plan,
@@ -683,7 +695,7 @@ class _Handler(BaseHTTPRequestHandler):
             status, reply = 400, {"error": str(exc)}
         except LookupError as exc:
             status, reply = 404, {"error": str(exc)}
-        except Exception as exc:  # closed pool, dead worker, a worker-side bug
+        except Exception as exc:  # closed pool or publisher, dead worker, a bug
             status, reply = 503, {"error": f"{type(exc).__name__}: {exc}"}
         finally:
             self.server.gate.release()

@@ -10,8 +10,10 @@ subquery fan-out and every branch on ``is_sharded`` (a shard is a subtree of
 one stitched tree); the scalar per-row binary search of the ADP partitioner
 and the object tree the builder used to assemble (``PartitionTree`` /
 ``PartitionNode``, one ``Box.mask`` scan per leaf) live on only as
-references in ``tests/oracle.py``.  This is the grep a re-anchor would
-otherwise run by hand.
+references in ``tests/oracle.py``.  Publishing is saving: the
+shared-memory segments, the seqlock epoch register with its timeout and the
+resource-tracker workaround gave way to generation files named by a
+manifest.  This is the grep a re-anchor would otherwise run by hand.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ DELETED_NAMES = re.compile(
     r"|_merge_additive|_merge_avg|_merge_extremum|_gather_union|_subqueries"
     r"|is_sharded"
     r"|grouped_leaf_moments|assemble_cell_row|_stratified_total|hard_bounds_rows"
+    r"|SynopsisSegment|_attach_untracked|_segment_name|EpochReadTimeout"
+    r"|REGISTER_MAGIC|_REGISTER_CAPACITY|_SPIN_INTERVAL|_MAX_ODD_READS"
+    r"|_SEQ_OFFSET|_LEN_OFFSET|_PAYLOAD_OFFSET|shared_memory"
 )
 NPZ_KEY_PREFIXES = re.compile(r"\"(tree|strata|samples|reservoir)/")
 

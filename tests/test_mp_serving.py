@@ -1,4 +1,4 @@
-"""Tests for multi-process serving over shared-memory synopses.
+"""Tests for multi-process serving over published synopsis files.
 
 The acceptance bar is bit-identity: every query answered by the worker pool
 (and through its HTTP front end) must return exactly the result the
@@ -8,7 +8,8 @@ published generation without ever serving a torn synopsis.
 
 The shutdown-leak tests double as the CI leak check's unit-level mirror: a
 closed pool leaves no live worker processes and a closed publisher leaves no
-named shared-memory segments behind.
+generation directory behind.  The kill-the-owner rows of the fault table are
+``tests/test_publish_crash.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import multiprocessing
 import os
 import signal
 import socket
-import struct
 import sys
 import threading
 import time
@@ -63,8 +63,12 @@ from repro.serving.server import (
     result_from_payload,
     result_to_payload,
 )
-from repro.serving import shm
-from repro.serving.shm import EpochReadTimeout, EpochRegister, attach_flat_synopsis
+from repro.serving.shm import (
+    EpochRegister,
+    PublisherGone,
+    attach_flat_synopsis,
+    read_published,
+)
 
 AGGS = ("SUM", "COUNT", "AVG", "MIN", "MAX")
 
@@ -126,14 +130,6 @@ def sketch_queries() -> list[AggregateQuery]:
     ]
 
 
-def leave_mid_publish(register: EpochRegister) -> int:
-    """Bump the sequence to odd, as a publisher killed inside ``publish``
-    leaves it; returns the even sequence to restore."""
-    even = register.epoch()
-    struct.pack_into("<Q", register._segment.buf, 8, even + 1)
-    return even
-
-
 def record_outcome(outcomes: list, call, *args) -> None:
     """Thread target: append ``call(*args)``'s result, or what it raised."""
     try:
@@ -185,29 +181,13 @@ class TestSegmentRoundTrip:
             epoch, manifest = register.read()
             assert epoch == first
             second = publisher.publish("mp_main", other, table_name="mp_test")
-            assert second == first + 2  # seqlock epochs stay even
+            assert second == first + 1  # one publish, one epoch
             epoch, manifest = register.read()
             assert epoch == second
             assert len(manifest["entries"]) == 1
             register.close()
         finally:
             publisher.close()
-
-    def test_read_of_a_register_left_mid_publish_times_out(self, monkeypatch):
-        monkeypatch.setattr(shm, "_MAX_ODD_READS", 20)
-        register = EpochRegister.create()
-        try:
-            register.publish({"entries": []})
-            even = leave_mid_publish(register)
-            with pytest.raises(EpochReadTimeout, match=register.name):
-                register.read()
-            assert issubclass(EpochReadTimeout, TimeoutError)
-            # Only *continuous* odd reads count: a completed flip reads fine.
-            struct.pack_into("<Q", register._segment.buf, 8, even + 2)
-            assert register.read() == (even + 2, {"entries": []})
-        finally:
-            register.unlink()
-            register.close()
 
     def test_old_generation_stays_mapped_until_reader_closes(self, synopses):
         synopsis, other = synopses
@@ -220,7 +200,7 @@ class TestSegmentRoundTrip:
                 manifest["entries"][0]["segment"]
             )
             publisher.publish("mp_main", other, table_name="mp_test")
-            # The old segment's name is unlinked, but this reader's mapping
+            # The old file's name is unlinked, but this reader's mapping
             # keeps the memory alive: answers stay bit-identical to the old
             # generation, never torn.
             for query in seeded_queries(seed=4, n=20):
@@ -437,22 +417,69 @@ class TestMPServingPool:
         with pytest.raises(RuntimeError):
             pool.execute_batch(seeded_queries(seed=7, n=1), table="mp_test")
 
-    def test_publisher_dead_mid_publish_fails_requests_instead_of_hanging(
+    def test_a_closed_publisher_fails_requests_instead_of_spinning(
         self, synopses
     ):
-        """The worker's bounded seqlock read ships a typed timeout to the
-        caller (about a second per request), and the worker lives on."""
-        synopsis, _ = synopses
+        """A worker whose publisher is gone ships a typed error, and lives on.
+
+        First the manifest names a generation file that is gone and stays
+        put (what a publisher's removal leaves for an instant), then the
+        publisher is closed.  Neither may make a worker retry forever, and
+        over HTTP the error is a 503; a hung call has its worker killed, so
+        the test never leaves a process behind.
+        """
+        synopsis, other = synopses
         query = seeded_queries(seed=14, n=1)[0]
-        with SynopsisPublisher() as publisher:
+        publisher = SynopsisPublisher()
+        pool = MPServingPool(publisher.register_name, n_workers=1)
+
+        def outcome_within_timeout():
+            outcomes: list = []
+            caller = threading.Thread(
+                target=record_outcome,
+                args=(outcomes, pool.execute, query, "mp_test"),
+                daemon=True,
+            )
+            caller.start()
+            caller.join(timeout=10.0)
+            hung = caller.is_alive()
+            if hung:
+                for worker in multiprocessing.active_children():
+                    worker.kill()
+                caller.join(timeout=10.0)
+            assert not hung, "execute spun on a publisher that is gone"
+            return outcomes[0]
+
+        try:
             publisher.publish("mp_main", synopsis, table_name="mp_test")
-            with MPServingPool(publisher.register_name, n_workers=1) as pool:
-                before = pool.execute(query, table="mp_test")
-                even = leave_mid_publish(publisher._register)
-                with pytest.raises(EpochReadTimeout, match=publisher.register_name):
-                    pool.execute(query, table="mp_test")
-                struct.pack_into("<Q", publisher._register._segment.buf, 8, even)
-                assert_identical(pool.execute(query, table="mp_test"), before)
+            pool.execute(query, table="mp_test")
+            (worker,) = multiprocessing.active_children()
+            publisher.publish("mp_main", other, table_name="mp_test")
+            _, (entry,) = read_published(EpochRegister.attach(publisher.register_name))
+            os.unlink(entry.segment)
+            assert isinstance(outcome_within_timeout(), PublisherGone)
+            publisher.close()
+            outcome = outcome_within_timeout()
+            assert isinstance(outcome, PublisherGone)
+            assert publisher.register_name in str(outcome)
+            server = MPHTTPServer(pool)
+            request = urllib.request.Request(
+                server.serve_in_thread() + "/query",
+                data=json.dumps(query_to_payload(query, "mp_test")).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            try:
+                with pytest.raises(urllib.error.HTTPError) as refused:
+                    urllib.request.urlopen(request, timeout=30)
+                assert refused.value.code == 503
+                assert "PublisherGone" in json.loads(refused.value.read())["error"]
+            finally:
+                server.close()
+            assert multiprocessing.active_children() == [worker]
+        finally:
+            pool.close()
+            publisher.close()
+        assert multiprocessing.active_children() == []
 
     def test_failed_chunk_leaves_no_stale_reply_behind(self, synopses):
         """A worker's exception arrives with its type and the pipes stay in step.
@@ -556,8 +583,9 @@ class TestMPServingPool:
             pool.close()
             assert multiprocessing.active_children() == []
             assert len(os.listdir("/proc/self/fd")) == open_fds
-        # This stack's own segments (other test processes may hold theirs).
-        assert not [name for name in owned if os.path.exists(f"/dev/shm/{name}")]
+        # This stack's own directory and files (other test processes may
+        # hold theirs).
+        assert not [path for path in owned if os.path.exists(path)]
 
     def test_worker_killed_mid_chunk_fails_every_waiting_caller(self, synopses):
         synopsis, _ = synopses

@@ -27,12 +27,13 @@ from repro.query.query import AggregateQuery
 from repro.serving.catalog import SynopsisCatalog
 from repro.serving.persistence import (
     FORMAT_VERSION,
+    SEGMENT_MAGIC,
     load_catalog,
     load_synopsis,
     save_catalog,
     save_synopsis,
 )
-from repro.serving.shm import SEGMENT_MAGIC, attach_flat_synopsis
+from repro.serving.shm import attach_flat_synopsis
 
 import oracle
 
@@ -381,15 +382,9 @@ class TestOutsideInput:
         with pytest.raises(ValueError, match=r"header\.pass.*unreadable header"):
             load_synopsis(path)
 
-    def test_a_live_segment_is_checked_the_same_way(self, table):
-        """``attach`` runs the one reader: a foreign segment is a ValueError."""
-        from multiprocessing import shared_memory
-
-        foreign = shared_memory.SharedMemory(create=True, size=mmap.PAGESIZE)
-        try:
-            foreign.buf[:8] = b"NOTAPASS"
-            with pytest.raises(ValueError, match="bad magic"):
-                attach_flat_synopsis(foreign.name)
-        finally:
-            foreign.close()
-            foreign.unlink()
+    def test_a_live_segment_is_checked_the_same_way(self, table, tmp_path):
+        """``attach`` runs the one reader: a foreign generation file is a ValueError."""
+        foreign = tmp_path / "synopsis-1.pass"
+        foreign.write_bytes(b"NOTAPASS" + bytes(mmap.PAGESIZE - 8))
+        with pytest.raises(ValueError, match="bad magic"):
+            attach_flat_synopsis(str(foreign))

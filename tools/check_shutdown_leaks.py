@@ -1,13 +1,13 @@
 """Shutdown-leak check for the multi-process serving tier.
 
-Drives a full serving lifecycle — publish a synopsis into shared memory,
+Drives a full serving lifecycle — publish a synopsis as a generation file,
 serve queries through an :class:`~repro.serving.server.MPServingPool` and
 its HTTP front end, flip the epoch once, tear everything down — and then
 asserts that teardown actually finished:
 
 * no live worker processes (``multiprocessing.active_children()`` empty);
-* no leaked shared-memory segments (nothing matching ``pass-*`` under
-  ``/dev/shm`` that this process created);
+* no leaked generation directories or files (nothing matching ``pass-*``
+  under ``/dev/shm``, nor any file inside one, that this process created);
 * no background threads beyond the interpreter's bookkeeping ones (the
   auditor / HTTP serving threads must have joined).
 
@@ -87,7 +87,7 @@ def _post(url: str, payload: dict) -> None:
 
 
 def main() -> int:
-    """Run the lifecycle, then fail on any leaked process/segment/thread."""
+    """Run the lifecycle, then fail on any leaked process/file/thread."""
     shm_before = set(glob.glob(SHM_GLOB))
     threads_before = {thread.name for thread in threading.enumerate()}
 
@@ -105,7 +105,7 @@ def main() -> int:
                 ]:
                     _post(f"{base}/query", query_to_payload(query))
                 # One epoch flip mid-serve: re-attach must not strand the
-                # previous generation's segment.
+                # previous generation's file.
                 publisher.publish("leak_main", _build(seed=2), table_name="leakcheck")
                 pool.execute_batch(_queries(32))
             finally:
@@ -116,8 +116,10 @@ def main() -> int:
     if children:
         failures.append(f"live worker processes after close: {children}")
     shm_leaked = set(glob.glob(SHM_GLOB)) - shm_before
+    # A leaked generation directory is listed with the files left in it.
+    shm_leaked |= {path for leaked in shm_leaked for path in glob.glob(f"{leaked}/*")}
     if shm_leaked:
-        failures.append(f"leaked shared-memory segments: {sorted(shm_leaked)}")
+        failures.append(f"leaked generation directories / files: {sorted(shm_leaked)}")
     threads_leaked = [
         thread.name
         for thread in threading.enumerate()
@@ -132,8 +134,8 @@ def main() -> int:
             print(f"LEAK: {failure}")
         return 1
     print(
-        "shutdown-leak check passed: no worker processes, no pass-* shared-"
-        "memory segments, no stray threads after teardown"
+        "shutdown-leak check passed: no worker processes, no pass-* "
+        "generation directories or files, no stray threads after teardown"
     )
     return 0
 
