@@ -16,8 +16,9 @@ Run standalone::
     python benchmarks/bench_groupby.py            # full: 1M rows
     python benchmarks/bench_groupby.py --tiny     # CI smoke: seconds
     python benchmarks/bench_groupby.py --check    # assert >= 3x at 64 groups, and
-                                                  # serving-path percentiles carry
-                                                  # per-query bits
+                                                  # served classic / percentile
+                                                  # plans (cache off, cache on
+                                                  # twice) carry per-query bits
     python benchmarks/bench_groupby.py --json OUT # write perf-gate metrics
 
 (Like ``bench_distributed.py`` this is a plain script, not a
@@ -163,31 +164,57 @@ def _result_bits(result) -> tuple:
     )
 
 
-def check_served_percentiles(table: Table, backends: dict, n_groups: int) -> bool:
-    """The percentile plan through ``ServingEngine.execute_grouped``.
+def check_served_plans(table: Table, backends: dict, n_groups: int) -> bool:
+    """The classic and the percentile plan through ``ServingEngine.execute_grouped``.
 
-    The serving path answers a cell's p50 / p95 / p99 from one shared sketch
-    union (``BatchPlan.execute``, on either backend), and every served answer
-    must carry the bits of executing its query alone on the same backend.
+    A plan routed to one entry is one ``grouped_query`` call: one shared
+    moment pass for a cell's SUM / COUNT / AVG, one sketch union for its
+    p50 / p95 / p99, on either backend.  Every served answer must carry the
+    bits of executing its query alone on the same backend — with the cache
+    off, and with it on, on the first call (computed) and the second
+    (served from the cache).
     """
-    plan = make_quantile_groupby(n_groups).compile()
-    print(f"\n== Served percentiles: {n_groups} groups x 3 through execute_grouped ==")
+    plans = {
+        "classic": make_groupby(n_groups).compile(),
+        "percentiles": make_quantile_groupby(n_groups).compile(),
+    }
+    print(f"\n== Served plans: {n_groups} groups x 3 through execute_grouped ==")
     ok = True
     for name, backend in backends.items():
         catalog = SynopsisCatalog()
         catalog.register(name, backend, table_name=table.name)
-        engine = ServingEngine(catalog, cache_size=0)
-        served = engine.execute_grouped(plan)
-        served_ms = 1e3 * min(
-            _timed(lambda: engine.execute_grouped(plan)) for _ in range(3)
-        )
-        mismatches = sum(
-            _result_bits(answer) != _result_bits(backend.query(plan.cell_query(cell, spec)))
-            for index, cell in plan.live_cells()
-            for spec, answer in zip(plan.aggregates, served.cells[index])
-        )
-        print(f"  {name:>8}: {served_ms:8.2f} ms, {mismatches} answers differ from per-query")
-        ok = ok and mismatches == 0
+        for kind, plan in plans.items():
+            uncached = ServingEngine(catalog, cache_size=0)
+            cached = ServingEngine(catalog, cache_size=4 * plan.n_queries)
+            served = {
+                "cache off": uncached.execute_grouped(plan),
+                "cache on, 1st": cached.execute_grouped(plan),
+                "cache on, 2nd": cached.execute_grouped(plan),
+            }
+            served_ms = 1e3 * min(
+                _timed(lambda: uncached.execute_grouped(plan)) for _ in range(3)
+            )
+            expected = {
+                index: [
+                    _result_bits(backend.query(plan.cell_query(cell, spec)))
+                    for spec in plan.aggregates
+                ]
+                for index, cell in plan.live_cells()
+            }
+            mismatches = {
+                case: sum(
+                    _result_bits(answer) != want
+                    for index, row in expected.items()
+                    for answer, want in zip(grouped.cells[index], row)
+                )
+                for case, grouped in served.items()
+            }
+            print(
+                f"  {name:>8} {kind:>11}: {served_ms:8.2f} ms, answers differing "
+                "from per-query: "
+                + ", ".join(f"{case} {count}" for case, count in mismatches.items())
+            )
+            ok = ok and not any(mismatches.values())
     return ok
 
 
@@ -204,7 +231,8 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help=(
             "assert the grouped path beats the naive loop >= 3x at 64 groups and "
-            "served percentile plans carry the bits of per-query execution"
+            "served classic and percentile plans, cached or not, carry the bits "
+            "of per-query execution"
         ),
     )
     parser.add_argument(
@@ -270,10 +298,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: expected >= 3x at 64 groups, measured {at_64['speedup']:.1f}x")
     else:
         print("grouped speedup check passed")
-    if check_served_percentiles(table, {"single": synopsis, "sharded": sharded}, 64):
-        print("served percentile bit-identity check passed")
+    if check_served_plans(table, {"single": synopsis, "sharded": sharded}, 64):
+        print("served plan bit-identity check passed")
     else:
-        print("FAIL: served percentile answers differ from per-query execution")
+        print("FAIL: served grouped answers differ from per-query execution")
         failed = True
     return 1 if failed else 0
 

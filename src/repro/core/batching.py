@@ -29,7 +29,7 @@ the other cells in one :meth:`FlatSynopsis.answer_shared` pass.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -251,18 +251,25 @@ def batch_query(
     return compile_batch(synopsis, queries, obs=obs).execute()
 
 
-def grouped_query(synopsis: PASSSynopsis, plan: GroupByPlan) -> GroupedResult:
+def grouped_query(
+    synopsis: PASSSynopsis, plan: GroupByPlan, skip: Iterable[int] = ()
+) -> GroupedResult:
     """Answer a compiled group-by plan with one kernel pass over its cells.
 
     Every cell takes one MCF lookup, all in one
     :meth:`FlatSynopsis.frontiers_for` broadcast, and an AVG under the
     zero-variance rule its own flagged lookup, as :func:`compile_batch`
     gives it.  Cells whose frontier statistics show zero matching tuples are
-    answered as exact empty groups.  The classic aggregates of the other
-    cells are one :meth:`FlatSynopsis.answer_shared` call, one group per
-    (cell, partial rows); the sketch aggregates take one union per (cell,
-    sketch kind) (:func:`~repro.sketches.union.shared_union_results`).
-    Every answer is bit-identical to ``synopsis.query`` of its cell's query.
+    answered as exact empty groups and listed in the result's ``pruned``.
+    The classic aggregates of the other cells are one
+    :meth:`FlatSynopsis.answer_shared` call, one group per (cell, partial
+    rows); the sketch aggregates take one union per (cell, sketch kind)
+    (:func:`~repro.sketches.union.shared_union_results`).  Every answer is
+    bit-identical to ``synopsis.query`` of its cell's query.
+
+    Cells in ``skip`` are answered elsewhere (the serving engine's result
+    cache): they take no lookup and come back as empty groups, like the
+    cells :meth:`GroupByPlan.live_cells` never dispatches.
     """
     value_column = synopsis.value_column
     for spec in plan.aggregates:
@@ -284,7 +291,7 @@ def grouped_query(synopsis: PASSSynopsis, plan: GroupByPlan) -> GroupedResult:
         )
     population = synopsis.population_size
 
-    live = plan.live_cells()
+    live = plan.live_cells(skip)
     predicates = [cell.predicate for _, cell in live]
     avg_own_frontier = synopsis.zero_variance_rule and any(
         spec.agg == AggregateType.AVG for _, spec in classic
@@ -361,4 +368,5 @@ def grouped_query(synopsis: PASSSynopsis, plan: GroupByPlan) -> GroupedResult:
         aggregates=plan.aggregates,
         labels=tuple(cell.labels for cell in plan.cells),
         cells=tuple(answers.get(index, empty) for index in range(plan.n_cells)),
+        pruned=frozenset(index for index, _ in live if index not in answers),
     )

@@ -33,7 +33,7 @@ queries serves grouped traffic unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -341,7 +341,7 @@ class GroupByPlan:
         """The dispatchable ``(cell_index, cell)`` pairs.
 
         Cells with ``predicate=None`` never dispatch; ``skip`` removes
-        further cells an executor pruned (e.g. via frontier statistics).
+        further cells an executor answers elsewhere (e.g. from a cache).
         """
         skipped = set(skip)
         return [
@@ -358,11 +358,11 @@ class GroupByPlan:
             spec.agg, spec.value_column, cell.predicate, spec.quantile
         )
 
-    def queries(self, skip: Iterable[int] = ()) -> list[AggregateQuery]:
+    def queries(self) -> list[AggregateQuery]:
         """The compiled batch, cell-major: every aggregate of cell 0, then 1, ..."""
         return [
             self.cell_query(cell, spec)
-            for _, cell in self.live_cells(skip)
+            for _, cell in self.live_cells()
             for spec in self.aggregates
         ]
 
@@ -397,16 +397,15 @@ def execute_plan(
     plan: GroupByPlan,
     run_batch: Callable[[list[AggregateQuery]], Sequence[AQPResult]],
     population: int = 0,
-    skip: Iterable[int] = (),
 ) -> "GroupedResult":
     """Dispatch a plan through a batch executor and assemble the result.
 
-    ``run_batch`` receives the flat cell-major query batch of the live,
-    non-skipped cells and must return aligned results.  Skipped and provably
-    empty cells are answered locally with :func:`empty_group_result`.
+    ``run_batch`` receives the flat cell-major query batch of the live cells
+    and must return aligned results.  Provably empty cells are answered
+    locally with :func:`empty_group_result`.
     """
-    live = plan.live_cells(skip)
-    flat = [plan.cell_query(cell, spec) for _, cell in live for spec in plan.aggregates]
+    live = plan.live_cells()
+    flat = plan.queries()
     answers = list(run_batch(flat)) if flat else []
     if len(answers) != len(flat):
         raise ValueError(
@@ -417,12 +416,12 @@ def execute_plan(
         index: tuple(answers[slot * width : (slot + 1) * width])
         for slot, (index, _) in enumerate(live)
     }
-    pruned = tuple(empty_group_result(spec.agg, population) for spec in plan.aggregates)
+    empty = tuple(empty_group_result(spec.agg, population) for spec in plan.aggregates)
     return GroupedResult(
         group_columns=plan.group_columns,
         aggregates=plan.aggregates,
         labels=tuple(cell.labels for cell in plan.cells),
-        cells=tuple(by_cell.get(index, pruned) for index in range(plan.n_cells)),
+        cells=tuple(by_cell.get(index, empty) for index in range(plan.n_cells)),
     )
 
 
@@ -432,13 +431,17 @@ class GroupedResult:
 
     Cells appear in plan order (the cross product of the resolved groupings,
     first grouping slowest); ``labels[i]`` carries cell ``i``'s per-column
-    group labels.
+    group labels.  ``pruned`` holds the indices of the live cells an
+    executor answered as empty groups because the partition tree's frontier
+    statistics showed them empty (:func:`repro.core.batching.grouped_query`
+    fills it; it takes no part in equality).
     """
 
     group_columns: tuple[str, ...]
     aggregates: tuple[AggregateSpec, ...]
     labels: tuple[tuple, ...]
     cells: tuple[tuple[AQPResult, ...], ...]
+    pruned: frozenset[int] = field(default=frozenset(), compare=False)
 
     def __len__(self) -> int:
         return len(self.cells)

@@ -35,6 +35,7 @@ cached result for a region the update did not touch keeps its original
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from collections import OrderedDict
@@ -43,15 +44,15 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.batching import batch_query
+from repro.core import batching
 from repro.obs import Observability
-from repro.query.groupby import GroupByPlan, GroupByQuery, GroupedResult
+from repro.query.groupby import GroupByPlan, GroupByQuery, GroupedResult, execute_plan
 from repro.query.predicate import Box, RectPredicate
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
 from repro.serving.catalog import CatalogEntry, SynopsisCatalog
 from repro.serving.locks import ReadWriteLock
-from repro.serving.planner import GroupByPlanner
+from repro.serving.planner import GroupByPlanner, route_plan
 from repro.serving.stats import ServingStats, StatsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,6 +67,9 @@ EXACT_FALLBACK = "__exact__"
 #: Shared empty stages mapping for records with no stage breakdown
 #: (read-only by convention; avoids one dict allocation per record).
 _NO_STAGES: dict[str, float] = {}
+
+#: The ``(cache key, query, cached entry)`` of a pair the cache never saw.
+_UNPROBED = (None, None, None)
 
 
 class _CachedRegions:
@@ -381,10 +385,7 @@ class ServingEngine:
         """Batch execution core; ``already_locked`` callers hold the read lock."""
         queries = list(queries)
         results: list[AQPResult | None] = [None] * len(queries)
-        obs = self._obs
-        tracer = obs.tracer
-
-        with tracer.span("serving.execute_batch") as batch_span:
+        with self._obs.tracer.span("serving.execute_batch") as batch_span:
             batch_span.set_attribute("batch_size", len(queries))
             batch_start = time.perf_counter()
 
@@ -393,7 +394,7 @@ class ServingEngine:
             for position, query in enumerate(queries):
                 unique.setdefault(self._cache_key(query, table), []).append(position)
             misses: list[tuple[tuple, AggregateQuery]] = []
-            hits: list[tuple[tuple, str, AQPResult]] = []
+            hits: list[tuple[AggregateQuery, str, AQPResult]] = []
             for key, positions in unique.items():
                 cached = self._cache_get(key)
                 if cached is not None:
@@ -401,75 +402,30 @@ class ServingEngine:
                     for position in positions:
                         results[position] = result
                     self._stats_for(served_by).record_hits(len(positions))
-                    hits.append((key, served_by, result))
+                    hits.append((queries[positions[0]], served_by, result))
                 else:
                     misses.append((key, queries[positions[0]]))
             batch_span.set_attribute("unique", len(unique))
             batch_span.set_attribute("cache_hits", len(hits))
             probe_ms = (time.perf_counter() - batch_start) * 1e3
 
-            miss_counts: dict[str, int] = {}
-            if misses:
-                guard = nullcontext() if already_locked else self._lock.read_locked()
-                with guard:
+            answers: list[tuple[str, AQPResult]] = []
+            elapsed = 0.0
+            locked = already_locked or not misses
+            with nullcontext() if locked else self._lock.read_locked():
+                if misses:
                     start = time.perf_counter()
                     answers = self._execute_misses(misses, table)
                     elapsed = time.perf_counter() - start
-                    # Cache under the read lock so a pending update's
-                    # invalidation cannot slip between computing and caching
-                    # (see execute()).
-                    with tracer.span("cache.store"):
-                        for (key, query), (served_by, result) in zip(misses, answers):
-                            self._cache_put(key, (served_by, query, result))
-                    # Offer under the read lock (see execute()); duplicate
-                    # queries in the batch advance the sampler by their
-                    # position count so audit frequency tracks traffic.
-                    auditor = self._auditor
-                    if auditor is not None:
-                        for (key, query), (served_by, result) in zip(misses, answers):
-                            if served_by != EXACT_FALLBACK:
-                                auditor.offer(
-                                    query,
-                                    table,
-                                    served_by,
-                                    result,
-                                    weight=len(unique[key]),
-                                )
-                per_query = elapsed / len(misses)
-                for (key, query), (served_by, result) in zip(misses, answers):
-                    miss_counts[served_by] = miss_counts.get(served_by, 0) + 1
-                    for position in unique[key]:
-                        results[position] = result
-                for served_by, count in miss_counts.items():
-                    self._stats_for(served_by).record_misses(count, per_query)
-
-            if obs.enabled:
-                # Payloads are packed inline (not via ``_make_payload``) with
-                # the timestamp and per-synopsis staleness hoisted out of the
-                # loop: the whole window shares one wall-clock read and one
-                # staleness probe per touched synopsis, leaving a bare tuple
-                # pack per query on the executor thread.
-                stages_ms = batch_span.stage_durations_ms()
-                trace_id = batch_span.trace_id
-                ts = time.time()
-                stale = {
-                    name: self._catalog.staleness_of(name)
-                    for name in {sb for _, sb, _ in hits} | set(miss_counts)
-                }
-                payloads = [
-                    (ts, table, sb, queries[unique[key][0]], "cache_hit",
-                     probe_ms, _NO_STAGES, result, stale[sb], trace_id, 0)
-                    for key, sb, result in hits
-                ]
-                if misses:
-                    miss_ms = per_query * 1e3
-                    payloads.extend(
-                        (ts, table, sb, query, "miss",
-                         miss_ms, stages_ms, result, stale[sb], trace_id, 0)
-                        for (key, query), (sb, result) in zip(misses, answers)
-                    )
-                if payloads:
-                    obs.query_log.extend_raw(payloads)
+                # A duplicated query advances the audit sampler by its
+                # position count, so audit frequency tracks traffic.
+                weights = [len(unique[key]) for key, _ in misses]
+                self._settle(
+                    table, batch_span, probe_ms, hits, misses, answers, elapsed, weights
+                )
+            for (key, _), (_, result) in zip(misses, answers):
+                for position in unique[key]:
+                    results[position] = result
         return results  # type: ignore[return-value]
 
     def execute_grouped(
@@ -478,36 +434,154 @@ class ServingEngine:
         """Answer a group-by / multi-aggregate query through the serving stack.
 
         The query is compiled by a :class:`~repro.serving.planner.GroupByPlanner`
-        (distinct values resolve from the registered fallback table), group
-        cells that the routed synopsis' partition-tree frontier statistics
-        prove empty are answered locally, and the surviving cell-major batch
-        runs through :meth:`execute_batch` — so every (group cell, aggregate)
-        pair gets its own canonical cache key, repeated grouped dashboards hit
-        the result cache per group, and updates invalidate exactly the touched
-        cells.
+        (distinct values resolve from the registered fallback table).  A plan
+        whose compiled queries all route to one entry
+        (:func:`~repro.serving.planner.route_plan`) is one
+        :func:`~repro.core.batching.grouped_query` call on it: one frontier
+        broadcast, which also answers the cells the tree proves empty, one
+        moment pass and one sketch union per (cell, sketch kind).  Each
+        (cell, aggregate) pair keeps its own cache key: a cell cached whole
+        is served from the cache and skipped by the kernel, a cell with any
+        miss is recomputed and only its misses are cached.  Any other plan
+        runs its cell-major batch through :meth:`execute_batch`.
 
-        The whole grouped query — frontier-statistics pruning, population
-        snapshot, and dispatch — runs under one read-lock scope, so the
-        result is a consistent snapshot: a concurrent update is ordered
-        either entirely before or entirely after it.
+        Routing, cache probe, answering and caching run under one read-lock
+        scope, so a concurrent update is ordered entirely before or after.
         """
-        planner = GroupByPlanner(self._catalog)
         plan = (
-            planner.compile(groupby, table)
+            GroupByPlanner(self._catalog).compile(groupby, table)
             if isinstance(groupby, GroupByQuery)
             else groupby
         )
         with self._lock.read_locked():
-            pruned, population = planner.analyze(plan, table)
-            return planner.execute(
+            entry = route_plan(
+                plan, lambda query: self._catalog.route(query, table, record=False)
+            )
+            if entry is not None:
+                return self._execute_routed_plan(plan, entry, table)
+            exact = self._catalog.exact_engine(table)
+            return execute_plan(
                 plan,
                 lambda queries: self._execute_batch_impl(
                     queries, table, already_locked=True
                 ),
-                table=table,
-                pruned=pruned,
-                population=population,
+                population=exact.table.n_rows if exact is not None else 0,
             )
+
+    def _execute_routed_plan(
+        self, plan: GroupByPlan, entry: CatalogEntry, table: str | None
+    ) -> GroupedResult:
+        """Answer a plan routed whole to ``entry`` (caller holds the read lock)."""
+        with self._obs.tracer.span("serving.execute_grouped") as span:
+            start = time.perf_counter()
+            live = plan.live_cells()
+            # (cell index, position) -> (cache key, query, cached entry or None)
+            probed: dict[tuple[int, int], tuple] = {}
+            hits: list[tuple[AggregateQuery, str, AQPResult]] = []
+            whole: set[int] = set()  # cells whose every aggregate is cached
+            for index, cell in live if self._cache_size else ():
+                for position, spec in enumerate(plan.aggregates):
+                    query = plan.cell_query(cell, spec)
+                    key = self._cache_key(query, table)
+                    cached = self._cache_get(key)
+                    probed[index, position] = (key, query, cached)
+                    if cached is not None:
+                        served_by, _, result = cached
+                        self._stats_for(served_by).record_hits()
+                        hits.append((query, served_by, result))
+                if all(probed[index, p][2] for p in range(len(plan.aggregates))):
+                    whole.add(index)
+            probe_ms = (time.perf_counter() - start) * 1e3
+            start = time.perf_counter()
+            grouped = batching.grouped_query(entry.synopsis, plan, skip=whole)
+            elapsed = time.perf_counter() - start
+            # A hit answers from the cache; a miss in a cell the kernel
+            # answered (not pruned) is computed.  Queries are built only
+            # for a reader: the cache, the auditor or the query log.
+            keep = self._cache_size or self._auditor is not None or self._obs.enabled
+            misses: list[tuple[tuple | None, AggregateQuery]] = []
+            answers: list[tuple[str, AQPResult]] = []
+            cells = list(grouped.cells)
+            for index, cell in live:
+                row = list(cells[index])
+                for position, spec in enumerate(plan.aggregates):
+                    key, query, cached = probed.get((index, position), _UNPROBED)
+                    if cached is not None:
+                        row[position] = cached[2]
+                    elif index not in grouped.pruned:
+                        answers.append((entry.name, row[position]))
+                        if keep:
+                            if query is None:
+                                query = plan.cell_query(cell, spec)
+                            misses.append((key, query))
+                cells[index] = tuple(row)
+            self._settle(table, span, probe_ms, hits, misses, answers, elapsed)
+        return dataclasses.replace(grouped, cells=tuple(cells))
+
+    def _settle(
+        self,
+        table: str | None,
+        span,
+        probe_ms: float,
+        hits: Sequence[tuple[AggregateQuery, str, AQPResult]],
+        misses: Sequence[tuple[tuple | None, AggregateQuery]],
+        answers: Sequence[tuple[str, AQPResult]],
+        elapsed: float,
+        weights: Sequence[int] | None = None,
+    ) -> None:
+        """Book a request's answers: cache, audit offers, stats, routes, log.
+
+        ``answers[i]`` (serving synopsis, result) answers ``misses[i]``
+        (cache key, query), which stands for ``weights[i]`` requests (1 when
+        None) in the audit sampler; ``misses`` may be empty when nothing
+        reads it (no cache, auditor or query log).  ``hits`` are the
+        already counted (query, serving synopsis, result) cache hits.  Call
+        it in the read-lock scope the answers were computed in, so an
+        update's invalidation cannot slip between computing and caching and
+        the auditor's truth epoch matches the answer (see :meth:`execute`).
+        """
+        obs = self._obs
+        if misses:
+            with obs.tracer.span("cache.store"):
+                for (key, query), (served_by, result) in zip(misses, answers):
+                    self._cache_put(key, (served_by, query, result))
+            auditor = self._auditor
+            if auditor is not None:
+                for i, ((_, query), (served_by, result)) in enumerate(
+                    zip(misses, answers)
+                ):
+                    if served_by != EXACT_FALLBACK:
+                        weight = 1 if weights is None else weights[i]
+                        auditor.offer(query, table, served_by, result, weight=weight)
+        miss_counts: dict[str, int] = {}
+        for served_by, _ in answers:
+            miss_counts[served_by] = miss_counts.get(served_by, 0) + 1
+        per_query = elapsed / len(answers) if answers else 0.0
+        for served_by, count in miss_counts.items():
+            self._stats_for(served_by).record_misses(count, per_query)
+        if not obs.enabled:
+            return
+        self._catalog.count_routes(miss_counts)
+        # Payloads are packed inline (not via ``_make_payload``): the request
+        # shares one wall-clock read and one staleness probe per synopsis,
+        # leaving a bare tuple pack per query.
+        stages_ms, trace_id, ts = span.stage_durations_ms(), span.trace_id, time.time()
+        stale = {
+            name: self._catalog.staleness_of(name)
+            for name in {sb for _, sb, _ in hits} | set(miss_counts)
+        }
+        payloads = [
+            (ts, table, sb, query, "cache_hit",
+             probe_ms, _NO_STAGES, result, stale[sb], trace_id, 0)
+            for query, sb, result in hits
+        ]
+        payloads.extend(
+            (ts, table, sb, query, "miss",
+             per_query * 1e3, stages_ms, result, stale[sb], trace_id, 0)
+            for (_, query), (sb, result) in zip(misses, answers)
+        )
+        if payloads:
+            obs.query_log.extend_raw(payloads)
 
     def _execute_uncached(
         self, query: AggregateQuery, table: str | None
@@ -531,25 +605,17 @@ class ServingEngine:
         answers: list[tuple[str, AQPResult] | None] = [None] * len(misses)
         by_entry: dict[str, list[int]] = {}
         entries: dict[str, CatalogEntry] = {}
-        n_exact = 0
         for index, (_, query) in enumerate(misses):
             entry = self._catalog.route(query, table, record=False)
             if entry is None:
                 answers[index] = (EXACT_FALLBACK, self._exact_result(query, table))
-                n_exact += 1
             else:
                 by_entry.setdefault(entry.name, []).append(index)
                 entries[entry.name] = entry
-        if self._obs.enabled:
-            tally = {name: len(indices) for name, indices in by_entry.items()}
-            if n_exact:
-                tally[EXACT_FALLBACK] = n_exact
-            if tally:
-                self._catalog.count_routes(tally)
         for name, indices in by_entry.items():
             entry = entries[name]
             batch = [misses[index][1] for index in indices]
-            batch_results = batch_query(entry.synopsis, batch, obs=self._obs)
+            batch_results = batching.batch_query(entry.synopsis, batch, obs=self._obs)
             for index, result in zip(indices, batch_results):
                 answers[index] = (name, result)
         return answers  # type: ignore[return-value]

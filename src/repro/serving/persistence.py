@@ -7,7 +7,8 @@ exported them: a static synopsis, a dynamic one (plus its reservoir ``seen``
 tree, its routing in the header and ``shard_rows``; a file of the earlier
 per-shard ``shard<i>/`` layout is refused).  This module owns the byte
 layout that pair is written in — :class:`SegmentLayout` writes it into any
-buffer, :func:`parse_segment` reads it back as zero-copy views — with the one
+buffer or piece by piece to a file, :func:`parse_segment` reads it back as
+zero-copy views — with the one
 writer of a ``.pass`` file (:func:`_atomic_write` of the layout) and the one
 reader (:class:`MappedFile`, a read-only ``mmap``).  :func:`save_synopsis`
 and a :class:`~repro.serving.shm.SynopsisPublisher`'s generations are written
@@ -112,8 +113,9 @@ class SegmentLayout:
     """Where a ``(header, arrays)`` pair goes in a buffer of ``size`` bytes.
 
     ``header`` must be JSON-safe (every ``export_buffers`` header is).
-    Construct, allocate ``size`` bytes wherever they should live (shared
-    memory, a ``bytearray`` bound for a file), then :meth:`write` into them.
+    Construct, then either :meth:`write` into ``size`` writable bytes or
+    write its :meth:`pieces` at their offsets (:func:`_write_segment`, a
+    file with no staging copy).
     """
 
     def __init__(self, header: Mapping, arrays: Mapping[str, np.ndarray]) -> None:
@@ -159,6 +161,15 @@ class SegmentLayout:
                 payload.shape, dtype=payload.dtype, buffer=buf, offset=entry["offset"]
             )
             view[...] = payload
+
+    def pieces(self):
+        """``(offset, bytes-like)`` of everything :meth:`write` puts in a
+        buffer: magic and header length, the header, each payload (a
+        zero-copy view); the bytes between them are zeros."""
+        yield 0, SEGMENT_MAGIC + struct.pack("<Q", len(self._encoded))
+        yield 16, self._encoded
+        for entry, payload in zip(self._directory, self._payloads):
+            yield entry["offset"], payload.reshape(-1).view(np.uint8)
 
 
 def _array_spec(entry: Mapping, available: int) -> tuple[str, np.dtype, tuple, int]:
@@ -259,11 +270,22 @@ def _atomic_write(path: Path, write: Callable[[BinaryIO], None]) -> None:
 def _write_segment(
     handle: BinaryIO, header: Mapping, arrays: Mapping[str, np.ndarray]
 ) -> None:
-    """Write ``(header, arrays)`` in the segment layout to an open file."""
+    """Write ``(header, arrays)`` in the segment layout to an open file.
+
+    The bytes are those :meth:`SegmentLayout.write` puts in a zeroed buffer,
+    written piece by piece at their offsets from the handle's position: no
+    second copy of the synopsis is staged, and the gaps between pieces read
+    as zeros (a file hole, or a ``BytesIO``'s zero fill).
+    """
     layout = SegmentLayout(header, arrays)
-    buffer = bytearray(layout.size)
-    layout.write(buffer)
-    handle.write(buffer)
+    base = handle.tell()
+    for offset, piece in layout.pieces():
+        handle.seek(base + offset)
+        handle.write(piece)
+    end = base + layout.size
+    if handle.tell() < end:  # padding after the last payload
+        handle.seek(end - 1)
+        handle.write(b"\0")
 
 
 class MappedFile:

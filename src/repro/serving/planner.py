@@ -1,44 +1,40 @@
-"""The group-by planner: compile, prune, and dispatch grouped queries.
+"""The group-by planner: compile grouped queries and route them whole.
 
 :class:`GroupByPlanner` is the serving-side front end for
-:class:`~repro.query.groupby.GroupByQuery`.  It fills the three gaps between
-the declarative group-by form and the single-aggregate batch executors:
+:class:`~repro.query.groupby.GroupByQuery`.  It fills the gaps between the
+declarative group-by form and the executors:
 
 1. **Distinct-value resolution** — groupings that discover their distinct
    values at compile time pull them from the catalog's registered fallback
    table.
-2. **Empty-cell pruning** — before anything dispatches, each group cell's
-   predicate is checked against the routed synopsis' partition-tree frontier
-   statistics (a sharded entry's stitched tree included).  A cell whose
-   frontier contains zero tuples is provably empty and is answered locally
-   with SQL empty-group semantics, costing no mask work and no cache slots.
-3. **Dispatch** — the surviving cell-major batch runs through
-   :meth:`~repro.serving.engine.ServingEngine.execute_batch`, so grouped
-   traffic inherits the per-group result cache (every compiled query's
-   canonical cache key embeds its group cell's predicate — and, for
-   QUANTILE aggregates, the quantile parameter), the shared-frontier batch
-   execution, and the exact-scan fallback.  Sketch aggregates ride the same
-   plan: a ``P95(value)`` spec compiles into per-cell QUANTILE queries the
-   routed synopsis answers from its mergeable per-leaf sketches.
+2. **Whole-plan routing** — :func:`route_plan` finds the one catalog entry
+   every compiled (cell, aggregate) query routes to, if there is one.  The
+   serving engine answers such a plan with one
+   :func:`~repro.core.batching.grouped_query` call on that entry: one
+   frontier broadcast, which also proves cells empty (a cell whose covered
+   and partial nodes hold zero tuples is answered with SQL empty-group
+   semantics, costing no mask work and no cache slots), then one shared
+   moment pass and one sketch union per (cell, sketch kind).  A plan with
+   no single entry dispatches query by query through
+   :meth:`~repro.serving.engine.ServingEngine.execute_batch`.
+
+Either way every (group cell, aggregate) pair keeps its own canonical cache
+key — for QUANTILE aggregates carrying the quantile parameter — so grouped
+traffic shares the engine's per-group result cache.
 
 The planner is a stateless strategy object over a catalog; the thread-safe
 entry point for applications is
 :meth:`repro.serving.engine.ServingEngine.execute_grouped`, which holds the
-engine's read lock around the pruning pass.
+engine's read lock around routing and answering.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, TypeVar
 
-from repro.query.groupby import (
-    GroupByPlan,
-    GroupByQuery,
-    GroupedResult,
-    execute_plan,
-)
+from repro.query.aggregates import SKETCH_AGGREGATES
+from repro.query.groupby import GroupByPlan, GroupByQuery
 from repro.query.query import AggregateQuery
-from repro.result import AQPResult
 from repro.serving.catalog import CatalogEntry, SynopsisCatalog
 
 __all__ = ["GroupByPlanner", "route_plan"]
@@ -53,21 +49,23 @@ def route_plan(
 
     ``route`` maps one query to its entry (anything with a ``name``).
     Group cells share predicate columns by construction, so one
-    representative query per distinct value column routes the whole plan.
-    When aggregates over different value columns route to different
-    entries (or some route nowhere), there is no single entry and ``None``
-    is returned.
+    representative query per distinct (value column, sketch-ness) routes
+    the whole plan: a QUANTILE / COUNT_DISTINCT query only routes to an
+    entry carrying sketches, which a SUM over the same column may pass
+    over.  When those representatives route to different entries (or some
+    route nowhere), there is no single entry and ``None`` is returned.
     """
     live = plan.live_cells()
     if not live:
         return None
     cell = live[0][1]
     entry: E | None = None
-    seen: set[str] = set()
+    seen: set[tuple[str, bool]] = set()
     for spec in plan.aggregates:
-        if spec.value_column in seen:
+        kind = (spec.value_column, spec.agg in SKETCH_AGGREGATES)
+        if kind in seen:
             continue
-        seen.add(spec.value_column)
+        seen.add(kind)
         routed = route(plan.cell_query(cell, spec))
         if routed is None or (entry is not None and routed.name != entry.name):
             return None
@@ -76,7 +74,7 @@ def route_plan(
 
 
 class GroupByPlanner:
-    """Compile-prune-dispatch planning for grouped queries over a catalog."""
+    """Compilation, whole-plan routing and pruning of grouped queries over a catalog."""
 
     def __init__(self, catalog: SynopsisCatalog) -> None:
         self._catalog = catalog
@@ -101,7 +99,7 @@ class GroupByPlanner:
         return groupby.compile(distinct_source=source)
 
     # ------------------------------------------------------------------
-    # Frontier-statistics pruning
+    # Routing and frontier-statistics pruning
     # ------------------------------------------------------------------
     def route(self, plan: GroupByPlan, table: str | None = None) -> CatalogEntry | None:
         """The catalog entry ALL of the plan's compiled queries route to
@@ -112,19 +110,6 @@ class GroupByPlanner:
         """
         return route_plan(plan, lambda query: self._catalog.route(query, table))
 
-    def analyze(
-        self, plan: GroupByPlan, table: str | None = None
-    ) -> tuple[set[int], int]:
-        """Pruned cell indices and population, routing the plan once.
-
-        The hot-path combination of :meth:`prune_empty_cells` and
-        :meth:`population` — hold the serving engine's read lock while
-        calling it when updates may run concurrently.
-        """
-        entry = self.route(plan, table)
-        pruned = self._prune_for_entry(plan, entry)
-        return pruned, self._population_for_entry(entry, table)
-
     def prune_empty_cells(
         self, plan: GroupByPlan, table: str | None = None
     ) -> set[int]:
@@ -133,17 +118,15 @@ class GroupByPlanner:
         Each live cell's predicate runs a flat MCF lookup
         (``FlatSynopsis.frontiers_for``, one broadcast) over the routed
         synopsis' partition tree; a frontier whose covered and partial nodes
-        hold zero tuples cannot match anything.  Entries that route to the exact-scan
-        fallback are never pruned — there is no tree to consult.
+        hold zero tuples cannot match anything.  Plans without a single
+        routed entry are never pruned — there is no one tree to consult.
+        ``ServingEngine.execute_grouped`` prunes inside its one
+        ``grouped_query`` call and does not call this.
 
         Callers serving live traffic must hold the serving engine's read
         lock: the lookup walks tree statistics that dynamic updates mutate.
         """
-        return self._prune_for_entry(plan, self.route(plan, table))
-
-    def _prune_for_entry(
-        self, plan: GroupByPlan, entry: CatalogEntry | None
-    ) -> set[int]:
+        entry = self.route(plan, table)
         if entry is None:
             return set()
         live = plan.live_cells()
@@ -154,43 +137,3 @@ class GroupByPlanner:
             for (index, _), frontier in zip(live, frontiers)
             if not synopsis.frontier_count(frontier)
         }
-
-    # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-    def population(self, plan: GroupByPlan, table: str | None = None) -> int:
-        """Rows the plan aggregates over (for pruned-cell skip accounting).
-
-        Like :meth:`prune_empty_cells`, read this under the serving engine's
-        lock when updates may run concurrently.
-        """
-        return self._population_for_entry(self.route(plan, table), table)
-
-    def _population_for_entry(
-        self, entry: CatalogEntry | None, table: str | None
-    ) -> int:
-        if entry is not None:
-            return entry.synopsis.population_size
-        engine = self._catalog.exact_engine(table)
-        return engine.table.n_rows if engine is not None else 0
-
-    def execute(
-        self,
-        plan: GroupByPlan,
-        run_batch: Callable[[list[AggregateQuery]], Sequence[AQPResult]],
-        table: str | None = None,
-        pruned: set[int] | None = None,
-        population: int | None = None,
-    ) -> GroupedResult:
-        """Dispatch a plan through a batch executor, pruning empty cells.
-
-        ``pruned`` and ``population`` override the planner's own routing
-        passes — the serving engine computes both under its read lock so the
-        dispatch itself touches the catalog only through ``run_batch``;
-        when ``None`` the planner computes them here (single-threaded use).
-        """
-        if pruned is None:
-            pruned = self.prune_empty_cells(plan, table)
-        if population is None:
-            population = self.population(plan, table)
-        return execute_plan(plan, run_batch, population=population, skip=pruned)

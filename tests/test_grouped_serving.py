@@ -4,22 +4,32 @@ The acceptance property of the grouped planner stack: a group-by query over
 a (sharded) synopsis built with full per-leaf samples returns per-group
 SUM / COUNT / AVG / MIN / MAX equal to exact per-group aggregation on the
 raw table, the serving engine caches grouped answers per (cell, aggregate),
-and the planner prunes provably empty cells before dispatch.
+and provably empty cells are pruned before any mask work.  A plan the engine
+routes to one entry is one ``grouped_query`` call: its cells carry that
+call's bits on single, sharded and dynamic entries, with the cache off, on,
+and partly filled, and the cache, stats and query log book exactly the
+computed (cell, aggregate) pairs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import struct
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.core import batching
+from repro.core.batching import grouped_query
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
+from repro.core.updates import DynamicPASS, StaleExtremaWarning
 from repro.data.table import Table
 from repro.distributed.parallel import build_sharded_pass
 from repro.evaluation.harness import evaluate_grouped_workload
+from repro.obs import Observability
 from repro.query.groupby import AggregateSpec, GroupByQuery, GroupingColumn
 from repro.query.predicate import RectPredicate
 from repro.query.query import ExactEngine
@@ -268,3 +278,251 @@ def test_grouped_respects_base_predicate(table, engine):
     for index, cell in plan.live_cells():
         truth = exact.execute(plan.cell_query(cell, plan.aggregates[0]))
         assert grouped.cells[index][0].estimate == pytest.approx(truth)
+
+
+# ----------------------------------------------------------------------
+# A routed plan is one grouped_query call: bit parity and bookkeeping
+# ----------------------------------------------------------------------
+#: Zero-variance rule on (the default) and per-leaf sketches: AVG takes its
+#: own frontier where a constant-valued node stops its descent.
+SKETCH_CONFIG = PASSConfig(
+    n_partitions=16,
+    sample_rate=0.1,
+    partitioner="equal",
+    opt_sample_size=200,
+    with_sketches=True,
+    seed=3,
+)
+MIXED = (
+    AggregateSpec("SUM", "value"),
+    AggregateSpec("COUNT", "value"),
+    AggregateSpec("AVG", "value"),
+    AggregateSpec("QUANTILE", "value", 0.5),
+    AggregateSpec("QUANTILE", "value", 0.95),
+    AggregateSpec("COUNT_DISTINCT", "value"),
+)
+
+
+@pytest.fixture(scope="module")
+def flat_table() -> Table:
+    """Keys in [0, 80]; the value is constant below key 30."""
+    rng = np.random.default_rng(23)
+    key = rng.uniform(0.0, 80.0, size=6000)
+    value = np.round(np.abs(rng.normal(40.0, 12.0, size=key.shape[0])), 1)
+    value[key < 30.0] = 7.0
+    return Table({"key": key, "value": value}, name="served_grouped")
+
+
+def _build(backend: str, table: Table):
+    if backend == "single":
+        return build_pass(table, "value", ["key"], SKETCH_CONFIG)
+    if backend == "sharded":
+        return build_sharded_pass(
+            table, "value", "key", n_shards=4, config=SKETCH_CONFIG
+        )
+    dynamic = DynamicPASS(table, "value", ["key"], config=SKETCH_CONFIG)
+    # Empty the leaves inside key [28, 52]: a cell among them holds no tuple
+    # by its frontier statistics, and is pruned.
+    with pytest.warns(StaleExtremaWarning):
+        for key, value in zip(table.column("key"), table.column("value")):
+            if 28.0 <= key <= 52.0:
+                dynamic.delete({"key": float(key), "value": float(value)})
+    return dynamic
+
+
+def _served_plan():
+    """16 bins, some past the keys' range, and one the base predicate
+    excludes (compiled to ``predicate=None``)."""
+    return GroupByQuery(
+        groupings=(GroupingColumn.bins("key", np.linspace(0.0, 120.0, 17).tolist()),),
+        aggregates=MIXED,
+        predicate=RectPredicate.from_bounds(key=(0.0, 110.0)),
+    ).compile()
+
+
+def _engine_over(backend: str, synopsis, table: Table, cache_size: int, obs=None):
+    catalog = SynopsisCatalog()
+    catalog.register(backend, synopsis, table_name=table.name)
+    catalog.register_table(table)
+    return ServingEngine(catalog, cache_size=cache_size, obs=obs)
+
+
+def _assert_cells_bitwise(got, want) -> None:
+    assert got.labels == want.labels and got.aggregates == want.aggregates
+    for row, expected_row in zip(got.cells, want.cells):
+        for result, reference in zip(row, expected_row):
+            assert _bits(result) == _bits(reference)
+
+
+def _bits(result) -> tuple:
+    return (
+        struct.pack(
+            "<5d",
+            result.estimate,
+            result.ci_half_width,
+            result.variance,
+            result.hard_lower,
+            result.hard_upper,
+        ),
+        result.tuples_processed,
+        result.tuples_skipped,
+        result.exact,
+    )
+
+
+def _computed(engine, plan, table: Table) -> list[int]:
+    """The live cells the kernel answers: frontier pruning removes the rest."""
+    pruned = GroupByPlanner(engine.catalog).prune_empty_cells(plan, table.name)
+    return [index for index, _ in plan.live_cells() if index not in pruned]
+
+
+@pytest.fixture(scope="module", params=["single", "sharded", "dynamic"])
+def backend(request, flat_table):
+    return request.param, _build(request.param, flat_table)
+
+
+def test_served_plan_is_grouped_query_bit_for_bit(backend, flat_table):
+    name, synopsis = backend
+    plan = _served_plan()
+    engine = _engine_over(name, synopsis, flat_table, cache_size=0)
+    served = engine.execute_grouped(plan, table=flat_table.name)
+    direct = grouped_query(synopsis, plan)
+    _assert_cells_bitwise(served, direct)
+    computed = _computed(engine, plan, flat_table)
+    assert set(served.pruned) == {
+        index for index, _ in plan.live_cells() if index not in computed
+    }
+    # The excluded cell, the dynamic entry's pruned cell and the AVG
+    # descents the zero-variance rule stops are there to be exercised.
+    assert len(plan.live_cells()) < plan.n_cells
+    assert (len(computed) < len(plan.live_cells())) == (name == "dynamic")
+    predicates = [cell.predicate for _, cell in plan.live_cells()]
+    plain = synopsis.frontiers_for(predicates)
+    flagged = synopsis.frontiers_for(predicates, [True] * len(predicates))
+    assert any(
+        not np.array_equal(a.partial, b.partial) for a, b in zip(plain, flagged)
+    )
+    for index in computed:
+        cell = plan.cells[index]
+        for spec, answer in zip(plan.aggregates, served.cells[index]):
+            assert _bits(answer) == _bits(synopsis.query(plan.cell_query(cell, spec)))
+    stats = engine.stats()[name]
+    assert stats.cache_hits == 0
+    assert stats.cache_misses == len(computed) * len(MIXED)
+    assert engine.cache_info()["size"] == 0
+
+
+def test_cached_plan_is_served_from_the_cache_the_second_time(
+    backend, flat_table, monkeypatch
+):
+    name, synopsis = backend
+    plan = _served_plan()
+    engine = _engine_over(name, synopsis, flat_table, cache_size=4096)
+    computed = _computed(engine, plan, flat_table)
+    pairs = len(computed) * len(MIXED)
+    # The engine calls the kernel through the module attribute (a traced run
+    # wraps that name); record the cells each call looks up.
+    looked_up = []
+    kernel = batching.grouped_query
+
+    def recording(synopsis, plan, skip=()):
+        looked_up.append([index for index, _ in plan.live_cells(skip)])
+        return kernel(synopsis, plan, skip=skip)
+
+    monkeypatch.setattr(batching, "grouped_query", recording)
+    first = engine.execute_grouped(plan, table=flat_table.name)
+    _assert_cells_bitwise(first, grouped_query(synopsis, plan))
+    stats = engine.stats()[name]
+    assert (stats.cache_hits, stats.cache_misses) == (0, pairs)
+    assert engine.cache_info()["size"] == pairs
+    second = engine.execute_grouped(plan, table=flat_table.name)
+    _assert_cells_bitwise(second, first)
+    stats = engine.stats()[name]
+    assert (stats.cache_hits, stats.cache_misses) == (pairs, pairs)
+    assert engine.cache_info()["size"] == pairs
+    # Cells cached whole skip the kernel; only pruned cells, which take no
+    # cache slot, are looked up again.
+    live = [index for index, _ in plan.live_cells()]
+    assert looked_up == [live, [index for index in live if index not in computed]]
+
+
+def test_partly_cached_cells_are_recomputed_and_only_misses_cached(
+    backend, flat_table
+):
+    name, synopsis = backend
+    plan = _served_plan()
+    engine = _engine_over(name, synopsis, flat_table, cache_size=4096)
+    computed = _computed(engine, plan, flat_table)
+    # Two aggregates of three cells, and every aggregate of a fourth.
+    partial = [
+        plan.cell_query(plan.cells[index], spec)
+        for index in computed[:3]
+        for spec in (MIXED[0], MIXED[4])
+    ]
+    whole = [plan.cell_query(plan.cells[computed[3]], spec) for spec in MIXED]
+    engine.execute_batch(partial + whole, table=flat_table.name)
+    cached = len(partial) + len(whole)
+    assert engine.cache_info()["size"] == cached
+    served = engine.execute_grouped(plan, table=flat_table.name)
+    _assert_cells_bitwise(served, grouped_query(synopsis, plan))
+    pairs = len(computed) * len(MIXED)
+    stats = engine.stats()[name]
+    assert stats.cache_hits == cached
+    assert stats.cache_misses == cached + pairs - cached
+    assert engine.cache_info()["size"] == pairs
+
+
+@pytest.mark.parametrize("cache_size", [0, 4096])
+def test_query_log_has_one_miss_per_computed_pair(backend, flat_table, cache_size):
+    name, synopsis = backend
+    plan = _served_plan()
+    engine = _engine_over(
+        name, synopsis, flat_table, cache_size=cache_size, obs=Observability()
+    )
+    keys = Counter(
+        plan.cell_query(plan.cells[index], spec).cache_key()
+        for index in _computed(engine, plan, flat_table)
+        for spec in MIXED
+    )
+    engine.execute_grouped(plan, table=flat_table.name)
+    records = engine.obs.query_log.records()
+    assert Counter(r.cache_key for r in records if r.outcome == "miss") == keys
+    assert all(r.synopsis == name for r in records)
+    assert len(records) == sum(keys.values())
+    engine.execute_grouped(plan, table=flat_table.name)
+    second = engine.obs.query_log.records()[len(records):]
+    outcome = "cache_hit" if cache_size else "miss"
+    assert Counter(r.cache_key for r in second if r.outcome == outcome) == keys
+    assert len(second) == sum(keys.values())
+    assert len(second) == len(keys)
+
+
+def test_a_plan_whose_sketches_route_elsewhere_runs_query_by_query(flat_table):
+    """A SUM routes to the finer sketchless entry, its P95 only to the entry
+    with sketches: no one entry serves the plan, so each query routes alone."""
+    catalog = SynopsisCatalog()
+    fine = dataclasses.replace(SKETCH_CONFIG, n_partitions=32, with_sketches=False)
+    catalog.register(
+        "fine",
+        build_pass(flat_table, "value", ["key"], fine),
+        table_name=flat_table.name,
+    )
+    catalog.register(
+        "sketched",
+        build_pass(flat_table, "value", ["key"], SKETCH_CONFIG),
+        table_name=flat_table.name,
+    )
+    catalog.register_table(flat_table)
+    plan = _served_plan()
+    planner = GroupByPlanner(catalog)
+    mixed = dataclasses.replace(plan, aggregates=(MIXED[0], MIXED[4]))
+    assert planner.route(mixed, flat_table.name) is None
+    classic = dataclasses.replace(plan, aggregates=(MIXED[0],))
+    assert planner.route(classic, flat_table.name).name == "fine"
+    engine = ServingEngine(catalog, cache_size=0)
+    served = engine.execute_grouped(mixed, table=flat_table.name)
+    for index, cell in mixed.live_cells():
+        for spec, answer in zip(mixed.aggregates, served.cells[index]):
+            query = mixed.cell_query(cell, spec)
+            want = engine.execute(query, table=flat_table.name)
+            assert _bits(answer) == _bits(want)

@@ -8,6 +8,7 @@ saved from — same estimates, intervals, hard bounds, and telemetry counters.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import mmap
@@ -28,6 +29,8 @@ from repro.serving.catalog import SynopsisCatalog
 from repro.serving.persistence import (
     FORMAT_VERSION,
     SEGMENT_MAGIC,
+    SegmentLayout,
+    _write_segment,
     load_catalog,
     load_synopsis,
     save_catalog,
@@ -305,6 +308,29 @@ class TestFormatVersioning:
             load_synopsis(path)
         with pytest.raises(TypeError, match="expected a PASSSynopsis"):
             save_synopsis(object(), path)
+
+
+@pytest.mark.parametrize("kind", ["static", "dynamic", "sharded"])
+def test_written_segment_equals_the_layout_in_a_zeroed_buffer(table, kind, tmp_path):
+    """The file writer streams each piece to its offset, staging no copy:
+    its bytes, through a plain file object and through ``save_synopsis``,
+    are those ``SegmentLayout.write`` puts in a zeroed buffer."""
+    config = PASSConfig(n_partitions=8, partitioner="equal", with_sketches=True, seed=0)
+    synopsis = {
+        "static": lambda: build_pass(table, "value", ["a"], config),
+        "dynamic": lambda: DynamicPASS(table, "value", ["a"], config),
+        "sharded": lambda: build_sharded_pass(
+            table, "value", "a", n_shards=2, config=config
+        ),
+    }[kind]()
+    header, arrays = synopsis.export_buffers()
+    layout = SegmentLayout(header, arrays)
+    expected = bytearray(layout.size)
+    layout.write(expected)
+    stream = io.BytesIO()
+    _write_segment(stream, header, arrays)
+    assert stream.getvalue() == expected
+    assert save_synopsis(synopsis, tmp_path / kind).read_bytes() == expected
 
 
 class TestOutsideInput:

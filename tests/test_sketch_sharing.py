@@ -355,11 +355,11 @@ class TestOneReductionPerCell:
         sorts = self._count(monkeypatch, QuantileSketch, "_sorted_weighted")
         engine.execute_grouped(plan)
         # One tree: a cell straddling shards is still one frontier, one union.
-        # The planner's pruning pass and the batch compile each compute the
-        # cells' frontiers in one broadcast, one frontier per cell.
+        # The served plan is one grouped_query call: one broadcast computes
+        # every cell's frontier, and the same frontiers prune empty cells.
         assert len(unions) == 64
         assert not descents
-        assert broadcasts == [64, 64]
+        assert broadcasts == [64]
         assert len(sorts) == 64
 
 
