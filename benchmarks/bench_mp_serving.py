@@ -16,12 +16,14 @@ buys and verifies what it must not cost:
   when the machine has at least 4 cores, and prints an explicit skip note
   otherwise (a 1-core container cannot exhibit process-level scaling).
 * **Bit-identity** — a sample of the workload, plus one QUANTILE and one
-  COUNT_DISTINCT query, is answered both by the pool and by an in-process
+  COUNT_DISTINCT query, and a 64-bin classic and a 64-bin percentile
+  group-by plan are answered both by the pool and by an in-process
   :class:`~repro.serving.engine.ServingEngine` over the same synopsis;
   every :class:`~repro.result.AQPResult` must be field-identical
-  (NaN-aware).  This is asserted on every run, check mode
-  or not: multi-process serving is only correct if it is indistinguishable
-  from in-process serving.
+  (NaN-aware, field types included) and every plan's ``pruned`` equal.
+  ``--check`` fails on any mismatch: multi-process serving is only correct
+  if it is indistinguishable from in-process serving.  The pool's grouped
+  milliseconds per plan (median) are printed beside.
 
 Standalone modes for CI::
 
@@ -46,8 +48,10 @@ import numpy as np
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
 from repro.data.loaders import load_dataset
+from repro.query.groupby import AggregateSpec, GroupByQuery, GroupingColumn
 from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery
+from repro.result import AQPResult
 from repro.serving import (
     MPServingPool,
     ServingEngine,
@@ -119,30 +123,73 @@ def paired_scaling(register_name: str, queries, rounds: int = 3):
     return float(np.median(ratios)), n_queries / best_one, n_queries / best_four
 
 
-def identity_mismatches(register_name: str, spec, synopsis, queries) -> int:
-    """Count pool answers that differ from the in-process engine's."""
+def _differs(a: AQPResult, b: AQPResult) -> bool:
+    """True unless every field is equal (NaN-aware) and of the same type."""
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        same_nan = isinstance(x, float) and math.isnan(x) and math.isnan(y)
+        if type(x) is not type(y) or (x != y and not same_nan):
+            return True
+    return False
+
+
+def grouped_plans(spec) -> dict:
+    """A 64-bin classic and a 64-bin percentile plan over the whole domain."""
+    column = spec.default_predicate_column
+    values = spec.table.column(column)
+    edges = np.linspace(float(values.min()), float(values.max()), 65).tolist()
+    kinds = {
+        "classic": [AggregateSpec(agg, spec.value_column) for agg in AGGS],
+        "percentile": [
+            AggregateSpec("QUANTILE", spec.value_column, q) for q in (0.5, 0.95, 0.99)
+        ],
+    }
+    return {
+        kind: GroupByQuery(
+            groupings=(GroupingColumn.bins(column, edges),), aggregates=tuple(aggs)
+        ).compile()
+        for kind, aggs in kinds.items()
+    }
+
+
+def identity_mismatches(
+    register_name: str, spec, synopsis, queries, plans: dict, repeats: int = 9
+) -> tuple[int, int, dict[str, float]]:
+    """Pool answers that differ from the in-process engine's.
+
+    Returns the differing query answers, the differing plan cells (plus one
+    per plan whose ``pruned`` differs) and the pool's median milliseconds
+    per ``execute_grouped`` call of each plan.
+    """
     catalog = SynopsisCatalog()
     catalog.register("intel_light", synopsis, table_name=spec.table.name)
     catalog.register_table(spec.table)
     engine = ServingEngine(catalog, cache_size=0)
+    grouped, grouped_ms = {}, {}
     with MPServingPool(register_name, n_workers=2) as pool:
         pooled = pool.execute_batch(queries)
-    mismatches = 0
-    for query, from_pool in zip(queries, pooled):
-        from_engine = engine.execute(query)
-        for field in dataclasses.fields(from_pool):
-            a = getattr(from_pool, field.name)
-            b = getattr(from_engine, field.name)
-            same_nan = (
-                isinstance(a, float)
-                and isinstance(b, float)
-                and math.isnan(a)
-                and math.isnan(b)
-            )
-            if a != b and not same_nan:
-                mismatches += 1
-                break
-    return mismatches
+        for kind, plan in plans.items():
+            grouped[kind] = pool.execute_grouped(plan)
+            times = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                pool.execute_grouped(plan)
+                times.append(1e3 * (time.perf_counter() - start))
+            grouped_ms[kind] = float(np.median(times))
+    mismatches = sum(
+        _differs(from_pool, engine.execute(query))
+        for query, from_pool in zip(queries, pooled)
+    )
+    cell_mismatches = 0
+    for kind, plan in plans.items():
+        expected = engine.execute_grouped(plan)
+        cell_mismatches += grouped[kind].pruned != expected.pruned
+        cell_mismatches += sum(
+            _differs(a, b)
+            for row, expected_row in zip(grouped[kind].cells, expected.cells)
+            for a, b in zip(row, expected_row)
+        )
+    return mismatches, cell_mismatches, grouped_ms
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -199,12 +246,19 @@ def main(argv: list[str] | None = None) -> int:
             ),
             AggregateQuery("COUNT_DISTINCT", spec.value_column, sketch_predicate),
         ]
-        mismatches = identity_mismatches(
-            publisher.register_name, spec, synopsis, sample
+        plans = grouped_plans(spec)
+        mismatches, cell_mismatches, grouped_ms = identity_mismatches(
+            publisher.register_name, spec, synopsis, sample, plans
         )
+        n_cells = sum(plan.n_cells * len(plan.aggregates) for plan in plans.values())
         print(
             f"bit-identity vs in-process engine: {mismatches} mismatches "
-            f"over {len(sample)} queries"
+            f"over {len(sample)} queries, {cell_mismatches} over {n_cells} "
+            "grouped cells"
+        )
+        print(
+            "pool execute_grouped (64 bins, median): "
+            + ", ".join(f"{kind} {ms:.2f} ms" for kind, ms in grouped_ms.items())
         )
 
     if args.json:
@@ -217,10 +271,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.check:
         failed = False
-        if mismatches:
+        if mismatches or cell_mismatches:
             print(
-                f"CHECK FAILED: {mismatches} pool results differ from the "
-                "in-process engine (multi-process serving must be bit-identical)"
+                f"CHECK FAILED: {mismatches} pool results and {cell_mismatches} "
+                "grouped cells differ from the in-process engine "
+                "(multi-process serving must be bit-identical)"
             )
             failed = True
         cores = os.cpu_count() or 1

@@ -85,8 +85,9 @@ def hard_bounds(
         def key(stats: PartitionStats) -> float:
             return stats.sum if agg == AggregateType.SUM else float(stats.count)
 
-        covered_total = sum(key(stats) for stats in covered)
-        partial_total = sum(key(stats) for stats in partial)
+        # Started at 0.0: over no non-empty partition a bound is still a float.
+        covered_total = sum((key(stats) for stats in covered), 0.0)
+        partial_total = sum((key(stats) for stats in partial), 0.0)
         return HardBounds(lower=covered_total, upper=covered_total + partial_total)
 
     if agg == AggregateType.AVG:

@@ -36,12 +36,12 @@ import numpy as np
 from repro.core.pass_synopsis import PASSSynopsis
 from repro.core.soa import FlatFrontier
 from repro.obs import Observability
-from repro.query.aggregates import SKETCH_AGGREGATES, AggregateType
-from repro.query.groupby import (
-    GroupByPlan,
-    GroupedResult,
+from repro.query.aggregates import (
+    SKETCH_AGGREGATES,
+    AggregateType,
     empty_group_result,
 )
+from repro.query.groupby import GroupByPlan, GroupedResult
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
 from repro.sketches.union import shared_union_results

@@ -90,7 +90,7 @@ import numpy as np
 from repro.aggregation.partition import PartitionStats
 from repro.data.hashing import splitmix64_scalar
 from repro.aggregation.strat_agg import HardBounds
-from repro.query.aggregates import AggregateType
+from repro.query.aggregates import AggregateType, empty_group_result
 from repro.query.predicate import Box, Interval, RectPredicate
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
@@ -226,14 +226,16 @@ class _RowBounds:
     """:func:`~repro.aggregation.strat_agg.hard_bounds` of one frontier's rows.
 
     Faithful replication — Python-scalar ``sum`` / ``min`` / ``max`` in row
-    order after dropping empty partitions — so every bound is bit-identical
-    to that function's over the same statistics.  ``partial`` holds the
-    partial rows' counts and sums (the lists the estimators read); every
-    other per-row list is built on first use, and all are kept, so the SUM,
-    COUNT and AVG of one frontier share them.
+    order after dropping empty partitions, sums started at ``0.0`` so a
+    bound is a float even over no non-empty row — so every bound is
+    bit-identical to that function's over the same statistics.  ``partial``
+    holds the partial rows' counts and sums (the lists the estimators read);
+    every other per-row list is built on first use, and all are kept, so the
+    SUM, COUNT and AVG of one frontier share them.  ``empty`` is true when
+    no covered or partial row holds a tuple.
     """
 
-    __slots__ = ("_flat", "_rows", "_partial_sums", "_counts", "_lists")
+    __slots__ = ("_flat", "_rows", "_partial_sums", "_counts", "_lists", "empty")
 
     def __init__(
         self,
@@ -248,6 +250,7 @@ class _RowBounds:
         self._partial_sums = partial[1]
         self._counts = (partial[0], flat._node_count[covered_rows].tolist())
         self._lists: dict[tuple[str, bool], list[float]] = {}
+        self.empty = not (any(self._counts[0]) or any(self._counts[1]))
 
     def _values(self, stats: str, covered: bool) -> list[float]:
         """Node array ``stats`` over the non-empty covered (or partial) rows."""
@@ -268,14 +271,14 @@ class _RowBounds:
         values = self._values
         counts_par, counts_cov = self._counts
         if agg == AggregateType.SUM:
-            covered_total = sum(values("_node_sum", True))
-            partial_total = sum(values("_node_sum", False))
+            covered_total = sum(values("_node_sum", True), 0.0)
+            partial_total = sum(values("_node_sum", False), 0.0)
             return HardBounds(
                 lower=covered_total, upper=covered_total + partial_total
             )
         if agg == AggregateType.COUNT:
-            covered_total = sum(float(count) for count in counts_cov if count)
-            partial_total = sum(float(count) for count in counts_par if count)
+            covered_total = sum((float(n) for n in counts_cov if n), 0.0)
+            partial_total = sum((float(n) for n in counts_par if n), 0.0)
             return HardBounds(
                 lower=covered_total, upper=covered_total + partial_total
             )
@@ -1367,10 +1370,12 @@ class FlatSynopsis:
         and ``(sizes, node sums, sample counts)`` lists.  Hard bounds and the
         [SUM, COUNT] totals are kept per covered rows: an AVG divides the two
         of its frontier, and an AVG descent the zero-variance rule stopped
-        early covers other rows.
+        early covers other rows.  A frontier whose rows hold no tuple is an
+        exact empty group (:func:`~repro.query.aggregates.empty_group_result`).
         """
+        population = int(self._node_count[0])
         processed = sum(partial[2])
-        skipped = int(self._node_count[0]) - sum(partial[0])
+        skipped = population - sum(partial[0])
         shared: list[tuple[np.ndarray, _RowBounds, list]] = []
         results = []
         for query, frontier in zip(queries, frontiers):
@@ -1382,6 +1387,9 @@ class FlatSynopsis:
                 covered, totals = frontier.covered, [None, None]
                 row_bounds = _RowBounds(self, covered, frontiers[0].partial, partial)
                 shared.append((covered, row_bounds, totals))
+            if row_bounds.empty:
+                results.append(empty_group_result(agg, population))
+                continue
             bounds = row_bounds.bounds(agg)
             if agg is AggregateType.MIN or agg is AggregateType.MAX:
                 results.append(
@@ -1800,7 +1808,18 @@ class FlatSynopsis:
     def _frontier_union(
         self, query: AggregateQuery, frontier: FlatFrontier
     ) -> QuantileSketchUnion | DistinctSketchUnion:
-        """:meth:`sketch_union`'s kernel, for a query already checked."""
+        """:meth:`sketch_union`'s kernel, for a query already checked.
+
+        Every sketch answer passes here: a frontier holding no tuple is the
+        union of no leaves (covered leaves' sketches may still hold deleted
+        values), which assembles to ``empty_group_result``.
+        """
+        counts = self._node_count
+        if not (
+            any(counts[frontier.covered].tolist())
+            or any(counts[frontier.partial].tolist())
+        ):
+            return frontier_union(query.agg, self.leaf_sketches(), (), ())
         return frontier_union(
             query.agg,
             self.leaf_sketches(),

@@ -22,8 +22,11 @@ import enum
 
 import numpy as np
 
+from repro.result import AQPResult
+
 __all__ = [
     "AggregateType",
+    "empty_group_result",
     "exact_aggregate",
     "normalize_quantile",
     "SAMPLING_SUPPORTED",
@@ -154,3 +157,31 @@ def exact_aggregate(
             raise ValueError(f"quantile must be in [0, 1], got {quantile}")
         return float(np.quantile(valid, quantile))
     raise ValueError(f"unsupported aggregate: {agg!r}")
+
+
+def empty_group_result(agg: AggregateType, population: int = 0) -> AQPResult:
+    """The exact answer of an aggregate over a group that holds no tuple.
+
+    :func:`exact_aggregate`'s empty-input rule as a synopsis answer: COUNT /
+    COUNT_DISTINCT / SUM are 0, AVG / MIN / MAX / QUANTILE are NaN (NULL),
+    with zero width.  ``population`` feeds ``tuples_skipped``.  The flat
+    kernel answers every frontier holding no tuple with it, and the group-by
+    executors every cell they prove empty.
+    """
+    agg = AggregateType.parse(agg)
+    zero_valued = (
+        AggregateType.SUM,
+        AggregateType.COUNT,
+        AggregateType.COUNT_DISTINCT,
+    )
+    value = 0.0 if agg in zero_valued else float("nan")
+    return AQPResult(
+        estimate=value,
+        ci_half_width=0.0,
+        variance=0.0,
+        hard_lower=value,
+        hard_upper=value,
+        tuples_processed=0,
+        tuples_skipped=population,
+        exact=True,
+    )

@@ -39,7 +39,11 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.query.aggregates import AggregateType, normalize_quantile
+from repro.query.aggregates import (
+    AggregateType,
+    empty_group_result,
+    normalize_quantile,
+)
 from repro.query.predicate import Interval, RectPredicate
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
@@ -365,32 +369,6 @@ class GroupByPlan:
             for _, cell in self.live_cells()
             for spec in self.aggregates
         ]
-
-
-def empty_group_result(agg: AggregateType, population: int = 0) -> AQPResult:
-    """The exact answer of an aggregate over a provably empty group.
-
-    SQL semantics for an empty group: COUNT / COUNT_DISTINCT are 0, SUM is
-    0, and AVG / MIN / MAX / QUANTILE are NaN (NULL).  ``population`` feeds
-    ``tuples_skipped`` so the skip-rate telemetry credits the pruning.
-    """
-    agg = AggregateType.parse(agg)
-    zero_valued = (
-        AggregateType.SUM,
-        AggregateType.COUNT,
-        AggregateType.COUNT_DISTINCT,
-    )
-    value = 0.0 if agg in zero_valued else float("nan")
-    return AQPResult(
-        estimate=value,
-        ci_half_width=0.0,
-        variance=0.0,
-        hard_lower=value,
-        hard_upper=value,
-        tuples_processed=0,
-        tuples_skipped=population,
-        exact=True,
-    )
 
 
 def execute_plan(

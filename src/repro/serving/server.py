@@ -29,11 +29,12 @@ This module is the scale-out tier:
   admission policy; its typed :class:`~repro.serving.scheduler.Overloaded`
   is rendered as HTTP 429.
 
-Workers route with :func:`repro.serving.catalog.route_query` — the function
-:meth:`SynopsisCatalog.route` itself calls — over the published manifest,
-so a query answered by the pool routes to the synopsis the in-process
-engine would pick and (one flat kernel everywhere, for all seven
-aggregates) returns the identical :class:`~repro.result.AQPResult`.
+A worker routes over its manifest with the engine's routing functions and
+answers with the engine's kernels, under the one epoch it checked: a chunk
+of queries is one :func:`~repro.core.batching.batch_query` per routed entry,
+a group-by plan one :func:`~repro.core.batching.grouped_query` on one worker.
+So the pool returns, for all seven aggregates, what the in-process engine
+returns for the same published state.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from multiprocessing.connection import Connection, wait
 from multiprocessing.process import BaseProcess
 from typing import Mapping, NamedTuple, Sequence
 
+from repro.core import batching
 from repro.obs import Observability
 from repro.obs.export import prometheus_text
 from repro.query.groupby import (
@@ -175,29 +177,29 @@ def result_from_payload(payload: Mapping) -> AQPResult:
 # ----------------------------------------------------------------------
 # Worker side (module-level so the spawn pickler can reach it)
 # ----------------------------------------------------------------------
-#: Per-worker-process state: the publisher's manifest reader, the epoch the
-#: current attachments were made under, the manifest's entries (what
-#: ``route_query`` reads) and, by entry name, the rehydrated
-#: ``(flat engine, attachment)`` pairs.
+#: Per-worker-process state: the manifest reader, the epoch of the current
+#: attachments, the manifest's entries (what the routing functions read) and,
+#: by entry name, the rehydrated ``(flat engine, attachment)`` pairs.
 _WORKER: dict = {}
 
 
 def _worker_main(register_name: str, conn: Connection) -> None:
     """Worker process entry point: answer chunks over ``conn`` until it closes.
 
-    One request is one pickled chunk; one reply is ``(True, (results,
-    stats))`` or ``(False, exception)`` — the exception travels with its
-    type, so the parent re-raises what the worker raised.  End-of-file on
-    the pipe (the pool closed it, or the parent died) is the stop signal.
+    One request is one pickled ``(table, work)`` chunk (see
+    :func:`_worker_execute`); one reply is ``(True, (answer, stats))`` or
+    ``(False, exception)`` — the exception travels with its type, so the
+    parent re-raises what the worker raised.  End-of-file on the pipe (the
+    pool closed it, or the parent died) is the stop signal.
     """
     _worker_init(register_name)
     while True:
         try:
-            items = conn.recv()
+            table, work = conn.recv()
         except EOFError:
             return
         try:
-            reply = (True, _worker_execute_chunk(items))
+            reply = (True, _worker_execute(table, work))
         except Exception as exc:  # shipped to the caller, who re-raises it
             reply = (False, exc)
         conn.send(reply)
@@ -249,18 +251,12 @@ def _worker_refresh() -> int:
         return epoch
 
 
-def _worker_execute_chunk(
-    items: Sequence[tuple[AggregateQuery, str | None]],
-) -> tuple[list[AQPResult], dict]:
-    """Execute one chunk of ``(query, table)`` pairs in this worker.
-
-    Returns the results (input order) plus a stats delta the parent merges
-    into its metrics registry: served count, the epoch the chunk ran
-    under, and how many re-attach cycles this worker has performed.
-    """
-    epoch = _worker_refresh()
-    results = []
-    for query, table in items:
+def _worker_answer(
+    queries: Sequence[AggregateQuery], table: str | None
+) -> list[AQPResult]:
+    """Answer ``queries`` in input order: one ``batch_query`` per routed entry."""
+    by_entry: dict[str, list[int]] = {}
+    for position, query in enumerate(queries):
         entry = route_query(_WORKER["entries"], query, table)
         if entry is None:
             published = ", ".join(_WORKER["engines"]) or "<none>"
@@ -269,13 +265,39 @@ def _worker_execute_chunk(
                 f"{query.value_column!r} (published: {published}); serve it "
                 "through the in-process engine"
             )
-        results.append(_WORKER["engines"][entry.name][0].query(query))
-    return results, {
-        "served": len(results),
-        "epoch": epoch,
-        "reattaches": _WORKER["reattaches"],
-        "pid": os.getpid(),
-    }
+        by_entry.setdefault(entry.name, []).append(position)
+    results: list[AQPResult] = [None] * len(queries)  # type: ignore[list-item]
+    for name, positions in by_entry.items():
+        flat = _WORKER["engines"][name][0]
+        answers = batching.batch_query(flat, [queries[p] for p in positions])
+        for position, result in zip(positions, answers):
+            results[position] = result
+    return results
+
+
+def _worker_execute(
+    table: str | None, work: Sequence[AggregateQuery] | GroupByPlan
+) -> tuple[list[AQPResult] | GroupedResult, tuple[int, int, int, int]]:
+    """Answer one chunk: a query list, or a plan as the engine answers it.
+
+    A plan is one :func:`~repro.core.batching.grouped_query` on the entry it
+    routes to whole, else its cell-major batch through
+    :func:`_worker_answer`.  The stats delta the parent merges counts the
+    answers computed (a plan's pruned cells are not), the epoch, this
+    worker's re-attach cycles and its pid.
+    """
+    epoch = _worker_refresh()
+    entries = _WORKER["entries"]
+    answer: list[AQPResult] | GroupedResult
+    if not isinstance(work, GroupByPlan):
+        answer, served = _worker_answer(work, table), len(work)
+    elif entry := route_plan(work, lambda query: route_query(entries, query, table)):
+        answer = batching.grouped_query(_WORKER["engines"][entry.name][0], work)
+        served = (len(work.live_cells()) - len(answer.pruned)) * len(work.aggregates)
+    else:
+        answer = execute_plan(work, lambda queries: _worker_answer(queries, table))
+        served = work.n_queries
+    return answer, (served, epoch, _WORKER["reattaches"], os.getpid())
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +337,7 @@ class MPServingPool:
         amortizes the pickle/IPC round trip while keeping the pool busy.
     obs:
         Observability context; worker stats deltas merge into its metrics
-        registry (``repro_mp_requests_total`` per worker dispatch,
+        registry (``repro_mp_requests_total``, the answers workers computed;
         ``repro_mp_chunks_total``, ``repro_mp_reattach_total``) so one
         ``/metrics`` scrape covers the whole pool.
 
@@ -353,7 +375,8 @@ class MPServingPool:
         registry = self._obs.metrics
         self._m_requests = registry.counter(
             "repro_mp_requests_total",
-            "Queries answered by the multi-process serving pool.",
+            "Answers computed by the multi-process serving pool: queries, "
+            "and (cell, aggregate) pairs of group-by plans.",
         )
         self._m_chunks = registry.counter(
             "repro_mp_chunks_total",
@@ -428,24 +451,21 @@ class MPServingPool:
             self._state.notify_all()
             return PoolBroken(self._broken)
 
-    def _merge_stats(self, stats: dict) -> None:
-        self._m_requests.inc(float(stats["served"]))
+    def _merge_stats(self, stats: tuple[int, int, int, int]) -> None:
+        served, epoch, reattaches, pid = stats
+        self._m_requests.inc(float(served))
         self._m_chunks.inc()
-        self._last_epoch = max(self._last_epoch, stats["epoch"])
+        self._last_epoch = max(self._last_epoch, epoch)
         # Reattach counts are cumulative per worker; meter the delta.
-        key = stats.get("pid", 0)
-        previous = self._seen_reattaches.get(key, 0)
-        if stats["reattaches"] > previous:
-            self._m_reattach.inc(float(stats["reattaches"] - previous))
-            self._seen_reattaches[key] = stats["reattaches"]
+        previous = self._seen_reattaches.get(pid, 0)
+        if reattaches > previous:
+            self._m_reattach.inc(float(reattaches - previous))
+            self._seen_reattaches[pid] = reattaches
 
-    def execute(
-        self, query: AggregateQuery, table: str | None = None
-    ) -> AQPResult:
-        """Answer one query on a worker process.
+    def execute(self, query: AggregateQuery, table: str | None = None) -> AQPResult:
+        """Answer one query on a worker: :meth:`execute_batch` of one.
 
-        Any of the seven aggregates: the worker runs the flat kernel the
-        in-process engine runs, over the mapped buffers (QUANTILE /
+        Any of the seven aggregates, over the mapped buffers (QUANTILE /
         COUNT_DISTINCT unpack the file's sketches on first use).  Raises
         ``LookupError`` when no published synopsis can answer the query —
         wrong table or value column, an unpartitioned predicate column, or a
@@ -468,23 +488,18 @@ class MPServingPool:
         queries = list(queries)
         if not queries:
             return []
-        chunk = self.chunk_size or max(
-            1, -(-len(queries) // (self.n_workers * 4))
-        )
-        items = [(query, table) for query in queries]
+        chunk = self.chunk_size or max(1, -(-len(queries) // (self.n_workers * 4)))
         chunks = [
-            items[start : start + chunk] for start in range(0, len(items), chunk)
+            (table, queries[start : start + chunk])
+            for start in range(0, len(queries), chunk)
         ]
-        results: list[AQPResult] = []
-        for chunk_results, stats in self._dispatch(chunks):
-            self._merge_stats(stats)
-            results.extend(chunk_results)
-        return results
+        return [result for answer in self._dispatch(chunks) for result in answer]
 
     def _dispatch(self, chunks: list) -> list:
-        """Run ``chunks`` on checked-out workers; replies in chunk order.
+        """Run ``(table, work)`` chunks on checked-out workers; answers in order.
 
-        A worker gets the next unsent chunk as soon as its reply is read.
+        Each reply's stats delta is merged into the metrics registry.  A
+        worker gets the next unsent chunk as soon as its reply is read.
         After a failure nothing more is sent, but replies already owed are
         still read: a worker goes back to the idle list only with an empty
         pipe, or the next caller would read a stale reply.
@@ -525,7 +540,8 @@ class MPServingPool:
                     del owing[worker.conn]
                     free.append(worker)
                     if ok:
-                        replies[index] = payload
+                        replies[index], stats = payload
+                        self._merge_stats(stats)
                     else:
                         failures.append(payload)
         finally:
@@ -541,25 +557,17 @@ class MPServingPool:
     def execute_grouped(
         self, groupby: GroupByQuery | GroupByPlan, table: str | None = None
     ) -> GroupedResult:
-        """Answer a group-by query by fanning its cells out over the pool.
+        """Answer a group-by query on one worker, as the engine answers it.
 
         A :class:`GroupByQuery` is compiled without a distinct source, so
         every grouping must carry explicit bin edges or values (the pool has
-        no fallback table to discover distinct values from).  The result
-        has every cell of the plan, as :meth:`ServingEngine.execute_grouped`
-        reports them: cells outside the query's base predicate get SQL
-        empty-group answers crediting the routed synopsis' rows as skipped.
-        One difference remains: the engine also answers cells whose tree
-        frontier holds no tuple that way, the pool runs them like any cell.
+        no fallback table to discover distinct values from).  The plan goes
+        whole to one worker, which routes and answers it under one epoch
+        (:func:`_worker_execute`): every cell, ``pruned`` included, is what
+        :meth:`ServingEngine.execute_grouped` returns for the published state.
         """
         plan = groupby.compile() if isinstance(groupby, GroupByQuery) else groupby
-        _, entries = read_published(EpochRegister.attach(self._register_name))
-        entry = route_plan(plan, lambda query: route_query(entries, query, table))
-        return execute_plan(
-            plan,
-            lambda queries: self.execute_batch(queries, table),
-            population=entry.population_size if entry is not None else 0,
-        )
+        return self._dispatch([(table, plan)])[0]
 
     def close(self) -> None:
         """Shut the worker processes down; idempotent.
@@ -649,7 +657,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._reply(404, {"error": f"no route {self.path}"})
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        """Serve ``/query`` (one aggregate) and ``/groupby`` (cell fan-out)."""
+        """Serve ``/query`` (one aggregate) and ``/groupby`` (one plan)."""
         try:
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
@@ -706,16 +714,8 @@ class _Handler(BaseHTTPRequestHandler):
             groupings=tuple(
                 GroupingColumn(
                     column=str(grouping["column"]),
-                    edges=(
-                        tuple(grouping["edges"])
-                        if grouping.get("edges") is not None
-                        else None
-                    ),
-                    values=(
-                        tuple(grouping["values"])
-                        if grouping.get("values") is not None
-                        else None
-                    ),
+                    edges=grouping.get("edges"),
+                    values=grouping.get("values"),
                 )
                 for grouping in payload["groupings"]
             ),
@@ -725,24 +725,24 @@ class _Handler(BaseHTTPRequestHandler):
             ),
         )
         grouped = self.server.pool.execute_grouped(groupby, payload.get("table"))
-        records = [
-            {
-                "labels": list(labels),
-                "results": [result_to_payload(result) for result in row],
-            }
-            for labels, row in grouped
-        ]
-        return {"group_columns": list(grouped.group_columns), "cells": records}
+        return {
+            "group_columns": list(grouped.group_columns),
+            "cells": [
+                {"labels": list(labels), "results": [result_to_payload(r) for r in row]}
+                for labels, row in grouped
+            ],
+            "pruned": sorted(grouped.pruned),
+        }
 
 
 class MPHTTPServer(ThreadingHTTPServer):
     """A JSON-over-HTTP front end for an :class:`MPServingPool`.
 
-    Endpoints: ``POST /query`` (one aggregate query), ``POST /groupby``
-    (explicit-binning group-by fan-out), ``GET /healthz``, and ``GET
-    /metrics`` (Prometheus exposition of the pool's registry).  Every POST
-    holds a slot of :attr:`gate` while it runs: past ``max_pending``
-    concurrent requests the gate raises the async tier's
+    Endpoints: ``POST /query`` (one aggregate query), ``POST /groupby`` (an
+    explicit-binning group-by, one plan on one worker), ``GET /healthz``,
+    and ``GET /metrics`` (Prometheus exposition of the pool's registry).
+    Every POST holds a slot of :attr:`gate` while it runs: past
+    ``max_pending`` concurrent requests the gate raises the async tier's
     :class:`~repro.serving.scheduler.Overloaded`, answered as a 429 with
     the error's ``pending`` / ``capacity`` instead of queueing unboundedly.
 

@@ -55,7 +55,11 @@ from repro.partitioning.variance import (
     count_query_variance,
     sum_query_variance,
 )
-from repro.query.aggregates import SKETCH_AGGREGATES, AggregateType
+from repro.query.aggregates import (
+    SKETCH_AGGREGATES,
+    AggregateType,
+    empty_group_result,
+)
 from repro.query.predicate import Box, Interval, RectPredicate, Relation
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
@@ -779,6 +783,9 @@ def query_object(source, query: AggregateQuery, lam: float | None = None) -> AQP
             query, sketch_union_object(objects, query), objects.population_size
         )
     frontier = lookup(objects, query)
+    if not any(node.size for node in (*frontier.covered, *frontier.partial)):
+        # A frontier holding no tuple is an exact empty group.
+        return empty_group_result(query.agg, objects.population_size)
     covered_stats = [node.stats for node in frontier.covered]
     partial_nodes = list(frontier.partial)
     partial_stats = [node.stats for node in partial_nodes]
@@ -833,6 +840,10 @@ def sketch_union_object(
     """
     objects = objects_of(source)
     frontier = lookup(objects, query)
+    if not any(node.size for node in (*frontier.covered, *frontier.partial)):
+        # No tuple under the frontier: the union of no leaves (the covered
+        # leaves' sketches may still hold deleted values).
+        return frontier_union(query.agg, objects.leaf_sketches, (), ())
     covered_leaves = [
         node.leaf_index
         for covered in frontier.covered
