@@ -18,6 +18,7 @@ from repro.core.batching import batch_query
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
 from repro.core.updates import DynamicPASS, StaleExtremaWarning
+from repro.data.generators import uniform_random
 from repro.data.loaders import load_dataset
 from repro.data.loaders import DatasetSpec
 from repro.partitioning.dp import approximate_dp_partition
@@ -100,6 +101,57 @@ def test_batch_query_shared_moments(benchmark, intel_spec, pass_synopsis):
         for agg in ("SUM", "COUNT", "AVG")
     ]
     benchmark(batch_query, pass_synopsis, batch)
+
+
+@pytest.fixture(scope="module")
+def kd_synopsis():
+    """A 2-D k-d synopsis over uniform data: the MIN / MAX kernel's input."""
+    table = uniform_random(n_rows=N_ROWS, n_predicate_columns=2, seed=7)
+    return build_pass(
+        table,
+        "value",
+        ["c0", "c1"],
+        PASSConfig(n_partitions=256, sample_rate=0.02, partitioner="kd", seed=3),
+    )
+
+
+def _extrema_queries(predicate: RectPredicate) -> list[AggregateQuery]:
+    return [AggregateQuery(agg, "value", predicate) for agg in ("MIN", "MAX")]
+
+
+def _kept_partial_leaves(synopsis, query: AggregateQuery) -> int:
+    """Partial leaves whose sample extremum can still beat the covered one
+    (the pruning rule of ``FlatSynopsis._extremum_answer``)."""
+    frontier = synopsis.frontier(query.predicate)
+    leaves = synopsis._leaf_of_row[frontier.partial]
+    lows, highs = synopsis._leaf_sample_extrema()
+    if query.agg.name == "MAX":
+        best = synopsis._node_max[frontier.covered].max()
+        return int((highs[leaves] >= best).sum())
+    best = synopsis._node_min[frontier.covered].min()
+    return int((lows[leaves] <= best).sum())
+
+
+def test_extrema_wide_box_prunes_partial_leaves(benchmark, kd_synopsis):
+    """MIN / MAX over a wide box: covered extrema beat ~every partial leaf."""
+    queries = _extrema_queries(RectPredicate.from_bounds(c0=(0.1, 0.9), c1=(0.1, 0.9)))
+    for query in queries:
+        frontier = kd_synopsis.frontier(query.predicate)
+        assert frontier.covered.shape[0] and frontier.partial.shape[0] > 10
+        assert _kept_partial_leaves(kd_synopsis, query) <= 3
+    benchmark(lambda: [kd_synopsis.query(query) for query in queries])
+
+
+def test_extrema_narrow_box_gathers_every_partial_leaf(benchmark, kd_synopsis):
+    """MIN / MAX over a strip thinner than a leaf: no covered node prunes,
+    and the frontier-wide gather branch runs."""
+    queries = _extrema_queries(
+        RectPredicate.from_bounds(c0=(0.2, 0.8), c1=(0.5, 0.5001))
+    )
+    for query in queries:
+        frontier = kd_synopsis.frontier(query.predicate)
+        assert not frontier.covered.shape[0] and frontier.partial.shape[0] > 3
+    benchmark(lambda: [kd_synopsis.query(query) for query in queries])
 
 
 def test_adp_partitioning_time(benchmark, intel_spec):

@@ -123,15 +123,19 @@ class BatchPlan:
             # A slot's group is led by the first slot of its canonical
             # predicate with the same partial rows: slots differ only by
             # AVG-ness, and an AVG descent the zero-variance rule stopped
-            # early keeps other partial rows.
-            lead = list(range(len(frontiers)))
-            first_slot: dict[tuple, int] = {}
-            for slot, query in enumerate(self.slot_queries):
-                other = first_slot.setdefault(query.predicate.canonical_key(), slot)
-                if other != slot and np.array_equal(
-                    frontiers[other].partial, frontiers[slot].partial
-                ):
-                    lead[slot] = other
+            # early keeps other partial rows.  One slot leads itself.
+            lead = [0]
+            if len(frontiers) > 1:
+                lead = list(range(len(frontiers)))
+                first_slot: dict[tuple, int] = {}
+                for slot, query in enumerate(self.slot_queries):
+                    other = first_slot.setdefault(
+                        query.predicate.canonical_key(), slot
+                    )
+                    if other != slot and np.array_equal(
+                        frontiers[other].partial, frontiers[slot].partial
+                    ):
+                        lead[slot] = other
             groups: list[list[int]] = [[] for _ in frontiers]
             for position, (query, slot) in enumerate(zip(queries, slots)):
                 if query.agg in SKETCH_AGGREGATES:
@@ -198,20 +202,25 @@ def compile_batch(
     zero_variance_rule = synopsis.zero_variance_rule
     with obs.tracer.span("plan.compile") as compile_span:
         queries = list(queries)
-        slots: list[int] = []
-        slot_by_key: dict[tuple, int] = {}
-        slot_queries: list[AggregateQuery] = []
-        slot_flags: list[bool] = []
-        for query in queries:
-            flag = zero_variance_rule and query.agg == AggregateType.AVG
-            key = (query.predicate.canonical_key(), flag)
-            slot = slot_by_key.get(key)
-            if slot is None:
-                slot = len(slot_queries)
-                slot_by_key[key] = slot
-                slot_queries.append(query)
-                slot_flags.append(flag)
-            slots.append(slot)
+        if len(queries) == 1:  # one query is one slot: nothing to dedupe
+            slots = [0]
+            slot_queries = queries
+            slot_flags = [zero_variance_rule and queries[0].agg == AggregateType.AVG]
+        else:
+            slots = []
+            slot_by_key: dict[tuple, int] = {}
+            slot_queries = []
+            slot_flags = []
+            for query in queries:
+                flag = zero_variance_rule and query.agg == AggregateType.AVG
+                key = (query.predicate.canonical_key(), flag)
+                slot = slot_by_key.get(key)
+                if slot is None:
+                    slot = len(slot_queries)
+                    slot_by_key[key] = slot
+                    slot_queries.append(query)
+                    slot_flags.append(flag)
+                slots.append(slot)
         with obs.tracer.span("frontier.descent") as descent_span:
             slot_frontiers = synopsis.frontiers_for(
                 [query.predicate for query in slot_queries], slot_flags

@@ -261,9 +261,12 @@ class _RowBounds:
                 column = self._partial_sums
             else:
                 column = getattr(self._flat, stats)[self._rows[covered]].tolist()
-            values = self._lists[key] = [
-                value for value, count in zip(column, self._counts[covered]) if count
-            ]
+            counts = self._counts[covered]
+            values = self._lists[key] = (
+                column
+                if all(counts)
+                else [value for value, count in zip(column, counts) if count]
+            )
         return values
 
     def bounds(self, agg: AggregateType) -> HardBounds:
@@ -464,6 +467,10 @@ class FlatSynopsis:
             columns={column: arrays[f"sample/{column}"] for column in sample_columns},
         )
         self._sample_counts = np.diff(offsets)
+        #: Per-leaf ``(MIN, MAX)`` of the value column's sample rows, derived
+        #: and never exported: built on the first MIN / MAX that can prune
+        #: (:meth:`_leaf_sample_extrema`), then kept by the sample writers.
+        self._sample_extrema: tuple[np.ndarray, np.ndarray] | None = None
         #: The update path's index, built on first use: the leaves' node rows
         #: in leaf-index order, the leaf rows' bounds in geometry order, and
         #: one memoised leaf-to-root row path per updated leaf.
@@ -805,6 +812,7 @@ class FlatSynopsis:
                 },
             )
         self._sample_counts[leaf] = length
+        self._refresh_sample_extrema(leaf)
 
     def put_sample_row(
         self, leaf: int, position: int, row: Mapping[str, float]
@@ -830,6 +838,7 @@ class FlatSynopsis:
             values[start + position] = row[column]
         if position == count:
             self._sample_counts[leaf] = count + 1
+        self._refresh_sample_extrema(leaf)
 
     def drop_sample_row(self, leaf: int, position: int) -> None:
         """Remove leaf ``leaf``'s sample row ``position``, keeping row order.
@@ -844,6 +853,7 @@ class FlatSynopsis:
         for values in self._samples.columns.values():
             values[first : stop - 1] = values[first + 1 : stop]
         self._sample_counts[leaf] = count - 1
+        self._refresh_sample_extrema(leaf)
 
     def reserve_sample_slots(self, slots: np.ndarray) -> None:
         """Give leaf ``i`` at least ``slots[i]`` sample slots (one relayout).
@@ -851,7 +861,8 @@ class FlatSynopsis:
         Each leaf keeps its rows and gets ``max(slots[i], rows)`` slots, so
         that :meth:`put_sample_row` appends in place up to that many rows.
         The columns and offsets are new arrays owned by this instance; the
-        slack slots hold zeros and are never read.
+        slack slots hold zeros and are never read.  No leaf's rows change,
+        so neither do its sample extrema.
         """
         samples = self._samples
         if not samples.offsets.flags.writeable:
@@ -867,6 +878,46 @@ class FlatSynopsis:
             slotted[target] = values.take(source)
             columns[column] = slotted
         self._samples = FlatSamples(offsets, columns)
+
+    def _leaf_sample_extrema(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-leaf ``(MIN, MAX)`` of the value column's sample rows.
+
+        NaN-propagating like ``np.minimum.reduce`` / ``np.maximum.reduce``
+        (a leaf whose sample holds a NaN has NaN extrema), ``(inf, -inf)``
+        for an empty sample.  Built over every leaf on first use; from then
+        on each sample writer refreshes its own leaf
+        (:meth:`_refresh_sample_extrema`).  Derived state: new arrays owned
+        by this instance, also over read-only buffers, and never exported.
+        """
+        extrema = self._sample_extrema
+        if extrema is None:
+            counts = self._sample_counts
+            lows = np.full(counts.shape[0], np.inf)
+            highs = np.full(counts.shape[0], -np.inf)
+            sampled = np.flatnonzero(counts)
+            if sampled.shape[0]:
+                loc, index = _row_index(
+                    self._samples.offsets[sampled], counts[sampled]
+                )
+                rows = self._samples.columns[self._value_column].take(index)
+                lows[sampled] = np.minimum.reduceat(rows, loc[:-1])
+                highs[sampled] = np.maximum.reduceat(rows, loc[:-1])
+            extrema = self._sample_extrema = (lows, highs)
+        return extrema
+
+    def _refresh_sample_extrema(self, leaf: int) -> None:
+        """Recompute leaf ``leaf``'s sample extrema once they are built."""
+        if self._sample_extrema is None:
+            return
+        lows, highs = self._sample_extrema
+        start = int(self._samples.offsets[leaf])
+        stop = start + int(self._sample_counts[leaf])
+        rows = self._samples.columns[self._value_column][start:stop]
+        if rows.shape[0]:
+            lows[leaf] = np.minimum.reduce(rows)
+            highs[leaf] = np.maximum.reduce(rows)
+        else:
+            lows[leaf], highs[leaf] = np.inf, -np.inf
 
     def _compact_samples(self) -> FlatSamples:
         """The samples without slack, as new arrays (the export's form)."""
@@ -1716,15 +1767,35 @@ class FlatSynopsis:
     ) -> AQPResult:
         """MIN / MAX: exact over covered rows, sample-refined over partial leaves.
 
-        ``leaves`` are the partial rows' leaf indices.  Every leaf with a
-        matched sample row contributes its matched extremum as one candidate,
-        in row order.
+        ``leaves`` are the partial rows' leaf indices.  The covered rows'
+        node extrema, infinities dropped, are the first candidates; then
+        every leaf with a matched sample row contributes its matched
+        extremum, in row order.
+
+        A leaf that cannot change ``max(candidates)`` is dropped before
+        either branch gathers or masks its rows: for MAX, one whose whole
+        sample's MAX is below the best covered candidate (for MIN, whose
+        sample MIN is above it).  Its matched extremum could only come after
+        that candidate and compare below it, so the estimate keeps its bits;
+        a NaN extremum never compares below, so such a leaf stays.  The test
+        reads the sample's extrema (:meth:`_leaf_sample_extrema`), not the
+        node's: node extrema ignore inserted NaNs, and
+        :meth:`replace_leaf_sample` can write values outside them.  The hard
+        bounds, ``exact`` and ``tuples_processed`` (every partial leaf's
+        sample count) are computed by the caller and do not move.
         """
         is_max = agg == AggregateType.MAX
         stats_values = (self._node_max if is_max else self._node_min)[
             frontier.covered
-        ].tolist()
-        candidates = [value for value in stats_values if not math.isinf(value)]
+        ]
+        candidates = stats_values[~np.isinf(stats_values)].tolist()
+        if candidates and leaves.shape[0]:
+            lows, highs = self._leaf_sample_extrema()
+            if is_max:
+                beaten = highs.take(leaves) < max(candidates)
+            else:
+                beaten = lows.take(leaves) > min(candidates)
+            leaves = leaves[~beaten]
         values_column = self._samples.columns.get(self._value_column)
         if leaves.shape[0] <= _SCALAR_FRONTIER_LEAVES:
             offsets = self._samples.offsets

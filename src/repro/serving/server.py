@@ -125,6 +125,21 @@ def query_from_payload(payload: Mapping) -> tuple[AggregateQuery, str | None]:
         value_column = payload["value_column"]
     except KeyError as missing:
         raise ValueError(f"query payload is missing {missing}") from None
+    query = AggregateQuery(
+        agg,
+        str(value_column),
+        _predicate_from_payload(payload),
+        quantile=payload.get("quantile"),
+    )
+    return query, payload.get("table")
+
+
+def _predicate_from_payload(payload: Mapping) -> RectPredicate:
+    """The payload's ``"predicate"``: ``{column: [low, high]}``, ``null`` unbounded.
+
+    Absent, it is everything.  A malformed one raises ``ValueError`` or
+    ``TypeError`` (a 400 at the HTTP front end).
+    """
     intervals = {}
     for column, bounds in dict(payload.get("predicate", {})).items():
         low, high = bounds
@@ -132,13 +147,7 @@ def query_from_payload(payload: Mapping) -> tuple[AggregateQuery, str | None]:
             float(low) if low is not None else -math.inf,
             float(high) if high is not None else math.inf,
         )
-    query = AggregateQuery(
-        agg,
-        str(value_column),
-        RectPredicate(intervals),
-        quantile=payload.get("quantile"),
-    )
-    return query, payload.get("table")
+    return RectPredicate(intervals)
 
 
 def result_to_payload(result: AQPResult) -> dict:
@@ -723,6 +732,7 @@ class _Handler(BaseHTTPRequestHandler):
                 (spec["agg"], spec["value_column"], spec.get("quantile"))
                 for spec in payload["aggregates"]
             ),
+            predicate=_predicate_from_payload(payload),
         )
         grouped = self.server.pool.execute_grouped(groupby, payload.get("table"))
         return {

@@ -18,6 +18,7 @@ computes it.  Three properties hold that in place:
 from __future__ import annotations
 
 import json
+import urllib.error
 import urllib.request
 
 import numpy as np
@@ -103,7 +104,7 @@ def stack(publisher):
         front.close()
 
 
-def _post_groupby(base: str, table: str) -> dict:
+def _post_groupby(base: str, table: str, **extra) -> dict:
     payload = {
         "groupings": [{"column": "key", "edges": EDGES}],
         "aggregates": [
@@ -111,6 +112,7 @@ def _post_groupby(base: str, table: str) -> dict:
             for spec in SEVEN
         ],
         "table": table,
+        **extra,
     }
     request = urllib.request.Request(
         base + "/groupby",
@@ -148,6 +150,57 @@ def test_engine_pool_and_http_agree_on_frontier_empty_cells(
                 assert _bits(want) == _bits(empty_group_result(spec.agg, population))
     # The deletes emptied the cells inside key [28, 52].
     assert served.pruned == ({4, 5} if name == "dynamic" else set())
+
+
+#: A base filter that cuts bins at both ends: cells past 70 compile out, and
+#: the first and the sixteenth live cells are clipped inside their bins.
+BASE = RectPredicate.from_bounds(key=(3.0, 70.0))
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_engine_pool_and_http_agree_on_a_plan_with_a_base_predicate(
+    name, entries, engine, stack
+):
+    pool, base = stack
+    groupby = GroupByQuery(
+        groupings=GROUPBY.groupings, aggregates=SEVEN, predicate=BASE
+    )
+    plan = groupby.compile()
+    served = engine.execute_grouped(plan, table=name)
+    pooled = pool.execute_grouped(plan, table=name)
+    http = _post_groupby(base, name, predicate={"key": [3.0, 70.0]})
+    assert pooled.pruned == served.pruned
+    assert set(http["pruned"]) == served.pruned
+    live = dict(plan.live_cells())
+    assert 0 < len(live) < plan.n_cells
+    unfiltered = GROUPBY.compile()
+    for index, cell in live.items():
+        over_http = [result_from_payload(r) for r in http["cells"][index]["results"]]
+        for spec, want, got, wire in zip(
+            plan.aggregates, served.cells[index], pooled.cells[index], over_http
+        ):
+            assert _bits(got) == _bits(want)
+            assert _bits(wire) == _bits(want)
+            assert _bits(entries[name].query(plan.cell_query(cell, spec))) == _bits(
+                want
+            )
+    # Not vacuous: the filter changes the clipped first cell's answers.
+    first = AggregateSpec("COUNT", "value")
+    filtered = entries[name].query(plan.cell_query(live[0], first))
+    whole = entries[name].query(
+        unfiltered.cell_query(dict(unfiltered.live_cells())[0], first)
+    )
+    assert filtered.estimate < whole.estimate
+
+
+@pytest.mark.parametrize(
+    "predicate", [{"key": [1.0]}, {"key": ["low", 2.0]}, {"key": 5.0}, "key"]
+)
+def test_a_malformed_groupby_predicate_is_a_400(predicate, stack):
+    _, base = stack
+    with pytest.raises(urllib.error.HTTPError) as refused:
+        _post_groupby(base, "single", predicate=predicate)
+    assert refused.value.code == 400
 
 
 def test_a_frontier_holding_no_tuple_is_exact_in_the_kernel(entries):
