@@ -63,6 +63,11 @@ def quickstart_and_serving() -> None:
         )
         engine.execute(query)
         engine.execute_batch([query] * 100)
+        # A saved catalog is a generation directory a worker pool serves.
+        from repro.serving import MPServingPool
+
+        with MPServingPool(catalog_dir, n_workers=1) as pool:
+            assert pool.execute(query) == engine.execute(query)
     print("quickstart + serving snippet ok")
 
 

@@ -2,7 +2,7 @@
 
 Run with::
 
-    python examples/serving_quickstart.py
+    python examples/serving_quickstart.py [--check]
 
 The script walks the full serving lifecycle:
 
@@ -12,11 +12,22 @@ The script walks the full serving lifecycle:
 4. serve a query workload through the :class:`ServingEngine` — sequentially,
    then as a batch against the warm result cache;
 5. apply streaming updates through the engine and show the cache
-   invalidation and staleness telemetry.
+   invalidation and staleness telemetry;
+6. save the updated catalog and serve the saved directory from a worker
+   pool, which reads the same generation format a publisher writes.
+
+``--check`` switches to CI mode: it asserts that the reloaded catalog
+answers bit-identically to the one that was saved, and that a pool over the
+saved directory answers bit-identically to a ``ServingEngine`` over
+``load_catalog`` of it, for the static and the dynamic entry; non-zero exit
+on any difference.
 """
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
+import struct
 import tempfile
 from pathlib import Path
 
@@ -34,9 +45,47 @@ from repro import (
     load_dataset,
     save_catalog,
 )
+from repro.serving import MPServingPool
 
 
-def main() -> None:
+def _bits(result) -> tuple:
+    """An answer's fields, floats as their IEEE-754 bytes (NaN equals NaN)."""
+    return tuple(
+        struct.pack("<d", value) if isinstance(value, float) else value
+        for value in dataclasses.astuple(result)
+    )
+
+
+def _differences(label: str, got: list, want: list) -> list[str]:
+    return [
+        f"{label}: answer {index} differs ({a} != {b})"
+        for index, (a, b) in enumerate(zip(got, want))
+        if _bits(a) != _bits(b)
+    ]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="CI mode: assert bit-identical reload and pool answers",
+    )
+    options = parser.parse_args()
+    with tempfile.TemporaryDirectory() as scratch:
+        failures = serve(Path(scratch) / "catalog", options.check)
+    for failure in failures:
+        print(f"CHECK FAILED: {failure}")
+    if options.check and not failures:
+        print(
+            "serving check OK: the reloaded catalog and a pool over the saved "
+            "directory answer bit-identically (static and dynamic entries)"
+        )
+    return 1 if failures else 0
+
+
+def serve(directory: Path, check: bool) -> list[str]:
+    """Run the walkthrough, saving under ``directory``; the check failures."""
     # 1. Build two synopses over the Intel-Wireless surrogate: a static one
     #    for light readings and a dynamic one that accepts inserts/deletes.
     dataset = load_dataset("intel", n_rows=100_000)
@@ -54,22 +103,27 @@ def main() -> None:
     catalog.register_table(table)
 
     # 3. Persist and reload — builds survive process restarts.
-    directory = Path(tempfile.mkdtemp()) / "catalog"
-    save_catalog(catalog, directory)
-    catalog = load_catalog(directory, tables={table.name: table})
-    print(f"Saved and reloaded catalog from {directory}")
-
-    # 4. Serve a workload.  The engine caches results on the canonical query
-    #    form, so the second (batched) pass is answered from memory.
-    engine = ServingEngine(catalog)
     rng = np.random.default_rng(7)
     times = table.column("time")
     queries = []
     for _ in range(50):
         low, high = sorted(rng.uniform(times.min(), times.max(), size=2))
         predicate = RectPredicate.from_bounds(time=(float(low), float(high)))
-        queries.append(AggregateQuery.sum("light", predicate))
-        queries.append(AggregateQuery.avg("temperature", predicate))
+        for agg in ("SUM", "COUNT", "AVG", "MIN", "MAX"):
+            queries.append(AggregateQuery(agg, "light", predicate))
+            queries.append(AggregateQuery(agg, "temperature", predicate))
+    saved = [ServingEngine(catalog, cache_size=0).execute(q) for q in queries]
+    save_catalog(catalog, directory)
+    catalog = load_catalog(directory, tables={table.name: table})
+    print(f"Saved and reloaded catalog from {directory}")
+    failures = []
+    if check:
+        reloaded = [ServingEngine(catalog, cache_size=0).execute(q) for q in queries]
+        failures += _differences("reloaded catalog", reloaded, saved)
+
+    # 4. Serve a workload.  The engine caches results on the canonical query
+    #    form, so the second (batched) pass is answered from memory.
+    engine = ServingEngine(catalog)
 
     for query in queries[:4]:
         result = engine.execute(query)
@@ -106,6 +160,18 @@ def main() -> None:
             f"{snapshot.invalidations} invalidations"
         )
 
+    # 6. A saved catalog is a generation directory: save the updated one, and
+    #    a worker pool serves it as it stands.
+    save_catalog(engine.catalog, directory)
+    with MPServingPool(str(directory), n_workers=1) as pool:
+        pooled = pool.execute_batch(queries, table.name)
+    print(f"A worker pool served {len(pooled)} answers from {directory}")
+    if check:
+        expected = ServingEngine(load_catalog(directory), cache_size=0)
+        want = [expected.execute(query, table.name) for query in queries]
+        failures += _differences("pool over the saved directory", pooled, want)
+    return failures
+
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -1,23 +1,17 @@
 """The synopsis' one serial form, and versioned save / load of synopses and catalogs.
 
 A synopsis is a ``(header, arrays)`` pair of flat numpy buffers
-(:meth:`~repro.core.soa.FlatSynopsis.export_buffers`), whichever kind
-exported them: a static synopsis, a dynamic one (plus its reservoir ``seen``
-/ ``capacity`` arrays and update counters) or a sharded one (one stitched
-tree, its routing in the header and ``shard_rows``; a file of the earlier
-per-shard ``shard<i>/`` layout is refused).  This module owns the byte
-layout that pair is written in — :class:`SegmentLayout` writes it into any
-buffer or piece by piece to a file, :func:`parse_segment` reads it back as
-zero-copy views — with the one
-writer of a ``.pass`` file (:func:`_atomic_write` of the layout) and the one
-reader (:class:`MappedFile`, a read-only ``mmap``).  :func:`save_synopsis`
-and a :class:`~repro.serving.shm.SynopsisPublisher`'s generations are written
-by the same writer; :func:`load_synopsis` and a pool worker's attach map
-through the same reader, so a loaded static synopsis is zero-copy and
-read-only and a restart is the attach code path (dynamic synopses copy their
-arrays to own writable ones).  The arrays round-trip bit for bit, so a
-reloaded synopsis returns estimates identical to the instance that was saved
-— the property the serving tests assert.
+(:meth:`~repro.core.soa.FlatSynopsis.export_buffers`) of any kind: static,
+dynamic (plus its reservoir ``seen`` / ``capacity`` arrays and update
+counters) or sharded (one stitched tree, its routing in the header and
+``shard_rows``; the earlier per-shard ``shard<i>/`` layout is refused).  This
+module owns the byte layout of that pair — :class:`SegmentLayout` writes it,
+:func:`parse_segment` reads it back as zero-copy views — with the one writer
+of a ``.pass`` file (:func:`_atomic_write` of the layout) and the one reader
+(:class:`MappedFile`, a read-only ``mmap``) that :func:`load_synopsis` and a
+pool worker's attach share: a loaded static synopsis is zero-copy, and a
+restart is the attach code path.  The arrays round-trip bit for bit, so a
+reloaded synopsis answers exactly like the instance that was saved.
 
 The layout is normative in ``docs/ARCHITECTURE.md`` ("File and generation
 format"): the magic ``b"PASSSEG1"``, the little-endian ``uint64`` length of a
@@ -29,23 +23,19 @@ file is outside input: the reader checks everything it is about to trust
 raises ``ValueError`` naming the path — version-1 ``.npz`` archives included,
 there is one read path.
 
-A catalog is persisted as a directory: one ``<name>.pass`` per entry plus a
-``catalog.json`` manifest with the routing metadata.  Tables themselves are
-*not* persisted (they are the workload's data, not the synopsis'); pass them
-back to :func:`load_catalog` to restore the exact-scan fallback.
-
-Build-time workload fingerprints (see :mod:`repro.obs.drift`) persist as a
-sibling ``<name>.workload.npz`` archive next to each synopsis file — their
-own small npz, untouched by the synopsis format.  A reloaded catalog
-therefore keeps its drift baselines via :func:`load_catalog_workloads`.
-
-Every write in this module is crash-safe: files are written to a
-same-directory temporary file, fsynced and published with an atomic
-``os.replace``, fingerprint siblings are written before the synopsis file
-that references them, and the catalog manifest is written last.  Killing the
-process at any instant — including ``kill -9`` mid-write — leaves only
-complete files on disk (the crash-injection tests in
-``tests/test_persistence_crash.py`` assert exactly this).
+A catalog is saved as a **generation directory**, the format a
+:class:`~repro.serving.shm.SynopsisPublisher` publishes in: ``current``, a
+symlink, names ``manifest-<epoch>.json``, which names each entry's immutable
+``synopsis-<epoch>-<i>.pass`` with its routing metadata and, when saved with
+one, its build-time workload fingerprint ``workload-<epoch>-<i>.npz`` (see
+:mod:`repro.obs.drift`).  :class:`GenerationWriter` is its one writer — it
+writes the files, then the manifest, swaps ``current``, and only then
+removes what the swap replaced — and :class:`EpochRegister` its one reader,
+so ``kill -9`` at any instant of a save or publish leaves the previous
+catalog or the new one, never a mix (``tests/test_publish_crash.py``).
+Tables are *not* persisted; pass them back to :func:`load_catalog` to
+restore the exact-scan fallback.  Every single file is written through a
+same-directory temporary file, fsynced and ``os.replace``-d into place.
 """
 
 from __future__ import annotations
@@ -57,11 +47,12 @@ import os
 import struct
 import tempfile
 from pathlib import Path
-from typing import BinaryIO, Callable, Mapping
+from typing import BinaryIO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.pass_synopsis import PASSSynopsis
+from repro.core.soa import FlatSynopsis
 from repro.core.updates import DynamicPASS
 from repro.data.table import Table
 from repro.distributed.sharded import ShardedSynopsis
@@ -81,6 +72,11 @@ __all__ = [
     "save_workload_fingerprint",
     "load_workload_fingerprint",
     "load_catalog_workloads",
+    "PublisherGone",
+    "PublishedEntry",
+    "EpochRegister",
+    "read_published",
+    "GenerationWriter",
 ]
 
 #: Layout version in every file header (and every catalog manifest and
@@ -96,6 +92,13 @@ _PAGE = mmap.PAGESIZE
 #: Suffix of synopsis files / of workload-fingerprint archives.
 _SUFFIX = ".pass"
 _WORKLOAD_SUFFIX = ".npz"
+
+#: In a generation directory: the link naming the live manifest, the
+#: manifests' names, and the prefixes of every file a writer makes there
+#: (dot-prefixed temporaries included).
+_CURRENT = "current"
+_MANIFEST = "manifest-{}.json"
+_GENERATED = ("current-", "manifest-", "synopsis-", "workload-")
 
 #: Reserved npz key holding a fingerprint archive's JSON header.
 _HEADER_KEY = "__header__"
@@ -291,13 +294,11 @@ def _write_segment(
 class MappedFile:
     """A read-only ``mmap`` of one synopsis file and zero-copy views over it.
 
-    The one reader of the serial form: :func:`load_synopsis` and a pool
-    worker's :func:`~repro.serving.shm.attach_flat_synopsis` both map through
-    it.  ``header`` is the synopsis scalar header; ``arrays`` maps buffer keys
-    to read-only numpy views straight over the mapping, which stays valid
-    after the file's name is unlinked.  Keep the instance referenced for as
-    long as any view (or a synopsis built over the views) is in use, then
-    :meth:`close`.
+    The one reader of the serial form (:func:`load_synopsis`, a pool
+    worker's attach).  ``header`` is the synopsis scalar header; ``arrays``
+    maps buffer keys to read-only views over the mapping, valid after the
+    file's name is unlinked.  Keep the instance referenced while any view
+    is in use, then :meth:`close`.
     """
 
     def __init__(self, path: str | os.PathLike) -> None:
@@ -330,32 +331,20 @@ def _normalize(path: str | Path, suffix: str) -> Path:
     return path
 
 
-def _workload_path(path: Path) -> Path:
-    """Sibling ``<stem>.workload.npz`` path for a synopsis file path."""
-    return path.with_name(path.name[: -len(_SUFFIX)] + ".workload" + _WORKLOAD_SUFFIX)
-
-
 def save_synopsis(
     synopsis: PASSSynopsis | DynamicPASS | ShardedSynopsis,
     path: str | Path,
     *,
     workload: WorkloadFingerprint | None = None,
 ) -> Path:
-    """Persist a synopsis to a single ``.pass`` file; returns the final path.
+    """Persist a synopsis to one ``.pass`` file; returns the final path.
 
-    The suffix is appended when missing.  Dynamic synopses persist their
-    reservoir counters and update counters as well, so serving can resume
-    accepting updates after a restart (the reservoir RNG state is the one
-    piece that does not survive — see :meth:`DynamicPASS.export_buffers`).
-    A sharded synopsis is one stitched tree: its arrays, routing and
-    per-shard drift counters go to the same one file.  Passing ``workload``
-    additionally writes the build-time fingerprint to a sibling
-    ``<stem>.workload.npz``.
-
-    Both writes are atomic (same-directory temp file + ``os.replace``), and
-    the workload sibling is written *before* the synopsis file, so a crash
-    at any point leaves every existing file loadable and never a synopsis
-    whose fingerprint pair is missing or staler than the synopsis itself.
+    The suffix is appended when missing.  A dynamic synopsis keeps its
+    reservoir and update counters, so it resumes accepting updates after a
+    restart (its reservoir RNG state does not survive).  ``workload`` also
+    writes the build-time fingerprint to a sibling ``<stem>.workload.npz``,
+    *before* the synopsis file: a crash never leaves a synopsis whose
+    fingerprint is missing or staler than itself.
     """
     if not isinstance(synopsis, tuple(_KINDS.values())):
         raise TypeError(
@@ -365,7 +354,7 @@ def save_synopsis(
     header, arrays = synopsis.export_buffers()
     path = _normalize(path, _SUFFIX)
     if workload is not None:
-        save_workload_fingerprint(workload, _workload_path(path))
+        save_workload_fingerprint(workload, path.with_name(f"{path.stem}.workload"))
     _atomic_write(path, lambda handle: _write_segment(handle, header, arrays))
     return path
 
@@ -373,11 +362,7 @@ def save_synopsis(
 def save_workload_fingerprint(
     fingerprint: WorkloadFingerprint, path: str | Path
 ) -> Path:
-    """Persist a build-time workload fingerprint to a ``.npz`` archive.
-
-    The write is atomic (temp file + ``os.replace``), like every archive
-    this module produces.
-    """
+    """Persist a build-time workload fingerprint to a ``.npz`` archive, atomically."""
     header, arrays = fingerprint.to_arrays()
     header["format"] = FORMAT_VERSION
     path = _normalize(path, _WORKLOAD_SUFFIX)
@@ -429,74 +414,250 @@ def load_synopsis(path: str | Path) -> PASSSynopsis | DynamicPASS | ShardedSynop
         ) from error
 
 
+class PublisherGone(RuntimeError):
+    """A generation directory's manifest, or a file it names, is gone for good.
+
+    Its publisher closed, or died and a later publisher swept its directory.
+    Raised by :class:`EpochRegister` reads; a pool worker ships it to its
+    caller (HTTP 503) and lives on.
+    """
+
+
+class PublishedEntry(NamedTuple):
+    """One manifest entry: a generation file and its routing metadata.
+
+    The manifest holds ``_asdict()`` of these; :func:`repro.serving.catalog.route_query`
+    reads the same attributes off a :class:`~repro.serving.catalog.CatalogEntry`.
+    """
+
+    name: str
+    #: The generation file.  The writer records the path it wrote;
+    #: :func:`read_published` resolves its name inside the directory it reads.
+    segment: str
+    #: None publishes a wildcard: the entry matches requests for any table.
+    table_name: str | None
+    value_column: str
+    predicate_columns: list[str]
+    n_partitions: int
+    population_size: int
+    #: True when the file carries the packed per-leaf sketches.
+    supports_sketches: bool
+    #: File name of the entry's build-time workload fingerprint, if saved.
+    workload: str | None = None
+
+
+def _epoch_of(target: str) -> int:
+    """The epoch in a manifest name ``manifest-<epoch>.json``."""
+    return int(target.removeprefix("manifest-").removesuffix(".json"))
+
+
+class EpochRegister:
+    """The reader of a generation directory.
+
+    ``current`` links to ``manifest-<epoch>.json``, so :meth:`epoch` costs
+    one ``readlink``; :meth:`read` loads the manifest it names.
+    """
+
+    def __init__(self, directory: str) -> None:
+        self.name = directory
+        self._link = os.path.join(directory, _CURRENT)
+
+    @classmethod
+    def attach(cls, name: str) -> "EpochRegister":
+        """The reader of generation directory ``name``."""
+        return cls(name)
+
+    def _target(self) -> str:
+        try:
+            return os.readlink(self._link)
+        except OSError as error:
+            raise PublisherGone(f"publisher {self.name} is gone: {error}") from None
+
+    def epoch(self) -> int:
+        """The live generation."""
+        return _epoch_of(self._target())
+
+    def read(self) -> tuple[int, dict]:
+        """``(epoch, manifest)`` of the live generation.
+
+        ``current`` only names complete manifests.  A commit racing this read
+        may unlink the one it named: the read follows the link while it
+        moves, and raises :class:`PublisherGone` once it stays put.
+        """
+        target = self._target()
+        while True:
+            try:
+                with open(os.path.join(self.name, target), "rb") as handle:
+                    return _epoch_of(target), json.load(handle)
+            except FileNotFoundError:
+                moved = self._target()
+                if moved == target:
+                    raise PublisherGone(
+                        f"publisher {self.name} is gone: {target} was removed"
+                    ) from None
+                target = moved
+
+    def close(self) -> None:
+        """Nothing to release: a reader holds no descriptor between calls."""
+
+
+def read_published(register: EpochRegister) -> tuple[int, list[PublishedEntry]]:
+    """``(epoch, entries)`` of a directory's live generation.
+
+    Each entry's ``segment`` is its file name inside ``register.name``.  A
+    manifest of another format version raises ``ValueError`` naming it.
+    """
+    epoch, manifest = register.read()
+    if manifest.get("format") != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported manifest format {manifest.get('format')!r} in "
+            f"{register.name} (this build reads version {FORMAT_VERSION})"
+        )
+    return epoch, [
+        PublishedEntry(**entry)._replace(
+            segment=os.path.join(register.name, os.path.basename(entry["segment"]))
+        )
+        for entry in manifest["entries"]
+    ]
+
+
+class GenerationWriter:
+    """The one writer of a generation directory (``docs/ARCHITECTURE.md``).
+
+    :meth:`commit` writes each new entry's ``synopsis-<epoch>-<i>.pass``
+    (and ``workload-<epoch>-<i>.npz``), then ``manifest-<epoch>.json`` naming
+    every live entry's files, swaps ``current`` to it with one
+    ``os.replace``, and only then removes the generation files it does not
+    name.  Killed at any instant, it leaves the previous generation before
+    the swap and the new one after.  One writer per directory at a time.
+    """
+
+    def __init__(self, directory: str | os.PathLike, **fields) -> None:
+        self.directory = Path(directory)
+        #: Extra manifest fields (a publisher records its ``owner`` pid).
+        self._fields = fields
+        #: The live generation, -1 while the directory has none.
+        self.epoch = -1
+        self.entries: dict[str, dict] = {}
+        if os.path.lexists(self.directory / _CURRENT):
+            self.epoch, manifest = EpochRegister(str(self.directory)).read()
+            self.entries = {entry["name"]: entry for entry in manifest["entries"]}
+
+    def commit(
+        self,
+        synopses: Iterable[tuple[str, FlatSynopsis, str | None, Sequence[str] | None]],
+        *,
+        retire: Iterable[str] = (),
+        workloads: Mapping[str, WorkloadFingerprint] | None = None,
+    ) -> int:
+        """Publish one generation; returns its epoch.
+
+        ``synopses`` are ``(name, synopsis, table_name, predicate_columns)``
+        to add or replace; each file holds ``synopsis.export_buffers()``, the
+        bytes :func:`save_synopsis` writes.  ``predicate_columns`` of None
+        means the synopsis' bound columns.  Names in ``retire`` leave first;
+        the other live entries stay.
+        """
+        epoch = self.epoch + 1
+        entries = dict(self.entries)
+        for name in retire:
+            entries.pop(name, None)
+        for index, (name, synopsis, table_name, columns) in enumerate(synopses):
+            header, arrays = synopsis.export_buffers()
+            path = self.directory / f"synopsis-{epoch}-{index}{_SUFFIX}"
+            _atomic_write(path, lambda out: _write_segment(out, header, arrays))
+            workload = None
+            if (workloads or {}).get(name) is not None:
+                workload = f"workload-{epoch}-{index}{_WORKLOAD_SUFFIX}"
+                save_workload_fingerprint(workloads[name], self.directory / workload)
+            entries[name] = PublishedEntry(
+                name=name,
+                segment=str(path),
+                table_name=table_name,
+                value_column=header["value_column"],
+                predicate_columns=list(
+                    columns if columns is not None else header["columns"]
+                ),
+                n_partitions=int(arrays["is_leaf"].sum()),
+                population_size=int(arrays["node_count"][0]),
+                supports_sketches=bool(header["sketch_keys"]),
+                workload=workload,
+            )._asdict()
+        manifest = _MANIFEST.format(epoch)
+        document = {"format": FORMAT_VERSION, **self._fields}
+        document["entries"] = list(entries.values())
+        encoded = json.dumps(document).encode("utf-8")
+        _atomic_write(self.directory / manifest, lambda out: out.write(encoded))
+        link = self.directory / f".{_CURRENT}-{epoch}"
+        if os.path.lexists(link):  # left by a writer killed before its swap
+            os.unlink(link)
+        os.symlink(manifest, link)
+        os.replace(link, self.directory / _CURRENT)
+        self.epoch, self.entries = epoch, entries
+        live = {_CURRENT, manifest}
+        for entry in entries.values():
+            live.update((os.path.basename(entry["segment"]), entry["workload"]))
+        for name in os.listdir(self.directory):
+            if name not in live and name.lstrip(".").startswith(_GENERATED):
+                os.unlink(self.directory / name)
+        return epoch
+
+
+def _saved_generation(directory: Path) -> list[PublishedEntry]:
+    """The live entries of a saved catalog directory, files resolved in it."""
+    if not os.path.lexists(directory / _CURRENT):
+        if (directory / "catalog.json").exists():
+            raise ValueError(
+                f"unsupported catalog format in {directory}: a catalog.json "
+                "directory; load it with an earlier build and save it again"
+            )
+        raise FileNotFoundError(f"{directory} holds no saved catalog")
+    return read_published(EpochRegister(str(directory)))[1]
+
+
 def save_catalog(
     catalog: SynopsisCatalog,
     directory: str | Path,
     *,
     workloads: Mapping[str, WorkloadFingerprint] | None = None,
 ) -> Path:
-    """Persist every catalog entry plus a ``catalog.json`` manifest.
+    """Persist every catalog entry as one generation; returns its manifest.
 
-    ``workloads`` optionally maps entry names to their build-time workload
-    fingerprints; each is saved as a sibling ``<name>.workload.npz`` and
-    referenced from the manifest so :func:`load_catalog_workloads` can
-    restore the drift baselines later.
+    ``directory`` then holds exactly this catalog (:class:`GenerationWriter`):
+    an earlier catalog saved there is replaced whole, atomically.  A pool
+    serves it as it is (``MPServingPool(str(directory))``).  ``workloads``
+    maps entry names to build-time fingerprints, saved in the same
+    generation for :func:`load_catalog_workloads`.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"format": FORMAT_VERSION, "entries": []}
-    for entry in catalog.entries():
-        file_name = f"{entry.name}{_SUFFIX}"
-        save_synopsis(entry.synopsis, directory / file_name)
-        meta = {
-            "name": entry.name,
-            "file": file_name,
-            "table_name": entry.table_name,
-            "predicate_columns": list(entry.predicate_columns),
-        }
-        fingerprint = (workloads or {}).get(entry.name)
-        if fingerprint is not None:
-            workload_file = f"{entry.name}.workload.npz"
-            save_workload_fingerprint(fingerprint, directory / workload_file)
-            meta["workload"] = workload_file
-        manifest["entries"].append(meta)
-    manifest_path = directory / "catalog.json"
-    # The manifest is the catalog's commit point — write it atomically too,
-    # after every file it references exists on disk.
-    encoded = json.dumps(manifest, indent=2).encode("utf-8")
-    _atomic_write(manifest_path, lambda handle: handle.write(encoded))
-    return manifest_path
+    writer = GenerationWriter(directory)
+    epoch = writer.commit(
+        [
+            (entry.name, entry.synopsis, entry.table_name, entry.predicate_columns)
+            for entry in catalog.entries()
+        ],
+        retire=list(writer.entries),
+        workloads=workloads,
+    )
+    return writer.directory / _MANIFEST.format(epoch)
 
 
 def load_catalog(
     directory: str | Path, tables: Mapping[str, Table] | None = None
 ) -> SynopsisCatalog:
-    """Rebuild a catalog saved with :func:`save_catalog`.
+    """Rebuild the catalog :func:`save_catalog` saved to ``directory``.
 
-    Parameters
-    ----------
-    directory:
-        The directory the catalog was saved to.
-    tables:
-        Optional ``table_name -> Table`` mapping; every table provided is
-        re-registered as the exact-scan fallback for its queries.
+    Reads the manifest that ``current`` names; a directory of the retired
+    ``catalog.json`` format raises ``ValueError`` naming it.  Each table in
+    ``tables`` (``table_name -> Table``) is re-registered as the exact-scan
+    fallback for its queries.
     """
-    directory = Path(directory)
-    manifest = json.loads((directory / "catalog.json").read_text())
-    version = manifest.get("format")
-    if version != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported catalog format {version!r} in {directory} "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
     catalog = SynopsisCatalog()
-    for meta in manifest["entries"]:
-        synopsis = load_synopsis(directory / meta["file"])
+    for entry in _saved_generation(Path(directory)):
         catalog.register(
-            meta["name"],
-            synopsis,
-            table_name=meta["table_name"],
-            predicate_columns=tuple(meta["predicate_columns"]),
+            entry.name,
+            load_synopsis(entry.segment),
+            table_name=entry.table_name,
+            predicate_columns=tuple(entry.predicate_columns),
         )
     for table_name, table in (tables or {}).items():
         catalog.register_table(table, name=table_name)
@@ -506,19 +667,15 @@ def load_catalog(
 def load_catalog_workloads(
     directory: str | Path,
 ) -> dict[str, WorkloadFingerprint]:
-    """Build-time fingerprints saved next to a catalog, keyed by entry name.
+    """Build-time fingerprints saved with a catalog, keyed by entry name.
 
-    Entries saved without a ``workloads`` mapping are simply absent; the
-    result feeds straight into
+    They come from the generation :func:`load_catalog` reads; entries saved
+    without one are absent.  The result feeds
     :class:`~repro.obs.drift.WorkloadDriftDetector`.
     """
     directory = Path(directory)
-    manifest = json.loads((directory / "catalog.json").read_text())
-    baselines: dict[str, WorkloadFingerprint] = {}
-    for meta in manifest["entries"]:
-        workload_file = meta.get("workload")
-        if workload_file:
-            baselines[meta["name"]] = load_workload_fingerprint(
-                directory / workload_file
-            )
-    return baselines
+    return {
+        entry.name: load_workload_fingerprint(directory / entry.workload)
+        for entry in _saved_generation(directory)
+        if entry.workload
+    }

@@ -6,9 +6,9 @@ bounded by one interpreter's GIL: the numpy kernels release it only in
 bursts, so CPU-bound query traffic cannot use more than roughly one core.
 This module is the scale-out tier:
 
-* a :class:`SynopsisPublisher` (:mod:`repro.serving.shm`) writes each
-  generation of a synopsis as a ``.pass`` file, once, and swaps a manifest
-  naming it;
+* a :class:`SynopsisPublisher` (:mod:`repro.serving.shm`) or
+  :func:`~repro.serving.persistence.save_catalog` writes each generation of
+  a catalog as ``.pass`` files, once, and swaps a manifest naming them;
 * :class:`MPServingPool` runs one worker process per core (the ``spawn``
   start method of :data:`SPAWN_CONTEXT`);
   each worker maps the files (``mmap``) and rehydrates zero-copy
@@ -334,9 +334,10 @@ class MPServingPool:
     Parameters
     ----------
     register_name:
-        The :attr:`SynopsisPublisher.register_name` of the owner's
-        generation directory (pass ``publisher.register_name``; the pool
-        never writes).
+        A generation directory: a publisher's
+        :attr:`SynopsisPublisher.register_name`, or a directory
+        :func:`~repro.serving.persistence.save_catalog` wrote.  The pool
+        never writes.
     n_workers:
         Worker process count (process-per-core; defaults to the machine's
         core count).

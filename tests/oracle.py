@@ -912,16 +912,17 @@ def _sum_count_estimate(
     exact_part = _covered_sum_count(agg, frontier.covered)
     total = EstimateWithVariance(exact_part, 0.0)
     for node in frontier.partial:
-        contribution = _partial_contribution(objects, agg, query, node)
-        if math.isnan(contribution.variance):
+        if node.size and not objects.leaf_samples[node.leaf_index].sample_size:
             # A partial leaf without samples: its contribution is unknown;
             # fall back to half of its hard-bound width as a conservative
-            # point estimate with unknown variance.
+            # point estimate with unknown variance.  A sampled leaf adds its
+            # contribution whatever it holds: N/n * sum(matched) in plain
+            # IEEE arithmetic, so a sampled +-inf or NaN reaches the total.
             stats = node.stats
             midpoint = 0.5 * (stats.sum if agg == AggregateType.SUM else stats.count)
             total = EstimateWithVariance(total.estimate + midpoint, float("nan"))
             continue
-        total = total + contribution
+        total = total + _partial_contribution(objects, agg, query, node)
     return total
 
 

@@ -24,6 +24,7 @@ then refreshed one leaf at a time by each sample writer.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import warnings
@@ -175,12 +176,8 @@ def assert_every_path_matches_oracle(synopsis, queries, context: str = "") -> No
 
 
 def assert_grouped_matches_oracle(synopsis, edges, aggs=("MIN", "MAX", "SUM")) -> None:
-    """A MIN / MAX grouped plan (beside a SUM) carries the per-cell oracle bits.
-
-    The poisoned fixtures leave the SUM out: the reference treats a sampled
-    leaf whose SUM variance is NaN like an unsampled one, the kernel does
-    not, so only MIN / MAX are specified over non-finite samples.
-    """
+    """A grouped plan (MIN / MAX beside a SUM by default) carries the
+    per-cell oracle bits."""
     plan = GroupByQuery(
         groupings=tuple(GroupingColumn.bins(column, edges) for column in COLUMNS),
         aggregates=tuple(AggregateSpec(agg, synopsis.value_column) for agg in aggs),
@@ -314,6 +311,59 @@ def test_grouped_plans_over_the_poisoned_leaves(agg):
         _doctored(agg, True),
         [0.0, 0.5, 30.0, 50.0, 70.0, 99.5, 100.0],
         aggs=("MIN", "MAX"),
+    )
+
+
+@pytest.mark.parametrize("agg", ["MIN", "MAX"])
+@pytest.mark.parametrize("with_winner", [False, True])
+def test_sum_count_avg_over_the_poisoned_leaves(agg, with_winner):
+    """A sampled leaf holding ``±inf`` or NaN adds ``N/n · Σ matched`` like any
+    other sampled leaf; only an unsampled one adds its hard-bound midpoint.
+
+    The sign of a NaN that an invalid operation (``inf - inf``) makes depends
+    on operand order inside numpy's loops, so NaNs compare by value here.
+    """
+    synopsis = _doctored(agg, with_winner)
+    edges = [0.0, 0.5, 30.0, 50.0, 70.0, 99.5, 100.0]
+    aggs = ("SUM", "COUNT", "AVG")
+    plan = GroupByQuery(
+        groupings=tuple(GroupingColumn.bins(column, edges) for column in COLUMNS),
+        aggregates=tuple(AggregateSpec(each, synopsis.value_column) for each in aggs),
+    ).compile()
+    grouped = grouped_query(synopsis, plan)
+    cells = [
+        (plan.cell_query(cell, spec), got)
+        for index, cell in plan.live_cells()
+        for spec, got in zip(plan.aggregates, grouped.cells[index])
+    ]
+    queries = [query for query, _ in cells]
+    reference = oracle.objects_of(synopsis)
+    attached = _read_only(synopsis)
+    nonfinite = 0
+    for (query, in_plan), in_batch in zip(cells, batch_query(synopsis, queries)):
+        want = _positive_nans(oracle.query_object(reference, query))
+        nonfinite += not math.isfinite(want.estimate)
+        where = f"{query.agg.name} {query.predicate} "
+        for got, path in (
+            (synopsis.query(query), "query "),
+            (in_batch, "batch "),
+            (attached.query(query), "read-only "),
+            (in_plan, "grouped "),
+        ):
+            assert_identical(_positive_nans(got), want, where + path)
+    assert len(cells) == 108 and nonfinite
+
+
+def _positive_nans(result):
+    """``result`` with every NaN field replaced by the positive quiet NaN."""
+    return dataclasses.replace(
+        result,
+        **{
+            field.name: math.nan
+            for field in dataclasses.fields(result)
+            if isinstance(getattr(result, field.name), float)
+            and math.isnan(getattr(result, field.name))
+        },
     )
 
 

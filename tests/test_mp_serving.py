@@ -36,6 +36,7 @@ import pytest
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
 from repro.core.soa import FlatSynopsis
+from repro.core.updates import DynamicPASS
 from repro.data.table import Table
 from repro.distributed.parallel import build_sharded_from_plan
 from repro.distributed.planner import ShardPlanner
@@ -54,6 +55,7 @@ from repro.serving import (
     SynopsisPublisher,
 )
 from repro.serving.coalesce import RequestCoalescer
+from repro.serving.persistence import load_catalog, save_catalog
 from repro.serving.scheduler import AdmissionGate, MicroBatchScheduler, Overloaded
 from repro.serving.server import (
     MAX_BODY_BYTES,
@@ -731,6 +733,123 @@ class TestMPServingPool:
                     )
                 for got, query in zip(pool.execute_batch(queries, "mp_test"), queries):
                     assert_identical(got, engine.execute(query, "mp_test"))
+
+
+class TestSavedDirectories:
+    """A saved catalog is a generation directory a pool serves as it is."""
+
+    def test_a_pool_over_a_saved_directory_answers_like_the_loaded_engine(
+        self, tmp_path
+    ):
+        """All seven aggregates, over a static, a ``DynamicPASS`` and a
+        4-shard entry, each under its own table so each one routes."""
+        table = make_table(seed=21, n=3000)
+        config = PASSConfig(
+            n_partitions=8,
+            sample_rate=0.05,
+            opt_sample_size=200,
+            with_sketches=True,
+            seed=0,
+        )
+        dynamic = DynamicPASS(table, "value", ["key"], config)
+        rng = np.random.default_rng(22)
+        for key, value in zip(rng.uniform(0.0, 50.0, 40), rng.uniform(1.0, 9.0, 40)):
+            dynamic.insert({"key": float(key), "value": float(value)})
+        catalog = SynopsisCatalog()
+        catalog.register("static", build_pass(table, "value", ["key"], config), "s")
+        catalog.register("dynamic", dynamic, "d")
+        catalog.register(
+            "sharded",
+            build_sharded_from_plan(
+                ShardPlanner(4, "range").plan(table, "key"), "value", ["key"], config
+            ),
+            "h",
+        )
+        directory = tmp_path / "saved"
+        save_catalog(catalog, directory)
+        loaded = load_catalog(directory)
+        assert [type(entry.synopsis) for entry in loaded.entries()] == [
+            type(entry.synopsis) for entry in catalog.entries()
+        ]
+        engine = ServingEngine(loaded, cache_size=0)
+        queries = seeded_queries(seed=23, n=20) + sketch_queries()
+        assert {query.agg.name for query in queries} == set(AGGS) | {
+            "QUANTILE",
+            "COUNT_DISTINCT",
+        }
+        with MPServingPool(str(directory), n_workers=1) as pool:
+            for table_name in ("s", "d", "h"):
+                expected = [engine.execute(query, table_name) for query in queries]
+                for got, want in zip(pool.execute_batch(queries, table_name), expected):
+                    assert_identical(got, want)
+                for query, want in zip(queries, expected):
+                    assert_identical(pool.execute(query, table_name), want)
+
+    def test_publish_catalog_is_one_generation(self):
+        """The epoch advances once per catalog, and a pool querying through
+        the republish never answers one entry new and the other old."""
+        rng = np.random.default_rng(24)
+
+        def catalog(seed: int) -> SynopsisCatalog:
+            """``x`` answers over ``value``, ``y`` over ``other``."""
+            table = make_table(seed)
+            doubled = Table(
+                {"key": table.column("key"), "other": 2.0 * table.column("value")},
+                name="mp_test",
+            )
+            config = PASSConfig(n_partitions=16, sample_rate=0.01, seed=0)
+            built = SynopsisCatalog()
+            for name, source, column in (
+                ("x", table, "value"),
+                ("y", doubled, "other"),
+            ):
+                synopsis = build_pass(source, column, ["key"], config)
+                built.register(name, synopsis, "mp_test")
+            return built
+
+        catalogs = [catalog(31), catalog(32)]
+        probe = RectPredicate({"key": Interval(3.0, 41.0)})
+        queries = [
+            AggregateQuery("SUM", "value", probe),
+            AggregateQuery("SUM", "other", probe),
+        ]
+        answers = [
+            [c.get(name).synopsis.query(q) for name, q in zip("xy", queries)]
+            for c in catalogs
+        ]
+        assert answers[0][0].estimate != answers[1][0].estimate
+        assert answers[0][1].estimate != answers[1][1].estimate
+        with SynopsisPublisher() as publisher:
+            assert publisher.publish_catalog(catalogs[0]) == 1
+            with MPServingPool(publisher.register_name, n_workers=1) as pool:
+                stop = threading.Event()
+                seen: list = []
+
+                def query_until_stopped() -> None:
+                    while not stop.is_set():
+                        record_outcome(seen, pool.execute_batch, queries, "mp_test")
+
+                reader = threading.Thread(target=query_until_stopped)
+                reader.start()
+                try:
+                    for round_ in range(1, 9):
+                        epoch = publisher.publish_catalog(catalogs[round_ % 2])
+                        assert epoch == round_ + 1
+                        time.sleep(float(rng.uniform(0.0, 0.02)))
+                finally:
+                    stop.set()
+                    reader.join()
+                register = EpochRegister.attach(publisher.register_name)
+                _, manifest = register.read()
+                assert [entry["name"] for entry in manifest["entries"]] == ["x", "y"]
+        assert seen
+        for outcome in seen:
+            assert not isinstance(outcome, BaseException), outcome
+            estimates = [result.estimate for result in outcome]
+            assert estimates in (
+                [answer.estimate for answer in answers[0]],
+                [answer.estimate for answer in answers[1]],
+            )
 
 
 class TestJSONProtocol:

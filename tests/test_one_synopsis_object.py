@@ -5,7 +5,7 @@ reloaded from a ``.pass`` file, a shard of a mixed sharded synopsis — a
 synopsis *is* the flat arrays and their kernels: nothing unwraps it.  The
 harness-era aliases (``.flat``, ``DynamicPASS.synopsis``) return the object
 itself, a static synopsis reports 0.0 drift, the build facts travel in every
-export, and a published segment carries the kernel state only.
+export, and a published segment is the file ``save_synopsis`` writes.
 """
 
 from __future__ import annotations
@@ -153,10 +153,18 @@ class TestPublishedSegments:
             try:
                 assert type(attached) is FlatSynopsis
                 _assert_same_build_facts(attached, synopsis)
-                assert "kind" not in segment.header
-                assert not {"seen", "capacity"} & set(segment.arrays)
+                # The file is the one ``save_synopsis`` writes: a dynamic
+                # synopsis' update state travels, and the worker ignores it.
+                dynamic = kind == "dynamic"
+                assert (segment.header.get("kind") == "dynamic") is dynamic
+                assert ({"seen", "capacity"} <= set(segment.arrays)) is dynamic
                 assert_results_identical(
                     attached.query(QUERY), synopsis.query(QUERY)
+                )
+                reloaded = load_synopsis(entry.segment)
+                assert type(reloaded) is type(synopsis)
+                assert_results_identical(
+                    reloaded.query(QUERY), synopsis.query(QUERY)
                 )
             finally:
                 del attached

@@ -12,6 +12,10 @@ and the atomic rename), SIGKILLs it there, and then loads the archive from
 the parent — the same sequence as a serving node dying mid-checkpoint and
 restarting.
 
+A catalog re-save stopped part-way (its writer raising before the second
+entry's file) loads as the old catalog whole; the every-line SIGKILL
+version of that is ``tests/test_publish_crash.py``.
+
 The restart-resume tests cover the second half of the story: a dynamic
 synopsis saved under write load reloads with its update counters and
 staleness intact and keeps accepting updates.
@@ -36,9 +40,13 @@ from repro.core.updates import DynamicPASS
 from repro.data.table import Table
 from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery
+from repro.serving import persistence
+from repro.serving.catalog import SynopsisCatalog
 from repro.serving.persistence import (
+    load_catalog,
     load_synopsis,
     load_workload_fingerprint,
+    save_catalog,
     save_synopsis,
 )
 
@@ -213,6 +221,46 @@ class TestKillDuringSave:
         if workload_path.exists():
             load_workload_fingerprint(workload_path)  # complete, loadable
         load_synopsis(path)  # and the synopsis is never torn
+
+
+def test_an_interrupted_catalog_resave_loads_the_old_catalog_whole(
+    tmp_path: Path, monkeypatch
+) -> None:
+    """A re-save stopped before its second entry's file leaves the old
+    catalog — both entries — not the new ``x`` beside the old ``y``."""
+    old, new = SynopsisCatalog(), SynopsisCatalog()
+    for catalog, seeds in ((old, (1, 2)), (new, (3, 4))):
+        for name, seed in zip(("x", "y"), seeds):
+            catalog.register(name, build(seed), table_name="crashy")
+    directory = tmp_path / "catalog"
+    save_catalog(old, directory)
+    real_write = persistence._atomic_write
+    written: list[Path] = []
+
+    def stop_at_the_second_synopsis(path, write):
+        if path.suffix == ".pass":
+            written.append(path)
+            if len(written) == 2:
+                raise OSError("disk gone")
+        return real_write(path, write)
+
+    monkeypatch.setattr(persistence, "_atomic_write", stop_at_the_second_synopsis)
+    with pytest.raises(OSError, match="disk gone"):
+        save_catalog(new, directory)
+    monkeypatch.undo()
+    loaded = load_catalog(directory)
+    assert loaded.names() == ["x", "y"]
+    for name in ("x", "y"):
+        for query in workload():
+            assert_identical(
+                loaded.get(name).synopsis.query(query),
+                old.get(name).synopsis.query(query),
+            )
+    # The next complete save replaces the stopped one's leftovers.
+    save_catalog(new, directory)
+    assert sorted(path.name for path in directory.iterdir()) == [
+        "current", "manifest-1.json", "synopsis-1-0.pass", "synopsis-1-1.pass"
+    ]
 
 
 class TestRestartResume:

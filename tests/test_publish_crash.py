@@ -9,13 +9,17 @@ generation.  A later publisher removes the dead owner's directory, and
 never a live owner's.
 
 The owner is a child process.  It publishes a first generation, then
-republishes with a line tracer on ``repro/serving/shm.py`` that SIGKILLs it
-at line ``k`` of the ``n`` lines the same publish runs uninterrupted: at
-every ``k`` (one owner forked per line), and, with a pool attached before
-the kill, at the first line, the last and seeded fractions ``k / n``
-between.  Each owner publishes under the test's own root directory: tests
-run in parallel, and a publisher constructed by another test would sweep a
-killed owner's directory away.
+republishes with a line tracer on the writer — ``repro/serving/shm.py`` and
+``repro/serving/persistence.py``, less the segment layout's in-memory offset
+arithmetic — that SIGKILLs it at line ``k`` of the ``n`` lines the same
+publish runs uninterrupted: at every ``k`` (one owner forked per line), and,
+with a pool attached before the kill, at the first line, the last and
+seeded fractions ``k / n`` between.  The same harness kills a re-save of a
+2-entry catalog (:func:`~repro.serving.persistence.save_catalog`) at every
+line: the directory then loads as the old catalog or the new one, whole.
+Each owner publishes under the test's own root directory: tests run in
+parallel, and a publisher constructed by another test would sweep a killed
+owner's directory away.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from repro.data.table import Table
 from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery
 from repro.serving import MPServingPool, ServingEngine, SynopsisCatalog, shm
+from repro.serving.persistence import load_catalog
 from repro.serving.shm import (
     EpochRegister,
     SynopsisPublisher,
@@ -59,7 +64,8 @@ CHILD = textwrap.dedent(
     from repro.core.builder import build_pass
     from repro.core.config import PASSConfig
     from repro.data.table import Table
-    from repro.serving import shm
+    from repro.serving import persistence, shm
+    from repro.serving.catalog import SynopsisCatalog
 
     shm._generation_root = lambda: {root!r}
 
@@ -77,20 +83,58 @@ CHILD = textwrap.dedent(
             PASSConfig(n_partitions=8, sample_rate=0.02, opt_sample_size=200, seed=0),
         )
 
-    def traced_publish(publisher, synopsis, on_line):
+    # The writer's lines: the publisher's and the generation writer's.  The
+    # segment layout's offset arithmetic writes nothing, so it is skipped.
+    WRITER = (shm.__file__, persistence.__file__)
+
+    def nested(code):
+        yield code
+        for constant in code.co_consts:
+            if hasattr(constant, "co_consts"):
+                yield from nested(constant)
+
+    IN_MEMORY = {{
+        code
+        for function in (
+            persistence.SegmentLayout.__init__,
+            persistence.SegmentLayout.pieces,
+            persistence._align,
+        )
+        for code in nested(function.__code__)
+    }}
+
+    def traced(write, on_line):
         def local(frame, event, arg):
             if event == "line":
                 on_line()
             return local
 
         def calls(frame, event, arg):
-            return local if frame.f_code.co_filename == shm.__file__ else None
+            code = frame.f_code
+            if code.co_filename in WRITER and code not in IN_MEMORY:
+                return local
+            return None
 
         sys.settrace(calls)
         try:
-            publisher.publish("crashy", synopsis, table_name="crashy")
+            write()
         finally:
             sys.settrace(None)
+
+    def traced_publish(publisher, synopsis, on_line):
+        traced(
+            lambda: publisher.publish("crashy", synopsis, table_name="crashy"),
+            on_line,
+        )
+
+    def kill_counter(kill_at):
+        def count():
+            count.seen += 1
+            if count.seen == kill_at:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        count.seen = 0
+        return count
 
     first, second = build(1), build(2)
     mode = {mode!r}
@@ -102,17 +146,40 @@ CHILD = textwrap.dedent(
         return publisher
 
     def die_at(publisher, kill_at):
-        def count():
-            count.seen += 1
-            if count.seen == kill_at:
-                os.kill(os.getpid(), signal.SIGKILL)
-
-        count.seen = 0
-        traced_publish(publisher, second, count)
+        traced_publish(publisher, second, kill_counter(kill_at))
         raise SystemExit("publish completed; the kill point never fired")
 
-    if mode is None:  # die between publishes
-        publish_first()
+    def catalog(x, y):
+        built = SynopsisCatalog()
+        built.register("x", x, table_name="crashy")
+        built.register("y", y, table_name="crashy")
+        return built
+
+    if mode == "save-every":  # re-save a 2-entry catalog, one kill per line
+        old, new = catalog(first, second), catalog(second, first)
+        lines = []
+        scratch = os.path.join({root!r}, "scratch")
+        persistence.save_catalog(old, scratch)
+        traced(
+            lambda: persistence.save_catalog(new, scratch),
+            lambda: lines.append(None),
+        )
+        for kill_at in range(1, len(lines) + 1):
+            directory = os.path.join({root!r}, str(kill_at))
+            pid = os.fork()
+            if pid == 0:
+                persistence.save_catalog(old, directory)
+                traced(
+                    lambda: persistence.save_catalog(new, directory),
+                    kill_counter(kill_at),
+                )
+                raise SystemExit("save completed; the kill point never fired")
+            _, status = os.waitpid(pid, 0)
+            signalled = os.WIFSIGNALED(status)
+            print(directory, os.WTERMSIG(status) if signalled else -1, flush=True)
+        raise SystemExit(0)
+    if mode is None:  # die between publishes, the publisher still open
+        publisher = publish_first()
         os.kill(os.getpid(), signal.SIGKILL)
     # The lines the republish runs, counted on a scratch publisher.
     lines = []
@@ -266,6 +333,47 @@ def test_every_line_of_publish_leaves_a_complete_generation(tmp_path, generation
         epochs.append(epoch)
     assert len(epochs) > 30 and epochs[0] == 1 and epochs[-1] == 2
     assert epochs == sorted(epochs)  # once swapped, every later kill serves it
+
+
+def test_every_line_of_a_catalog_resave_leaves_one_whole_catalog(
+    tmp_path, generations
+):
+    """A 2-entry catalog ``{x: first, y: second}`` re-saved as ``{x: second,
+    y: first}``, killed at each line of ``save_catalog`` in turn: the
+    directory loads as the old catalog before the swap and the new one
+    after — never one entry of each."""
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            CHILD.format(src=SRC, root=str(tmp_path), mode="save-every"),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert completed.returncode == 0, completed.stderr
+    output = completed.stdout.split()
+    directories, signals = output[0::2], output[1::2]
+    assert signals == [str(int(signal.SIGKILL))] * len(directories)
+    answers = [[g.query(query) for query in workload()] for g in generations]
+    catalogs = {"old": (answers[0], answers[1]), "new": (answers[1], answers[0])}
+    saved = []
+    for directory in directories:
+        loaded = load_catalog(directory)
+        assert [entry.name for entry in loaded.entries()] == ["x", "y"]
+        got = [
+            [loaded.get(name).synopsis.query(query) for query in workload()]
+            for name in ("x", "y")
+        ]
+        which = "old" if got[0][0].estimate == answers[0][0].estimate else "new"
+        for entry_answers, want in zip(got, catalogs[which]):
+            for answer, expected in zip(entry_answers, want):
+                assert_identical(answer, expected)
+        saved.append(which)
+    assert len(saved) > 30 and saved[0] == "old" and saved[-1] == "new"
+    # Once swapped, every later kill loads the new catalog.
+    assert saved == sorted(saved, key=["old", "new"].index)
 
 
 def test_a_new_publisher_sweeps_a_dead_owners_directory(tmp_path, monkeypatch):

@@ -12,6 +12,8 @@ import io
 import json
 import math
 import mmap
+import os
+import shutil
 import struct
 
 import numpy as np
@@ -25,13 +27,17 @@ from repro.distributed.parallel import build_sharded_pass
 from repro.data.table import Table
 from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery
+from repro.obs.drift import WorkloadFingerprint
+from repro.serving import MPServingPool, ServingEngine
 from repro.serving.catalog import SynopsisCatalog
 from repro.serving.persistence import (
     FORMAT_VERSION,
     SEGMENT_MAGIC,
+    EpochRegister,
     SegmentLayout,
     _write_segment,
     load_catalog,
+    load_catalog_workloads,
     load_synopsis,
     save_catalog,
     save_synopsis,
@@ -259,6 +265,142 @@ class TestCatalogRoundTrip:
                 entry.pass_synopsis.query(query),
                 loaded_entry.pass_synopsis.query(query),
             )
+
+
+class TestSavedDirectory:
+    """A saved catalog is a generation directory: ``current`` names the live
+    manifest, which names every entry's file."""
+
+    @pytest.fixture(scope="class")
+    def catalogs(self, table):
+        """Two 2-entry catalogs over the same names, built differently."""
+        built = []
+        for seed in (0, 1):
+            config = PASSConfig(n_partitions=8, partitioner="equal", seed=seed)
+            catalog = SynopsisCatalog()
+            catalog.register(
+                "x", build_pass(table, "value", ["a"], config), table_name="persisted"
+            )
+            catalog.register(
+                "y",
+                build_pass(table, "value", ["a", "b"], config.with_overrides(
+                    partitioner="kd"
+                )),
+                table_name="persisted",
+            )
+            built.append(catalog)
+        return built
+
+    @staticmethod
+    def fingerprint(high: float) -> WorkloadFingerprint:
+        return WorkloadFingerprint.from_boxes(
+            [(("a", 0.0, high),)], {"a": (0.0, 100.0)}
+        )
+
+    @staticmethod
+    def assert_serves(directory, catalog, workload):
+        loaded = load_catalog(directory)
+        assert loaded.names() == catalog.names()
+        for name in catalog.names():
+            for query in workload:
+                assert_identical(
+                    loaded.get(name).synopsis.query(query),
+                    catalog.get(name).synopsis.query(query),
+                )
+
+    def test_a_second_save_leaves_only_the_live_generation(
+        self, catalogs, workload, tmp_path
+    ):
+        directory = tmp_path / "catalog"
+        first = save_catalog(catalogs[0], directory)
+        (directory / "notes.txt").write_text("not a generation file")
+        manifest = save_catalog(
+            catalogs[1], directory, workloads={"x": self.fingerprint(50.0)}
+        )
+        assert first.name == "manifest-0.json" and manifest.name == "manifest-1.json"
+        assert os.readlink(directory / "current") == manifest.name
+        document = json.loads(manifest.read_text())
+        named = {
+            os.path.basename(entry[key])
+            for entry in document["entries"]
+            for key in ("segment", "workload")
+            if entry.get(key)
+        }
+        assert named == {"synopsis-1-0.pass", "synopsis-1-1.pass", "workload-1-0.npz"}
+        assert set(os.listdir(directory)) == {
+            "current", manifest.name, "notes.txt", *named
+        }
+        self.assert_serves(directory, catalogs[1], workload)
+
+    def test_a_copied_and_a_moved_directory_load_and_serve(
+        self, catalogs, workload, tmp_path
+    ):
+        directory = tmp_path / "catalog"
+        save_catalog(catalogs[0], directory)
+        copied = shutil.copytree(directory, tmp_path / "copied", symlinks=True)
+        moved = tmp_path / "moved"
+        os.rename(directory, moved)
+        for saved in (copied, moved):
+            self.assert_serves(saved, catalogs[0], workload)
+            with MPServingPool(str(saved), n_workers=1) as pool:
+                queries = workload[:10]
+                engine = ServingEngine(load_catalog(saved), cache_size=0)
+                for got, query in zip(
+                    pool.execute_batch(queries, "persisted"), queries
+                ):
+                    assert_identical(got, engine.execute(query, "persisted"))
+
+    def test_fingerprints_round_trip_with_their_generation(self, catalogs, tmp_path):
+        directory = tmp_path / "catalog"
+        assert load_catalog_workloads(save_catalog(catalogs[0], directory).parent) == {}
+        for high in (40.0, 70.0):
+            save_catalog(
+                catalogs[0], directory, workloads={"y": self.fingerprint(high)}
+            )
+            baselines = load_catalog_workloads(directory)
+            assert list(baselines) == ["y"]
+            assert baselines["y"].distance(self.fingerprint(high)) == pytest.approx(
+                0.0, abs=1e-12
+            )
+            assert self.fingerprint(high).distance(
+                self.fingerprint(110.0 - high)
+            ) > 0.0
+        # The fingerprint file and the synopsis files share the epoch.
+        _, manifest = EpochRegister.attach(str(directory)).read()
+        (y,) = [entry for entry in manifest["entries"] if entry["name"] == "y"]
+        epoch = _epoch(os.readlink(directory / "current"))
+        assert y["workload"] == f"workload-{epoch}-1.npz"
+        assert os.path.basename(y["segment"]) == f"synopsis-{epoch}-1.pass"
+
+    def test_an_old_format_directory_is_refused_by_name(self, catalogs, tmp_path):
+        directory = tmp_path / "legacy"
+        directory.mkdir()
+        save_synopsis(catalogs[0].get("x").synopsis, directory / "x.pass")
+        (directory / "catalog.json").write_text(
+            json.dumps(
+                {
+                    "format": FORMAT_VERSION,
+                    "entries": [
+                        {
+                            "name": "x",
+                            "file": "x.pass",
+                            "table_name": "persisted",
+                            "predicate_columns": ["a"],
+                        }
+                    ],
+                }
+            )
+        )
+        for load in (load_catalog, load_catalog_workloads):
+            with pytest.raises(ValueError, match=r"catalog\.json.*") as raised:
+                load(directory)
+            assert str(directory) in str(raised.value)
+        with pytest.raises(FileNotFoundError, match="no saved catalog"):
+            load_catalog(tmp_path / "missing")
+
+
+def _epoch(manifest_name: str) -> int:
+    return int(manifest_name.removeprefix("manifest-").removesuffix(".json"))
 
 
 class TestFormatVersioning:
