@@ -15,7 +15,6 @@ sampled estimate.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,12 +26,7 @@ from repro.query.predicate import Box, Relation
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
 
-__all__ = [
-    "HardBounds",
-    "hard_bounds",
-    "rounding_slack",
-    "StratifiedAggregationSynopsis",
-]
+__all__ = ["HardBounds", "hard_bounds", "StratifiedAggregationSynopsis"]
 
 
 @dataclass(frozen=True)
@@ -59,33 +53,6 @@ class HardBounds:
         return self.lower <= value <= self.upper
 
 
-#: Machine epsilons of slack per unit of magnitude that a certified SUM or
-#: AVG bound keeps outside its formula value (:func:`rounding_slack`).
-_ROUNDING_EPS = 256.0
-
-
-def rounding_slack(magnitude: float) -> float:
-    """Outward room a certified SUM / AVG bound keeps for float rounding.
-
-    A bound adds the partitions' float sums, while the exact answer sums
-    the matching values themselves in another order, so the two can miss
-    each other by a few ulps.  Each sum involved rounds by at most ``k * u
-    * Σ|x|`` (``u = eps / 2``): numpy's pairwise sums — a leaf's stored
-    sum and the exact answer — with ``k <= 20 + log2(n)`` over ``n``
-    values, and the adds that build inner nodes and join a frontier's rows
-    with ``k`` their count.  ``_ROUNDING_EPS * eps * magnitude`` is ``2 *
-    _ROUNDING_EPS`` such units, enough while those ``k`` total under 512;
-    the drift of node sums kept up by a long stream of updates is not
-    counted.  ``magnitude`` is ``Σ|x|`` for a SUM and ``max |x|`` for an
-    AVG.  Linear in ``Σ|x|``, the SUM slack adds over partitions, so a
-    stitched synopsis' SUM bound stays its shards' bounds summed.  The
-    slack is ``0.0`` over an infinite or NaN magnitude, where no rounding
-    is left to cover.
-    """
-    slack = _ROUNDING_EPS * sys.float_info.epsilon * magnitude
-    return slack if math.isfinite(slack) else 0.0
-
-
 def hard_bounds(
     agg: AggregateType,
     covered: Sequence[PartitionStats],
@@ -108,48 +75,12 @@ def hard_bounds(
     -----
     SUM / COUNT assume non-negative aggregate values (the paper's technical
     assumption; shift the data if needed): the lower bound excludes partial
-    partitions entirely and the upper bound includes them entirely.  SUM and
-    AVG bounds are then widened by :func:`rounding_slack`, so they contain
-    the exact answer's float sum and not only its real value; COUNT, MIN
-    and MAX involve no rounding.
+    partitions entirely and the upper bound includes them entirely.
     """
     agg = AggregateType.parse(agg)
     covered = [stats for stats in covered if not stats.is_empty]
     partial = [stats for stats in partial if not stats.is_empty]
-    bounds = _formula_bounds(agg, covered, partial)
-    if agg == AggregateType.SUM:
-        # The stored sums stand for Σ|x|: SUM bounds assume x >= 0.
-        covered_abs = sum((abs(stats.sum) for stats in covered), 0.0)
-        partial_abs = sum((abs(stats.sum) for stats in partial), 0.0)
-        return HardBounds(
-            lower=bounds.lower - rounding_slack(covered_abs),
-            upper=bounds.upper + rounding_slack(covered_abs + partial_abs),
-        )
-    if agg == AggregateType.AVG:
-        # max |x| over partitions with min <= max is max(max, -min).
-        partial_max = max((stats.max for stats in partial), default=-math.inf)
-        partial_min = min((stats.min for stats in partial), default=math.inf)
-        slack = rounding_slack(
-            max(
-                max(max((s.max for s in covered), default=-math.inf), partial_max),
-                -min(min((s.min for s in covered), default=math.inf), partial_min),
-            )
-        )
-        return HardBounds(lower=bounds.lower - slack, upper=bounds.upper + slack)
-    return bounds
 
-
-def _formula_bounds(
-    agg: AggregateType,
-    covered: Sequence[PartitionStats],
-    partial: Sequence[PartitionStats],
-) -> HardBounds:
-    """The Section 2.3 bound formulas over non-empty partitions, unrounded.
-
-    :func:`hard_bounds` without its rounding slack: over no partial
-    partition its lower bound is the exact answer as the partitions' float
-    statistics give it.
-    """
     if agg in (AggregateType.SUM, AggregateType.COUNT):
         def key(stats: PartitionStats) -> float:
             return stats.sum if agg == AggregateType.SUM else float(stats.count)
@@ -269,17 +200,13 @@ class StratifiedAggregationSynopsis:
                 f"query aggregates {query.value_column!r}"
             )
         covered_idx, partial_idx = self.classify(query)
-        covered = [self._stats[i] for i in covered_idx]
         bounds = hard_bounds(
-            query.agg, covered, [self._stats[i] for i in partial_idx]
+            query.agg,
+            [self._stats[i] for i in covered_idx],
+            [self._stats[i] for i in partial_idx],
         )
         exact = not partial_idx
-        if exact:
-            # The covered statistics' own answer, not the widened bound.
-            covered = [stats for stats in covered if not stats.is_empty]
-            estimate = _formula_bounds(query.agg, covered, []).lower
-        else:
-            estimate = bounds.midpoint
+        estimate = bounds.lower if exact else bounds.midpoint
         skipped = sum(self._sizes[i] for i in covered_idx) + (
             self._population_size
             - sum(self._sizes[i] for i in covered_idx + partial_idx)

