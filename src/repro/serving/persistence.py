@@ -34,16 +34,17 @@ removes what the swap replaced — and :class:`EpochRegister` its one reader,
 so ``kill -9`` at any instant of a save or publish leaves the previous
 catalog or the new one, never a mix (``tests/test_publish_crash.py``).
 Tables are *not* persisted; pass them back to :func:`load_catalog` to
-restore the exact-scan fallback.  Every single file is written through a
-same-directory temporary file, fsynced and ``os.replace``-d into place.
+restore the exact-scan fallback.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import mmap
 import os
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -94,11 +95,12 @@ _SUFFIX = ".pass"
 _WORKLOAD_SUFFIX = ".npz"
 
 #: In a generation directory: the link naming the live manifest, the
-#: manifests' names, and the prefixes of every file a writer makes there
-#: (dot-prefixed temporaries included).
+#: manifests' names, and the only names a writer removes (the files it makes,
+#: their ``_atomic_write`` temporaries and its swap link).
 _CURRENT = "current"
 _MANIFEST = "manifest-{}.json"
-_GENERATED = ("current-", "manifest-", "synopsis-", "workload-")
+_FILE = r"(?:synopsis-\d+-\d+\.pass|workload-\d+-\d+\.npz|manifest-\d+\.json)"
+_GENERATED = re.compile(rf"{_FILE}|\.{_FILE}\.\w+\.tmp|\.current-\d+")
 
 #: Reserved npz key holding a fingerprint archive's JSON header.
 _HEADER_KEY = "__header__"
@@ -263,10 +265,8 @@ def _atomic_write(path: Path, write: Callable[[BinaryIO], None]) -> None:
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp_name)
-        except OSError:
-            pass
         raise
 
 
@@ -532,10 +532,10 @@ class GenerationWriter:
     the swap and the new one after.  One writer per directory at a time.
     """
 
-    def __init__(self, directory: str | os.PathLike, **fields) -> None:
+    def __init__(self, directory: str | os.PathLike, owner: int | None = None) -> None:
         self.directory = Path(directory)
-        #: Extra manifest fields (a publisher records its ``owner`` pid).
-        self._fields = fields
+        #: The publishing process' pid, recorded in each manifest it writes.
+        self.owner = owner
         #: The live generation, -1 while the directory has none.
         self.epoch = -1
         self.entries: dict[str, dict] = {}
@@ -584,8 +584,9 @@ class GenerationWriter:
                 workload=workload,
             )._asdict()
         manifest = _MANIFEST.format(epoch)
-        document = {"format": FORMAT_VERSION, **self._fields}
-        document["entries"] = list(entries.values())
+        document = {"format": FORMAT_VERSION, "entries": list(entries.values())}
+        if self.owner is not None:
+            document["owner"] = self.owner
         encoded = json.dumps(document).encode("utf-8")
         _atomic_write(self.directory / manifest, lambda out: out.write(encoded))
         link = self.directory / f".{_CURRENT}-{epoch}"
@@ -598,21 +599,26 @@ class GenerationWriter:
         for entry in entries.values():
             live.update((os.path.basename(entry["segment"]), entry["workload"]))
         for name in os.listdir(self.directory):
-            if name not in live and name.lstrip(".").startswith(_GENERATED):
+            if name not in live and _GENERATED.fullmatch(name):
                 os.unlink(self.directory / name)
         return epoch
 
 
 def _saved_generation(directory: Path) -> list[PublishedEntry]:
     """The live entries of a saved catalog directory, files resolved in it."""
-    if not os.path.lexists(directory / _CURRENT):
-        if (directory / "catalog.json").exists():
-            raise ValueError(
-                f"unsupported catalog format in {directory}: a catalog.json "
-                "directory; load it with an earlier build and save it again"
-            )
-        raise FileNotFoundError(f"{directory} holds no saved catalog")
-    return read_published(EpochRegister(str(directory)))[1]
+    if os.path.islink(directory / _CURRENT):
+        return read_published(EpochRegister(str(directory)))[1]
+    if os.path.exists(directory / _CURRENT):
+        raise ValueError(
+            f"{directory} was copied without its symlinks (current is a plain "
+            "file); copy it with cp -a or shutil.copytree(..., symlinks=True)"
+        )
+    if (directory / "catalog.json").exists():
+        raise ValueError(
+            f"unsupported catalog format in {directory}: a catalog.json "
+            "directory; load it with an earlier build and save it again"
+        )
+    raise FileNotFoundError(f"{directory} holds no saved catalog")
 
 
 def save_catalog(

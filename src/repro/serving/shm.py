@@ -188,9 +188,7 @@ class SynopsisPublisher:
         self._remove()
 
     def __enter__(self) -> "SynopsisPublisher":
-        """Context-manager support; closes (and removes) on exit."""
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        """Remove the generation directory on context exit."""
         self.close()

@@ -313,7 +313,16 @@ class TestSavedDirectory:
     ):
         directory = tmp_path / "catalog"
         first = save_catalog(catalogs[0], directory)
+        # A user's own files stay, even under a generation-like name; a killed
+        # writer's temporaries and swap link go.
         (directory / "notes.txt").write_text("not a generation file")
+        save_synopsis(catalogs[0].get("x").synopsis, directory / "synopsis-notes.pass")
+        for leftover in (
+            ".synopsis-7-0.pass.k2x_9qaz.tmp",
+            ".manifest-7.json.a1b2c3d4.tmp",
+        ):
+            (directory / leftover).write_bytes(b"torn")
+        os.symlink("manifest-7.json", directory / ".current-7")
         manifest = save_catalog(
             catalogs[1], directory, workloads={"x": self.fingerprint(50.0)}
         )
@@ -328,7 +337,7 @@ class TestSavedDirectory:
         }
         assert named == {"synopsis-1-0.pass", "synopsis-1-1.pass", "workload-1-0.npz"}
         assert set(os.listdir(directory)) == {
-            "current", manifest.name, "notes.txt", *named
+            "current", manifest.name, "notes.txt", "synopsis-notes.pass", *named
         }
         self.assert_serves(directory, catalogs[1], workload)
 
@@ -349,6 +358,18 @@ class TestSavedDirectory:
                     pool.execute_batch(queries, "persisted"), queries
                 ):
                     assert_identical(got, engine.execute(query, "persisted"))
+
+    def test_a_copy_without_its_symlinks_is_refused_with_the_fix(
+        self, catalogs, tmp_path
+    ):
+        directory = tmp_path / "catalog"
+        save_catalog(catalogs[0], directory)
+        copied = shutil.copytree(directory, tmp_path / "copied")
+        assert not os.path.islink(copied / "current")
+        for load in (load_catalog, load_catalog_workloads):
+            with pytest.raises(ValueError, match="symlinks=True") as raised:
+                load(copied)
+            assert str(copied) in str(raised.value)
 
     def test_fingerprints_round_trip_with_their_generation(self, catalogs, tmp_path):
         directory = tmp_path / "catalog"
