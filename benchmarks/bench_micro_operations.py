@@ -2,7 +2,8 @@
 
 These measure the hot paths downstream users care about when sizing a
 deployment: per-query latency of each synopsis, MCF lookups, a batch's shared
-moment pass, ADP optimization time, and dynamic-update throughput.
+moment pass, a grouped plan, a one-query batch, ADP optimization time, and
+dynamic-update throughput.
 pytest-benchmark's statistics (mean / stddev / ops) are meaningful here, so
 the operations run for many rounds unlike the experiment reproductions.
 """
@@ -14,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.batching import batch_query
+from repro.core.batching import batch_query, grouped_query
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
 from repro.core.updates import DynamicPASS, StaleExtremaWarning
@@ -22,6 +23,7 @@ from repro.data.generators import uniform_random
 from repro.data.loaders import load_dataset
 from repro.data.loaders import DatasetSpec
 from repro.partitioning.dp import approximate_dp_partition
+from repro.query.groupby import AggregateSpec, GroupByQuery, GroupingColumn
 from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery
 from repro.sampling.stratified import StratifiedSampleSynopsis, equal_depth_boxes
@@ -89,7 +91,7 @@ def test_mcf_lookup_latency(benchmark, pass_synopsis, sum_query):
 
 
 def test_batch_query_shared_moments(benchmark, intel_spec, pass_synopsis):
-    """A 64-cell x SUM / COUNT / AVG batch: one moment pass per cell."""
+    """A 64-cell x SUM / COUNT / AVG batch: one moment pass for the batch."""
     edges = np.quantile(intel_spec.table.column("time"), np.linspace(0.2, 0.8, 65))
     batch = [
         AggregateQuery(
@@ -101,6 +103,24 @@ def test_batch_query_shared_moments(benchmark, intel_spec, pass_synopsis):
         for agg in ("SUM", "COUNT", "AVG")
     ]
     benchmark(batch_query, pass_synopsis, batch)
+
+
+def test_grouped_query_classic_plan(benchmark, intel_spec, pass_synopsis):
+    """A 64-cell SUM / COUNT / AVG plan: one ``answer_shared`` assembly."""
+    edges = np.quantile(intel_spec.table.column("time"), np.linspace(0.2, 0.8, 65))
+    plan = GroupByQuery(
+        groupings=(GroupingColumn.bins("time", [float(edge) for edge in edges]),),
+        aggregates=tuple(
+            AggregateSpec(agg, intel_spec.value_column)
+            for agg in ("SUM", "COUNT", "AVG")
+        ),
+    ).compile()
+    benchmark(grouped_query, pass_synopsis, plan)
+
+
+def test_one_query_batch(benchmark, pass_synopsis, sum_query):
+    """``batch_query`` of one query: the serving pool's one-request chunk."""
+    benchmark(batch_query, pass_synopsis, [sum_query])
 
 
 @pytest.fixture(scope="module")

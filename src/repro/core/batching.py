@@ -10,10 +10,10 @@ computes one MCF frontier per *distinct* (predicate, AVG-ness under the
 zero-variance rule) — the SUM / COUNT / MIN / MAX of one dashboard panel,
 and its QUANTILE / COUNT_DISTINCT, share a frontier — all in one
 :meth:`FlatSynopsis.frontiers_for` broadcast.  Execution feeds the frontiers
-to the same kernels ``synopsis.query`` runs: the classic queries of one
-(predicate, partial rows) share one :meth:`FlatSynopsis.answer_shared`,
-whose mask and per-leaf moment pass runs once for all of them (and of which
-:meth:`FlatSynopsis.answer` is the one-query case); the sketch aggregates
+to the same kernels ``synopsis.query`` runs: the classic queries are one
+:meth:`FlatSynopsis.answer_shared` call, a group per (predicate, frontier
+rows), one moment pass and one assembly for the batch (its one-query case
+is :meth:`FlatSynopsis.answer`); the sketch aggregates
 take :meth:`FlatSynopsis.sketch_union` once per (frontier, sketch kind),
 every quantile of a predicate assembled from the one union.  A batch is
 bit-identical to sequential execution because it *is* the same kernel minus
@@ -24,7 +24,8 @@ the repeated identical work.  The serving engine's ``execute_batch`` and
 :class:`~repro.query.groupby.GroupByPlan` the same way: one frontier per
 group cell (every aggregate of the cell shares it), provably empty cells
 answered without dispatching anything, and the classic aggregates of all
-the other cells in one :meth:`FlatSynopsis.answer_shared` pass.
+the other cells in one :meth:`FlatSynopsis.answer_shared` call, handed each
+cell's predicate and aggregate codes.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.query.aggregates import (
     empty_group_result,
 )
 from repro.query.groupby import GroupByPlan, GroupedResult
+from repro.query.predicate import RectPredicate
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
 from repro.sketches.union import shared_union_results
@@ -104,68 +106,61 @@ class BatchPlan:
         """Answer every query from its slot's frontier with the flat kernel.
 
         Results align with the input order and are bit-identical to calling
-        ``synopsis.query(query)`` per query.  Classic aggregates are grouped
-        by (canonical predicate, partial rows) and each group runs
-        :meth:`FlatSynopsis.answer_shared` once: the mask and moment pass
-        over its partial leaves happens once per group, however many of
-        SUM / COUNT / AVG / MIN / MAX ask; a predicate only one query uses
-        runs :meth:`FlatSynopsis.answer`'s code, being its one-query case.
-        QUANTILE / COUNT_DISTINCT queries are set aside and answered
-        together, one frontier reduction per (slot, sketch kind) however many
-        quantiles ask for it (:func:`~repro.sketches.union.shared_union_results`).
+        ``synopsis.query(query)`` per query.  The classic aggregates are one
+        :meth:`FlatSynopsis.answer_shared` call, one group per canonical
+        predicate and frontier rows (an AVG slot whose zero-variance descent
+        kept other rows is a group apart): one mask and moment pass and one
+        assembly for the whole batch, of which a one-query batch is
+        :meth:`FlatSynopsis.answer`'s case.  QUANTILE / COUNT_DISTINCT
+        queries are answered together, one frontier reduction per (slot,
+        sketch kind) however many quantiles ask for it
+        (:func:`~repro.sketches.union.shared_union_results`).
         """
         synopsis = self.synopsis
         queries, slots, frontiers = self.queries, self.slots, self.slot_frontiers
+        slot_count = len(frontiers)
         with self.obs.tracer.span("execute.per_query") as span:
             span.set_attribute("batch_size", len(queries))
-            results: list[AQPResult | None] = [None] * len(queries)
-            pending = None  # (position, (slot, sketch kind), query) triples
             # A slot's group is led by the first slot of its canonical
-            # predicate with the same partial rows: slots differ only by
-            # AVG-ness, and an AVG descent the zero-variance rule stopped
-            # early keeps other partial rows.  One slot leads itself.
-            lead = [0]
-            if len(frontiers) > 1:
-                lead = list(range(len(frontiers)))
-                first_slot: dict[tuple, int] = {}
-                for slot, query in enumerate(self.slot_queries):
-                    other = first_slot.setdefault(
-                        query.predicate.canonical_key(), slot
-                    )
-                    if other != slot and np.array_equal(
-                        frontiers[other].partial, frontiers[slot].partial
-                    ):
-                        lead[slot] = other
-            groups: list[list[int]] = [[] for _ in frontiers]
+            # predicate with the same rows: slots differ only by AVG-ness,
+            # and an AVG descent the zero-variance rule stopped early keeps
+            # other rows.
+            lead = list(range(slot_count))
+            first: dict[tuple, int] = {}
+            for slot, query in enumerate(self.slot_queries if slot_count > 1 else ()):
+                other = first.setdefault(query.predicate.canonical_key(), slot)
+                if other != slot and _same_rows(frontiers[other], frontiers[slot]):
+                    lead[slot] = other
+            members: dict[int, list[int]] = {}
+            pending = []  # (position, (slot, sketch kind), query) triples
             for position, (query, slot) in enumerate(zip(queries, slots)):
                 if query.agg in SKETCH_AGGREGATES:
-                    if pending is None:
-                        pending = []
                     pending.append((position, (slot, query.agg), query))
                 else:
-                    groups[lead[slot]].append(position)
-            for positions in groups:
-                if not positions:
-                    continue
-                (answers,) = synopsis.answer_shared(
-                    [
-                        (
-                            [queries[position] for position in positions],
-                            [frontiers[slots[position]] for position in positions],
-                        )
-                    ]
+                    synopsis._check_value_column(query)
+                    members.setdefault(lead[slot], []).append(position)
+            results: list[AQPResult | None] = [None] * len(queries)
+            groups = [
+                (
+                    [queries[p].predicate for p in positions],
+                    [queries[p].agg for p in positions],
+                    frontiers[slot],
                 )
+                for slot, positions in members.items()
+            ]
+            for positions, answers in zip(
+                members.values(), synopsis.answer_shared(groups) if groups else ()
+            ):
                 for position, result in zip(positions, answers):
                     results[position] = result
-            if pending is not None:
-                for position, result in shared_union_results(
-                    pending,
-                    lambda position, query: synopsis.sketch_union(
-                        query, frontiers[slots[position]]
-                    ),
-                    synopsis.population_size,
-                ):
-                    results[position] = result
+            for position, result in shared_union_results(
+                pending,
+                lambda position, query: synopsis.sketch_union(
+                    query, frontiers[slots[position]]
+                ),
+                synopsis.population_size,
+            ) if pending else ():
+                results[position] = result
             return results  # type: ignore[return-value]
 
     # perfbench/layers.py wraps this name and perfbench/ is frozen by
@@ -174,6 +169,12 @@ class BatchPlan:
     def execute_vectorized(self) -> list[AQPResult]:
         """Same as :meth:`execute` (kept for the frozen benchmark harness)."""
         return self.execute()
+
+
+def _same_rows(first: FlatFrontier, second: FlatFrontier) -> bool:
+    """True when two frontiers hold the same covered and partial rows."""
+    same = np.array_equal
+    return same(first.partial, second.partial) and same(first.covered, second.covered)
 
 
 def compile_batch(
@@ -271,8 +272,10 @@ def grouped_query(
     gives it.  Cells whose frontier statistics show zero matching tuples are
     answered as exact empty groups and listed in the result's ``pruned``.
     The classic aggregates of the other cells are one
-    :meth:`FlatSynopsis.answer_shared` call, one group per (cell, partial
-    rows); the sketch aggregates take one union per (cell, sketch kind)
+    :meth:`FlatSynopsis.answer_shared` call, one group per (cell, frontier)
+    holding the cell's predicate and aggregate codes — no per-cell query
+    object — whose one assembly pass builds every answer; the sketch
+    aggregates take one union per (cell, sketch kind)
     (:func:`~repro.sketches.union.shared_union_results`).  Every answer is
     bit-identical to ``synopsis.query`` of its cell's query.
 
@@ -315,45 +318,42 @@ def grouped_query(
         cell_frontiers, avg_frontiers = frontiers[::2], frontiers[1::2]
     else:
         cell_frontiers = avg_frontiers = synopsis.frontiers_for(predicates)
+    counts = synopsis.frontier_counts(cell_frontiers)
     surviving = [
         (index, cell, frontier, avg_frontier)
-        for (index, cell), frontier, avg_frontier in zip(
-            live, cell_frontiers, avg_frontiers
+        for (index, cell), frontier, avg_frontier, count in zip(
+            live, cell_frontiers, avg_frontiers, counts
         )
-        if synopsis.frontier_count(frontier) > 0
+        if count > 0
     ]
 
     rows: list[list[AQPResult | None]] = [
         [None] * len(plan.aggregates) for _ in surviving
     ]
-    # One answer_shared group per (cell, partial rows): an AVG descent the
-    # zero-variance rule cut short keeps other rows, and is a group apart.
     positions = [position for position, _ in classic]
-    groups: list[tuple[list[AggregateQuery], list[FlatFrontier]]] = []
+    aggs = [spec.agg for _, spec in classic]
+    is_avg = [agg is AggregateType.AVG for agg in aggs]
+    groups: list[tuple[list[RectPredicate], list[AggregateType], FlatFrontier]] = []
     targets: list[tuple[int, list[int]]] = []  # (cell slot, plan positions)
     for slot, (_, cell, frontier, avg_frontier) in enumerate(
         surviving if classic else ()
     ):
-        queries = [plan.cell_query(cell, spec) for _, spec in classic]
-        if avg_frontier.partial is frontier.partial:
-            groups.append((queries, [frontier] * len(queries)))
-            targets.append((slot, positions))
-            continue
-        for avg, chosen in ((False, frontier), (True, avg_frontier)):
-            picked = [
-                i
-                for i, query in enumerate(queries)
-                if (query.agg == AggregateType.AVG) == avg
-            ]
+        # One group per (cell, frontier): an AVG descent the zero-variance
+        # rule cut short keeps other rows, and is a group apart.
+        parts = [(None, frontier)]
+        if avg_frontier.partial is not frontier.partial:
+            parts = [(False, frontier), (True, avg_frontier)]
+        for avg, chosen in parts:
+            picked = [i for i, flag in enumerate(is_avg) if avg in (None, flag)]
             if picked:
-                groups.append(([queries[i] for i in picked], [chosen] * len(picked)))
+                group_aggs = aggs if avg is None else [aggs[i] for i in picked]
+                groups.append(([cell.predicate] * len(picked), group_aggs, chosen))
                 targets.append((slot, [positions[i] for i in picked]))
-    if groups:
-        for (slot, cell_positions), results in zip(
-            targets, synopsis.answer_shared(groups)
-        ):
-            for position, result in zip(cell_positions, results):
-                rows[slot][position] = result
+    for (slot, cell_positions), results in zip(
+        targets, synopsis.answer_shared(groups) if groups else ()
+    ):
+        for position, result in zip(cell_positions, results):
+            rows[slot][position] = result
     # One union per (cell, sketch kind): the reduction depends only on the
     # predicate, so p50 / p95 / p99 specs share one merge pass and one sorted
     # view and differ only in result assembly.

@@ -81,6 +81,7 @@ code falls back to an exact level-order replay of the descent
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -94,11 +95,7 @@ from repro.query.aggregates import AggregateType, empty_group_result
 from repro.query.predicate import Box, Interval, RectPredicate
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
-from repro.sampling.estimators import (
-    EstimateWithVariance,
-    finite_population_correction,
-    ratio_estimate,
-)
+from repro.sampling.estimators import finite_population_correction
 from repro.sketches.union import (
     DistinctSketchUnion,
     LeafSketches,
@@ -114,17 +111,27 @@ __all__ = ["FlatFrontier", "FlatSamples", "FlatSynopsis"]
 
 _NO_VALUES = np.zeros(0, dtype=float)
 
-#: Frontiers with at most this many partial leaves — every frontier of a 1-D
-#: synopsis — are answered leaf by leaf with the scalar replicas below: a
-#: frontier gather cannot amortise anything over three leaves or fewer.  A
-#: property of the input, not an option (measurement in
-#: ``docs/ARCHITECTURE.md``); both partial-leaf kernels branch on it.
+#: A moment pass over at most this many partial rows — one query's frontier
+#: on a 1-D synopsis — and an extremum over at most this many leaves are
+#: reduced leaf by leaf with the scalar replicas below: a frontier gather
+#: cannot amortise anything over three leaves or fewer.  A property of the
+#: input, not an option (measurement in ``docs/ARCHITECTURE.md``); both
+#: partial-leaf kernels branch on it.
 _SCALAR_FRONTIER_LEAVES = 3
 
 #: :meth:`FlatSynopsis.frontiers_for` broadcasts at most this many
 #: (predicate, node) cells at a time: a handful of boolean matrices of this
 #: size are its only temporaries, whatever the batch size.
 _BROADCAST_CELLS = 1 << 18
+
+#: The aggregates :meth:`FlatSynopsis._extremum_answer` answers.
+_EXTREMA = frozenset((AggregateType.MIN, AggregateType.MAX))
+#: The aggregates whose hard bounds read the node MIN / MAX.
+_MIN_BOUNDS = frozenset((AggregateType.MIN, AggregateType.AVG))
+_MAX_BOUNDS = frozenset((AggregateType.MAX, AggregateType.AVG))
+#: The aggregates that read the SUM and the COUNT totals.
+_SUM_TERMS = frozenset((AggregateType.SUM, AggregateType.AVG))
+_COUNT_TERMS = frozenset((AggregateType.COUNT, AggregateType.AVG))
 
 _READ_ONLY = (
     "this FlatSynopsis views read-only buffers: update the instance that owns them"
@@ -159,15 +166,17 @@ def _fast_mean(values: np.ndarray) -> float:
     return float(np.add.reduce(values) / values.shape[0])
 
 
-def _fast_var(values: np.ndarray) -> float:
+def _fast_var(values: np.ndarray, mean: float | None = None) -> float:
     """``float(np.var(values))`` (ddof=0) as raw ufunc calls, bit-identical.
 
-    Mirrors numpy's ``_var``: mean via ``umr_sum / n``, squared deviations
-    in place, reduced by the same pairwise sum.  The caller guarantees at
+    Mirrors numpy's ``_var``: mean via ``umr_sum / n`` (or ``mean``, the
+    caller's :func:`_fast_mean` of the same values), squared deviations in
+    place, reduced by the same pairwise sum.  The caller guarantees at
     least two float64 elements.  ``values`` is not modified.
     """
     n = values.shape[0]
-    mean = np.add.reduce(values) / n
+    if mean is None:
+        mean = np.add.reduce(values) / n
     deviations = values - mean
     np.multiply(deviations, deviations, out=deviations)
     return float(np.add.reduce(deviations) / n)
@@ -214,110 +223,111 @@ def _stratum_contribution(
     ``stratum_count_contribution`` minus the defensive ``asarray`` casts.
     """
     sample_size = data.shape[0]
-    estimate = _fast_mean(data) * size
-    sample_variance = 0.0 if sample_size <= 1 else _fast_var(data)
+    mean = _fast_mean(data)
+    estimate = mean * size
+    sample_variance = 0.0 if sample_size <= 1 else _fast_var(data, mean)
     variance = (size**2) * sample_variance / sample_size
     if with_fpc:
         variance *= finite_population_correction(size, sample_size)
     return estimate, variance
 
 
-class _RowBounds:
-    """:func:`~repro.aggregation.strat_agg.hard_bounds` of one frontier's rows.
+def _stacked_rows(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """``(rows, lengths)``: the row arrays end to end, and each one's length."""
+    lengths = [rows.shape[0] for rows in arrays]
+    if len(arrays) == 1:
+        return arrays[0], lengths
+    return np.concatenate(arrays or [np.zeros(0, dtype=np.intp)]), lengths
 
-    Faithful replication — Python-scalar ``sum`` / ``min`` / ``max`` in row
-    order after dropping empty partitions, sums started at ``0.0`` so a
-    bound is a float even over no non-empty row — so every bound is
-    bit-identical to that function's over the same statistics.  ``partial``
-    holds the partial rows' counts and sums (the lists the estimators read);
-    every other per-row list is built on first use, and all are kept, so the
-    SUM, COUNT and AVG of one frontier share them.  ``empty`` is true when
-    no covered or partial row holds a tuple.
+
+def _widened(terms: list, kept: list[bool]) -> list:
+    """``terms`` of the ``kept`` rows spread over all rows, zeros elsewhere."""
+    kept_terms = iter(terms)
+    return [next(kept_terms) if keep else (0.0, 0.0) for keep in kept]
+
+
+def _total(estimate: float, terms: list[list[float]]) -> tuple[float, float]:
+    """A SUM or COUNT ``(estimate, variance)``: the covered rows' ``estimate``,
+    then each partial row's ``[estimate, variance]`` term added in order (an
+    unsampled row's NaN variance makes the total's NaN)."""
+    variance = 0.0
+    for term, term_variance in terms:
+        estimate += term
+        variance += term_variance
+    return estimate, variance
+
+
+def _full(rows: list[list], column: int) -> list:
+    """Column ``column`` of ``rows`` over the rows that hold tuples."""
+    values, counts = rows[column], rows[1]
+    return values if all(counts) else [v for v, n in zip(values, counts) if n]
+
+
+def _hard_bounds(
+    agg: AggregateType, covered: list[list], partial: list[list]
+) -> tuple[float, float]:
+    """:func:`~repro.aggregation.strat_agg.hard_bounds` of a group's rows.
+
+    ``covered`` / ``partial`` hold the rows' ``[sums, counts, mins, maxs]``
+    lists (the extrema only when ``agg`` reads them).  The same Python
+    ``sum`` / ``min`` / ``max`` in row order over the rows that hold tuples,
+    so the same bits.  The caller answers a group without tuples.
     """
+    if agg is AggregateType.SUM:
+        lower = sum(_full(covered, 0), 0.0)
+        return lower, lower + sum(_full(partial, 0), 0.0)
+    if agg is AggregateType.COUNT:
+        lower = sum((float(n) for n in covered[1] if n), 0.0)
+        return lower, lower + sum((float(n) for n in partial[1] if n), 0.0)
+    has_covered, has_partial = any(covered[1]), any(partial[1])
+    if agg is AggregateType.AVG:
+        if has_partial:
+            partial_min, partial_max = min(_full(partial, 2)), max(_full(partial, 3))
+        if not has_covered:
+            return partial_min, partial_max
+        average = sum(_full(covered, 0)) / sum(covered[1])
+        if has_partial:
+            return min(average, partial_min), max(average, partial_max)
+        return average, average
+    if agg is AggregateType.MAX:
+        covered_max = max(_full(covered, 3), default=-math.inf)
+        partial_max = max(_full(partial, 3), default=-math.inf)
+        lower = covered_max if has_covered else -math.inf
+        return lower, max(covered_max, partial_max)
+    covered_min = min(_full(covered, 2), default=math.inf)
+    partial_min = min(_full(partial, 2), default=math.inf)
+    upper = covered_min if has_covered else math.inf
+    return min(covered_min, partial_min), upper
 
-    __slots__ = ("_flat", "_rows", "_partial_sums", "_counts", "_lists", "empty")
 
-    def __init__(
-        self,
-        flat: FlatSynopsis,
-        covered_rows: np.ndarray,
-        partial_rows: np.ndarray,
-        partial: tuple[list[int], list[float], list[int]],
-    ) -> None:
-        self._flat = flat
-        # Indexed by ``covered``: the partial rows, then the covered.
-        self._rows = (partial_rows, covered_rows)
-        self._partial_sums = partial[1]
-        self._counts = (partial[0], flat._node_count[covered_rows].tolist())
-        self._lists: dict[tuple[str, bool], list[float]] = {}
-        self.empty = not (any(self._counts[0]) or any(self._counts[1]))
+def _interval(variance: float, exact: bool, lam: float) -> tuple[float, float]:
+    """``(half width, variance)`` of a CLT interval: 0 when exact, NaN unknown."""
+    if exact:
+        return 0.0, 0.0
+    if math.isnan(variance):
+        return math.nan, math.nan
+    return lam * math.sqrt(max(variance, 0.0)), variance
 
-    def _values(self, stats: str, covered: bool) -> list[float]:
-        """Node array ``stats`` over the non-empty covered (or partial) rows."""
-        key = (stats, covered)
-        values = self._lists.get(key)
-        if values is None:
-            if stats == "_node_sum" and not covered:
-                column = self._partial_sums
-            else:
-                column = getattr(self._flat, stats)[self._rows[covered]].tolist()
-            counts = self._counts[covered]
-            values = self._lists[key] = (
-                column
-                if all(counts)
-                else [value for value, count in zip(column, counts) if count]
-            )
-        return values
 
-    def bounds(self, agg: AggregateType) -> HardBounds:
-        """The hard bounds of ``agg`` over the frontier."""
-        values = self._values
-        counts_par, counts_cov = self._counts
-        if agg == AggregateType.SUM:
-            covered_total = sum(values("_node_sum", True), 0.0)
-            partial_total = sum(values("_node_sum", False), 0.0)
-            return HardBounds(
-                lower=covered_total, upper=covered_total + partial_total
-            )
-        if agg == AggregateType.COUNT:
-            covered_total = sum((float(n) for n in counts_cov if n), 0.0)
-            partial_total = sum((float(n) for n in counts_par if n), 0.0)
-            return HardBounds(
-                lower=covered_total, upper=covered_total + partial_total
-            )
+def _ratio(
+    num: float, num_var: float, den: float, den_var: float, exact: bool
+) -> tuple[float, float]:
+    """AVG ``(estimate, variance)`` as the ratio of its SUM and COUNT totals.
 
-        if agg == AggregateType.AVG:
-            has_partial = any(counts_par)
-            if has_partial:
-                partial_max = max(values("_node_max", False))
-                partial_min = min(values("_node_min", False))
-            if any(counts_cov):
-                covered_avg = sum(values("_node_sum", True)) / sum(counts_cov)
-                if has_partial:
-                    return HardBounds(
-                        lower=min(covered_avg, partial_min),
-                        upper=max(covered_avg, partial_max),
-                    )
-                return HardBounds(lower=covered_avg, upper=covered_avg)
-            if has_partial:
-                return HardBounds(lower=partial_min, upper=partial_max)
-            return HardBounds(lower=math.nan, upper=math.nan)
-
-        if agg in (AggregateType.MAX, AggregateType.MIN):
-            has_covered = any(counts_cov)
-            if not has_covered and not any(counts_par):
-                return HardBounds(lower=math.nan, upper=math.nan)
-            if agg == AggregateType.MAX:
-                covered_max = max(values("_node_max", True), default=-math.inf)
-                partial_max = max(values("_node_max", False), default=-math.inf)
-                lower = covered_max if has_covered else -math.inf
-                return HardBounds(lower=lower, upper=max(covered_max, partial_max))
-            covered_min = min(values("_node_min", True), default=math.inf)
-            partial_min = min(values("_node_min", False), default=math.inf)
-            upper = covered_min if has_covered else math.inf
-            return HardBounds(lower=min(covered_min, partial_min), upper=upper)
-
-        raise ValueError(f"unsupported aggregate: {agg!r}")
+    An exact AVG divides its exact totals; otherwise this is
+    :func:`~repro.sampling.estimators.ratio_estimate` (the delta method) on
+    plain floats.
+    """
+    if den == 0:
+        return math.nan, math.nan
+    if exact:
+        return num / den, 0.0
+    if math.isnan(den):
+        return math.nan, math.nan
+    ratio = num / den
+    if math.isnan(num_var) or math.isnan(den_var):
+        return ratio, math.nan
+    return ratio, (num_var + ratio**2 * den_var) / den**2
 
 
 @dataclass(frozen=True)
@@ -1207,11 +1217,17 @@ class FlatSynopsis:
 
     def frontier_count(self, frontier: FlatFrontier) -> int:
         """Tuples inside the frontier's covered + partial nodes (exact)."""
-        counts = self._node_count
-        return int(
-            np.add.reduce(counts[frontier.covered])
-            + np.add.reduce(counts[frontier.partial])
+        return self.frontier_counts([frontier])[0]
+
+    def frontier_counts(self, frontiers: Sequence[FlatFrontier]) -> list[int]:
+        """:meth:`frontier_count` of every frontier, in one gather."""
+        rows, lengths = _stacked_rows(
+            [rows for f in frontiers for rows in (f.covered, f.partial)]
         )
+        owner = np.repeat(np.arange(len(lengths)) // 2, lengths)
+        counts = np.zeros(len(frontiers), dtype=np.int64)
+        np.add.at(counts, owner, self._node_count[rows])
+        return counts.tolist()
 
     def skip_rate(self, query: AggregateQuery) -> float:
         """Fraction of dataset tuples whose contribution never touches samples."""
@@ -1304,184 +1320,182 @@ class FlatSynopsis:
         ``frontier`` must be :meth:`query_frontier` of ``query`` (or of a
         query with the same predicate and AVG-ness) on the current synopsis
         state; :meth:`query` ends here, and a classic aggregate is the
-        one-query case of :meth:`answer_shared`, which the batch executor
-        runs — what makes a batch bit-identical to sequential execution.
-        ``lam`` scales the CLT interval, which QUANTILE / COUNT_DISTINCT
-        answers do not have (their bounds are the union's certified ones).
+        one-group case of :meth:`answer_shared`, which the batch and grouped
+        executors run — what makes them bit-identical to sequential
+        execution.  ``lam`` scales the CLT interval, which QUANTILE /
+        COUNT_DISTINCT answers do not have (their bounds are the union's
+        certified ones).
         """
+        self._check_value_column(query)
         if query.agg in (AggregateType.QUANTILE, AggregateType.COUNT_DISTINCT):
-            self._check_value_column(query)
             return sketch_union_result(
                 query, self._frontier_union(query, frontier), int(self._node_count[0])
             )
-        return self.answer_shared((((query,), (frontier,)),), lam)[0][0]
+        group = ((query.predicate,), (query.agg,), frontier)
+        return self.answer_shared((group,), lam)[0][0]
 
     def answer_shared(
         self,
-        groups: Sequence[tuple[Sequence[AggregateQuery], Sequence[FlatFrontier]]],
+        groups: Sequence[
+            tuple[Sequence[RectPredicate], Sequence[AggregateType], FlatFrontier]
+        ],
         lam: float | None = None,
     ) -> list[list[AQPResult]]:
-        """Answer SUM / COUNT / AVG / MIN / MAX queries, one predicate per group.
+        """Answer SUM / COUNT / AVG / MIN / MAX, one frontier per group.
 
-        Each group is ``(queries, frontiers)``: the queries share a canonical
-        predicate, ``frontiers[i]`` is ``queries[i]``'s :meth:`query_frontier`,
-        and all of them hold the same partial rows (an AVG frontier may still
-        differ in its covered rows, Section 3.4).  One mask and moment pass
-        (:meth:`_batched_partial_moments`) serves every group, and each query
-        assembles its answer from its group's per-leaf pairs in the scalar
-        accumulation order of the reference.  The pairs are the bits a single
-        query's pass yields, so every answer — returned per group, in query
-        order — is bit-identical to :meth:`answer`, the one-query case.
+        Each group is ``(predicates, aggs, frontier)``: its answer ``i`` is
+        aggregate ``aggs[i]`` of the value column over ``predicates[i]``.
+        The predicates of a group share a canonical key, and ``frontier`` is
+        their :meth:`query_frontier` (an AVG whose zero-variance descent
+        differs is a group of its own).  Each distinct predicate object is
+        checked against the sample columns, as a query alone would be; the
+        caller checks the value column.
+
+        One mask and moment pass (:meth:`_batched_partial_moments`) serves
+        every group.  Then one assembly pass runs over all groups: the node
+        statistics of every group's rows and the per-row moments are
+        converted to Python floats once, and each group's totals, hard
+        bounds (:func:`_hard_bounds`), delta-method AVG (:func:`_ratio`)
+        and CI half-width (:func:`_interval`) are computed once for all its
+        aggregates, in the reference's arithmetic and summation order —
+        covered rows by ``sum``, then the partial rows' terms one by one.
+        The :class:`AQPResult` objects are built at the end; MIN / MAX
+        refine their bounds in :meth:`_extremum_answer`.  Every answer —
+        returned per group, in order — is bit-identical to :meth:`answer`,
+        the one-query case.
         """
-        need_sum = need_count = False
-        for queries, _ in groups:
-            for query in queries:
-                self._check_value_column(query)
-                agg = query.agg
-                if agg is AggregateType.SUM:
-                    need_sum = True
-                elif agg is AggregateType.COUNT:
-                    need_count = True
-                elif agg is AggregateType.AVG:
-                    need_sum = need_count = True
         lam = self._lam if lam is None else lam
-        partials = [frontiers[0].partial for _, frontiers in groups]
-        partial_rows = partials[0] if len(partials) == 1 else np.concatenate(partials)
+        frontiers = [frontier for _, _, frontier in groups]
+        covered_rows, covered_lengths = _stacked_rows([f.covered for f in frontiers])
+        partial_rows, lengths = _stacked_rows([f.partial for f in frontiers])
         leaves = self._leaf_of_row[partial_rows]
-        partial = (
-            self._node_count[partial_rows].tolist(),
-            self._node_sum[partial_rows].tolist(),
-            self._sample_counts[leaves].tolist(),
-        )
-        spans: list[tuple[list[tuple[np.ndarray, float, float]], int]] = []
-        stop = 0
-        for (queries, _), rows in zip(groups, partials):
-            stop += rows.shape[0]
-            spans.append((self._group_constraints(queries, rows), stop))
-        group_pairs: list[tuple[list, list]] = [([], [])] * len(groups)
-        if need_sum or need_count:
-            group_pairs = self._batched_partial_moments(
-                (partial[0], leaves.tolist(), partial[2]), spans, need_sum, need_count
-            )
-        if len(groups) == 1:  # the single-predicate call: nothing to cut
-            (queries, frontiers), (constraints, _) = groups[0], spans[0]
-            answer = self._answer_group(
-                queries, frontiers, leaves, constraints, partial, group_pairs[0], lam
-            )
-            return [answer]
-        answers = []
-        start = 0
-        for (queries, frontiers), (constraints, stop), pairs in zip(
-            groups, spans, group_pairs
-        ):
-            answers.append(
-                self._answer_group(
-                    queries,
-                    frontiers,
-                    leaves[start:stop],
-                    constraints,
-                    tuple(column[start:stop] for column in partial),
-                    pairs,
-                    lam,
+        sizes = self._node_count[partial_rows]
+        sample_counts = self._sample_counts[leaves]
+        partial_sums = self._node_sum[partial_rows]
+        constraints = [
+            self._group_constraints(predicates) if length else []
+            for (predicates, _, _), length in zip(groups, lengths)
+        ]
+        wanted = {agg for _, aggs, _ in groups for agg in aggs}
+        need_sum = not wanted.isdisjoint(_SUM_TERMS)
+        need_count = not wanted.isdisjoint(_COUNT_TERMS)
+        moments: tuple[list | None, ...] = (None, None)
+        if (need_sum or need_count) and partial_rows.shape[0]:
+            rows = (sizes, leaves, sample_counts, partial_sums)
+            kept = None
+            stops = itertools.accumulate(lengths)
+            if not _EXTREMA.isdisjoint(wanted):
+                # Only the groups asking for a SUM / COUNT / AVG are gathered.
+                asks = [not _EXTREMA.issuperset(aggs) for _, aggs, _ in groups]
+                kept = np.repeat(asks, lengths)
+                rows = tuple(column[kept] for column in rows)
+                stops = itertools.accumulate(
+                    length if ask else 0 for length, ask in zip(lengths, asks)
                 )
+            moments = self._batched_partial_moments(
+                rows, list(zip(constraints, stops)), need_sum, need_count
             )
-            start = stop
+            if kept is not None:
+                moments = tuple(
+                    None if terms is None else _widened(terms, kept.tolist())
+                    for terms in moments
+                )
+
+        # Every group's rows' [sums, counts, mins, maxs], as wanted, as
+        # Python floats, converted once.
+        node_stats = (
+            self._node_sum if need_sum else None,
+            self._node_count,
+            self._node_min if not wanted.isdisjoint(_MIN_BOUNDS) else None,
+            self._node_max if not wanted.isdisjoint(_MAX_BOUNDS) else None,
+        )
+        covered, partial = (
+            [None if stats is None else stats[rows].tolist() for stats in node_stats]
+            for rows in (covered_rows, partial_rows)
+        )
+        terms = [[] if column is None else column for column in moments]
+        processed = sample_counts.tolist()
+        population = int(self._node_count[0])
+        answers = []
+        covered_start = partial_start = 0
+        for g, ((_, aggs, frontier), covered_length, length) in enumerate(
+            zip(groups, covered_lengths, lengths)
+        ):
+            covered_stop = covered_start + covered_length
+            partial_stop = partial_start + length
+            group_covered = [
+                column and column[covered_start:covered_stop] for column in covered
+            ]
+            group_partial = [
+                column and column[partial_start:partial_stop] for column in partial
+            ]
+            if not (any(group_covered[1]) or any(group_partial[1])):
+                # A frontier holding no tuple is an exact empty group.
+                answers.append([empty_group_result(agg, population) for agg in aggs])
+            else:
+                sampled = sum(processed[partial_start:partial_stop])
+                skipped = population - sum(group_partial[1])
+                exact = not length
+                totals = [
+                    _total(sum(group_covered[0]), terms[0][partial_start:partial_stop])
+                    if need_sum
+                    else None,
+                    _total(
+                        float(sum(group_covered[1])),
+                        terms[1][partial_start:partial_stop],
+                    )
+                    if need_count
+                    else None,
+                ]
+                row = []
+                for agg in aggs:
+                    lower, upper = _hard_bounds(agg, group_covered, group_partial)
+                    if agg in _EXTREMA:
+                        row.append(
+                            self._extremum_answer(
+                                agg,
+                                frontier,
+                                leaves[partial_start:partial_stop],
+                                constraints[g],
+                                HardBounds(lower, upper),
+                                sampled,
+                                skipped,
+                            )
+                        )
+                        continue
+                    if agg is AggregateType.AVG:
+                        estimate, variance = _ratio(*totals[0], *totals[1], exact)
+                    else:
+                        estimate, variance = totals[agg is AggregateType.COUNT]
+                    row.append(
+                        AQPResult(
+                            estimate,
+                            *_interval(variance, exact, lam),
+                            lower,
+                            upper,
+                            sampled,
+                            skipped,
+                            exact,
+                        )
+                    )
+                answers.append(row)
+            covered_start, partial_start = covered_stop, partial_stop
         return answers
 
     def _group_constraints(
-        self, queries: Sequence[AggregateQuery], partial_rows: np.ndarray
+        self, predicates: Sequence[RectPredicate]
     ) -> list[tuple[np.ndarray, float, float]]:
-        """The mask constraints of a group's predicate (none without partial rows).
+        """The mask constraints of a group's predicate, for its partial rows.
 
-        Every query's own predicate is checked: one that spells out an
+        Every distinct predicate object is checked: one that spells out an
         unbounded column the samples lack raises, as it would alone.
         """
-        if not partial_rows.shape[0]:
-            return []
-        predicate = queries[0].predicate
+        predicate = predicates[0]
         constraints = self._mask_constraints(predicate)
-        for query in queries[1:]:
-            if query.predicate is not predicate:
-                self._mask_constraints(query.predicate)
+        for other in predicates[1:]:
+            if other is not predicate:
+                self._mask_constraints(other)
         return constraints
-
-    def _answer_group(
-        self,
-        queries: Sequence[AggregateQuery],
-        frontiers: Sequence[FlatFrontier],
-        leaves: np.ndarray,
-        constraints: Sequence[tuple[np.ndarray, float, float]],
-        partial: tuple[list[int], list[float], list[int]],
-        pairs: tuple[list[tuple[float, float]], list[tuple[float, float]]],
-        lam: float,
-    ) -> list[AQPResult]:
-        """One group's answers from its SUM and COUNT ``pairs``, in reference order.
-
-        ``leaves`` / ``partial`` are the group's partial rows' leaf indices
-        and ``(sizes, node sums, sample counts)`` lists.  Hard bounds and the
-        [SUM, COUNT] totals are kept per covered rows: an AVG divides the two
-        of its frontier, and an AVG descent the zero-variance rule stopped
-        early covers other rows.  A frontier whose rows hold no tuple is an
-        exact empty group (:func:`~repro.query.aggregates.empty_group_result`).
-        """
-        population = int(self._node_count[0])
-        processed = sum(partial[2])
-        skipped = population - sum(partial[0])
-        shared: list[tuple[np.ndarray, _RowBounds, list]] = []
-        results = []
-        for query, frontier in zip(queries, frontiers):
-            agg = query.agg
-            for covered, row_bounds, totals in shared:
-                if covered is frontier.covered:
-                    break
-            else:
-                covered, totals = frontier.covered, [None, None]
-                row_bounds = _RowBounds(self, covered, frontiers[0].partial, partial)
-                shared.append((covered, row_bounds, totals))
-            if row_bounds.empty:
-                results.append(empty_group_result(agg, population))
-                continue
-            bounds = row_bounds.bounds(agg)
-            if agg is AggregateType.MIN or agg is AggregateType.MAX:
-                results.append(
-                    self._extremum_answer(
-                        agg, frontier, leaves, constraints, bounds, processed, skipped
-                    )
-                )
-                continue
-            want_sum = agg is not AggregateType.COUNT and totals[0] is None
-            want_count = agg is not AggregateType.SUM and totals[1] is None
-            if want_sum or want_count:
-                self._sum_count_totals(
-                    frontier, partial, pairs, totals, want_sum, want_count
-                )
-            if agg is AggregateType.AVG:
-                estimate, variance = self._avg_estimate(frontier, *totals)
-            else:
-                estimate, variance = totals[agg is AggregateType.COUNT]
-
-            exact = frontier.is_exact
-            if exact:
-                half_width = 0.0
-                variance = 0.0
-            elif math.isnan(variance):
-                half_width = float("nan")
-                variance = float("nan")
-            else:
-                half_width = lam * math.sqrt(max(variance, 0.0))
-            results.append(
-                AQPResult(
-                    estimate=estimate,
-                    ci_half_width=half_width,
-                    variance=variance,
-                    hard_lower=bounds.lower,
-                    hard_upper=bounds.upper,
-                    tuples_processed=processed,
-                    tuples_skipped=skipped,
-                    exact=exact,
-                )
-            )
-        return results
 
     def _check_value_column(self, query: AggregateQuery) -> None:
         """``ValueError`` unless ``query`` aggregates the synopsis' column."""
@@ -1556,62 +1570,71 @@ class FlatSynopsis:
 
     def _batched_partial_moments(
         self,
-        partial: tuple[list[int], list[int], list[int]],
+        partial: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
         spans: Sequence[tuple[Sequence[tuple[np.ndarray, float, float]], int]],
         need_sum: bool,
         need_count: bool,
-    ) -> list[tuple[list[tuple[float, float]], list[tuple[float, float]]]]:
-        """Stratified ``(estimate, variance)`` pairs for sampled partial leaves.
+    ) -> tuple[list | None, list | None]:
+        """Each partial row's SUM and COUNT term ``(estimate, variance)``.
 
-        ``partial`` holds :meth:`answer_shared`'s per-partial-row ``(sizes,
-        leaf indices, sample counts)``, the groups' rows one after another;
+        ``partial`` holds the partial rows' ``(sizes, leaf indices, sample
+        counts, node sums)`` arrays, the groups' rows one after another;
         ``spans`` one ``(constraints, stop)`` per group: its mask constraints
-        and the end of its rows.  Per group, one pair per row with ``size >
-        0`` and a non-empty sample, in frontier order.  The mask and squared
-        deviations are evaluated once over the zero-led frontier gather — one
-        segment per (group, leaf), under its group's bounds — and every
-        segment reduces with one ``np.add.reduceat`` per sum: the pairwise
-        summation of the per-leaf scalar path, so every pair is bit-identical
-        to :func:`_stratum_contribution` on its leaf.
+        and the end of its rows.  Returns the SUM and the COUNT terms (None
+        when not asked for) as one pair of floats per row: the stratified
+        pair of a row with ``size > 0`` and a non-empty sample, the
+        hard-bound midpoint (half its sum or size) with NaN variance for an
+        unsampled one, zeros for an empty one.  At most
+        :data:`_SCALAR_FRONTIER_LEAVES` rows are reduced leaf by leaf;
+        otherwise the mask and squared deviations are evaluated once over
+        the zero-led frontier gather — one segment per (group, leaf), under
+        its group's bounds — and every segment reduces with one
+        ``np.add.reduceat`` per sum: the pairwise summation of the per-leaf
+        path, so every pair is bit-identical to :func:`_stratum_contribution`
+        on its leaf.
         """
-        sizes, leaves, sample_counts = partial
+        sizes, leaves, sample_counts, node_sums = partial
         samples = self._samples
-        if len(leaves) <= _SCALAR_FRONTIER_LEAVES:
+        values_column = samples.columns[self._value_column] if need_sum else None
+        if sizes.shape[0] <= _SCALAR_FRONTIER_LEAVES:
             offsets = samples.offsets
-            values_column = (
-                samples.columns[self._value_column] if need_sum else None
-            )
-            group_pairs = []
+            sum_terms: list[tuple[float, float]] = []
+            count_terms: list[tuple[float, float]] = []
+            rows = zip(*(column.tolist() for column in partial))
             first = 0
             for constraints, stop in spans:
-                sum_pairs: list[tuple[float, float]] = []
-                count_pairs: list[tuple[float, float]] = []
-                for size, leaf, n_sample in zip(
-                    sizes[first:stop], leaves[first:stop], sample_counts[first:stop]
+                for size, leaf, n_sample, node_sum in itertools.islice(
+                    rows, stop - first
                 ):
-                    if size == 0 or n_sample == 0:
-                        continue
-                    start = int(offsets[leaf])
-                    end = start + n_sample
-                    data = self._leaf_mask(constraints, start, end).astype(float)
-                    if need_count:
-                        count_pairs.append(
-                            _stratum_contribution(data, size, self._with_fpc)
-                        )
-                    if need_sum:
-                        np.multiply(data, values_column[start:end], out=data)
-                        sum_pairs.append(
-                            _stratum_contribution(data, size, self._with_fpc)
-                        )
-                group_pairs.append((sum_pairs, count_pairs))
+                    if size == 0:
+                        sum_terms.append((0.0, 0.0))
+                        count_terms.append((0.0, 0.0))
+                    elif n_sample == 0:
+                        sum_terms.append((0.5 * node_sum, math.nan))
+                        count_terms.append((0.5 * size, math.nan))
+                    else:
+                        start = int(offsets[leaf])
+                        end = start + n_sample
+                        data = self._leaf_mask(constraints, start, end).astype(float)
+                        if need_count:
+                            count_terms.append(
+                                _stratum_contribution(data, size, self._with_fpc)
+                            )
+                        if need_sum:
+                            np.multiply(data, values_column[start:end], out=data)
+                            sum_terms.append(
+                                _stratum_contribution(data, size, self._with_fpc)
+                            )
                 first = stop
-            return group_pairs
-        all_sizes = np.array(sizes, dtype=np.int64)
-        sampled = (all_sizes > 0) & (np.array(sample_counts, dtype=np.int64) > 0)
-        strata_sizes = all_sizes[sampled].astype(float)
-        counts, loc, index = self._frontier_gather(
-            np.array(leaves, dtype=np.int64)[sampled]
-        )
+            return (
+                sum_terms if need_sum else None,
+                count_terms if need_count else None,
+            )
+        full = sizes > 0
+        sampled = np.flatnonzero(full & (sample_counts > 0))
+        unsampled = np.flatnonzero(full & (sample_counts == 0))
+        strata_sizes = sizes[sampled].astype(float)
+        counts, loc, index = self._frontier_gather(leaves[sampled])
         leads = loc[:-1]
         row_group = None
         if len(spans) > 1:
@@ -1619,23 +1642,27 @@ class FlatSynopsis:
             segment_group = np.repeat(np.arange(len(spans)), np.diff(stops))[sampled]
             row_group = np.repeat(segment_group, counts + 1)
         indicator = self._gathered_mask(spans, row_group, index, leads).astype(float)
-        sum_pairs = count_pairs = []
+        data: list[np.ndarray | None] = [None, indicator if need_count else None]
         if need_sum:
-            contributions = samples.columns[self._value_column].take(index)
+            contributions = values_column.take(index)
             # Zeroed, not masked: a lead slot's row may hold an inf, and
             # 0 x inf is NaN.
             contributions[leads] = 0.0
-            np.multiply(indicator, contributions, out=contributions)
-            sum_pairs = self._segment_pairs(
-                contributions, leads, counts, strata_sizes
-            )
-        if need_count:
-            count_pairs = self._segment_pairs(indicator, leads, counts, strata_sizes)
-        if len(spans) == 1:
-            return [(sum_pairs, count_pairs)]
-        # Group g's pairs are those of the sampled rows among its rows.
-        cuts = np.concatenate(([0], np.cumsum(sampled)))[stops].tolist()
-        return [(sum_pairs[a:b], count_pairs[a:b]) for a, b in zip(cuts, cuts[1:])]
+            data[0] = np.multiply(indicator, contributions, out=contributions)
+        terms: list[list | None] = []
+        for values, totals in zip(data, (node_sums, sizes)):
+            if values is None:
+                terms.append(None)
+                continue
+            pairs = self._segment_pairs(values, leads, counts, strata_sizes)
+            if sampled.shape[0] < sizes.shape[0]:  # empty or unsampled rows
+                full = np.zeros((2, sizes.shape[0]))
+                full[:, sampled] = pairs
+                full[0, unsampled] = 0.5 * totals[unsampled]
+                full[1, unsampled] = math.nan
+                pairs = full
+            terms.append(list(zip(pairs[0].tolist(), pairs[1].tolist())))
+        return terms[0], terms[1]
 
     def _segment_pairs(
         self,
@@ -1643,8 +1670,8 @@ class FlatSynopsis:
         leads: np.ndarray,
         counts: np.ndarray,
         strata_sizes: np.ndarray,
-    ) -> list[tuple[float, float]]:
-        """Per-segment stratified ``(estimate, variance)`` over ``data``.
+    ) -> np.ndarray:
+        """Per-segment stratified estimates and variances (two rows) over ``data``.
 
         Segment ``i`` is the zero-led span of :meth:`_frontier_gather` from
         ``leads[i]``: a 0.0 lead slot and ``counts[i]`` rows, scaled to
@@ -1675,85 +1702,7 @@ class FlatSynopsis:
                 where=strata_sizes > 1.0,
             )
             variances *= np.maximum(correction, 0.0)
-        return list(zip(estimates.tolist(), variances.tolist()))
-
-    def _sum_count_totals(
-        self,
-        frontier: FlatFrontier,
-        partial: tuple[list[int], list[float], list[int]],
-        pairs: tuple[list[tuple[float, float]], list[tuple[float, float]]],
-        totals: list,
-        want_sum: bool,
-        want_count: bool,
-    ) -> None:
-        """SUM and / or COUNT ``(estimate, variance)`` into ``totals``, one loop.
-
-        ``partial`` holds the frontier's per-partial-row ``(sizes, node sums,
-        sample counts)`` lists, and ``pairs`` its sampled partial leaves' SUM
-        and COUNT pairs of :meth:`_batched_partial_moments`; ``totals[0]`` /
-        ``totals[1]`` receive the SUM / COUNT total when asked for.  Covered
-        nodes contribute exactly (Python-scalar sums in row order); each
-        sampled partial leaf adds its stratified contribution; an unsampled
-        one adds the hard-bound midpoint and poisons the variance with NaN —
-        for each total, exactly the reference accumulation in
-        ``tests/oracle.py``; an AVG walks the partial rows once for both.
-        """
-        covered = frontier.covered
-        sum_est = sum(self._node_sum[covered].tolist()) if want_sum else 0.0
-        count_est = (
-            float(sum(self._node_count[covered].tolist())) if want_count else 0.0
-        )
-        sum_var = count_var = 0.0
-        sum_pairs, count_pairs = pairs
-        next_pair = 0
-        for size, node_sum, n_sample in zip(*partial):
-            if size == 0:
-                sum_est += 0.0
-                sum_var += 0.0
-                count_est += 0.0
-                count_var += 0.0
-            elif n_sample == 0:
-                sum_est += 0.5 * node_sum
-                count_est += 0.5 * size
-                sum_var = count_var = float("nan")
-            else:
-                if want_sum:
-                    part_est, part_var = sum_pairs[next_pair]
-                    sum_est += part_est
-                    sum_var += part_var
-                if want_count:
-                    part_est, part_var = count_pairs[next_pair]
-                    count_est += part_est
-                    count_var += part_var
-                next_pair += 1
-        if want_sum:
-            totals[0] = (sum_est, sum_var)
-        if want_count:
-            totals[1] = (count_est, count_var)
-
-    @staticmethod
-    def _avg_estimate(
-        frontier: FlatFrontier,
-        numerator: tuple[float, float],
-        denominator: tuple[float, float],
-    ) -> tuple[float, float]:
-        """AVG as the delta-method ratio of SUM and COUNT over its frontier.
-
-        ``numerator`` / ``denominator`` are :meth:`_sum_count_totals`'s
-        SUM and COUNT over the AVG's own frontier — the two accumulations
-        the reference divides, so an AVG shares them with a SUM / COUNT of
-        the same frontier.
-        """
-        num, num_var = numerator
-        den, den_var = denominator
-        if den == 0:
-            return float("nan"), float("nan")
-        if frontier.is_exact:
-            return num / den, 0.0
-        combined = ratio_estimate(
-            EstimateWithVariance(num, num_var), EstimateWithVariance(den, den_var)
-        )
-        return combined.estimate, combined.variance
+        return np.array((estimates, variances))
 
     def _extremum_answer(
         self,

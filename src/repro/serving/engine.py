@@ -52,7 +52,7 @@ from repro.query.query import AggregateQuery
 from repro.result import AQPResult
 from repro.serving.catalog import CatalogEntry, SynopsisCatalog
 from repro.serving.locks import ReadWriteLock
-from repro.serving.planner import GroupByPlanner, route_plan
+from repro.serving.planner import GroupByPlanner, plan_population, route_plan
 from repro.serving.stats import ServingStats, StatsSnapshot
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -459,13 +459,16 @@ class ServingEngine:
             )
             if entry is not None:
                 return self._execute_routed_plan(plan, entry, table)
-            exact = self._catalog.exact_engine(table)
             return execute_plan(
                 plan,
                 lambda queries: self._execute_batch_impl(
                     queries, table, already_locked=True
                 ),
-                population=exact.table.n_rows if exact is not None else 0,
+                population=plan_population(
+                    plan,
+                    lambda query: self._catalog.route(query, table, record=False),
+                    lambda entry: entry.synopsis.population_size,
+                ),
             )
 
     def _execute_routed_plan(

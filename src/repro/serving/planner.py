@@ -37,9 +37,27 @@ from repro.query.groupby import GroupByPlan, GroupByQuery
 from repro.query.query import AggregateQuery
 from repro.serving.catalog import CatalogEntry, SynopsisCatalog
 
-__all__ = ["GroupByPlanner", "route_plan"]
+__all__ = ["GroupByPlanner", "plan_population", "route_plan"]
 
 E = TypeVar("E")
+
+
+def _representatives(plan: GroupByPlan) -> list[AggregateQuery]:
+    """One query per distinct (value column, sketch-ness) of the plan.
+
+    Group cells share predicate columns by construction, so these queries,
+    over the first live cell, route the whole plan.
+    """
+    live = plan.live_cells()
+    if not live:
+        return []
+    cell = live[0][1]
+    queries: dict[tuple[str, bool], AggregateQuery] = {}
+    for spec in plan.aggregates:
+        kind = (spec.value_column, spec.agg in SKETCH_AGGREGATES)
+        if kind not in queries:
+            queries[kind] = plan.cell_query(cell, spec)
+    return list(queries.values())
 
 
 def route_plan(
@@ -47,30 +65,40 @@ def route_plan(
 ) -> E | None:
     """The entry ALL of the plan's compiled queries route to, or None.
 
-    ``route`` maps one query to its entry (anything with a ``name``).
-    Group cells share predicate columns by construction, so one
+    ``route`` maps one query to its entry (anything with a ``name``).  One
     representative query per distinct (value column, sketch-ness) routes
     the whole plan: a QUANTILE / COUNT_DISTINCT query only routes to an
     entry carrying sketches, which a SUM over the same column may pass
     over.  When those representatives route to different entries (or some
     route nowhere), there is no single entry and ``None`` is returned.
     """
-    live = plan.live_cells()
-    if not live:
-        return None
-    cell = live[0][1]
     entry: E | None = None
-    seen: set[tuple[str, bool]] = set()
-    for spec in plan.aggregates:
-        kind = (spec.value_column, spec.agg in SKETCH_AGGREGATES)
-        if kind in seen:
-            continue
-        seen.add(kind)
-        routed = route(plan.cell_query(cell, spec))
+    for query in _representatives(plan):
+        routed = route(query)
         if routed is None or (entry is not None and routed.name != entry.name):
             return None
         entry = routed
     return entry
+
+
+def plan_population(
+    plan: GroupByPlan,
+    route: Callable[[AggregateQuery], E | None],
+    population: Callable[[E], int],
+) -> int:
+    """The population of a plan's cells answered without a synopsis.
+
+    A plan with no single entry answers the cells outside its base
+    predicate as empty groups (:func:`~repro.query.groupby.execute_plan`);
+    their ``tuples_skipped`` is the largest ``population`` of the entries
+    the plan's representative queries route to, 0 when none routes.  The
+    serving engine and a pool worker route over the same published state,
+    so they report the same figure.
+    """
+    routed = (route(query) for query in _representatives(plan))
+    return max(
+        (population(entry) for entry in routed if entry is not None), default=0
+    )
 
 
 class GroupByPlanner:
@@ -132,8 +160,5 @@ class GroupByPlanner:
         live = plan.live_cells()
         synopsis = entry.synopsis
         frontiers = synopsis.frontiers_for([cell.predicate for _, cell in live])
-        return {
-            index
-            for (index, _), frontier in zip(live, frontiers)
-            if not synopsis.frontier_count(frontier)
-        }
+        counts = synopsis.frontier_counts(frontiers)
+        return {index for (index, _), count in zip(live, counts) if not count}

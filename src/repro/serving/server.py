@@ -63,7 +63,7 @@ from repro.query.predicate import Interval, RectPredicate
 from repro.query.query import AggregateQuery
 from repro.result import AQPResult
 from repro.serving.catalog import route_query
-from repro.serving.planner import route_plan
+from repro.serving.planner import plan_population, route_plan
 from repro.serving.scheduler import AdmissionGate, Overloaded
 from repro.serving.shm import (
     EpochRegister,
@@ -304,7 +304,15 @@ def _worker_execute(
         answer = batching.grouped_query(_WORKER["engines"][entry.name][0], work)
         served = (len(work.live_cells()) - len(answer.pruned)) * len(work.aggregates)
     else:
-        answer = execute_plan(work, lambda queries: _worker_answer(queries, table))
+        answer = execute_plan(
+            work,
+            lambda queries: _worker_answer(queries, table),
+            population=plan_population(
+                work,
+                lambda query: route_query(entries, query, table),
+                lambda entry: _WORKER["engines"][entry.name][0].population_size,
+            ),
+        )
         served = work.n_queries
     return answer, (served, epoch, _WORKER["reattaches"], os.getpid())
 

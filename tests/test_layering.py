@@ -38,6 +38,7 @@ DELETED_NAMES = re.compile(
     r"|REGISTER_MAGIC|_REGISTER_CAPACITY|_SPIN_INTERVAL|_MAX_ODD_READS"
     r"|_SEQ_OFFSET|_LEN_OFFSET|_PAYLOAD_OFFSET|shared_memory"
     r"|_population_for_entry|_prune_for_entry"
+    r"|_RowBounds|_answer_group|_sum_count_totals"
 )
 NPZ_KEY_PREFIXES = re.compile(r"\"(tree|strata|samples|reservoir)/")
 

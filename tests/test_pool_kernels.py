@@ -364,3 +364,52 @@ def test_the_parent_reads_no_manifest_and_builds_no_cell_query(
     want = engine.execute_grouped(plan, table="sharded")
     for row, expected in zip(grouped.cells, want.cells):
         assert [_bits(r) for r in row] == [_bits(r) for r in expected]
+
+
+def test_an_unrouted_plan_reports_one_population_in_both_tiers():
+    """Cells outside a plan's base predicate skip the routed synopses' tuples.
+
+    SUM over ``value`` and over ``weight`` route to two entries, so the plan
+    has no single entry and both tiers run it query by query; the cells the
+    base predicate compiles out are answered locally, with the population
+    read off the routed synopses, not off the engine's 3,000-row fallback
+    table or a worker's 0.
+    """
+    rng = np.random.default_rng(41)
+    key = rng.uniform(0.0, 100.0, size=3000)
+    table = Table(
+        {
+            "key": key,
+            "value": np.abs(rng.normal(20.0, 5.0, size=key.shape[0])),
+            "weight": rng.uniform(1.0, 2.0, size=key.shape[0]),
+        },
+        name="two_columns",
+    )
+    config = PASSConfig(n_partitions=16, sample_rate=0.05, seed=3)
+    synopses = {
+        column: build_pass(table, column, ["key"], config)
+        for column in ("value", "weight")
+    }
+    catalog = SynopsisCatalog()
+    for column, synopsis in synopses.items():
+        catalog.register(column, synopsis, table_name=table.name)
+    catalog.register_table(table)
+    plan = GroupByQuery(
+        groupings=(GroupingColumn.bins("key", [0.0, 25.0, 50.0, 75.0, 100.0]),),
+        aggregates=(AggregateSpec("SUM", "value"), AggregateSpec("SUM", "weight")),
+        predicate=RectPredicate.from_bounds(key=(0.0, 45.0)),
+    ).compile()
+    outside = [i for i in range(plan.n_cells) if i not in dict(plan.live_cells())]
+    assert outside
+    served = ServingEngine(catalog, cache_size=0).execute_grouped(plan, table.name)
+    with SynopsisPublisher() as publisher:
+        for column, synopsis in synopses.items():
+            publisher.publish(column, synopsis, table_name=table.name)
+        with MPServingPool(publisher.register_name, n_workers=1) as pool:
+            pooled = pool.execute_grouped(plan, table.name)
+    for row, want in zip(pooled.cells, served.cells):
+        assert [_bits(r) for r in row] == [_bits(r) for r in want]
+    population = synopses["value"].population_size
+    assert population == 3000
+    for index in outside:
+        assert {r.tuples_skipped for r in served.cells[index]} == {population}

@@ -274,17 +274,17 @@ class TestBatchEqualsPerQuery:
 
 class TestOneMomentPassPerPredicate:
     def test_sum_count_avg_share_one_pass(self, monkeypatch):
-        """64 cells x SUM / COUNT / AVG: one moment pass per cell.
+        """64 cells x SUM / COUNT / AVG: one moment pass, one group per cell.
 
         With the zero-variance rule on, an AVG whose descent stops early
-        keeps other partial rows and makes a pass of its own.
+        keeps other partial rows and is a group of its own in that pass.
         """
         synopsis = _rule_off()
         calls = []
         moments = FlatSynopsis._batched_partial_moments
 
         def counted(self, partial, constraints, need_sum, need_count):
-            calls.append((need_sum, need_count))
+            calls.append((need_sum, need_count, len(constraints)))
             return moments(self, partial, constraints, need_sum, need_count)
 
         edges = np.linspace(30.0, 90.0, 65)
@@ -296,12 +296,13 @@ class TestOneMomentPassPerPredicate:
         expected = [synopsis.query(query) for query in queries]
         monkeypatch.setattr(FlatSynopsis, "_batched_partial_moments", counted)
         answers = batch_query(synopsis, queries)
-        assert calls == [(True, True)] * 64
+        assert calls == [(True, True, 64)]
         for query, got, want in zip(queries, answers, expected):
             assert_same_bits(got, want, f"{query.agg.value} {query.predicate}")
         calls.clear()
         batch_query(_single(), queries)
-        assert 64 < len(calls) <= 128
+        ((need_sum, need_count, n_groups),) = calls
+        assert need_sum and need_count and 64 < n_groups <= 128
 
     def test_rule_off_avg_shares_the_sum_count_slot(self):
         """Without the zero-variance rule AVG's frontier is SUM / COUNT's."""
@@ -367,3 +368,110 @@ class TestFrontiersFor:
             assert np.array_equal(got.covered, want.covered)
             assert np.array_equal(got.partial, want.partial)
             assert got.nodes_visited == want.nodes_visited
+
+
+CLASSIC = ("SUM", "COUNT", "AVG", "MIN", "MAX")
+
+
+class TestOneAssemblyOverManyGroups:
+    """One ``answer_shared`` call over groups of every shape: the bits of
+    per-query ``synopsis.query``."""
+
+    @staticmethod
+    def _assert_groups(synopsis, predicates, aggs=CLASSIC):
+        """One call over every predicate's group(s); returns the groups."""
+        groups, members = [], []
+        for predicate in predicates:
+            batch = [AggregateQuery(a, synopsis.value_column, predicate) for a in aggs]
+            frontiers = [synopsis.query_frontier(query) for query in batch]
+            # An AVG whose zero-variance descent kept other rows is a group apart.
+            left = list(range(len(batch)))
+            while left:
+                frontier = frontiers[left[0]]
+                group = [
+                    i
+                    for i in left
+                    if np.array_equal(frontiers[i].covered, frontier.covered)
+                    and np.array_equal(frontiers[i].partial, frontier.partial)
+                ]
+                left = [i for i in left if i not in group]
+                queries = [batch[i] for i in group]
+                group_predicates = [q.predicate for q in queries]
+                groups.append((group_predicates, [q.agg for q in queries], frontier))
+                members.append(queries)
+        for queries, answers in zip(members, synopsis.answer_shared(groups)):
+            for query, got in zip(queries, answers):
+                assert_same_bits(
+                    got, synopsis.query(query), f"{query.agg.value} {query.predicate}"
+                )
+        return groups
+
+    def test_groups_with_no_one_and_many_partial_rows(self):
+        """Unsampled and emptied partial leaves, AVG split off by the rule."""
+        synopsis = _single()
+        wide = RectPredicate.from_bounds(c0=(35.0, 65.0))
+        box = synopsis.leaf_boxes[_middle_leaves(synopsis, 3)[2]]
+        bounds = {
+            column: (
+                max(box.interval(column).low, 0.0),
+                min(box.interval(column).high, 100.0),
+            )
+            for column in COLUMNS
+        }
+        inside = RectPredicate.from_bounds(
+            **{
+                column: ((low + high) / 2, (low + high) / 2 + 1e-6)
+                for column, (low, high) in bounds.items()
+            }
+        )
+        predicates = [
+            RectPredicate.everything(),
+            inside,
+            wide,
+            RectPredicate.from_bounds(c0=(10.0, 40.0), c1=(5.0, 95.0)),
+            RectPredicate.from_bounds(c0=(20.0, 28.0)),
+        ]
+        groups = self._assert_groups(synopsis, predicates)
+        partial_rows = [frontier.partial.shape[0] for _, _, frontier in groups]
+        assert 0 in partial_rows and 1 in partial_rows and max(partial_rows) > 3
+        # The unsampled and the empty leaf are partial rows of the wide group,
+        # and the constant slab splits some AVG off its SUM / COUNT.
+        rows = synopsis.frontier(wide).partial
+        leaves = synopsis._leaf_of_row[rows]
+        assert np.any(synopsis.sample_counts[leaves] == 0)
+        assert np.any(synopsis.leaf_populations()[leaves] == 0)
+        assert len(groups) > len(predicates)
+
+    def test_a_dynamic_synopsis_whose_deletes_emptied_leaves(self):
+        """Covered and partial rows without tuples add nothing to the bounds."""
+        from test_grouped_serving import _build
+
+        rng = np.random.default_rng(23)
+        key = rng.uniform(0.0, 80.0, size=6000)
+        value = np.round(np.abs(rng.normal(40.0, 12.0, size=key.shape[0])), 1)
+        table = Table({"key": key, "value": value}, name="emptied")
+        dynamic = _build("dynamic", table)
+        predicates = [
+            RectPredicate.from_bounds(key=(low, low + width))
+            for low, width in ((20.0, 40.0), (29.0, 3.5), (30.0, 20.0), (10.0, 60.0))
+        ]
+        groups = self._assert_groups(dynamic, predicates)
+        counts = dynamic._node_count
+        assert any(np.any(counts[f.covered] == 0) for _, _, f in groups)
+        assert any(np.any(counts[f.partial] == 0) for _, _, f in groups)
+
+    @pytest.mark.parametrize("agg", ["MIN", "MAX"])
+    def test_the_poisoned_leaves(self, agg):
+        """Sample rows set to ``±inf`` and NaN, beside ±0.0 ones."""
+        from test_extremum_pruning import FRAME, _doctored
+
+        synopsis = _doctored(agg, with_winner=True)
+        predicates = [
+            FRAME,
+            RectPredicate.from_bounds(c0=(0.5, 99.5), c1=(30.0, 70.0)),
+            RectPredicate.from_bounds(c0=(99.5, 100.0), c1=(70.0, 99.5)),
+            RectPredicate.from_bounds(c0=(45.0, 55.0), c1=(45.0, 55.0)),
+        ]
+        groups = self._assert_groups(synopsis, predicates)
+        answers = [r for row in synopsis.answer_shared(groups) for r in row]
+        assert any(not math.isfinite(r.estimate) for r in answers)

@@ -32,13 +32,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st
 
+from repro.aggregation.strat_agg import hard_bounds
 from repro.core.batching import batch_query, compile_batch, grouped_query
 from repro.core.builder import build_pass
 from repro.core.config import PASSConfig
 from repro.core.soa import (
     FlatFrontier,
     FlatSynopsis,
-    _RowBounds,
     _fast_mean,
     _fast_var,
 )
@@ -347,11 +347,19 @@ class TestAnswerSharedGroups:
             _predicate(2, fractions),
             RectPredicate.everything(),
         ]
-        groups = []
+        groups, batches = [], []
         for predicate in predicates:
-            queries = [AggregateQuery(agg, "value", predicate) for agg in CLASSIC_AGGS]
-            groups.append((queries, [synopsis.query_frontier(q) for q in queries]))
-        for (queries, _), answers in zip(groups, synopsis.answer_shared(groups)):
+            for flagged in (False, True):
+                queries = [
+                    AggregateQuery(agg, "value", predicate)
+                    for agg in CLASSIC_AGGS
+                    if (agg == "AVG") == flagged
+                ]
+                frontier = synopsis.query_frontier(queries[0])
+                aggs = [query.agg for query in queries]
+                groups.append(([predicate] * len(queries), aggs, frontier))
+                batches.append(queries)
+        for queries, answers in zip(batches, synopsis.answer_shared(groups)):
             for query, got in zip(queries, answers):
                 assert_results_identical(
                     got,
@@ -997,8 +1005,13 @@ class TestUfuncReplicas:
             if constrained
             else []
         )
-        ((sum_pairs, count_pairs),) = flat._batched_partial_moments(
-            (strata_sizes, leaves, sample_counts[leaves].tolist()),
+        sum_pairs, count_pairs = flat._batched_partial_moments(
+            (
+                np.array(strata_sizes),
+                np.array(leaves),
+                sample_counts[leaves],
+                flat._node_sum[: len(leaves)],
+            ),
             [(constraints, len(leaves))],
             need_sum=True,
             need_count=True,
@@ -1035,12 +1048,7 @@ class TestUfuncReplicas:
             frontier,
             leaves,
             constraints,
-            _RowBounds(
-                flat,
-                rows[:0],
-                rows,
-                (flat._node_count[rows].tolist(), flat._node_sum[rows].tolist(), []),
-            ).bounds(AggregateType.parse(agg)),
+            hard_bounds(AggregateType.parse(agg), [], flat.node_stats(rows)),
             0,
             0,
         )
